@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-eta chaos-smoke parallel-smoke serving-smoke crash-smoke elision-smoke
+.PHONY: all build test race vet bench bench-eta bench-check bench-smoke chaos-smoke parallel-smoke serving-smoke crash-smoke elision-smoke
 
 all: vet build test
 
@@ -16,15 +16,27 @@ race:
 vet:
 	$(GO) vet ./...
 
-# bench runs the full suite (η scenarios + view-latency microbenchmarks)
-# and writes BENCH_<date>.json for the cross-PR perf trajectory.
+# bench runs the full suite (η rows + micro-benchmarks, every row from
+# the internal/scenarios registries) and writes BENCH_<date>.json. It is
+# the microscope; the gate is the nested bench/ module (bench/README.md).
 bench:
 	$(GO) run ./cmd/serethbench
 
 # bench-eta reproduces the paper's Figure-2/ablation numbers via go test
 # (the shared η table in internal/scenarios).
 bench-eta:
-	$(GO) test -run '^$$' -bench 'BenchmarkEta|BenchmarkSequential' -benchtime 1x .
+	$(GO) test -run '^$$' -bench BenchmarkEta -benchtime 1x .
+
+# bench-check vets and tests the nested bench module: root `go test
+# ./...` does not see it, so an internal rename that breaks bench/e2e
+# would otherwise surface only in the pipeline.
+bench-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+
+# bench-smoke runs every root and keccak benchmark for one iteration.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . ./internal/keccak
 
 # chaos-smoke runs the fault-injection determinism/convergence tests and
 # a short churn+partition sweep under the race detector.
@@ -51,21 +63,21 @@ crash-smoke:
 	$(GO) test -race ./internal/store
 	$(GO) test -race -short -run 'TestCrash|TestBitFlip|TestOpenFallsBack|TestInjectedWriteFailure|TestOpenSnapshot' ./internal/chain
 	$(GO) test -race -run 'TestPanic|TestMaxInFlight|TestShed|TestShutdown|TestHealth' ./internal/rpc
-	$(GO) test -race -run 'TestCrash' ./internal/sim
+	$(GO) test -race -run 'TestCrash' ./internal/sim ./internal/scenarios
 	$(GO) run -race ./cmd/serethsim -experiment crash -quick -runs 2
 
 # elision-smoke runs the SHA3-elision suite under the race detector:
 # the keccak invocation-counter contract, the hinted/memoized jump
 # table differentials and fuzz seed corpus against the raw CallGeneric
 # reference, the zero-keccak frozen-instance admission and batch-id
-# assertions, and the golden counter-pinned replay drop with
-# bit-identical receipts (sequential and parallel lanes).
+# assertions, and the golden replay pinned at its absolute digest count
+# with bit-identical receipts (sequential and parallel lanes).
 elision-smoke:
 	$(GO) test -race -run 'TestInvocations' ./internal/keccak
 	$(GO) test -race -run 'TestSha3|TestJumpTableMatchesGeneric|FuzzInterpreter' ./internal/evm
 	$(GO) test -race -run 'TestAdmitAdoptsFrozenInstance|TestNthPoolAdmissionZeroKeccak|TestVerifiedFlagDoesNotSurviveTamper' ./internal/txpool
 	$(GO) test -race -run 'TestBatchID|TestBroadcastTxsHashCount' ./internal/p2p
-	$(GO) test -race -run 'TestReplayKeccakCountDrop|TestParallelReplayElidesIdentically' ./internal/scenarios
+	$(GO) test -race -run 'TestReplayKeccakCount|TestReplayAllocsPinned|TestParallelReplayElidesIdentically' ./internal/scenarios
 
 # serving-smoke runs the persistence and serving-tier suite under the
 # race detector: the store, trie/state persistence and snapshot

@@ -1,16 +1,15 @@
 // Command serethsim regenerates the paper's experiments on the simulated
-// network: the Figure-2 sweep (transaction efficiency vs buy:set ratio
-// for the three client/miner configurations), the sequential-history
-// sanity check, the ablations catalogued in DESIGN.md §3, and the
-// sustained-overload mempool-eviction family, and the burst-submission
-// family (buys shipped through the batched admission + gossip
-// pipeline), the chaos fault-injection family (churn, partitions,
-// lossy links, and adversarial actors, each measured against an honest
-// twin at the same seeds), and the crash-consistency family (persisting
-// peers hard-killed mid-commit that must salvage their log, reopen on a
-// durable head, and catch up). The -peers/-clients/-topology/-degree flags
-// rescale every experiment from the paper's 3-peer rig to an N-peer
-// population over an arbitrary gossip graph.
+// network. Every experiment is an entry of the registry in
+// internal/scenarios: the Figure-2 sweep (transaction efficiency vs
+// buy:set ratio for the three client/miner configurations), the
+// sequential-history sanity check, the §V-C/§V-A ablations
+// (participation, gossip, interval, extendheads), the sustained-overload
+// mempool-eviction family, the burst-submission family, the chaos
+// fault-injection family and the crash-consistency family (the last two
+// measured against an honest twin at the same seeds). The
+// -peers/-clients/-topology/-degree flags rescale every experiment from
+// the paper's 3-peer rig to an N-peer population over an arbitrary
+// gossip graph.
 //
 // Usage:
 //
@@ -23,30 +22,35 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
+	"sereth/internal/scenarios"
 	"sereth/internal/sim"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "serethsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
+	experiments := scenarios.Experiments()
+	var names []string
+	for _, e := range experiments {
+		names = append(names, e.Name)
+	}
 	fs := flag.NewFlagSet("serethsim", flag.ContinueOnError)
-	experiment := fs.String("experiment", "figure2",
-		"one of: figure2, sequential, participation, gossip, interval, extendheads, overload, burst, chaos, crash, all")
+	experiment := fs.String("experiment", "figure2", "one of: "+strings.Join(names, ", ")+", all")
 	runs := fs.Int("runs", 10, "seeded runs per data point")
 	quick := fs.Bool("quick", false, "smaller sweep for a fast check")
 	peers := fs.Int("peers", 0, "total peer count (miners + clients); 0 keeps the paper's 3-peer rig")
 	clients := fs.Int("clients", 1, "non-mining client peers (used when -peers is set)")
 	topology := fs.String("topology", "", "gossip topology: mesh (default), ring, dregular")
 	degree := fs.Int("degree", 0, "neighbor degree for -topology dregular")
-	lazyClients := fs.Bool("lazy-clients", false,
-		"client peers adopt shared validated executions without re-verification (large -peers sweeps)")
 	parallel := fs.Bool("parallel", false,
 		"execute block bodies on the optimistic parallel processor (4 workers, threshold 1); η is bit-identical to sequential execution")
 	rpcClients := fs.Bool("rpc-clients", false,
@@ -59,54 +63,51 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var chaosNames []string
-	if *churn {
-		chaosNames = append(chaosNames, "chaos_churn")
+	var chaosOnly []string
+	for name, on := range map[string]bool{"chaos_churn": *churn, "chaos_partition": *partition, "chaos_loss": *loss} {
+		if on {
+			chaosOnly = append(chaosOnly, name)
+		}
 	}
-	if *partition {
-		chaosNames = append(chaosNames, "chaos_partition")
-	}
-	if *loss {
-		chaosNames = append(chaosNames, "chaos_loss")
-	}
-	seeds := sim.DefaultSeeds(*runs)
 	shape, err := shapeFromFlags(*peers, *clients, *topology, *degree)
 	if err != nil {
 		return err
 	}
-	shape.LazyClients = *lazyClients
 	shape.ParallelExec = *parallel
 	shape.RPCClients = *rpcClients
 	shape.Persist = *persist
 
-	experiments := map[string]func(sim.Shape, []int64, bool) error{
-		"figure2":       runFigure2,
-		"sequential":    runSequential,
-		"participation": runParticipation,
-		"gossip":        runGossip,
-		"interval":      runInterval,
-		"extendheads":   runExtendHeads,
-		"overload":      runOverload,
-		"burst":         runBurst,
-		"chaos": func(shape sim.Shape, seeds []int64, quick bool) error {
-			return runChaos(shape, seeds, quick, chaosNames)
-		},
-		"crash": runCrash,
-	}
-	if *experiment == "all" {
-		for _, name := range []string{"figure2", "sequential", "participation", "gossip", "interval", "extendheads", "overload", "burst", "chaos", "crash"} {
-			fmt.Printf("\n=== %s ===\n", name)
-			if err := experiments[name](shape, seeds, *quick); err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
+	ran := false
+	for _, e := range experiments {
+		if *experiment != "all" && *experiment != e.Name {
+			continue
 		}
-		return nil
+		ran = true
+		if *experiment == "all" {
+			fmt.Fprintf(out, "\n=== %s ===\n", e.Name)
+		}
+		if e.Title != "" {
+			fmt.Fprintln(out, e.Title)
+		}
+		opts := scenarios.Options{
+			Seeds: sim.DefaultSeeds(*runs), Quick: *quick, Shape: shape,
+			Progress: func(line string) { fmt.Fprintln(out, line) },
+		}
+		if e.Name == "chaos" {
+			opts.Only = chaosOnly
+		}
+		rows, err := e.Run(opts)
+		if err != nil {
+			return err
+		}
+		if e.Footer != nil {
+			fmt.Fprint(out, e.Footer(rows))
+		}
 	}
-	fn, ok := experiments[*experiment]
-	if !ok {
+	if !ran {
 		return fmt.Errorf("unknown experiment %q", *experiment)
 	}
-	return fn(shape, seeds, *quick)
+	return nil
 }
 
 // shapeFromFlags maps -peers/-clients/-topology/-degree onto a
@@ -130,222 +131,4 @@ func shapeFromFlags(peers, clients int, topology string, degree int) (sim.Shape,
 	sh.BaselineMiners = miners / 2
 	sh.Clients = clients
 	return sh, nil
-}
-
-func runFigure2(shape sim.Shape, seeds []int64, quick bool) error {
-	setCounts := sim.Figure2SetCounts
-	if quick {
-		setCounts = []int{50, 10}
-	}
-	points, err := sim.RunFigure2(setCounts, seeds, func(line string) {
-		fmt.Println(line)
-	}, shape)
-	if err != nil {
-		return err
-	}
-	fmt.Println()
-	fmt.Print(sim.FormatSweep(points))
-	printFigure2Summary(points)
-	return nil
-}
-
-// printFigure2Summary reports the paper's headline claims against the
-// measured sweep.
-func printFigure2Summary(points []sim.SweepPoint) {
-	byKey := map[string]map[int]float64{}
-	for _, p := range points {
-		if byKey[p.Scenario] == nil {
-			byKey[p.Scenario] = map[int]float64{}
-		}
-		byKey[p.Scenario][p.Sets] = p.Eta.Mean
-	}
-	var ratios []float64
-	var count int
-	for sets, geth := range byKey["geth_unmodified"] {
-		if sereth, ok := byKey["sereth_client"][sets]; ok && geth > 0 {
-			ratios = append(ratios, sereth/geth)
-			count++
-		}
-	}
-	var sum float64
-	for _, r := range ratios {
-		sum += r
-	}
-	if count > 0 {
-		fmt.Printf("\nsereth_client / geth_unmodified mean improvement: %.1fx over %d ratios (paper: ~5x)\n",
-			sum/float64(count), count)
-	}
-	var semSum float64
-	var semN int
-	for _, eta := range byKey["semantic_mining"] {
-		semSum += eta
-		semN++
-	}
-	if semN > 0 {
-		fmt.Printf("semantic_mining mean efficiency: %.0f%% (paper: ~80%%)\n", 100*semSum/float64(semN))
-	}
-}
-
-func runSequential(shape sim.Shape, seeds []int64, _ bool) error {
-	for _, seed := range seeds {
-		res, err := sim.Run(shape.Apply(sim.SequentialHistoryConfig(seed)))
-		if err != nil {
-			return err
-		}
-		fmt.Printf("seed=%-6d buys η=%.3f sets η=%.3f (paper: exactly 1.0)\n",
-			seed, res.Efficiency(), res.SetEfficiency())
-	}
-	return nil
-}
-
-func runParticipation(shape sim.Shape, seeds []int64, quick bool) error {
-	fractions := []float64{0, 0.25, 0.5, 0.75, 1}
-	if quick {
-		fractions = []float64{0, 1}
-	}
-	points, err := sim.RunParticipation(fractions, seeds, 20, shape)
-	if err != nil {
-		return err
-	}
-	fmt.Println("semantic-miner fraction vs η (paper §V-C: benefits proportional to participation)")
-	for _, p := range points {
-		fmt.Printf("fraction=%.2f  η=%.3f ±%.3f\n", p.Fraction, p.Eta.Mean, p.Eta.CI90)
-	}
-	return nil
-}
-
-func runGossip(shape sim.Shape, seeds []int64, quick bool) error {
-	latencies := []uint64{50, 250, 1000, 5000, 15000}
-	if quick {
-		latencies = []uint64{50, 5000}
-	}
-	points, err := sim.RunGossip(latencies, seeds, 20, shape)
-	if err != nil {
-		return err
-	}
-	fmt.Println("gossip latency vs sereth_client η (paper §V-C: impeded TxPool propagation degrades)")
-	for _, p := range points {
-		fmt.Printf("latency=%-6dms  η=%.3f ±%.3f\n", p.LatencyMs, p.Eta.Mean, p.Eta.CI90)
-	}
-	return nil
-}
-
-func runInterval(shape sim.Shape, seeds []int64, quick bool) error {
-	intervals := []uint64{250, 500, 1000, 2000}
-	if quick {
-		intervals = []uint64{500, 2000}
-	}
-	points, err := sim.RunInterval(intervals, seeds, 5, shape)
-	if err != nil {
-		return err
-	}
-	fmt.Println("submit interval vs geth η at 20:1 (paper §V-A: high ratios sensitive to interval)")
-	for _, p := range points {
-		fmt.Printf("interval=%-5dms  η=%.3f ±%.3f\n", p.IntervalMs, p.Eta.Mean, p.Eta.CI90)
-	}
-	return nil
-}
-
-func runExtendHeads(shape sim.Shape, seeds []int64, _ bool) error {
-	points, err := sim.RunExtendHeads(seeds, 50, shape)
-	if err != nil {
-		return err
-	}
-	fmt.Println("HMS head extension vs η (paper §V-C: extension could approach 100%)")
-	for _, p := range points {
-		fmt.Printf("extended=%-5v  η=%.3f ±%.3f\n", p.Extended, p.Eta.Mean, p.Eta.CI90)
-	}
-	return nil
-}
-
-func runBurst(shape sim.Shape, seeds []int64, quick bool) error {
-	sizes := []int{1, 5, 10, 25}
-	if quick {
-		sizes = []int{1, 10}
-	}
-	points, err := sim.RunBurst(sizes, seeds, shape)
-	if err != nil {
-		return err
-	}
-	fmt.Println("burst submission: batched admission + ONE gossip envelope per client per burst")
-	for _, p := range points {
-		fmt.Printf("burst=%-3d  η=%.3f ±%.3f  msgs/run=%.0f\n",
-			p.BurstSize, p.Eta.Mean, p.Eta.CI90, p.Msgs.Mean)
-	}
-	return nil
-}
-
-func runChaos(shape sim.Shape, seeds []int64, quick bool, names []string) error {
-	if quick {
-		if len(seeds) > 2 {
-			seeds = seeds[:2]
-		}
-		if len(names) == 0 {
-			names = []string{"chaos_churn", "chaos_partition", "chaos_loss"}
-		}
-	}
-	points, err := sim.RunChaos(names, seeds, func(line string) {
-		fmt.Println(line)
-	}, shape)
-	if err != nil {
-		return err
-	}
-	fmt.Println("\nchaos family: η under faults vs the honest twin (same seeds, faults disabled)")
-	for _, p := range points {
-		fmt.Printf("%-16s η=%.3f ±%.3f  honest=%.3f  drop=%+.3f  orphaned=%.1f  censored=%.1f  converged=%v\n",
-			p.Variant, p.Eta.Mean, p.Eta.CI90, p.HonestEta.Mean, p.EtaDrop,
-			p.Orphaned.Mean, p.Censored.Mean, p.Converged)
-		if p.Rejoins > 0 {
-			fmt.Printf("%-16s rejoins=%d  resync p50=%.0fms p90=%.0fms  incomplete=%d\n",
-				"", p.Rejoins, p.ResyncP50Ms, p.ResyncP90Ms, p.ResyncIncomplete)
-		}
-		if p.AttackSent > 0 || p.ForgedAccepted > 0 {
-			fmt.Printf("%-16s attack txs sent=%d included=%d succeeded=%d  forged blocks accepted=%d\n",
-				"", p.AttackSent, p.AttackIncluded, p.AttackSucceeded, p.ForgedAccepted)
-		}
-	}
-	return nil
-}
-
-func runCrash(shape sim.Shape, seeds []int64, quick bool) error {
-	var names []string
-	if quick {
-		if len(seeds) > 2 {
-			seeds = seeds[:2]
-		}
-		names = []string{"crash_single", "crash_sync1"}
-	}
-	points, err := sim.RunCrash(names, seeds, func(line string) {
-		fmt.Println(line)
-	}, shape)
-	if err != nil {
-		return err
-	}
-	fmt.Println("\ncrash family: hard kills mid-commit, salvage + reopen + gossip catch-up, vs the honest twin")
-	for _, p := range points {
-		fmt.Printf("%-18s η=%.3f ±%.3f  honest=%.3f  drop=%+.3f  crashes=%d  recovered-from-disk=%d  converged=%v\n",
-			p.Variant, p.Eta.Mean, p.Eta.CI90, p.HonestEta.Mean, p.EtaDrop,
-			p.Crashes, p.Recovered, p.Converged)
-		fmt.Printf("%-18s recovery p50=%.0fms p90=%.0fms  salvage: torn=%dB quarantined=%d corrected=%d\n",
-			"", p.RecoveryP50Ms, p.RecoveryP90Ms,
-			p.SalvageTornBytes, p.SalvageQuarantined, p.SalvageCorrected)
-	}
-	return nil
-}
-
-func runOverload(shape sim.Shape, seeds []int64, quick bool) error {
-	intervals := []uint64{1000, 500, 250, 125}
-	if quick {
-		intervals = []uint64{500, 250}
-	}
-	points, err := sim.RunOverload(intervals, seeds, shape)
-	if err != nil {
-		return err
-	}
-	fmt.Println("sustained overload: arrival interval vs η with bounded evict-lowest mempools")
-	for _, p := range points {
-		fmt.Printf("interval=%-5dms  η=%.3f ±%.3f  lost=%.1f%%  evictions=%.0f\n",
-			p.IntervalMs, p.Eta.Mean, p.Eta.CI90, 100*p.LostFrac.Mean, p.Evictions.Mean)
-	}
-	return nil
 }

@@ -70,9 +70,6 @@ func (p *Program) PushBytes(b []byte) *Program {
 	return p
 }
 
-// PushWord appends PUSH32 with a full word immediate.
-func (p *Program) PushWord(w types.Word) *Program { return p.PushBytes(w[:]) }
-
 // PushSelector appends PUSH4 with a function selector immediate.
 func (p *Program) PushSelector(s types.Selector) *Program { return p.PushBytes(s[:]) }
 

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sync"
 
-	"sereth/internal/evm"
 	"sereth/internal/statedb"
 	"sereth/internal/store"
 	"sereth/internal/types"
@@ -37,7 +36,7 @@ type Config struct {
 	// GasLimit is the per-block gas limit.
 	GasLimit uint64
 	// Difficulty gates the PoW seal; zero disables seal checking (the
-	// experiments elect a sealer instead of racing, see DESIGN.md §5).
+	// experiments elect one sealer per block instead of racing nonces).
 	Difficulty uint64
 	// Registry verifies transaction signatures; nil skips verification.
 	Registry *wallet.Registry
@@ -46,11 +45,6 @@ type Config struct {
 	// simulation): each block body is replayed once and subsequent
 	// importers verify the header against the memoized roots.
 	ExecCache *ExecCache
-	// LazyValidation adopts cached executions without independent root
-	// comparison — the scale-sweep client mode. Blocks missing from the
-	// cache still get the full replay; without an ExecCache the flag has
-	// no effect.
-	LazyValidation bool
 	// Parallel enables optimistic parallel intra-block execution
 	// (ParallelProcessor): bodies of at least ParallelThreshold
 	// transactions speculate on a worker pool and commit in order,
@@ -89,9 +83,6 @@ type Chain struct {
 	cfg  Config
 	proc *Processor
 	// par is the optimistic parallel executor; nil unless cfg.Parallel.
-	// Every body execution routes through processBody, which picks the
-	// parallel path when available — both paths produce byte-identical
-	// ExecResults, so consumers never know which ran.
 	par *ParallelProcessor
 
 	mu sync.RWMutex
@@ -135,10 +126,6 @@ func New(cfg Config, genesisState *statedb.StateDB) *Chain {
 	}
 	if cfg.Parallel {
 		c.par = NewParallelProcessor(cfg)
-		// The parallel processor wraps its own sequential oracle; use it
-		// as the chain's processor so ApplyTransaction and the fallback
-		// path share one instance.
-		c.proc = c.par.Sequential()
 	}
 	if cfg.Store != nil {
 		// Persist genesis so a datadir created now recovers later even if
@@ -152,16 +139,6 @@ func New(cfg Config, genesisState *statedb.StateDB) *Chain {
 	return c
 }
 
-// processBody executes a block body through the parallel processor when
-// one is configured, the sequential processor otherwise. The two are
-// differentially pinned to byte-identical results.
-func (c *Chain) processBody(parentState *statedb.StateDB, header *types.Header, txs []*types.Transaction) (*ExecResult, error) {
-	if c.par != nil {
-		return c.par.Process(parentState, header, txs)
-	}
-	return c.proc.Process(parentState, header, txs)
-}
-
 // ParallelStats returns the scheduler counters of the parallel
 // processor; the zero value when parallel execution is disabled.
 func (c *Chain) ParallelStats() ParallelStats {
@@ -170,9 +147,6 @@ func (c *Chain) ParallelStats() ParallelStats {
 	}
 	return c.par.Stats()
 }
-
-// Processor returns the chain's block-execution pipeline.
-func (c *Chain) Processor() *Processor { return c.proc }
 
 // Config returns the chain configuration.
 func (c *Chain) Config() Config { return c.cfg }
@@ -246,48 +220,27 @@ func (c *Chain) ReadHeadState(fn func(head *types.Block, st *statedb.StateDB)) {
 	fn(c.blocks[len(c.blocks)-1], c.state)
 }
 
-// ApplyTransaction executes one transaction against st through the
-// chain's processor. It returns the receipt; the error return is
-// reserved for transactions that may not appear in a block at all (bad
-// signature / nonce). Logical failures (reverts, EVM faults,
-// contract-reported no-ops) produce a Failed receipt with every state
-// effect rolled back.
-func (c *Chain) ApplyTransaction(st *statedb.StateDB, header *types.Header, tx *types.Transaction, txIndex int) (*types.Receipt, error) {
-	receipt := new(types.Receipt)
-	machine := evm.New(st, evm.BlockContext{Number: header.Number, Time: header.Time})
-	if err := c.proc.applyTransaction(machine, st, header, tx, txIndex, receipt); err != nil {
-		return nil, err
-	}
-	return receipt, nil
-}
-
 // Process replays a block body against a parent state copy through the
 // chain's processor, returning the full validated transition — receipts
 // from one arena slab plus the memoized state and receipt roots. Miners
 // build headers from it; InsertBlock verifies against it; the two never
-// re-derive a root the processor already produced.
+// re-derive a root the processor already produced. Bodies run on the
+// parallel processor when one is configured, the sequential processor
+// otherwise; the two are differentially pinned to byte-identical
+// results, so consumers never know which ran.
 func (c *Chain) Process(parentState *statedb.StateDB, header *types.Header, txs []*types.Transaction) (*ExecResult, error) {
-	return c.processBody(parentState, header, txs)
-}
-
-// ExecuteBlock replays a block body against a parent state copy and
-// returns the receipts, the post state, and the total gas used.
-// Compatibility form of Process for consumers that do not need the
-// memoized roots.
-func (c *Chain) ExecuteBlock(parentState *statedb.StateDB, header *types.Header, txs []*types.Transaction) ([]*types.Receipt, *statedb.StateDB, uint64, error) {
-	res, err := c.processBody(parentState, header, txs)
-	if err != nil {
-		return nil, nil, 0, err
+	if c.par != nil {
+		return c.par.Process(parentState, header, txs)
 	}
-	return res.Receipts, res.Post, res.GasUsed, nil
+	return c.proc.Process(parentState, header, txs)
 }
 
 // InsertBlock validates a block and appends it to the chain. Without an
 // ExecCache every peer re-executes the body and checks the roots (§II-D,
 // validation by full replay). With a shared cache the first importer
 // replays and memoizes; later importers verify the header against the
-// memoized roots (or, in lazy-validation mode, adopt them outright) and
-// share the flushed post state instead of recomputing it.
+// memoized roots and share the flushed post state instead of
+// recomputing it.
 func (c *Chain) InsertBlock(block *types.Block) ([]*types.Receipt, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -319,51 +272,33 @@ func (c *Chain) InsertBlock(block *types.Block) ([]*types.Receipt, error) {
 // not mutate the chain.
 func (c *Chain) verifyBlockLocked(parentRoot types.Hash, parentState *statedb.StateDB, block *types.Block) ([]*types.Receipt, *statedb.StateDB, error) {
 	key := ExecKey{ParentRoot: parentRoot, BlockHash: block.Hash()}
+	var res *ExecResult
+	cached := false
 	if c.cfg.ExecCache != nil {
-		if entry, ok := c.cfg.ExecCache.Get(key); ok {
-			if !c.cfg.LazyValidation {
-				// Independent verification by root comparison: the body is
-				// authenticated against the header (whose hash keyed the
-				// entry), and the memoized execution must land exactly on
-				// the header's claims.
-				// block.TxRoot() is memoized on the shared block instance:
-				// derived once (by the miner at build time or the first
-				// importer), reused by every later peer. This authenticates
-				// REBUILT bodies — a block reconstructed with a different
-				// Txs list is a new instance with a cold cache, so swapped
-				// transactions still die here on cache hits. What it does
-				// NOT re-detect is in-place mutation of the shared frozen
-				// instance after its root was derived; like the pool's
-				// frozen transactions and the cache's shared post states,
-				// an admitted block's body is immutable by contract.
-				if got := block.TxRoot(); got != block.Header.TxRoot {
-					return nil, nil, ErrBadTxRoot
-				}
-				if entry.GasUsed != block.Header.GasUsed {
-					return nil, nil, fmt.Errorf("%w: replay %d, header %d", ErrBadGasUsed, entry.GasUsed, block.Header.GasUsed)
-				}
-				if entry.ReceiptRoot != block.Header.ReceiptRoot {
-					return nil, nil, ErrBadReceiptRoot
-				}
-				if entry.StateRoot != block.Header.StateRoot {
-					return nil, nil, fmt.Errorf("%w: replay %s, header %s", ErrBadStateRoot, entry.StateRoot.Hex(), block.Header.StateRoot.Hex())
-				}
-			}
-			return entry.Receipts, entry.Post, nil
-		}
+		res, cached = c.cfg.ExecCache.Get(key)
 	}
-
+	// block.TxRoot() is memoized on the shared block instance: derived
+	// once (by the miner at build time or the first importer), reused by
+	// every later peer. This authenticates REBUILT bodies — a block
+	// reconstructed with a different Txs list is a new instance with a
+	// cold cache, so swapped transactions still die here on cache hits.
+	// What it does NOT re-detect is in-place mutation of the shared
+	// frozen instance after its root was derived; like the pool's frozen
+	// transactions and the cache's shared post states, an admitted
+	// block's body is immutable by contract.
 	if got := block.TxRoot(); got != block.Header.TxRoot {
 		return nil, nil, ErrBadTxRoot
 	}
-	// One Process call yields the receipts AND the memoized roots; the
-	// header checks below compare against them instead of re-deriving,
-	// and a cache Put shares the very same ExecResult with every later
-	// importer.
-	res, err := c.processBody(parentState, block.Header, block.Txs)
-	if err != nil {
-		return nil, nil, err
+	if !cached {
+		var err error
+		if res, err = c.Process(parentState, block.Header, block.Txs); err != nil {
+			return nil, nil, err
+		}
 	}
+	// Replayed or memoized, the execution must land exactly on the
+	// header's claims: one ExecResult carries the receipts AND the
+	// memoized roots, so nothing is re-derived here, and a cache Put
+	// shares the very same result with every later importer.
 	if res.GasUsed != block.Header.GasUsed {
 		return nil, nil, fmt.Errorf("%w: replay %d, header %d", ErrBadGasUsed, res.GasUsed, block.Header.GasUsed)
 	}
@@ -373,7 +308,7 @@ func (c *Chain) verifyBlockLocked(parentRoot types.Hash, parentState *statedb.St
 	if res.StateRoot != block.Header.StateRoot {
 		return nil, nil, fmt.Errorf("%w: replay %s, header %s", ErrBadStateRoot, res.StateRoot.Hex(), block.Header.StateRoot.Hex())
 	}
-	if c.cfg.ExecCache != nil {
+	if c.cfg.ExecCache != nil && !cached {
 		c.cfg.ExecCache.Put(key, res)
 	}
 	return res.Receipts, res.Post, nil
@@ -498,7 +433,7 @@ func (c *Chain) Orphaned() uint64 {
 
 // adopt appends a validated block. post must be flushed (Root called);
 // it may be shared with other chains and is never mutated in place —
-// every execution copies it first (ExecuteBlock) and reads go through
+// every execution copies it first (Process) and reads go through
 // ReadState/State. With a store configured, the block is persisted
 // BEFORE the in-memory adoption so a persist failure leaves memory and
 // disk agreeing on the old head.

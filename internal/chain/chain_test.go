@@ -39,14 +39,14 @@ func buildBlock(t *testing.T, c *Chain, txs []*types.Transaction) *types.Block {
 		GasLimit:   c.Config().GasLimit,
 		Time:       head.Header.Time + 15,
 	}
-	receipts, post, gasUsed, err := c.ExecuteBlock(c.State(), header, txs)
+	res, err := c.Process(c.State(), header, txs)
 	if err != nil {
 		t.Fatalf("execute block: %v", err)
 	}
 	header.TxRoot = types.DeriveTxRoot(txs)
-	header.ReceiptRoot = types.DeriveReceiptRoot(receipts)
-	header.StateRoot = post.Root()
-	header.GasUsed = gasUsed
+	header.ReceiptRoot = types.DeriveReceiptRoot(res.Receipts)
+	header.StateRoot = res.Post.Root()
+	header.GasUsed = res.GasUsed
 	if !Seal(header, c.Config().Difficulty, 1<<20) {
 		t.Fatal("seal search failed")
 	}
@@ -198,7 +198,7 @@ func TestInsertRejectsTamperedCalldata(t *testing.T) {
 		GasLimit:   c.Config().GasLimit,
 	}
 	txs := []*types.Transaction{tampered}
-	if _, _, _, err := c.ExecuteBlock(c.State(), header, txs); !errors.Is(err, ErrBadSignature) {
+	if _, err := c.Process(c.State(), header, txs); !errors.Is(err, ErrBadSignature) {
 		t.Errorf("tampered calldata: %v", err)
 	}
 }
@@ -212,7 +212,7 @@ func TestNonceEnforcement(t *testing.T) {
 	// Nonce 1 before nonce 0: rejected at execution time.
 	tx := setTxFor(alice, 1, types.ZeroWord, 5, types.FlagHead)
 	header := &types.Header{ParentHash: c.Head().Hash(), Number: 1, GasLimit: c.Config().GasLimit}
-	if _, _, _, err := c.ExecuteBlock(c.State(), header, []*types.Transaction{tx}); !errors.Is(err, ErrBadNonce) {
+	if _, err := c.Process(c.State(), header, []*types.Transaction{tx}); !errors.Is(err, ErrBadNonce) {
 		t.Errorf("bad nonce: %v", err)
 	}
 }
@@ -227,7 +227,7 @@ func TestBlockGasLimit(t *testing.T) {
 	// One 300k-gas-limit tx exceeds the 100k block limit.
 	tx := setTxFor(alice, 0, types.ZeroWord, 5, types.FlagHead)
 	header := &types.Header{ParentHash: c.Head().Hash(), Number: 1, GasLimit: cfg.GasLimit}
-	if _, _, _, err := c.ExecuteBlock(c.State(), header, []*types.Transaction{tx}); !errors.Is(err, ErrGasLimitReached) {
+	if _, err := c.Process(c.State(), header, []*types.Transaction{tx}); !errors.Is(err, ErrGasLimitReached) {
 		t.Errorf("gas limit: %v", err)
 	}
 }

@@ -15,8 +15,8 @@ import (
 )
 
 // ExecKey identifies one block execution. The parent state root pins the
-// pre-state; the block hash pins the header and — through the TxRoot a
-// non-lazy importer has already verified — the body.
+// pre-state; the block hash pins the header and — through the TxRoot an
+// importer has already verified — the body.
 type ExecKey struct {
 	ParentRoot types.Hash
 	BlockHash  types.Hash

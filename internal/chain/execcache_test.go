@@ -141,40 +141,6 @@ func TestCacheOnlyHoldsImporterReplays(t *testing.T) {
 	}
 }
 
-func TestLazyValidationAdoptsCached(t *testing.T) {
-	alice := wallet.NewKey("alice")
-	reg, cache, mk := cachedChainSetup(t)
-	reg.Register(alice)
-
-	producer := mk()
-	block := buildBlock(t, producer, []*types.Transaction{setTxFor(alice, 0, types.ZeroWord, 5, types.FlagHead)})
-	if _, err := producer.InsertBlock(block); err != nil {
-		t.Fatal(err)
-	}
-
-	lazyCfg := DefaultConfig()
-	lazyCfg.Registry = reg
-	lazyCfg.ExecCache = cache
-	lazyCfg.LazyValidation = true
-	lazy := New(lazyCfg, genesisWithContract())
-	if _, err := lazy.InsertBlock(block); err != nil {
-		t.Fatalf("lazy import failed: %v", err)
-	}
-	if lazy.State().Root() != producer.State().Root() {
-		t.Error("lazy peer diverged")
-	}
-
-	// A block absent from the cache still gets the full replay: a bogus
-	// state root must be rejected even in lazy mode.
-	next := buildBlock(t, producer, []*types.Transaction{setTxFor(alice, 1, types.NextMark(types.ZeroWord, types.WordFromUint64(5)), 7, types.FlagHead)})
-	bogusHeader := *next.Header
-	bogus := &types.Block{Header: &bogusHeader, Txs: next.Txs}
-	bogus.Header.StateRoot = types.Hash{0xde, 0xad}
-	if _, err := lazy.InsertBlock(bogus); !errors.Is(err, ErrBadStateRoot) {
-		t.Errorf("lazy cache miss skipped replay: %v", err)
-	}
-}
-
 // TestConcurrentInsertSharedCache drives N validating chains over the
 // same block sequence concurrently against one shared cache — the -race
 // regression gate for the structure-shared post states and trie nodes.

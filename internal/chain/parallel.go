@@ -90,13 +90,6 @@ func NewParallelProcessor(cfg Config) *ParallelProcessor {
 	}
 }
 
-// Sequential returns the wrapped sequential processor (the differential
-// oracle).
-func (p *ParallelProcessor) Sequential() *Processor { return p.seq }
-
-// Workers returns the configured speculation worker count.
-func (p *ParallelProcessor) Workers() int { return p.workers }
-
 // Stats returns a snapshot of the scheduler counters.
 func (p *ParallelProcessor) Stats() ParallelStats {
 	return ParallelStats{

@@ -209,7 +209,6 @@ func openAt(cfg Config, kv store.Store, head uint64) (*Chain, error) {
 	}
 	if cfg.Parallel {
 		c.par = NewParallelProcessor(cfg)
-		c.proc = c.par.Sequential()
 	}
 	return c, nil
 }

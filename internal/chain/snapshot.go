@@ -111,7 +111,6 @@ func OpenSnapshot(cfg Config, r io.Reader) (*Chain, error) {
 	}
 	if cfg.Parallel {
 		c.par = NewParallelProcessor(cfg)
-		c.proc = c.par.Sequential()
 	}
 	if cfg.Store != nil {
 		if err := c.persistLocked(head, state); err != nil {

@@ -2,7 +2,6 @@ package evm
 
 import (
 	"bytes"
-	"sync/atomic"
 
 	"sereth/internal/types"
 )
@@ -43,20 +42,6 @@ type TxHint struct {
 	PrevInput  []byte
 	PrevDigest types.Word
 }
-
-// elisionOff is the test/bench kill switch: counter-pinned tests
-// measure the pre-elision hash count of a workload by flipping it.
-// Atomic so flipping it between runs stays race-clean next to pooled
-// worker goroutines; the uncontended load is noise next to a sponge.
-var elisionOff atomic.Bool
-
-// SetElisionDisabled disables (true) or re-enables (false) the SHA3
-// elision layer process-wide. A test/bench hook — production leaves
-// elision on; results are bit-identical either way.
-func SetElisionDisabled(v bool) { elisionOff.Store(v) }
-
-// ElisionDisabled reports whether the elision layer is switched off.
-func ElisionDisabled() bool { return elisionOff.Load() }
 
 // sha3Memo geometry: 8 direct-mapped slots over inputs up to 64 bytes
 // covers the contract set's working set (32-byte mark checks, 64-byte
@@ -128,9 +113,6 @@ func (e *EVM) SetTxHint(h TxHint) { e.hint = h }
 // SHA3 handler. Gas has already been charged by the caller; this only
 // decides whether the sponge has to run.
 func (e *EVM) sha3(data []byte) types.Word {
-	if elisionOff.Load() {
-		return types.Keccak(data).Word()
-	}
 	// The hint pairs are exact-content matches: hashing precisely the
 	// bytes a digest was derived from at admission returns that digest.
 	// The non-empty guards keep a cleared hint from matching an empty

@@ -231,23 +231,3 @@ func TestSha3MemoDifferential(t *testing.T) {
 		}
 	}
 }
-
-// TestSha3ElisionDisabledMatches pins the kill switch: with elision
-// off, hinted machines run every sponge and still produce identical
-// results.
-func TestSha3ElisionDisabledMatches(t *testing.T) {
-	SetElisionDisabled(true)
-	defer SetElisionDisabled(false)
-	input := seqBytes(128)
-	code := sha3Prog(36, 64, false)
-	eh := New(newDiffState(code), BlockContext{})
-	eh.SetTxHint(hintFor(input))
-	before := keccak.Invocations()
-	res := eh.Call(CallContext{Contract: types.Address{19: 0xcc}, Input: input, Gas: 100_000})
-	if n := keccak.Invocations() - before; n != 1 {
-		t.Errorf("disabled elision: %d sponges, want 1", n)
-	}
-	if want := types.Keccak(input[36:100]).Word(); res.ReturnWord() != want {
-		t.Errorf("disabled elision: digest %x, want %x", res.ReturnWord(), want)
-	}
-}

@@ -106,7 +106,8 @@ func (op OpCode) String() string {
 	return fmt.Sprintf("UNDEFINED(0x%02x)", byte(op))
 }
 
-// Gas cost schedule (simplified Frontier-style constants; see DESIGN.md).
+// Gas cost schedule: simplified Frontier-style constants. Only relative
+// costs matter here — they set how many transactions fit in a block.
 const (
 	gasQuickStep   = 2
 	gasFastestStep = 3

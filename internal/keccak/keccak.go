@@ -162,24 +162,6 @@ func (h *Hasher) Sum256() [32]byte {
 	return extract(&st)
 }
 
-// SumInto is Sum256 writing the digest to *out — the variant for
-// incremental users (trie node hashing, state commitment) that store
-// digests into existing fields.
-func (h *Hasher) SumInto(out *[32]byte) {
-	st := h.state
-	finalize(&st, h.buf[:h.buffed])
-	*out = extract(&st)
-}
-
-// Sum256Final finalizes the sponge in place and returns the digest,
-// skipping even the lane-state clone. Destructive: the hasher must be
-// Reset before any further use.
-func (h *Hasher) Sum256Final() [32]byte {
-	finalize(&h.state, h.buf[:h.buffed])
-	h.buffed = 0
-	return extract(&h.state)
-}
-
 func leUint64(b []byte) uint64 {
 	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
 		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56

@@ -97,7 +97,7 @@ func TestBoundaryKnownAnswers(t *testing.T) {
 	}
 }
 
-func TestSumIntoMatchesSum(t *testing.T) {
+func TestSum256IntoMatchesSum256(t *testing.T) {
 	var got [32]byte
 	Sum256Into(&got, []byte("hello "), []byte("world"))
 	if got != Sum256([]byte("hello world")) {
@@ -105,19 +105,15 @@ func TestSumIntoMatchesSum(t *testing.T) {
 	}
 }
 
-func TestSum256FinalIsDestructiveButCorrect(t *testing.T) {
+func TestResetRestoresInitialState(t *testing.T) {
 	h := New()
 	_, _ = h.Write([]byte("payload"))
-	want := h.Sum256() // non-destructive reference
-	if got := h.Sum256Final(); got != want {
-		t.Error("Sum256Final digest differs from Sum256")
-	}
-	// After the destructive finalize the hasher must be Reset to be
-	// reusable; Reset must restore a working initial state.
+	want := h.Sum256()
+	_, _ = h.Write([]byte("more, then discarded"))
 	h.Reset()
 	_, _ = h.Write([]byte("payload"))
 	if got := h.Sum256(); got != want {
-		t.Error("Reset after Sum256Final did not restore the hasher")
+		t.Error("Reset did not restore the hasher")
 	}
 }
 

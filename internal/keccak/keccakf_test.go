@@ -111,14 +111,6 @@ func FuzzSum256(f *testing.F) {
 		if buffered := h.Sum256(); buffered != oneShot {
 			t.Fatalf("buffered Write path differs at split (%d,%d)", i, j)
 		}
-		var into [32]byte
-		h.SumInto(&into)
-		if into != oneShot {
-			t.Fatal("SumInto differs from Sum256")
-		}
-		if final := h.Sum256Final(); final != oneShot {
-			t.Fatal("destructive Sum256Final differs from Sum256")
-		}
 	})
 }
 

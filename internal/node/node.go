@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"sereth/internal/asm"
@@ -26,10 +27,7 @@ import (
 	"sereth/internal/wallet"
 )
 
-// Mode selects the client type. Orthogonally to the geth/sereth split,
-// Config.Lazy switches a node's chain to lazy validation (adopt shared
-// validated executions without independent root comparison) — the
-// scale-sweep client mode.
+// Mode selects the client type.
 type Mode int
 
 // Client modes.
@@ -81,13 +79,6 @@ type Config struct {
 	// EvictOnFull selects the pool's evict-lowest overflow policy
 	// instead of rejecting newcomers (overload scenarios).
 	EvictOnFull bool
-	// Lazy switches this node's chain to lazy validation: cached
-	// executions from Chain.ExecCache are adopted without independent
-	// root comparison, and only cache misses pay the full replay. Meant
-	// for non-mining clients in large population sweeps; it weakens the
-	// paper's every-peer-replays guarantee (§II-D) and requires an
-	// ExecCache in the chain config to have any effect.
-	Lazy bool
 	// CensorTargets, on a mining node, wraps the ordering strategy in a
 	// censoring adversary that excludes every pending transaction from
 	// the listed senders (robustness experiments).
@@ -123,8 +114,18 @@ type Node struct {
 	stats Stats
 	// orphans buffers blocks that arrived ahead of a missing parent
 	// (gossip loss), with the peer that delivered them; they are retried
-	// after every successful import.
+	// after every successful import. Nothing in a buffered block has been
+	// verified and its key is the sender-chosen number, so only numbers
+	// within bufferWindow of the head are kept, plus farOrphan: the buffer
+	// holds at most that many entries whatever a peer sends.
 	orphans map[uint64]orphanEntry
+	// farOrphan is the number of the one block kept from beyond the
+	// window, the highest any peer has sent. With it buffered, drainOrphans
+	// keeps re-requesting after each capped batch, so a peer many batches
+	// behind catches up on a quiet chain from one tip block. A forged one
+	// is never reached: it costs its sender's victim one spare request
+	// per batch of imports, and no memory.
+	farOrphan uint64
 	// syncFrontier/syncAsked suppress duplicate catch-up requests: at
 	// most one RequestBlocks per distinct sender per gap frontier
 	// (height+1 at request time). Without this, on high-latency
@@ -147,7 +148,10 @@ type Node struct {
 	// the longest-chain resolution that lets partitioned groups converge
 	// after a heal. forkFrontier/forkAsked dedup the back-walk requests
 	// for blocks below the earliest buffered candidate, mirroring
-	// syncFrontier/syncAsked.
+	// syncFrontier/syncAsked. Candidates are as unverified as orphans:
+	// only numbers within bufferWindow below the head are kept (deeper
+	// reorgs are refused), and every fork import drops the ones at or
+	// below its attach point.
 	fork         map[uint64]orphanEntry
 	forkFrontier uint64
 	forkAsked    map[p2p.PeerID]struct{}
@@ -164,6 +168,14 @@ type orphanEntry struct {
 // use the same constant to reason about what in-flight responses can
 // still deliver.
 const maxSyncBatch = 256
+
+// bufferWindow is how far from the head, above (orphans) or below (fork
+// candidates), an unverified block may be numbered and still be
+// buffered. Two batches above is as far as the responses to issued
+// catch-up requests deliver; of the blocks further out only the highest
+// is kept, as the catch-up target. Below, it is the deepest reorg a node
+// will follow.
+const bufferWindow = 2 * maxSyncBatch
 
 // Stats counts node-level events.
 type Stats struct {
@@ -186,9 +198,6 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Network == nil {
 		return nil, fmt.Errorf("node %d: network is required", cfg.ID)
 	}
-	if cfg.Lazy {
-		cfg.Chain.LazyValidation = true
-	}
 	c, boot, err := buildChain(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("node %d: %w", cfg.ID, err)
@@ -201,6 +210,7 @@ func New(cfg Config) (*Node, error) {
 		store:   cfg.Store,
 		boot:    boot,
 		orphans: make(map[uint64]orphanEntry),
+		fork:    make(map[uint64]orphanEntry),
 	}
 	poolOpts := []txpool.Option{txpool.WithValidator(func(tx *types.Transaction) error {
 		if cfg.Chain.Registry != nil {
@@ -336,10 +346,9 @@ func (n *Node) HandleTx(_ p2p.PeerID, tx *types.Transaction) {
 }
 
 // HandleTxs implements p2p.TxBatchHandler: a batched gossip envelope is
-// admitted through txpool.AdmitBatch — one lock acquisition and one
-// subscriber flush for the whole batch instead of per-transaction
-// locking — with the same per-transaction admission semantics HandleTx
-// would apply.
+// admitted through txpool.AdmitBatch — one lock acquisition for the
+// whole batch instead of per-transaction locking — with the same
+// per-transaction admission semantics HandleTx would apply.
 func (n *Node) HandleTxs(_ p2p.PeerID, txs []*types.Transaction) {
 	_, errs := n.pool.AdmitBatch(txs)
 	rejected := uint64(0)
@@ -362,7 +371,16 @@ func (n *Node) HandleBlock(from p2p.PeerID, block *types.Block) {
 	height := n.chain.Height()
 	if block.Number() > height+1 {
 		n.mu.Lock()
-		n.orphans[block.Number()] = orphanEntry{block: block, from: from}
+		num, far := block.Number(), height+bufferWindow
+		if num <= far || num > n.farOrphan {
+			if num > far {
+				if n.farOrphan > far {
+					delete(n.orphans, n.farOrphan)
+				}
+				n.farOrphan = num
+			}
+			n.orphans[num] = orphanEntry{block: block, from: from}
+		}
 		request := n.markSyncRequestLocked(from, height+1)
 		n.mu.Unlock()
 		if request {
@@ -476,21 +494,36 @@ func (n *Node) importBlock(block *types.Block) error {
 	}
 	n.mu.Lock()
 	n.stats.BlocksImported++
+	// The head moved: fork candidates now deeper than the reorg window
+	// can no longer be adopted.
+	for num := range n.fork {
+		if num+bufferWindow < block.Number() {
+			delete(n.fork, num)
+		}
+	}
 	n.mu.Unlock()
 
-	// Drop included and stale transactions from the pool. This is the
-	// moment the paper's 10-20% orphan loss occurs: pending successors of
-	// just-committed marks lose their in-pool parents (§V-C).
-	hashes := make([]types.Hash, len(block.Txs))
-	for i, tx := range block.Txs {
-		hashes[i] = tx.Hash()
+	n.settlePool(block)
+	return nil
+}
+
+// settlePool drops the adopted blocks' transactions and whatever they
+// made stale from the pool. This is the moment the paper's 10-20%
+// orphan loss occurs: pending successors of just-committed marks lose
+// their in-pool parents (§V-C).
+func (n *Node) settlePool(blocks ...*types.Block) {
+	var hashes []types.Hash
+	for _, b := range blocks {
+		hashes = slices.Grow(hashes, len(b.Txs))
+		for _, tx := range b.Txs {
+			hashes = append(hashes, tx.Hash())
+		}
 	}
 	n.pool.Remove(hashes)
 	n.chain.ReadState(func(st *statedb.StateDB) {
 		n.pool.RemoveStale(st.GetNonce)
 	})
 	n.refreshCommitted()
-	return nil
 }
 
 // noteForkBlock buffers a competing-branch block and attempts longest-
@@ -505,8 +538,10 @@ func (n *Node) noteForkBlock(from p2p.PeerID, block *types.Block) {
 		return
 	}
 	n.mu.Lock()
-	if n.fork == nil {
-		n.fork = make(map[uint64]orphanEntry)
+	height := n.chain.Height()
+	if num+bufferWindow < height {
+		n.mu.Unlock()
+		return // deeper than any reorg this node follows
 	}
 	n.fork[num] = orphanEntry{block: block, from: from}
 	// Longest parent-linked run through num currently in the buffer.
@@ -526,7 +561,6 @@ func (n *Node) noteForkBlock(from p2p.PeerID, block *types.Block) {
 		}
 		hi++
 	}
-	height := n.chain.Height()
 	attach := n.chain.BlockByNumber(lo - 1)
 	linked := attach != nil && n.fork[lo].block.Header.ParentHash == attach.Hash()
 	var blocks []*types.Block
@@ -565,22 +599,19 @@ func (n *Node) noteForkBlock(from p2p.PeerID, block *types.Block) {
 	}
 	n.stats.BlocksImported += uint64(len(blocks))
 	n.stats.BlocksOrphaned += uint64(orphaned)
-	n.mu.Unlock()
-
-	// Post-reorg pool hygiene, mirroring importBlock for the whole
-	// adopted branch. Transactions exclusive to orphaned blocks are NOT
-	// re-injected; the simulator reports them as orphan loss.
-	var hashes []types.Hash
-	for _, b := range blocks {
-		for _, tx := range b.Txs {
-			hashes = append(hashes, tx.Hash())
+	// Candidates at or below the attach point would have to displace the
+	// branch just adopted; honest peers re-gossip such a branch with its
+	// next block, and a forger's fill of low numbers stops here.
+	for num := range n.fork {
+		if num < lo {
+			delete(n.fork, num)
 		}
 	}
-	n.pool.Remove(hashes)
-	n.chain.ReadState(func(st *statedb.StateDB) {
-		n.pool.RemoveStale(st.GetNonce)
-	})
-	n.refreshCommitted()
+	n.mu.Unlock()
+
+	// Transactions exclusive to orphaned blocks are NOT re-injected; the
+	// simulator reports them as orphan loss.
+	n.settlePool(blocks...)
 	n.drainOrphans()
 }
 

@@ -408,3 +408,188 @@ func TestSubmitTxsBatchGossip(t *testing.T) {
 		t.Errorf("mined %d txs, want 4", len(block.Txs))
 	}
 }
+
+// forgedBlock is what a forger peer can send for free: any number, an
+// unknown parent, no seal, no body.
+func forgedBlock(number uint64) *types.Block {
+	return &types.Block{Header: &types.Header{Number: number, ParentHash: types.Hash{0xf0, byte(number), byte(number >> 8)}}}
+}
+
+func (n *Node) bufferSizes() (orphans, fork int) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.orphans), len(n.fork)
+}
+
+// TestForgedFutureBlocksStayBounded: blocks numbered ahead of the head
+// are buffered before anything in them is checked, keyed by the number
+// the sender chose, so a forger must not be able to grow the buffers
+// past the catch-up window — and a flooded node must still sync.
+// (At height 0 every forged number lands in orphans;
+// TestForgedPastBlocksStayBounded covers the fork buffer.)
+func TestForgedFutureBlocksStayBounded(t *testing.T) {
+	f := newFixture(t,
+		Config{Mode: ModeGeth, Miner: MinerBaseline},
+		Config{Mode: ModeGeth},
+	)
+	producer, victim := f.nodes[0], f.nodes[1]
+	const forger = p2p.PeerID(99)
+	for i := uint64(0); i < 10_000; i++ {
+		victim.HandleBlock(forger, forgedBlock(2+i))
+	}
+	if orphans, _ := victim.bufferSizes(); orphans > bufferWindow+1 {
+		t.Fatalf("10000 forged blocks left %d orphans buffered; bound is %d", orphans, bufferWindow+1)
+	}
+
+	// The flooded node still catches up over the real chain: it misses
+	// block 1, is handed block 2 out of order, requests the gap.
+	if _, err := producer.SubmitSet(f.owner, 0, contractAddr, types.FlagHead, types.ZeroWord, types.WordFromUint64(5)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := producer.MineAndBroadcast(15); err != nil {
+		t.Fatal(err)
+	}
+	block2, err := producer.MineAndBroadcast(30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim.HandleBlock(producer.ID(), block2)
+	f.net.Drain()
+	if victim.Chain().Head().Hash() != producer.Chain().Head().Hash() {
+		t.Fatalf("flooded node at height %d did not converge on the producer's head %d", victim.Chain().Height(), producer.Chain().Height())
+	}
+	if orphans, _ := victim.bufferSizes(); orphans > bufferWindow+1 {
+		t.Fatalf("%d orphans buffered after sync", orphans)
+	}
+}
+
+// TestForkImportPrunesCandidates: once a competing branch is adopted,
+// fork candidates numbered at or below its attach point are dropped —
+// a forger's low-numbered fill does not outlive the reorg.
+func TestForkImportPrunesCandidates(t *testing.T) {
+	f := newFixture(t,
+		Config{Mode: ModeGeth, Miner: MinerBaseline},
+		Config{Mode: ModeGeth, Miner: MinerBaseline},
+	)
+	a, b := f.nodes[0], f.nodes[1]
+	mineBlocks(t, f, a, 3) // common prefix, gossiped to b
+	if b.Chain().Height() != 3 {
+		t.Fatalf("b height %d, want 3", b.Chain().Height())
+	}
+
+	// Partition: a extends by one block, b by two.
+	f.net.SetPartition([][]p2p.PeerID{{a.ID()}, {b.ID()}})
+	if _, err := a.MineAndBroadcast(f.net.Now() + 15); err != nil {
+		t.Fatal(err)
+	}
+	var tip *types.Block
+	for i := 0; i < 2; i++ {
+		var err error
+		if tip, err = b.MineAndBroadcast(f.net.Now() + 16 + uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.net.Drain()
+	f.net.ClearPartition()
+
+	// A forger fills a's candidate buffer below the branch point.
+	for _, num := range []uint64{1, 2, 3} {
+		a.HandleBlock(99, forgedBlock(num))
+	}
+	if _, fork := a.bufferSizes(); fork != 3 {
+		t.Fatalf("fork candidates = %d, want the 3 forged ones", fork)
+	}
+
+	// b's tip reaches a: back-walk to the branch point, reorg.
+	a.HandleBlock(b.ID(), tip)
+	f.net.Drain()
+	if a.Chain().Head().Hash() != tip.Hash() {
+		t.Fatalf("a at height %d did not adopt b's longer branch", a.Chain().Height())
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for num := range a.fork {
+		if num <= 3 {
+			t.Errorf("fork candidate %d at or below the attach point survived the reorg", num)
+		}
+	}
+}
+
+// TestCatchUpBeyondOrphanWindow: a peer further behind than the orphan
+// window is handed only the tip — a block too far ahead to buffer — on a
+// chain that then stays quiet. Catch-up must keep re-requesting after
+// each capped batch until it reaches the advertised height.
+func TestCatchUpBeyondOrphanWindow(t *testing.T) {
+	f := newFixture(t,
+		Config{Mode: ModeGeth, Miner: MinerBaseline},
+		Config{Mode: ModeGeth},
+	)
+	producer, lagger := f.nodes[0], f.nodes[1]
+	f.net.SetPartition([][]p2p.PeerID{{producer.ID()}, {lagger.ID()}})
+	const gap = bufferWindow + maxSyncBatch/2 + 60 // 700: three batches
+	var tip *types.Block
+	for i := uint64(1); i <= gap; i++ {
+		var err error
+		if tip, err = producer.MineAndBroadcast(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.net.Drain()
+	f.net.ClearPartition()
+	if lagger.Chain().Height() != 0 {
+		t.Fatalf("partitioned lagger at height %d", lagger.Chain().Height())
+	}
+
+	lagger.HandleBlock(producer.ID(), tip)
+	f.net.Drain()
+	if lagger.Chain().Head().Hash() != tip.Hash() {
+		t.Fatalf("lagger stalled at height %d of %d", lagger.Chain().Height(), gap)
+	}
+	if orphans, _ := lagger.bufferSizes(); orphans != 0 {
+		t.Errorf("%d orphans left after catch-up", orphans)
+	}
+}
+
+// TestForgedPastBlocksStayBounded: blocks numbered at or below head+1
+// with an unknown parent are fork candidates, buffered as unverified as
+// orphans. A forger flooding every such number must leave no more than
+// the reorg window buffered, and ordinary imports must keep pruning what
+// falls out of it.
+func TestForgedPastBlocksStayBounded(t *testing.T) {
+	f := newFixture(t, Config{Mode: ModeGeth, Miner: MinerBaseline})
+	victim := f.nodes[0]
+	const height = bufferWindow + 200
+	for i := uint64(1); i <= height; i++ {
+		if _, err := victim.MineAndBroadcast(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flood := func() {
+		for num := uint64(1); num <= victim.Chain().Height()+1; num++ {
+			victim.HandleBlock(99, forgedBlock(num))
+		}
+	}
+	flood()
+	if _, fork := victim.bufferSizes(); fork == 0 || fork > bufferWindow+2 {
+		t.Fatalf("%d forged blocks left %d fork candidates buffered; want 1..%d", height+1, fork, bufferWindow+2)
+	}
+
+	// The head advances by ordinary imports: candidates that fall out of
+	// the window go, whether or not another fork block ever arrives.
+	for i := uint64(1); i <= 100; i++ {
+		if _, err := victim.MineAndBroadcast(height + i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	victim.mu.Lock()
+	for num := range victim.fork {
+		if num+bufferWindow < victim.chain.Height() {
+			t.Errorf("fork candidate %d survived %d blocks below the head", num, victim.chain.Height()-num)
+		}
+	}
+	victim.mu.Unlock()
+	flood()
+	if _, fork := victim.bufferSizes(); fork > bufferWindow+2 {
+		t.Fatalf("second flood left %d fork candidates buffered; bound is %d", fork, bufferWindow+2)
+	}
+}

@@ -2,7 +2,7 @@
 // configurable gossip latency, message loss and topology, driven by a
 // virtual clock. Determinism: given the same seed and event schedule,
 // delivery order is identical across runs, which makes the paper's
-// experiments exactly reproducible (DESIGN.md §4).
+// experiments exactly reproducible.
 //
 // Scheduling is a bucketed time-wheel keyed by delivery time: every
 // gossip enqueues ONE shared immutable envelope carrying the full

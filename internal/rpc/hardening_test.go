@@ -95,7 +95,7 @@ func TestPanicRecoveryViaHook(t *testing.T) {
 }
 
 // TestMaxInFlightSheds wedges the single serving slot and checks the
-// next request is shed with 503 — the status Client retries — not
+// next request is shed with 503 — surfaced by Client as ErrHTTPStatus — not
 // queued behind it.
 func TestMaxInFlightSheds(t *testing.T) {
 	_, n, _ := testServer(t)
@@ -134,39 +134,6 @@ func TestMaxInFlightSheds(t *testing.T) {
 	// With the slot free again the server accepts work.
 	if code := rawCall(t, srv.URL, reqJSON("eth_blockNumber")); code != 0 {
 		t.Fatalf("post-shed request failed: code %d", code)
-	}
-}
-
-// TestShedIsClientRetryable proves the 503 + retry loop composes: a
-// capped server under a brief wedge still answers a Client configured
-// with retries.
-func TestShedIsClientRetryable(t *testing.T) {
-	_, n, _ := testServer(t)
-	s := NewServer(n, contractAddr, WithMaxInFlight(1))
-	release := make(chan struct{})
-	var once sync.Once
-	s.onRequest = func() {
-		once.Do(func() { <-release })
-	}
-	srv := httptest.NewServer(s)
-	t.Cleanup(srv.Close)
-
-	// Wedge the slot with one slow request.
-	go func() {
-		resp, err := http.Post(srv.URL, "application/json", strings.NewReader(reqJSON("eth_blockNumber")))
-		if err == nil {
-			_ = resp.Body.Close()
-		}
-	}()
-	time.Sleep(20 * time.Millisecond)
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		close(release)
-	}()
-
-	c := NewClient(srv.URL, WithRetries(5, 30*time.Millisecond))
-	if _, err := c.BlockNumber(); err != nil {
-		t.Fatalf("retrying client failed through shed: %v", err)
 	}
 }
 

@@ -61,8 +61,8 @@ type ViewResult struct {
 // Server serves JSON-RPC for one node. It is hardened for unattended
 // operation: handler panics are recovered into codeInternal responses
 // (a poisoned request cannot kill the node), an optional max-in-flight
-// gate sheds overload with HTTP 503 (which Client classifies as
-// retryable), GET /health answers liveness probes, and Shutdown drains
+// gate sheds overload with HTTP 503 (which Client reports as
+// ErrHTTPStatus), GET /health answers liveness probes, and Shutdown drains
 // in-flight requests before flushing and closing the node's store.
 type Server struct {
 	node     *node.Node
@@ -124,8 +124,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		case s.sem <- struct{}{}:
 			defer func() { <-s.sem }()
 		default:
-			// Shed rather than queue: the client retries 5xx with
-			// backoff, so bounded concurrency degrades gracefully.
+			// Shed rather than queue: the caller sees a 503 at once
+			// and decides whether to come back, so a burst costs the
+			// node a bounded number of goroutines.
 			http.Error(w, "overloaded", http.StatusServiceUnavailable)
 			return
 		}
@@ -362,10 +363,8 @@ const DefaultTimeout = 5 * time.Second
 
 // Client is a minimal JSON-RPC caller.
 type Client struct {
-	url     string
-	http    *http.Client
-	retries int
-	backoff time.Duration
+	url  string
+	http *http.Client
 }
 
 // ClientOption configures a Client.
@@ -374,14 +373,6 @@ type ClientOption func(*Client)
 // WithTimeout overrides the per-request HTTP timeout (0 disables it).
 func WithTimeout(d time.Duration) ClientOption {
 	return func(c *Client) { c.http.Timeout = d }
-}
-
-// WithRetries makes transport-level failures (connection errors,
-// timeouts, 5xx statuses) retry up to n additional attempts, sleeping
-// backoff, 2*backoff, 4*backoff, ... between them. JSON-RPC errors are
-// server verdicts, not transport failures, and are never retried.
-func WithRetries(n int, backoff time.Duration) ClientOption {
-	return func(c *Client) { c.retries, c.backoff = n, backoff }
 }
 
 // NewClient returns a client for the given endpoint URL.
@@ -400,8 +391,7 @@ var ErrRPC = errors.New("rpc error")
 var ErrHTTPStatus = errors.New("rpc: unexpected HTTP status")
 
 // Call performs one JSON-RPC request, decoding the result into out
-// (which may be nil to discard). Transport failures retry per
-// WithRetries; the last error is returned when retries are exhausted.
+// (which may be nil to discard).
 func (c *Client) Call(method string, out interface{}, params ...interface{}) error {
 	rawParams := make([]json.RawMessage, len(params))
 	for i, p := range params {
@@ -417,46 +407,31 @@ func (c *Client) Call(method string, out interface{}, params ...interface{}) err
 	if err != nil {
 		return err
 	}
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		var retryable bool
-		lastErr, retryable = c.post(reqBody, out)
-		if lastErr == nil || !retryable || attempt >= c.retries {
-			return lastErr
-		}
-		time.Sleep(c.backoff << attempt)
-	}
-}
-
-// post runs one HTTP round trip; the bool reports whether the failure
-// is transport-level (worth retrying).
-func (c *Client) post(reqBody []byte, out interface{}) (error, bool) {
 	httpResp, err := c.http.Post(c.url, "application/json", bytes.NewReader(reqBody))
 	if err != nil {
-		return err, true
+		return err
 	}
 	defer func() { _ = httpResp.Body.Close() }()
 	if httpResp.StatusCode != http.StatusOK {
 		// Drain a bounded slice of the body for the error message.
 		snippet, _ := io.ReadAll(io.LimitReader(httpResp.Body, 256))
-		err := fmt.Errorf("%w: %d %s", ErrHTTPStatus, httpResp.StatusCode,
+		return fmt.Errorf("%w: %d %s", ErrHTTPStatus, httpResp.StatusCode,
 			strings.TrimSpace(string(snippet)))
-		return err, httpResp.StatusCode >= 500
 	}
 	var resp struct {
 		Result json.RawMessage `json:"result"`
 		Error  *rpcError       `json:"error"`
 	}
 	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
-		return fmt.Errorf("decode response: %w", err), false
+		return fmt.Errorf("decode response: %w", err)
 	}
 	if resp.Error != nil {
-		return fmt.Errorf("%w: %d %s", ErrRPC, resp.Error.Code, resp.Error.Message), false
+		return fmt.Errorf("%w: %d %s", ErrRPC, resp.Error.Code, resp.Error.Message)
 	}
 	if out != nil {
-		return json.Unmarshal(resp.Result, out), false
+		return json.Unmarshal(resp.Result, out)
 	}
-	return nil, false
+	return nil
 }
 
 // BlockNumber fetches the chain height.

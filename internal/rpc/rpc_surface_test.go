@@ -111,40 +111,33 @@ func TestClientSurfacesHTTPStatus(t *testing.T) {
 	}
 }
 
-func TestClientRetriesTransportFailures(t *testing.T) {
+// TestClientSurfacesShedStatus: a 503 (the server's shed/drain answer)
+// is final — one attempt, reported as ErrHTTPStatus for the caller to
+// act on.
+func TestClientSurfacesShedStatus(t *testing.T) {
 	var hits atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if hits.Add(1) <= 2 {
-			http.Error(w, "warming up", http.StatusServiceUnavailable)
-			return
-		}
-		_, _ = w.Write([]byte(`{"jsonrpc":"2.0","id":1,"result":"0x0"}`))
+		hits.Add(1)
+		http.Error(w, "warming up", http.StatusServiceUnavailable)
 	}))
 	defer srv.Close()
 
-	// Without retries the first 503 is final.
 	if err := NewClient(srv.URL).Call("eth_blockNumber", nil); !errors.Is(err, ErrHTTPStatus) {
 		t.Fatalf("want ErrHTTPStatus, got %v", err)
 	}
-	// With retries the third attempt lands.
-	hits.Store(0)
-	c := NewClient(srv.URL, WithRetries(3, time.Millisecond))
-	if err := c.Call("eth_blockNumber", nil); err != nil {
-		t.Fatalf("retried call: %v", err)
-	}
-	if got := hits.Load(); got != 3 {
-		t.Fatalf("attempts = %d, want 3", got)
+	if got := hits.Load(); got != 1 {
+		t.Fatalf("attempts = %d, want 1", got)
 	}
 }
 
-func TestClientDoesNotRetryServerVerdicts(t *testing.T) {
+func TestClientServerVerdicts(t *testing.T) {
 	var hits atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
 		http.Error(w, "forbidden", http.StatusForbidden) // 4xx: not transient
 	}))
 	defer srv.Close()
-	c := NewClient(srv.URL, WithRetries(5, time.Millisecond))
+	c := NewClient(srv.URL)
 	if err := c.Call("eth_blockNumber", nil); !errors.Is(err, ErrHTTPStatus) {
 		t.Fatalf("want ErrHTTPStatus, got %v", err)
 	}
@@ -152,14 +145,14 @@ func TestClientDoesNotRetryServerVerdicts(t *testing.T) {
 		t.Fatalf("4xx retried %d times", got)
 	}
 
-	// JSON-RPC errors (the server answered) are never retried either.
+	// JSON-RPC errors (the server answered) are one attempt too.
 	var rpcHits atomic.Int64
 	srv2 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rpcHits.Add(1)
 		_, _ = w.Write([]byte(`{"jsonrpc":"2.0","id":1,"error":{"code":-32601,"message":"nope"}}`))
 	}))
 	defer srv2.Close()
-	c2 := NewClient(srv2.URL, WithRetries(5, time.Millisecond))
+	c2 := NewClient(srv2.URL)
 	if err := c2.Call("eth_blockNumber", nil); !errors.Is(err, ErrRPC) {
 		t.Fatalf("want ErrRPC, got %v", err)
 	}

@@ -56,28 +56,5 @@ func TestParallelExecGoldenScenarios(t *testing.T) {
 // TestParallelExecChaosHonestTwin covers the chaos family: η under
 // faults AND the honest twin must be unchanged by parallel execution.
 func TestParallelExecChaosHonestTwin(t *testing.T) {
-	names := []string{"chaos_churn", "chaos_partition", "chaos_loss"}
-	seeds := sim.DefaultSeeds(1)
-	seq, err := sim.RunChaos(names, seeds, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := sim.RunChaos(names, seeds, nil, sim.Shape{ParallelExec: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != len(par) {
-		t.Fatalf("point count divergence: %d vs %d", len(seq), len(par))
-	}
-	for i := range seq {
-		s, p := seq[i], par[i]
-		if s.Eta.Mean != p.Eta.Mean || s.HonestEta.Mean != p.HonestEta.Mean {
-			t.Errorf("%s: η divergence: sequential %.6f honest %.6f, parallel %.6f honest %.6f",
-				s.Variant, s.Eta.Mean, s.HonestEta.Mean, p.Eta.Mean, p.HonestEta.Mean)
-		}
-		if s.Orphaned.Mean != p.Orphaned.Mean || s.Converged != p.Converged {
-			t.Errorf("%s: robustness divergence: orphaned %.1f vs %.1f, converged %v vs %v",
-				s.Variant, s.Orphaned.Mean, p.Orphaned.Mean, s.Converged, p.Converged)
-		}
-	}
+	compareChaosTwins(t, "parallel", chaosTwinRows(t, sim.Shape{}), chaosTwinRows(t, sim.Shape{ParallelExec: true}))
 }

@@ -1,13 +1,14 @@
-// Package scenarios centralizes the benchmark fixtures shared by the
-// root bench harness (bench_test.go) and cmd/serethbench: the η
-// scenario table and the 1000-tx chained view fixture. Both consumers
-// read the same definitions, so BENCH_<date>.json stays directly
-// comparable with `go test -bench` output across PRs even when sweeps
-// or seeds change.
+// Package scenarios is the one place experiments and benchmarks are
+// defined: the experiment registry (experiments.go), the benchmark
+// registry (bench.go) and the fixtures and η table they share (this
+// file). cmd/serethsim, cmd/serethbench and the root bench harness are
+// loops over it, so BENCH_<date>.json stays directly comparable with
+// `go test -bench` output across PRs.
 package scenarios
 
 import (
 	"fmt"
+	"strings"
 
 	"sereth/internal/asm"
 	"sereth/internal/chain"
@@ -46,77 +47,32 @@ type Eta struct {
 // EtaTable returns the full η scenario table: the nine Figure-2 cells,
 // the sequential-history check and the four §V-C/§V-A ablation sweeps —
 // the 22 scenarios whose η values must stay bit-identical across pure
-// performance work.
+// performance work. The ablation cells are the registry's own points
+// (experiments.go) at the table's parameter values.
 func EtaTable() []Eta {
 	var out []Eta
-	for _, sc := range []struct {
-		name string
-		mk   func(int, int64) sim.ScenarioConfig
-	}{
-		{"figure2/geth", sim.GethUnmodified},
-		{"figure2/sereth", sim.SerethClient},
-		{"figure2/semantic", sim.SemanticMining},
-	} {
+	add := func(name string, mk func(seed int64) sim.ScenarioConfig) {
+		out = append(out, Eta{Name: name, Make: mk})
+	}
+	for _, line := range Figure2Lines {
+		short, _, _ := strings.Cut(line.Name, "_")
 		for _, sets := range []int{100, 20, 5} {
-			sets, mk := sets, sc.mk
-			out = append(out, Eta{
-				Name: fmt.Sprintf("%s/sets-%d", sc.name, sets),
-				Make: func(seed int64) sim.ScenarioConfig { return mk(sets, seed) },
-			})
+			add(fmt.Sprintf("figure2/%s/sets-%d", short, sets),
+				func(seed int64) sim.ScenarioConfig { return line.Make(sets, seed) })
 		}
 	}
-	out = append(out, Eta{
-		Name: "sequential-history",
-		Make: func(_ int64) sim.ScenarioConfig { return sim.SequentialHistoryConfig(1) },
-	})
+	add("sequential-history", func(int64) sim.ScenarioConfig { return sim.SequentialHistoryConfig(1) })
 	for _, fraction := range []float64{0, 0.5, 1} {
-		fraction := fraction
-		out = append(out, Eta{
-			Name: fmt.Sprintf("ablation/participation/fraction-%d", int(fraction*100)),
-			Make: func(seed int64) sim.ScenarioConfig {
-				cfg := sim.SemanticMining(20, seed)
-				cfg.SemanticFraction = fraction
-				return cfg
-			},
-		})
+		add(fmt.Sprintf("ablation/participation/fraction-%d", int(fraction*100)), participationPoint(fraction).Make)
 	}
 	for _, latency := range []uint64{50, 1000, 5000, 15000} {
-		latency := latency
-		out = append(out, Eta{
-			Name: fmt.Sprintf("ablation/gossip/latency-%dms", latency),
-			Make: func(seed int64) sim.ScenarioConfig {
-				cfg := sim.SerethClient(20, seed)
-				cfg.GossipLatencyMs = latency
-				return cfg
-			},
-		})
+		add(fmt.Sprintf("ablation/gossip/latency-%dms", latency), gossipPoint(latency).Make)
 	}
 	for _, interval := range []uint64{500, 1000, 2000} {
-		interval := interval
-		out = append(out, Eta{
-			Name: fmt.Sprintf("ablation/interval/interval-%dms", interval),
-			Make: func(seed int64) sim.ScenarioConfig {
-				cfg := sim.GethUnmodified(5, seed)
-				cfg.SubmitIntervalMs = interval
-				return cfg
-			},
-		})
+		add(fmt.Sprintf("ablation/interval/interval-%dms", interval), intervalPoint(interval).Make)
 	}
-	for _, ext := range []bool{false, true} {
-		ext := ext
-		name := "ablation/extendheads/baseline"
-		if ext {
-			name = "ablation/extendheads/extended"
-		}
-		out = append(out, Eta{
-			Name: name,
-			Make: func(seed int64) sim.ScenarioConfig {
-				cfg := sim.SemanticMining(50, seed)
-				cfg.ExtendHeads = ext
-				return cfg
-			},
-		})
-	}
+	add("ablation/extendheads/baseline", extendHeadsPoint(false).Make)
+	add("ablation/extendheads/extended", extendHeadsPoint(true).Make)
 	return out
 }
 
@@ -124,28 +80,39 @@ func EtaTable() []Eta {
 // network engine: a 50-peer full-mesh figure2 cell plus sparse-topology
 // variants at the same population.
 func ScaleTable() []Eta {
-	shapes := []struct {
+	var out []Eta
+	for _, sc := range []struct {
 		name  string
 		shape sim.Shape
 	}{
 		{"scale/figure2-sereth/peers-50-mesh", sim.Shape{SemanticMiners: 24, BaselineMiners: 24, Clients: 2}},
 		{"scale/figure2-sereth/peers-50-ring", sim.Shape{SemanticMiners: 24, BaselineMiners: 24, Clients: 2, Topology: "ring"}},
 		{"scale/figure2-sereth/peers-50-dregular6", sim.Shape{SemanticMiners: 24, BaselineMiners: 24, Clients: 2, Topology: "dregular", Degree: 6}},
-		// Lazy clients must not move η: this row pins bit-equality with
-		// the eager peers-50-mesh cell while recording the wall-time win.
-		{"scale/figure2-sereth/peers-50-mesh-lazy", sim.Shape{SemanticMiners: 24, BaselineMiners: 24, Clients: 2, LazyClients: true}},
-	}
-	var out []Eta
-	for _, sc := range shapes {
-		shape := sc.shape
+	} {
 		out = append(out, Eta{
 			Name: sc.name,
-			Make: func(seed int64) sim.ScenarioConfig {
-				return shape.Apply(sim.SerethClient(20, seed))
-			},
+			Make: func(seed int64) sim.ScenarioConfig { return sc.shape.Apply(sim.SerethClient(20, seed)) },
 		})
 	}
 	return out
+}
+
+// EtaRows is the η half of the BENCH table as an experiment: one point
+// per EtaTable and ScaleTable row, measuring η and the network message
+// count (serethbench runs it at EtaSeed).
+func EtaRows() Experiment {
+	var pts []Point
+	for _, e := range append(EtaTable(), ScaleTable()...) {
+		pts = append(pts, Point{Label: e.Name, Bench: e.Name, Make: e.Make})
+	}
+	return Experiment{
+		Name:   "eta",
+		Points: pts,
+		Columns: []Column{
+			{Name: "eta", Of: sim.Result.Efficiency},
+			{Name: "msgs", Of: func(r sim.Result) float64 { return float64(r.MsgsSent) }},
+		},
+	}
 }
 
 // BenchContract is the conventional Sereth contract address used by the
@@ -192,7 +159,6 @@ type ReplayFixture struct {
 	Owner    *wallet.Key // the single signing key behind every body tx
 	Genesis  *statedb.StateDB
 	Block    *types.Block
-	gasLimit uint64
 }
 
 // NewReplayFixture builds the n-transaction replay fixture.
@@ -248,7 +214,6 @@ func NewReplayFixture(n int) *ReplayFixture {
 		Owner:    owner,
 		Genesis:  genesis,
 		Block:    block,
-		gasLimit: gasLimit,
 	}
 }
 
@@ -257,13 +222,13 @@ func NewReplayFixture(n int) *ReplayFixture {
 // key, fresh Registry instance) to measure un-cached verification —
 // the pre-elision baseline a replay's hash count is pinned against.
 func (f *ReplayFixture) NewChainWithRegistry(reg *wallet.Registry) *chain.Chain {
-	return chain.New(chain.Config{GasLimit: f.gasLimit, Registry: reg}, f.Genesis)
+	return chain.New(chain.Config{GasLimit: f.Block.Header.GasLimit, Registry: reg}, f.Genesis)
 }
 
 // NewChain returns a fresh validator chain at the fixture's genesis,
 // optionally joined to a shared validated-execution cache.
 func (f *ReplayFixture) NewChain(cache *chain.ExecCache) *chain.Chain {
-	return chain.New(chain.Config{GasLimit: f.gasLimit, Registry: f.Registry, ExecCache: cache}, f.Genesis)
+	return chain.New(chain.Config{GasLimit: f.Block.Header.GasLimit, Registry: f.Registry, ExecCache: cache}, f.Genesis)
 }
 
 // ChainPool builds the shared view-latency fixture: an n-transaction

@@ -34,30 +34,7 @@ func TestPersistGoldenScenarios(t *testing.T) {
 // TestPersistChaosHonestTwin covers the chaos family: η under faults
 // AND the honest twin must be unchanged by store-backed persistence.
 func TestPersistChaosHonestTwin(t *testing.T) {
-	names := []string{"chaos_churn", "chaos_partition", "chaos_loss"}
-	seeds := sim.DefaultSeeds(1)
-	plain, err := sim.RunChaos(names, seeds, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	persist, err := sim.RunChaos(names, seeds, nil, sim.Shape{Persist: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain) != len(persist) {
-		t.Fatalf("point count divergence: %d vs %d", len(plain), len(persist))
-	}
-	for i := range plain {
-		s, p := plain[i], persist[i]
-		if s.Eta.Mean != p.Eta.Mean || s.HonestEta.Mean != p.HonestEta.Mean {
-			t.Errorf("%s: η divergence: plain %.6f honest %.6f, persisted %.6f honest %.6f",
-				s.Variant, s.Eta.Mean, s.HonestEta.Mean, p.Eta.Mean, p.HonestEta.Mean)
-		}
-		if s.Orphaned.Mean != p.Orphaned.Mean || s.Converged != p.Converged {
-			t.Errorf("%s: robustness divergence: orphaned %.1f vs %.1f, converged %v vs %v",
-				s.Variant, s.Orphaned.Mean, p.Orphaned.Mean, s.Converged, p.Converged)
-		}
-	}
+	compareChaosTwins(t, "persisted", chaosTwinRows(t, sim.Shape{}), chaosTwinRows(t, sim.Shape{Persist: true}))
 }
 
 // TestRPCClientsGoldenScenarios runs EVERY golden η scenario twice —

@@ -2,9 +2,7 @@ package sim
 
 import (
 	"encoding/binary"
-	"fmt"
 
-	"sereth/internal/metrics"
 	"sereth/internal/node"
 	"sereth/internal/p2p"
 	"sereth/internal/types"
@@ -120,188 +118,63 @@ func Chaos(seed int64) ScenarioConfig {
 	return cfg
 }
 
+// chaosVariant is the chaos base configuration under one fault plan.
+func chaosVariant(seed int64, name string, plan FaultPlan) ScenarioConfig {
+	cfg := Chaos(seed)
+	cfg.Name = name
+	cfg.Faults = plan
+	return cfg
+}
+
 // ChaosChurn: two peers crash mid-run and rejoin after ~2 block
 // intervals, measuring resync latency via the frontier catch-up.
 func ChaosChurn(seed int64) ScenarioConfig {
-	cfg := Chaos(seed)
-	cfg.Name = "chaos_churn"
-	cfg.Faults = FaultPlan{ChurnPeers: 2, ChurnDownMs: 30_000}
-	return cfg
+	return chaosVariant(seed, "chaos_churn", FaultPlan{ChurnPeers: 2, ChurnDownMs: 30_000})
 }
 
 // ChaosPartition: the network splits into two mining halves for three
 // block intervals, then heals and must reorg-converge.
 func ChaosPartition(seed int64) ScenarioConfig {
-	cfg := Chaos(seed)
-	cfg.Name = "chaos_partition"
-	cfg.Faults = FaultPlan{PartitionAtMs: 40_000, PartitionForMs: 45_000}
-	return cfg
+	return chaosVariant(seed, "chaos_partition", FaultPlan{PartitionAtMs: 40_000, PartitionForMs: 45_000})
 }
 
 // ChaosLoss: every link drops 10% of gossip, jitters deliveries, and
 // occasionally duplicates or reorders them.
 func ChaosLoss(seed int64) ScenarioConfig {
-	cfg := Chaos(seed)
-	cfg.Name = "chaos_loss"
-	cfg.Faults = FaultPlan{
+	return chaosVariant(seed, "chaos_loss", FaultPlan{
 		LinkLossRate:       0.10,
 		LinkJitterMs:       200,
 		LinkDupRate:        0.02,
 		LinkReorderRate:    0.05,
 		LinkReorderDelayMs: 500,
-	}
-	return cfg
+	})
 }
 
 // ChaosCensor: every miner excludes the targeted buyer accounts.
 func ChaosCensor(seed int64) ScenarioConfig {
-	cfg := Chaos(seed)
-	cfg.Name = "chaos_censor"
-	cfg.Faults = FaultPlan{Adversary: AdversaryCensor}
-	return cfg
+	return chaosVariant(seed, "chaos_censor", FaultPlan{Adversary: AdversaryCensor})
 }
 
 // ChaosForger: an attacker peer gossips tampered replays, unknown-signer
 // mark collisions, and forged blocks.
 func ChaosForger(seed int64) ScenarioConfig {
-	cfg := Chaos(seed)
-	cfg.Name = "chaos_forger"
-	cfg.Faults = FaultPlan{Adversary: AdversaryForger, AttackIntervalMs: 3000}
-	return cfg
+	return chaosVariant(seed, "chaos_forger", FaultPlan{Adversary: AdversaryForger, AttackIntervalMs: 3000})
 }
 
 // ChaosFrontrun: an attacker peer replays captured stale offers at a
 // gas-price premium.
 func ChaosFrontrun(seed int64) ScenarioConfig {
-	cfg := Chaos(seed)
-	cfg.Name = "chaos_frontrun"
-	cfg.Faults = FaultPlan{Adversary: AdversaryFrontrun, AttackIntervalMs: 4000}
-	return cfg
+	return chaosVariant(seed, "chaos_frontrun", FaultPlan{Adversary: AdversaryFrontrun, AttackIntervalMs: 4000})
 }
 
 // ChaosCombined: churn, a partition, and lossy links at once.
 func ChaosCombined(seed int64) ScenarioConfig {
-	cfg := Chaos(seed)
-	cfg.Name = "chaos_combined"
-	cfg.Faults = FaultPlan{
+	return chaosVariant(seed, "chaos_combined", FaultPlan{
 		ChurnPeers:     1,
 		ChurnDownMs:    30_000,
 		PartitionAtMs:  50_000,
 		PartitionForMs: 30_000,
 		LinkLossRate:   0.05,
 		LinkJitterMs:   100,
-	}
-	return cfg
-}
-
-// ChaosVariants enumerates the chaos scenario family (the BENCH chaos/
-// rows run one per variant).
-var ChaosVariants = []struct {
-	Name string
-	Make func(seed int64) ScenarioConfig
-}{
-	{"chaos_churn", ChaosChurn},
-	{"chaos_partition", ChaosPartition},
-	{"chaos_loss", ChaosLoss},
-	{"chaos_censor", ChaosCensor},
-	{"chaos_forger", ChaosForger},
-	{"chaos_frontrun", ChaosFrontrun},
-	{"chaos_combined", ChaosCombined},
-}
-
-// ChaosPoint is one chaos variant aggregated over seeds, always paired
-// with its honest twin (the same configuration with faults disabled, at
-// the same seeds) so degradation is measured, not asserted.
-type ChaosPoint struct {
-	Variant   string
-	Eta       metrics.Summary // η under faults/attack
-	HonestEta metrics.Summary // η with faults disabled, same seeds
-	EtaDrop   float64         // honest mean − faulty mean
-	Included  metrics.Summary // buys included under faults
-	Orphaned  metrics.Summary // blocks orphaned by reorgs per run
-	Censored  metrics.Summary // targeted buys denied inclusion per run
-	// Resync latency percentiles, pooled across every rejoin in every
-	// run; zero when the variant has no churn.
-	ResyncP50Ms      float64
-	ResyncP90Ms      float64
-	Rejoins          int
-	ResyncIncomplete int
-	// Converged reports whether every run ended with all online peers on
-	// one head.
-	Converged bool
-	// Attack accounting (forger/frontrunner variants).
-	AttackSent      int
-	AttackIncluded  int
-	AttackSucceeded int
-	ForgedAccepted  int // must stay 0: forged blocks never enter a chain
-}
-
-// RunChaos sweeps the chaos variants (all of them when names is empty)
-// over the given seeds. Each variant also runs its honest twin — same
-// configuration and seeds, faults zeroed — so every point reports η
-// degradation against the matched baseline.
-func RunChaos(names []string, seeds []int64, progress func(string), shape ...Shape) ([]ChaosPoint, error) {
-	sh := shapeOf(shape)
-	want := make(map[string]bool, len(names))
-	for _, n := range names {
-		want[n] = true
-	}
-	var points []ChaosPoint
-	for _, v := range ChaosVariants {
-		if len(want) > 0 && !want[v.Name] {
-			continue
-		}
-		mk := v.Make
-		faulty, err := runSeeds(seeds, func(seed int64) ScenarioConfig {
-			return sh.Apply(mk(seed))
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", v.Name, err)
-		}
-		honest, err := runSeeds(seeds, func(seed int64) ScenarioConfig {
-			cfg := mk(seed)
-			cfg.Name += "_honest"
-			cfg.Faults = FaultPlan{}
-			return sh.Apply(cfg)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s honest twin: %w", v.Name, err)
-		}
-		p := ChaosPoint{
-			Variant:   v.Name,
-			Eta:       summarizeEtas(faulty),
-			HonestEta: summarizeEtas(honest),
-			Converged: true,
-		}
-		p.EtaDrop = p.HonestEta.Mean - p.Eta.Mean
-		var included, orphaned, censored, resyncs []float64
-		for _, res := range faulty {
-			included = append(included, float64(res.BuysIncluded))
-			orphaned = append(orphaned, float64(res.BlocksOrphaned))
-			censored = append(censored, float64(res.CensoredSubmitted-res.CensoredIncluded))
-			resyncs = append(resyncs, res.ResyncMs...)
-			p.Rejoins += res.Rejoins
-			p.ResyncIncomplete += res.ResyncIncomplete
-			p.AttackSent += res.AttackTxsSent
-			p.AttackIncluded += res.AttackTxsIncluded
-			p.AttackSucceeded += res.AttackTxsSucceeded
-			p.ForgedAccepted += res.ForgedBlocksAccepted
-			if !res.Converged {
-				p.Converged = false
-			}
-		}
-		p.Included = metrics.Summarize(included)
-		p.Orphaned = metrics.Summarize(orphaned)
-		p.Censored = metrics.Summarize(censored)
-		if len(resyncs) > 0 {
-			p.ResyncP50Ms = metrics.Percentile(resyncs, 0.50)
-			p.ResyncP90Ms = metrics.Percentile(resyncs, 0.90)
-		}
-		points = append(points, p)
-		if progress != nil {
-			progress(fmt.Sprintf("%-16s η=%.3f honest=%.3f drop=%+.3f orphaned=%.1f resync_p50=%.0fms converged=%v",
-				p.Variant, p.Eta.Mean, p.HonestEta.Mean, p.EtaDrop, p.Orphaned.Mean, p.ResyncP50Ms, p.Converged))
-		}
-	}
-	return points, nil
+	})
 }

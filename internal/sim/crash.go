@@ -1,18 +1,14 @@
 package sim
 
-import (
-	"fmt"
-
-	"sereth/internal/metrics"
-)
-
 // Crash returns the base configuration of the crash-consistency family:
 // the chaos population (both miner kinds active, spare peers to kill)
 // with every node persisting, so a hard kill has real on-disk state to
 // corrupt and a real datadir to come back from.
-func Crash(seed int64) ScenarioConfig {
-	cfg := Chaos(seed)
-	cfg.Name = "crash"
+func Crash(seed int64) ScenarioConfig { return crashVariant(seed, "crash", FaultPlan{}) }
+
+// crashVariant is the crash base configuration under one fault plan.
+func crashVariant(seed int64, name string, plan FaultPlan) ScenarioConfig {
+	cfg := chaosVariant(seed, name, plan)
 	cfg.Persist = true
 	return cfg
 }
@@ -20,151 +16,29 @@ func Crash(seed int64) ScenarioConfig {
 // CrashSingle: one persisting peer is killed mid-commit (unsynced log
 // tail cut at a random byte) and restarts from its salvaged datadir.
 func CrashSingle(seed int64) ScenarioConfig {
-	cfg := Crash(seed)
-	cfg.Name = "crash_single"
-	cfg.Faults = FaultPlan{CrashPeers: 1, CrashDownMs: 30_000}
-	return cfg
+	return crashVariant(seed, "crash_single", FaultPlan{CrashPeers: 1, CrashDownMs: 30_000})
 }
 
 // CrashMulti: two peers crash independently at seeded random instants.
 func CrashMulti(seed int64) ScenarioConfig {
-	cfg := Crash(seed)
-	cfg.Name = "crash_multi"
-	cfg.Faults = FaultPlan{CrashPeers: 2, CrashDownMs: 30_000}
-	return cfg
+	return crashVariant(seed, "crash_multi", FaultPlan{CrashPeers: 2, CrashDownMs: 30_000})
 }
 
 // CrashSyncEveryBlock: one crash against a store synced after every
 // block — the recovered head should sit at (or next to) the kill point,
 // minimizing the gossip catch-up.
 func CrashSyncEveryBlock(seed int64) ScenarioConfig {
-	cfg := Crash(seed)
-	cfg.Name = "crash_sync1"
-	cfg.Faults = FaultPlan{CrashPeers: 1, CrashDownMs: 30_000, CrashSyncEvery: 1}
-	return cfg
+	return crashVariant(seed, "crash_sync1", FaultPlan{CrashPeers: 1, CrashDownMs: 30_000, CrashSyncEvery: 1})
 }
 
 // CrashPartitioned: a crash landing inside a network partition — the
 // restarted peer salvages its log and then has to converge through the
 // post-heal reorg as well.
 func CrashPartitioned(seed int64) ScenarioConfig {
-	cfg := Crash(seed)
-	cfg.Name = "crash_partitioned"
-	cfg.Faults = FaultPlan{
+	return crashVariant(seed, "crash_partitioned", FaultPlan{
 		CrashPeers:     1,
 		CrashDownMs:    30_000,
 		PartitionAtMs:  40_000,
 		PartitionForMs: 45_000,
-	}
-	return cfg
-}
-
-// CrashVariants enumerates the crash scenario family (the BENCH crash/
-// rows run one per variant).
-var CrashVariants = []struct {
-	Name string
-	Make func(seed int64) ScenarioConfig
-}{
-	{"crash_single", CrashSingle},
-	{"crash_multi", CrashMulti},
-	{"crash_sync1", CrashSyncEveryBlock},
-	{"crash_partitioned", CrashPartitioned},
-}
-
-// CrashPoint is one crash variant aggregated over seeds, paired with
-// its honest twin (same configuration and seeds, faults disabled) so
-// the kills' η cost is measured, not asserted.
-type CrashPoint struct {
-	Variant   string
-	Eta       metrics.Summary // η with peers crashing
-	HonestEta metrics.Summary // η with faults disabled, same seeds
-	EtaDrop   float64         // honest mean − faulty mean
-
-	// Crashes / Recoveries across every run; every crash must recover
-	// (Recovered counts restarts that found a durable head on disk —
-	// the rest legitimately restarted from genesis because the kill
-	// predated any synced write).
-	Crashes    int
-	Recoveries int
-	Recovered  int
-	// Recovery latency percentiles (salvage + gossip catch-up), pooled
-	// across every restart in every run.
-	RecoveryP50Ms float64
-	RecoveryP90Ms float64
-	// Storage-salvage totals: bytes truncated as torn tail, records
-	// quarantined, records repaired by single-bit correction.
-	SalvageTornBytes   uint64
-	SalvageQuarantined uint64
-	SalvageCorrected   uint64
-	// Converged reports whether every run ended with all online peers
-	// (restarted ones included) on one head.
-	Converged bool
-}
-
-// RunCrash sweeps the crash variants (all of them when names is empty)
-// over the given seeds, each against its honest twin. A variant where
-// any restart fails to salvage or reopen its datadir returns an error —
-// that is the crash-consistency invariant breaking.
-func RunCrash(names []string, seeds []int64, progress func(string), shape ...Shape) ([]CrashPoint, error) {
-	sh := shapeOf(shape)
-	want := make(map[string]bool, len(names))
-	for _, n := range names {
-		want[n] = true
-	}
-	var points []CrashPoint
-	for _, v := range CrashVariants {
-		if len(want) > 0 && !want[v.Name] {
-			continue
-		}
-		mk := v.Make
-		faulty, err := runSeeds(seeds, func(seed int64) ScenarioConfig {
-			return sh.Apply(mk(seed))
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", v.Name, err)
-		}
-		honest, err := runSeeds(seeds, func(seed int64) ScenarioConfig {
-			cfg := mk(seed)
-			cfg.Name += "_honest"
-			cfg.Faults = FaultPlan{}
-			return sh.Apply(cfg)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s honest twin: %w", v.Name, err)
-		}
-		p := CrashPoint{
-			Variant:   v.Name,
-			Eta:       summarizeEtas(faulty),
-			HonestEta: summarizeEtas(honest),
-			Converged: true,
-		}
-		p.EtaDrop = p.HonestEta.Mean - p.Eta.Mean
-		var recoveries []float64
-		for _, res := range faulty {
-			p.Crashes += res.Crashes
-			p.Recoveries += res.CrashRecoveries
-			p.Recovered += res.RecoveredBoots
-			recoveries = append(recoveries, res.CrashRecoveryMs...)
-			p.SalvageTornBytes += res.SalvageTornBytes
-			p.SalvageQuarantined += res.SalvageQuarantined
-			p.SalvageCorrected += res.SalvageCorrected
-			if !res.Converged {
-				p.Converged = false
-			}
-		}
-		if p.Recoveries < p.Crashes {
-			return nil, fmt.Errorf("%s: %d crashes but only %d recoveries", v.Name, p.Crashes, p.Recoveries)
-		}
-		if len(recoveries) > 0 {
-			p.RecoveryP50Ms = metrics.Percentile(recoveries, 0.50)
-			p.RecoveryP90Ms = metrics.Percentile(recoveries, 0.90)
-		}
-		points = append(points, p)
-		if progress != nil {
-			progress(fmt.Sprintf("%-18s η=%.3f honest=%.3f drop=%+.3f crashes=%d recovered-from-disk=%d torn=%dB recovery_p50=%.0fms converged=%v",
-				p.Variant, p.Eta.Mean, p.HonestEta.Mean, p.EtaDrop, p.Crashes, p.Recovered,
-				p.SalvageTornBytes, p.RecoveryP50Ms, p.Converged))
-		}
-	}
-	return points, nil
+	})
 }

@@ -45,31 +45,3 @@ func TestCrashHonestTwinUnaffected(t *testing.T) {
 		t.Fatalf("honest twin diverged: %+v vs %+v", a, b)
 	}
 }
-
-// TestCrashMultiSweep exercises the multi-kill and sync-every-block
-// variants across a few seeds via the public runner, honest twins
-// included.
-func TestCrashMultiSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("crash sweep is a long test")
-	}
-	seeds := []int64{101, 202}
-	points, err := RunCrash([]string{"crash_multi", "crash_sync1"}, seeds, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 2 {
-		t.Fatalf("got %d points", len(points))
-	}
-	for _, p := range points {
-		if p.Crashes == 0 {
-			t.Fatalf("%s: no crashes happened", p.Variant)
-		}
-		if p.Recoveries < p.Crashes {
-			t.Fatalf("%s: %d crashes, %d recoveries", p.Variant, p.Crashes, p.Recoveries)
-		}
-		if !p.Converged {
-			t.Fatalf("%s: not converged", p.Variant)
-		}
-	}
-}

@@ -89,12 +89,6 @@ type ScenarioConfig struct {
 	SemanticFraction float64
 	// ExtendHeads enables the HMS orphan-recovery extension (ablation).
 	ExtendHeads bool
-	// LazyClients switches the non-mining client peers to lazy
-	// validation: they adopt the population's shared validated
-	// executions without independent root comparison. Miners always
-	// validate fully. Makes 1000-peer sweeps feasible; η is unaffected
-	// (execution is deterministic either way).
-	LazyClients bool
 	// SingleSender runs the §V sequential-history check: every
 	// transaction from one address, so nonce order = block order.
 	SingleSender bool
@@ -596,7 +590,6 @@ func newScenario(cfg ScenarioConfig) (*scenario, error) {
 			Network: s.net, Seed: cfg.Seed + int64(id)*7,
 			ExtendHeads: cfg.ExtendHeads, ReorderWindow: cfg.ReorderWindow,
 			PoolCapacity: cfg.PoolCapacity, EvictOnFull: cfg.EvictOnFull,
-			Lazy: cfg.LazyClients && minerKind == node.MinerNone,
 		}
 		if minerKind != node.MinerNone && censorLeft > 0 {
 			nodeCfg.CensorTargets = censorTargets

@@ -1,12 +1,10 @@
 package sim
 
 import (
-	"strings"
 	"testing"
 
 	"sereth/internal/node"
 	"sereth/internal/p2p"
-	"sereth/internal/types"
 )
 
 // fast returns a reduced workload for unit-test speed; the statistical
@@ -75,7 +73,7 @@ func TestAllSetsSucceed(t *testing.T) {
 func TestSequentialHistoryEtaIsOne(t *testing.T) {
 	// The paper's §V sanity check: single sender => zero failures.
 	for seed := int64(1); seed <= 3; seed++ {
-		res, err := SequentialHistory(seed)
+		res, err := Run(SequentialHistoryConfig(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,72 +134,6 @@ func TestFigure2Ordering(t *testing.T) {
 		if semantic < 0.6 {
 			t.Errorf("sets=%d: semantic mining η %.3f below the paper's band", sets, semantic)
 		}
-	}
-}
-
-func TestRunFigure2SmokeAndFormat(t *testing.T) {
-	points, err := RunFigure2([]int{10}, []int64{1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 3 {
-		t.Fatalf("points = %d", len(points))
-	}
-	table := FormatSweep(points)
-	for _, want := range []string{"geth_unmodified", "sereth_client", "semantic_mining", "eta_mean"} {
-		if !strings.Contains(table, want) {
-			t.Errorf("table missing %q:\n%s", want, table)
-		}
-	}
-}
-
-func TestParticipationMonotoneEnds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-seed sweep")
-	}
-	points, err := RunParticipation([]float64{0, 1}, DefaultSeeds(3), 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 2 {
-		t.Fatal("wrong point count")
-	}
-	if points[1].Eta.Mean <= points[0].Eta.Mean {
-		t.Errorf("full participation (%.3f) not better than none (%.3f)",
-			points[1].Eta.Mean, points[0].Eta.Mean)
-	}
-}
-
-func TestGossipDegradation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-seed sweep")
-	}
-	points, err := RunGossip([]uint64{100, 8000}, DefaultSeeds(3), 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Heavily impeded TxPool propagation must not improve efficiency.
-	if points[1].Eta.Mean > points[0].Eta.Mean+0.05 {
-		t.Errorf("8s gossip (%.3f) beat 100ms gossip (%.3f)",
-			points[1].Eta.Mean, points[0].Eta.Mean)
-	}
-}
-
-func TestExtendHeadsRecovers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-seed sweep")
-	}
-	points, err := RunExtendHeads(DefaultSeeds(3), 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, ext := points[0], points[1]
-	if base.Extended || !ext.Extended {
-		t.Fatal("point order wrong")
-	}
-	if ext.Eta.Mean < base.Eta.Mean-0.05 {
-		t.Errorf("extension (%.3f) notably worse than baseline (%.3f)",
-			ext.Eta.Mean, base.Eta.Mean)
 	}
 }
 
@@ -315,39 +247,6 @@ func TestDeliveryTraceDeterministic(t *testing.T) {
 	}
 }
 
-// TestLazyClientsMatchEagerValidation runs the same seeded scenario with
-// eager and lazy clients: η, block count and the final state commitment
-// must be identical — lazy validation changes trust, never results.
-func TestLazyClientsMatchEagerValidation(t *testing.T) {
-	run := func(lazy bool) (Result, types.Hash) {
-		cfg := fast(SerethClient(10, 101))
-		cfg.SemanticMiners = 2
-		cfg.BaselineMiners = 2
-		cfg.Clients = 2
-		cfg.LazyClients = lazy
-		s, err := newScenario(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, s.clients[0].Chain().Head().Header.StateRoot
-	}
-	eager, eagerRoot := run(false)
-	lazy, lazyRoot := run(true)
-	if eager.Efficiency() != lazy.Efficiency() {
-		t.Errorf("lazy η %v != eager %v", lazy.Efficiency(), eager.Efficiency())
-	}
-	if eager.Blocks != lazy.Blocks || eager.BuysSucceeded != lazy.BuysSucceeded {
-		t.Error("lazy clients changed run outcome")
-	}
-	if eagerRoot != lazyRoot {
-		t.Error("lazy clients diverged from eager state commitment")
-	}
-}
-
 // TestPopulationScalesToNPeers runs a figure2 cell on a 12-peer mesh and
 // on sparse topologies: every scenario invariant must hold at population
 // scale.
@@ -444,49 +343,6 @@ func TestOverloadEvicts(t *testing.T) {
 	}
 	if res.Blocks == 0 {
 		t.Error("no blocks mined under overload")
-	}
-}
-
-// TestRunOverloadSweep smoke-tests the experiment aggregation.
-func TestRunOverloadSweep(t *testing.T) {
-	points, err := RunOverload([]uint64{500}, []int64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 1 || points[0].IntervalMs != 500 {
-		t.Fatalf("points: %+v", points)
-	}
-	if points[0].Evictions.Mean <= 0 {
-		t.Error("sweep recorded no evictions")
-	}
-}
-
-// TestParallelSweepMatchesSequential verifies the worker-pool sweep is
-// numerically identical to running the seeds one by one.
-func TestParallelSweepMatchesSequential(t *testing.T) {
-	seeds := DefaultSeeds(4)
-	points, err := RunFigure2([]int{10}, seeds, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range points {
-		var mk func(int, int64) ScenarioConfig
-		for _, sc := range Figure2Scenarios {
-			if sc.Name == p.Scenario {
-				mk = sc.Make
-			}
-		}
-		var sum float64
-		for _, seed := range seeds {
-			res, err := Run(mk(10, seed))
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum += res.Efficiency()
-		}
-		if mean := sum / float64(len(seeds)); mean != p.Eta.Mean {
-			t.Errorf("%s: parallel mean %v != sequential %v", p.Scenario, p.Eta.Mean, mean)
-		}
 	}
 }
 

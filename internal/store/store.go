@@ -16,9 +16,7 @@
 // where the CRC (IEEE, little-endian) covers the record bytes before
 // it. The CRC lets reopen distinguish a torn tail (truncate and keep
 // going) from mid-log corruption (scan ahead to the next valid record,
-// quarantine the damaged range, keep every later record). Legacy SKV1
-// files (no CRCs) still open; they are migrated to SKV2 by an immediate
-// compaction.
+// quarantine the damaged range, keep every later record).
 package store
 
 import (
@@ -155,19 +153,15 @@ type SalvageReport struct {
 	Quarantined int
 	// QuarantinedBytes is the total length of those skipped ranges.
 	QuarantinedBytes int64
-	// LegacyFormat marks an SKV1 (pre-CRC) file, migrated to SKV2 on
-	// open via compaction.
-	LegacyFormat bool
 	// TmpRemoved marks a leftover compaction temp file from a crash
 	// between tmp-write and rename; the main log stayed authoritative.
 	TmpRemoved bool
-	// Compacted marks that open rewrote the log (legacy migration or
-	// quarantine cleanup).
+	// Compacted marks that open rewrote the log (quarantine cleanup).
 	Compacted bool
 }
 
-// Dirty reports whether reopen found damage (as opposed to a clean log
-// or a mere format migration). Consumers such as chain.Open use it to
+// Dirty reports whether reopen found damage (as opposed to a clean
+// log). Consumers such as chain.Open use it to
 // decide whether the head must be re-verified.
 func (r SalvageReport) Dirty() bool {
 	return r.TornBytes > 0 || r.Corrected > 0 || r.Quarantined > 0 || r.TmpRemoved
@@ -222,9 +216,6 @@ type fentry struct {
 // logMagic heads every store file; it versions the record format.
 var logMagic = []byte("SKV2\n")
 
-// logMagicV1 is the pre-CRC format, still accepted on open.
-var logMagicV1 = []byte("SKV1\n")
-
 // ErrNotStoreFile marks a file that does not start with the store magic.
 var ErrNotStoreFile = errors.New("store: not a store file")
 
@@ -248,9 +239,8 @@ const (
 )
 
 // OpenFile opens (or creates) the log under dir and replays it into the
-// index. Torn tails are truncated; mid-log corruption is quarantined;
-// legacy SKV1 files and quarantine damage are rewritten to a clean SKV2
-// log via compaction.
+// index. Torn tails are truncated; mid-log corruption is quarantined
+// and then rewritten to a clean log via compaction.
 func OpenFile(dir string) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -276,9 +266,9 @@ func OpenFile(dir string) (*FileStore, error) {
 		_ = f.Close()
 		return nil, err
 	}
-	if s.salvage.LegacyFormat || s.salvage.Quarantined > 0 || s.salvage.Corrected > 0 {
-		// Rewrite to a clean SKV2 log so the damage (or the CRC-less
-		// format) does not survive into the next generation.
+	if s.salvage.Quarantined > 0 || s.salvage.Corrected > 0 {
+		// Rewrite to a clean log so the damage does not survive into
+		// the next generation.
 		if _, err := s.compactLocked(); err != nil {
 			_ = f.Close()
 			return nil, err
@@ -290,9 +280,9 @@ func OpenFile(dir string) (*FileStore, error) {
 
 // replay rebuilds the index from the log. A clean file ends exactly at
 // a record boundary. A torn tail (crash mid-append) is truncated away.
-// Under SKV2, a CRC failure in the middle of the log resyncs to the
-// next valid record and quarantines the damaged range, so later good
-// records survive.
+// A CRC failure in the middle of the log resyncs to the next valid
+// record and quarantines the damaged range, so later good records
+// survive.
 func (s *FileStore) replay() error {
 	data, err := io.ReadAll(s.f)
 	if err != nil {
@@ -306,43 +296,32 @@ func (s *FileStore) replay() error {
 		s.syncedSize = s.size
 		return nil
 	}
-	withCRC := false
-	switch {
-	case bytes.HasPrefix(data, logMagic):
-		withCRC = true
-	case bytes.HasPrefix(data, logMagicV1):
-		s.salvage.LegacyFormat = true
-	default:
+	if !bytes.HasPrefix(data, logMagic) {
 		return ErrNotStoreFile
 	}
 	off := len(logMagic)
 	good := off
 	for off < len(data) {
-		key, val, next, ok := readRecord(data, off, withCRC)
+		key, val, next, ok := readRecord(data, off)
 		if ok {
-			s.index(key, val, withCRC)
+			s.index(key, val)
 			s.salvage.Records++
 			off = next
 			good = off
 			continue
 		}
-		// Damaged or incomplete record at off. Without CRCs there is
-		// no way to tell a torn tail from corruption, so legacy files
-		// keep the old behaviour: truncate here. With CRCs, scan ahead
-		// for the next valid record: the damaged range is bounded
-		// either by it or by EOF, which makes single-bit repair
-		// tractable; an unrepairable mid-log range is quarantined,
-		// an unrepairable tail is torn.
-		resync := -1
-		if withCRC {
-			resync = findResync(data, off+1)
-		}
+		// Damaged or incomplete record at off. Scan ahead for the
+		// next valid record: the damaged range is bounded either by
+		// it or by EOF, which makes single-bit repair tractable; an
+		// unrepairable mid-log range is quarantined, an unrepairable
+		// tail is torn.
+		resync := findResync(data, off+1)
 		end := len(data)
 		if resync >= 0 {
 			end = resync
 		}
 		if key, val, ok := correctSingleBit(data, off, end); ok {
-			s.index(key, val, withCRC)
+			s.index(key, val)
 			s.salvage.Records++
 			s.salvage.Corrected++
 			off = end
@@ -372,15 +351,14 @@ func (s *FileStore) replay() error {
 
 // index applies one record to the in-memory index and the live-bytes
 // accounting. Overwrites mutate the entry in place (no allocation).
-func (s *FileStore) index(key, val []byte, withCRC bool) {
+func (s *FileStore) index(key, val []byte) {
 	if e, ok := s.m[string(key)]; ok {
-		s.liveBytes += recordSize(len(key), len(val), withCRC) -
-			recordSize(len(key), len(e.val), withCRC)
+		s.liveBytes += recordSize(len(key), len(val)) - recordSize(len(key), len(e.val))
 		e.val = val
 		return
 	}
 	s.m[string(key)] = &fentry{val: val}
-	s.liveBytes += recordSize(len(key), len(val), withCRC)
+	s.liveBytes += recordSize(len(key), len(val))
 }
 
 // correctMaxBytes bounds the damaged range single-bit repair will
@@ -401,7 +379,7 @@ func correctSingleBit(data []byte, off, end int) (key, val []byte, ok bool) {
 	for i := off; i < end; i++ {
 		for bit := 0; bit < 8; bit++ {
 			data[i] ^= 1 << bit
-			if key, val, next, ok := readRecord(data, off, true); ok && next == end {
+			if key, val, next, ok := readRecord(data, off); ok && next == end {
 				return key, val, true
 			}
 			data[i] ^= 1 << bit
@@ -415,7 +393,7 @@ func correctSingleBit(data []byte, off, end int) (key, val []byte, ok bool) {
 // corruption, so the quadratic worst case never sits on a hot path.
 func findResync(data []byte, off int) int {
 	for ; off < len(data); off++ {
-		if _, _, _, ok := readRecord(data, off, true); ok {
+		if _, _, _, ok := readRecord(data, off); ok {
 			return off
 		}
 	}
@@ -423,12 +401,8 @@ func findResync(data []byte, off int) int {
 }
 
 // recordSize returns the on-disk footprint of a record.
-func recordSize(klen, vlen int, withCRC bool) int64 {
-	n := uvarintLen(uint64(klen)) + klen + uvarintLen(uint64(vlen)) + vlen
-	if withCRC {
-		n += crcSize
-	}
-	return int64(n)
+func recordSize(klen, vlen int) int64 {
+	return int64(uvarintLen(uint64(klen)) + klen + uvarintLen(uint64(vlen)) + vlen + crcSize)
 }
 
 func uvarintLen(x uint64) int {
@@ -441,8 +415,8 @@ func uvarintLen(x uint64) int {
 }
 
 // readRecord parses one record at off; ok is false when the bytes do
-// not form a complete record (or, with CRC, fail the checksum).
-func readRecord(data []byte, off int, withCRC bool) (key, val []byte, next int, ok bool) {
+// not form a complete record or fail the checksum.
+func readRecord(data []byte, off int) (key, val []byte, next int, ok bool) {
 	start := off
 	klen, n := binary.Uvarint(data[off:])
 	if n <= 0 || uint64(len(data)-off-n) < klen {
@@ -458,9 +432,6 @@ func readRecord(data []byte, off int, withCRC bool) (key, val []byte, next int, 
 	off += n
 	val = data[off : off+int(vlen)]
 	off += int(vlen)
-	if !withCRC {
-		return key, val, off, true
-	}
 	if len(data)-off < crcSize {
 		return nil, nil, 0, false
 	}
@@ -530,7 +501,7 @@ func (s *FileStore) Write(b *Batch) error {
 	}
 	s.size += int64(len(s.buf))
 	for _, p := range b.pairs {
-		s.index(p.key, p.val, true)
+		s.index(p.key, p.val)
 	}
 	return s.maybeCompactLocked()
 }

@@ -313,51 +313,6 @@ func TestSingleBitCorrection(t *testing.T) {
 	}
 }
 
-// TestLegacySKV1Migration checks that a pre-CRC log opens, serves its
-// records, and is rewritten as SKV2.
-func TestLegacySKV1Migration(t *testing.T) {
-	dir := t.TempDir()
-	// Hand-craft an SKV1 file: magic + CRC-less records.
-	raw := append([]byte{}, logMagicV1...)
-	rec := func(key, val string) {
-		raw = append(raw, byte(len(key)))
-		raw = append(raw, key...)
-		raw = append(raw, byte(len(val)))
-		raw = append(raw, val...)
-	}
-	rec("head", "one")
-	rec("node", "enc")
-	rec("head", "two")
-	if err := os.WriteFile(filepath.Join(dir, FileName), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := OpenFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = s.Close() }()
-	rep := s.Salvage()
-	if !rep.LegacyFormat || !rep.Compacted {
-		t.Fatalf("migration not reported: %+v", rep)
-	}
-	if rep.Dirty() {
-		t.Fatalf("clean legacy file reported dirty: %+v", rep)
-	}
-	if v, _ := s.Get([]byte("head")); string(v) != "two" {
-		t.Fatalf("legacy replay lost overwrite: %q", v)
-	}
-	if v, _ := s.Get([]byte("node")); string(v) != "enc" {
-		t.Fatalf("legacy replay lost node: %q", v)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, FileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(data, logMagic) {
-		t.Fatalf("file not migrated to SKV2: %q", data[:5])
-	}
-}
-
 // TestCompactPreservesGets snapshots every Get before compaction and
 // requires bit-identical answers after, and again after a reopen.
 func TestCompactPreservesGets(t *testing.T) {

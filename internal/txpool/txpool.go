@@ -2,7 +2,7 @@
 // TxPool): the shared, unordered set of transactions waiting to be mined.
 // The pool preserves real-time arrival order (the concurrent history of
 // §II-B), enforces per-sender nonce uniqueness with price-bump
-// replacement, and notifies subscribers as transactions arrive — the
+// replacement, and notifies watchers as transactions arrive — the
 // communication channel Hash-Mark-Set is built on (§III-C).
 package txpool
 
@@ -89,7 +89,6 @@ type Pool struct {
 	// lowest-priced resident instead of rejecting the newcomer.
 	evictLowest bool
 	evicted     uint64
-	subs        []func(*types.Transaction)
 
 	// gen counts pool mutations; consumers compare generations to detect
 	// staleness without copying the pending set.
@@ -114,15 +113,6 @@ func New(opts ...Option) *Pool {
 		opt(p)
 	}
 	return p
-}
-
-// Subscribe registers fn to be called (outside the pool lock) for every
-// newly admitted transaction. Subscribers must be registered before
-// concurrent Adds begin.
-func (p *Pool) Subscribe(fn func(*types.Transaction)) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.subs = append(p.subs, fn)
 }
 
 // Watch registers fn to be called synchronously, under the pool lock,
@@ -225,15 +215,9 @@ func (p *Pool) Admit(tx *types.Transaction) (*types.Transaction, error) {
 	hash := tx.Hash()
 
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if err := p.admitLocked(tx, hash); err != nil {
-		p.mu.Unlock()
 		return nil, err
-	}
-	subs := p.subs
-	p.mu.Unlock()
-
-	for _, fn := range subs {
-		fn(tx.Copy())
 	}
 	return tx, nil
 }
@@ -241,11 +225,11 @@ func (p *Pool) Admit(tx *types.Transaction) (*types.Transaction, error) {
 // AdmitBatch admits a batch of transactions under ONE lock acquisition:
 // validation, copying and identity hashing happen outside the lock, the
 // per-transaction admission decisions (duplicate, replacement, capacity)
-// run back-to-back inside it, and subscriber fan-out happens once after
-// release. Results align with txs: admitted[i] is the pool's memoized
-// instance when errs[i] is nil, and nil otherwise. Admission order —
-// and therefore the change feed watchers observe — is exactly the order
-// of txs, identical to a sequence of individual Admit calls.
+// run back-to-back inside it. Results align with txs: admitted[i] is the
+// pool's memoized instance when errs[i] is nil, and nil otherwise.
+// Admission order — and therefore the change feed watchers observe — is
+// exactly the order of txs, identical to a sequence of individual Admit
+// calls.
 func (p *Pool) AdmitBatch(txs []*types.Transaction) (admitted []*types.Transaction, errs []error) {
 	admitted = make([]*types.Transaction, len(txs))
 	errs = make([]error, len(txs))
@@ -276,19 +260,7 @@ func (p *Pool) AdmitBatch(txs []*types.Transaction) (admitted []*types.Transacti
 			admitted[i], errs[i] = nil, err
 		}
 	}
-	subs := p.subs
 	p.mu.Unlock()
-
-	if len(subs) > 0 {
-		for _, tx := range admitted {
-			if tx == nil {
-				continue
-			}
-			for _, fn := range subs {
-				fn(tx.Copy())
-			}
-		}
-	}
 	return admitted, errs
 }
 

@@ -175,26 +175,6 @@ func TestCapacity(t *testing.T) {
 	}
 }
 
-func TestSubscribe(t *testing.T) {
-	p := New()
-	var mu sync.Mutex
-	var seen []types.Hash
-	p.Subscribe(func(tr *types.Transaction) {
-		mu.Lock()
-		seen = append(seen, tr.Hash())
-		mu.Unlock()
-	})
-	t1 := tx(1, 0, 10)
-	if err := p.Add(t1); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != 1 || seen[0] != t1.Hash() {
-		t.Error("subscriber not notified")
-	}
-}
-
 func TestIsolationFromCallerMutation(t *testing.T) {
 	p := New()
 	t1 := tx(1, 0, 10)
@@ -729,22 +709,5 @@ func TestAdmitBatchValidatorAndIsolation(t *testing.T) {
 	}
 	if p.Len() != 2 {
 		t.Fatalf("len = %d, want 2", p.Len())
-	}
-}
-
-func TestAdmitBatchNotifiesSubscribersOnce(t *testing.T) {
-	p := New()
-	var got []types.Hash
-	p.Subscribe(func(x *types.Transaction) { got = append(got, x.Hash()) })
-	batch := []*types.Transaction{tx(1, 0, 10), tx(1, 0, 10), tx(2, 0, 10)}
-	admitted, _ := p.AdmitBatch(batch)
-	want := []types.Hash{admitted[0].Hash(), admitted[2].Hash()}
-	if len(got) != len(want) {
-		t.Fatalf("subscriber saw %d txs, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("subscriber order diverges at %d", i)
-		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 
 // Transaction is a signed state-transition request. Field semantics follow
 // Ethereum's legacy transaction type; Value and GasPrice are uint64 because
-// the evaluation workloads never exceed 64-bit magnitudes (documented
-// substitution, see DESIGN.md §5).
+// the evaluation workloads never exceed 64-bit magnitudes (a deliberate
+// substitution for Ethereum's 256-bit amounts).
 type Transaction struct {
 	Nonce    uint64  // per-sender sequence number; miners must respect it
 	To       Address // target contract (ZeroAddress = contract creation)

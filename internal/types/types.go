@@ -31,9 +31,6 @@ type (
 // ZeroAddress is the empty address (contract creation target).
 var ZeroAddress Address
 
-// ZeroHash is the all-zero hash.
-var ZeroHash Hash
-
 // ZeroWord is the all-zero word.
 var ZeroWord Word
 

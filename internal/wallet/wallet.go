@@ -1,6 +1,6 @@
 // Package wallet provides account key management and transaction signing.
 //
-// Substitution note (DESIGN.md §5): instead of secp256k1 ECDSA we use a
+// Substitution note: instead of secp256k1 ECDSA we use a
 // deterministic keyed-Keccak scheme — pub = K(priv), addr = K(pub)[12:],
 // sig = K(priv ‖ sigHash). Verification recomputes the signature from the
 // registry of known public keys. The evaluation never attacks the
@@ -37,9 +37,6 @@ func NewKey(seed string) *Key {
 
 // Address returns the account address bound to the key.
 func (k *Key) Address() types.Address { return k.addr }
-
-// PublicKey returns the 32-byte public key.
-func (k *Key) PublicKey() [32]byte { return k.pub }
 
 // Sign computes the signature over a digest.
 func (k *Key) Sign(digest types.Hash) types.Hash {

@@ -22,7 +22,7 @@
 //		Contract: contract, Genesis: genesis, Network: net, Registry: reg,
 //	})
 //
-// See examples/ for runnable programs and DESIGN.md for the system map.
+// See examples/ for runnable programs and README.md for the system map.
 package sereth
 
 import (
@@ -31,6 +31,7 @@ import (
 	"sereth/internal/hms"
 	"sereth/internal/node"
 	"sereth/internal/p2p"
+	"sereth/internal/scenarios"
 	"sereth/internal/sim"
 	"sereth/internal/statedb"
 	"sereth/internal/txpool"
@@ -65,7 +66,7 @@ type (
 // Identity and signing.
 type (
 	// Key is a signing identity (see internal/wallet for the
-	// deterministic scheme substituting secp256k1; DESIGN.md §5).
+	// deterministic keyed-hash scheme standing in for secp256k1).
 	Key = wallet.Key
 	// Registry verifies transaction signatures for known accounts.
 	Registry = wallet.Registry
@@ -118,8 +119,10 @@ type (
 	ScenarioConfig = sim.ScenarioConfig
 	// ScenarioResult aggregates one run.
 	ScenarioResult = sim.Result
-	// SweepPoint is one aggregated cell of a sweep.
-	SweepPoint = sim.SweepPoint
+	// SweepPoint is one aggregated cell of a sweep: its Values hold the
+	// experiment's columns (eta, eta_ci90, sets, ratio, state_tps for
+	// Figure 2).
+	SweepPoint = scenarios.Row
 	// PopulationShape overrides a sweep's peer population and topology.
 	PopulationShape = sim.Shape
 )
@@ -273,10 +276,12 @@ func Figure2Sereth(sets int, seed int64) ScenarioConfig { return sim.SerethClien
 // Figure2Semantic returns the semantic_mining scenario.
 func Figure2Semantic(sets int, seed int64) ScenarioConfig { return sim.SemanticMining(sets, seed) }
 
-// RunFigure2 sweeps the three Figure-2 scenarios.
+// RunFigure2 sweeps the three Figure-2 scenarios over the given set
+// counts and seeds, reporting each finished cell through progress (nil
+// is allowed).
 func RunFigure2(setCounts []int, seeds []int64, progress func(string)) ([]SweepPoint, error) {
-	return sim.RunFigure2(setCounts, seeds, progress)
+	return scenarios.Figure2(setCounts...).Run(scenarios.Options{Seeds: seeds, Progress: progress})
 }
 
 // FormatSweep renders sweep points as an aligned table.
-func FormatSweep(points []SweepPoint) string { return sim.FormatSweep(points) }
+func FormatSweep(points []SweepPoint) string { return scenarios.FormatSweep(points) }
