@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-eta bench-check bench-smoke chaos-smoke parallel-smoke serving-smoke crash-smoke elision-smoke
+.PHONY: all build test race vet bench bench-eta bench-check bench-smoke chaos-smoke parallel-smoke serving-smoke crash-smoke elision-smoke order-smoke
 
 all: vet build test
 
@@ -78,6 +78,19 @@ elision-smoke:
 	$(GO) test -race -run 'TestAdmitAdoptsFrozenInstance|TestNthPoolAdmissionZeroKeccak|TestVerifiedFlagDoesNotSurviveTamper' ./internal/txpool
 	$(GO) test -race -run 'TestBatchID|TestBroadcastTxsHashCount' ./internal/p2p
 	$(GO) test -race -run 'TestReplayKeccakCount|TestReplayAllocsPinned|TestParallelReplayElidesIdentically' ./internal/scenarios
+
+# order-smoke runs the live-DAG block-assembly suite ten times under the
+# race detector: the tracker's live series, buy index and semantic prefix
+# against the from-snapshot derivation under churn, mark cycles and
+# pinning; Order off the live DAG against the pre-change implementation
+# (-short: 2 x 1000 of the 2 x 6000 churn steps per run), the gas-trim wedge and BuildBlock racing pool churn; the appended-to
+# snapshot cache against an ordered-list model; sereth_series served from
+# the live DAG while batches are admitted and removed.
+order-smoke:
+	$(GO) test -race -count=10 -run 'TestIncrementalEquivalence|TestConcurrentViewChurn|TestSemanticPrefix|TestBuyIndex' ./internal/hms
+	$(GO) test -race -count=10 -short -run 'TestOrderDifferential|TestRepairNonceOrderMatchesReference|TestMinerSkipsSenderAfterGasMiss|TestBuildBlockRacesPoolChurn' ./internal/miner
+	$(GO) test -race -count=10 -run 'TestSnapshot|TestReAdmitted|TestClear' ./internal/txpool
+	$(GO) test -race -count=10 -run 'TestSeries' ./internal/rpc
 
 # serving-smoke runs the persistence and serving-tier suite under the
 # race detector: the store, trie/state persistence and snapshot

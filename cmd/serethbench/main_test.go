@@ -11,8 +11,9 @@ import (
 
 // TestRowsMatchCommittedBench pins the registry-driven serethbench to
 // the last BENCH file the hand-written row builders produced: exactly
-// the same row names (minus the two rows whose code path is gone), and
-// bit-identical η, honest-twin η and η drop on every simulated row.
+// the same row names (minus the two rows whose code path is gone, plus
+// the block-assembly rows added since), and bit-identical η,
+// honest-twin η and η drop on every simulated row.
 // The micro-benchmark rows are checked by name only — running them is
 // the bench smoke's job.
 func TestRowsMatchCommittedBench(t *testing.T) {
@@ -35,6 +36,7 @@ func TestRowsMatchCommittedBench(t *testing.T) {
 		t.Fatal(err)
 	}
 	deleted := []string{"scale/figure2-sereth/peers-50-mesh-lazy", "keccak/elision-replay-100tx-off"}
+	added := []string{"txpool/snapshot-after-admit-10k", "miner/order-live-pool10k", "miner/order-scratch-pool10k"}
 
 	sims, err := simRecords()
 	if err != nil {
@@ -54,7 +56,12 @@ func TestRowsMatchCommittedBench(t *testing.T) {
 		}
 	}
 
-	want := 0
+	want := len(added)
+	for _, name := range added {
+		if _, ok := got[name]; !ok {
+			t.Errorf("row %q is gone", name)
+		}
+	}
 	for _, c := range committed.Records {
 		if slices.Contains(deleted, c.Name) {
 			continue
@@ -78,6 +85,6 @@ func TestRowsMatchCommittedBench(t *testing.T) {
 		}
 	}
 	if len(got) != want {
-		t.Errorf("%d rows, committed file has %d (after the two deletions)", len(got), want)
+		t.Errorf("%d rows, committed file has %d (after the two deletions and the three additions)", len(got), want)
 	}
 }

@@ -60,8 +60,10 @@ type View struct {
 // algorithms): callers pass pool snapshots to ViewOf/SeriesOf and every
 // call recomputes from scratch. Incremental: Attach subscribes the
 // tracker to a txpool.Pool's change feed, after which it maintains the
-// mark-keyed DAG under pool deltas and View serves cached results in
-// O(1) while the pool generation is unchanged (see incremental.go).
+// mark-keyed DAG and the buy index under pool deltas; View serves
+// cached results in O(1) while the pool generation is unchanged, and
+// the series and the semantic-mining prefix are read off the live DAG
+// (see incremental.go).
 type Tracker struct {
 	cfg Config
 
@@ -69,6 +71,7 @@ type Tracker struct {
 	committed types.AMV
 
 	// Incremental engine state; nil/zero until Attach (incremental.go).
+	pool     *txpool.Pool // the attached pool
 	attached bool
 	seeding  bool                    // Attach in progress: events land in backlog
 	backlog  []txpool.Change         // mutations racing the Attach snapshot seed
@@ -77,6 +80,9 @@ type Tracker struct {
 	sets     map[types.Hash]*entry   // every live set tx, by identity hash
 	dups     map[types.Word][]*entry // mark -> seq-ordered entries; [0] active
 	kids     map[types.Word][]*entry // prevMark -> seq-ordered active entries
+	// buys indexes every live buy by the mark of the set interval it
+	// targets, in arrival order: the live counterpart of buysByInterval.
+	buys     map[types.Word][]*types.Transaction
 	viewOK   bool
 	view     View
 	depths   map[*entry]int     // recompute scratch, reused across recomputes
@@ -333,25 +339,49 @@ func (t *Tracker) SeriesOf(pool []*types.Transaction) []*Node {
 	return t.Series(t.Process(pool))
 }
 
-// BuysByInterval groups pending buy transactions by the mark of the set
-// interval they target (FPV.PrevMark). The semantic miner uses this to
-// interleave each set with its dependent buys (paper §V-C); buys keyed by
-// the committed mark belong before the first pending set.
-func (t *Tracker) BuysByInterval(pool []*types.Transaction) map[types.Word][]*types.Transaction {
+// buyInterval reports whether tx is a buy on the managed contract and
+// the mark of the set interval it targets (FPV.PrevMark). The snapshot
+// buysByInterval and the incremental buy index share this filter.
+func (t *Tracker) buyInterval(tx *types.Transaction) (types.Word, bool) {
+	if tx.To != t.cfg.Contract {
+		return types.Word{}, false
+	}
+	sel, ok := tx.Selector()
+	if !ok || sel != t.cfg.BuySelector {
+		return types.Word{}, false
+	}
+	fpv, err := tx.FPV()
+	if err != nil {
+		return types.Word{}, false
+	}
+	return fpv.PrevMark, true
+}
+
+// buysByInterval groups the pool's buy transactions by the interval
+// they target, in arrival order.
+func (t *Tracker) buysByInterval(pool []*types.Transaction) map[types.Word][]*types.Transaction {
 	out := make(map[types.Word][]*types.Transaction)
 	for _, tx := range pool {
-		if tx.To != t.cfg.Contract {
-			continue
+		if mark, ok := t.buyInterval(tx); ok {
+			out[mark] = append(out[mark], tx)
 		}
-		sel, ok := tx.Selector()
-		if !ok || sel != t.cfg.BuySelector {
-			continue
+	}
+	return out
+}
+
+// semanticPrefix is the semantic miner's interleaving (paper §V-C): the
+// buys bound to the committed interval execute before any pending set,
+// then each set of the series is followed by the buys that depend on its
+// mark. Only an adversarial mark cycle leads a series back onto the
+// committed mark; that bucket is already placed and is not scheduled
+// twice.
+func semanticPrefix(committedMark types.Word, buys map[types.Word][]*types.Transaction, series []*Node) []*types.Transaction {
+	out := append([]*types.Transaction(nil), buys[committedMark]...)
+	for _, n := range series {
+		out = append(out, n.Tx)
+		if n.Mark != committedMark {
+			out = append(out, buys[n.Mark]...)
 		}
-		fpv, err := tx.FPV()
-		if err != nil {
-			continue
-		}
-		out[fpv.PrevMark] = append(out[fpv.PrevMark], tx)
 	}
 	return out
 }

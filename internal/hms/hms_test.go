@@ -244,7 +244,7 @@ func TestBuysByInterval(t *testing.T) {
 	b3 := buyTx(m2, types.WordFromUint64(7))
 	set := setTx(types.FlagHead, types.ZeroWord, types.WordFromUint64(5))
 
-	groups := tr.BuysByInterval([]*types.Transaction{b1, set, b2, b3})
+	groups := tr.buysByInterval([]*types.Transaction{b1, set, b2, b3})
 	if len(groups[m1]) != 2 || len(groups[m2]) != 1 {
 		t.Errorf("groups: %d/%d", len(groups[m1]), len(groups[m2]))
 	}

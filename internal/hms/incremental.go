@@ -12,6 +12,7 @@ package hms
 // and asserts View == ViewOf(Pending()) at every step.
 
 import (
+	"slices"
 	"sort"
 
 	"sereth/internal/txpool"
@@ -40,9 +41,11 @@ func (t *Tracker) Attach(pool *txpool.Pool) {
 		t.mu.Unlock()
 		return
 	}
+	t.pool = pool
 	t.attached = true
 	t.seeding = true
 	t.sets = make(map[types.Hash]*entry)
+	t.buys = make(map[types.Word][]*types.Transaction)
 	t.dups = make(map[types.Word][]*entry)
 	t.kids = make(map[types.Word][]*entry)
 	t.depths = make(map[*entry]int)
@@ -152,10 +155,18 @@ func (t *Tracker) applyLocked(c txpool.Change) {
 	}
 }
 
-// insertLocked admits one transaction into the DAG. Returns false for
-// transactions the view does not depend on (foreign contracts, buys,
-// rejected flags), which then keep the cached view valid.
+// insertLocked admits one transaction into the DAG or the buy index.
+// Returns false for transactions the view does not depend on (foreign
+// contracts, buys, rejected flags), which then keep the cached view
+// valid.
 func (t *Tracker) insertLocked(tx *types.Transaction) bool {
+	if interval, ok := t.buyInterval(tx); ok {
+		bucket := t.buys[interval]
+		if bucket == nil {
+			bucket = make([]*types.Transaction, 0, 4) // a set is typically followed by a few buys
+		}
+		t.buys[interval] = append(bucket, tx)
+	}
 	fpv, mark, ok := t.classifySet(tx)
 	if !ok {
 		return false
@@ -178,11 +189,24 @@ func (t *Tracker) insertLocked(tx *types.Transaction) bool {
 	return true
 }
 
-// deleteLocked removes one transaction from the DAG. When the active
-// holder of a mark leaves, the earliest surviving duplicate (if any)
-// takes its place — exactly what the snapshot path's first-arrival
-// dedupe would now select.
+// deleteLocked removes one transaction from the DAG or the buy index.
+// When the active holder of a mark leaves, the earliest surviving
+// duplicate (if any) takes its place — exactly what the snapshot path's
+// first-arrival dedupe would now select.
 func (t *Tracker) deleteLocked(tx *types.Transaction) bool {
+	if interval, ok := t.buyInterval(tx); ok {
+		// The feed removes the instance it added; slices.Delete zeroes the
+		// vacated slot, so the bucket does not pin it.
+		lst := t.buys[interval]
+		if i := slices.Index(lst, tx); i >= 0 {
+			lst = slices.Delete(lst, i, i+1)
+		}
+		if len(lst) == 0 {
+			delete(t.buys, interval)
+		} else {
+			t.buys[interval] = lst
+		}
+	}
 	h := tx.Hash()
 	e, ok := t.sets[h]
 	if !ok {
@@ -257,18 +281,19 @@ func (t *Tracker) activeOf(mark types.Word) *entry {
 	return nil
 }
 
-// recomputeLocked runs the fork choice (Algorithm 1+3) over the live
-// DAG: collect head candidates chained off the committed mark, share one
-// longest-path memo across them, and read the deepest branch's tail.
-// No hashing, no parsing, no per-transaction allocation — the scratch
-// tables are reused across recomputes.
-func (t *Tracker) recomputeLocked() View {
+// walkSeriesLocked runs the fork choice (Algorithm 1+3) over the live
+// DAG — collect head candidates chained off the committed mark, share
+// one longest-path memo across them — and visits the deepest branch head
+// to tail; it visits nothing when no candidate exists. No hashing, no
+// parsing, no per-transaction allocation: the scratch tables are reused
+// across calls, which is why callers hold the write lock.
+func (t *Tracker) walkSeriesLocked(visit func(*entry)) {
 	committedMark := t.committed.Mark
 
-	// The scratch tables keep their capacity across recomputes but must
-	// not keep their contents: stale *entry pointers (in the depth memo
-	// and beyond the live length of the buffers) would pin removed
-	// transactions in memory until the next recompute.
+	// The scratch tables keep their capacity across calls but must not
+	// keep their contents: stale *entry pointers (in the depth memo and
+	// beyond the live length of the buffers) would pin removed
+	// transactions in memory until the next walk.
 	defer func() {
 		clear(t.depths)
 		clear(t.headsBuf[:cap(t.headsBuf)])
@@ -290,9 +315,6 @@ func (t *Tracker) recomputeLocked() View {
 		}
 	}
 	t.headsBuf = heads[:0]
-	if len(heads) == 0 {
-		return View{AMV: t.committed, Flag: types.FlagHead, Depth: 0}
-	}
 
 	next := func(e *entry) []*entry { return t.kids[e.mark] }
 	var best *entry
@@ -303,13 +325,23 @@ func (t *Tracker) recomputeLocked() View {
 			best, bestDepth = h, d
 		}
 	}
+	if best != nil {
+		walkDeepest(best, next, t.depths, visit)
+	}
+}
 
+// recomputeLocked reads the view off the live series: its tail, or the
+// committed state under the head flag when the series is empty.
+func (t *Tracker) recomputeLocked() View {
 	// Depth is the walked series length, not the DP depth: the two only
 	// differ when an adversarial mark cycle truncates the walk, and the
 	// snapshot path's ViewOf reports the truncated length there too.
-	tail := best
+	var tail *entry
 	seriesLen := 0
-	walkDeepest(best, next, t.depths, func(e *entry) { tail = e; seriesLen++ })
+	t.walkSeriesLocked(func(e *entry) { tail = e; seriesLen++ })
+	if tail == nil {
+		return View{AMV: t.committed, Flag: types.FlagHead, Depth: 0}
+	}
 	return View{
 		AMV: types.AMV{
 			Address: tail.tx.From,
@@ -319,4 +351,55 @@ func (t *Tracker) recomputeLocked() View {
 		Flag:  types.FlagChain,
 		Depth: seriesLen,
 	}
+}
+
+// seriesLocked returns the live series as unlinked nodes (Prev and Next
+// stay nil: the adjacency lives in the tracker's own maps).
+func (t *Tracker) seriesLocked() (series []*Node) {
+	t.walkSeriesLocked(func(e *entry) {
+		series = append(series, &Node{Tx: e.tx, FPV: e.fpv, Mark: e.mark})
+	})
+	return series
+}
+
+// SemanticPrefix returns the head of a semantically ordered block body
+// for pending (paper §V-C): the buys bound to the committed interval,
+// then each set of the pending series followed by the buys that depend
+// on its mark. When pending is the attached pool's snapshot of
+// generation g and the DAG reflects g, the prefix is read off the live
+// DAG and buy index and live is true; generations only grow and each
+// names one pool state, so the two locks are taken one after the other
+// (pool.mu is never acquired under tracker.mu). Any other slice — a
+// standalone tracker's, a snapshot that raced an admission, a filtered
+// copy — is processed from scratch, which is also the reference the
+// live path is tested against.
+func (t *Tracker) SemanticPrefix(pending []*types.Transaction) (prefix []*types.Transaction, live bool) {
+	t.mu.RLock()
+	pool := t.pool
+	t.mu.RUnlock()
+	if pool != nil {
+		if gen, ok := pool.SnapshotGeneration(pending); ok {
+			t.mu.Lock()
+			if !t.seeding && t.gen == gen {
+				defer t.mu.Unlock()
+				return semanticPrefix(t.committed.Mark, t.buys, t.seriesLocked()), true
+			}
+			t.mu.Unlock()
+		}
+	}
+	return semanticPrefix(t.Committed().Mark, t.buysByInterval(pending), t.SeriesOf(pending)), false
+}
+
+// SeriesOrSnapshot returns the pending series, head to tail: read off
+// the live DAG when the tracker is attached and ready, and otherwise
+// SeriesOf the snapshot supplied by pending (the ViewOrSnapshot
+// contract).
+func (t *Tracker) SeriesOrSnapshot(pending func() []*types.Transaction) []*Node {
+	t.mu.Lock()
+	if t.attached && !t.seeding {
+		defer t.mu.Unlock()
+		return t.seriesLocked()
+	}
+	t.mu.Unlock()
+	return t.SeriesOf(pending())
 }

@@ -2,6 +2,7 @@ package hms
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -36,6 +37,19 @@ func (c *churner) addTx(tx *types.Transaction) {
 	c.live = append(c.live, tx)
 }
 
+// interval picks the mark a new set or buy hangs off: mostly the
+// committed mark or a recent one, so series grow several sets deep and
+// carry buys, and sometimes any mark ever seen, live or dead.
+func (c *churner) interval(committed types.Word) types.Word {
+	switch r := c.rng.Intn(10); {
+	case r < 3:
+		return committed
+	case r < 8:
+		return c.marks[len(c.marks)-1-c.rng.Intn(min(6, len(c.marks)))]
+	}
+	return c.marks[c.rng.Intn(len(c.marks))]
+}
+
 // step applies one random mutation. committed is the tracker's current
 // committed mark, used to emit head candidates.
 func (c *churner) step(committed types.Word) {
@@ -43,7 +57,7 @@ func (c *churner) step(committed types.Word) {
 	sender := types.Address{19: byte(c.rng.Intn(5) + 1)}
 	switch op := c.rng.Intn(100); {
 	case op < 45: // chained set, sometimes a duplicate (prev,value) pair
-		prev := c.marks[c.rng.Intn(len(c.marks))]
+		prev := c.interval(committed)
 		value := types.WordFromUint64(uint64(c.rng.Intn(5) + 1))
 		flag := types.FlagChain
 		if prev == committed && c.rng.Intn(2) == 0 {
@@ -57,7 +71,7 @@ func (c *churner) step(committed types.Word) {
 		c.addTx(tx)
 		c.marks = append(c.marks, types.NextMark(prev, value))
 	case op < 55: // buy on a live interval
-		prev := c.marks[c.rng.Intn(len(c.marks))]
+		prev := c.interval(committed)
 		tx := &types.Transaction{
 			Nonce: c.nonce, From: sender, To: contract,
 			GasPrice: 10, GasLimit: 100,
@@ -101,12 +115,52 @@ var (
 	selBuy = cfg().BuySelector
 )
 
+// checkLiveAgainstSnapshot asserts that everything block assembly reads
+// off the attached tracker — the series, every buy bucket, the semantic
+// prefix — is what the standalone reference derives from the pool's
+// snapshot, the same transaction pointers in the same order, and that
+// the snapshot really took the live path. It returns the series length.
+func checkLiveAgainstSnapshot(t *testing.T, step int, inc, ref *Tracker, pool *txpool.Pool) int {
+	t.Helper()
+	snap, _ := pool.Snapshot()
+	series := ref.SeriesOf(snap)
+	if !slices.EqualFunc(inc.SeriesOrSnapshot(nil), series, func(got, want *Node) bool {
+		return got.Tx == want.Tx && got.FPV == want.FPV && got.Mark == want.Mark
+	}) {
+		t.Fatalf("step %d: live series differs from the from-snapshot series of %d sets", step, len(series))
+	}
+
+	wantBuys := ref.buysByInterval(snap)
+	inc.mu.RLock()
+	same := len(inc.buys) == len(wantBuys)
+	for mark, bucket := range wantBuys {
+		same = same && slices.Equal(inc.buys[mark], bucket)
+	}
+	inc.mu.RUnlock()
+	if !same {
+		t.Fatalf("step %d: live buy index differs from the snapshot's %d buckets", step, len(wantBuys))
+	}
+
+	got, live := inc.SemanticPrefix(snap)
+	if !live {
+		t.Fatalf("step %d: the attached pool's own snapshot did not take the live path", step)
+	}
+	want, refLive := ref.SemanticPrefix(snap)
+	if refLive || !slices.Equal(got, want) {
+		t.Fatalf("step %d: live prefix of %d txs, from-snapshot %d (live=%v)", step, len(got), len(want), refLive)
+	}
+	return len(series)
+}
+
 // TestIncrementalEquivalence is the regression the tentpole demands: an
 // attached tracker's incrementally maintained View must equal a
 // from-scratch ViewOf over the pool snapshot after every one of >=1000
 // randomized churn steps (adds, duplicate marks, buys, noise, removals,
-// committed-state rebases and pool clears), with and without the
-// ExtendHeads ablation.
+// re-admissions, committed-state rebases and pool clears), with and
+// without the ExtendHeads ablation — and so must the live series, buy
+// index and semantic prefix the miner assembles blocks from. A snapshot
+// the pool has moved past must take the from-snapshot path and still
+// get the prefix of its own content.
 func TestIncrementalEquivalence(t *testing.T) {
 	for _, ext := range []bool{false, true} {
 		name := "baseline"
@@ -123,7 +177,9 @@ func TestIncrementalEquivalence(t *testing.T) {
 
 			ch := newChurner(0xC00C+int64(len(name)), pool)
 			committed := types.AMV{}
+			deepest := 0
 			for step := 0; step < 1500; step++ {
+				old, oldGen := pool.Snapshot()
 				ch.step(committed.Mark)
 				switch ch.rng.Intn(40) {
 				case 0: // rebase committed onto a live mark
@@ -150,7 +206,18 @@ func TestIncrementalEquivalence(t *testing.T) {
 					t.Fatalf("step %d: incremental view %+v != from-scratch %+v (pool %d txs)",
 						step, got, want, pool.Len())
 				}
+				deepest = max(deepest, checkLiveAgainstSnapshot(t, step, inc, ref, pool))
+				if pool.Generation() != oldGen {
+					stale, live := inc.SemanticPrefix(old)
+					if want, _ := ref.SemanticPrefix(old); live || !slices.Equal(stale, want) {
+						t.Fatalf("step %d: a snapshot the pool moved past: live=%v, %d txs, want %d", step, live, len(stale), len(want))
+					}
+				}
 			}
+			if deepest < 4 {
+				t.Fatalf("deepest series %d: the churn never builds a series worth comparing", deepest)
+			}
+			t.Logf("deepest series %d", deepest)
 			if pool.Len() == 0 {
 				t.Log("pool drained; churn mix may be too removal-heavy")
 			}
@@ -306,6 +373,18 @@ func TestConcurrentViewChurn(t *testing.T) {
 				}
 				_ = ref.ViewOf(pool.Pending())
 				_ = tr.Generation()
+				// Block assembly and sereth_series read the same DAG; a
+				// snapshot that raced a writer must take the from-snapshot
+				// path, never a half-matching live one.
+				snap, _ := pool.Snapshot()
+				prefix, _ := tr.SemanticPrefix(snap)
+				for _, tx := range prefix {
+					if !slices.Contains(snap, tx) {
+						t.Error("prefix holds a transaction that is not in the snapshot it was asked about")
+						return
+					}
+				}
+				_ = tr.SeriesOrSnapshot(pool.Pending)
 			}
 		}()
 	}
@@ -385,5 +464,94 @@ func TestAttachDuringConcurrentChurn(t *testing.T) {
 		if want := NewTracker(cfg()).ViewOf(pool.Pending()); got != want {
 			t.Fatalf("trial %d: post-churn view %+v != from-scratch %+v", trial, got, want)
 		}
+	}
+}
+
+// TestSemanticPrefixMarkCycle forges what Keccak never yields: a series
+// that walks back onto the committed mark (set b claims the mark set a
+// hangs off). The fork choice must terminate on both paths, and the
+// committed interval's bucket — placed before the first set — must not
+// be scheduled a second time behind b.
+func TestSemanticPrefixMarkCycle(t *testing.T) {
+	pool := txpool.New()
+	tr := NewTracker(cfg())
+	tr.Attach(pool)
+	committed := types.WordFromUint64(0xC0)
+	tr.SetCommitted(types.AMV{Mark: committed})
+
+	one, two := types.WordFromUint64(1), types.WordFromUint64(2)
+	markA := types.NextMark(committed, one)
+	a := setTx(types.FlagHead, committed, one)
+	b := setTx(types.FlagChain, markA, two)
+	buyCommitted, buyA := buyTx(committed, one), buyTx(markA, one)
+	for _, tx := range []*types.Transaction{buyA, a, buyCommitted, b} {
+		if err := pool.Add(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, _ := pool.Snapshot()
+	want := []*types.Transaction{snap[2], snap[1], snap[0], snap[3]} // buyCommitted, a, buyA, b
+
+	// Live DAG: move b's entry under the committed mark.
+	tr.mu.Lock()
+	eb := tr.sets[b.Hash()]
+	delete(tr.dups, eb.mark)
+	eb.mark = committed
+	tr.dups[committed] = []*entry{eb}
+	tr.mu.Unlock()
+	if got, live := tr.SemanticPrefix(snap); !live || !slices.Equal(got, want) {
+		t.Fatalf("live prefix over a mark cycle: live=%v, %d txs, want %d", live, len(got), len(want))
+	}
+
+	// From the snapshot: the same forgery on the Process output.
+	nodes := tr.Process(snap)
+	nodes[1].Mark = committed
+	series := tr.Series(nodes)
+	got := semanticPrefix(committed, tr.buysByInterval(snap), series)
+	if len(series) != 2 || !slices.Equal(got, want) {
+		t.Fatalf("from-snapshot prefix over a mark cycle: series %d, %d txs, want %d", len(series), len(got), len(want))
+	}
+}
+
+// TestBuyIndexDropsRemovedTransactions: the buy index is fed by the same
+// change feed as the DAG, so a removed buy must leave it entirely — not
+// even a vacated slot behind a bucket's length may keep the transaction
+// reachable.
+func TestBuyIndexDropsRemovedTransactions(t *testing.T) {
+	pool := txpool.New()
+	tr := NewTracker(cfg())
+	tr.Attach(pool)
+	interval := types.WordFromUint64(9)
+	var buys []*types.Transaction
+	for i := 0; i < 4; i++ {
+		admitted, err := pool.Admit(buyTx(interval, types.WordFromUint64(uint64(i))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		buys = append(buys, admitted)
+	}
+	holds := func(tx *types.Transaction) bool {
+		tr.mu.RLock()
+		defer tr.mu.RUnlock()
+		for _, bucket := range tr.buys {
+			if slices.Contains(bucket[:cap(bucket)], tx) {
+				return true
+			}
+		}
+		return false
+	}
+	pool.Remove([]types.Hash{buys[1].Hash(), buys[3].Hash()})
+	if holds(buys[1]) || holds(buys[3]) || !holds(buys[0]) || !holds(buys[2]) {
+		t.Fatal("after Remove the bucket holds a removed buy or lost a resident one")
+	}
+	if got, _ := tr.SemanticPrefix(nil); len(got) != 0 {
+		t.Fatalf("prefix of an empty pending = %d txs", len(got))
+	}
+	pool.Clear()
+	tr.mu.RLock()
+	left := len(tr.buys)
+	tr.mu.RUnlock()
+	if left != 0 {
+		t.Fatalf("after Clear the buy index still has %d buckets", left)
 	}
 }

@@ -106,90 +106,71 @@ func NewSemanticWindow(tracker *hms.Tracker, seed int64, window int) *Semantic {
 	return &Semantic{tracker: tracker, fallback: NewBaselineWindow(seed, window)}
 }
 
-// Order implements Strategy.
+// Order implements Strategy. The tracker supplies the semantic prefix —
+// off its live DAG when pending is the attached pool's current snapshot,
+// from scratch otherwise — and everything else (non-HMS traffic,
+// orphaned sets and buys) follows in baseline order.
 func (m *Semantic) Order(pending []*types.Transaction, nextNonce func(types.Address) uint64) []*types.Transaction {
-	series := m.tracker.SeriesOf(pending)
-	buys := m.tracker.BuysByInterval(pending)
-	committedMark := m.tracker.Committed().Mark
-
-	scheduled := make(map[types.Hash]bool)
-	var out []*types.Transaction
-	add := func(txs ...*types.Transaction) {
-		for _, tx := range txs {
-			h := tx.Hash()
-			if !scheduled[h] {
-				scheduled[h] = true
-				out = append(out, tx)
+	prefix, _ := m.tracker.SemanticPrefix(pending)
+	rest := pending
+	if len(prefix) > 0 {
+		// The prefix holds pending's own pointers, so identity finds the
+		// rest without hashing.
+		scheduled := make(map[*types.Transaction]struct{}, len(prefix))
+		for _, tx := range prefix {
+			scheduled[tx] = struct{}{}
+		}
+		rest = make([]*types.Transaction, 0, len(pending)-len(prefix))
+		for _, tx := range pending {
+			if _, ok := scheduled[tx]; !ok {
+				rest = append(rest, tx)
 			}
 		}
 	}
+	return repairNonceOrder(append(prefix, m.fallback.Order(rest, nextNonce)...), nextNonce)
+}
 
-	// Buys that read the committed state execute before any pending set.
-	add(buys[committedMark]...)
-	for _, node := range series {
-		add(node.Tx)
-		add(buys[node.Mark]...)
-	}
-	// Remaining transactions (non-HMS traffic, orphaned sets/buys) in
-	// baseline order behind the series.
-	var rest []*types.Transaction
-	for _, tx := range pending {
-		if !scheduled[tx.Hash()] {
-			rest = append(rest, tx)
-		}
-	}
-	add(m.fallback.Order(rest, nextNonce)...)
-	return repairNonceOrder(out, nextNonce)
+// senderState is repairNonceOrder's per-sender bookkeeping.
+type senderState struct {
+	want     uint64               // next nonce the body may carry
+	deferred []*types.Transaction // premature txs waiting for want
 }
 
 // repairNonceOrder enforces the protocol invariant that a block may not
 // contain a sender's transactions out of nonce order or with gaps
 // (§II-C): stale nonces are dropped, premature ones deferred until their
-// predecessors are placed, and unplaceable ones discarded.
+// predecessors are placed, and unplaceable ones discarded. One
+// address-keyed lookup per transaction: the map holds indices into a
+// slice of value-typed sender states.
 func repairNonceOrder(desired []*types.Transaction, nextNonce func(types.Address) uint64) []*types.Transaction {
-	expected := make(map[types.Address]uint64)
-	nonceOf := func(a types.Address) uint64 {
-		if n, ok := expected[a]; ok {
-			return n
-		}
-		n := nextNonce(a)
-		expected[a] = n
-		return n
-	}
-	deferred := make(map[types.Address][]*types.Transaction)
+	index := make(map[types.Address]int)
+	var senders []senderState
 	out := make([]*types.Transaction, 0, len(desired))
-
-	place := func(tx *types.Transaction) bool {
-		want := nonceOf(tx.From)
-		switch {
-		case tx.Nonce < want:
-			return true // stale: drop silently
-		case tx.Nonce > want:
-			deferred[tx.From] = append(deferred[tx.From], tx)
-			return false
-		default:
-			out = append(out, tx)
-			expected[tx.From] = want + 1
-			return true
-		}
-	}
 	for _, tx := range desired {
-		if !place(tx) {
-			continue
+		i, ok := index[tx.From]
+		if !ok {
+			i = len(senders)
+			index[tx.From] = i
+			senders = append(senders, senderState{want: nextNonce(tx.From)})
 		}
+		s := &senders[i]
+		switch {
+		case tx.Nonce > s.want:
+			s.deferred = append(s.deferred, tx)
+			continue
+		case tx.Nonce == s.want:
+			out = append(out, tx)
+			s.want++
+		} // a stale nonce drops silently
 		// Drain any deferred txs unblocked by this placement.
-		for {
-			q := deferred[tx.From]
-			if len(q) == 0 {
-				break
-			}
+		for q := s.deferred; len(q) > 0; q = s.deferred {
 			sort.Slice(q, func(i, j int) bool { return q[i].Nonce < q[j].Nonce })
-			if q[0].Nonce != expected[tx.From] {
+			if q[0].Nonce != s.want {
 				break
 			}
 			out = append(out, q[0])
-			expected[tx.From]++
-			deferred[tx.From] = q[1:]
+			s.want++
+			s.deferred = q[1:]
 		}
 	}
 	return out
@@ -243,12 +224,31 @@ func (m *Miner) BuildBlock(timestamp uint64) (*types.Block, error) {
 	}
 	ordered := m.strategy.Order(pending, state.GetNonce)
 
-	// Trim to the block gas limit using the declared per-tx limits.
+	// Trim to the block gas limit using the declared per-tx limits. Once
+	// a sender's transaction does not fit, their later ones would leave a
+	// nonce gap and are skipped with it.
 	limit := m.chain.Config().GasLimit
 	var budget uint64
+	var gapped map[types.Address]struct{} // senders with a tx skipped for gas
 	body := make([]*types.Transaction, 0, len(ordered))
-	for _, tx := range ordered {
+	for i, tx := range ordered {
+		if _, gap := gapped[tx.From]; gap {
+			continue
+		}
 		if budget+tx.GasLimit > limit {
+			if gapped == nil {
+				// The first miss: when nothing behind it fits either — a
+				// full block over a deep pool — the body is complete.
+				smallest := tx.GasLimit
+				for _, later := range ordered[i+1:] {
+					smallest = min(smallest, later.GasLimit)
+				}
+				if budget+smallest > limit {
+					break
+				}
+				gapped = make(map[types.Address]struct{})
+			}
+			gapped[tx.From] = struct{}{}
 			continue
 		}
 		budget += tx.GasLimit

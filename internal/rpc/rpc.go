@@ -304,7 +304,7 @@ func (s *Server) dispatch(req *request) (interface{}, *rpcError) {
 		if tracker == nil {
 			return []string{}, nil
 		}
-		nodes := tracker.SeriesOf(s.node.Pool().Pending())
+		nodes := tracker.SeriesOrSnapshot(s.node.Pool().Pending)
 		marks := make([]string, len(nodes))
 		for i, n := range nodes {
 			marks[i] = n.Mark.Hex()

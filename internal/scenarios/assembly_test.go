@@ -1,0 +1,42 @@
+package scenarios
+
+import (
+	"runtime/debug"
+	"testing"
+)
+
+// TestBlockAssemblyAllocsPinned pins allocs/op of the three deep-pool
+// block-assembly rows, so a drift fails here instead of waiting for
+// someone to diff BENCH files. If a move is intended, update the
+// constants and say so. Measured on go1.24.0.
+//
+// miner/order-live-pool10k: the ten-set series, the prefix, the pointer
+// set, the rest, and Baseline plus two nonce passes over 10 000
+// transactions — tens of allocations, none per transaction. miner/order-scratch-pool10k adds
+// one Node per pending set and one bucket per interval (2 000 each) and
+// their growth; it is the same-run twin, pinned so the pair keeps its
+// distance. txpool/snapshot-after-admit-10k is the attached tracker's
+// three allocations for a new set (entry, duplicate list, child list)
+// and nothing for the snapshot. The orderings are pinned to a range of
+// two either side for map growth under the per-process hash seed.
+func TestBlockAssemblyAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	live := testing.AllocsPerRun(20, OrderDeepPool(true))
+	scratch := testing.AllocsPerRun(20, OrderDeepPool(false))
+	step := SnapshotAfterAdmit()
+	step() // the admission behind a rebuild grows the exactly-sized slice
+	admit := testing.AllocsPerRun(1000, step)
+	t.Logf("order-live %v, order-scratch %v, snapshot-after-admit %v allocs", live, scratch, admit)
+	if live < 56 || live > 60 {
+		t.Errorf("miner/order-live-pool10k: %v allocs per ordering, pinned 58 +- 2", live)
+	}
+	if scratch < 10_186 || scratch > 10_190 {
+		t.Errorf("miner/order-scratch-pool10k: %v allocs per ordering, pinned 10188 +- 2", scratch)
+	}
+	if admit != 3 {
+		t.Errorf("txpool/snapshot-after-admit-10k: %v allocs per admission and snapshot, pinned 3", admit)
+	}
+}

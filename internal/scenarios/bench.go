@@ -20,6 +20,7 @@ import (
 	"sereth/internal/evm"
 	"sereth/internal/keccak"
 	"sereth/internal/metrics"
+	"sereth/internal/miner"
 	"sereth/internal/node"
 	"sereth/internal/p2p"
 	"sereth/internal/rpc"
@@ -64,6 +65,9 @@ func Benches() []Bench {
 		Bench{"txpool/admit", benchTxAdmission},
 		Bench{"txpool/admit-batch-100", benchAdmitBatch100},
 		Bench{"keccak/elision-admit-nth-peer", benchAdmitNthPeer},
+		Bench{"txpool/snapshot-after-admit-10k", benchStep(SnapshotAfterAdmit)},
+		Bench{"miner/order-live-pool10k", benchStep(func() func() { return OrderDeepPool(true) })},
+		Bench{"miner/order-scratch-pool10k", benchStep(func() func() { return OrderDeepPool(false) })},
 		Bench{"evm/interp-100op", benchInterp100Op},
 		Bench{"statedb/journal-churn", benchJournalChurn},
 		Bench{"store/filestore-write-100rec", benchFileStoreWrite},
@@ -305,6 +309,69 @@ func benchAdmitBatch100(b *testing.B) {
 			if tx == nil {
 				b.Fatal(errs[j])
 			}
+		}
+	}
+}
+
+// benchStep times step, which build sets up outside the timer.
+func benchStep(build func() (step func())) func(*testing.B) {
+	return func(b *testing.B) {
+		step := build()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			step()
+		}
+	}
+}
+
+// SnapshotAfterAdmit is the txpool/snapshot-after-admit-10k step on the
+// deep pool: admit one already-frozen set, then take the snapshot a
+// miner would ask for. The admission extends the cached snapshot, so the
+// step does not scale with the 10 000 residents. Every 4096th step first
+// removes what the previous 4096 admitted (one rebuild: a pointer scan).
+func SnapshotAfterAdmit() func() {
+	pool, _ := DeepPool()
+	resident := pool.Len()
+	txs := AdmissionTxs(4096)
+	hashes := make([]types.Hash, len(txs))
+	for i, tx := range txs {
+		tx.From = types.Address{17: 1} // no deep-pool sender: nonces cannot collide
+		hashes[i] = tx.Memoize().Hash()
+	}
+	i := 0
+	return func() {
+		if i == len(txs) {
+			pool.Remove(hashes)
+			i = 0
+		}
+		if _, err := pool.Admit(txs[i]); err != nil {
+			panic(err)
+		}
+		i++
+		if snap, _ := pool.Snapshot(); len(snap) != resident+i {
+			panic(fmt.Sprintf("snapshot of %d txs, want %d", len(snap), resident+i))
+		}
+	}
+}
+
+// OrderDeepPool is one block-assembly ordering of the deep pool's
+// snapshot by a semantic miner (reorder window 0, as the e2e benchmark
+// runs it): off the attached tracker's live DAG, or — the same-run twin —
+// on a standalone tracker that re-derives the DAG from the snapshot, the
+// path any slice other than the attached pool's current snapshot takes.
+// Both return the same 10 050 transactions, the live ones first.
+func OrderDeepPool(live bool) func() {
+	pool, tracker := DeepPool()
+	if !live {
+		tracker = NewTracker()
+	}
+	order := miner.NewSemanticWindow(tracker, 1, 0)
+	snap, _ := pool.Snapshot()
+	nonces := func(types.Address) uint64 { return 0 }
+	return func() {
+		if out := order.Order(snap, nonces); len(out) != len(snap) || out[49].GasPrice != 10 || out[50].GasPrice != 1 {
+			panic(fmt.Sprintf("ordered %d of %d", len(out), len(snap)))
 		}
 	}
 }

@@ -260,6 +260,43 @@ func ChainPool(n int) (*txpool.Pool, *hms.Tracker, *types.Transaction) {
 	return pool, tracker, tail
 }
 
+// DeepPool builds the block-assembly fixture in the shape of the e2e
+// benchmark's deep-pool workload, in a real pool with an attached
+// tracker: a standing backlog of 10 000 transactions — orphan sets
+// (chained off a mark no block commits) with four buys each, at gas
+// price 1 — under 50 live ones at price 10 (ten sets off the committed
+// zero mark, four buys each).
+func DeepPool() (*txpool.Pool, *hms.Tracker) {
+	pool := txpool.New()
+	tracker := NewTracker()
+	tracker.Attach(pool)
+	selSet, selBuy := tracker.Config().SetSelector, tracker.Config().BuySelector
+	fill := func(n int, price uint64, senders byte, mark, flag types.Word) {
+		nonces := make(map[types.Address]uint64)
+		var value types.Word
+		for i := 0; i < n; i++ {
+			tx := &types.Transaction{To: BenchContract, GasPrice: price, GasLimit: 300_000}
+			if i%5 == 0 {
+				tx.From = types.Address{18: senders}
+				value = types.WordFromUint64(uint64(10 + i%90))
+				tx.Data = types.EncodeCall(selSet, flag, mark, value)
+				mark, flag = types.NextMark(mark, value), types.FlagChain
+			} else {
+				tx.From = types.Address{18: senders, 19: byte(1 + i%25)}
+				tx.Data = types.EncodeCall(selBuy, types.FlagChain, mark, value)
+			}
+			tx.Nonce = nonces[tx.From]
+			nonces[tx.From]++
+			if err := pool.Add(tx); err != nil {
+				panic(err)
+			}
+		}
+	}
+	fill(10_000, 1, 0xb0, types.Keccak([]byte("never-committed")).Word(), types.FlagChain)
+	fill(50, 10, 0xa0, types.Word{}, types.FlagHead)
+	return pool, tracker
+}
+
 // KVContract is the conventional address of the key-value store
 // contract used by the conflict-sparse parallel-execution fixtures.
 var KVContract = types.Address{19: 0xd0}

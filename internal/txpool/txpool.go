@@ -74,17 +74,16 @@ type Change struct {
 
 // Pool is a concurrency-safe pending transaction pool.
 type Pool struct {
-	mu      sync.RWMutex
-	all     map[types.Hash]*types.Transaction
-	arrival []types.Hash // real-time order of admission
-	// arrivalIdx maps each live hash to its canonical arrival position: a
-	// transaction removed and re-admitted leaves a stale duplicate in
-	// arrival, and only the entry matching arrivalIdx counts. Without it
-	// Pending/Snapshot would emit the transaction at both positions.
-	arrivalIdx map[types.Hash]int
-	bySender   map[types.Address]map[uint64]types.Hash
-	validate   Validator
-	capacity   int
+	mu sync.RWMutex
+	// arrival holds the frozen instances in real-time order of admission;
+	// a removal leaves a nil slot (compacted lazily), so a re-admitted
+	// transaction appears once, at its new position, and reading the
+	// pending set in order is a pointer scan.
+	arrival  []*types.Transaction
+	slot     map[types.Hash]int // every live hash's slot in arrival
+	bySender map[types.Address]map[uint64]types.Hash
+	validate Validator
+	capacity int
 	// evictLowest selects the overflow policy: evict the oldest
 	// lowest-priced resident instead of rejecting the newcomer.
 	evictLowest bool
@@ -95,19 +94,20 @@ type Pool struct {
 	gen      uint64
 	watchers []func(Change)
 
-	// snap caches the shared arrival-order snapshot for the current
-	// generation so repeated Snapshot calls are allocation-free.
-	snap    []*types.Transaction
-	snapGen uint64
+	// snap caches the shared arrival-order snapshot; non-nil means it is
+	// the pending set of the current generation. An admission appends to
+	// it — readers hold slices limited to the length they were handed and
+	// the pool is the only appender — and a removal drops it, so it never
+	// pins an evicted transaction.
+	snap []*types.Transaction
 }
 
 // New returns an empty pool.
 func New(opts ...Option) *Pool {
 	p := &Pool{
-		all:        make(map[types.Hash]*types.Transaction),
-		arrivalIdx: make(map[types.Hash]int),
-		bySender:   make(map[types.Address]map[uint64]types.Hash),
-		capacity:   65536,
+		slot:     make(map[types.Hash]int),
+		bySender: make(map[types.Address]map[uint64]types.Hash),
+		capacity: 65536,
 	}
 	for _, opt := range opts {
 		opt(p)
@@ -145,36 +145,52 @@ func (p *Pool) Generation() uint64 {
 // serialize.
 func (p *Pool) Snapshot() ([]*types.Transaction, uint64) {
 	p.mu.RLock()
-	if p.snap != nil && p.snapGen == p.gen {
-		snap, gen := p.snap, p.gen
-		p.mu.RUnlock()
-		return snap, gen
-	}
+	snap, gen := p.snap, p.gen
 	p.mu.RUnlock()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.snapshotLocked(), p.gen
+	if snap == nil {
+		p.mu.Lock()
+		snap, gen = p.snapshotLocked(), p.gen
+		p.mu.Unlock()
+	}
+	return snap[:len(snap):len(snap)], gen
 }
 
 func (p *Pool) snapshotLocked() []*types.Transaction {
-	if p.snap != nil && p.snapGen == p.gen {
-		return p.snap
-	}
-	out := make([]*types.Transaction, 0, len(p.all))
-	for i, h := range p.arrival {
-		if tx, ok := p.all[h]; ok && p.arrivalIdx[h] == i {
-			out = append(out, tx)
+	if p.snap == nil {
+		p.snap = make([]*types.Transaction, 0, len(p.slot))
+		for _, tx := range p.arrival {
+			if tx != nil {
+				p.snap = append(p.snap, tx)
+			}
 		}
 	}
-	p.snap, p.snapGen = out, p.gen
-	return out
+	return p.snap
+}
+
+// SnapshotGeneration reports whether pending is the slice Snapshot
+// returns for the pool's current generation, and that generation. The
+// cached snapshot is only ever appended to or dropped, so the same start
+// and length mean the same content; a consumer holding state derived
+// from the change feed (hms.Tracker) uses this to recognise a pending
+// set it already knows.
+func (p *Pool) SnapshotGeneration(pending []*types.Transaction) (uint64, bool) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	if p.snap == nil || len(pending) != len(p.snap) {
+		return 0, false
+	}
+	return p.gen, len(pending) == 0 || &pending[0] == &p.snap[0]
 }
 
 // changedLocked records a mutation and fans it out to watchers while
 // still holding the pool lock, preserving mutation order.
 func (p *Pool) changedLocked(kind ChangeKind, tx *types.Transaction) {
 	p.gen++
-	p.snap = nil // drop the stale cache so it cannot pin evicted txs
+	if kind == TxAdded && p.snap != nil {
+		p.snap = append(p.snap, tx)
+	} else {
+		p.snap = nil // drop the cache so it cannot pin evicted txs
+	}
 	if len(p.watchers) == 0 {
 		return
 	}
@@ -268,7 +284,7 @@ func (p *Pool) AdmitBatch(txs []*types.Transaction) (admitted []*types.Transacti
 // duplicate and replacement checks, capacity policy, memoization and
 // index insertion, plus the synchronous change feed. Callers hold p.mu.
 func (p *Pool) admitLocked(tx *types.Transaction, hash types.Hash) error {
-	if _, known := p.all[hash]; known {
+	if _, known := p.slot[hash]; known {
 		return ErrAlreadyKnown
 	}
 	var prevHash types.Hash
@@ -279,12 +295,11 @@ func (p *Pool) admitLocked(tx *types.Transaction, hash types.Hash) error {
 	if replacing {
 		// A price bump swaps a resident tx, so it is admissible even at
 		// capacity.
-		prev := p.all[prevHash]
-		if tx.GasPrice <= prev.GasPrice {
+		if tx.GasPrice <= p.arrival[p.slot[prevHash]].GasPrice {
 			return ErrUnderpriced
 		}
 		p.removeLocked(prevHash)
-	} else if len(p.all) >= p.capacity {
+	} else if len(p.slot) >= p.capacity {
 		if !p.evictLowest || !p.evictLowestLocked(tx.GasPrice) {
 			return ErrPoolFull
 		}
@@ -300,9 +315,8 @@ func (p *Pool) admitLocked(tx *types.Transaction, hash types.Hash) error {
 	// Admitted: freeze the instance so every later Hash/Selector/FPV/Mark
 	// access (views, mining, gossip) is a cached lookup.
 	tx.MemoizeWithHash(hash)
-	p.all[hash] = tx
-	p.arrivalIdx[hash] = len(p.arrival)
-	p.arrival = append(p.arrival, hash)
+	p.slot[hash] = len(p.arrival)
+	p.arrival = append(p.arrival, tx)
 	nonces[tx.Nonce] = hash
 	p.changedLocked(TxAdded, tx)
 	return nil
@@ -314,23 +328,18 @@ func (p *Pool) admitLocked(tx *types.Transaction, hash types.Hash) error {
 // whether a slot was freed (false when no resident is priced strictly
 // below the newcomer).
 func (p *Pool) evictLowestLocked(price uint64) bool {
-	var victim types.Hash
-	found := false
+	var victim *types.Transaction
 	lowest := price
-	for i, h := range p.arrival {
-		tx, ok := p.all[h]
-		if !ok || p.arrivalIdx[h] != i {
-			continue
-		}
-		if tx.GasPrice < lowest {
-			lowest, victim, found = tx.GasPrice, h, true
+	for _, tx := range p.arrival {
+		if tx != nil && tx.GasPrice < lowest {
+			lowest, victim = tx.GasPrice, tx
 		}
 	}
-	if !found {
+	if victim == nil {
 		return false
 	}
 	p.evicted++
-	p.removeLocked(victim)
+	p.removeLocked(victim.Hash())
 	return true
 }
 
@@ -346,8 +355,8 @@ func (p *Pool) Evicted() uint64 {
 func (p *Pool) Get(hash types.Hash) *types.Transaction {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	if tx, ok := p.all[hash]; ok {
-		return tx.Copy()
+	if i, ok := p.slot[hash]; ok {
+		return p.arrival[i].Copy()
 	}
 	return nil
 }
@@ -356,7 +365,7 @@ func (p *Pool) Get(hash types.Hash) *types.Transaction {
 func (p *Pool) Has(hash types.Hash) bool {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	_, ok := p.all[hash]
+	_, ok := p.slot[hash]
 	return ok
 }
 
@@ -364,16 +373,16 @@ func (p *Pool) Has(hash types.Hash) bool {
 func (p *Pool) Len() int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	return len(p.all)
+	return len(p.slot)
 }
 
 // Pending returns the pending transactions in real-time arrival order.
 func (p *Pool) Pending() []*types.Transaction {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	out := make([]*types.Transaction, 0, len(p.all))
-	for i, h := range p.arrival {
-		if tx, ok := p.all[h]; ok && p.arrivalIdx[h] == i {
+	out := make([]*types.Transaction, 0, len(p.slot))
+	for _, tx := range p.arrival {
+		if tx != nil {
 			out = append(out, tx.Copy())
 		}
 	}
@@ -393,7 +402,7 @@ func (p *Pool) BySender() map[types.Address][]*types.Transaction {
 		}
 		txs := make([]*types.Transaction, 0, len(nonces))
 		for _, h := range nonces {
-			txs = append(txs, p.all[h].Copy())
+			txs = append(txs, p.arrival[p.slot[h]].Copy())
 		}
 		sort.Slice(txs, func(i, j int) bool { return txs[i].Nonce < txs[j].Nonce })
 		out[sender] = txs
@@ -431,26 +440,24 @@ func (p *Pool) Clear() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	arrival := p.arrival
-	p.arrival = nil // detach before removal so compaction cannot touch it
-	for i, h := range arrival {
-		// Skip stale duplicate positions (removed-and-re-admitted hashes)
-		// so evictions fire in canonical arrival order.
-		if idx, ok := p.arrivalIdx[h]; ok && idx == i {
-			p.removeLocked(h)
+	p.arrival = nil
+	p.slot = make(map[types.Hash]int)
+	p.bySender = make(map[types.Address]map[uint64]types.Hash)
+	for _, tx := range arrival {
+		if tx != nil {
+			p.changedLocked(TxRemoved, tx)
 		}
 	}
-	p.all = make(map[types.Hash]*types.Transaction)
-	p.arrivalIdx = make(map[types.Hash]int)
-	p.bySender = make(map[types.Address]map[uint64]types.Hash)
 }
 
 func (p *Pool) removeLocked(h types.Hash) {
-	tx, ok := p.all[h]
+	i, ok := p.slot[h]
 	if !ok {
 		return
 	}
-	delete(p.all, h)
-	delete(p.arrivalIdx, h)
+	tx := p.arrival[i]
+	p.arrival[i] = nil
+	delete(p.slot, h)
 	p.changedLocked(TxRemoved, tx)
 	if nonces, ok := p.bySender[tx.From]; ok {
 		if cur, ok := nonces[tx.Nonce]; ok && cur == h {
@@ -460,16 +467,17 @@ func (p *Pool) removeLocked(h types.Hash) {
 			delete(p.bySender, tx.From)
 		}
 	}
-	// arrival is compacted lazily; drop dead and superseded entries when
-	// the slice grows far past the live set.
-	if len(p.arrival) > 4*len(p.all)+64 {
+	// arrival is compacted lazily; drop the nil slots when the slice
+	// grows far past the live set.
+	if len(p.arrival) > 4*len(p.slot)+64 {
 		live := p.arrival[:0]
-		for i, ah := range p.arrival {
-			if _, ok := p.all[ah]; ok && p.arrivalIdx[ah] == i {
-				p.arrivalIdx[ah] = len(live)
-				live = append(live, ah)
+		for _, tx := range p.arrival {
+			if tx != nil {
+				p.slot[tx.Hash()] = len(live)
+				live = append(live, tx)
 			}
 		}
+		clear(p.arrival[len(live):])
 		p.arrival = live
 	}
 }

@@ -3,6 +3,8 @@ package txpool
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -709,5 +711,157 @@ func TestAdmitBatchValidatorAndIsolation(t *testing.T) {
 	}
 	if p.Len() != 2 {
 		t.Fatalf("len = %d, want 2", p.Len())
+	}
+}
+
+// TestSnapshotAppendsOnAdmission pins the cached snapshot's contract: an
+// admission extends the cached slice in place instead of discarding it,
+// every slice handed out stays exactly what it was — limited to its own
+// length, so not even the caller's append can reach the shared array —
+// and a removal drops the cache, so it pins no removed transaction.
+func TestSnapshotAppendsOnAdmission(t *testing.T) {
+	p := New()
+	// A rebuild is sized exactly; admit behind one until the cached slice
+	// has room, so the admission under test cannot need a larger array.
+	for i := 0; i < 3 || cap(p.snap) == len(p.snap); i++ {
+		if err := p.Add(tx(1, uint64(i), 10)); err != nil {
+			t.Fatal(err)
+		}
+		p.Snapshot()
+	}
+	s1, g1 := p.Snapshot()
+	held := append([]*types.Transaction(nil), s1...)
+	if gen, ok := p.SnapshotGeneration(s1); !ok || gen != g1 {
+		t.Fatalf("the current snapshot is not recognised: gen %d ok %v", gen, ok)
+	}
+	if cap(s1) != len(s1) {
+		t.Fatalf("snapshot handed out with spare capacity %d", cap(s1)-len(s1))
+	}
+
+	if err := p.Add(tx(2, 0, 10)); err != nil {
+		t.Fatal(err)
+	}
+	s2, g2 := p.Snapshot()
+	if len(s2) != len(s1)+1 || g2 == g1 || &s2[0] != &s1[0] {
+		t.Fatalf("admission rebuilt the snapshot: len %d, shared array %v", len(s2), &s2[0] == &s1[0])
+	}
+	if _, ok := p.SnapshotGeneration(s1); ok {
+		t.Error("a snapshot the pool moved past still passes for current")
+	}
+	if _, ok := p.SnapshotGeneration(s2[1:]); ok {
+		t.Error("a tail of the snapshot passes for the snapshot")
+	}
+
+	removed := s2[1]
+	p.Remove([]types.Hash{removed.Hash()})
+	if p.snap != nil {
+		t.Error("a removal left the cached snapshot, which pins the removed transaction")
+	}
+	for _, slot := range p.arrival {
+		if slot == removed {
+			t.Error("a removal left the transaction in its arrival slot")
+		}
+	}
+	s3, _ := p.Snapshot()
+	if want := append([]*types.Transaction{held[0]}, s2[2:]...); !slices.Equal(s3, want) {
+		t.Fatalf("post-removal snapshot of %d txs is not the previous one without the removed", len(s3))
+	}
+	if _, ok := p.SnapshotGeneration(s2); ok {
+		t.Error("a pre-removal snapshot passes for current")
+	}
+	for i := range held {
+		if s1[i] != held[i] || s2[i] != held[i] {
+			t.Fatalf("a snapshot handed out earlier changed at %d", i)
+		}
+	}
+
+	p.Clear()
+	if p.snap != nil || len(p.arrival) != 0 {
+		t.Error("Clear kept transactions reachable")
+	}
+	if empty, gen := p.Snapshot(); len(empty) != 0 {
+		t.Fatal("snapshot of a cleared pool is not empty")
+	} else if got, ok := p.SnapshotGeneration(nil); !ok || got != gen {
+		t.Error("an empty pending set is not recognised as the empty pool's snapshot")
+	}
+}
+
+// TestSnapshotMatchesModelUnderChurn drives admissions (single and
+// batched), removals, re-admissions, price-bump replacements, evict-lowest
+// overflow and Clear against a plain ordered list, and checks after every
+// operation that Snapshot and Pending are that list — and that every
+// snapshot handed out in the last few steps still reads as it did then.
+func TestSnapshotMatchesModelUnderChurn(t *testing.T) {
+	p := New(WithCapacity(40), WithEvictLowest())
+	var model []*types.Transaction // pool instances, arrival order
+	p.Watch(func(c Change) {
+		if c.Kind == TxAdded {
+			model = append(model, c.Tx)
+			return
+		}
+		for i, m := range model {
+			if m == c.Tx {
+				model = append(model[:i:i], model[i+1:]...)
+				return
+			}
+		}
+		t.Errorf("removal of a transaction the model does not hold")
+	})
+	type handed struct{ shared, copied []*types.Transaction }
+	var history []handed
+	var gone []*types.Transaction
+	rng := rand.New(rand.NewSource(11))
+	nonces := map[byte]uint64{}
+	fresh := func() *types.Transaction {
+		s := byte(rng.Intn(8) + 1)
+		nonces[s]++
+		return tx(s, nonces[s], uint64(rng.Intn(4)+1)*5)
+	}
+	for step := 0; step < 4000; step++ {
+		switch op := rng.Intn(20); {
+		case op < 8:
+			_ = p.Add(fresh()) // full pools refuse the cheapest newcomers
+		case op < 10:
+			p.AdmitBatch([]*types.Transaction{fresh(), fresh(), fresh()})
+		case op < 12 && len(model) > 0: // price bump on a resident nonce
+			bump := model[rng.Intn(len(model))].Copy()
+			bump.GasPrice += 5
+			_ = p.Add(bump)
+		case op < 14 && len(gone) > 0: // re-admission at a new position
+			i := rng.Intn(len(gone))
+			_ = p.Add(gone[i])
+			gone = append(gone[:i], gone[i+1:]...)
+		case op < 19 && len(model) > 0:
+			victim := model[rng.Intn(len(model))]
+			gone = append(gone, victim.Copy())
+			p.Remove([]types.Hash{victim.Hash()})
+		case op == 19 && rng.Intn(20) == 0:
+			p.Clear()
+		}
+		snap, _ := p.Snapshot()
+		if !slices.Equal(snap, model) {
+			t.Fatalf("step %d: snapshot of %d txs is not the model's %d in arrival order", step, len(snap), len(model))
+		}
+		pending := p.Pending()
+		if len(pending) != len(model) || p.Len() != len(model) {
+			t.Fatalf("step %d: Pending %d, Len %d, model %d", step, len(pending), p.Len(), len(model))
+		}
+		for i, cp := range pending {
+			if cp.Hash() != model[i].Hash() {
+				t.Fatalf("step %d: Pending[%d] out of arrival order", step, i)
+			}
+		}
+		history = append(history, handed{snap, slices.Clone(snap)})
+		if len(history) > 8 {
+			history = history[1:]
+		}
+		for _, h := range history {
+			if !slices.Equal(h.shared, h.copied) {
+				t.Fatalf("step %d: a snapshot handed out earlier changed", step)
+			}
+		}
+	}
+	if p.Evicted() == 0 {
+		t.Error("the churn never overflowed the pool")
 	}
 }
