@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-eta bench-check bench-smoke chaos-smoke parallel-smoke serving-smoke crash-smoke elision-smoke order-smoke
+.PHONY: all build test race vet bench bench-eta bench-check bench-smoke chaos-smoke parallel-smoke state-smoke serving-smoke crash-smoke elision-smoke order-smoke
 
 all: vet build test
 
@@ -52,6 +52,19 @@ parallel-smoke:
 	$(GO) test -race -run 'TestSpecView' ./internal/statedb
 	$(GO) test -race -run 'TestParallel|FuzzParallelDifferential' ./internal/chain
 	$(GO) test -race -run 'TestParallelExec' ./internal/scenarios
+
+# state-smoke runs the shared-storage suite five times under the race
+# detector: the model-based churn over a tree of copies (-short: 1000 of
+# its 4000 steps per run), readers on a shared post state while a child
+# copy writes and flushes, the snapshot of a many-generation contract
+# against its flat twin, what Copy costs and what a post state retains;
+# then SpecView and the parallel processor, whose MergeInto writes
+# through the same overlay.
+state-smoke:
+	$(GO) test -race -count=5 -short -run 'TestStorage|TestCopyDoesNotScaleWithStorage|TestSnapshot|TestChurnRootMatchesFromScratch|TestJournalChurn' ./internal/statedb
+	$(GO) test -race -count=5 -run 'TestProcessPostHoldsNoJournal' ./internal/chain
+	$(GO) test -race -run 'TestSpecView' ./internal/statedb
+	$(GO) test -race -run 'TestParallel' ./internal/chain
 
 # crash-smoke runs the crash-consistency suite under the race detector:
 # storage fault injection and salvage, the chain-level crash-point and

@@ -12,8 +12,8 @@ import (
 // TestRowsMatchCommittedBench pins the registry-driven serethbench to
 // the last BENCH file the hand-written row builders produced: exactly
 // the same row names (minus the two rows whose code path is gone, plus
-// the block-assembly rows added since), and bit-identical η,
-// honest-twin η and η drop on every simulated row.
+// the block-assembly and shared-storage rows added since), and
+// bit-identical η, honest-twin η and η drop on every simulated row.
 // The micro-benchmark rows are checked by name only — running them is
 // the bench smoke's job.
 func TestRowsMatchCommittedBench(t *testing.T) {
@@ -36,7 +36,10 @@ func TestRowsMatchCommittedBench(t *testing.T) {
 		t.Fatal(err)
 	}
 	deleted := []string{"scale/figure2-sereth/peers-50-mesh-lazy", "keccak/elision-replay-100tx-off"}
-	added := []string{"txpool/snapshot-after-admit-10k", "miner/order-live-pool10k", "miner/order-scratch-pool10k"}
+	added := []string{
+		"txpool/snapshot-after-admit-10k", "miner/order-live-pool10k", "miner/order-scratch-pool10k",
+		"statedb/copy-20k-slots", "replay/kv-250tx-on-20k-slots",
+	}
 
 	sims, err := simRecords()
 	if err != nil {
@@ -85,6 +88,6 @@ func TestRowsMatchCommittedBench(t *testing.T) {
 		}
 	}
 	if len(got) != want {
-		t.Errorf("%d rows, committed file has %d (after the two deletions and the three additions)", len(got), want)
+		t.Errorf("%d rows, committed file has %d (after the two deletions and the %d additions)", len(got), want, len(added))
 	}
 }

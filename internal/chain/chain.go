@@ -98,8 +98,9 @@ type Chain struct {
 	// posts retains every adopted block's post state by block hash, so a
 	// longest-chain reorg (ImportFork) can re-validate a competing branch
 	// from its attachment point. Post states are immutable once flushed
-	// and structurally share unchanged trie nodes, so retention is cheap
-	// at simulation scale.
+	// and share with their parent every trie node and every storage slot
+	// the block did not write, so one more costs what its block touched.
+	// The map itself is never pruned: it grows with the chain.
 	posts    map[types.Hash]*statedb.StateDB
 	orphaned uint64 // canonical blocks displaced by reorgs
 }
@@ -195,7 +196,9 @@ func (c *Chain) Receipts(blockHash types.Hash) []*types.Receipt {
 	return c.receipts[blockHash]
 }
 
-// State returns a copy of the post-head world state.
+// State returns a private copy of the post-head world state, at a cost
+// of its number of accounts. Callers that only read, or hand the state
+// to Process (which copies), use ReadState/ReadHeadState instead.
 func (c *Chain) State() *statedb.StateDB {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -213,7 +216,9 @@ func (c *Chain) ReadState(fn func(*statedb.StateDB)) {
 // ReadHeadState runs fn against the head block AND the live head state
 // under one lock acquisition, so callers observe a consistent
 // (header, state) pair — reading Head() and then locking separately
-// can tear across a concurrent import. fn must not mutate the state.
+// can tear across a concurrent import. fn must not mutate the state. It
+// may keep the pointer past the call: an adopted post state is never
+// written again, a later import only replaces it.
 func (c *Chain) ReadHeadState(fn func(head *types.Block, st *statedb.StateDB)) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"sereth/internal/asm"
@@ -87,6 +88,28 @@ func requireIdentical(t *testing.T, d *diffBody, workers int) (*ExecResult, *Par
 		}
 	}
 	return parRes, par
+}
+
+// TestProcessPostHoldsNoJournal: a post state is retained for as long as
+// the chain (chain.posts, the ExecCache), so it must not carry the
+// body-sized undo reservation Process made for it. Checked on both
+// processors; the conflict-dense body takes the parallel processor
+// through its journaled serial lane.
+func TestProcessPostHoldsNoJournal(t *testing.T) {
+	for _, d := range []*diffBody{sparseBody(40), chainedBody(40)} {
+		seq, par := d.processors(4)
+		for name, process := range map[string]func(*statedb.StateDB, *types.Header, []*types.Transaction) (*ExecResult, error){
+			"sequential": seq.Process, "parallel": par.Process,
+		} {
+			res, err := process(d.genesis, d.header, d.txs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := reflect.ValueOf(res.Post).Elem().FieldByName("journal").Cap(); n != 0 {
+				t.Errorf("%s: post state keeps a journal of capacity %d", name, n)
+			}
+		}
+	}
 }
 
 // sparseBody builds a conflict-free workload: n distinct senders each

@@ -14,6 +14,7 @@ import (
 
 	"sereth/internal/chain"
 	"sereth/internal/hms"
+	"sereth/internal/statedb"
 	"sereth/internal/types"
 )
 
@@ -214,8 +215,13 @@ func NewMiner(c *chain.Chain, pool PendingSource, strategy Strategy, coinbase ty
 // model timestamp. The block is NOT inserted; callers broadcast it and
 // every peer (including the miner) validates by replay.
 func (m *Miner) BuildBlock(timestamp uint64) (*types.Block, error) {
-	head := m.chain.Head()
-	state := m.chain.State()
+	// One lock acquisition, so the header always describes the block whose
+	// state the body runs on. The head state is flushed and never written
+	// again (chain.adopt), so it is read here as it is — nonces below, then
+	// Process, which takes the one copy a build needs.
+	var head *types.Block
+	var state *statedb.StateDB
+	m.chain.ReadHeadState(func(h *types.Block, st *statedb.StateDB) { head, state = h, st })
 	var pending []*types.Transaction
 	if s, ok := m.pool.(snapshotter); ok {
 		pending, _ = s.Snapshot()

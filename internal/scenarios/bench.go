@@ -70,6 +70,8 @@ func Benches() []Bench {
 		Bench{"miner/order-scratch-pool10k", benchStep(func() func() { return OrderDeepPool(false) })},
 		Bench{"evm/interp-100op", benchInterp100Op},
 		Bench{"statedb/journal-churn", benchJournalChurn},
+		Bench{"statedb/copy-20k-slots", benchStep(CopyGrownState)},
+		Bench{"replay/kv-250tx-on-20k-slots", benchStep(ReplayOnGrownState)},
 		Bench{"store/filestore-write-100rec", benchFileStoreWrite},
 		Bench{"store/filestore-compact-1k-live", benchFileStoreCompact},
 	)
@@ -463,6 +465,34 @@ func benchJournalChurn(b *testing.B) {
 			st.SetState(BenchContract, types.WordFromUint64(uint64(k)), types.WordFromUint64(n+uint64(k)))
 		}
 		st.RevertToSnapshot(snap)
+	}
+}
+
+// CopyGrownState is the statedb/copy-20k-slots step: one Copy of a
+// flushed state whose KV contract holds 20 000 slots. The copy shares
+// the contract's storage generations, so it costs its accounts — eight
+// allocations — whatever the slot count.
+func CopyGrownState() func() {
+	f := NewGrownKVFixture(250, 20_000)
+	return func() {
+		if f.Genesis.Copy() == nil {
+			panic("no copy")
+		}
+	}
+}
+
+// ReplayOnGrownState is the replay/kv-250tx-on-20k-slots step: one
+// sequential Process of a 250-put block on that state — the copy, the
+// body, the flush that seals the block's 250 slots into a generation
+// over the 20 000 it shares with its parent, and the roots. kv-blocks
+// does this five times a block on a contract of this size.
+func ReplayOnGrownState() func() {
+	f := NewGrownKVFixture(250, 20_000)
+	proc := f.NewProcessor(0)
+	return func() {
+		if res, err := proc.Process(f.Genesis, f.Header, f.Txs); err != nil || len(res.Receipts) != len(f.Txs) {
+			panic(fmt.Sprintf("replay on the grown state: %v", err))
+		}
 	}
 }
 

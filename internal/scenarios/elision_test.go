@@ -131,7 +131,10 @@ func insertAllocs(f *ReplayFixture, cache *chain.ExecCache) float64 {
 // go1.24.0. The cached insert is deterministic and pinned exactly; a
 // full replay saves one allocation on about one insert in eight (map
 // growth under the per-process hash seed), so it is pinned to that
-// two-value range.
+// two-value range. The range moved once on purpose, 436..437 → 434..435
+// when contract storage became shared: Process's copy of the contract
+// account and the sender account the block creates each stopped
+// allocating a storage map of their own.
 func TestReplayAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -141,8 +144,8 @@ func TestReplayAllocsPinned(t *testing.T) {
 	if _, err := f.NewChain(warm).InsertBlock(f.Block); err != nil {
 		t.Fatal(err)
 	}
-	if got := insertAllocs(f, nil); got < 436 || got > 437 {
-		t.Errorf("replay/insert-100tx-full: %v allocs per insert, pinned 436..437", got)
+	if got := insertAllocs(f, nil); got < 434 || got > 435 {
+		t.Errorf("replay/insert-100tx-full: %v allocs per insert, pinned 434..435", got)
 	}
 	if got := insertAllocs(f, warm); got != 79 {
 		t.Errorf("replay/insert-100tx-cached: %v allocs per insert, pinned 79", got)

@@ -190,14 +190,16 @@ func NewReplayFixture(n int) *ReplayFixture {
 		prev = types.NextMark(prev, v)
 		flag = types.FlagChain
 	}
-	head := c.Head()
+	var head *types.Block
+	var parent *statedb.StateDB
+	c.ReadHeadState(func(h *types.Block, st *statedb.StateDB) { head, parent = h, st })
 	header := &types.Header{
 		ParentHash: head.Hash(),
 		Number:     1,
 		GasLimit:   gasLimit,
 		Time:       15,
 	}
-	res, err := c.Process(c.State(), header, txs)
+	res, err := c.Process(parent, header, txs)
 	if err != nil {
 		panic(fmt.Sprintf("scenarios: replay fixture: %v", err))
 	}
@@ -344,6 +346,26 @@ func NewParallelFixture(n int) *ParallelFixture {
 		Txs:      txs,
 		GasLimit: gasLimit,
 	}
+}
+
+// NewGrownKVFixture is NewParallelFixture(n) on a contract that already
+// holds slots words, written 250 a block with the state flushed in
+// between — the storage a kv-blocks chain has grown by block slots/250,
+// generations and all. The body's keys are among the first it wrote, so
+// the replay overwrites. What a Copy of, and a block on, a large state
+// cost is measured on it.
+func NewGrownKVFixture(n, slots int) *ParallelFixture {
+	f := NewParallelFixture(n)
+	for i := 0; i < slots; i++ {
+		f.Genesis.SetState(KVContract, types.WordFromUint64(uint64(i)), types.WordFromUint64(uint64(i)+7))
+		if i%250 == 249 {
+			f.Genesis.DiscardJournal()
+			f.Genesis.Root()
+		}
+	}
+	f.Genesis.DiscardJournal()
+	f.Genesis.Root()
+	return f
 }
 
 // NewParallelFixtureWithReaders is NewParallelFixture plus readers

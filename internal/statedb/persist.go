@@ -131,7 +131,6 @@ func decodeAccount(kv Reader, enc []byte) (*account, error) {
 	acc := &account{
 		nonce:       nonce,
 		balance:     balance,
-		storage:     make(map[types.Word]types.Word),
 		storageTrie: trie.NewSecureFromRoot(kv, storageRoot),
 		codeHash:    &codeHash,
 		enc:         enc,
@@ -148,14 +147,11 @@ func decodeAccount(kv Reader, enc []byte) (*account, error) {
 }
 
 // loadSlot reads a storage word through the persisted storage trie of a
-// lazy account. Slots the account has locally dirtied are answered by
-// the map alone (a miss there means genuinely cleared), so a stale trie
-// value can never shadow an in-flight delete.
+// lazy account (zero for any other account). The caller has already
+// missed in the overlay, which holds every slot written since the trie
+// was last flushed — clears included — so the trie's answer is current.
 func (acc *account) loadSlot(key types.Word) types.Word {
 	if !acc.lazy || acc.storageTrie == nil {
-		return types.ZeroWord
-	}
-	if _, dirty := acc.dirtySlots[key]; dirty {
 		return types.ZeroWord
 	}
 	enc := acc.storageTrie.Get(key[:])

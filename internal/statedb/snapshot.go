@@ -28,7 +28,7 @@ var ErrPartialState = fmt.Errorf("statedb: snapshot requires a fully materialize
 // in ascending address order (slots ascending too), terminated by a
 // zero length. The dump is deterministic: two states with equal
 // contents produce identical bytes. States opened lazily from a store
-// (OpenAt) cannot be exported — their maps are partial overlays — and
+// (OpenAt) cannot be exported — their storage lives in the trie — and
 // report ErrPartialState; only fully materialized states (built in
 // memory or imported from a snapshot) can serve snapshots.
 func (s *StateDB) WriteSnapshot(w io.Writer) error {
@@ -50,8 +50,9 @@ func (s *StateDB) WriteSnapshot(w io.Writer) error {
 	var lenBuf [binary.MaxVarintLen64]byte
 	for _, addr := range addrs {
 		acc := s.accounts[addr]
-		slots := make([]types.Word, 0, len(acc.storage))
-		for k := range acc.storage {
+		storage := acc.slots()
+		slots := make([]types.Word, 0, len(storage))
+		for k := range storage {
 			slots = append(slots, k)
 		}
 		sort.Slice(slots, func(i, j int) bool {
@@ -59,7 +60,7 @@ func (s *StateDB) WriteSnapshot(w io.Writer) error {
 		})
 		slotItems := make([]rlp.Item, len(slots))
 		for i, k := range slots {
-			v := acc.storage[k]
+			v := storage[k]
 			slotItems[i] = rlp.List(rlp.String(k[:]), rlp.String(v[:]))
 		}
 		rec := rlp.Encode(rlp.List(

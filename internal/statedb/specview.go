@@ -440,12 +440,7 @@ func (v *SpecView) MergeInto(dst *StateDB) {
 			acc.codeHash = nil
 		}
 		for k, val := range sa.storage {
-			if val.IsZero() {
-				delete(acc.storage, k)
-			} else {
-				acc.storage[k] = val
-			}
-			acc.touchSlot(k)
+			acc.setSlot(k, val) // zero clears, here as there
 		}
 		dst.touch(addr)
 	}
@@ -458,7 +453,7 @@ func (s *StateDB) mergeAccount(addr types.Address) *account {
 	if acc, ok := s.accounts[addr]; ok && !acc.deleted {
 		return acc
 	}
-	acc := &account{storage: make(map[types.Word]types.Word)}
+	acc := &account{}
 	s.accounts[addr] = acc
 	s.touch(addr)
 	return acc

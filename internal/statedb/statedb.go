@@ -11,11 +11,19 @@
 // since the last flush. Root re-encodes and re-hashes only the dirty
 // paths — O(changes · log n) instead of rebuilding the full account and
 // storage tries from scratch on every call.
+//
+// Contract storage is shared the same way. An account's slots live in a
+// chain of immutable generations (newest first) under a private write
+// overlay; flush seals the overlay into a new generation and Copy shares
+// the chain, so copying a state costs its number of accounts, not its
+// number of slots, and successive post states share every slot the block
+// between them did not write.
 package statedb
 
 import (
 	"bytes"
 	"fmt"
+	"maps"
 
 	"sereth/internal/rlp"
 	"sereth/internal/trie"
@@ -48,23 +56,120 @@ type account struct {
 	nonce   uint64
 	balance uint64
 	code    []byte
+	// storage is the private write overlay: every slot written (or
+	// restored by a journal revert) since the last flush, the zero word
+	// meaning cleared. nil until the first write; flush empties it, so a
+	// flushed account reads only shared, immutable structures.
 	storage map[types.Word]types.Word
+	// gens is the flushed storage below the overlay. The chain is never
+	// written after flush links it in and is shared by every copy of the
+	// account. Always nil on a lazy account.
+	gens    *storageGen
 	deleted bool
 
-	// storageTrie persistently commits the storage map; it lags the map
-	// by the keys in dirtySlots until the next flush. The trie struct is
-	// private per account copy, its nodes are shared.
+	// storageTrie persistently commits the storage; it lags it by the
+	// overlay until the next flush. The trie struct is private per
+	// account copy, its nodes are shared.
 	storageTrie *trie.SecureTrie
-	dirtySlots  map[types.Word]struct{}
 	// enc is the account's RLP encoding as last flushed into the account
 	// trie; flush skips the trie update when the encoding is unchanged
 	// (e.g. after a snapshot/revert cycle). codeHash caches Keccak(code).
 	enc      []byte
 	codeHash *types.Hash
 	// lazy marks an account materialized from a persisted trie: its
-	// storage map is a partial overlay and misses read through the
-	// storage trie (see loadSlot).
+	// flushed storage is the storage trie itself (see loadSlot), which is
+	// already persistent and shared, so it keeps no generations.
 	lazy bool
+}
+
+// storageGen is one sealed generation of an account's storage: the slots
+// one or more flushes wrote, over the older generations below it. A zero
+// word is a tombstone hiding an older value; the oldest generation holds
+// none. Immutable once linked into an account.
+type storageGen struct {
+	slots map[types.Word]types.Word
+	below *storageGen
+}
+
+// genMergeRatio keeps the chain logarithmic: seal merges the generation
+// below into the new one while it holds fewer than genMergeRatio times
+// as many slots, so every generation is at least that many times the
+// size of the one above it, and a slot is re-copied O(log slots) times
+// over the life of the account.
+const genMergeRatio = 2
+
+// slot returns the account's current value of key (zero when unset):
+// the overlay, then the generations newest first, then — on a lazy
+// account — the persisted trie.
+func (acc *account) slot(key types.Word) types.Word {
+	if v, ok := acc.storage[key]; ok {
+		return v
+	}
+	for g := acc.gens; g != nil; g = g.below {
+		if v, ok := g.slots[key]; ok {
+			return v
+		}
+	}
+	return acc.loadSlot(key)
+}
+
+// setSlot writes value (zero clears) into the overlay; the account's
+// owner marks it dirty.
+func (acc *account) setSlot(key, value types.Word) {
+	if acc.storage == nil {
+		acc.storage = make(map[types.Word]types.Word)
+	}
+	acc.storage[key] = value
+}
+
+// seal retires the overlay once flush has folded it into the storage
+// trie. On a lazy account the trie now answers for those slots and the
+// overlay is simply dropped; otherwise it becomes the newest generation,
+// merged with the ones below it while they are within genMergeRatio of
+// its size. Merging builds a new map: the generations it reads stay as
+// they are for the states that share them.
+func (acc *account) seal() {
+	slots := acc.storage
+	acc.storage = nil
+	if acc.lazy {
+		return
+	}
+	below := acc.gens
+	for below != nil && len(below.slots) < genMergeRatio*len(slots) {
+		merged := make(map[types.Word]types.Word, len(below.slots)+len(slots))
+		maps.Copy(merged, below.slots)
+		maps.Copy(merged, slots)
+		slots, below = merged, below.below
+	}
+	if below == nil {
+		// Nothing older to hide: tombstones end here. slots is the overlay
+		// or a merge result, private either way.
+		maps.DeleteFunc(slots, cleared)
+	}
+	acc.gens = &storageGen{slots: slots, below: below}
+}
+
+// slots materializes the account's storage as one flat map — the
+// generations oldest first, then the overlay, tombstones dropped. It
+// costs the size of the storage: for export, not for execution. Not
+// meaningful on a lazy account, whose flushed slots live in the trie.
+func (acc *account) slots() map[types.Word]types.Word {
+	flat := make(map[types.Word]types.Word)
+	acc.gens.collect(flat)
+	maps.Copy(flat, acc.storage)
+	maps.DeleteFunc(flat, cleared)
+	return flat
+}
+
+// cleared reports a tombstone entry.
+func cleared(_, v types.Word) bool { return v.IsZero() }
+
+func (g *storageGen) collect(into map[types.Word]types.Word) {
+	if g == nil {
+		return
+	}
+	g.below.collect(into)
+	maps.Copy(into, g.slots)
 }
 
 // journalKind tags one flat journal entry. Every kind records a state
@@ -84,7 +189,8 @@ const (
 	kindBalance
 	// kindCode: prevCode/prevCodeHash hold the previous code of acc.
 	kindCode
-	// kindStorage: key/prevWord/existed hold the previous slot state.
+	// kindStorage: key/prevWord hold the slot's previous value (zero when
+	// it was unset).
 	kindStorage
 )
 
@@ -126,12 +232,9 @@ func (e *journalEntry) revert(s *StateDB) {
 	case kindCode:
 		e.acc.code, e.acc.codeHash = e.prevCode, e.prevCodeHash
 	case kindStorage:
-		e.acc.touchSlot(e.key)
-		if e.existed {
-			e.acc.storage[e.key] = e.prevWord
-		} else {
-			delete(e.acc.storage, e.key)
-		}
+		// Written, not deleted: a Root() since the mutation may have sealed
+		// the overlay, and only a fresh overlay entry outranks that.
+		e.acc.setSlot(e.key, e.prevWord)
 	}
 }
 
@@ -151,14 +254,6 @@ func (s *StateDB) touch(addr types.Address) {
 	s.dirty[addr] = struct{}{}
 }
 
-// touchSlot marks a storage slot dirty for the next storage-trie flush.
-func (acc *account) touchSlot(key types.Word) {
-	if acc.dirtySlots == nil {
-		acc.dirtySlots = make(map[types.Word]struct{})
-	}
-	acc.dirtySlots[key] = struct{}{}
-}
-
 func (s *StateDB) getOrCreate(addr types.Address) *account {
 	if acc, ok := s.accounts[addr]; ok {
 		if !acc.deleted {
@@ -173,7 +268,7 @@ func (s *StateDB) getOrCreate(addr types.Address) *account {
 		s.accounts[addr] = acc
 		return acc
 	}
-	acc := &account{storage: make(map[types.Word]types.Word)}
+	acc := &account{}
 	prev, existed := s.accounts[addr]
 	s.accounts[addr] = acc
 	s.touch(addr)
@@ -287,10 +382,7 @@ func (s *StateDB) SetCode(addr types.Address, code []byte) {
 // GetState reads a storage word (zero word when unset).
 func (s *StateDB) GetState(addr types.Address, key types.Word) types.Word {
 	if acc, ok := s.get(addr); ok {
-		if v, ok := acc.storage[key]; ok {
-			return v
-		}
-		return acc.loadSlot(key)
+		return acc.slot(key)
 	}
 	return types.ZeroWord
 }
@@ -298,24 +390,11 @@ func (s *StateDB) GetState(addr types.Address, key types.Word) types.Word {
 // SetState writes a storage word. Writing the zero word clears the slot.
 func (s *StateDB) SetState(addr types.Address, key, value types.Word) {
 	acc := s.getOrCreate(addr)
-	prev, existed := acc.storage[key]
-	if !existed {
-		// On a lazy account the authoritative previous value may still
-		// live in the storage trie; the journal must capture it or a
-		// revert would delete a slot that was only ever overwritten.
-		if v := acc.loadSlot(key); !v.IsZero() {
-			prev, existed = v, true
-		}
-	}
-	if value.IsZero() {
-		delete(acc.storage, key)
-	} else {
-		acc.storage[key] = value
-	}
-	acc.touchSlot(key)
+	prev := acc.slot(key)
+	acc.setSlot(key, value)
 	s.touch(addr)
 	s.journal = append(s.journal, journalEntry{
-		kind: kindStorage, addr: addr, acc: acc, key: key, prevWord: prev, existed: existed,
+		kind: kindStorage, addr: addr, acc: acc, key: key, prevWord: prev,
 	})
 }
 
@@ -387,20 +466,19 @@ func (s *StateDB) RevertToSnapshot(id int) {
 	s.journal = s.journal[:id]
 }
 
-// DiscardJournal forgets undo history (e.g. after a block commits). The
-// entry slice keeps its capacity for the next transaction; held
-// pointers are released so reverted accounts and replaced code can be
-// collected.
-func (s *StateDB) DiscardJournal() {
-	clear(s.journal)
-	s.journal = s.journal[:0]
-}
+// DiscardJournal forgets undo history once a body has committed. The
+// entry slice goes with it: callers are done reverting, and the state
+// they hand on (a block's post state, retained by the chain) must not
+// pin a body-sized reservation.
+func (s *StateDB) DiscardJournal() { s.journal = nil }
 
-// Copy returns a deep copy with an empty journal. The copy shares the
-// source's (immutable) trie nodes, cached encodings and code slices;
-// account structs and storage maps are copied. Copy flushes the source
-// first, so the shared structures are fully hashed and never written by
-// either side afterwards.
+// Copy returns an independent state with an empty journal, at a cost of
+// the number of accounts. Account structs are copied; everything below
+// them — trie nodes, storage generations, cached encodings, code slices
+// — is immutable and shared. Copy flushes the source first, so the
+// shared structures are fully hashed and sealed and never written by
+// either side afterwards; on an already flushed source (a post state
+// other goroutines read) it writes nothing at all.
 func (s *StateDB) Copy() *StateDB {
 	s.Root()
 	cp := &StateDB{
@@ -418,23 +496,21 @@ func (s *StateDB) Copy() *StateDB {
 }
 
 // copy clones the account for a StateDB copy. The receiver must be
-// flushed (no dirty slots): the storage trie nodes, cached encoding and
-// code slice are shared, the mutable storage map is duplicated.
+// flushed (empty overlay): the storage generations, storage trie nodes,
+// cached encoding and code slice are shared, and the clone gets an
+// overlay of its own on its first write.
 func (acc *account) copy() *account {
 	nacc := &account{
 		nonce:    acc.nonce,
 		balance:  acc.balance,
 		code:     acc.code, // immutable: SetCode installs a fresh copy
-		storage:  make(map[types.Word]types.Word, len(acc.storage)),
+		gens:     acc.gens,
 		enc:      acc.enc,
 		codeHash: acc.codeHash,
 		lazy:     acc.lazy,
 	}
 	if acc.storageTrie != nil {
 		nacc.storageTrie = acc.storageTrie.Copy()
-	}
-	for k, v := range acc.storage {
-		nacc.storage[k] = v
 	}
 	return nacc
 }
@@ -477,21 +553,21 @@ func (s *StateDB) flush() {
 	clear(s.dirty)
 }
 
-// encode flushes the account's dirty storage slots into its storage trie
+// encode flushes the account's overlay into its storage trie, seals it,
 // and returns the account's RLP encoding.
 func (acc *account) encode() []byte {
 	if acc.storageTrie == nil {
 		acc.storageTrie = trie.NewSecure()
 	}
-	if len(acc.dirtySlots) > 0 {
-		for k := range acc.dirtySlots {
-			if v, ok := acc.storage[k]; ok {
-				acc.storageTrie.Update(k[:], rlp.Encode(rlp.String(minimalBytes(v))))
-			} else {
+	if len(acc.storage) > 0 {
+		for k, v := range acc.storage {
+			if v.IsZero() {
 				acc.storageTrie.Delete(k[:])
+			} else {
+				acc.storageTrie.Update(k[:], rlp.Encode(rlp.String(minimalBytes(v))))
 			}
 		}
-		clear(acc.dirtySlots)
+		acc.seal()
 	}
 	storageRoot := acc.storageTrie.RootHash()
 	if acc.codeHash == nil {

@@ -253,7 +253,7 @@ func rootFromScratch(s *StateDB) types.Hash {
 	for _, a := range s.Accounts() {
 		acc := s.accounts[a]
 		storageTrie := trie.NewSecure()
-		for k, v := range acc.storage {
+		for k, v := range acc.slots() {
 			storageTrie.Update(k[:], rlp.Encode(rlp.String(minimalBytes(v))))
 		}
 		storageRoot := storageTrie.RootHash()
