@@ -108,10 +108,17 @@ order-smoke:
 # serving-smoke runs the persistence and serving-tier suite under the
 # race detector: the store, trie/state persistence and snapshot
 # round-trips, restart-recovery and snapshot-bootstrap at chain and
-# node level, the RPC dispatch/client surface, and the golden-scenario
-# differentials with the store and the HTTP serving tier enabled.
+# node level, the RPC dispatch/client surface and serethnode's listener
+# limits, the client's connection lifecycle and the server's drain ten
+# times over, and the golden-scenario differentials with the store and
+# the HTTP serving tier enabled; then it fuzzes each RPC codec target
+# against encoding/json for 30 s.
 serving-smoke:
-	$(GO) test -race ./internal/store ./internal/rpc
+	$(GO) test -race ./internal/store ./internal/rpc ./cmd/serethnode
+	$(GO) test -race -count=10 -run 'TestConnectionLifecycle|TestShutdownWaitsForEveryAdmittedRequest' ./internal/rpc
 	$(GO) test -race -run 'TestPersist|TestSnapshot|TestOpen|TestGoldenRootsWithStore' ./internal/trie ./internal/statedb ./internal/chain
 	$(GO) test -race -run 'TestNodeRestart|TestSnapshot' ./internal/node
 	$(GO) test -race -run 'TestRPCClients|TestPersist' ./internal/sim ./internal/scenarios
+	for f in FuzzRequestEnvelope FuzzResponseEncode FuzzResponseDecode FuzzServeHTTP; do \
+		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 30s ./internal/rpc || exit 1; \
+	done

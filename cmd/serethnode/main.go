@@ -135,7 +135,7 @@ func run(args []string) error {
 		mode, *minerStr, contract.Hex(), n.BootSource(), n.Chain().Height())
 
 	rpcSrv := rpc.NewServer(n, contract, rpc.WithMaxInFlight(*maxInFlight))
-	server := &http.Server{Addr: *listen, Handler: rpcSrv}
+	server := newHTTPServer(*listen, rpcSrv)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -197,6 +197,25 @@ func run(args []string) error {
 		head := n.Chain().Head()
 		fmt.Printf("shut down cleanly: head=%d hash=%s\n", head.Number(), head.Hash().Hex()[:18])
 		return nil
+	}
+}
+
+// Listener limits. A peer that connects and then says nothing, or keeps
+// a finished connection open, must not hold a goroutine and a descriptor
+// for as long as the node runs; a JSON-RPC head is a few hundred bytes.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second // head and body; bodies are capped at 1 MiB
+	idleTimeout       = 2 * time.Minute  // between requests on a kept-alive connection
+	maxHeaderBytes    = 16 << 10
+)
+
+// newHTTPServer is the node's listener: h behind those limits.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr: addr, Handler: h,
+		ReadHeaderTimeout: readHeaderTimeout, ReadTimeout: readTimeout,
+		IdleTimeout: idleTimeout, MaxHeaderBytes: maxHeaderBytes,
 	}
 }
 

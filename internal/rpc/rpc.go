@@ -1,7 +1,11 @@
 // Package rpc exposes a node over HTTP JSON-RPC 2.0 with a small
 // Ethereum-flavoured method set plus Sereth extensions for the
-// READ-UNCOMMITTED view. The server wraps a *node.Node; the client is a
-// minimal typed caller used by cmd/serethnode's query mode and tests.
+// READ-UNCOMMITTED view. The server wraps a *node.Node and is mounted on
+// a net/http listener its owner builds (cmd/serethnode, httptest); the
+// client is a minimal typed caller, used by the simulator's rpc-clients
+// mode, the benchmarks and tests, that drives its own kept-alive
+// connections (see Client). Both ends read and write the envelope through
+// codec.go and fall back to encoding/json for what it declines.
 package rpc
 
 import (
@@ -9,7 +13,6 @@ import (
 	"context"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,7 +20,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"sereth/internal/node"
 	"sereth/internal/types"
@@ -37,6 +39,8 @@ type request struct {
 	ID      json.RawMessage   `json:"id"`
 	Method  string            `json:"method"`
 	Params  []json.RawMessage `json:"params"`
+
+	plain bool // parseRequest filled it: every param is a plain quoted string
 }
 
 type response struct {
@@ -68,9 +72,16 @@ type Server struct {
 	node     *node.Node
 	contract types.Address
 
-	sem      chan struct{} // nil = unlimited in-flight requests
-	inflight sync.WaitGroup
+	sem chan struct{} // nil = unlimited in-flight requests
+
+	// Every request holds gate shared while it runs. Shutdown takes it
+	// exclusively and never gives it back: that waits for each holder,
+	// and every later TryRLock fails, so no request slips between the
+	// draining test and its registration.
+	gate     sync.RWMutex
 	draining atomic.Bool
+	drain    sync.Once
+	drained  chan struct{} // closed once Shutdown holds gate
 
 	// onRequest, when set, runs at the start of every dispatched
 	// request — a test hook for wedging or crashing the handler path.
@@ -95,7 +106,7 @@ func WithMaxInFlight(n int) ServerOption {
 
 // NewServer wraps a node.
 func NewServer(n *node.Node, contract types.Address, opts ...ServerOption) *Server {
-	s := &Server{node: n, contract: contract}
+	s := &Server{node: n, contract: contract, drained: make(chan struct{})}
 	for _, o := range opts {
 		o(s)
 	}
@@ -115,10 +126,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	if s.draining.Load() {
+	if s.draining.Load() || !s.gate.TryRLock() {
 		http.Error(w, "shutting down", http.StatusServiceUnavailable)
 		return
 	}
+	defer s.gate.RUnlock()
 	if s.sem != nil {
 		select {
 		case s.sem <- struct{}{}:
@@ -131,33 +143,41 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.inflight.Add(1)
-	defer s.inflight.Done()
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer putBuf(buf)
+	_, err := buf.ReadFrom(io.LimitReader(r.Body, maxRequestBody))
 	if err != nil {
 		http.Error(w, "read body", http.StatusBadRequest)
 		return
 	}
-	var req request
+	req, ok := parseRequest(buf.Bytes())
+	if !ok {
+		slow := new(request) // what json.Unmarshal is handed escapes
+		err = json.Unmarshal(buf.Bytes(), slow)
+		req = *slow
+	}
 	resp := response{Version: "2.0"}
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err != nil {
 		resp.Error = &rpcError{Code: codeParse, Message: "parse error"}
 	} else {
 		resp.ID = req.ID
-		result, rerr := s.safeDispatch(&req)
-		if rerr != nil {
-			resp.Error = rerr
-		} else {
-			resp.Result = result
+		resp.Result, resp.Error = s.safeDispatch(&req)
+	}
+	w.Header()["Content-Type"] = jsonContentType
+	if resp.Error == nil {
+		// The reply goes behind the request in the same buffer: req.ID
+		// may still point into the request.
+		if reply, ok := appendReply(buf.AvailableBuffer(), req.ID, resp.Result); ok {
+			w.Header()["Content-Length"] = []string{strconv.Itoa(len(reply))}
+			_, _ = w.Write(reply) // a connection-level failure; nothing more to do
+			return
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		// Connection-level failure; nothing more to do.
-		return
-	}
+	_ = json.NewEncoder(w).Encode(resp) // likewise
 }
+
+var jsonContentType = []string{"application/json"}
 
 // serveHealth answers the liveness probe: 200 with chain height while
 // serving, 503 once draining.
@@ -199,14 +219,15 @@ func (s *Server) safeDispatch(req *request) (result interface{}, rerr *rpcError)
 // refused with 503 from the moment Shutdown is called, so a fronting
 // http.Server can finish writing responses already in progress.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
-	done := make(chan struct{})
-	go func() {
-		s.inflight.Wait()
-		close(done)
-	}()
+	s.drain.Do(func() {
+		s.draining.Store(true)
+		go func() {
+			s.gate.Lock()
+			close(s.drained)
+		}()
+	})
 	select {
-	case <-done:
+	case <-s.drained:
 	case <-ctx.Done():
 		// Close the store anyway — everything persisted so far is
 		// consistent; the laggard requests are read paths.
@@ -225,15 +246,15 @@ func (s *Server) dispatch(req *request) (interface{}, *rpcError) {
 
 	case "eth_getStorageAt":
 		// params: [contractHex, slotHex]
-		addrStr, slotStr, rerr := twoStringParams(req)
+		p, rerr := stringParams(req, 2)
 		if rerr != nil {
 			return nil, rerr
 		}
-		addr, err := types.HexToAddress(addrStr)
+		addr, err := types.HexToAddress(p[0])
 		if err != nil {
 			return nil, paramsErr(err)
 		}
-		slot, err := parseHexUint(slotStr)
+		slot, err := parseHexUint(p[1])
 		if err != nil {
 			return nil, paramsErr(err)
 		}
@@ -241,11 +262,11 @@ func (s *Server) dispatch(req *request) (interface{}, *rpcError) {
 		return w.Hex(), nil
 
 	case "eth_getTransactionCount":
-		addrStr, rerr := oneStringParam(req)
+		p, rerr := stringParams(req, 1)
 		if rerr != nil {
 			return nil, rerr
 		}
-		addr, err := types.HexToAddress(addrStr)
+		addr, err := types.HexToAddress(p[0])
 		if err != nil {
 			return nil, paramsErr(err)
 		}
@@ -254,15 +275,15 @@ func (s *Server) dispatch(req *request) (interface{}, *rpcError) {
 	case "eth_call":
 		// params: [toHex, dataHex] — read-only call with RAA on Sereth
 		// nodes.
-		toStr, dataStr, rerr := twoStringParams(req)
+		p, rerr := stringParams(req, 2)
 		if rerr != nil {
 			return nil, rerr
 		}
-		to, err := types.HexToAddress(toStr)
+		to, err := types.HexToAddress(p[0])
 		if err != nil {
 			return nil, paramsErr(err)
 		}
-		data, err := decodeHexBytes(dataStr)
+		data, err := decodeHexBytes(p[1])
 		if err != nil {
 			return nil, paramsErr(err)
 		}
@@ -273,11 +294,11 @@ func (s *Server) dispatch(req *request) (interface{}, *rpcError) {
 		return "0x" + hex.EncodeToString(res.ReturnData), nil
 
 	case "eth_sendRawTransaction":
-		rawStr, rerr := oneStringParam(req)
+		p, rerr := stringParams(req, 1)
 		if rerr != nil {
 			return nil, rerr
 		}
-		raw, err := decodeHexBytes(rawStr)
+		raw, err := decodeHexBytes(p[0])
 		if err != nil {
 			return nil, paramsErr(err)
 		}
@@ -296,7 +317,7 @@ func (s *Server) dispatch(req *request) (interface{}, *rpcError) {
 	case "sereth_view":
 		// The READ-UNCOMMITTED view of the managed variable.
 		flag, mark, value := s.node.ViewAMV(types.Address{}, s.contract)
-		return ViewResult{Flag: flag.Hex(), Mark: mark.Hex(), Value: value.Hex()}, nil
+		return viewWords{flag, mark, value}, nil
 
 	case "sereth_series":
 		// Pending series marks, head to tail (empty on geth nodes).
@@ -316,29 +337,26 @@ func (s *Server) dispatch(req *request) (interface{}, *rpcError) {
 	}
 }
 
-func oneStringParam(req *request) (string, *rpcError) {
-	if len(req.Params) < 1 {
-		return "", &rpcError{Code: codeInvalidParams, Message: "missing parameter"}
+// stringParams decodes the first n parameters, of at most two, as strings.
+func stringParams(req *request, n int) (p [2]string, rerr *rpcError) {
+	if len(req.Params) < n {
+		return p, &rpcError{Code: codeInvalidParams, Message: [...]string{1: "missing parameter", 2: "need two parameters"}[n]}
+	}
+	for i := 0; i < n && rerr == nil; i++ {
+		p[i], rerr = stringParam(req, i)
+	}
+	return p, rerr
+}
+
+func stringParam(req *request, i int) (string, *rpcError) {
+	if req.plain {
+		return unquote(req.Params[i]), nil
 	}
 	var s string
-	if err := json.Unmarshal(req.Params[0], &s); err != nil {
+	if err := json.Unmarshal(req.Params[i], &s); err != nil {
 		return "", paramsErr(err)
 	}
 	return s, nil
-}
-
-func twoStringParams(req *request) (string, string, *rpcError) {
-	if len(req.Params) < 2 {
-		return "", "", &rpcError{Code: codeInvalidParams, Message: "need two parameters"}
-	}
-	var a, b string
-	if err := json.Unmarshal(req.Params[0], &a); err != nil {
-		return "", "", paramsErr(err)
-	}
-	if err := json.Unmarshal(req.Params[1], &b); err != nil {
-		return "", "", paramsErr(err)
-	}
-	return a, b, nil
 }
 
 func paramsErr(err error) *rpcError {
@@ -355,104 +373,4 @@ func parseHexUint(s string) (uint64, error) {
 func decodeHexBytes(s string) ([]byte, error) {
 	s = strings.TrimPrefix(s, "0x")
 	return hex.DecodeString(s)
-}
-
-// DefaultTimeout bounds each HTTP round trip of a Client unless
-// overridden with WithTimeout.
-const DefaultTimeout = 5 * time.Second
-
-// Client is a minimal JSON-RPC caller.
-type Client struct {
-	url  string
-	http *http.Client
-}
-
-// ClientOption configures a Client.
-type ClientOption func(*Client)
-
-// WithTimeout overrides the per-request HTTP timeout (0 disables it).
-func WithTimeout(d time.Duration) ClientOption {
-	return func(c *Client) { c.http.Timeout = d }
-}
-
-// NewClient returns a client for the given endpoint URL.
-func NewClient(url string, opts ...ClientOption) *Client {
-	c := &Client{url: url, http: &http.Client{Timeout: DefaultTimeout}}
-	for _, o := range opts {
-		o(c)
-	}
-	return c
-}
-
-// ErrRPC wraps a server-side JSON-RPC error.
-var ErrRPC = errors.New("rpc error")
-
-// ErrHTTPStatus wraps a non-200 HTTP response.
-var ErrHTTPStatus = errors.New("rpc: unexpected HTTP status")
-
-// Call performs one JSON-RPC request, decoding the result into out
-// (which may be nil to discard).
-func (c *Client) Call(method string, out interface{}, params ...interface{}) error {
-	rawParams := make([]json.RawMessage, len(params))
-	for i, p := range params {
-		b, err := json.Marshal(p)
-		if err != nil {
-			return fmt.Errorf("marshal param %d: %w", i, err)
-		}
-		rawParams[i] = b
-	}
-	reqBody, err := json.Marshal(request{
-		Version: "2.0", ID: json.RawMessage("1"), Method: method, Params: rawParams,
-	})
-	if err != nil {
-		return err
-	}
-	httpResp, err := c.http.Post(c.url, "application/json", bytes.NewReader(reqBody))
-	if err != nil {
-		return err
-	}
-	defer func() { _ = httpResp.Body.Close() }()
-	if httpResp.StatusCode != http.StatusOK {
-		// Drain a bounded slice of the body for the error message.
-		snippet, _ := io.ReadAll(io.LimitReader(httpResp.Body, 256))
-		return fmt.Errorf("%w: %d %s", ErrHTTPStatus, httpResp.StatusCode,
-			strings.TrimSpace(string(snippet)))
-	}
-	var resp struct {
-		Result json.RawMessage `json:"result"`
-		Error  *rpcError       `json:"error"`
-	}
-	if err := json.NewDecoder(httpResp.Body).Decode(&resp); err != nil {
-		return fmt.Errorf("decode response: %w", err)
-	}
-	if resp.Error != nil {
-		return fmt.Errorf("%w: %d %s", ErrRPC, resp.Error.Code, resp.Error.Message)
-	}
-	if out != nil {
-		return json.Unmarshal(resp.Result, out)
-	}
-	return nil
-}
-
-// BlockNumber fetches the chain height.
-func (c *Client) BlockNumber() (uint64, error) {
-	var s string
-	if err := c.Call("eth_blockNumber", &s); err != nil {
-		return 0, err
-	}
-	return parseHexUint(s)
-}
-
-// View fetches the node's READ-UNCOMMITTED view.
-func (c *Client) View() (ViewResult, error) {
-	var v ViewResult
-	err := c.Call("sereth_view", &v)
-	return v, err
-}
-
-// SendRawTransaction submits an RLP-encoded signed transaction.
-func (c *Client) SendRawTransaction(raw []byte) (string, error) {
-	var h string
-	err := c.Call("eth_sendRawTransaction", &h, "0x"+hex.EncodeToString(raw))
-	return h, err
 }

@@ -625,6 +625,7 @@ func benchServing(clients int, call func(*rpc.Client) error) func(*testing.B) {
 			go func() {
 				defer wg.Done()
 				c := rpc.NewClient(srv.URL)
+				defer c.Close()
 				for i := next.Add(1) - 1; i < int64(b.N); i = next.Add(1) - 1 {
 					t0 := time.Now()
 					if err := call(c); err != nil {

@@ -45,7 +45,8 @@ func newRPCFrontend(clients []*node.Node, contract types.Address) *rpcFrontend {
 }
 
 func (f *rpcFrontend) close() {
-	for _, srv := range f.servers {
+	for i, srv := range f.servers {
+		f.callers[i].Close()
 		srv.Close()
 	}
 }
