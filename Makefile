@@ -59,12 +59,21 @@ parallel-smoke:
 # copy writes and flushes, the snapshot of a many-generation contract
 # against its flat twin, what Copy costs and what a post state retains;
 # then SpecView and the parallel processor, whose MergeInto writes
-# through the same overlay.
+# through the same overlay. Below the storage, the tries: the model-based
+# churn over a tree of trie copies that write their unhashed nodes in
+# place (-short: 1000 of its 4000 steps) and readers on a shared hashed
+# trie, five times; the miner's adoption of the execution it built; and
+# the node encoder fuzzed against the Item-tree oracle for 30 s.
 state-smoke:
 	$(GO) test -race -count=5 -short -run 'TestStorage|TestCopyDoesNotScaleWithStorage|TestSnapshot|TestChurnRootMatchesFromScratch|TestJournalChurn' ./internal/statedb
 	$(GO) test -race -count=5 -run 'TestProcessPostHoldsNoJournal' ./internal/chain
 	$(GO) test -race -run 'TestSpecView' ./internal/statedb
 	$(GO) test -race -run 'TestParallel' ./internal/chain
+	$(GO) test -race -count=5 -short -run 'TestTrieChurnModel|TestTrieSharedReaders' ./internal/trie
+	$(GO) test -race -run 'TestInsertBuilt' ./internal/chain
+	$(GO) test -race -run 'TestBuildBlockDoesNotPopulateExecCache' ./internal/miner
+	$(GO) test -race -run 'TestMineAndBroadcastExecutesOnce' ./internal/node
+	$(GO) test -run '^$$' -fuzz '^FuzzNodeEncoding$$' -fuzztime 30s ./internal/trie
 
 # crash-smoke runs the crash-consistency suite under the race detector:
 # storage fault injection and salvage, the chain-level crash-point and

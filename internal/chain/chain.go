@@ -232,12 +232,22 @@ func (c *Chain) ReadHeadState(fn func(head *types.Block, st *statedb.StateDB)) {
 // re-derive a root the processor already produced. Bodies run on the
 // parallel processor when one is configured, the sequential processor
 // otherwise; the two are differentially pinned to byte-identical
-// results, so consumers never know which ran.
+// results, so consumers never know which ran. The result is bound to
+// header and parentState by identity (see InsertBuilt).
 func (c *Chain) Process(parentState *statedb.StateDB, header *types.Header, txs []*types.Transaction) (*ExecResult, error) {
+	var res *ExecResult
+	var err error
 	if c.par != nil {
-		return c.par.Process(parentState, header, txs)
+		res, err = c.par.Process(parentState, header, txs)
+	} else {
+		res, err = c.proc.Process(parentState, header, txs)
 	}
-	return c.proc.Process(parentState, header, txs)
+	if err != nil {
+		return nil, err
+	}
+	res.header, res.parent = header, parentState
+	res.number, res.time = header.Number, header.Time
+	return res, nil
 }
 
 // InsertBlock validates a block and appends it to the chain. Without an
@@ -247,6 +257,18 @@ func (c *Chain) Process(parentState *statedb.StateDB, header *types.Header, txs 
 // memoized roots and share the flushed post state instead of
 // recomputing it.
 func (c *Chain) InsertBlock(block *types.Block) ([]*types.Receipt, error) {
+	return c.InsertBuilt(block, nil)
+}
+
+// InsertBuilt is InsertBlock for the miner of the block: built is the
+// execution Process returned when the block was assembled, and stands in
+// for the replay only if Process ran it for this very header on the state
+// that is still the head. Anything else (nil, another header, a head that
+// has moved) is ignored and the block is replayed. Every check of
+// InsertBlock still runs — gas used, receipt root and state root against
+// the header included — and the result never enters the ExecCache: other
+// peers replay as before.
+func (c *Chain) InsertBuilt(block *types.Block, built *ExecResult) ([]*types.Receipt, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
@@ -261,7 +283,7 @@ func (c *Chain) InsertBlock(block *types.Block) ([]*types.Receipt, error) {
 		return nil, err
 	}
 
-	receipts, post, err := c.verifyBlockLocked(head.Header.StateRoot, c.state, block)
+	receipts, post, err := c.verifyBlockLocked(head.Header.StateRoot, c.state, block, built)
 	if err != nil {
 		return nil, err
 	}
@@ -272,15 +294,18 @@ func (c *Chain) InsertBlock(block *types.Block) ([]*types.Receipt, error) {
 }
 
 // verifyBlockLocked validates a block body against its parent state
-// (cache-aware) and returns the resulting receipts and post state. It
-// does not check parent linkage, number, or seal — callers do — and does
-// not mutate the chain.
-func (c *Chain) verifyBlockLocked(parentRoot types.Hash, parentState *statedb.StateDB, block *types.Block) ([]*types.Receipt, *statedb.StateDB, error) {
+// (cache-aware) and returns the resulting receipts and post state. built,
+// when it is the execution of this header on this parent state, is
+// verified in place of a replay and bypasses the cache. It does not check
+// parent linkage, number, or seal — callers do — and does not mutate the
+// chain.
+func (c *Chain) verifyBlockLocked(parentRoot types.Hash, parentState *statedb.StateDB, block *types.Block, built *ExecResult) ([]*types.Receipt, *statedb.StateDB, error) {
 	key := ExecKey{ParentRoot: parentRoot, BlockHash: block.Hash()}
 	var res *ExecResult
-	cached := false
-	if c.cfg.ExecCache != nil {
-		res, cached = c.cfg.ExecCache.Get(key)
+	if built.builtFor(block.Header, parentState) {
+		res = built
+	} else if c.cfg.ExecCache != nil {
+		res, _ = c.cfg.ExecCache.Get(key)
 	}
 	// block.TxRoot() is memoized on the shared block instance: derived
 	// once (by the miner at build time or the first importer), reused by
@@ -294,13 +319,14 @@ func (c *Chain) verifyBlockLocked(parentRoot types.Hash, parentState *statedb.St
 	if got := block.TxRoot(); got != block.Header.TxRoot {
 		return nil, nil, ErrBadTxRoot
 	}
-	if !cached {
+	replayed := res == nil
+	if replayed {
 		var err error
 		if res, err = c.Process(parentState, block.Header, block.Txs); err != nil {
 			return nil, nil, err
 		}
 	}
-	// Replayed or memoized, the execution must land exactly on the
+	// Replayed, memoized or built, the execution must land exactly on the
 	// header's claims: one ExecResult carries the receipts AND the
 	// memoized roots, so nothing is re-derived here, and a cache Put
 	// shares the very same result with every later importer.
@@ -313,7 +339,7 @@ func (c *Chain) verifyBlockLocked(parentRoot types.Hash, parentState *statedb.St
 	if res.StateRoot != block.Header.StateRoot {
 		return nil, nil, fmt.Errorf("%w: replay %s, header %s", ErrBadStateRoot, res.StateRoot.Hex(), block.Header.StateRoot.Hex())
 	}
-	if c.cfg.ExecCache != nil && !cached {
+	if c.cfg.ExecCache != nil && replayed {
 		c.cfg.ExecCache.Put(key, res)
 	}
 	return res.Receipts, res.Post, nil
@@ -388,7 +414,7 @@ func (c *Chain) ImportFork(blocks []*types.Block) (int, error) {
 		if err := c.verifySeal(b.Header); err != nil {
 			return 0, err
 		}
-		receipts, post, err := c.verifyBlockLocked(prev.Header.StateRoot, prevState, b)
+		receipts, post, err := c.verifyBlockLocked(prev.Header.StateRoot, prevState, b, nil)
 		if err != nil {
 			return 0, err
 		}

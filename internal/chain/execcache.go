@@ -4,7 +4,9 @@
 // ExecCache memoizes each validated state transition once, keyed by
 // (parent state root, block hash); peers that import the same block
 // afterwards verify the header against the memoized roots instead of
-// re-executing the body.
+// re-executing the body. It holds importer-side replays only: a miner's
+// own import (InsertBuilt) neither reads nor writes it, so the first other
+// peer to import the block still replays it.
 package chain
 
 import (
@@ -31,6 +33,20 @@ type ExecResult struct {
 	GasUsed     uint64
 	StateRoot   types.Hash
 	ReceiptRoot types.Hash
+
+	// Chain.Process binds the result to what it ran on, by identity: the
+	// header (and the two fields execution reads from it, as they were)
+	// and the parent state. See InsertBuilt.
+	header       *types.Header
+	parent       *statedb.StateDB
+	number, time uint64
+}
+
+// builtFor reports whether r is the execution Chain.Process ran for this
+// header on this parent state.
+func (r *ExecResult) builtFor(header *types.Header, parent *statedb.StateDB) bool {
+	return r != nil && r.header == header && r.parent == parent &&
+		r.number == header.Number && r.time == header.Time
 }
 
 // DefaultExecCacheSize bounds the cache to roughly the import lag between

@@ -3,10 +3,10 @@
 // ExecResult — receipts allocated from a per-block arena slab, one
 // reused EVM instance for the whole body (its interpreter frames come
 // from the evm package's pool), and the state/receipt roots derived
-// exactly once per validated execution. The miner (header construction),
-// InsertBlock (replay verification) and the shared ExecCache all consume
-// the same ExecResult, so no consumer re-derives a root another already
-// paid for.
+// exactly once per validated execution. The miner (header construction,
+// then its own import of the block through InsertBuilt), InsertBlock
+// (replay verification) and the shared ExecCache all consume the same
+// ExecResult, so no consumer re-derives a root another already paid for.
 package chain
 
 import (

@@ -213,8 +213,16 @@ func NewMiner(c *chain.Chain, pool PendingSource, strategy Strategy, coinbase ty
 
 // BuildBlock assembles, executes and seals the next block at the given
 // model timestamp. The block is NOT inserted; callers broadcast it and
-// every peer (including the miner) validates by replay.
+// every other peer validates it by replay (§II-D).
 func (m *Miner) BuildBlock(timestamp uint64) (*types.Block, error) {
+	block, _, err := m.Build(timestamp)
+	return block, err
+}
+
+// Build is BuildBlock that also returns the execution the header was
+// built from, for the miner's own import: chain.InsertBuilt checks the
+// sealed header against it instead of executing the body a second time.
+func (m *Miner) Build(timestamp uint64) (*types.Block, *chain.ExecResult, error) {
 	// One lock acquisition, so the header always describes the block whose
 	// state the body runs on. The head state is flushed and never written
 	// again (chain.adopt), so it is read here as it is — nonces below, then
@@ -271,7 +279,7 @@ func (m *Miner) BuildBlock(timestamp uint64) (*types.Block, error) {
 	}
 	res, err := m.chain.Process(state, header, body)
 	if err != nil {
-		return nil, fmt.Errorf("build block %d: %w", header.Number, err)
+		return nil, nil, fmt.Errorf("build block %d: %w", header.Number, err)
 	}
 	// Deriving the tx root through the block memoizes it on the instance
 	// every peer will import, so no importer ever re-derives it; the
@@ -283,11 +291,11 @@ func (m *Miner) BuildBlock(timestamp uint64) (*types.Block, error) {
 	header.StateRoot = res.StateRoot
 	header.GasUsed = res.GasUsed
 	if !chain.Seal(header, m.chain.Config().Difficulty, m.maxSealIter) {
-		return nil, fmt.Errorf("build block %d: seal search exhausted", header.Number)
+		return nil, nil, fmt.Errorf("build block %d: seal search exhausted", header.Number)
 	}
-	// The build execution is NOT memoized into the chain's ExecCache:
-	// the cache must only hold importer-side replays, so the miner's own
-	// self-import performs the one honest replay (with full header
-	// verification) that every other peer's root comparison then rests on.
-	return block, nil
+	// The execution goes to the caller, not into the chain's ExecCache: the
+	// cache holds importer-side replays only, so the first other peer to
+	// import the block performs an honest replay of its own, and the
+	// miner's import still compares every root against the sealed header.
+	return block, res, nil
 }

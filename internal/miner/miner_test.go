@@ -360,10 +360,11 @@ func TestMinerEmptyPool(t *testing.T) {
 	}
 }
 
-// TestBuildBlockDoesNotPopulateExecCache pins the replay-once contract:
-// the miner's build execution stays out of the shared cache, so the
-// self-import is a full honest replay (with header verification) and
-// only THAT validated result is shared with the other peers.
+// TestBuildBlockDoesNotPopulateExecCache pins what the shared cache
+// holds: importer-side replays only. Neither a build nor the miner's
+// adoption of its own build (Build + InsertBuilt) reads or writes it; an
+// InsertBlock of the same block is a replay like any peer's, and only
+// THAT validated result is shared with the other peers.
 func TestBuildBlockDoesNotPopulateExecCache(t *testing.T) {
 	owner := wallet.NewKey("owner")
 	reg := wallet.NewRegistry()
@@ -395,5 +396,28 @@ func TestBuildBlockDoesNotPopulateExecCache(t *testing.T) {
 	}
 	if hits, misses := cfg.ExecCache.Stats(); hits != 0 || misses != 1 {
 		t.Errorf("self-import was not a cache miss: hits=%d misses=%d", hits, misses)
+	}
+
+	m1 := types.NextMark(types.ZeroWord, types.WordFromUint64(5))
+	if err := pool.Add(setTx(owner, 1, types.FlagChain, m1, 6)); err != nil {
+		t.Fatal(err)
+	}
+	block, built, err := m.Build(30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if built.StateRoot != block.Header.StateRoot || len(built.Receipts) != len(block.Txs) {
+		t.Fatal("Build returned an execution that is not the block's")
+	}
+	if _, err := c.InsertBuilt(block, built); err != nil {
+		t.Fatal(err)
+	}
+	var head *statedb.StateDB
+	c.ReadState(func(st *statedb.StateDB) { head = st })
+	if head != built.Post {
+		t.Error("the chain replayed a block it was handed the execution of")
+	}
+	if hits, misses := cfg.ExecCache.Stats(); cfg.ExecCache.Len() != 1 || hits != 0 || misses != 1 {
+		t.Errorf("adopting a build touched the cache: %d entries, hits=%d misses=%d", cfg.ExecCache.Len(), hits, misses)
 	}
 }

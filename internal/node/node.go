@@ -388,7 +388,7 @@ func (n *Node) HandleBlock(from p2p.PeerID, block *types.Block) {
 		}
 		return
 	}
-	if err := n.importBlock(block); err == nil {
+	if err := n.importBlock(block, nil); err == nil {
 		n.drainOrphans()
 	} else if errors.Is(err, chain.ErrUnknownParent) {
 		// A block at or below head+1 whose parent isn't our head: a
@@ -479,14 +479,17 @@ func (n *Node) drainOrphans() {
 			}
 			return
 		}
-		if n.importBlock(entry.block) != nil {
+		if n.importBlock(entry.block, nil) != nil {
 			return
 		}
 	}
 }
 
-func (n *Node) importBlock(block *types.Block) error {
-	if _, err := n.chain.InsertBlock(block); err != nil {
+// importBlock inserts a block at the head and settles the pool. built is
+// the execution this node's miner built the block from, nil for a block
+// that arrived from a peer.
+func (n *Node) importBlock(block *types.Block, built *chain.ExecResult) error {
+	if _, err := n.chain.InsertBuilt(block, built); err != nil {
 		n.mu.Lock()
 		n.stats.BlocksRejected++
 		n.mu.Unlock()
@@ -669,17 +672,18 @@ func (n *Node) refreshCommitted() {
 	n.tracker.SetCommitted(amv)
 }
 
-// MineAndBroadcast builds the next block, imports it locally, and gossips
-// it. Returns the block, or nil when this node does not mine.
+// MineAndBroadcast builds the next block, imports it locally — adopting
+// the execution it was built from, checked against the sealed header —
+// and gossips it. Returns the block, or nil when this node does not mine.
 func (n *Node) MineAndBroadcast(timestamp uint64) (*types.Block, error) {
 	if n.miner == nil {
 		return nil, nil
 	}
-	block, err := n.miner.BuildBlock(timestamp)
+	block, built, err := n.miner.Build(timestamp)
 	if err != nil {
 		return nil, err
 	}
-	if err := n.importBlock(block); err != nil {
+	if err := n.importBlock(block, built); err != nil {
 		return nil, fmt.Errorf("node %d: own block failed validation: %w", n.id, err)
 	}
 	n.net.BroadcastBlock(n.id, block)

@@ -5,6 +5,7 @@ import (
 
 	"sereth/internal/asm"
 	"sereth/internal/chain"
+	"sereth/internal/keccak"
 	"sereth/internal/p2p"
 	"sereth/internal/statedb"
 	"sereth/internal/types"
@@ -591,5 +592,55 @@ func TestForgedPastBlocksStayBounded(t *testing.T) {
 	flood()
 	if _, fork := victim.bufferSizes(); fork > bufferWindow+2 {
 		t.Fatalf("second flood left %d fork candidates buffered; bound is %d", fork, bufferWindow+2)
+	}
+}
+
+// TestMineAndBroadcastExecutesOnce: a mining node's own import adopts the
+// execution the block was built from, so mining and importing a block
+// costs one build plus the few digests of adoption (block hashes, the
+// pool's settling) — not a build and a replay. The body is a chain of 30
+// sets; the same build is measured first through BuildBlock, which leaves
+// chain and pool as they were (once before that to warm the signature
+// verdicts the first execution caches on the pooled transactions).
+func TestMineAndBroadcastExecutesOnce(t *testing.T) {
+	f := newFixture(t, Config{Mode: ModeSereth, Miner: MinerSemantic})
+	n := f.nodes[0]
+	prev := types.ZeroWord
+	for i := uint64(0); i < 30; i++ {
+		value := types.WordFromUint64(100 + i)
+		flag := types.FlagChain
+		if i == 0 {
+			flag = types.FlagHead
+		}
+		if _, err := n.SubmitSet(f.owner, i, contractAddr, flag, prev, value); err != nil {
+			t.Fatal(err)
+		}
+		prev = types.NextMark(prev, value)
+	}
+	if _, err := n.miner.BuildBlock(15); err != nil {
+		t.Fatal(err)
+	}
+	before := keccak.Invocations()
+	if _, err := n.miner.BuildBlock(15); err != nil {
+		t.Fatal(err)
+	}
+	build := keccak.Invocations() - before
+	before = keccak.Invocations()
+	block, err := n.MineAndBroadcast(15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mine := keccak.Invocations() - before
+	if len(block.Txs) != 30 || n.Chain().Height() != 1 {
+		t.Fatalf("mined %d txs to height %d, want 30 to 1", len(block.Txs), n.Chain().Height())
+	}
+	for _, r := range n.Chain().Receipts(block.Hash()) {
+		if r.Status != types.StatusSucceeded {
+			t.Fatalf("tx %d failed", r.TxIndex)
+		}
+	}
+	t.Logf("build %d digests, mine and import %d", build, mine)
+	if mine > build+10 {
+		t.Fatalf("mining and importing cost %d digests against %d for the build alone: the import replayed", mine, build)
 	}
 }

@@ -10,7 +10,7 @@ package rlp
 
 import (
 	"errors"
-	"fmt"
+	"math/bits"
 )
 
 // Kind discriminates the RLP item kinds.
@@ -20,9 +20,6 @@ type Kind int
 const (
 	KindString Kind = iota + 1
 	KindList
-	// KindRaw is a pre-encoded fragment spliced verbatim into the output.
-	// It never appears in decoded items; see Raw.
-	KindRaw
 )
 
 // Item is a node in an RLP value tree.
@@ -66,14 +63,6 @@ func Uint(v uint64) Item {
 		n++
 	}
 	return Item{kind: KindString, str: append([]byte{}, buf[:n]...)}
-}
-
-// Raw returns an item that encodes to exactly enc, which must already be
-// a valid RLP encoding. The slice is NOT copied — callers hand over
-// ownership (the trie uses this to splice memoized child encodings
-// without re-walking the subtree).
-func Raw(enc []byte) Item {
-	return Item{kind: KindRaw, str: enc}
 }
 
 // List returns a list item of the given children.
@@ -155,16 +144,42 @@ func AppendUint(out []byte, v uint64) []byte {
 // Encode(List(children...)). The flat form lets hot encoders (receipts,
 // root derivations) build lists in reused buffers instead of Item trees.
 func AppendList(out, payload []byte) []byte {
-	out = appendLength(out, len(payload), 0xc0)
-	return append(out, payload...)
+	return append(AppendListHeader(out, len(payload)), payload...)
+}
+
+// AppendListHeader appends the header of a list whose children encode to
+// payload bytes in all; the caller appends exactly those bytes next. With
+// StringSize and ListSize it lets an encoder that can measure its
+// children first (the trie's nodes) write into one buffer of the exact
+// size.
+func AppendListHeader(out []byte, payload int) []byte {
+	return appendLength(out, payload, 0xc0)
+}
+
+// StringSize returns len(AppendString(nil, s)).
+func StringSize(s []byte) int {
+	if len(s) == 1 && s[0] < 0x80 {
+		return 1
+	}
+	return lengthSize(len(s)) + len(s)
+}
+
+// ListSize returns the encoded size of a list with payload bytes of
+// children: header plus payload.
+func ListSize(payload int) int { return lengthSize(payload) + payload }
+
+// lengthSize returns the number of bytes appendLength writes for n.
+func lengthSize(n int) int {
+	if n < 56 {
+		return 1
+	}
+	return 1 + (bits.Len64(uint64(n))+7)/8
 }
 
 func appendItem(out []byte, it Item) []byte {
 	switch it.kind {
 	case KindString:
 		return appendString(out, it.str)
-	case KindRaw:
-		return append(out, it.str...)
 	case KindList:
 		var payload []byte
 		for _, child := range it.list {
@@ -307,25 +322,4 @@ func decodeList(payload []byte) ([]Item, error) {
 		payload = rest
 	}
 	return children, nil
-}
-
-// GoString renders the item tree for debugging.
-func (it Item) GoString() string {
-	switch it.kind {
-	case KindString:
-		return fmt.Sprintf("%x", it.str)
-	case KindList:
-		s := "["
-		for i, c := range it.list {
-			if i > 0 {
-				s += " "
-			}
-			s += c.GoString()
-		}
-		return s + "]"
-	case KindRaw:
-		return fmt.Sprintf("raw:%x", it.str)
-	default:
-		return "<invalid>"
-	}
 }

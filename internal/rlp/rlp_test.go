@@ -270,3 +270,27 @@ func TestAppendHelpersMatchEncode(t *testing.T) {
 		}
 	}
 }
+
+// TestSizeHelpersMatchAppend pins StringSize, ListSize and
+// AppendListHeader to what the append path writes, across the 1-, 2- and
+// 3-byte header boundaries.
+func TestSizeHelpersMatchAppend(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 54, 55, 56, 57, 255, 256, 257, 65535, 65536, 70000} {
+		s := bytes.Repeat([]byte{0x9c}, n)
+		if got, want := StringSize(s), len(AppendString(nil, s)); got != want {
+			t.Errorf("StringSize(%d bytes) = %d, AppendString writes %d", n, got, want)
+		}
+		list := AppendList(nil, s)
+		if got := ListSize(n); got != len(list) {
+			t.Errorf("ListSize(%d) = %d, AppendList writes %d", n, got, len(list))
+		}
+		if got := append(AppendListHeader(nil, n), s...); !bytes.Equal(got, list) {
+			t.Errorf("AppendListHeader(%d) + payload differs from AppendList", n)
+		}
+	}
+	for _, b := range []byte{0x00, 0x01, 0x7f, 0x80, 0xff} {
+		if got, want := StringSize([]byte{b}), len(AppendString(nil, []byte{b})); got != want {
+			t.Errorf("StringSize({%#x}) = %d, AppendString writes %d", b, got, want)
+		}
+	}
+}

@@ -33,8 +33,9 @@ import (
 // StateDB is an in-memory journaled world state. Not safe for concurrent
 // use; each consumer (miner, validator) works on its own Copy. A flushed
 // StateDB (one that Root has been called on and not mutated since) may be
-// shared read-only across goroutines — Copy flushes its source, so the
-// trie nodes two copies share are never written again.
+// shared read-only across goroutines — Copy flushes its source, so every
+// trie node two copies share is hashed, and a hashed node is never
+// written again (see package trie).
 type StateDB struct {
 	accounts map[types.Address]*account
 	journal  []journalEntry
@@ -42,8 +43,10 @@ type StateDB struct {
 	// these are re-encoded into the account trie by Root. Journal undos
 	// re-mark their account, so a revert leaves the flush correct.
 	dirty map[types.Address]struct{}
-	// accTrie is the persistent secure account trie. Its nodes are
-	// immutable (mutations path-copy), so Copy shares them wholesale.
+	// accTrie is the persistent secure account trie. Its hashed nodes are
+	// immutable (a mutation copies them; only nodes made since the last
+	// flush are written in place), so Copy, which flushes, shares them
+	// wholesale.
 	accTrie *trie.SecureTrie
 	// db backs a state opened from a persisted root (OpenAt): accounts
 	// and slots absent from the in-memory maps resolve through it on
@@ -560,11 +563,12 @@ func (acc *account) encode() []byte {
 		acc.storageTrie = trie.NewSecure()
 	}
 	if len(acc.storage) > 0 {
+		var word [1 + len(types.Word{})]byte // the trie copies what it stores
 		for k, v := range acc.storage {
 			if v.IsZero() {
 				acc.storageTrie.Delete(k[:])
 			} else {
-				acc.storageTrie.Update(k[:], rlp.Encode(rlp.String(minimalBytes(v))))
+				acc.storageTrie.Update(k[:], rlp.AppendString(word[:0], minimalBytes(v)))
 			}
 		}
 		acc.seal()
@@ -574,12 +578,13 @@ func (acc *account) encode() []byte {
 		h := types.Keccak(acc.code)
 		acc.codeHash = &h
 	}
-	return rlp.Encode(rlp.List(
-		rlp.Uint(acc.nonce),
-		rlp.Uint(acc.balance),
-		rlp.String(storageRoot[:]),
-		rlp.String(acc.codeHash[:]),
-	))
+	// Two integers of at most 9 bytes and two 33-byte hash strings.
+	var fields [2*9 + 2*33]byte
+	payload := rlp.AppendUint(fields[:0], acc.nonce)
+	payload = rlp.AppendUint(payload, acc.balance)
+	payload = rlp.AppendString(payload, storageRoot[:])
+	payload = rlp.AppendString(payload, acc.codeHash[:])
+	return rlp.AppendList(make([]byte, 0, rlp.ListSize(len(payload))), payload)
 }
 
 // minimalBytes strips leading zeroes (canonical storage value encoding).

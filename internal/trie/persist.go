@@ -52,12 +52,12 @@ func NewSecureFromRoot(db NodeReader, root types.Hash) *SecureTrie {
 
 // Commit writes every node reachable from the root that is not already
 // persisted into w as `Keccak(enc) -> enc`, marks those nodes stored,
-// and returns the number of nodes written. Because mutation path-copies
-// and Commit short-circuits on the stored flag, a commit after N
-// updates touches exactly the fresh paths — the PR-3 dirty set — not
-// the whole trie. The root node is stored even when its encoding is
-// shorter than 32 bytes, so the root hash alone always reopens the
-// trie.
+// and returns the number of nodes written. Because mutation never
+// writes a stored node (it is hashed, so it is path-copied) and Commit
+// short-circuits on the stored flag, a commit after N updates touches
+// exactly the fresh paths — the PR-3 dirty set — not the whole trie. The
+// root node is stored even when its encoding is shorter than 32 bytes,
+// so the root hash alone always reopens the trie.
 func (t *Trie) Commit(w Writer) int {
 	if t.root == nil {
 		return 0
@@ -77,8 +77,7 @@ func commitNode(n node, w Writer, isRoot bool) int {
 		enc := encoding(cur)
 		written := commitChildren(cur.val, w)
 		if len(enc) >= 32 || isRoot {
-			cur.cache.hashRef(enc)
-			w.Put(cur.cache.hash[:], enc)
+			w.Put(cur.cache.hashRef(enc)[:], enc)
 			cur.cache.stored = true
 			written++
 		}
@@ -95,8 +94,7 @@ func commitNode(n node, w Writer, isRoot bool) int {
 			}
 		}
 		if len(enc) >= 32 || isRoot {
-			cur.cache.hashRef(enc)
-			w.Put(cur.cache.hash[:], enc)
+			w.Put(cur.cache.hashRef(enc)[:], enc)
 			cur.cache.stored = true
 			written++
 		}
@@ -236,13 +234,20 @@ func decodeNodeItem(it rlp.Item) (node, error) {
 
 // decodeRef turns one child slot back into a node: empty string -> nil,
 // 32-byte string -> hashNode, any other string -> an embedded bare
-// value (childRef splices small valueNodes in verbatim; an embedded
+// value (appendRef embeds small valueNodes verbatim; an embedded
 // value never decodes to exactly 32 bytes because its encoding would
 // then be 33 and referenced by hash), nested list -> embedded node
 // decoded inline.
 func decodeRef(it rlp.Item) (node, error) {
 	if it.Kind() == rlp.KindList {
-		return decodeNodeItem(it)
+		n, err := decodeNodeItem(it)
+		if err == nil {
+			// An embedded node is as shared as the stored parent it came
+			// in: fill its cache, or it would pass for a node this trie
+			// made itself and be written in place (see mutable).
+			encoding(n)
+		}
+		return n, err
 	}
 	b, err := it.Bytes()
 	if err != nil {
@@ -262,7 +267,7 @@ func decodeRef(it rlp.Item) (node, error) {
 	}
 }
 
-// hexPrefixDecode inverts hexPrefixEncode (Yellow Paper Appendix C).
+// hexPrefixDecode inverts appendHexPrefix (Yellow Paper Appendix C).
 func hexPrefixDecode(b []byte) (nibbles []byte, isLeaf bool, err error) {
 	if len(b) == 0 {
 		return nil, false, fmt.Errorf("empty hex-prefix key")

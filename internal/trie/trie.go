@@ -3,6 +3,12 @@
 // Keccak-256 hash (nodes shorter than 32 bytes are embedded in their
 // parent, per the specification), so identical contents always produce
 // identical roots regardless of insertion order.
+//
+// Sharing rule: a node whose encoding cache is filled may be reachable
+// from other tries and is never written again; a node whose cache is
+// empty was made by the one trie that holds it since that trie was last
+// hashed, and that trie writes it in place. Copy hashes before it shares,
+// so no unhashed node is ever reachable from two tries.
 package trie
 
 import (
@@ -20,9 +26,11 @@ var EmptyRoot = types.Keccak(rlp.Encode(rlp.String(nil)))
 // Trie is an in-memory Merkle Patricia Trie. The zero value is not usable;
 // call New.
 //
-// The trie is persistent: Update and Delete copy every node along the
-// mutated path and never modify existing nodes, so a Copy that shares the
-// root pointer stays valid while either side keeps mutating. Each node
+// The trie is persistent where it is shared: Update and Delete copy every
+// hashed node along the mutated path and write only nodes made since the
+// last hashing, which no other trie can reach (see the package comment),
+// so a Copy stays valid while either side keeps mutating, and a burst of
+// updates between two hashings copies each node at most once. Each node
 // memoizes its RLP encoding and Keccak reference the first time it is
 // hashed, which makes RootHash O(changed paths) instead of O(trie): the
 // untouched siblings of a mutated path reuse their cached encodings.
@@ -46,7 +54,8 @@ type node interface{}
 // hashed is set (computed lazily and only for encodings >= 32 bytes,
 // which are referenced by hash per the MPT spec). stored marks nodes
 // whose encoding already lives in a node store, so Commit stops walking
-// there. Path copies MUST reset the cache — see insert/deleteNode.
+// there. An empty cache (enc == nil) is also what marks a node private
+// to its trie — see mutable.
 type nodeCache struct {
 	enc    []byte
 	hash   types.Hash
@@ -70,13 +79,16 @@ type valueNode []byte
 // New returns an empty trie.
 func New() *Trie { return &Trie{} }
 
-// Copy returns a trie sharing this trie's nodes. Updates to either side
-// path-copy, so the two diverge without interference. Sharing across
-// goroutines additionally requires the source's hashes to be
-// materialized first (call RootHash before Copy): hashing fills node
-// caches in place, and only nodes created after the copy — private to
-// their creator — are ever written to afterwards.
-func (t *Trie) Copy() *Trie { return &Trie{root: t.root, hash: t.hash, db: t.db} }
+// Copy returns a trie sharing this trie's nodes. It hashes the receiver
+// first, which fills the cache of every node it is about to share: from
+// then on both sides path-copy those nodes and write in place only the
+// ones they make themselves. On an already hashed trie Copy writes
+// nothing, so goroutines may Copy (and Get, and RootHash) a hashed trie
+// that none of them mutates.
+func (t *Trie) Copy() *Trie {
+	t.RootHash()
+	return &Trie{root: t.root, hash: t.hash, db: t.db}
+}
 
 // Get returns the value stored under key, or nil if absent.
 //
@@ -84,7 +96,7 @@ func (t *Trie) Copy() *Trie { return &Trie{root: t.root, hash: t.hash, db: t.db}
 // the path are fetched from the store transiently — the resolved node is
 // NOT written back into the tree, so concurrent readers sharing nodes
 // via Copy never race. Durable resolution happens on the mutating ops,
-// which only touch private path copies.
+// which only write nodes private to their trie.
 func (t *Trie) Get(key []byte) []byte {
 	n := t.root
 	k := keyToNibbles(key)
@@ -93,6 +105,9 @@ func (t *Trie) Get(key []byte) []byte {
 		case nil:
 			return nil
 		case valueNode:
+			if len(k) > 0 {
+				return nil // the stored key is a proper prefix of this one
+			}
 			return cur
 		case hashNode:
 			n = mustResolve(t.db, cur)
@@ -136,19 +151,36 @@ func (t *Trie) Delete(key []byte) {
 	t.root = deleteNode(t.db, t.root, keyToNibbles(key))
 }
 
+// mutable returns the node to write for a mutation through fn: fn itself
+// when it has not been hashed since this trie made it (no other trie can
+// reach it), otherwise a copy with an empty cache.
+func (fn *fullNode) mutable() *fullNode {
+	if fn.cache.enc == nil {
+		return fn
+	}
+	return &fullNode{children: fn.children}
+}
+
+// mutable is fullNode.mutable for short nodes.
+func (sn *shortNode) mutable() *shortNode {
+	if sn.cache.enc == nil {
+		return sn
+	}
+	return &shortNode{key: sn.key, val: sn.val}
+}
+
 func insert(db NodeReader, n node, k []byte, v valueNode) node {
 	if h, ok := n.(hashNode); ok {
-		// Mutations land in a fresh path copy, so resolving in place here
-		// is private to this insert.
+		// The resolved node is hashed, so the mutation below lands in a
+		// copy of it; the reference itself stays as it is for its sharers.
 		n = mustResolve(db, h)
 	}
 	if len(k) == 0 {
 		switch cur := n.(type) {
 		case *fullNode:
-			cp := *cur
-			cp.cache = nodeCache{}
-			cp.children[16] = v
-			return &cp
+			cur = cur.mutable()
+			cur.children[16] = v
+			return cur
 		case *shortNode:
 			// The new value terminates above an existing subtree: make a
 			// branch holding the value and push the short node down one
@@ -177,10 +209,9 @@ func insert(db NodeReader, n node, k []byte, v valueNode) node {
 	case *shortNode:
 		match := commonPrefix(k, cur.key)
 		if match == len(cur.key) {
-			cp := *cur
-			cp.cache = nodeCache{}
-			cp.val = insert(db, cur.val, k[match:], v)
-			return &cp
+			cur = cur.mutable()
+			cur.val = insert(db, cur.val, k[match:], v)
+			return cur
 		}
 		// Split: branch at the divergence point.
 		branch := &fullNode{}
@@ -203,10 +234,9 @@ func insert(db NodeReader, n node, k []byte, v valueNode) node {
 		}
 		return &shortNode{key: k[:match], val: branch}
 	case *fullNode:
-		cp := *cur
-		cp.cache = nodeCache{}
-		cp.children[k[0]] = insert(db, cur.children[k[0]], k[1:], v)
-		return &cp
+		cur = cur.mutable()
+		cur.children[k[0]] = insert(db, cur.children[k[0]], k[1:], v)
+		return cur
 	default:
 		return n
 	}
@@ -237,19 +267,17 @@ func deleteNode(db NodeReader, n node, k []byte) node {
 			merged := append(append([]byte{}, cur.key...), sn.key...)
 			return &shortNode{key: merged, val: sn.val}
 		}
-		cp := *cur
-		cp.cache = nodeCache{}
-		cp.val = child
-		return &cp
+		cur = cur.mutable()
+		cur.val = child
+		return cur
 	case *fullNode:
-		cp := *cur
-		cp.cache = nodeCache{}
+		cur = cur.mutable()
 		if len(k) == 0 {
-			cp.children[16] = nil
+			cur.children[16] = nil
 		} else {
-			cp.children[k[0]] = deleteNode(db, cur.children[k[0]], k[1:])
+			cur.children[k[0]] = deleteNode(db, cur.children[k[0]], k[1:])
 		}
-		return collapse(db, &cp)
+		return collapse(db, cur)
 	default:
 		return n
 	}
@@ -323,101 +351,141 @@ func (t *Trie) RootHash() types.Hash {
 }
 
 // encoding returns the node's canonical RLP encoding, memoized on short
-// and full nodes. The first call after a mutation re-encodes exactly the
-// fresh (path-copied) nodes; every untouched subtree returns its cached
-// bytes without recursing.
+// and full nodes. The first call after a mutation encodes exactly the
+// nodes written or copied since the last one; every untouched subtree
+// returns its cached bytes without recursing.
 func encoding(n node) []byte {
 	switch cur := n.(type) {
 	case valueNode:
-		return rlp.Encode(rlp.String(cur))
+		return rlp.AppendString(nil, cur)
 	case *shortNode:
 		if cur.cache.enc == nil {
-			cur.cache.enc = rlp.Encode(cur.item())
+			cur.cache.enc = cur.encode()
 		}
 		return cur.cache.enc
 	case *fullNode:
 		if cur.cache.enc == nil {
-			cur.cache.enc = rlp.Encode(cur.item())
+			cur.cache.enc = cur.encode()
 		}
 		return cur.cache.enc
 	default: // nil
-		return rlp.Encode(rlp.String(nil))
+		return []byte{0x80}
 	}
 }
 
-func (sn *shortNode) item() rlp.Item {
-	_, isLeaf := sn.val.(valueNode)
-	encodedKey := hexPrefixEncode(sn.key, isLeaf)
-	var valItem rlp.Item
+// encode measures the short node — the list of its hex-prefix key and
+// either its value (a leaf) or the reference to its child (an extension)
+// — and writes it into one buffer of the exact size.
+func (sn *shortNode) encode() []byte {
+	var keyBuf [33]byte // a secure trie's keys are at most 64 nibbles
+	leaf, isLeaf := sn.val.(valueNode)
+	key := appendHexPrefix(keyBuf[:0], sn.key, isLeaf)
+	size := rlp.StringSize(key)
 	if isLeaf {
-		valItem = rlp.String(sn.val.(valueNode))
+		size += rlp.StringSize(leaf)
 	} else {
-		valItem = childRef(sn.val)
+		size += refSize(sn.val)
 	}
-	return rlp.List(rlp.String(encodedKey), valItem)
+	out := rlp.AppendListHeader(make([]byte, 0, rlp.ListSize(size)), size)
+	out = rlp.AppendString(out, key)
+	if isLeaf {
+		return rlp.AppendString(out, leaf)
+	}
+	return appendRef(out, sn.val)
 }
 
-func (fn *fullNode) item() rlp.Item {
-	items := make([]rlp.Item, 17)
-	for i := 0; i < 16; i++ {
-		if fn.children[i] == nil {
-			items[i] = rlp.String(nil)
-		} else {
-			items[i] = childRef(fn.children[i])
-		}
+// encode measures the branch — sixteen child references and the value
+// slot — and writes it into one buffer of the exact size.
+func (fn *fullNode) encode() []byte {
+	value, _ := fn.children[16].(valueNode)
+	size := rlp.StringSize(value)
+	for _, child := range fn.children[:16] {
+		size += refSize(child)
 	}
-	if v, ok := fn.children[16].(valueNode); ok {
-		items[16] = rlp.String(v)
-	} else {
-		items[16] = rlp.String(nil)
+	out := rlp.AppendListHeader(make([]byte, 0, rlp.ListSize(size)), size)
+	for _, child := range fn.children[:16] {
+		out = appendRef(out, child)
 	}
-	return rlp.List(items...)
+	return rlp.AppendString(out, value)
 }
 
-// childRef produces the parent-embedded reference to a child node. Per
-// the MPT spec, a child whose encoding is >= 32 bytes is replaced by its
-// Keccak hash (memoized alongside the encoding); smaller encodings are
-// spliced in verbatim.
-func childRef(n node) rlp.Item {
-	// An unresolved reference already IS the by-hash ref — no store
-	// round-trip needed to re-embed it in a fresh parent.
-	if h, ok := n.(hashNode); ok {
-		return rlp.String(h[:])
-	}
-	enc := encoding(n)
-	if len(enc) < 32 {
-		return rlp.Raw(enc)
-	}
+// embedLimit is the encoded size from which a child is referenced by its
+// Keccak hash instead of being embedded verbatim in its parent (MPT spec).
+const embedLimit = len(types.Hash{})
+
+// refSize returns the number of bytes appendRef writes for a child,
+// encoding (and memoizing) the child on the way.
+func refSize(n node) int {
+	var size int
 	switch cur := n.(type) {
+	case nil:
+		return 1
+	case hashNode:
+		size = len(cur)
+	case valueNode:
+		size = rlp.StringSize(cur)
+	case *shortNode, *fullNode:
+		size = len(encoding(cur))
+	}
+	if size < embedLimit {
+		return size
+	}
+	return 1 + len(types.Hash{}) // a 32-byte string
+}
+
+// appendRef appends the parent-embedded reference to a child node,
+// memoizing the child's Keccak alongside its encoding.
+func appendRef(out []byte, n node) []byte {
+	switch cur := n.(type) {
+	case nil:
+		return append(out, 0x80)
+	case hashNode:
+		// An unresolved reference already IS the by-hash ref — no store
+		// round-trip needed to re-embed it in a fresh parent.
+		return rlp.AppendString(out, cur[:])
+	case valueNode:
+		// A bare value in a branch slot (a split 1-nibble leaf): it has no
+		// cache, so a large one is re-hashed by every parent encoding.
+		if rlp.StringSize(cur) < embedLimit {
+			return rlp.AppendString(out, cur)
+		}
+		h := keccak.Sum256(rlp.AppendString(nil, cur))
+		return rlp.AppendString(out, h[:])
 	case *shortNode:
-		return cur.cache.hashRef(enc)
+		return cur.cache.appendRef(out, encoding(cur))
 	case *fullNode:
-		return cur.cache.hashRef(enc)
+		return cur.cache.appendRef(out, encoding(cur))
 	default:
-		h := keccak.Sum256(enc)
-		return rlp.String(h[:])
+		return out
 	}
 }
 
-// hashRef returns the node's by-hash reference, memoizing the Keccak.
-func (c *nodeCache) hashRef(enc []byte) rlp.Item {
+// appendRef appends enc itself when it is small enough to embed, the
+// node's by-hash reference otherwise.
+func (c *nodeCache) appendRef(out, enc []byte) []byte {
+	if len(enc) < embedLimit {
+		return append(out, enc...)
+	}
+	return rlp.AppendString(out, c.hashRef(enc)[:])
+}
+
+// hashRef returns Keccak(enc), memoized.
+func (c *nodeCache) hashRef(enc []byte) *types.Hash {
 	if !c.hashed {
 		keccak.Sum256Into((*[32]byte)(&c.hash), enc)
 		c.hashed = true
 	}
-	return rlp.String(c.hash[:])
+	return &c.hash
 }
 
-// hexPrefixEncode packs a nibble key with the leaf/extension flag per the
-// hex-prefix encoding of the Yellow Paper (Appendix C).
-func hexPrefixEncode(nibbles []byte, isLeaf bool) []byte {
+// appendHexPrefix appends a nibble key packed with the leaf/extension
+// flag per the hex-prefix encoding of the Yellow Paper (Appendix C).
+func appendHexPrefix(out, nibbles []byte, isLeaf bool) []byte {
 	var flag byte
 	if isLeaf {
 		flag = 2
 	}
-	odd := len(nibbles) % 2
-	out := make([]byte, 0, len(nibbles)/2+1)
-	if odd == 1 {
+	if len(nibbles)%2 == 1 {
 		out = append(out, (flag+1)<<4|nibbles[0])
 		nibbles = nibbles[1:]
 	} else {

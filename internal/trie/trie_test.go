@@ -192,19 +192,42 @@ func TestSecureTrie(t *testing.T) {
 	}
 }
 
+// TestGetIgnoresStoredPrefix is the regression for Get answering with the
+// value of a stored key that is a proper prefix of the key asked for.
+func TestGetIgnoresStoredPrefix(t *testing.T) {
+	tr := New()
+	tr.Update([]byte{0x12, 0x34}, []byte("a"))
+	tr.Update([]byte{0x12, 0x35}, []byte("b"))
+	if got := tr.Get([]byte{0x12, 0x34, 0x56}); got != nil {
+		t.Fatalf("Get of an absent extension of a stored key = %q, want nil", got)
+	}
+}
+
 // Reference-model property test: the trie must agree with a plain map and
-// roots must be history-independent.
+// roots must be history-independent. Keys are drawn so that many are
+// prefixes of one another (one to four bytes over a two-letter alphabet
+// per position), and every check also queries absent extensions and
+// absent prefixes of the keys present.
 func TestQuickAgainstMap(t *testing.T) {
 	type op struct {
 		Key    uint16
 		Value  uint16
 		Delete bool
 	}
+	// keyOf maps a draw onto a key of 1..4 bytes: 30 keys in all, each
+	// shorter one a prefix of two of the next length.
+	keyOf := func(draw uint16) string {
+		k := make([]byte, 1+int(draw>>4)%4)
+		for i := range k {
+			k[i] = 0x12 + byte(draw>>i&1)
+		}
+		return string(k)
+	}
 	f := func(ops []op) bool {
 		tr := New()
 		model := map[string]string{}
 		for _, o := range ops {
-			k := fmt.Sprintf("k%04x", o.Key%512)
+			k := keyOf(o.Key)
 			if o.Delete {
 				tr.Delete([]byte(k))
 				delete(model, k)
@@ -221,6 +244,11 @@ func TestQuickAgainstMap(t *testing.T) {
 			if string(tr.Get([]byte(k))) != v {
 				return false
 			}
+			for _, probe := range []string{k + "\x12", k + "\x13\x12", k[:len(k)-1]} {
+				if want, got := model[probe], tr.Get([]byte(probe)); string(got) != want {
+					return false
+				}
+			}
 		}
 		// Rebuild from the final model: root must match (history
 		// independence).
@@ -230,7 +258,7 @@ func TestQuickAgainstMap(t *testing.T) {
 		}
 		return rebuilt.RootHash() == tr.RootHash()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

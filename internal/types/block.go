@@ -29,24 +29,31 @@ type Header struct {
 // ErrBadBlockEncoding reports a malformed block serialization.
 var ErrBadBlockEncoding = errors.New("types: malformed block encoding")
 
-func (h *Header) toItem() rlp.Item {
-	return rlp.List(
-		rlp.String(h.ParentHash[:]),
-		rlp.Uint(h.Number),
-		rlp.String(h.StateRoot[:]),
-		rlp.String(h.TxRoot[:]),
-		rlp.String(h.ReceiptRoot[:]),
-		rlp.String(h.Coinbase[:]),
-		rlp.Uint(h.Difficulty),
-		rlp.Uint(h.GasLimit),
-		rlp.Uint(h.GasUsed),
-		rlp.Uint(h.Time),
-		rlp.Uint(h.PowNonce),
-	)
+// headerMaxSize bounds a header's encoding: four 33-byte hash strings, a
+// 21-byte address string, six integers of at most 9 bytes and a 2-byte
+// list header.
+const headerMaxSize = 2 + 4*33 + 21 + 6*9
+
+// appendRLP appends the header's RLP encoding to out via the flat append
+// path — one buffer, no Item tree.
+func (h *Header) appendRLP(out []byte) []byte {
+	start := len(out)
+	out = rlp.AppendString(out, h.ParentHash[:])
+	out = rlp.AppendUint(out, h.Number)
+	out = rlp.AppendString(out, h.StateRoot[:])
+	out = rlp.AppendString(out, h.TxRoot[:])
+	out = rlp.AppendString(out, h.ReceiptRoot[:])
+	out = rlp.AppendString(out, h.Coinbase[:])
+	out = rlp.AppendUint(out, h.Difficulty)
+	out = rlp.AppendUint(out, h.GasLimit)
+	out = rlp.AppendUint(out, h.GasUsed)
+	out = rlp.AppendUint(out, h.Time)
+	out = rlp.AppendUint(out, h.PowNonce)
+	return wrapList(out, start)
 }
 
 // EncodeRLP serializes the header.
-func (h *Header) EncodeRLP() []byte { return rlp.Encode(h.toItem()) }
+func (h *Header) EncodeRLP() []byte { return h.appendRLP(make([]byte, 0, headerMaxSize)) }
 
 // Hash returns the block hash (Keccak-256 of the RLP header).
 func (h *Header) Hash() Hash { return Keccak(h.EncodeRLP()) }
@@ -124,16 +131,36 @@ func (b *Block) TxRoot() Hash {
 // Number returns the block height.
 func (b *Block) Number() uint64 { return b.Header.Number }
 
-// EncodeRLP serializes header and body.
+// EncodeRLP serializes header and body — the list of the header and the
+// list of the transactions — through the flat append path, in one buffer.
 func (b *Block) EncodeRLP() []byte {
-	txItems := make([]rlp.Item, len(b.Txs))
-	for i, tx := range b.Txs {
-		txItems[i] = rlp.Item(txItem(tx))
+	size := 2*listHeaderMaxSize + headerMaxSize
+	for _, tx := range b.Txs {
+		size += txMaxOverhead + len(tx.Data)
 	}
-	return rlp.Encode(rlp.List(b.Header.toItem(), rlp.List(txItems...)))
+	out := b.Header.appendRLP(make([]byte, 0, size))
+	body := len(out)
+	for _, tx := range b.Txs {
+		out = tx.appendRLP(out)
+	}
+	return wrapList(wrapList(out, body), 0)
 }
 
-func txItem(tx *Transaction) rlp.Item { return tx.toItem() }
+// listHeaderMaxSize is the longest list header: a tag and an 8-byte length.
+const listHeaderMaxSize = 9
+
+// wrapList turns out[start:] — the concatenated encodings of a list's
+// children — into the list, splicing in before them the header whose
+// size depends on theirs.
+func wrapList(out []byte, start int) []byte {
+	payload := len(out) - start
+	var header [listHeaderMaxSize]byte
+	h := rlp.AppendListHeader(header[:0], payload)
+	out = append(out, h...)
+	copy(out[start+len(h):], out[start:start+payload])
+	copy(out[start:], h)
+	return out
+}
 
 // DecodeBlock parses a block from its RLP encoding.
 func DecodeBlock(data []byte) (*Block, error) {

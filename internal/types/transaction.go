@@ -149,27 +149,24 @@ func (tx *Transaction) Hash() Hash {
 }
 
 func (tx *Transaction) computeHash() Hash {
-	payload := tx.appendSigPayload(make([]byte, 0, 192))
-	payload = rlp.AppendString(payload, tx.Sig[:])
-	return Keccak(rlp.AppendList(nil, payload))
+	return Keccak(tx.EncodeRLP())
 }
 
-func (tx *Transaction) toItem() rlp.Item {
-	return rlp.List(
-		rlp.Uint(tx.Nonce),
-		rlp.String(tx.To[:]),
-		rlp.Uint(tx.Value),
-		rlp.Uint(tx.GasPrice),
-		rlp.Uint(tx.GasLimit),
-		rlp.String(tx.Data),
-		rlp.String(tx.From[:]),
-		rlp.String(tx.Sig[:]),
-	)
+// txMaxOverhead bounds a transaction's encoding less its calldata: four
+// integers of at most 9 bytes, two 21-byte addresses, the 33-byte
+// signature, and the list and calldata headers.
+const txMaxOverhead = 4*9 + 2*21 + 33 + 2*listHeaderMaxSize
+
+// appendRLP appends the transaction's RLP encoding — the list of the
+// signed fields and the signature — to out.
+func (tx *Transaction) appendRLP(out []byte) []byte {
+	start := len(out)
+	return wrapList(rlp.AppendString(tx.appendSigPayload(out), tx.Sig[:]), start)
 }
 
 // EncodeRLP serializes the transaction.
 func (tx *Transaction) EncodeRLP() []byte {
-	return rlp.Encode(tx.toItem())
+	return tx.appendRLP(make([]byte, 0, txMaxOverhead+len(tx.Data)))
 }
 
 // DecodeTransaction parses a transaction from its RLP encoding.
