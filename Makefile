@@ -101,17 +101,26 @@ elision-smoke:
 	$(GO) test -race -run 'TestBatchID|TestBroadcastTxsHashCount' ./internal/p2p
 	$(GO) test -race -run 'TestReplayKeccakCount|TestReplayAllocsPinned|TestParallelReplayElidesIdentically' ./internal/scenarios
 
-# order-smoke runs the live-DAG block-assembly suite ten times under the
-# race detector: the tracker's live series, buy index and semantic prefix
-# against the from-snapshot derivation under churn, mark cycles and
-# pinning; Order off the live DAG against the pre-change implementation
-# (-short: 2 x 1000 of the 2 x 6000 churn steps per run), the gas-trim wedge and BuildBlock racing pool churn; the appended-to
-# snapshot cache against an ordered-list model; sereth_series served from
-# the live DAG while batches are admitted and removed.
+# order-smoke runs the block-assembly and settlement suite ten times
+# under the race detector: the tracker's live series, buy index and
+# semantic prefix against the from-snapshot derivation under churn, mark
+# cycles and pinning; the pulled orderings, collected, against the eager
+# slice-in/slice-out implementations they replaced (-short: 2 x 1000 of
+# the 2 x 6000 churn steps per run), Build's bodies and generator
+# positions against the eager ordering and the old trim at random gas
+# limits (-short: 300 of 2400), the nonce repair on long queues, the body
+# a block keeps, the gas-trim wedge and BuildBlock racing pool churn;
+# Pool.Settle against the full sweep on twin pools with trackers attached
+# (-short: 1500 of 6000 steps) and the order of its change feed; the
+# appended-to snapshot cache against an ordered-list model; a node
+# settling blocks while transactions are admitted and views read;
+# sereth_series served from the live DAG while batches are admitted and
+# removed.
 order-smoke:
 	$(GO) test -race -count=10 -run 'TestIncrementalEquivalence|TestConcurrentViewChurn|TestSemanticPrefix|TestBuyIndex' ./internal/hms
-	$(GO) test -race -count=10 -short -run 'TestOrderDifferential|TestRepairNonceOrderMatchesReference|TestMinerSkipsSenderAfterGasMiss|TestBuildBlockRacesPoolChurn' ./internal/miner
-	$(GO) test -race -count=10 -run 'TestSnapshot|TestReAdmitted|TestClear' ./internal/txpool
+	$(GO) test -race -count=10 -short -run 'TestOrderDifferential|TestBuildMatchesReference|TestRepair|TestRestCountMismatchIsNamed|TestBlockDoesNotPinPoolSizedBody|TestMinerSkipsSenderAfterGasMiss|TestBuildBlockRacesPoolChurn' ./internal/miner
+	$(GO) test -race -count=10 -short -run 'TestSettle|TestSnapshot|TestReAdmitted|TestClear' ./internal/txpool
+	$(GO) test -race -count=10 -run 'TestSettleRacesAdmissionsAndViews' ./internal/node
 	$(GO) test -race -count=10 -run 'TestSeries' ./internal/rpc
 
 # serving-smoke runs the persistence and serving-tier suite under the

@@ -38,6 +38,7 @@ func TestRowsMatchCommittedBench(t *testing.T) {
 	deleted := []string{"scale/figure2-sereth/peers-50-mesh-lazy", "keccak/elision-replay-100tx-off"}
 	added := []string{
 		"txpool/snapshot-after-admit-10k", "miner/order-live-pool10k", "miner/order-scratch-pool10k",
+		"miner/build-50-of-pool10k", "txpool/settle-50-of-10k",
 		"statedb/copy-20k-slots", "replay/kv-250tx-on-20k-slots",
 	}
 

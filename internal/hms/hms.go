@@ -374,7 +374,7 @@ func (t *Tracker) buysByInterval(pool []*types.Transaction) map[types.Word][]*ty
 // then each set of the series is followed by the buys that depend on its
 // mark. Only an adversarial mark cycle leads a series back onto the
 // committed mark; that bucket is already placed and is not scheduled
-// twice.
+// twice: the miner counts on a prefix of distinct pool transactions.
 func semanticPrefix(committedMark types.Word, buys map[types.Word][]*types.Transaction, series []*Node) []*types.Transaction {
 	out := append([]*types.Transaction(nil), buys[committedMark]...)
 	for _, n := range series {

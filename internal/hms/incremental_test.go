@@ -499,15 +499,22 @@ func TestSemanticPrefixMarkCycle(t *testing.T) {
 	eb.mark = committed
 	tr.dups[committed] = []*entry{eb}
 	tr.mu.Unlock()
-	if got, live := tr.SemanticPrefix(snap); !live || !slices.Equal(got, want) {
+	got, live := tr.SemanticPrefix(snap)
+	if !live || !slices.Equal(got, want) {
 		t.Fatalf("live prefix over a mark cycle: live=%v, %d txs, want %d", live, len(got), len(want))
+	}
+	// The semantic miner draws its fallback's randomness for len(pending)
+	// - len(prefix) transactions before it looks for them: the prefix
+	// must be distinct transactions of pending, cycle or not.
+	if rest := slices.DeleteFunc(slices.Clone(snap), func(tx *types.Transaction) bool { return slices.Contains(got, tx) }); len(rest) != len(snap)-len(got) {
+		t.Fatalf("the prefix of %d leaves %d of %d pending", len(got), len(rest), len(snap))
 	}
 
 	// From the snapshot: the same forgery on the Process output.
 	nodes := tr.Process(snap)
 	nodes[1].Mark = committed
 	series := tr.Series(nodes)
-	got := semanticPrefix(committed, tr.buysByInterval(snap), series)
+	got = semanticPrefix(committed, tr.buysByInterval(snap), series)
 	if len(series) != 2 || !slices.Equal(got, want) {
 		t.Fatalf("from-snapshot prefix over a mark cycle: series %d, %d txs, want %d", len(series), len(got), len(want))
 	}

@@ -25,8 +25,8 @@ func NewCensor(inner Strategy, targets []types.Address) *Censor {
 	return &Censor{inner: inner, targets: set}
 }
 
-// Order implements Strategy.
-func (c *Censor) Order(pending []*types.Transaction, nextNonce func(types.Address) uint64) []*types.Transaction {
+// Pull implements Strategy: exclusions are made and counted per call, not per pull.
+func (c *Censor) Pull(pending []*types.Transaction, nextNonce func(types.Address) uint64) Cursor {
 	kept := make([]*types.Transaction, 0, len(pending))
 	for _, tx := range pending {
 		if _, hit := c.targets[tx.From]; hit {
@@ -35,7 +35,12 @@ func (c *Censor) Order(pending []*types.Transaction, nextNonce func(types.Addres
 		}
 		kept = append(kept, tx)
 	}
-	return c.inner.Order(kept, nextNonce)
+	return c.inner.Pull(kept, nextNonce)
+}
+
+// Order is Pull collected into a slice.
+func (c *Censor) Order(pending []*types.Transaction, nextNonce func(types.Address) uint64) []*types.Transaction {
+	return collect(c.Pull(pending, nextNonce), len(pending))
 }
 
 // Excluded returns the number of censorship exclusion events (one per

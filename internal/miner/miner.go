@@ -4,12 +4,16 @@
 // §II-C) while respecting per-sender nonce order; the semantic miner
 // (§V-C) orders the block by the Hash-Mark-Set series, interleaving every
 // set with its dependent buys so the interleaving matches the
-// READ-UNCOMMITTED views clients used when submitting.
+// READ-UNCOMMITTED views clients used when submitting. An ordering is a
+// cursor the miner pulls until the block is full, so a block costs what
+// it holds, not what the pool holds.
 package miner
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"sereth/internal/chain"
@@ -18,11 +22,30 @@ import (
 	"sereth/internal/types"
 )
 
-// Strategy orders a pending-pool snapshot into a block body candidate.
-// nextNonce exposes the current account nonces so strategies can avoid
-// proposing gapped bodies.
+// Strategy orders a pending-pool snapshot into a block body candidate,
+// handed over one transaction at a time. nextNonce exposes the current
+// account nonces so strategies can avoid proposing gapped bodies.
+//
+// The pull contract: what a call does to the strategy itself — one jitter
+// per element of the rest per call, a censor's exclusion count — is done
+// when Pull returns, however far the cursor is pulled. Only ranking,
+// sorting and the nonce repair wait for a transaction to need them.
 type Strategy interface {
-	Order(pending []*types.Transaction, nextNonce func(types.Address) uint64) []*types.Transaction
+	Pull(pending []*types.Transaction, nextNonce func(types.Address) uint64) Cursor
+}
+
+// Cursor is an ordering being pulled: Next is nil once it is exhausted.
+type Cursor interface {
+	Next() *types.Transaction
+}
+
+// collect pulls a cursor dry.
+func collect(c Cursor, sizeHint int) []*types.Transaction {
+	out := make([]*types.Transaction, 0, sizeHint)
+	for tx := c.Next(); tx != nil; tx = c.Next() {
+		out = append(out, tx)
+	}
+	return out
 }
 
 // Baseline is the standard-client ordering: highest gas price first,
@@ -58,32 +81,81 @@ func NewBaselineWindow(seed int64, window int) *Baseline {
 	return &Baseline{rng: rand.New(rand.NewSource(seed)), reorderWindow: window}
 }
 
-// Order implements Strategy: sort by (price desc, jittered arrival rank),
+// Pull implements Strategy: sort by (price desc, jittered arrival rank),
 // then repair per-sender nonce order.
+func (b *Baseline) Pull(pending []*types.Transaction, nextNonce func(types.Address) uint64) Cursor {
+	return newRepair(nil, b.draw(pending, nil), nextNonce)
+}
+
+// Order is Pull collected into a slice.
 func (b *Baseline) Order(pending []*types.Transaction, nextNonce func(types.Address) uint64) []*types.Transaction {
-	type ranked struct {
-		tx   *types.Transaction
-		rank float64
-	}
-	rankedTxs := make([]ranked, len(pending))
-	for i, tx := range pending {
-		jitter := 0.0
-		if b.reorderWindow > 0 {
-			jitter = b.rng.Float64() * float64(b.reorderWindow)
+	return collect(b.Pull(pending, nextNonce), len(pending))
+}
+
+type ranked struct {
+	tx   *types.Transaction
+	rank float64
+}
+
+// sorted yields txs less except by (price desc, rank asc), found, ranked
+// and sorted on the first pull: a block that fills first never pays.
+type sorted struct {
+	txs, except []*types.Transaction
+	ranked      []ranked // the ranks draw took; nil for FIFO
+	next        int
+	ready       bool
+}
+
+// draw takes the randomness of ordering pending less except (distinct
+// transactions of pending) before anything is pulled: the generator stands
+// where an eager ordering leaves it. A FIFO miner draws nothing.
+func (b *Baseline) draw(pending, except []*types.Transaction) *sorted {
+	s := &sorted{txs: pending, except: except}
+	if b.reorderWindow > 0 {
+		s.ranked = make([]ranked, len(pending)-len(except))
+		for i := range s.ranked {
+			s.ranked[i].rank = float64(i) + b.rng.Float64()*float64(b.reorderWindow)
 		}
-		rankedTxs[i] = ranked{tx: tx, rank: float64(i) + jitter}
 	}
-	sort.SliceStable(rankedTxs, func(i, j int) bool {
-		if rankedTxs[i].tx.GasPrice != rankedTxs[j].tx.GasPrice {
-			return rankedTxs[i].tx.GasPrice > rankedTxs[j].tx.GasPrice
+	return s
+}
+
+func (s *sorted) Next() *types.Transaction {
+	if !s.ready {
+		s.ready = true
+		// except holds txs' own pointers, so identity finds the rest
+		// without hashing.
+		scheduled := make(map[*types.Transaction]struct{}, len(s.except))
+		for _, tx := range s.except {
+			scheduled[tx] = struct{}{}
 		}
-		return rankedTxs[i].rank < rankedTxs[j].rank
-	})
-	out := make([]*types.Transaction, len(rankedTxs))
-	for i, r := range rankedTxs {
-		out[i] = r.tx
+		if s.ranked == nil { // FIFO: equal ranks, and the sort is stable
+			s.ranked = make([]ranked, len(s.txs)-len(s.except))
+		}
+		rest := 0
+		for _, tx := range s.txs {
+			if _, ok := scheduled[tx]; !ok {
+				if rest < len(s.ranked) {
+					s.ranked[rest].tx = tx
+				}
+				rest++
+			}
+		}
+		if rest != len(s.ranked) {
+			panic(fmt.Sprintf("miner: %d transactions ranked for a rest of %d: the semantic prefix is not distinct transactions of pending", len(s.ranked), rest))
+		}
+		slices.SortStableFunc(s.ranked, func(a, b ranked) int {
+			if a.tx.GasPrice != b.tx.GasPrice {
+				return cmp.Compare(b.tx.GasPrice, a.tx.GasPrice)
+			}
+			return cmp.Compare(a.rank, b.rank)
+		})
 	}
-	return repairNonceOrder(out, nextNonce)
+	if s.next == len(s.ranked) {
+		return nil
+	}
+	s.next++
+	return s.ranked[s.next-1].tx
 }
 
 // Semantic orders the block by the HMS series: buys bound to the
@@ -107,74 +179,90 @@ func NewSemanticWindow(tracker *hms.Tracker, seed int64, window int) *Semantic {
 	return &Semantic{tracker: tracker, fallback: NewBaselineWindow(seed, window)}
 }
 
-// Order implements Strategy. The tracker supplies the semantic prefix —
+// Pull implements Strategy. The tracker supplies the semantic prefix —
 // off its live DAG when pending is the attached pool's current snapshot,
 // from scratch otherwise — and everything else (non-HMS traffic,
 // orphaned sets and buys) follows in baseline order.
-func (m *Semantic) Order(pending []*types.Transaction, nextNonce func(types.Address) uint64) []*types.Transaction {
+//
+// The rest passes two nonce repairs, its own and the whole body's. The
+// inner one knows nothing of the prefix: it discards a rest transaction
+// whose predecessor nonce sits in the prefix as premature, instead of
+// placing it behind its predecessor. Blocks depend on that.
+func (m *Semantic) Pull(pending []*types.Transaction, nextNonce func(types.Address) uint64) Cursor {
 	prefix, _ := m.tracker.SemanticPrefix(pending)
-	rest := pending
-	if len(prefix) > 0 {
-		// The prefix holds pending's own pointers, so identity finds the
-		// rest without hashing.
-		scheduled := make(map[*types.Transaction]struct{}, len(prefix))
-		for _, tx := range prefix {
-			scheduled[tx] = struct{}{}
-		}
-		rest = make([]*types.Transaction, 0, len(pending)-len(prefix))
-		for _, tx := range pending {
-			if _, ok := scheduled[tx]; !ok {
-				rest = append(rest, tx)
-			}
-		}
-	}
-	return repairNonceOrder(append(prefix, m.fallback.Order(rest, nextNonce)...), nextNonce)
+	return newRepair(prefix, newRepair(nil, m.fallback.draw(pending, prefix), nextNonce), nextNonce)
 }
 
-// senderState is repairNonceOrder's per-sender bookkeeping.
+// Order is Pull collected into a slice.
+func (m *Semantic) Order(pending []*types.Transaction, nextNonce func(types.Address) uint64) []*types.Transaction {
+	return collect(m.Pull(pending, nextNonce), len(pending))
+}
+
+// senderState is the nonce repair's per-sender bookkeeping.
 type senderState struct {
 	want     uint64               // next nonce the body may carry
 	deferred []*types.Transaction // premature txs waiting for want
+	unsorted bool                 // deferred has grown since its last sort
 }
 
-// repairNonceOrder enforces the protocol invariant that a block may not
-// contain a sender's transactions out of nonce order or with gaps
-// (§II-C): stale nonces are dropped, premature ones deferred until their
-// predecessors are placed, and unplaceable ones discarded. One
-// address-keyed lookup per transaction: the map holds indices into a
-// slice of value-typed sender states.
-func repairNonceOrder(desired []*types.Transaction, nextNonce func(types.Address) uint64) []*types.Transaction {
-	index := make(map[types.Address]int)
-	var senders []senderState
-	out := make([]*types.Transaction, 0, len(desired))
-	for _, tx := range desired {
-		i, ok := index[tx.From]
-		if !ok {
-			i = len(senders)
-			index[tx.From] = i
-			senders = append(senders, senderState{want: nextNonce(tx.From)})
-		}
-		s := &senders[i]
-		switch {
-		case tx.Nonce > s.want:
-			s.deferred = append(s.deferred, tx)
-			continue
-		case tx.Nonce == s.want:
-			out = append(out, tx)
-			s.want++
-		} // a stale nonce drops silently
-		// Drain any deferred txs unblocked by this placement.
-		for q := s.deferred; len(q) > 0; q = s.deferred {
-			sort.Slice(q, func(i, j int) bool { return q[i].Nonce < q[j].Nonce })
-			if q[0].Nonce != s.want {
-				break
+// repair enforces the protocol invariant that a block may not contain a
+// sender's transactions out of nonce order or with gaps (§II-C): of what
+// it pulls — first, then in — stale nonces are dropped, premature ones
+// deferred until their predecessors are placed, and unplaceable ones
+// discarded. One address-keyed lookup per transaction pulled: the map
+// holds indices into a slice of value-typed sender states.
+type repair struct {
+	first     []*types.Transaction
+	in        Cursor
+	nextNonce func(types.Address) uint64
+	index     map[types.Address]int
+	senders   []senderState
+	draining  int // the sender whose placement may have unblocked deferred txs, or -1
+}
+
+func newRepair(first []*types.Transaction, in Cursor, nextNonce func(types.Address) uint64) *repair {
+	return &repair{first: first, in: in, nextNonce: nextNonce, index: make(map[types.Address]int), draining: -1}
+}
+
+func (r *repair) Next() *types.Transaction {
+	for {
+		if r.draining >= 0 {
+			s := &r.senders[r.draining]
+			if q := s.deferred; len(q) > 0 && q[0].Nonce == s.want {
+				s.want++
+				s.deferred = q[1:]
+				return q[0]
 			}
-			out = append(out, q[0])
-			s.want++
-			s.deferred = q[1:]
+			r.draining = -1
 		}
+		var tx *types.Transaction
+		if len(r.first) > 0 {
+			tx, r.first = r.first[0], r.first[1:]
+		} else if tx = r.in.Next(); tx == nil {
+			return nil
+		}
+		i, ok := r.index[tx.From]
+		if !ok {
+			i = len(r.senders)
+			r.index[tx.From] = i
+			r.senders = append(r.senders, senderState{want: r.nextNonce(tx.From)})
+		}
+		s := &r.senders[i]
+		if tx.Nonce > s.want {
+			s.deferred, s.unsorted = append(s.deferred, tx), true
+			continue
+		}
+		// Drain what this unblocks: one sort per refill, not per drained tx.
+		if q := s.deferred; s.unsorted {
+			sort.Slice(q, func(i, j int) bool { return q[i].Nonce < q[j].Nonce })
+			s.unsorted = false
+		}
+		r.draining = i
+		if tx.Nonce == s.want {
+			s.want++
+			return tx
+		} // a stale nonce drops silently
 	}
-	return out
 }
 
 // PendingSource is the pool view a miner consumes.
@@ -236,32 +324,33 @@ func (m *Miner) Build(timestamp uint64) (*types.Block, *chain.ExecResult, error)
 	} else {
 		pending = m.pool.Pending()
 	}
-	ordered := m.strategy.Order(pending, state.GetNonce)
-
 	// Trim to the block gas limit using the declared per-tx limits. Once
 	// a sender's transaction does not fit, their later ones would leave a
-	// nonce gap and are skipped with it.
+	// nonce gap and are skipped with it. The ordering is pulled while the
+	// smallest pending GasLimit still fits: it bounds whatever the cursor
+	// has left and budget only grows, so past that point nothing is placed,
+	// which is where the eager trim's first-miss rule stopped. Only a block
+	// full in that sense — against every pending transaction, censored and
+	// unplaceable ones included — costs O(block).
 	limit := m.chain.Config().GasLimit
-	var budget uint64
-	var gapped map[types.Address]struct{} // senders with a tx skipped for gas
-	body := make([]*types.Transaction, 0, len(ordered))
-	for i, tx := range ordered {
+	minGas := ^uint64(0)
+	for _, tx := range pending {
+		minGas = min(minGas, tx.GasLimit)
+	}
+	// The block keeps body's backing array: size it by what can fit.
+	body := make([]*types.Transaction, 0, min(uint64(len(pending)), limit/max(minGas, 1)))
+	ordering := m.strategy.Pull(pending, state.GetNonce)
+	var budget uint64                          // <= limit
+	gapped := make(map[types.Address]struct{}) // senders with a tx skipped for gas
+	for minGas <= limit-budget {
+		tx := ordering.Next()
+		if tx == nil {
+			break
+		}
 		if _, gap := gapped[tx.From]; gap {
 			continue
 		}
-		if budget+tx.GasLimit > limit {
-			if gapped == nil {
-				// The first miss: when nothing behind it fits either — a
-				// full block over a deep pool — the body is complete.
-				smallest := tx.GasLimit
-				for _, later := range ordered[i+1:] {
-					smallest = min(smallest, later.GasLimit)
-				}
-				if budget+smallest > limit {
-					break
-				}
-				gapped = make(map[types.Address]struct{})
-			}
+		if tx.GasLimit > limit-budget {
 			gapped[tx.From] = struct{}{}
 			continue
 		}

@@ -1,10 +1,12 @@
 package miner
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -20,7 +22,8 @@ import (
 // supplied the prefix: the whole DAG re-derived from pending, every
 // membership question asked of a tx.Hash()-keyed map. It is the oracle
 // the live and the from-snapshot paths must both reproduce pointer for
-// pointer, RNG draw for RNG draw.
+// pointer, RNG draw for RNG draw. Every stage under it is eager, slice in
+// and slice out, as the miner ran them before orderings were pulled.
 func referenceOrder(tr *hms.Tracker, fallback *Baseline, pending []*types.Transaction, nextNonce func(types.Address) uint64) []*types.Transaction {
 	series := tr.SeriesOf(pending)
 	buys := make(map[types.Word][]*types.Transaction)
@@ -53,8 +56,99 @@ func referenceOrder(tr *hms.Tracker, fallback *Baseline, pending []*types.Transa
 			rest = append(rest, tx)
 		}
 	}
-	add(fallback.Order(rest, nextNonce)...)
+	add(referenceBaseline(fallback, rest, nextNonce)...)
 	return referenceRepair(out, nextNonce)
+}
+
+// referenceBaseline is Baseline.Order before it was a cursor, verbatim:
+// it draws from b's generator and sorts at once.
+func referenceBaseline(b *Baseline, pending []*types.Transaction, nextNonce func(types.Address) uint64) []*types.Transaction {
+	type ranked struct {
+		tx   *types.Transaction
+		rank float64
+	}
+	rankedTxs := make([]ranked, len(pending))
+	for i, tx := range pending {
+		jitter := 0.0
+		if b.reorderWindow > 0 {
+			jitter = b.rng.Float64() * float64(b.reorderWindow)
+		}
+		rankedTxs[i] = ranked{tx: tx, rank: float64(i) + jitter}
+	}
+	sort.SliceStable(rankedTxs, func(i, j int) bool {
+		if rankedTxs[i].tx.GasPrice != rankedTxs[j].tx.GasPrice {
+			return rankedTxs[i].tx.GasPrice > rankedTxs[j].tx.GasPrice
+		}
+		return rankedTxs[i].rank < rankedTxs[j].rank
+	})
+	out := make([]*types.Transaction, len(rankedTxs))
+	for i, r := range rankedTxs {
+		out[i] = r.tx
+	}
+	return referenceRepair(out, nextNonce)
+}
+
+// referenceTrim is Build's gas trim before it pulled its ordering,
+// verbatim: the whole ordering in hand, it stops at the first miss when
+// nothing behind the miss fits either.
+func referenceTrim(ordered []*types.Transaction, limit uint64) []*types.Transaction {
+	var budget uint64
+	var gapped map[types.Address]struct{} // senders with a tx skipped for gas
+	body := make([]*types.Transaction, 0, len(ordered))
+	for i, tx := range ordered {
+		if _, gap := gapped[tx.From]; gap {
+			continue
+		}
+		if budget+tx.GasLimit > limit {
+			if gapped == nil {
+				smallest := tx.GasLimit
+				for _, later := range ordered[i+1:] {
+					smallest = min(smallest, later.GasLimit)
+				}
+				if budget+smallest > limit {
+					break
+				}
+				gapped = make(map[types.Address]struct{})
+			}
+			gapped[tx.From] = struct{}{}
+			continue
+		}
+		budget += tx.GasLimit
+		body = append(body, tx)
+	}
+	return body
+}
+
+// collectRest pulls a semantic cursor dry and checks what the draw count
+// rests on: the prefix is distinct transactions of pending, so the rest
+// the fallback ranks has len(pending) - len(prefix) of them.
+func collectRest(t *testing.T, cur Cursor, pending []*types.Transaction) []*types.Transaction {
+	t.Helper()
+	body := cur.(*repair)
+	prefix := len(body.first)
+	out := collect(cur, len(pending))
+	if rest, want := len(body.in.(*repair).in.(*sorted).ranked), len(pending)-prefix; rest != want {
+		t.Fatalf("the rest has %d transactions, the fallback drew for %d (pending %d, prefix %d)", rest, want, len(pending), prefix)
+	}
+	return out
+}
+
+// slice is a cursor over a fixed ordering.
+type slice []*types.Transaction
+
+func (s *slice) Next() *types.Transaction {
+	if len(*s) == 0 {
+		return nil
+	}
+	tx := (*s)[0]
+	*s = (*s)[1:]
+	return tx
+}
+
+// repairNonceOrder is the nonce repair collected over a given ordering.
+func repairNonceOrder(desired []*types.Transaction, nextNonce func(types.Address) uint64) []*types.Transaction {
+	in := slice(desired)
+	return collect(newRepair(nil, &in, nextNonce), len(desired))
 }
 
 // referenceRepair is repairNonceOrder before it kept one value-typed
@@ -149,7 +243,7 @@ func (c *marketChurn) interval(committed types.Word) types.Word {
 // submit signs data as sender s's next transaction — now and then out
 // of order or on a nonce already used — and offers it to the pool.
 func (c *marketChurn) submit(s int, to types.Address, price uint64, data []byte) {
-	tx := &types.Transaction{Nonce: c.next[s], From: addr(byte(s + 1)), To: to, GasPrice: price, GasLimit: 100, Data: data}
+	tx := &types.Transaction{Nonce: c.next[s], From: addr(byte(s + 1)), To: to, GasPrice: price, GasLimit: churnGas(s, c.next[s]), Data: data}
 	switch r := c.rng.Intn(16); {
 	case r == 0 && messy(tx.From): // skip a nonce: everything behind the gap must wait
 		c.holes[s] = append(c.holes[s], c.next[s])
@@ -164,6 +258,16 @@ func (c *marketChurn) submit(s int, to types.Address, price uint64, data []byte)
 		c.next[s]++
 	}
 	c.admit(tx)
+}
+
+// churnGas spreads declared gas limits over 100..500, and now and then
+// 5000 — more than most of the block limits TestBuildMatchesReference
+// draws — without touching the churn's random stream.
+func churnGas(s int, nonce uint64) uint64 {
+	if k := (uint64(s)*7 + nonce*13) % 23; k < 22 {
+		return 100 * (1 + k%5)
+	}
+	return 5000
 }
 
 func (c *marketChurn) admit(tx *types.Transaction) {
@@ -218,14 +322,17 @@ func (c *marketChurn) step(committed types.Word) {
 		}
 	default: // a block lands: the sender's next-in-line leaves, the account moves, stale txs go
 		from := addr(byte(s + 1))
+		var block []*types.Transaction
 		for i, tx := range c.live {
 			if tx.From == from && tx.Nonce == c.accounts[from] {
-				c.remove(i, &c.mined)
+				block = []*types.Transaction{tx}
+				c.mined = append(c.mined, tx)
+				c.live = slices.Delete(c.live, i, i+1)
 				c.accounts[from]++
 				break
 			}
 		}
-		c.pool.RemoveStale(c.nonceOf)
+		c.pool.Settle(block, c.nonceOf)
 		c.live = slices.DeleteFunc(c.live, func(tx *types.Transaction) bool { return tx.Nonce < c.accounts[tx.From] })
 	}
 }
@@ -235,7 +342,10 @@ func (c *marketChurn) step(committed types.Word) {
 // off the live DAG, from the snapshot on a standalone tracker, and with
 // the pre-change implementation. The three bodies must be the same
 // pointers in the same order — which also holds their RNG streams in
-// lockstep — bare and behind a Censor, with ExtendHeads on and off.
+// lockstep — bare and behind a Censor, with ExtendHeads on and off, and
+// once more for a FIFO miner (window 0), which draws nothing and ranks
+// only when pulled. Every semantic ordering also checks that the rest is
+// as long as the fallback drew for.
 func TestOrderDifferential(t *testing.T) {
 	const window, seed = 8, 77
 	steps := 6000
@@ -257,6 +367,7 @@ func TestOrderDifferential(t *testing.T) {
 			targets := []types.Address{addr(2), addr(5)}
 			liveCensor := NewCensor(NewSemanticWindow(inc, seed+1, window), targets)
 			oracleCensor := NewBaselineWindow(seed+1, window)
+			liveFIFO, oracleFIFO := NewSemanticWindow(inc, seed, 0), NewBaselineWindow(seed, 0)
 
 			ch := newMarketChurn(seed, pool)
 			var committed types.AMV
@@ -278,17 +389,20 @@ func TestOrderDifferential(t *testing.T) {
 				}
 				want := referenceOrder(ref, oracle, snap, ch.nonceOf)
 				ordered += len(want)
-				if got := live.Order(snap, ch.nonceOf); !slices.Equal(got, want) {
+				if got := collectRest(t, live.Pull(snap, ch.nonceOf), snap); !slices.Equal(got, want) {
 					t.Fatalf("step %d: live order differs from the reference (%d vs %d txs, pool %d)", step, len(got), len(want), len(snap))
 				}
-				if got := scratch.Order(snap, ch.nonceOf); !slices.Equal(got, want) {
+				if got := collectRest(t, scratch.Pull(snap, ch.nonceOf), snap); !slices.Equal(got, want) {
 					t.Fatalf("step %d: from-snapshot order differs from the reference", step)
+				}
+				if got := liveFIFO.Order(snap, ch.nonceOf); !slices.Equal(got, referenceOrder(ref, oracleFIFO, snap, ch.nonceOf)) {
+					t.Fatalf("step %d: FIFO order differs from the reference", step)
 				}
 				kept := slices.DeleteFunc(slices.Clone(snap), func(tx *types.Transaction) bool {
 					return slices.Contains(targets, tx.From)
 				})
 				want = referenceOrder(ref, oracleCensor, kept, ch.nonceOf)
-				if got := liveCensor.Order(snap, ch.nonceOf); !slices.Equal(got, want) {
+				if got := collectRest(t, liveCensor.Pull(snap, ch.nonceOf), kept); !slices.Equal(got, want) {
 					t.Fatalf("step %d: censored order differs from the reference", step)
 				}
 			}
@@ -408,4 +522,198 @@ func TestBuildBlockRacesPoolChurn(t *testing.T) {
 		t.Errorf("BuildBlock under churn: %v", err)
 	}
 	wg.Wait()
+}
+
+// TestBuildMatchesReference churns the same market and, at every step,
+// builds a block three ways — Baseline, Semantic, Semantic behind a
+// Censor — on a chain whose gas limit is drawn to fit nothing, exactly
+// one transaction, a part of the pool or all of it, over per-transaction
+// limits that now and then exceed the block's (the over-limit wedge) and
+// senders gapped by a miss. Each body must be the eager reference's: the
+// whole ordering, then the old trim. Each strategy's generator must also
+// stand where its eager twin's stands after every call, however early
+// the block filled: one draw from each after every build says so.
+func TestBuildMatchesReference(t *testing.T) {
+	const window, seed = 8, 91
+	steps := 2400
+	if testing.Short() {
+		steps = 300 // order-smoke repeats it ten times under the race detector
+	}
+	pool := txpool.New()
+	inc, ref := tracker(), tracker()
+	inc.Attach(pool)
+	targets := []types.Address{addr(2), addr(5)}
+
+	baseline := NewBaselineWindow(seed, window)
+	semantic, censored := NewSemanticWindow(inc, seed+1, window), NewSemanticWindow(inc, seed+2, window)
+	cases := []struct {
+		name     string
+		strategy Strategy
+		built    *Baseline // the generator Build draws from
+		eager    *Baseline // its twin, driven through the reference
+		semantic bool
+		censor   bool
+	}{
+		{"baseline", baseline, baseline, NewBaselineWindow(seed, window), false, false},
+		{"semantic", semantic, semantic.fallback, NewBaselineWindow(seed+1, window), true, false},
+		{"censor", NewCensor(censored, targets), censored.fallback, NewBaselineWindow(seed+2, window), true, true},
+	}
+
+	ch := newMarketChurn(seed, pool)
+	limits := rand.New(rand.NewSource(seed))
+	var committed types.AMV
+	early, empty, single, full, wedged := 0, 0, 0, 0, 0
+	for step := 0; step < steps; step++ {
+		ch.step(committed.Mark)
+		if ch.rng.Intn(30) == 0 {
+			committed = types.AMV{Mark: ch.interval(committed.Mark)}
+			inc.SetCommitted(committed)
+			ref.SetCommitted(committed)
+		}
+		snap, _ := pool.Snapshot()
+		var total uint64
+		for _, tx := range snap {
+			total += tx.GasLimit
+		}
+		var limit uint64
+		switch r := limits.Intn(10); {
+		case r == 0:
+			limit = uint64(limits.Intn(100)) // fits nothing
+		case r == 1 && len(snap) > 0:
+			limit = snap[limits.Intn(len(snap))].GasLimit // fits one of some, none of others
+		case r == 2:
+			limit = total // fits every pending transaction
+		default:
+			limit = uint64(limits.Intn(int(total/2) + 1))
+		}
+		st := statedb.New()
+		for a, n := range ch.accounts {
+			st.SetNonce(a, n)
+		}
+		c := chain.New(chain.Config{GasLimit: limit}, st)
+
+		for _, tc := range cases {
+			pending := snap
+			if tc.censor {
+				pending = slices.DeleteFunc(slices.Clone(snap), func(tx *types.Transaction) bool {
+					return slices.Contains(targets, tx.From)
+				})
+			}
+			var ordered []*types.Transaction
+			if tc.semantic {
+				ordered = referenceOrder(ref, tc.eager, pending, ch.nonceOf)
+			} else {
+				ordered = referenceBaseline(tc.eager, pending, ch.nonceOf)
+			}
+			want := referenceTrim(ordered, limit)
+			block, err := NewMiner(c, pool, tc.strategy, addr(0xee)).BuildBlock(uint64(step + 1))
+			if err != nil {
+				t.Fatalf("step %d, %s, limit %d: %v", step, tc.name, limit, err)
+			}
+			if !slices.Equal(block.Txs, want) {
+				t.Fatalf("step %d, %s, limit %d: body of %d txs, the reference trims to %d (ordering %d, pool %d)",
+					step, tc.name, limit, len(block.Txs), len(want), len(ordered), len(snap))
+			}
+			if got, want := tc.built.rng.Float64(), tc.eager.rng.Float64(); got != want {
+				t.Fatalf("step %d, %s: the generator left the eager one's position (drew %v, want %v)", step, tc.name, got, want)
+			}
+			if tc.name != "semantic" {
+				continue
+			}
+			switch {
+			case len(want) == 0 && len(ordered) > 0:
+				empty++
+			case len(want) == 1:
+				single++
+			case len(want) == len(ordered):
+				full++
+			}
+			if len(want) < len(ordered) {
+				early++
+			}
+			if slices.ContainsFunc(ordered, func(tx *types.Transaction) bool { return tx.GasLimit > limit }) && len(want) > 0 {
+				wedged++
+			}
+		}
+	}
+	t.Logf("%d steps: %d bodies shorter than their ordering, %d empty, %d of one tx, %d whole, %d around an over-limit tx", steps, early, empty, single, full, wedged)
+	if early < steps/2 || empty < steps/50 || single < steps/100 || full < steps/50 || wedged < steps/20 {
+		t.Fatal("the limits no longer exercise the trim")
+	}
+}
+
+// deepQueue is a 10 000-transaction pool of 100 senders' queues, 100
+// deep each, under a chain whose blocks fit 50 of them.
+func deepQueue(t *testing.T, strategy Strategy) (*Miner, *txpool.Pool) {
+	t.Helper()
+	pool := txpool.New()
+	for nonce := uint64(0); nonce < 100; nonce++ {
+		for sender := byte(1); sender <= 100; sender++ {
+			if err := pool.Add(rawTx(sender, nonce, 10)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	c := chain.New(chain.Config{GasLimit: 50 * 50_000}, statedb.New())
+	return NewMiner(c, pool, strategy, addr(0xee)), pool
+}
+
+// TestBlockDoesNotPinPoolSizedBody: a block keeps its body's backing
+// array for as long as the chain keeps the block. Sized by the ordering,
+// a 50-transaction block over a 10 000-transaction pool held 80 KB.
+func TestBlockDoesNotPinPoolSizedBody(t *testing.T) {
+	m, _ := deepQueue(t, NewBaselineWindow(1, 0))
+	block, err := m.BuildBlock(15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(block.Txs) != 50 || cap(block.Txs) > 2*len(block.Txs) {
+		t.Fatalf("a block of %d txs holds an array of %d", len(block.Txs), cap(block.Txs))
+	}
+}
+
+// TestRepairLongQueueIsNotQuadratic: one sender's 8000 transactions in
+// descending nonce order all wait for the last. The repair used to sort
+// the sender's whole queue again for every transaction it drained — 4x
+// the time per doubling, seconds at the pool's capacity, on every miner,
+// at any signer's wish. Each of those sorts allocated (sort.Slice's
+// closure and swapper), so allocations count them without a clock: they
+// must not grow with the queue.
+func TestRepairLongQueueIsNotQuadratic(t *testing.T) {
+	const n = 8000
+	desired := make([]*types.Transaction, n)
+	for i := range desired {
+		desired[i] = rawTx(1, uint64(n-1-i), 10)
+	}
+	var out []*types.Transaction
+	allocs := testing.AllocsPerRun(1, func() { out = repairNonceOrder(desired, zeroNonces) })
+	if len(out) != n || !slices.IsSortedFunc(out, func(a, b *types.Transaction) int { return cmp.Compare(a.Nonce, b.Nonce) }) {
+		t.Fatalf("repaired %d of %d", len(out), n)
+	}
+	if allocs > 64 {
+		t.Fatalf("%v allocations to repair one sender's %d-deep queue: one sort per drained transaction", allocs, n)
+	}
+}
+
+// TestRestCountMismatchIsNamed: the fallback's jitters are drawn for
+// len(pending) - len(prefix) transactions before the rest is looked for. A
+// prefix that repeats a transaction, or holds one that is not pending,
+// must fail by naming that, not with an index out of range in the sort.
+func TestRestCountMismatchIsNamed(t *testing.T) {
+	pending := []*types.Transaction{rawTx(1, 0, 10), rawTx(2, 0, 10), rawTx(3, 0, 10)}
+	for name, prefix := range map[string][]*types.Transaction{
+		"repeated":    {pending[0], pending[0]},
+		"not pending": {rawTx(4, 0, 10)},
+	} {
+		for _, window := range []int{0, 8} {
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.Contains(msg, "distinct transactions of pending") {
+						t.Errorf("%s prefix, window %d: recovered %q", name, window, msg)
+					}
+				}()
+				NewBaselineWindow(1, window).draw(pending, prefix).Next()
+			}()
+		}
+	}
 }

@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"sync"
 
 	"sereth/internal/asm"
@@ -515,16 +514,10 @@ func (n *Node) importBlock(block *types.Block, built *chain.ExecResult) error {
 // orphan loss occurs: pending successors of just-committed marks lose
 // their in-pool parents (§V-C).
 func (n *Node) settlePool(blocks ...*types.Block) {
-	var hashes []types.Hash
-	for _, b := range blocks {
-		hashes = slices.Grow(hashes, len(b.Txs))
-		for _, tx := range b.Txs {
-			hashes = append(hashes, tx.Hash())
-		}
-	}
-	n.pool.Remove(hashes)
 	n.chain.ReadState(func(st *statedb.StateDB) {
-		n.pool.RemoveStale(st.GetNonce)
+		for _, b := range blocks {
+			n.pool.Settle(b.Txs, st.GetNonce)
+		}
 	})
 	n.refreshCommitted()
 }

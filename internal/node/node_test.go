@@ -644,3 +644,72 @@ func TestMineAndBroadcastExecutesOnce(t *testing.T) {
 		t.Fatalf("mining and importing cost %d digests against %d for the build alone: the import replayed", mine, build)
 	}
 }
+
+// TestSettleRacesAdmissionsAndViews mines and settles block after block
+// while one goroutine admits the owner's next sets and another reads
+// snapshots and views. A transaction admitted between a build's snapshot
+// and its settle is behind the pool's settled mark, above the new account
+// nonce, and must survive to the next block: in the end every set is
+// mined and the pool is empty. Run under -race (make order-smoke).
+func TestSettleRacesAdmissionsAndViews(t *testing.T) {
+	f := newFixture(t, Config{Mode: ModeSereth, Miner: MinerSemantic})
+	n := f.nodes[0]
+	const sets = 300
+	txs := make([]*types.Transaction, sets)
+	prev := types.ZeroWord
+	for i := range txs {
+		value := types.WordFromUint64(uint64(100 + i))
+		txs[i] = f.owner.SignTx(&types.Transaction{
+			Nonce: uint64(i), To: contractAddr, GasPrice: 10, GasLimit: 300_000,
+			Data: types.EncodeCall(asm.SelSet, types.FlagChain, prev, value),
+		})
+		prev = types.NextMark(prev, value)
+	}
+	admitted := make(chan struct{})
+	go func() {
+		defer close(admitted)
+		for _, tx := range txs {
+			if _, err := n.Pool().Admit(tx); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	reads := make(chan struct{})
+	go func() {
+		defer close(reads)
+		for {
+			select {
+			case <-admitted:
+				return
+			default:
+				n.Pool().Snapshot()
+				n.ViewAMV(types.Address{}, contractAddr)
+			}
+		}
+	}()
+	mine := func(ts uint64) {
+		if _, err := n.MineAndBroadcast(ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := uint64(1)
+	for done := false; !done; ts++ {
+		select {
+		case <-admitted:
+			done = true
+		default:
+		}
+		mine(ts)
+	}
+	<-reads
+	for ; n.Pool().Len() > 0 && ts < 1000; ts++ {
+		mine(ts)
+	}
+	var nonce uint64
+	n.Chain().ReadState(func(st *statedb.StateDB) { nonce = st.GetNonce(f.owner.Address()) })
+	t.Logf("%d sets in %d blocks", nonce, n.Chain().Height())
+	if n.Pool().Len() != 0 || nonce != sets {
+		t.Fatalf("%d of %d sets mined, %d still pending", nonce, sets, n.Pool().Len())
+	}
+}

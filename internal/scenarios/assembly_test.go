@@ -5,20 +5,27 @@ import (
 	"testing"
 )
 
-// TestBlockAssemblyAllocsPinned pins allocs/op of the three deep-pool
+// TestBlockAssemblyAllocsPinned pins allocs/op of the five deep-pool
 // block-assembly rows, so a drift fails here instead of waiting for
 // someone to diff BENCH files. If a move is intended, update the
 // constants and say so. Measured on go1.24.0.
 //
 // miner/order-live-pool10k: the ten-set series, the prefix, the pointer
-// set, the rest, and Baseline plus two nonce passes over 10 000
-// transactions — tens of allocations, none per transaction. miner/order-scratch-pool10k adds
+// set, and Baseline plus two nonce passes over 10 000 transactions — tens
+// of allocations, none per transaction. miner/order-scratch-pool10k adds
 // one Node per pending set and one bucket per interval (2 000 each) and
 // their growth; it is the same-run twin, pinned so the pair keeps its
 // distance. txpool/snapshot-after-admit-10k is the attached tracker's
 // three allocations for a new set (entry, duplicate list, child list)
-// and nothing for the snapshot. The orderings are pinned to a range of
-// two either side for map growth under the per-process hash seed.
+// and nothing for the snapshot. miner/build-50-of-pool10k is the block a
+// miner builds on that pool: the same prefix and cursors, one body sized
+// by what fits, and the execution of its 50 transactions, which is most
+// of the count — what matters is that nothing in it is per pending
+// transaction. txpool/settle-50-of-10k removes 50 transactions through
+// the tracker's feed, which allocates nothing, and admits them again: the
+// 88 are the tracker's, for ten sets and forty buys coming back, and the
+// batch's. The orderings and the build are pinned to a range either
+// side for map growth under the per-process hash seed.
 func TestBlockAssemblyAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -29,12 +36,20 @@ func TestBlockAssemblyAllocsPinned(t *testing.T) {
 	step := SnapshotAfterAdmit()
 	step() // the admission behind a rebuild grows the exactly-sized slice
 	admit := testing.AllocsPerRun(1000, step)
-	t.Logf("order-live %v, order-scratch %v, snapshot-after-admit %v allocs", live, scratch, admit)
+	build := testing.AllocsPerRun(20, BuildDeepPool())
+	settle := testing.AllocsPerRun(100, SettleDeepPool())
+	t.Logf("order-live %v, order-scratch %v, snapshot-after-admit %v, build %v, settle %v allocs", live, scratch, admit, build, settle)
 	if live < 56 || live > 60 {
 		t.Errorf("miner/order-live-pool10k: %v allocs per ordering, pinned 58 +- 2", live)
 	}
 	if scratch < 10_186 || scratch > 10_190 {
 		t.Errorf("miner/order-scratch-pool10k: %v allocs per ordering, pinned 10188 +- 2", scratch)
+	}
+	if build < 504 || build > 516 {
+		t.Errorf("miner/build-50-of-pool10k: %v allocs per block, pinned 510 +- 6", build)
+	}
+	if settle != 88 {
+		t.Errorf("txpool/settle-50-of-10k: %v allocs per settle and re-admission, pinned 88", settle)
 	}
 	if admit != 3 {
 		t.Errorf("txpool/snapshot-after-admit-10k: %v allocs per admission and snapshot, pinned 3", admit)

@@ -68,6 +68,8 @@ func Benches() []Bench {
 		Bench{"txpool/snapshot-after-admit-10k", benchStep(SnapshotAfterAdmit)},
 		Bench{"miner/order-live-pool10k", benchStep(func() func() { return OrderDeepPool(true) })},
 		Bench{"miner/order-scratch-pool10k", benchStep(func() func() { return OrderDeepPool(false) })},
+		Bench{"miner/build-50-of-pool10k", benchStep(BuildDeepPool)},
+		Bench{"txpool/settle-50-of-10k", benchStep(SettleDeepPool)},
 		Bench{"evm/interp-100op", benchInterp100Op},
 		Bench{"statedb/journal-churn", benchJournalChurn},
 		Bench{"statedb/copy-20k-slots", benchStep(CopyGrownState)},
@@ -362,7 +364,8 @@ func SnapshotAfterAdmit() func() {
 // runs it): off the attached tracker's live DAG, or — the same-run twin —
 // on a standalone tracker that re-derives the DAG from the snapshot, the
 // path any slice other than the attached pool's current snapshot takes.
-// Both return the same 10 050 transactions, the live ones first.
+// Both collect all 10 050 transactions, the live ones first, which no
+// block on this pool pulls: a miner pays miner/build-50-of-pool10k.
 func OrderDeepPool(live bool) func() {
 	pool, tracker := DeepPool()
 	if !live {
@@ -375,6 +378,40 @@ func OrderDeepPool(live bool) func() {
 		if out := order.Order(snap, nonces); len(out) != len(snap) || out[49].GasPrice != 10 || out[50].GasPrice != 1 {
 			panic(fmt.Sprintf("ordered %d of %d", len(out), len(snap)))
 		}
+	}
+}
+
+// BuildDeepPool is the miner/build-50-of-pool10k step, what a miner pays
+// for a block on the deep pool: the 50 live transactions are the prefix
+// and fill it, the 10 000 behind them are never ranked. Nothing is
+// inserted, so every step builds the same block.
+func BuildDeepPool() func() {
+	pool, tracker := DeepPool()
+	genesis := statedb.New()
+	genesis.SetCode(BenchContract, asm.SerethContract())
+	c := chain.New(chain.Config{GasLimit: 50 * 300_000}, genesis)
+	m := miner.NewMiner(c, pool, miner.NewSemanticWindow(tracker, 1, 0), types.Address{0: 0xee})
+	return func() {
+		if block, err := m.BuildBlock(15); err != nil || len(block.Txs) != 50 || block.Txs[49].GasPrice != 10 {
+			panic(fmt.Sprintf("built %v, %v", block, err))
+		}
+	}
+}
+
+// SettleDeepPool is the txpool/settle-50-of-10k step, what a peer pays
+// when a block lands on the deep pool: the 50 live transactions leave
+// through the attached tracker, past 10 000 residents Settle must not
+// visit, and are admitted again, already frozen, for the next step.
+func SettleDeepPool() func() {
+	pool, _ := DeepPool()
+	snap, _ := pool.Snapshot()
+	block := snap[len(snap)-50:]
+	return func() {
+		pool.Settle(block, func(types.Address) uint64 { return 0 })
+		if pool.Len() != len(snap)-50 {
+			panic(fmt.Sprintf("%d pending after the block, want %d", pool.Len(), len(snap)-50))
+		}
+		pool.AdmitBatch(block)
 	}
 }
 

@@ -80,6 +80,7 @@ type Pool struct {
 	// transaction appears once, at its new position, and reading the
 	// pending set in order is a pointer scan.
 	arrival  []*types.Transaction
+	settled  int                // arrival[settled:] was admitted since the last Settle
 	slot     map[types.Hash]int // every live hash's slot in arrival
 	bySender map[types.Address]map[uint64]types.Hash
 	validate Validator
@@ -419,19 +420,40 @@ func (p *Pool) Remove(hashes []types.Hash) {
 	}
 }
 
-// RemoveStale drops every transaction whose nonce is below the sender's
-// current account nonce (it can never be included).
-func (p *Pool) RemoveStale(nonceOf func(types.Address) uint64) {
+// Settle drops an adopted block's transactions and what they left stale:
+// a nonce below its sender's account nonce (nonceOf, after the block) can
+// never be included. It does not sweep: with every adoption settled, a
+// sweep finds two kinds of stale transaction the last settle did not. One
+// holds a (sender, nonce) slot a block transaction consumed — an account
+// nonce passes a nonce only that way — found by one lookup per included
+// transaction. The other was admitted since, already stale (late gossip
+// of a mined transaction): arrival[settled:]. A reorganisation is the
+// same: every nonce from a sender's floor at the attach point to the new
+// floor is a new-branch block transaction's, and a floor that moved down
+// makes nothing stale. Watchers see the included transactions, then the
+// slot competitors, both in block order, then the late arrivals as admitted.
+func (p *Pool) Settle(included []*types.Transaction, nonceOf func(types.Address) uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for sender, nonces := range p.bySender {
-		floor := nonceOf(sender)
-		for nonce, h := range nonces {
-			if nonce < floor {
-				p.removeLocked(h)
-			}
+	for _, tx := range included {
+		p.removeLocked(tx.Hash())
+	}
+	for _, tx := range included {
+		if h, ok := p.bySender[tx.From][tx.Nonce]; ok {
+			p.removeLocked(h)
 		}
 	}
+	// Removing compacts arrival, so the late arrivals are listed first.
+	var late []types.Hash
+	for _, tx := range p.arrival[p.settled:] {
+		if tx != nil && tx.Nonce < nonceOf(tx.From) {
+			late = append(late, tx.Hash())
+		}
+	}
+	for _, h := range late {
+		p.removeLocked(h)
+	}
+	p.settled = len(p.arrival)
 }
 
 // Clear empties the pool, notifying watchers of every eviction in
@@ -440,7 +462,7 @@ func (p *Pool) Clear() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	arrival := p.arrival
-	p.arrival = nil
+	p.arrival, p.settled = nil, 0
 	p.slot = make(map[types.Hash]int)
 	p.bySender = make(map[types.Address]map[uint64]types.Hash)
 	for _, tx := range arrival {
@@ -470,13 +492,17 @@ func (p *Pool) removeLocked(h types.Hash) {
 	// arrival is compacted lazily; drop the nil slots when the slice
 	// grows far past the live set.
 	if len(p.arrival) > 4*len(p.slot)+64 {
-		live := p.arrival[:0]
-		for _, tx := range p.arrival {
+		live, settled := p.arrival[:0], 0
+		for i, tx := range p.arrival {
 			if tx != nil {
+				if i < p.settled {
+					settled++
+				}
 				p.slot[tx.Hash()] = len(live)
 				live = append(live, tx)
 			}
 		}
+		p.settled = settled
 		clear(p.arrival[len(live):])
 		p.arrival = live
 	}

@@ -142,9 +142,9 @@ func TestRemoveAndStale(t *testing.T) {
 		t.Error("Remove failed")
 	}
 	// Account nonce advanced to 2: t0 is stale, t2 still valid.
-	p.RemoveStale(func(a types.Address) uint64 { return 2 })
+	p.Settle(nil, func(a types.Address) uint64 { return 2 })
 	if p.Has(t0.Hash()) || !p.Has(t2.Hash()) {
-		t.Error("RemoveStale wrong")
+		t.Error("Settle left a stale transaction or dropped a valid one")
 	}
 }
 
