@@ -92,14 +92,20 @@ crash-smoke:
 # the keccak invocation-counter contract, the hinted/memoized jump
 # table differentials and fuzz seed corpus against the raw CallGeneric
 # reference, the zero-keccak frozen-instance admission and batch-id
-# assertions, and the golden replay pinned at its absolute digest count
-# with bit-identical receipts (sequential and parallel lanes).
+# assertions, what an admission costs in digests (admitted, bad
+# signature, unknown signer, duplicate) and what a market transaction
+# costs a 3-node mesh from signature to last delivery, and the golden
+# replay pinned at its absolute digest count with bit-identical receipts
+# (sequential and parallel lanes); then it fuzzes the permutation
+# against the loop form for 30 s.
 elision-smoke:
 	$(GO) test -race -run 'TestInvocations' ./internal/keccak
 	$(GO) test -race -run 'TestSha3|TestJumpTableMatchesGeneric|FuzzInterpreter' ./internal/evm
-	$(GO) test -race -run 'TestAdmitAdoptsFrozenInstance|TestNthPoolAdmissionZeroKeccak|TestVerifiedFlagDoesNotSurviveTamper' ./internal/txpool
+	$(GO) test -race -run 'TestAdmitAdoptsFrozenInstance|TestNthPoolAdmissionZeroKeccak|TestVerifiedFlagDoesNotSurviveTamper|TestAdmissionDigestBudget' ./internal/txpool
+	$(GO) test -race -run 'TestSubmitDigestBudget' ./internal/node
 	$(GO) test -race -run 'TestBatchID|TestBroadcastTxsHashCount' ./internal/p2p
 	$(GO) test -race -run 'TestReplayKeccakCount|TestReplayAllocsPinned|TestParallelReplayElidesIdentically' ./internal/scenarios
+	$(GO) test -run '^$$' -fuzz '^FuzzF1600$$' -fuzztime 30s ./internal/keccak
 
 # order-smoke runs the block-assembly and settlement suite ten times
 # under the race detector: the tracker's live series, buy index and

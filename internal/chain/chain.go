@@ -283,24 +283,27 @@ func (c *Chain) InsertBuilt(block *types.Block, built *ExecResult) ([]*types.Rec
 		return nil, err
 	}
 
-	receipts, post, err := c.verifyBlockLocked(head.Header.StateRoot, c.state, block, built)
+	// Hashed once per insert, from the header as it stands, and never kept
+	// on the block: a tampered header must miss the ExecCache.
+	hash := block.Hash()
+	receipts, post, err := c.verifyBlockLocked(head.Header.StateRoot, c.state, block, hash, built)
 	if err != nil {
 		return nil, err
 	}
-	if err := c.adopt(block, receipts, post); err != nil {
+	if err := c.adopt(block, hash, receipts, post); err != nil {
 		return nil, err
 	}
 	return receipts, nil
 }
 
 // verifyBlockLocked validates a block body against its parent state
-// (cache-aware) and returns the resulting receipts and post state. built,
-// when it is the execution of this header on this parent state, is
-// verified in place of a replay and bypasses the cache. It does not check
-// parent linkage, number, or seal — callers do — and does not mutate the
-// chain.
-func (c *Chain) verifyBlockLocked(parentRoot types.Hash, parentState *statedb.StateDB, block *types.Block, built *ExecResult) ([]*types.Receipt, *statedb.StateDB, error) {
-	key := ExecKey{ParentRoot: parentRoot, BlockHash: block.Hash()}
+// (cache-aware) and returns the resulting receipts and post state. hash
+// is block.Hash(), derived by the caller for this call. built, when it is
+// the execution of this header on this parent state, is verified in place
+// of a replay and bypasses the cache. It does not check parent linkage,
+// number, or seal — callers do — and does not mutate the chain.
+func (c *Chain) verifyBlockLocked(parentRoot types.Hash, parentState *statedb.StateDB, block *types.Block, hash types.Hash, built *ExecResult) ([]*types.Receipt, *statedb.StateDB, error) {
+	key := ExecKey{ParentRoot: parentRoot, BlockHash: hash}
 	var res *ExecResult
 	if built.builtFor(block.Header, parentState) {
 		res = built
@@ -384,7 +387,8 @@ func (c *Chain) ImportFork(blocks []*types.Block) (int, error) {
 		return 0, fmt.Errorf("%w: fork attaches above head", ErrUnknownParent)
 	}
 	parent := c.blocks[attach-1-c.base]
-	if first.Header.ParentHash != parent.Hash() {
+	parentHash := parent.Hash()
+	if first.Header.ParentHash != parentHash {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownParent, first.Header.ParentHash.Hex())
 	}
 	tip := fork[len(fork)-1].Number()
@@ -393,19 +397,19 @@ func (c *Chain) ImportFork(blocks []*types.Block) (int, error) {
 	}
 
 	// Validate the whole branch before touching canonical state.
-	parentState, ok := c.posts[parent.Hash()]
+	parentState, ok := c.posts[parentHash]
 	if !ok {
-		return 0, fmt.Errorf("%w: no stored state for %s", ErrUnknownParent, parent.Hash().Hex())
+		return 0, fmt.Errorf("%w: no stored state for %s", ErrUnknownParent, parentHash.Hex())
 	}
 	type validated struct {
+		hash     types.Hash
 		receipts []*types.Receipt
 		post     *statedb.StateDB
 	}
 	results := make([]validated, len(fork))
-	prev := parent
-	prevState := parentState
+	prev, prevHash, prevState := parent, parentHash, parentState
 	for j, b := range fork {
-		if b.Header.ParentHash != prev.Hash() {
+		if b.Header.ParentHash != prevHash {
 			return 0, fmt.Errorf("%w: fork not parent-linked at %d", ErrUnknownParent, b.Number())
 		}
 		if b.Header.Number != prev.Number()+1 {
@@ -414,12 +418,13 @@ func (c *Chain) ImportFork(blocks []*types.Block) (int, error) {
 		if err := c.verifySeal(b.Header); err != nil {
 			return 0, err
 		}
-		receipts, post, err := c.verifyBlockLocked(prev.Header.StateRoot, prevState, b, nil)
+		hash := b.Hash()
+		receipts, post, err := c.verifyBlockLocked(prev.Header.StateRoot, prevState, b, hash, nil)
 		if err != nil {
 			return 0, err
 		}
-		results[j] = validated{receipts: receipts, post: post}
-		prev, prevState = b, post
+		results[j] = validated{hash: hash, receipts: receipts, post: post}
+		prev, prevHash, prevState = b, hash, post
 	}
 
 	// Commit: truncate the losing suffix and splice in the winner. Orphaned
@@ -430,9 +435,9 @@ func (c *Chain) ImportFork(blocks []*types.Block) (int, error) {
 	c.blocks = c.blocks[:attach-c.base]
 	for j, b := range fork {
 		c.blocks = append(c.blocks, b)
-		c.byHash[b.Hash()] = b
-		c.receipts[b.Hash()] = results[j].receipts
-		c.posts[b.Hash()] = results[j].post
+		c.byHash[results[j].hash] = b
+		c.receipts[results[j].hash] = results[j].receipts
+		c.posts[results[j].hash] = results[j].post
 	}
 	c.state = results[len(results)-1].post
 	c.orphaned += uint64(orphaned)
@@ -462,22 +467,22 @@ func (c *Chain) Orphaned() uint64 {
 	return c.orphaned
 }
 
-// adopt appends a validated block. post must be flushed (Root called);
-// it may be shared with other chains and is never mutated in place —
-// every execution copies it first (Process) and reads go through
-// ReadState/State. With a store configured, the block is persisted
-// BEFORE the in-memory adoption so a persist failure leaves memory and
-// disk agreeing on the old head.
-func (c *Chain) adopt(block *types.Block, receipts []*types.Receipt, post *statedb.StateDB) error {
+// adopt appends a validated block under hash, its header's digest. post
+// must be flushed (Root called); it may be shared with other chains and
+// is never mutated in place — every execution copies it first (Process)
+// and reads go through ReadState/State. With a store configured, the
+// block is persisted BEFORE the in-memory adoption so a persist failure
+// leaves memory and disk agreeing on the old head.
+func (c *Chain) adopt(block *types.Block, hash types.Hash, receipts []*types.Receipt, post *statedb.StateDB) error {
 	if c.cfg.Store != nil {
 		if err := c.persistLocked(block, post); err != nil {
 			return fmt.Errorf("chain: persist block %d: %w", block.Number(), err)
 		}
 	}
 	c.blocks = append(c.blocks, block)
-	c.byHash[block.Hash()] = block
-	c.receipts[block.Hash()] = receipts
-	c.posts[block.Hash()] = post
+	c.byHash[hash] = block
+	c.receipts[hash] = receipts
+	c.posts[hash] = post
 	c.state = post
 	return nil
 }

@@ -1,9 +1,54 @@
 package keccak
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
+
+// rotation offsets r[x][y] flattened by the pi step order.
+var rotc = [24]uint{1, 3, 6, 10, 15, 21, 28, 36, 45, 55, 2, 14, 27, 41, 56, 8, 25, 43, 62, 18, 39, 61, 20, 44}
+
+// piln is the pi-step lane permutation.
+var piln = [24]int{10, 7, 11, 17, 18, 3, 5, 16, 8, 21, 24, 4, 15, 23, 19, 13, 12, 2, 20, 14, 22, 9, 6, 1}
+
+// keccakF1600Generic is the readable loop form of the permutation: the
+// reference keccakF1600 is fuzzed against (FuzzF1600) and the baseline
+// row of BenchmarkF1600Generic. Only tests reach it.
+func keccakF1600Generic(st *[25]uint64) {
+	var bc [5]uint64
+	for round := 0; round < 24; round++ {
+		// Theta.
+		for i := 0; i < 5; i++ {
+			bc[i] = st[i] ^ st[i+5] ^ st[i+10] ^ st[i+15] ^ st[i+20]
+		}
+		for i := 0; i < 5; i++ {
+			t := bc[(i+4)%5] ^ bits.RotateLeft64(bc[(i+1)%5], 1)
+			for j := 0; j < 25; j += 5 {
+				st[j+i] ^= t
+			}
+		}
+		// Rho and Pi.
+		t := st[1]
+		for i := 0; i < 24; i++ {
+			j := piln[i]
+			bc[0] = st[j]
+			st[j] = bits.RotateLeft64(t, int(rotc[i]))
+			t = bc[0]
+		}
+		// Chi.
+		for j := 0; j < 25; j += 5 {
+			for i := 0; i < 5; i++ {
+				bc[i] = st[j+i]
+			}
+			for i := 0; i < 5; i++ {
+				st[j+i] ^= (^bc[(i+1)%5]) & bc[(i+2)%5]
+			}
+		}
+		// Iota.
+		st[0] ^= roundConstants[round]
+	}
+}
 
 // stateFromBytes packs up to 200 bytes into a permutation state,
 // zero-filling the remainder (little-endian lanes, matching absorption).

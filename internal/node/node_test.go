@@ -713,3 +713,82 @@ func TestSettleRacesAdmissionsAndViews(t *testing.T) {
 		t.Fatalf("%d of %d sets mined, %d still pending", nonce, sets, n.Pool().Len())
 	}
 }
+
+// TestSubmitDigestBudget counts, not times, what one market transaction
+// costs a 3-node mesh from the client's signature to its last delivery:
+// two digests at the client (signing digest, signature), five at the
+// origin (signing digest, signature check, identity hash, mark,
+// mark-check digest) and none at either recipient, which admit the
+// origin's frozen, flagged instance — seven, each derived once. (Nine
+// while the origin verified the caller's instance, froze a copy and
+// derived the signing digest again, and the first recipient checked the
+// signature once more.) One by one through SubmitTx, then as a batch
+// through SubmitTxs; readings at each delivery come from the network's
+// trace hook, which fires before the recipient's handler runs.
+func TestSubmitDigestBudget(t *testing.T) {
+	f := newFixture(t,
+		Config{Mode: ModeSereth, Miner: MinerSemantic},
+		Config{Mode: ModeSereth},
+		Config{Mode: ModeGeth},
+	)
+	var deliveries []uint64
+	f.net.Trace(func(p2p.TraceEvent) { deliveries = append(deliveries, keccak.Invocations()) })
+
+	// The owner's chain of five sets, unsigned: linking them hashes each
+	// mark, which is the test's cost and not the client's.
+	var unsigned []*types.Transaction
+	prev := types.ZeroWord
+	for nonce := uint64(0); nonce < 5; nonce++ {
+		value := types.WordFromUint64(100 + nonce)
+		flag := types.FlagChain
+		if nonce == 0 {
+			flag = types.FlagHead
+		}
+		unsigned = append(unsigned, &types.Transaction{
+			Nonce: nonce, To: contractAddr, GasPrice: 10, GasLimit: 300_000,
+			Data: types.EncodeCall(asm.SelSet, flag, prev, value),
+		})
+		prev = types.NextMark(prev, value)
+	}
+	// budget runs sign, submit and the deliveries of n transactions and
+	// checks each stage's digests per transaction.
+	budget := func(name string, n uint64, sign func(), submit func() error) {
+		t.Helper()
+		deliveries = deliveries[:0]
+		start := keccak.Invocations()
+		sign()
+		signed := keccak.Invocations()
+		if err := submit(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		submitted := keccak.Invocations()
+		f.net.AdvanceTo(f.net.Now() + 10)
+		end := keccak.Invocations()
+		if len(deliveries) != 2 {
+			t.Fatalf("%s: %d deliveries, want one to each of the two other peers", name, len(deliveries))
+		}
+		client, origin := signed-start, submitted-signed
+		first, second := deliveries[1]-deliveries[0], end-deliveries[1]
+		t.Logf("%s, digests per transaction: client %d, origin %d, first recipient %d, second recipient %d",
+			name, client/n, origin/n, first/n, second/n)
+		if first != 0 || second != 0 {
+			t.Errorf("%s: recipients derived %d and %d digests, want 0", name, first, second)
+		}
+		if total := end - start; total > 7*n {
+			t.Errorf("%s: %d digests for %d market transactions, want at most 7 each", name, total, n)
+		}
+	}
+
+	budget("SubmitTx", 1, func() { f.owner.SignTx(unsigned[0]) },
+		func() error { return f.nodes[0].SubmitTx(unsigned[0]) })
+	budget("SubmitTxs", 4, func() {
+		for _, tx := range unsigned[1:] {
+			f.owner.SignTx(tx)
+		}
+	}, func() error { return f.nodes[0].SubmitTxs(unsigned[1:]) })
+	for i, n := range f.nodes {
+		if n.Pool().Len() != 5 {
+			t.Errorf("node %d holds %d of the 5 transactions", i+1, n.Pool().Len())
+		}
+	}
+}

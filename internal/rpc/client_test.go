@@ -354,7 +354,7 @@ func TestCloseReleasesDescriptors(t *testing.T) {
 // or a reflection pass on either end costs dozens and fails these.
 const (
 	viewRoundTripAllocs = 65 // measured 59
-	sendRoundTripAllocs = 94 // measured 85
+	sendRoundTripAllocs = 77 // measured 70
 )
 
 func TestViewRoundTripAllocs(t *testing.T) {

@@ -148,6 +148,11 @@ func TestTransactionRecordsMatchItemForm(t *testing.T) {
 		if tx.Hash() != types.Keccak(enc) {
 			t.Fatalf("tx %d: Hash is not the Keccak of the record", i)
 		}
+		// The signing digest covers the same list less its last field.
+		fields, _ := txItem(tx).Items()
+		if tx.SigHash() != types.Keccak(rlp.Encode(rlp.List(fields[:7]...))) {
+			t.Fatalf("tx %d: SigHash is not the Keccak of the signed fields' Item form", i)
+		}
 		back, err := types.DecodeTransaction(enc)
 		if err != nil {
 			t.Fatalf("tx %d: DecodeTransaction(EncodeRLP): %v", i, err)

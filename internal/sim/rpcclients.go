@@ -118,19 +118,15 @@ func (s *scenario) submitVia(clientIdx int, tx *types.Transaction) error {
 	return err
 }
 
-// submitSetVia signs and submits the owner's next set through the
-// primary client, building the exact transaction SubmitSetPriced would.
+// submitSetVia signs, memoizes (see buildBuy) and submits the owner's next
+// set through the primary client: the transaction SubmitSetPriced builds.
 func (s *scenario) submitSetVia(clientIdx int, gasPrice uint64, flag, prev, value types.Word) (*types.Transaction, error) {
-	if s.rpc == nil {
-		return s.clients[clientIdx].SubmitSetPriced(
-			s.owner, s.ownerNonce, s.contract, gasPrice, flag, prev, value)
-	}
 	tx := s.owner.SignTx(&types.Transaction{
 		Nonce:    s.ownerNonce,
 		To:       s.contract,
 		GasPrice: gasPrice,
 		GasLimit: 300_000,
 		Data:     types.EncodeCall(asm.SelSet, flag, prev, value),
-	})
+	}).Memoize()
 	return tx, s.submitVia(clientIdx, tx)
 }

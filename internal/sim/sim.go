@@ -1283,7 +1283,9 @@ func (s *scenario) submitSet() error {
 // sequential-history check uses the single sender's locally-tracked
 // chain instead of a remote view). The sender's nonce is read but NOT
 // consumed — callers commit it via commitBuy once the transaction is
-// accepted, so a refused buy never gaps the sender's sequence.
+// accepted, so a refused buy never gaps the sender's sequence. Nothing
+// mutates the transaction after signing, so it is memoized: the client's
+// pool adopts this instance and its hash is derived once.
 func (s *scenario) buildBuy(i int) (clientIdx, buyerIdx int, tx *types.Transaction, err error) {
 	buyerIdx = i % len(s.buyers)
 	key := s.buyers[buyerIdx]
@@ -1320,7 +1322,7 @@ func (s *scenario) buildBuy(i int) (clientIdx, buyerIdx int, tx *types.Transacti
 		GasPrice: gasPrice,
 		GasLimit: 300_000,
 		Data:     types.EncodeCall(asm.SelBuy, flag, mark, value),
-	}), nil
+	}).Memoize(), nil
 }
 
 // commitBuy records an accepted buy: the sender's nonce is consumed and

@@ -76,9 +76,11 @@ type account struct {
 	storageTrie *trie.SecureTrie
 	// enc is the account's RLP encoding as last flushed into the account
 	// trie; flush skips the trie update when the encoding is unchanged
-	// (e.g. after a snapshot/revert cycle). codeHash caches Keccak(code).
+	// (e.g. after a snapshot/revert cycle). codeHash caches Keccak(code);
+	// trieKey Keccak(address), the account trie's key, from the first flush.
 	enc      []byte
 	codeHash *types.Hash
+	trieKey  types.Hash
 	// lazy marks an account materialized from a persisted trie: its
 	// flushed storage is the storage trie itself (see loadSlot), which is
 	// already persistent and shared, so it keeps no generations.
@@ -510,6 +512,7 @@ func (acc *account) copy() *account {
 		gens:     acc.gens,
 		enc:      acc.enc,
 		codeHash: acc.codeHash,
+		trieKey:  acc.trieKey,
 		lazy:     acc.lazy,
 	}
 	if acc.storageTrie != nil {
@@ -551,7 +554,10 @@ func (s *StateDB) flush() {
 			continue
 		}
 		acc.enc = enc
-		s.accTrie.Update(addr[:], enc)
+		if acc.trieKey == (types.Hash{}) {
+			acc.trieKey = types.Keccak(addr[:])
+		}
+		s.accTrie.UpdateHashed(acc.trieKey, enc)
 	}
 	clear(s.dirty)
 }

@@ -572,8 +572,12 @@ func (s *SecureTrie) Get(key []byte) []byte {
 
 // Update stores value under key; empty value deletes.
 func (s *SecureTrie) Update(key, value []byte) {
-	h := keccak.Sum256(key)
-	s.inner.Update(h[:], value)
+	s.UpdateHashed(keccak.Sum256(key), value)
+}
+
+// UpdateHashed is Update for a caller that kept hashed = Keccak(key).
+func (s *SecureTrie) UpdateHashed(hashed types.Hash, value []byte) {
+	s.inner.Update(hashed[:], value)
 }
 
 // Delete removes key.

@@ -1,6 +1,7 @@
 package txpool
 
 import (
+	"errors"
 	"testing"
 
 	"sereth/internal/keccak"
@@ -148,5 +149,90 @@ func TestVerifiedFlagDoesNotSurviveTamper(t *testing.T) {
 	}
 	if n := keccak.Invocations() - before; n != 0 {
 		t.Fatalf("cached re-verify: %d keccak invocations, want 0", n)
+	}
+
+	// The same through the pools: the origin verifies the private copy it
+	// froze, so the instance it hands to gossip carries the flag and a
+	// second pool on the registry admits it for nothing — while a copy of
+	// that very instance with one calldata bit flipped starts from no
+	// digest and no flag, and is refused.
+	validator := WithValidator(reg.VerifyTx)
+	origin, second := New(validator), New(validator)
+	gossiped, err := origin.Admit(frozenSignedTx(key, 1).Copy())
+	if err != nil {
+		t.Fatalf("origin admit: %v", err)
+	}
+	if !gossiped.SigVerifiedBy(reg) {
+		t.Fatal("the instance the origin gossips does not carry the verified flag")
+	}
+	flipped := gossiped.Copy()
+	flipped.Data[len(flipped.Data)-1] ^= 1
+	if flipped.Memoized() || flipped.SigVerifiedBy(reg) {
+		t.Fatal("copy of the flagged instance kept its derived cache")
+	}
+	if _, err := second.Admit(flipped); !errors.Is(err, ErrRejected) {
+		t.Fatalf("bit-flipped copy of a flagged instance: %v, want ErrRejected", err)
+	}
+	before = keccak.Invocations()
+	if _, err := second.Admit(gossiped); err != nil {
+		t.Fatalf("second pool admit: %v", err)
+	}
+	if n := keccak.Invocations() - before; n != 0 {
+		t.Fatalf("second pool admitted the flagged instance for %d keccak invocations, want 0", n)
+	}
+}
+
+// TestAdmissionDigestBudget counts what admitting a caller-owned market
+// transaction costs a pool with a signature validator, in digests: five
+// when it is admitted (signing digest, signature, identity hash, mark,
+// mark-check digest — each once; six while the copy was verified before
+// it was frozen and memoizing derived the signing digest again), two
+// when the signature is bad (no identity hash, no mark), none for an
+// unknown signer, three for a duplicate. One by one and batched.
+func TestAdmissionDigestBudget(t *testing.T) {
+	reg := wallet.NewRegistry()
+	key := wallet.NewKey("elision-budget")
+	reg.Register(key)
+	stranger := wallet.NewKey("elision-stranger")
+	count := func(f func()) uint64 {
+		before := keccak.Invocations()
+		f()
+		return keccak.Invocations() - before
+	}
+	cases := func(nonce uint64) (good, badSig, unknown *types.Transaction) {
+		good = frozenSignedTx(key, nonce).Copy()
+		badSig = frozenSignedTx(key, nonce+1).Copy()
+		badSig.Data[len(badSig.Data)-1] ^= 1
+		return good, badSig, frozenSignedTx(stranger, nonce).Copy()
+	}
+
+	p := New(WithValidator(reg.VerifyTx))
+	good, badSig, unknown := cases(0)
+	var admitted *types.Transaction
+	var err error
+	if n := count(func() { admitted, err = p.Admit(good) }); err != nil || n != 5 {
+		t.Fatalf("admission: %d digests (want 5), err %v", n, err)
+	}
+	if mark, ok := admitted.Mark(); !ok || mark != types.NextMark(types.Word{}, types.WordFromUint64(7)) {
+		t.Fatal("admitted instance does not carry its mark")
+	}
+	if n := count(func() { _, err = p.Admit(badSig) }); !errors.Is(err, ErrRejected) || n != 2 {
+		t.Fatalf("bad signature: %d digests (want 2), err %v", n, err)
+	}
+	if n := count(func() { _, err = p.Admit(unknown) }); !errors.Is(err, ErrRejected) || n != 0 {
+		t.Fatalf("unknown signer: %d digests (want 0), err %v", n, err)
+	}
+	if n := count(func() { _, err = p.Admit(good) }); !errors.Is(err, ErrAlreadyKnown) || n != 3 {
+		t.Fatalf("duplicate: %d digests (want 3), err %v", n, err)
+	}
+
+	fresh, badSig, unknown := cases(10)
+	var errs []error
+	n := count(func() { _, errs = p.AdmitBatch([]*types.Transaction{fresh, badSig, unknown, good}) })
+	if errs[0] != nil || !errors.Is(errs[1], ErrRejected) || !errors.Is(errs[2], ErrRejected) || !errors.Is(errs[3], ErrAlreadyKnown) {
+		t.Fatalf("batch verdicts: %v", errs)
+	}
+	if n != 5+2+0+3 {
+		t.Fatalf("batch of one good, one bad signature, one unknown signer, one duplicate: %d digests, want 10", n)
 	}
 }

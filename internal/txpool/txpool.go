@@ -210,37 +210,48 @@ func (p *Pool) Add(tx *types.Transaction) error {
 
 // Admit is Add returning the pool's memoized instance on success, so
 // callers that immediately gossip the transaction can share the frozen
-// copy instead of re-copying it per recipient.
+// copy instead of re-copying it per recipient. Every digest is derived
+// once, and only when needed: a transaction the validator rejects costs
+// at most its signing digest and the signature check, a duplicate those
+// and the identity hash, and only an admitted one its marks.
 func (p *Pool) Admit(tx *types.Transaction) (*types.Transaction, error) {
-	if p.validate != nil {
-		if err := p.validate(tx); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrRejected, err)
-		}
+	tx, err := p.screen(tx)
+	if err != nil {
+		return nil, err
 	}
-	// The pool's instance is immutable once admitted. An already-frozen
-	// (memoized) transaction — a gossiped pool instance from another
-	// peer — is adopted as-is: it carries its derived data (identity
-	// hash, sig digest, mark, verified-signature flag), so admission is
-	// a cache hit with no copy and no re-derivation, and every pool in
-	// the process shares one frozen instance. A mutable caller-owned
-	// transaction is copied first; only its identity hash is computed up
-	// front (the duplicate check needs it) and the rest is memoized on
-	// the admit path below, so rejected adds don't pay for it.
-	if !tx.Memoized() {
-		tx = tx.Copy()
-	}
-	hash := tx.Hash()
-
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.admitLocked(tx, hash); err != nil {
+	if err := p.admitLocked(tx); err != nil {
 		return nil, err
 	}
 	return tx, nil
 }
 
+// screen returns the instance the pool would keep for tx — validated,
+// frozen, its identity hash derived — without taking the lock. An
+// already-memoized transaction — a gossiped pool instance from another
+// peer — is adopted as-is: it carries its derived data (identity hash,
+// sig digest, mark, verified-signature flag), so admission is a cache hit
+// with no copy and no re-derivation, and every pool in the process shares
+// one frozen instance. Anything else is copied and the copy frozen before
+// the validator sees it: the signing digest the check derives and its
+// verdict stay on the instance the pool keeps and gossips, whatever the
+// caller does to its own meanwhile.
+func (p *Pool) screen(tx *types.Transaction) (*types.Transaction, error) {
+	if !tx.Memoized() {
+		tx = tx.Copy().Freeze()
+	}
+	if p.validate != nil {
+		if err := p.validate(tx); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrRejected, err)
+		}
+	}
+	tx.Hash() // cached on the frozen instance; admitLocked reads it
+	return tx, nil
+}
+
 // AdmitBatch admits a batch of transactions under ONE lock acquisition:
-// validation, copying and identity hashing happen outside the lock, the
+// copying, validation and identity hashing happen outside the lock, the
 // per-transaction admission decisions (duplicate, replacement, capacity)
 // run back-to-back inside it. Results align with txs: admitted[i] is the
 // pool's memoized instance when errs[i] is nil, and nil otherwise.
@@ -250,22 +261,8 @@ func (p *Pool) Admit(tx *types.Transaction) (*types.Transaction, error) {
 func (p *Pool) AdmitBatch(txs []*types.Transaction) (admitted []*types.Transaction, errs []error) {
 	admitted = make([]*types.Transaction, len(txs))
 	errs = make([]error, len(txs))
-	hashes := make([]types.Hash, len(txs))
 	for i, tx := range txs {
-		if p.validate != nil {
-			if err := p.validate(tx); err != nil {
-				errs[i] = fmt.Errorf("%w: %v", ErrRejected, err)
-				continue
-			}
-		}
-		// Frozen instances are adopted without a copy, exactly as in
-		// Admit — for a gossiped batch the hash below is a cached read.
-		cp := tx
-		if !cp.Memoized() {
-			cp = tx.Copy()
-		}
-		hashes[i] = cp.Hash()
-		admitted[i] = cp
+		admitted[i], errs[i] = p.screen(tx)
 	}
 
 	p.mu.Lock()
@@ -273,7 +270,7 @@ func (p *Pool) AdmitBatch(txs []*types.Transaction) (admitted []*types.Transacti
 		if tx == nil {
 			continue // failed validation above
 		}
-		if err := p.admitLocked(tx, hashes[i]); err != nil {
+		if err := p.admitLocked(tx); err != nil {
 			admitted[i], errs[i] = nil, err
 		}
 	}
@@ -281,10 +278,11 @@ func (p *Pool) AdmitBatch(txs []*types.Transaction) (admitted []*types.Transacti
 	return admitted, errs
 }
 
-// admitLocked runs the admission decision for a private, hashed copy:
+// admitLocked runs the admission decision for a screened instance:
 // duplicate and replacement checks, capacity policy, memoization and
 // index insertion, plus the synchronous change feed. Callers hold p.mu.
-func (p *Pool) admitLocked(tx *types.Transaction, hash types.Hash) error {
+func (p *Pool) admitLocked(tx *types.Transaction) error {
+	hash := tx.Hash()
 	if _, known := p.slot[hash]; known {
 		return ErrAlreadyKnown
 	}
@@ -313,9 +311,9 @@ func (p *Pool) admitLocked(tx *types.Transaction, hash types.Hash) error {
 		nonces = make(map[uint64]types.Hash)
 		p.bySender[tx.From] = nonces
 	}
-	// Admitted: freeze the instance so every later Hash/Selector/FPV/Mark
+	// Admitted: derive the marks, so every later Hash/Selector/FPV/Mark
 	// access (views, mining, gossip) is a cached lookup.
-	tx.MemoizeWithHash(hash)
+	tx.Memoize()
 	p.slot[hash] = len(p.arrival)
 	p.arrival = append(p.arrival, tx)
 	nonces[tx.Nonce] = hash

@@ -23,24 +23,29 @@ type Transaction struct {
 	From     Address // sender, bound by the signature
 	Sig      Hash    // deterministic keyed-Keccak signature (see wallet)
 
-	// derived caches immutable per-transaction data (identity hash,
-	// selector, FPV, HMS mark). It is populated by Memoize and dropped by
-	// Copy (copies are mutable); a transaction must not be mutated after
-	// memoization.
+	// derived caches immutable per-transaction data (signing digest,
+	// identity hash, selector, FPV, HMS mark). It is populated by Freeze
+	// and Memoize and dropped by Copy (copies are mutable); a transaction
+	// must not be mutated once frozen.
 	derived *txDerived
 }
 
-// txDerived holds data computed once from a frozen transaction. All
-// fields are written before the pointer is published and never after,
+// txDerived holds data computed once from a frozen transaction: Freeze
+// writes the selector and FPV, the first SigHash and the first Hash their
+// digests, Memoize whatever is left. Until memoized is set the instance
+// is private to whoever froze it; after that no field is written again,
 // so concurrent readers need no synchronization.
 type txDerived struct {
-	hash    Hash
-	sigHash Hash
-	sel     Selector
-	selOK   bool
-	fpv     FPV
-	fpvErr  error
-	mark    Word // NextMark(fpv.PrevMark, fpv.Value); zero unless fpvErr == nil
+	sigHash  Hash
+	hash     Hash
+	signed   bool // sigHash is derived
+	hashed   bool // hash is derived
+	memoized bool
+	sel      Selector
+	selOK    bool
+	fpv      FPV
+	fpvErr   error
+	mark     Word // NextMark(fpv.PrevMark, fpv.Value); zero unless fpvErr == nil
 	// prevDigest is Keccak over the 32-byte prevMark calldata region —
 	// the digest the contract's mark check derives from the same bytes.
 	// Deriving it at admission lets the interpreter elide that SHA3 too
@@ -57,31 +62,35 @@ type txDerived struct {
 	sigOK atomic.Value
 }
 
-// Memoize computes and caches the transaction's derived data — identity
-// hash, signature digest, calldata selector, FPV tuple and HMS mark — so
-// later accessors
-// are allocation-free lookups. It freezes the transaction: callers must
-// not mutate any field afterwards. The transaction pool memoizes every
-// transaction at admission; Memoize itself is not safe for concurrent
-// use with other accessors, so call it before sharing the transaction.
-// Returns tx for chaining.
-func (tx *Transaction) Memoize() *Transaction {
-	if tx.derived != nil {
-		return tx
+// Freeze makes the transaction immutable: callers must not mutate any
+// field afterwards. It costs no digest, but from now on the first SigHash
+// and the first Hash keep what they derive and MarkSigVerified records a
+// verified signature, so nothing is derived or checked twice. Those first
+// calls write: the instance is private to its owner until Memoize.
+func (tx *Transaction) Freeze() *Transaction {
+	if tx.derived == nil {
+		d := &txDerived{}
+		d.sel, d.selOK = CallSelector(tx.Data)
+		d.fpv, d.fpvErr = DecodeFPV(tx.Data)
+		tx.derived = d
 	}
-	return tx.MemoizeWithHash(tx.computeHash())
+	return tx
 }
 
-// MemoizeWithHash is Memoize for callers that already computed the
-// identity hash (the pool's duplicate check does), saving the second
-// Keccak pass. hash must be tx's true identity hash.
-func (tx *Transaction) MemoizeWithHash(hash Hash) *Transaction {
-	if tx.derived != nil {
+// Memoize freezes the transaction and caches all of its derived data —
+// signing digest, identity hash, calldata selector, FPV tuple, HMS mark
+// and mark-check digest, each derived once — so later accessors are
+// allocation-free lookups safe for concurrent use. The transaction pool
+// memoizes every transaction it admits; Memoize itself is not safe for
+// concurrent use with other accessors, so call it before sharing the
+// transaction. Returns tx for chaining.
+func (tx *Transaction) Memoize() *Transaction {
+	d := tx.Freeze().derived
+	if d.memoized {
 		return tx
 	}
-	d := &txDerived{hash: hash, sigHash: tx.computeSigHash()}
-	d.sel, d.selOK = CallSelector(tx.Data)
-	d.fpv, d.fpvErr = DecodeFPV(tx.Data)
+	tx.SigHash()
+	tx.Hash()
 	if d.fpvErr == nil {
 		// Fused mark derivation: mark = Keccak(prevMark ‖ value), and in
 		// the calldata layout selector ‖ flag ‖ prevMark ‖ value those 64
@@ -96,12 +105,12 @@ func (tx *Transaction) MemoizeWithHash(hash Hash) *Transaction {
 		// erases one SHA3 from every subsequent execution of the tx.
 		d.prevDigest = Word(keccak.Sum256(tx.Data[SelectorLength+WordLength : SelectorLength+2*WordLength]))
 	}
-	tx.derived = d
+	d.memoized = true
 	return tx
 }
 
-// Memoized reports whether the transaction's derived data is cached.
-func (tx *Transaction) Memoized() bool { return tx.derived != nil }
+// Memoized reports whether all derived data is cached and safe to share.
+func (tx *Transaction) Memoized() bool { return tx.derived != nil && tx.derived.memoized }
 
 // Errors for transaction decoding.
 var (
@@ -109,12 +118,12 @@ var (
 )
 
 // SigHash returns the digest a sender signs: the hash of the transaction
-// content excluding the signature itself. Memoized transactions serve it
-// from the derived cache — a block body's shared frozen instances are
-// signature-verified by every importing peer, and re-encoding the
-// content per verification dominated the replay profile.
+// content excluding the signature itself. Frozen transactions derive it
+// once and serve it from the derived cache — a block body's shared frozen
+// instances are signature-verified by every importing peer, and
+// re-encoding the content per verification dominated the replay profile.
 func (tx *Transaction) SigHash() Hash {
-	if d := tx.derived; d != nil {
+	if d := tx.derived; d != nil && d.signed {
 		return d.sigHash
 	}
 	return tx.computeSigHash()
@@ -136,20 +145,28 @@ func (tx *Transaction) appendSigPayload(out []byte) []byte {
 }
 
 func (tx *Transaction) computeSigHash() Hash {
-	return Keccak(rlp.AppendList(nil, tx.appendSigPayload(nil)))
+	hash := Keccak(wrapList(tx.appendSigPayload(make([]byte, 0, txMaxOverhead+len(tx.Data))), 0))
+	if d := tx.derived; d != nil {
+		d.sigHash, d.signed = hash, true
+	}
+	return hash
 }
 
 // Hash returns the transaction identity hash (content + signature),
-// cached when the transaction is memoized.
+// derived on a frozen transaction's first call and cached after.
 func (tx *Transaction) Hash() Hash {
-	if d := tx.derived; d != nil {
+	if d := tx.derived; d != nil && d.hashed {
 		return d.hash
 	}
 	return tx.computeHash()
 }
 
 func (tx *Transaction) computeHash() Hash {
-	return Keccak(tx.EncodeRLP())
+	hash := Keccak(tx.EncodeRLP())
+	if d := tx.derived; d != nil {
+		d.hash, d.hashed = hash, true
+	}
+	return hash
 }
 
 // txMaxOverhead bounds a transaction's encoding less its calldata: four
@@ -223,7 +240,7 @@ func copyFixed(it rlp.Item, dst []byte) error {
 }
 
 // FPV extracts the HMS argument tuple from the transaction calldata,
-// cached when the transaction is memoized.
+// cached when the transaction is frozen.
 func (tx *Transaction) FPV() (FPV, error) {
 	if d := tx.derived; d != nil {
 		return d.fpv, d.fpvErr
@@ -232,7 +249,7 @@ func (tx *Transaction) FPV() (FPV, error) {
 }
 
 // Selector returns the 4-byte function selector of the calldata, cached
-// when the transaction is memoized.
+// when the transaction is frozen.
 func (tx *Transaction) Selector() (Selector, bool) {
 	if d := tx.derived; d != nil {
 		return d.sel, d.selOK
@@ -244,7 +261,7 @@ func (tx *Transaction) Selector() (Selector, bool) {
 // FPV.Value), cached when the transaction is memoized. ok is false when
 // the calldata does not carry an FPV tuple.
 func (tx *Transaction) Mark() (Word, bool) {
-	if d := tx.derived; d != nil {
+	if d := tx.derived; d != nil && d.memoized {
 		return d.mark, d.fpvErr == nil
 	}
 	fpv, err := DecodeFPV(tx.Data)
@@ -264,7 +281,7 @@ func (tx *Transaction) Mark() (Word, bool) {
 // callers must treat it as read-only.
 func (tx *Transaction) MarkHint() (input []byte, mark Word, ok bool) {
 	d := tx.derived
-	if d == nil || d.fpvErr != nil {
+	if d == nil || !d.memoized || d.fpvErr != nil {
 		return nil, Word{}, false
 	}
 	return tx.Data[SelectorLength+WordLength : SelectorLength+3*WordLength], d.mark, true
@@ -275,7 +292,7 @@ func (tx *Transaction) MarkHint() (input []byte, mark Word, ok bool) {
 // at admission. Same aliasing and ok semantics as MarkHint.
 func (tx *Transaction) PrevHint() (input []byte, digest Word, ok bool) {
 	d := tx.derived
-	if d == nil || d.fpvErr != nil {
+	if d == nil || !d.memoized || d.fpvErr != nil {
 		return nil, Word{}, false
 	}
 	return tx.Data[SelectorLength+WordLength : SelectorLength+2*WordLength], d.prevDigest, true
@@ -283,7 +300,7 @@ func (tx *Transaction) PrevHint() (input []byte, digest Word, ok bool) {
 
 // SigVerifiedBy reports whether the given verifier token has already
 // validated this frozen transaction's signature (see MarkSigVerified).
-// Always false on unmemoized transactions.
+// Always false on unfrozen transactions.
 func (tx *Transaction) SigVerifiedBy(token any) bool {
 	d := tx.derived
 	if d == nil {
@@ -299,7 +316,7 @@ func (tx *Transaction) SigVerifiedBy(token any) bool {
 // Keccak. token must be comparable and identify both the verifier and
 // its key material (the wallet registry passes its own pointer, sound
 // because registered keys are only ever added, never replaced). No-op
-// on unmemoized transactions: a mutable copy must not carry the flag.
+// on unfrozen transactions: a mutable copy must not carry the flag.
 // Tokens of different concrete types must not be mixed on one instance.
 func (tx *Transaction) MarkSigVerified(token any) {
 	if d := tx.derived; d != nil {
@@ -307,7 +324,7 @@ func (tx *Transaction) MarkSigVerified(token any) {
 	}
 }
 
-// Copy returns a deep, unmemoized copy of the transaction. The derived
+// Copy returns a deep, unfrozen copy of the transaction. The derived
 // cache is deliberately not carried over: a copy is mutable (callers
 // edit copies to build replacements), and a shared cache would serve
 // stale hashes after such edits. Hot paths that want cached derived

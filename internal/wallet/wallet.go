@@ -78,14 +78,14 @@ func (r *Registry) Register(k *Key) {
 }
 
 // VerifyTx checks that the transaction's signature matches its contents
-// and claimed sender. A frozen (memoized) transaction this registry has
-// already verified passes on a cached token compare — the shared pool
-// instance a gossiped transaction arrives as is verified once per
-// registry, not once per pool/importer. Caching on the registry pointer
-// is sound because keys are only ever registered, never replaced, so a
-// past verification can never be invalidated; mutable copies drop the
-// derived cache (and with it the flag), so a tampered transaction
-// always re-verifies and fails.
+// and claimed sender. A frozen transaction keeps the signing digest this
+// derives and the verdict, so one this registry has already verified
+// passes on a cached token compare: the origin's pool verifies the copy
+// it froze and gossips, and every later pool and importer checks a
+// pointer, not a keyed Keccak. That is sound because keys are only ever
+// registered, never replaced, so a past verification can never be
+// invalidated; mutable copies drop the derived cache (digest and flag
+// with it), so a tampered transaction always re-verifies and fails.
 func (r *Registry) VerifyTx(tx *types.Transaction) error {
 	if tx.SigVerifiedBy(r) {
 		return nil
