@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-eta bench-check bench-smoke chaos-smoke parallel-smoke state-smoke serving-smoke crash-smoke elision-smoke order-smoke
+.PHONY: all build test race vet loc bench bench-eta bench-check bench-smoke chaos-smoke parallel-smoke state-smoke serving-smoke crash-smoke elision-smoke order-smoke
 
 all: vet build test
 
@@ -15,6 +15,11 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# loc prints the size every PR reports before and after: lines of
+# non-test Go outside the nested bench/ module.
+loc:
+	@git ls-files -co --exclude-standard '*.go' | grep -v -e '_test\.go$$' -e '^bench/' | xargs cat | wc -l
 
 # bench runs the full suite (η rows + micro-benchmarks, every row from
 # the internal/scenarios registries) and writes BENCH_<date>.json. It is
@@ -108,9 +113,12 @@ elision-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzF1600$$' -fuzztime 30s ./internal/keccak
 
 # order-smoke runs the block-assembly and settlement suite ten times
-# under the race detector: the tracker's live series, buy index and
-# semantic prefix against the from-snapshot derivation under churn, mark
-# cycles and pinning; the pulled orderings, collected, against the eager
+# under the race detector: view, series, buy index and semantic prefix
+# three ways under churn — the dag the pool's feed maintains, a dag
+# filled from the snapshot, the paper's literal algorithms
+# (internal/hms/reference_test.go) — then the mark filter and dedupe by
+# instance and by mark, attachment to a live pool, mark cycles and
+# pinning; the pulled orderings, collected, against the eager
 # slice-in/slice-out implementations they replaced (-short: 2 x 1000 of
 # the 2 x 6000 churn steps per run), Build's bodies and generator
 # positions against the eager ordering and the old trim at random gas
@@ -123,7 +131,7 @@ elision-smoke:
 # sereth_series served from the live DAG while batches are admitted and
 # removed.
 order-smoke:
-	$(GO) test -race -count=10 -run 'TestIncrementalEquivalence|TestConcurrentViewChurn|TestSemanticPrefix|TestBuyIndex' ./internal/hms
+	$(GO) test -race -count=10 -run 'TestIncrementalEquivalence|TestProcess|TestAttach|TestConcurrentViewChurn|TestSemanticPrefix|TestBuyIndex' ./internal/hms
 	$(GO) test -race -count=10 -short -run 'TestOrderDifferential|TestBuildMatchesReference|TestRepair|TestRestCountMismatchIsNamed|TestBlockDoesNotPinPoolSizedBody|TestMinerSkipsSenderAfterGasMiss|TestBuildBlockRacesPoolChurn' ./internal/miner
 	$(GO) test -race -count=10 -short -run 'TestSettle|TestSnapshot|TestReAdmitted|TestClear' ./internal/txpool
 	$(GO) test -race -count=10 -run 'TestSettleRacesAdmissionsAndViews' ./internal/node

@@ -73,11 +73,10 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	})
 	tracker.SetCommitted(types.AMV{Mark: committed.Word()})
 
-	nodes := tracker.Process(pool)
-	series := tracker.Series(nodes)
+	series := tracker.SeriesOf(pool)
 	view := tracker.ViewOf(pool)
 
-	fmt.Fprintf(stdout, "pool: %d transactions, %d HMS set candidates\n", len(pool), len(nodes))
+	fmt.Fprintf(stdout, "pool: %d transactions\n", len(pool))
 	fmt.Fprintf(stdout, "series: %d transactions\n", len(series))
 	for i, n := range series {
 		v, _ := n.FPV.Value.Uint64()

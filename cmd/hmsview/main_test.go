@@ -40,7 +40,7 @@ func TestRunSerializesPool(t *testing.T) {
 	}
 	got := out.String()
 	for _, want := range []string{
-		"pool: 3 transactions, 3 HMS set candidates",
+		"pool: 3 transactions",
 		"series: 3 transactions",
 		"view: depth=3 flag=chain value=12",
 	} {

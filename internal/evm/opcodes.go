@@ -132,25 +132,6 @@ const (
 	TxDataNonZeroGas = 68
 )
 
-// constGas maps simple opcodes to their fixed gas cost. Dynamic costs
-// (SSTORE, SHA3, memory growth, copies) are charged in the interpreter.
-var constGas = map[OpCode]uint64{
-	STOP: 0, ADD: gasFastestStep, MUL: gasFastStep, SUB: gasFastestStep,
-	DIV: gasFastStep, MOD: gasFastStep, EXP: gasSlowStep,
-	LT: gasFastestStep, GT: gasFastestStep, EQ: gasFastestStep,
-	ISZERO: gasFastestStep, AND: gasFastestStep, OR: gasFastestStep,
-	XOR: gasFastestStep, NOT: gasFastestStep, BYTE: gasFastestStep,
-	SHL: gasFastestStep, SHR: gasFastestStep,
-	ADDRESS: gasQuickStep, BALANCE: gasBalance, CALLER: gasQuickStep,
-	CALLVALUE: gasQuickStep, CALLDATALOAD: gasFastestStep,
-	CALLDATASIZE: gasQuickStep, CODESIZE: gasQuickStep,
-	GASPRICE: gasQuickStep, TIMESTAMP: gasQuickStep, NUMBER: gasQuickStep,
-	POP: gasQuickStep, MLOAD: gasFastestStep, MSTORE: gasFastestStep,
-	MSTORE8: gasFastestStep, SLOAD: gasSLoad, JUMP: gasMidStep,
-	JUMPI: gasSlowStep, PC: gasQuickStep, MSIZE: gasQuickStep,
-	GAS: gasQuickStep, JUMPDEST: gasJumpdest, RETURN: 0, REVERT: 0,
-}
-
 // IntrinsicGas returns the up-front gas cost of a transaction with the
 // given calldata.
 func IntrinsicGas(data []byte) uint64 {

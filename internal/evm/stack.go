@@ -15,11 +15,9 @@ var (
 	ErrStackOverflow  = errors.New("evm: stack overflow")
 )
 
-// stack is the EVM operand stack of 256-bit words. The checked
-// push/pop/dup/swap methods serve the generic reference interpreter;
-// the u-prefixed unchecked variants serve jump-table handlers, whose
-// operand counts the dispatch loop has already validated against the
-// operation table's minStack/maxStack bounds.
+// stack is the EVM operand stack of 256-bit words. Its methods do not
+// check bounds: the dispatch loop has already validated a handler's
+// operand counts against the operation table's minStack/maxStack.
 type stack struct {
 	data []uint256.Int
 }
@@ -44,54 +42,6 @@ func (s *stack) peek(n int) uint256.Int { return s.data[len(s.data)-1-n] }
 
 // udrop discards the top n elements without an underflow check.
 func (s *stack) udrop(n int) { s.data = s.data[:len(s.data)-n] }
-
-func (s *stack) push(v uint256.Int) error {
-	if len(s.data) >= StackLimit {
-		return ErrStackOverflow
-	}
-	s.data = append(s.data, v)
-	return nil
-}
-
-func (s *stack) pop() (uint256.Int, error) {
-	if len(s.data) == 0 {
-		return uint256.Zero, ErrStackUnderflow
-	}
-	v := s.data[len(s.data)-1]
-	s.data = s.data[:len(s.data)-1]
-	return v, nil
-}
-
-// pop2 pops two operands (top first).
-func (s *stack) pop2() (uint256.Int, uint256.Int, error) {
-	a, err := s.pop()
-	if err != nil {
-		return uint256.Zero, uint256.Zero, err
-	}
-	b, err := s.pop()
-	if err != nil {
-		return uint256.Zero, uint256.Zero, err
-	}
-	return a, b, nil
-}
-
-// dup duplicates the n-th element from the top (1-based).
-func (s *stack) dup(n int) error {
-	if len(s.data) < n {
-		return ErrStackUnderflow
-	}
-	return s.push(s.data[len(s.data)-n])
-}
-
-// swap exchanges the top with the n-th element below it (1-based).
-func (s *stack) swap(n int) error {
-	if len(s.data) < n+1 {
-		return ErrStackUnderflow
-	}
-	top := len(s.data) - 1
-	s.data[top], s.data[top-n] = s.data[top-n], s.data[top]
-	return nil
-}
 
 // memory is the byte-addressed expandable EVM memory.
 type memory struct {

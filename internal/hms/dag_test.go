@@ -1,6 +1,7 @@
 package hms
 
 import (
+	"maps"
 	"math/rand"
 	"slices"
 	"sync"
@@ -115,52 +116,61 @@ var (
 	selBuy = cfg().BuySelector
 )
 
-// checkLiveAgainstSnapshot asserts that everything block assembly reads
-// off the attached tracker — the series, every buy bucket, the semantic
-// prefix — is what the standalone reference derives from the pool's
-// snapshot, the same transaction pointers in the same order, and that
-// the snapshot really took the live path. It returns the series length.
-func checkLiveAgainstSnapshot(t *testing.T, step int, inc, ref *Tracker, pool *txpool.Pool) int {
+// sameNodes reports whether two series hold the same transaction
+// instances with the same FPVs and marks, in the same order.
+func sameNodes(a, b []*Node) bool {
+	return slices.EqualFunc(a, b, func(x, y *Node) bool { return *x == *y })
+}
+
+// checkAgainstReference asserts that the three ways to an answer agree on
+// the pool's snapshot: the attached tracker's dag, which the change feed
+// maintains; a detached tracker, which fills a dag with the slice; and
+// reference_test.go's literal algorithms. View, series, every buy bucket
+// and the semantic prefix must be equal — the same transaction pointers
+// in the same order — and the attached tracker must have taken the live
+// path for its pool's own snapshot. It returns the series length.
+func checkAgainstReference(t *testing.T, step int, inc, det *Tracker, pool *txpool.Pool) int {
 	t.Helper()
 	snap, _ := pool.Snapshot()
-	series := ref.SeriesOf(snap)
-	if !slices.EqualFunc(inc.SeriesOrSnapshot(nil), series, func(got, want *Node) bool {
-		return got.Tx == want.Tx && got.FPV == want.FPV && got.Mark == want.Mark
-	}) {
-		t.Fatalf("step %d: live series differs from the from-snapshot series of %d sets", step, len(series))
+	committed := det.Committed()
+	nodes, buys := refProcess(det.cfg, snap)
+	series := refSeries(det.cfg, committed.Mark, nodes)
+
+	live, ok := inc.View()
+	if want := refView(committed, series); !ok || live != want || det.ViewOf(snap) != want {
+		t.Fatalf("step %d: live view %+v (ok=%v), detached %+v, reference %+v (pool %d txs)",
+			step, live, ok, det.ViewOf(snap), want, len(snap))
+	}
+	if !sameNodes(inc.SeriesOrSnapshot(nil), series) || !sameNodes(det.SeriesOf(snap), series) {
+		t.Fatalf("step %d: live or detached series differs from the reference series of %d sets", step, len(series))
 	}
 
-	wantBuys := ref.buysByInterval(snap)
 	inc.mu.RLock()
-	same := len(inc.buys) == len(wantBuys)
-	for mark, bucket := range wantBuys {
-		same = same && slices.Equal(inc.buys[mark], bucket)
-	}
+	same := maps.EqualFunc(inc.dag.buys, buys, slices.Equal[[]*types.Transaction])
 	inc.mu.RUnlock()
-	if !same {
-		t.Fatalf("step %d: live buy index differs from the snapshot's %d buckets", step, len(wantBuys))
+	if !same || !maps.EqualFunc(fill(det.cfg, snap).buys, buys, slices.Equal[[]*types.Transaction]) {
+		t.Fatalf("step %d: live or detached buy index differs from the reference's %d buckets", step, len(buys))
 	}
 
-	got, live := inc.SemanticPrefix(snap)
-	if !live {
-		t.Fatalf("step %d: the attached pool's own snapshot did not take the live path", step)
+	want := refPrefix(committed.Mark, buys, series)
+	got, isLive := inc.SemanticPrefix(snap)
+	if !isLive || !slices.Equal(got, want) {
+		t.Fatalf("step %d: live prefix of %d txs (live=%v), reference %d", step, len(got), isLive, len(want))
 	}
-	want, refLive := ref.SemanticPrefix(snap)
-	if refLive || !slices.Equal(got, want) {
-		t.Fatalf("step %d: live prefix of %d txs, from-snapshot %d (live=%v)", step, len(got), len(want), refLive)
+	if got, isLive := det.SemanticPrefix(snap); isLive || !slices.Equal(got, want) {
+		t.Fatalf("step %d: detached prefix of %d txs (live=%v), reference %d", step, len(got), isLive, len(want))
 	}
 	return len(series)
 }
 
-// TestIncrementalEquivalence is the regression the tentpole demands: an
-// attached tracker's incrementally maintained View must equal a
-// from-scratch ViewOf over the pool snapshot after every one of >=1000
-// randomized churn steps (adds, duplicate marks, buys, noise, removals,
-// re-admissions, committed-state rebases and pool clears), with and
-// without the ExtendHeads ablation — and so must the live series, buy
-// index and semantic prefix the miner assembles blocks from. A snapshot
-// the pool has moved past must take the from-snapshot path and still
-// get the prefix of its own content.
+// TestIncrementalEquivalence: after every one of 1500 randomized churn
+// steps (adds, duplicate marks, buys, noise, removals, re-admissions,
+// committed-state rebases and pool clears), with and without the
+// ExtendHeads ablation, the dag the change feed maintains, a dag filled
+// from the pool's snapshot and the paper's literal algorithms give the
+// same view, series, buy index and semantic prefix. A snapshot the pool
+// has moved past must fill a dag of its own and still get the prefix of
+// its own content.
 func TestIncrementalEquivalence(t *testing.T) {
 	for _, ext := range []bool{false, true} {
 		name := "baseline"
@@ -173,7 +183,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 			pool := txpool.New()
 			inc := NewTracker(trCfg)
 			inc.Attach(pool)
-			ref := NewTracker(trCfg) // standalone from-scratch reference
+			det := NewTracker(trCfg) // never attached: fills a dag per call
 
 			ch := newChurner(0xC00C+int64(len(name)), pool)
 			committed := types.AMV{}
@@ -189,7 +199,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 						Value:   types.WordFromUint64(uint64(step)),
 					}
 					inc.SetCommitted(committed)
-					ref.SetCommitted(committed)
+					det.SetCommitted(committed)
 				case 1: // block-publication style flush
 					if ch.rng.Intn(4) == 0 {
 						pool.Clear()
@@ -197,19 +207,11 @@ func TestIncrementalEquivalence(t *testing.T) {
 						ch.live = nil
 					}
 				}
-				got, ok := inc.View()
-				if !ok {
-					t.Fatal("tracker not attached")
-				}
-				want := ref.ViewOf(pool.Pending())
-				if got != want {
-					t.Fatalf("step %d: incremental view %+v != from-scratch %+v (pool %d txs)",
-						step, got, want, pool.Len())
-				}
-				deepest = max(deepest, checkLiveAgainstSnapshot(t, step, inc, ref, pool))
+				deepest = max(deepest, checkAgainstReference(t, step, inc, det, pool))
 				if pool.Generation() != oldGen {
-					stale, live := inc.SemanticPrefix(old)
-					if want, _ := ref.SemanticPrefix(old); live || !slices.Equal(stale, want) {
+					nodes, buys := refProcess(trCfg, old)
+					want := refPrefix(committed.Mark, buys, refSeries(trCfg, committed.Mark, nodes))
+					if stale, live := inc.SemanticPrefix(old); live || !slices.Equal(stale, want) {
 						t.Fatalf("step %d: a snapshot the pool moved past: live=%v, %d txs, want %d", step, live, len(stale), len(want))
 					}
 				}
@@ -226,7 +228,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 }
 
 // TestAttachSeedsExistingPool verifies Attach replays the pool's current
-// content: views over a pre-populated pool match from-scratch.
+// content: the view over a pre-populated pool is ViewOf its pending set.
 func TestAttachSeedsExistingPool(t *testing.T) {
 	pool := txpool.New()
 	prev := types.ZeroWord
@@ -254,7 +256,7 @@ func TestAttachSeedsExistingPool(t *testing.T) {
 		t.Fatalf("seeded view = %+v", got)
 	}
 	if want := NewTracker(cfg()).ViewOf(pool.Pending()); got != want {
-		t.Fatalf("seeded view %+v != from-scratch %+v", got, want)
+		t.Fatalf("seeded view %+v != ViewOf the pending set %+v", got, want)
 	}
 }
 
@@ -326,8 +328,8 @@ func TestUnattachedViewReportsNotOK(t *testing.T) {
 	}
 }
 
-// TestConcurrentViewChurn exercises the tentpole's locking contract
-// under -race: parallel View readers, from-scratch readers, pool
+// TestConcurrentViewChurn exercises the locking contract under -race:
+// parallel View readers, readers filling their own dags, pool
 // writers and committed rebases must not race or deadlock (lock order
 // pool.mu -> tracker.mu).
 func TestConcurrentViewChurn(t *testing.T) {
@@ -374,8 +376,8 @@ func TestConcurrentViewChurn(t *testing.T) {
 				_ = ref.ViewOf(pool.Pending())
 				_ = tr.Generation()
 				// Block assembly and sereth_series read the same DAG; a
-				// snapshot that raced a writer must take the from-snapshot
-				// path, never a half-matching live one.
+				// snapshot that raced a writer must fill a dag of its own,
+				// never read a half-matching live one.
 				snap, _ := pool.Snapshot()
 				prefix, _ := tr.SemanticPrefix(snap)
 				for _, tx := range prefix {
@@ -392,7 +394,7 @@ func TestConcurrentViewChurn(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	// Steady state: incremental equals from-scratch.
+	// Steady state: the fed dag answers as one filled from the pending set.
 	got, _ := tr.View()
 	if want := NewTracker(cfg()).ViewOf(pool.Pending()); got != want {
 		t.Fatalf("post-churn views diverged: %+v vs %+v", got, want)
@@ -421,7 +423,7 @@ func TestAttachAfterReAdmission(t *testing.T) {
 	tr.Attach(pool)
 	got, _ := tr.View()
 	if want := NewTracker(cfg()).ViewOf(pool.Pending()); got != want {
-		t.Fatalf("post-re-admission view %+v != from-scratch %+v", got, want)
+		t.Fatalf("post-re-admission view %+v != ViewOf the pending set %+v", got, want)
 	}
 	if got.Depth != 1 {
 		t.Fatalf("depth = %d, want 1", got.Depth)
@@ -432,14 +434,15 @@ func TestAttachAfterReAdmission(t *testing.T) {
 		t.Fatalf("ghost entry survived removal: %+v", got)
 	}
 	if want := NewTracker(cfg()).ViewOf(pool.Pending()); got != want {
-		t.Fatalf("post-removal view %+v != from-scratch %+v", got, want)
+		t.Fatalf("post-removal view %+v != ViewOf the pending set %+v", got, want)
 	}
 }
 
 // TestAttachDuringConcurrentChurn attaches a tracker while another
-// goroutine is actively mutating the pool: mutations racing the seed
-// land in the backlog and replay in order, so the tracker converges to
-// the from-scratch view with no ghosts or drops.
+// goroutine is actively mutating the pool: txpool.Watch seeds and
+// subscribes under the pool's lock, so every mutation lands either in
+// the seed or in the feed and the tracker converges to the view of the
+// final pending set with no ghosts or drops.
 func TestAttachDuringConcurrentChurn(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		pool := txpool.New()
@@ -462,15 +465,15 @@ func TestAttachDuringConcurrentChurn(t *testing.T) {
 			t.Fatal("not attached")
 		}
 		if want := NewTracker(cfg()).ViewOf(pool.Pending()); got != want {
-			t.Fatalf("trial %d: post-churn view %+v != from-scratch %+v", trial, got, want)
+			t.Fatalf("trial %d: post-churn view %+v != ViewOf the pending set %+v", trial, got, want)
 		}
 	}
 }
 
 // TestSemanticPrefixMarkCycle forges what Keccak never yields: a series
 // that walks back onto the committed mark (set b claims the mark set a
-// hangs off). The fork choice must terminate on both paths, and the
-// committed interval's bucket — placed before the first set — must not
+// hangs off). The fork choice must terminate however the dag was filled,
+// and the committed interval's bucket — placed before the first set — must not
 // be scheduled a second time behind b.
 func TestSemanticPrefixMarkCycle(t *testing.T) {
 	pool := txpool.New()
@@ -492,12 +495,15 @@ func TestSemanticPrefixMarkCycle(t *testing.T) {
 	snap, _ := pool.Snapshot()
 	want := []*types.Transaction{snap[2], snap[1], snap[0], snap[3]} // buyCommitted, a, buyA, b
 
-	// Live DAG: move b's entry under the committed mark.
+	// The forgery: b's vertex moves under the committed mark.
+	forge := func(d *dag) {
+		eb := d.sets[snap[3]]
+		delete(d.dups, eb.mark)
+		eb.mark = committed
+		d.dups[committed] = []*entry{eb}
+	}
 	tr.mu.Lock()
-	eb := tr.sets[b.Hash()]
-	delete(tr.dups, eb.mark)
-	eb.mark = committed
-	tr.dups[committed] = []*entry{eb}
+	forge(tr.dag)
 	tr.mu.Unlock()
 	got, live := tr.SemanticPrefix(snap)
 	if !live || !slices.Equal(got, want) {
@@ -510,13 +516,18 @@ func TestSemanticPrefixMarkCycle(t *testing.T) {
 		t.Fatalf("the prefix of %d leaves %d of %d pending", len(got), len(rest), len(snap))
 	}
 
-	// From the snapshot: the same forgery on the Process output.
-	nodes := tr.Process(snap)
+	// The same forgery on a dag filled from the snapshot, and on the
+	// reference's Algorithm 2 output.
+	d := fill(cfg(), snap)
+	forge(d)
+	if series := d.series(committed); len(series) != 2 || !slices.Equal(d.semanticPrefix(committed), want) {
+		t.Fatalf("detached prefix over a mark cycle: series %d, %d txs, want %d", len(series), len(d.semanticPrefix(committed)), len(want))
+	}
+	nodes, buys := refProcess(cfg(), snap)
 	nodes[1].Mark = committed
-	series := tr.Series(nodes)
-	got = semanticPrefix(committed, tr.buysByInterval(snap), series)
-	if len(series) != 2 || !slices.Equal(got, want) {
-		t.Fatalf("from-snapshot prefix over a mark cycle: series %d, %d txs, want %d", len(series), len(got), len(want))
+	series := refSeries(cfg(), committed, nodes)
+	if got := refPrefix(committed, buys, series); len(series) != 2 || !slices.Equal(got, want) {
+		t.Fatalf("reference prefix over a mark cycle: series %d, %d txs, want %d", len(series), len(got), len(want))
 	}
 }
 
@@ -540,7 +551,7 @@ func TestBuyIndexDropsRemovedTransactions(t *testing.T) {
 	holds := func(tx *types.Transaction) bool {
 		tr.mu.RLock()
 		defer tr.mu.RUnlock()
-		for _, bucket := range tr.buys {
+		for _, bucket := range tr.dag.buys {
 			if slices.Contains(bucket[:cap(bucket)], tx) {
 				return true
 			}
@@ -556,7 +567,7 @@ func TestBuyIndexDropsRemovedTransactions(t *testing.T) {
 	}
 	pool.Clear()
 	tr.mu.RLock()
-	left := len(tr.buys)
+	left := len(tr.dag.buys)
 	tr.mu.RUnlock()
 	if left != 0 {
 		t.Fatalf("after Clear the buy index still has %d buckets", left)

@@ -32,13 +32,11 @@ type Config struct {
 	ExtendHeads bool
 }
 
-// Node is a vertex of the HMS transaction DAG.
+// Node is one set transaction of a series.
 type Node struct {
 	Tx   *types.Transaction
 	FPV  types.FPV
 	Mark types.Word // Keccak256(FPV.PrevMark, FPV.Value)
-	Prev *Node
-	Next []*Node
 }
 
 // View is the READ-UNCOMMITTED view returned by Algorithm 1.
@@ -56,38 +54,24 @@ type View struct {
 // Tracker computes HMS views for one managed variable. Safe for
 // concurrent use.
 //
-// A tracker has two operating modes. Standalone (the paper's literal
-// algorithms): callers pass pool snapshots to ViewOf/SeriesOf and every
-// call recomputes from scratch. Incremental: Attach subscribes the
-// tracker to a txpool.Pool's change feed, after which it maintains the
-// mark-keyed DAG and the buy index under pool deltas; View serves
-// cached results in O(1) while the pool generation is unchanged, and
-// the series and the semantic-mining prefix are read off the live DAG
-// (see incremental.go).
+// Every answer is read off a dag (dag.go), and there are two ways to fill
+// one. Attach binds the tracker to a txpool.Pool: the pool's change feed
+// then maintains the tracker's own dag, View serves a cached result in
+// O(1) while neither the series nor the committed state changed, and the
+// series and the semantic-mining prefix are read off it without touching
+// the pending set. ViewOf, SeriesOf and a SemanticPrefix over any slice
+// that is not the attached pool's current snapshot fill a fresh dag with
+// the slice, in order, and read the same answers off that.
 type Tracker struct {
 	cfg Config
 
 	mu        sync.RWMutex
 	committed types.AMV
-
-	// Incremental engine state; nil/zero until Attach (incremental.go).
-	pool     *txpool.Pool // the attached pool
-	attached bool
-	seeding  bool                    // Attach in progress: events land in backlog
-	backlog  []txpool.Change         // mutations racing the Attach snapshot seed
-	gen      uint64                  // pool generation reflected in the DAG
-	seq      uint64                  // admission order for tie-breaking
-	sets     map[types.Hash]*entry   // every live set tx, by identity hash
-	dups     map[types.Word][]*entry // mark -> seq-ordered entries; [0] active
-	kids     map[types.Word][]*entry // prevMark -> seq-ordered active entries
-	// buys indexes every live buy by the mark of the set interval it
-	// targets, in arrival order: the live counterpart of buysByInterval.
-	buys     map[types.Word][]*types.Transaction
-	viewOK   bool
-	view     View
-	depths   map[*entry]int     // recompute scratch, reused across recomputes
-	headsBuf []*entry           // recompute scratch
-	stackBuf []dagFrame[*entry] // recompute scratch
+	pool      *txpool.Pool // the attached pool, nil until Attach
+	gen       uint64       // pool generation dag reflects
+	dag       *dag         // maintained by pool's change feed, nil until Attach
+	view      View         // dag's view of committed, when viewOK
+	viewOK    bool
 }
 
 // NewTracker returns a tracker with a zero committed state (genesis).
@@ -100,8 +84,7 @@ func (t *Tracker) Config() Config { return t.cfg }
 
 // SetCommitted records the post-publication contract state; called by the
 // chain layer whenever a block commits. A change of committed state
-// rebases the incremental engine's head candidates, so it invalidates
-// the cached view.
+// rebases the head candidates, so it invalidates the cached view.
 func (t *Tracker) SetCommitted(amv types.AMV) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -118,35 +101,15 @@ func (t *Tracker) Committed() types.AMV {
 	return t.committed
 }
 
-// Process filters the pool for relevant set transactions and computes
-// their marks (paper Algorithm 2). Transactions whose flag is neither
-// headFlag nor successFlag are rejected. Duplicate marks (identical
-// prev/value re-submissions) keep the earliest arrival.
-func (t *Tracker) Process(pool []*types.Transaction) []*Node {
-	var nodes []*Node
-	seen := make(map[types.Word]bool)
-	for _, tx := range pool {
-		fpv, mark, ok := t.classifySet(tx)
-		if !ok || seen[mark] {
-			continue
-		}
-		seen[mark] = true
-		nodes = append(nodes, &Node{Tx: tx, FPV: fpv, Mark: mark})
-	}
-	return nodes
-}
-
 // classifySet applies Algorithm 2's admission filter: tx must target the
 // managed contract's set function, carry a decodable FPV, and be flagged
 // head or chain. It returns the FPV and mark (cached when memoized).
-// Both view paths — the snapshot Process and the incremental
-// insertLocked — share this single filter so they cannot drift.
-func (t *Tracker) classifySet(tx *types.Transaction) (types.FPV, types.Word, bool) {
-	if tx.To != t.cfg.Contract {
+func (c Config) classifySet(tx *types.Transaction) (types.FPV, types.Word, bool) {
+	if tx.To != c.Contract {
 		return types.FPV{}, types.Word{}, false
 	}
 	sel, ok := tx.Selector()
-	if !ok || sel != t.cfg.SetSelector {
+	if !ok || sel != c.SetSelector {
 		return types.FPV{}, types.Word{}, false
 	}
 	fpv, err := tx.FPV()
@@ -165,189 +128,14 @@ func (t *Tracker) classifySet(tx *types.Transaction) (types.FPV, types.Word, boo
 	return fpv, mark, true
 }
 
-// Series links the nodes into a DAG and returns the deepest branch from
-// the best head candidate (paper Algorithm 3). It returns nil when no
-// valid head exists.
-func (t *Tracker) Series(nodes []*Node) []*Node {
-	if len(nodes) == 0 {
-		return nil
-	}
-	committedMark := t.Committed().Mark
-
-	// Build adjacency: txn2 follows txn when txn.mark == txn2.prevMark.
-	byMark := make(map[types.Word]*Node, len(nodes))
-	for _, n := range nodes {
-		byMark[n.Mark] = n
-	}
-	for _, n := range nodes {
-		if parent, ok := byMark[n.FPV.PrevMark]; ok && parent != n {
-			n.Prev = parent
-			parent.Next = append(parent.Next, n)
-		}
-	}
-
-	// Head candidates: head-flagged transactions chaining off the
-	// committed mark; optionally chain-flagged orphans that match it.
-	// Depths are shared across candidates through one memo table, so the
-	// whole fork choice is O(V+E) instead of the exponential path-copying
-	// recursion of the literal Algorithm 3.
-	depth := make(map[*Node]int, len(nodes))
-	var scratch []dagFrame[*Node]
-	var best *Node
-	bestDepth := 0
-	for _, n := range nodes {
-		isHead := n.FPV.Flag == types.FlagHead && n.FPV.PrevMark == committedMark
-		if t.cfg.ExtendHeads && !isHead {
-			isHead = n.Prev == nil && n.FPV.PrevMark == committedMark
-		}
-		if !isHead {
-			continue
-		}
-		var d int
-		if d, scratch = dagDepth(n, nodeNext, depth, scratch); d > bestDepth {
-			best, bestDepth = n, d
-		}
-	}
-	if best == nil {
-		return nil
-	}
-	out := make([]*Node, 0, bestDepth)
-	walkDeepest(best, nodeNext, depth, func(n *Node) { out = append(out, n) })
-	return out
-}
-
-func nodeNext(n *Node) []*Node { return n.Next }
-
-// depthPending marks a vertex currently on the DFS stack; edges into it
-// are back edges from adversarial mark collisions and are skipped, which
-// makes termination unconditional (Lemma 2 only covers honest marks).
-const depthPending = -1
-
-// dagFrame is one explicit-stack DFS frame of dagDepth. Hot callers
-// (the incremental view recompute) retain the returned stack so steady-
-// state recomputes allocate nothing.
-type dagFrame[N comparable] struct {
-	n     N
-	kids  []N // next(n), resolved once when the frame is pushed
-	child int
-	best  int
-}
-
-// dagDepth computes the longest-path node count from root over the DAG
-// induced by next, memoizing every reached vertex into depth. The memo
-// table is shared across roots, so evaluating all head candidates is
-// O(V+E) total. Self edges (next containing the vertex itself) are
-// ignored, matching the parent != n guard of the link step. scratch is
-// an optional reusable stack buffer; the possibly-grown buffer is
-// returned for the caller to retain.
-func dagDepth[N comparable](root N, next func(N) []N, depth map[N]int, scratch []dagFrame[N]) (int, []dagFrame[N]) {
-	if d, ok := depth[root]; ok && d != depthPending {
-		return d, scratch
-	}
-	type frame = dagFrame[N]
-	stack := append(scratch[:0], frame{n: root, kids: next(root)})
-	depth[root] = depthPending
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.child < len(f.kids) {
-			c := f.kids[f.child]
-			f.child++
-			if c == f.n {
-				continue
-			}
-			d, seen := depth[c]
-			switch {
-			case seen && d == depthPending:
-				// back edge (mark cycle): skip
-			case seen:
-				if d > f.best {
-					f.best = d
-				}
-			default:
-				depth[c] = depthPending
-				stack = append(stack, frame{n: c, kids: next(c)})
-			}
-			continue
-		}
-		d := f.best + 1
-		depth[f.n] = d
-		stack = stack[:len(stack)-1]
-		if len(stack) > 0 {
-			p := &stack[len(stack)-1]
-			if d > p.best {
-				p.best = d
-			}
-		}
-	}
-	return depth[root], stack
-}
-
-// walkDeepest visits the lexicographically-first deepest path from head
-// (the same branch the recursive DEEPESTBRANCH returned: ties between
-// equally deep children resolve to the earlier arrival), calling visit
-// for each vertex in series order.
-func walkDeepest[N comparable](head N, next func(N) []N, depth map[N]int, visit func(N)) {
-	n := head
-	for {
-		visit(n)
-		want := depth[n] - 1
-		if want <= 0 {
-			return
-		}
-		found := false
-		for _, c := range next(n) {
-			if c == n {
-				continue
-			}
-			if d, ok := depth[c]; ok && d == want {
-				n, found = c, true
-				break
-			}
-		}
-		if !found {
-			return // cycle-truncated branch (adversarial marks only)
-		}
-	}
-}
-
-// ViewOf computes the READ-UNCOMMITTED view from a pool snapshot
-// (paper Algorithm 1).
-func (t *Tracker) ViewOf(pool []*types.Transaction) View {
-	nodes := t.Process(pool)
-	series := t.Series(nodes)
-	committed := t.Committed()
-	if len(series) == 0 {
-		// Empty txnList (or no valid head): the caller's transaction will
-		// be the first Sereth transaction of the block — use committed
-		// state and the head flag (Algorithm 1 line 5, "specialValue").
-		return View{AMV: committed, Flag: types.FlagHead, Depth: 0}
-	}
-	tail := series[len(series)-1]
-	return View{
-		AMV: types.AMV{
-			Address: tail.Tx.From,
-			Mark:    tail.Mark,
-			Value:   tail.FPV.Value,
-		},
-		Flag:  types.FlagChain,
-		Depth: len(series),
-	}
-}
-
-// SeriesOf is a convenience combining Process and Series.
-func (t *Tracker) SeriesOf(pool []*types.Transaction) []*Node {
-	return t.Series(t.Process(pool))
-}
-
 // buyInterval reports whether tx is a buy on the managed contract and
-// the mark of the set interval it targets (FPV.PrevMark). The snapshot
-// buysByInterval and the incremental buy index share this filter.
-func (t *Tracker) buyInterval(tx *types.Transaction) (types.Word, bool) {
-	if tx.To != t.cfg.Contract {
+// the mark of the set interval it targets (FPV.PrevMark).
+func (c Config) buyInterval(tx *types.Transaction) (types.Word, bool) {
+	if tx.To != c.Contract {
 		return types.Word{}, false
 	}
 	sel, ok := tx.Selector()
-	if !ok || sel != t.cfg.BuySelector {
+	if !ok || sel != c.BuySelector {
 		return types.Word{}, false
 	}
 	fpv, err := tx.FPV()
@@ -355,35 +143,6 @@ func (t *Tracker) buyInterval(tx *types.Transaction) (types.Word, bool) {
 		return types.Word{}, false
 	}
 	return fpv.PrevMark, true
-}
-
-// buysByInterval groups the pool's buy transactions by the interval
-// they target, in arrival order.
-func (t *Tracker) buysByInterval(pool []*types.Transaction) map[types.Word][]*types.Transaction {
-	out := make(map[types.Word][]*types.Transaction)
-	for _, tx := range pool {
-		if mark, ok := t.buyInterval(tx); ok {
-			out[mark] = append(out[mark], tx)
-		}
-	}
-	return out
-}
-
-// semanticPrefix is the semantic miner's interleaving (paper §V-C): the
-// buys bound to the committed interval execute before any pending set,
-// then each set of the series is followed by the buys that depend on its
-// mark. Only an adversarial mark cycle leads a series back onto the
-// committed mark; that bucket is already placed and is not scheduled
-// twice: the miner counts on a prefix of distinct pool transactions.
-func semanticPrefix(committedMark types.Word, buys map[types.Word][]*types.Transaction, series []*Node) []*types.Transaction {
-	out := append([]*types.Transaction(nil), buys[committedMark]...)
-	for _, n := range series {
-		out = append(out, n.Tx)
-		if n.Mark != committedMark {
-			out = append(out, buys[n.Mark]...)
-		}
-	}
-	return out
 }
 
 // IsManaged reports whether tx is an HMS set or buy on the managed
@@ -397,4 +156,139 @@ func (t *Tracker) IsManaged(tx *types.Transaction) bool {
 		return false
 	}
 	return sel == t.cfg.SetSelector || sel == t.cfg.BuySelector
+}
+
+// Attach binds the tracker to pool: its dag becomes the DAG of the pool's
+// pending set and follows every later mutation through the pool's change
+// feed, and View serves views of this pool. The pool may be in use by
+// other goroutines — txpool.Watch seeds and subscribes in one step under
+// the pool's lock, so no mutation is missed or applied twice. It must be
+// called at most once.
+func (t *Tracker) Attach(pool *txpool.Pool) {
+	if t.Attached() {
+		return
+	}
+	pool.Watch(func(pending []*types.Transaction, gen uint64) {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		t.pool, t.gen, t.dag = pool, gen, fill(t.cfg, pending)
+		t.viewOK = false
+	}, t.onPoolChange)
+}
+
+// onPoolChange applies one pool mutation to the dag. It runs under the
+// pool lock (txpool.Watch contract), so changes arrive in exact
+// mutation order; lock order is always pool.mu -> tracker.mu.
+func (t *Tracker) onPoolChange(c txpool.Change) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var changed bool
+	switch c.Kind {
+	case txpool.TxAdded:
+		changed = t.dag.insert(c.Tx)
+	case txpool.TxRemoved:
+		changed = t.dag.delete(c.Tx)
+	}
+	t.gen = c.Gen
+	if changed {
+		t.viewOK = false
+	}
+}
+
+// Attached reports whether the tracker is bound to a pool change feed.
+func (t *Tracker) Attached() bool {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.dag != nil
+}
+
+// Generation returns the pool generation the dag currently reflects.
+func (t *Tracker) Generation() uint64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.gen
+}
+
+// View returns the READ-UNCOMMITTED view of the attached pool (paper
+// Algorithm 1). While the series and committed state are unchanged it
+// returns the cached view without any recomputation. ok is false when
+// the tracker is not attached — callers then fall back to ViewOf on a
+// pool snapshot.
+func (t *Tracker) View() (View, bool) {
+	t.mu.RLock()
+	v, ok, attached := t.view, t.viewOK, t.dag != nil
+	t.mu.RUnlock()
+	if ok || !attached {
+		return v, ok // cache hit (concurrent readers don't serialize), or no pool
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.viewOK {
+		t.view = t.dag.view(t.committed)
+		t.viewOK = true
+	}
+	return t.view, true
+}
+
+// ViewOf computes the READ-UNCOMMITTED view of a pending set given in
+// arrival order (paper Algorithm 1).
+func (t *Tracker) ViewOf(pending []*types.Transaction) View {
+	return fill(t.cfg, pending).view(t.Committed())
+}
+
+// SeriesOf returns the series of a pending set given in arrival order,
+// head to tail (paper Algorithms 2 and 3); nil when no valid head exists.
+func (t *Tracker) SeriesOf(pending []*types.Transaction) []*Node {
+	return fill(t.cfg, pending).series(t.Committed().Mark)
+}
+
+// ViewOrSnapshot returns the attached pool's view when the tracker is
+// attached, and otherwise ViewOf the pending set supplied by pending —
+// the one place the fallback contract lives for all consumers
+// (node.ViewAMV, raa.HMSProvider).
+func (t *Tracker) ViewOrSnapshot(pending func() []*types.Transaction) View {
+	if v, ok := t.View(); ok {
+		return v
+	}
+	return t.ViewOf(pending())
+}
+
+// SeriesOrSnapshot returns the pending series, head to tail: the attached
+// pool's when the tracker is attached, and otherwise SeriesOf the pending
+// set supplied by pending (the ViewOrSnapshot contract).
+func (t *Tracker) SeriesOrSnapshot(pending func() []*types.Transaction) []*Node {
+	t.mu.Lock()
+	if t.dag != nil {
+		defer t.mu.Unlock()
+		return t.dag.series(t.committed.Mark)
+	}
+	t.mu.Unlock()
+	return t.SeriesOf(pending())
+}
+
+// SemanticPrefix returns the head of a semantically ordered block body
+// for pending (paper §V-C): the buys bound to the committed interval,
+// then each set of the pending series followed by the buys that depend
+// on its mark. When pending is the attached pool's snapshot of
+// generation g and the tracker's dag reflects g, the prefix is read off
+// that dag and live is true; generations only grow and each names one
+// pool state, so the two locks are taken one after the other (pool.mu is
+// never acquired under tracker.mu). Any other slice — a detached
+// tracker's, a snapshot that raced an admission, a filtered copy — fills
+// a dag of its own.
+func (t *Tracker) SemanticPrefix(pending []*types.Transaction) (prefix []*types.Transaction, live bool) {
+	t.mu.RLock()
+	pool := t.pool
+	t.mu.RUnlock()
+	if pool != nil {
+		if gen, ok := pool.SnapshotGeneration(pending); ok {
+			t.mu.Lock()
+			if t.gen == gen {
+				defer t.mu.Unlock()
+				return t.dag.semanticPrefix(t.committed.Mark), true
+			}
+			t.mu.Unlock()
+		}
+	}
+	return fill(t.cfg, pending).semanticPrefix(t.Committed().Mark), false
 }

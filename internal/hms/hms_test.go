@@ -2,6 +2,7 @@ package hms
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -64,38 +65,68 @@ func chain(from types.Word, values ...uint64) ([]*types.Transaction, []types.Wor
 	return txs, marks
 }
 
+// TestProcessFilters: Algorithm 2's filter. Each rejected transaction
+// claims to extend the one good set, so admitting any of them would
+// deepen the series.
 func TestProcessFilters(t *testing.T) {
 	tr := NewTracker(cfg())
 	good := setTx(types.FlagHead, types.ZeroWord, types.WordFromUint64(5))
-	wrongContract := setTx(types.FlagHead, types.ZeroWord, types.WordFromUint64(5))
+	wantMark := types.NextMark(types.ZeroWord, types.WordFromUint64(5))
+	wrongContract := setTx(types.FlagChain, wantMark, types.WordFromUint64(6))
 	wrongContract.To = types.Address{19: 0xdd}
-	wrongSelector := buyTx(types.ZeroWord, types.WordFromUint64(5))
-	badFlag := setTx(types.WordFromUint64(9), types.ZeroWord, types.WordFromUint64(5))
+	wrongSelector := buyTx(wantMark, types.WordFromUint64(7))
+	badFlag := setTx(types.WordFromUint64(9), wantMark, types.WordFromUint64(8))
 	short := &types.Transaction{To: contract, Data: asm.SelSet[:]}
 
-	nodes := tr.Process([]*types.Transaction{good, wrongContract, wrongSelector, badFlag, short})
-	if len(nodes) != 1 {
-		t.Fatalf("Process kept %d nodes, want 1", len(nodes))
+	pool := []*types.Transaction{good, wrongContract, wrongSelector, badFlag, short}
+	series := tr.SeriesOf(pool)
+	if len(series) != 1 {
+		t.Fatalf("series kept %d sets, want 1", len(series))
 	}
-	if nodes[0].Tx.Hash() != good.Hash() {
-		t.Error("wrong node kept")
+	if series[0].Tx != good {
+		t.Error("wrong set kept")
 	}
-	wantMark := types.NextMark(types.ZeroWord, types.WordFromUint64(5))
-	if nodes[0].Mark != wantMark {
+	if series[0].Mark != wantMark {
 		t.Error("mark not computed")
+	}
+	if view := tr.ViewOf(pool); view.Depth != 1 || view.AMV.Mark != wantMark {
+		t.Errorf("view = %+v", view)
 	}
 }
 
+// TestProcessDedupesMarks: of the sets that share a mark the first in the
+// slice stands, whether they are resubmissions of one (prev, value) pair,
+// two instances of one transaction or one instance listed twice — and the
+// reference agrees on view, series and prefix.
 func TestProcessDedupesMarks(t *testing.T) {
 	tr := NewTracker(cfg())
-	a := setTx(types.FlagHead, types.ZeroWord, types.WordFromUint64(5))
-	b := setTx(types.FlagHead, types.ZeroWord, types.WordFromUint64(5)) // same (prev,value)
-	nodes := tr.Process([]*types.Transaction{a, b})
-	if len(nodes) != 1 {
-		t.Fatalf("dedupe failed: %d nodes", len(nodes))
+	five := types.WordFromUint64(5)
+	a := setTx(types.FlagHead, types.ZeroWord, five)
+	b := setTx(types.FlagHead, types.ZeroWord, five) // same (prev,value)
+	for _, pool := range [][]*types.Transaction{{a, b}, {b, a}} {
+		if series := tr.SeriesOf(pool); len(series) != 1 || series[0].Tx != pool[0] {
+			t.Fatalf("dedupe must keep the first arrival: %d sets", len(series))
+		}
 	}
-	if nodes[0].Tx.Hash() != a.Hash() {
-		t.Error("dedupe must keep the first arrival")
+
+	markA := types.NextMark(types.ZeroWord, five)
+	child := setTx(types.FlagChain, markA, types.WordFromUint64(6))
+	buy := buyTx(markA, five)
+	twin, buyTwin := a.Copy(), buy.Copy() // equal hashes, distinct instances
+	pool := []*types.Transaction{buy, twin, a, buyTwin, child, a, twin, child, buy}
+	nodes, buys := refProcess(cfg(), pool)
+	series := refSeries(cfg(), types.ZeroWord, nodes)
+	if len(series) != 2 || series[0].Tx != twin {
+		t.Fatalf("reference series of %d sets", len(series))
+	}
+	if got := tr.SeriesOf(pool); !sameNodes(got, series) {
+		t.Errorf("series of %d sets, reference %d", len(got), len(series))
+	}
+	if got, want := tr.ViewOf(pool), refView(types.AMV{}, series); got != want {
+		t.Errorf("view %+v, reference %+v", got, want)
+	}
+	if got, _ := tr.SemanticPrefix(pool); !slices.Equal(got, refPrefix(types.ZeroWord, buys, series)) {
+		t.Errorf("prefix of %d txs differs from the reference's", len(got))
 	}
 }
 
@@ -110,8 +141,8 @@ func TestSeriesLinearChain(t *testing.T) {
 		if n.Mark != marks[i] {
 			t.Errorf("series[%d] mark mismatch", i)
 		}
-		if i > 0 && n.Prev != series[i-1] {
-			t.Error("prev pointer broken")
+		if i > 0 && n.FPV.PrevMark != series[i-1].Mark {
+			t.Error("series member does not chain off its predecessor")
 		}
 	}
 	view := tr.ViewOf(txs)
@@ -243,10 +274,15 @@ func TestBuysByInterval(t *testing.T) {
 	b2 := buyTx(m1, types.WordFromUint64(5))
 	b3 := buyTx(m2, types.WordFromUint64(7))
 	set := setTx(types.FlagHead, types.ZeroWord, types.WordFromUint64(5))
+	pool := []*types.Transaction{b1, set, b2, b3}
 
-	groups := tr.buysByInterval([]*types.Transaction{b1, set, b2, b3})
-	if len(groups[m1]) != 2 || len(groups[m2]) != 1 {
+	groups := fill(cfg(), pool).buys
+	if !slices.Equal(groups[m1], []*types.Transaction{b1, b2}) || !slices.Equal(groups[m2], []*types.Transaction{b3}) {
 		t.Errorf("groups: %d/%d", len(groups[m1]), len(groups[m2]))
+	}
+	// Only the buys of an interval the series opens are scheduled.
+	if prefix, _ := tr.SemanticPrefix(pool); !slices.Equal(prefix, []*types.Transaction{set, b1, b2}) {
+		t.Errorf("prefix of %d txs", len(prefix))
 	}
 }
 
@@ -339,7 +375,7 @@ func TestAdversarialSelfReference(t *testing.T) {
 	a := setTx(types.FlagHead, types.ZeroWord, types.WordFromUint64(1))
 	mA := types.NextMark(types.ZeroWord, types.WordFromUint64(1))
 	b := setTx(types.FlagChain, mA, types.WordFromUint64(2))
-	// c duplicates b's (prev,value) — deduped by Process.
+	// c duplicates b's (prev,value) — deduped by mark.
 	c := setTx(types.FlagChain, mA, types.WordFromUint64(2))
 	series := tr.SeriesOf([]*types.Transaction{a, b, c})
 	if len(series) != 2 {
@@ -347,10 +383,10 @@ func TestAdversarialSelfReference(t *testing.T) {
 	}
 }
 
+// BenchmarkProcess is Algorithm 2 alone: filling a dag with the pool.
 func BenchmarkProcess(b *testing.B) {
 	for _, size := range []int{100, 1000, 10000} {
 		b.Run(benchName("pool", size), func(b *testing.B) {
-			tr := NewTracker(cfg())
 			values := make([]uint64, size)
 			for i := range values {
 				values[i] = uint64(i + 1)
@@ -359,8 +395,8 @@ func BenchmarkProcess(b *testing.B) {
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if got := tr.Process(txs); len(got) != size {
-					b.Fatal("wrong node count")
+				if got := fill(cfg(), txs); len(got.sets) != size {
+					b.Fatal("wrong set count")
 				}
 			}
 		})
@@ -379,8 +415,7 @@ func BenchmarkSeries(b *testing.B) {
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				nodes := tr.Process(txs)
-				if got := tr.Series(nodes); len(got) != size {
+				if got := tr.SeriesOf(txs); len(got) != size {
 					b.Fatal("wrong series length")
 				}
 			}

@@ -180,9 +180,10 @@ func NewSemanticWindow(tracker *hms.Tracker, seed int64, window int) *Semantic {
 }
 
 // Pull implements Strategy. The tracker supplies the semantic prefix —
-// off its live DAG when pending is the attached pool's current snapshot,
-// from scratch otherwise — and everything else (non-HMS traffic,
-// orphaned sets and buys) follows in baseline order.
+// off the dag its pool's feed maintains when pending is the attached
+// pool's current snapshot, off a dag filled with pending otherwise — and
+// everything else (non-HMS traffic, orphaned sets and buys) follows in
+// baseline order.
 //
 // The rest passes two nonce repairs, its own and the whole body's. The
 // inner one knows nothing of the prefix: it discards a rest transaction

@@ -116,7 +116,7 @@ func benchBroadcastMesh50(b *testing.B) {
 }
 
 // benchViewLatency is the client-visible view path on a 1000-tx pool:
-// the incremental tracker absorbs a pool delta (view read, tail
+// the attached tracker absorbs a pool delta (view read, tail
 // removed, view read, tail re-admitted) per iteration — O(Δ)
 // maintenance instead of a per-call full recompute.
 func benchViewLatency(b *testing.B) {
@@ -138,9 +138,9 @@ func benchViewLatency(b *testing.B) {
 	}
 }
 
-// benchViewFromScratch is the reference oracle's cost: a standalone
-// tracker recomputing the whole view from a pool snapshot per call,
-// O(pool) per view.
+// benchViewFromScratch is what a view costs without a change feed: a
+// detached tracker fills a DAG with the pool snapshot per call, O(pool)
+// per view.
 func benchViewFromScratch(b *testing.B) {
 	pool, _, _ := ChainPool(1000)
 	tracker := NewTracker()
@@ -361,11 +361,12 @@ func SnapshotAfterAdmit() func() {
 
 // OrderDeepPool is one block-assembly ordering of the deep pool's
 // snapshot by a semantic miner (reorder window 0, as the e2e benchmark
-// runs it): off the attached tracker's live DAG, or — the same-run twin —
-// on a standalone tracker that re-derives the DAG from the snapshot, the
-// path any slice other than the attached pool's current snapshot takes.
-// Both collect all 10 050 transactions, the live ones first, which no
-// block on this pool pulls: a miner pays miner/build-50-of-pool10k.
+// runs it): off the DAG the pool's feed maintains for the attached
+// tracker, or — the same-run twin — on a detached tracker that fills a
+// DAG with the snapshot first, as any slice other than the attached
+// pool's current snapshot does. Both collect all 10 050 transactions, the
+// live ones first, which no block on this pool pulls: a miner pays
+// miner/build-50-of-pool10k.
 func OrderDeepPool(live bool) func() {
 	pool, tracker := DeepPool()
 	if !live {

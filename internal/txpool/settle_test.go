@@ -27,7 +27,7 @@ func newWatched(opts ...txpool.Option) *watched {
 		tracker: hms.NewTracker(hms.Config{Contract: market, SetSelector: asm.SelSet, BuySelector: asm.SelBuy}),
 	}
 	w.tracker.Attach(w.pool)
-	w.pool.Watch(func(c txpool.Change) {
+	w.pool.Watch(func([]*types.Transaction, uint64) {}, func(c txpool.Change) {
 		w.feed = append(w.feed, fmt.Sprintf("%c%x", "?+-"[c.Kind], c.Tx.Hash()))
 	})
 	return w

@@ -65,8 +65,9 @@ const (
 // it was applied.
 type Change struct {
 	Kind ChangeKind
-	// Tx is the pool's internal memoized instance; watchers must treat
-	// it as read-only.
+	// Tx is the pool's internal memoized instance — a TxRemoved carries
+	// the pointer its TxAdded (or the Watch seed) carried, so watchers may
+	// key on it; they must treat it as read-only.
 	Tx *types.Transaction
 	// Gen is the pool generation after this change was applied.
 	Gen uint64
@@ -116,18 +117,21 @@ func New(opts ...Option) *Pool {
 	return p
 }
 
-// Watch registers fn to be called synchronously, under the pool lock,
-// for every add and remove, in mutation order. It returns a consistent
-// snapshot of the current pending set (arrival order, shared pointers)
-// and the pool generation it corresponds to, so watchers can initialize
-// their state without missing or double-counting events. Watch must be
-// called before concurrent pool mutation begins. Handlers must be fast
-// and must not call back into the pool.
-func (p *Pool) Watch(fn func(Change)) ([]*types.Transaction, uint64) {
+// Watch subscribes fn to the pool's change feed: it is called
+// synchronously, under the pool lock, for every add and remove, in
+// mutation order. Before the first change, seed is called once — also
+// under the pool lock, in the same critical section that registers fn —
+// with the current pending set (arrival order, the shared read-only
+// slice Snapshot returns) and its generation, so a watcher initialized by
+// seed and updated by fn misses no mutation and sees none twice, even
+// when other goroutines are mutating the pool while Watch is called.
+// Both callbacks must be fast and must not call back into the pool.
+func (p *Pool) Watch(seed func(pending []*types.Transaction, gen uint64), fn func(Change)) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	snap := p.snapshotLocked()
+	seed(snap[:len(snap):len(snap)], p.gen)
 	p.watchers = append(p.watchers, fn)
-	return p.snapshotLocked(), p.gen
 }
 
 // Generation returns the pool's mutation counter. Two equal generations

@@ -287,12 +287,21 @@ func BenchmarkPending1k(b *testing.B) {
 	}
 }
 
+// noSeed is the Watch seed of a watcher that starts from an empty pool.
+func noSeed([]*types.Transaction, uint64) {}
+
 func TestWatchDeliversOrderedChanges(t *testing.T) {
 	p := New()
 	var log []Change
-	snap, gen := p.Watch(func(c Change) { log = append(log, c) })
-	if len(snap) != 0 || gen != 0 {
-		t.Fatalf("fresh pool snapshot: %d txs gen %d", len(snap), gen)
+	seeded := false
+	p.Watch(func(pending []*types.Transaction, gen uint64) {
+		seeded = true
+		if len(pending) != 0 || gen != 0 {
+			t.Fatalf("fresh pool seed: %d txs gen %d", len(pending), gen)
+		}
+	}, func(c Change) { log = append(log, c) })
+	if !seeded {
+		t.Fatal("Watch returned without seeding")
 	}
 	low := tx(1, 0, 10)
 	high := tx(1, 0, 20) // replaces low: one removal + one add
@@ -320,12 +329,64 @@ func TestWatchDeliversOrderedChanges(t *testing.T) {
 	if p.Generation() != uint64(len(wantKinds)) {
 		t.Errorf("pool generation = %d", p.Generation())
 	}
+
+	// A pool another goroutine is mutating: the seed must see the pending
+	// set and generation of one pool state before any event, and the
+	// events must continue from exactly that generation — seed plus feed
+	// replay to the pool's final pending set, the same instances in the
+	// same order.
+	for trial := 0; trial < 20; trial++ {
+		p := New()
+		for i := 0; i < 20; i++ {
+			if err := p.Add(tx(1, uint64(i), 10)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < 200; i++ {
+				added := tx(2, uint64(i), 10)
+				_ = p.Add(added)
+				if i%3 == 0 {
+					p.Remove([]types.Hash{added.Hash()})
+				}
+			}
+		}()
+
+		var model []*types.Transaction
+		var next uint64
+		seeds := 0
+		p.Watch(func(pending []*types.Transaction, gen uint64) {
+			seeds++
+			model, next = slices.Clone(pending), gen+1
+		}, func(c Change) {
+			if seeds != 1 || c.Gen != next {
+				t.Errorf("trial %d: change gen %d after %d seeds, want gen %d", trial, c.Gen, seeds, next)
+			}
+			next++
+			if c.Kind == TxAdded {
+				model = append(model, c.Tx)
+			} else if i := slices.Index(model, c.Tx); i >= 0 {
+				model = slices.Delete(model, i, i+1)
+			} else {
+				t.Errorf("trial %d: removal of an instance neither seeded nor added", trial)
+			}
+		})
+		<-done
+		if len(model) < 20 {
+			t.Fatalf("trial %d: seed and feed hold %d txs, fewer than the pool had before Watch", trial, len(model))
+		}
+		if snap, gen := p.Snapshot(); gen != next-1 || !slices.Equal(snap, model) {
+			t.Fatalf("trial %d: seed+feed replay %d txs to gen %d, pool has %d at gen %d", trial, len(model), next-1, len(snap), gen)
+		}
+	}
 }
 
 func TestWatchSeesClear(t *testing.T) {
 	p := New()
 	var removed []types.Hash
-	p.Watch(func(c Change) {
+	p.Watch(noSeed, func(c Change) {
 		if c.Kind == TxRemoved {
 			removed = append(removed, c.Tx.Hash())
 		}
@@ -526,7 +587,7 @@ func TestClearEvictsInCanonicalOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var removed []types.Hash
-	p.Watch(func(c Change) {
+	p.Watch(noSeed, func(c Change) {
 		if c.Kind == TxRemoved {
 			removed = append(removed, c.Tx.Hash())
 		}
@@ -591,7 +652,7 @@ func TestEvictLowestOnOverflow(t *testing.T) {
 func TestEvictionNotifiesWatchers(t *testing.T) {
 	p := New(WithCapacity(2), WithEvictLowest())
 	var removed []types.Hash
-	p.Watch(func(c Change) {
+	p.Watch(noSeed, func(c Change) {
 		if c.Kind == TxRemoved {
 			removed = append(removed, c.Tx.Hash())
 		}
@@ -633,7 +694,7 @@ func TestAdmitBatchMatchesSequentialAdmit(t *testing.T) {
 
 	seq := New()
 	var seqChanges []Change
-	seq.Watch(func(c Change) { seqChanges = append(seqChanges, c) })
+	seq.Watch(noSeed, func(c Change) { seqChanges = append(seqChanges, c) })
 	seqErrs := make([]error, len(batch))
 	for i, x := range batch {
 		_, seqErrs[i] = seq.Admit(x)
@@ -641,7 +702,7 @@ func TestAdmitBatchMatchesSequentialAdmit(t *testing.T) {
 
 	batched := New()
 	var batchChanges []Change
-	batched.Watch(func(c Change) { batchChanges = append(batchChanges, c) })
+	batched.Watch(noSeed, func(c Change) { batchChanges = append(batchChanges, c) })
 	admitted, errs := batched.AdmitBatch(batch)
 
 	for i := range batch {
@@ -794,7 +855,7 @@ func TestSnapshotAppendsOnAdmission(t *testing.T) {
 func TestSnapshotMatchesModelUnderChurn(t *testing.T) {
 	p := New(WithCapacity(40), WithEvictLowest())
 	var model []*types.Transaction // pool instances, arrival order
-	p.Watch(func(c Change) {
+	p.Watch(noSeed, func(c Change) {
 		if c.Kind == TxAdded {
 			model = append(model, c.Tx)
 			return
