@@ -81,13 +81,19 @@ state-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzNodeEncoding$$' -fuzztime 30s ./internal/trie
 
 # crash-smoke runs the crash-consistency suite under the race detector:
-# storage fault injection and salvage, the chain-level crash-point and
-# bit-flip recovery sweeps (-short: 3 seeds per point), snapshot
-# corruption rejection, the hardened RPC surface, and the sim crash
-# scenario family against its honest twins, ending with a quick
-# end-to-end crash experiment.
+# storage fault injection and salvage, the store against its map model
+# at full length (3 x 6000 steps of writes, compactions, reopens and
+# crashes that drop the unsynced tail; -short runs 3 x 1000), Get racing
+# compaction, and the SKV2 log fuzzed for 30 s (arbitrary bytes after
+# the magic must salvage to a clean log whose every record Get serves;
+# one exec is several fsyncs, so the minimiser is capped or it eats the
+# budget); the chain-level crash-point and bit-flip recovery sweeps
+# (-short: 3 seeds per point), snapshot corruption rejection, the
+# hardened RPC surface, and the sim crash scenario family against its
+# honest twins, ending with a quick end-to-end crash experiment.
 crash-smoke:
 	$(GO) test -race ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzLogReplay$$' -fuzztime 30s -fuzzminimizetime 1s ./internal/store
 	$(GO) test -race -short -run 'TestCrash|TestBitFlip|TestOpenFallsBack|TestInjectedWriteFailure|TestOpenSnapshot' ./internal/chain
 	$(GO) test -race -run 'TestPanic|TestMaxInFlight|TestShed|TestShutdown|TestHealth' ./internal/rpc
 	$(GO) test -race -run 'TestCrash' ./internal/sim ./internal/scenarios

@@ -101,8 +101,9 @@ type Chain struct {
 	// and share with their parent every trie node and every storage slot
 	// the block did not write, so one more costs what its block touched.
 	// The map itself is never pruned: it grows with the chain.
-	posts    map[types.Hash]*statedb.StateDB
-	orphaned uint64 // canonical blocks displaced by reorgs
+	posts     map[types.Hash]*statedb.StateDB
+	orphaned  uint64      // canonical blocks displaced by reorgs
+	headBatch store.Batch // a block's body and head records, reused
 }
 
 // New creates a chain whose genesis commits the given pre-state.

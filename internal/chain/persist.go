@@ -56,7 +56,8 @@ func (c *Chain) persistLocked(block *types.Block, post *statedb.StateDB) error {
 			return fmt.Errorf("%w: committed %s, header %s", ErrBadStateRoot, root.Hex(), block.Header.StateRoot.Hex())
 		}
 	}
-	b := &store.Batch{}
+	b := &c.headBatch
+	b.Reset()
 	b.Put(blockKey(block.Number()), block.EncodeRLP())
 	var num [8]byte
 	binary.BigEndian.PutUint64(num[:], block.Number())

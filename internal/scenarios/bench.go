@@ -547,14 +547,15 @@ func openBenchStore(b *testing.B) *store.FileStore {
 }
 
 // benchFileStoreWrite is the steady-state batch append path of the
-// persistent log — the pooled scratch buffer keeps it allocation-free.
+// persistent log — the batch is the bytes written, so it allocates
+// nothing.
 func benchFileStoreWrite(b *testing.B) {
 	s := openBenchStore(b)
 	batch := &store.Batch{}
 	for i := 0; i < 100; i++ {
 		batch.Put([]byte(fmt.Sprintf("key-%03d", i)), bytes.Repeat([]byte{byte(i)}, 64))
 	}
-	if err := s.Write(batch); err != nil { // warm the scratch buffer
+	if err := s.Write(batch); err != nil { // index the keys
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sort"
 	"testing"
 )
 
@@ -43,5 +44,47 @@ func TestCrashHonestTwinUnaffected(t *testing.T) {
 	}
 	if a.BuysSucceeded != b.BuysSucceeded || a.BuysIncluded != b.BuysIncluded || a.Blocks != b.Blocks {
 		t.Fatalf("honest twin diverged: %+v vs %+v", a, b)
+	}
+}
+
+// TestCrashedLazyNodeIsDiscardedUnread kills the same peer twice, the
+// second time a millisecond after its restart: the node recovered from
+// its datadir has executed nothing yet, so all of its head state still
+// resolves through the store on demand — and a crashed store serves
+// nothing, so any read through it panics the trie with a missing node.
+// doCrash takes the peer off the network before its store dies and
+// doRestart replaces the node, so nothing reads it in between.
+func TestCrashedLazyNodeIsDiscardedUnread(t *testing.T) {
+	s, err := newScenario(CrashSyncEveryBlock(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.cleanup()
+	tl := s.newTimeline()
+	var restart event
+	for _, ev := range tl.subs {
+		if ev.kind == evRestart {
+			restart = ev
+		}
+	}
+	if restart.kind != evRestart || restart.at+30_000 > tl.lastSub {
+		t.Fatalf("no room for a second kill after the restart at %d ms (submissions end at %d)", restart.at, tl.lastSub)
+	}
+	tl.subs = append(tl.subs,
+		event{at: restart.at + 1, kind: evCrash, idx: restart.idx},
+		event{at: restart.at + 30_000, kind: evRestart, idx: restart.idx})
+	sort.SliceStable(tl.subs, func(i, j int) bool { return tl.subs[i].at < tl.subs[j].at })
+	res, err := s.drive(tl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Crashes != 2 || res.CrashRecoveries != 2 {
+		t.Fatalf("crashes %d, recoveries %d, want 2 and 2", res.Crashes, res.CrashRecoveries)
+	}
+	if res.RecoveredBoots != 2 {
+		t.Fatalf("%d of 2 restarts recovered a durable head: the second kill did not land on a lazy node", res.RecoveredBoots)
+	}
+	if !res.Converged {
+		t.Fatal("population did not converge after the second recovery")
 	}
 }

@@ -921,11 +921,14 @@ func (tl *timeline) stop() { tl.stopped = true }
 
 // run drives the scenario: every submission, block and network delivery
 // advances through the unified timeline's single clock.
-func (s *scenario) run() (Result, error) {
+func (s *scenario) run() (Result, error) { return s.drive(s.newTimeline()) }
+
+// drive runs the scenario over tl (run's own timeline, or one a test
+// has added events to).
+func (s *scenario) drive(tl *timeline) (Result, error) {
 	if s.rpc != nil {
 		defer s.rpc.close()
 	}
-	tl := s.newTimeline()
 	for {
 		ev, ok := tl.next()
 		if !ok {

@@ -1,0 +1,5 @@
+//go:build !race
+
+package statedb
+
+const raceEnabled = false

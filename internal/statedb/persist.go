@@ -7,6 +7,7 @@ package statedb
 
 import (
 	"fmt"
+	"sync"
 
 	"sereth/internal/rlp"
 	"sereth/internal/store"
@@ -46,14 +47,23 @@ func OpenAt(kv Reader, root types.Hash) *StateDB {
 	}
 }
 
+// commitBatches recycles the batch a commit fills: a block's records
+// land in a buffer the previous block already grew to size.
+var commitBatches = sync.Pool{New: func() any { return new(store.Batch) }}
+
 // CommitTo flushes the state and writes every trie node not yet
 // persisted — exactly the paths the dirty tracking re-encoded since the
 // last commit — plus any new code blobs into kv as one batch. It
-// returns the committed root and the number of records written.
+// returns the committed root and the number of records written. It
+// reads nothing from kv: what is already there is remembered on the
+// nodes and accounts that were written or resolved.
 func (s *StateDB) CommitTo(kv store.Store) (types.Hash, int, error) {
 	root := s.Root() // flush: fold dirty accounts/slots into the tries
-	b := &store.Batch{}
+	b := commitBatches.Get().(*store.Batch)
+	b.Reset()
+	defer commitBatches.Put(b)
 	n := s.accTrie.Commit(b)
+	var coded []*account
 	for _, acc := range s.accounts {
 		if acc.deleted {
 			continue
@@ -61,20 +71,21 @@ func (s *StateDB) CommitTo(kv store.Store) (types.Hash, int, error) {
 		if acc.storageTrie != nil {
 			n += acc.storageTrie.Commit(b)
 		}
-		if len(acc.code) > 0 {
+		if len(acc.code) > 0 && !acc.codeStored {
 			if acc.codeHash == nil {
 				h := types.Keccak(acc.code)
 				acc.codeHash = &h
 			}
-			ck := codeKey(*acc.codeHash)
-			if _, ok := kv.Get(ck); !ok {
-				b.Put(ck, acc.code)
-				n++
-			}
+			b.Put(codeKey(*acc.codeHash), acc.code)
+			coded = append(coded, acc)
+			n++
 		}
 	}
 	if err := kv.Write(b); err != nil {
 		return types.Hash{}, 0, err
+	}
+	for _, acc := range coded {
+		acc.codeStored = true
 	}
 	return root, n, nil
 }
@@ -141,7 +152,7 @@ func decodeAccount(kv Reader, enc []byte) (*account, error) {
 		if !ok {
 			return nil, fmt.Errorf("missing code blob %x", codeHash)
 		}
-		acc.code = code
+		acc.code, acc.codeStored = code, true
 	}
 	return acc, nil
 }

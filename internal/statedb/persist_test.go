@@ -1,6 +1,7 @@
 package statedb
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"testing"
@@ -282,15 +283,31 @@ func BenchmarkCommitToDirtyPath(b *testing.B) {
 	}
 }
 
+// countingStore counts the reads a commit makes of the store it writes.
+type countingStore struct {
+	*store.FileStore
+	gets int
+}
+
+func (c *countingStore) Get(key []byte) ([]byte, bool) {
+	c.gets++
+	return c.FileStore.Get(key)
+}
+
 // TestCodeBlobsDeduplicated pins that repeated commits do not re-append
-// unchanged code blobs (or anything else) to a file-backed log.
+// unchanged code blobs (or anything else) to a file-backed log, and that
+// they learn that without reading it: a blob's presence is remembered on
+// the account, on copies of it and on one reopened from the store.
 func TestCodeBlobsDeduplicated(t *testing.T) {
-	kv, err := store.OpenFile(t.TempDir())
+	fs, err := store.OpenFile(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	kv := &countingStore{FileStore: fs}
 	defer func() { _ = kv.Close() }()
 	s := populated(t)
+	blob := bytes.Repeat([]byte{0x5b}, 4096) // outweighs any path of trie nodes
+	s.SetCode(addrN(0xcc), blob)
 	if _, _, err := s.CommitTo(kv); err != nil {
 		t.Fatal(err)
 	}
@@ -318,5 +335,141 @@ func TestCodeBlobsDeduplicated(t *testing.T) {
 	}
 	if grown := logSize() - idle; grown <= 0 || grown >= idle/2 {
 		t.Fatalf("nonce-bump commit grew log by %d (initial log %d)", grown, idle)
+	}
+	if kv.gets != 0 {
+		t.Fatalf("commits of an in-memory state read the store %d times", kv.gets)
+	}
+	// A block's post state is a copy: the contract's storage moves, its
+	// code does not, and the commit must not ask the store about it.
+	post := s.Copy()
+	post.SetState(addrN(0xcc), slotN(3), wordN(99))
+	before := logSize()
+	if _, n, err := post.CommitTo(kv); err != nil || n == 0 {
+		t.Fatalf("post-state commit wrote %d records, err %v", n, err)
+	}
+	if grown := logSize() - before; grown >= int64(len(blob)) {
+		t.Fatalf("post-state commit grew log by %d: the code blob went with it", grown)
+	}
+	if kv.gets != 0 {
+		t.Fatalf("post-state commit read the store %d times", kv.gets)
+	}
+	// A reopened account's blob came from the store; new code has not.
+	root, _, _ := post.CommitTo(kv)
+	re := OpenAt(kv, root)
+	re.SetState(addrN(0xcc), slotN(4), wordN(100))
+	re.Root() // the flush resolves the paths it rewrites; the commit reads nothing more
+	resolved := kv.gets
+	before = logSize()
+	if _, _, err := re.CommitTo(kv); err != nil {
+		t.Fatal(err)
+	}
+	if grown := logSize() - before; grown >= int64(len(blob)) || kv.gets != resolved {
+		t.Fatalf("reopened-state commit grew log by %d and read the store %d times", grown, kv.gets-resolved)
+	}
+	code := []byte{0x60, 0x01, 0x60, 0x01, 0x55, 0x00}
+	re.SetCode(addrN(0xcc), code)
+	root, _, err = re.CommitTo(kv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := OpenAt(kv, root).GetCode(addrN(0xcc)); string(got) != string(code) {
+		t.Fatalf("new code %x did not reach the store: reopened %x", code, got)
+	}
+}
+
+// TestCommitAllocatesPerBlockNotPerNode counts, not times: a block that
+// dirties 250 slots of a large contract re-encodes about a thousand trie
+// nodes, and committing them to a FileStore — staging the records,
+// writing them, indexing them — allocates a handful of times in all (the
+// parent allocated about four times per node). Measured as the
+// difference between the same round with and without the commit.
+func TestCommitAllocatesPerBlockNotPerNode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	kv, err := store.OpenFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = kv.Close() }()
+	kv.CompactMinBytes = 0
+	s := New()
+	contract := addrN(0xcc)
+	s.SetCode(contract, []byte{0x60, 0x00, 0x55, 0x00})
+	const slots, perBlock = 5000, 250
+	for i := uint64(0); i < slots; i++ {
+		s.SetState(contract, slotN(i), wordN(i+1))
+	}
+	s.DiscardJournal()
+	if _, _, err := s.CommitTo(kv); err != nil {
+		t.Fatal(err)
+	}
+	round, nodes := uint64(0), 0
+	block := func(commit bool) func() {
+		return func() {
+			round++
+			for i := uint64(0); i < perBlock; i++ {
+				s.SetState(contract, slotN((round*perBlock+i)%slots), wordN(round<<32|i))
+			}
+			s.DiscardJournal()
+			s.Root()
+			if commit {
+				_, n, err := s.CommitTo(kv)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nodes = n
+			}
+		}
+	}
+	block(true)() // the pooled batch reaches its size
+	without := testing.AllocsPerRun(10, block(false))
+	with := testing.AllocsPerRun(10, block(true))
+	if nodes < 2*perBlock {
+		t.Fatalf("a block committed %d records: the fixture dirties too little", nodes)
+	}
+	if extra := with - without; extra > 10 {
+		t.Fatalf("committing %d nodes allocated %v times (%v with the commit, %v without)", nodes, extra, with, without)
+	}
+}
+
+var sinkWord types.Word
+
+// BenchmarkLazyRead is the row the offset index makes slower: random
+// GetState on a state reopened from a FileStore, where every node on the
+// slot's path is a read of the log (the page cache, here) and not of a
+// map of values held in RAM.
+func BenchmarkLazyRead(b *testing.B) {
+	dir := b.TempDir()
+	kv, err := store.OpenFile(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := New()
+	contract := addrN(0xcc)
+	const slots = 20_000
+	for i := uint64(0); i < slots; i++ {
+		s.SetState(contract, slotN(i), wordN(i+1))
+	}
+	root, _, err := s.CommitTo(kv)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := kv.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if kv, err = store.OpenFile(dir); err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = kv.Close() }()
+	re := OpenAt(kv, root)
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkWord = re.GetState(contract, slotN(uint64(rng.Intn(slots))))
+	}
+	if sinkWord == types.ZeroWord {
+		b.Fatal("a stored slot read as zero")
 	}
 }

@@ -437,7 +437,7 @@ func (v *SpecView) MergeInto(dst *StateDB) {
 		}
 		if sa.codeSet {
 			acc.code = sa.code // SetCode installed a private copy
-			acc.codeHash = nil
+			acc.codeHash, acc.codeStored = nil, false
 		}
 		for k, val := range sa.storage {
 			acc.setSlot(k, val) // zero clears, here as there

@@ -81,6 +81,11 @@ type account struct {
 	enc      []byte
 	codeHash *types.Hash
 	trieKey  types.Hash
+	// codeStored remembers that the code blob is in the store, as a trie
+	// node does: set when the account is decoded from the store or its
+	// blob written, cleared by whatever assigns code (a revert too: at
+	// worst a redundant write), so no commit reads a blob to find it.
+	codeStored bool
 	// lazy marks an account materialized from a persisted trie: its
 	// flushed storage is the storage trie itself (see loadSlot), which is
 	// already persistent and shared, so it keeps no generations.
@@ -235,7 +240,7 @@ func (e *journalEntry) revert(s *StateDB) {
 	case kindBalance:
 		e.acc.balance = e.prevU64
 	case kindCode:
-		e.acc.code, e.acc.codeHash = e.prevCode, e.prevCodeHash
+		e.acc.code, e.acc.codeHash, e.acc.codeStored = e.prevCode, e.prevCodeHash, false
 	case kindStorage:
 		// Written, not deleted: a Root() since the mutation may have sealed
 		// the overlay, and only a fresh overlay entry outranks that.
@@ -377,7 +382,7 @@ func (s *StateDB) SetCode(addr types.Address, code []byte) {
 	acc := s.getOrCreate(addr)
 	prev, prevHash := acc.code, acc.codeHash
 	acc.code = append([]byte{}, code...)
-	acc.codeHash = nil
+	acc.codeHash, acc.codeStored = nil, false
 	s.touch(addr)
 	s.journal = append(s.journal, journalEntry{
 		kind: kindCode, addr: addr, acc: acc, prevCode: prev, prevCodeHash: prevHash,
@@ -506,14 +511,15 @@ func (s *StateDB) Copy() *StateDB {
 // overlay of its own on its first write.
 func (acc *account) copy() *account {
 	nacc := &account{
-		nonce:    acc.nonce,
-		balance:  acc.balance,
-		code:     acc.code, // immutable: SetCode installs a fresh copy
-		gens:     acc.gens,
-		enc:      acc.enc,
-		codeHash: acc.codeHash,
-		trieKey:  acc.trieKey,
-		lazy:     acc.lazy,
+		nonce:      acc.nonce,
+		balance:    acc.balance,
+		code:       acc.code, // immutable: SetCode installs a fresh copy
+		gens:       acc.gens,
+		enc:        acc.enc,
+		codeHash:   acc.codeHash,
+		trieKey:    acc.trieKey,
+		lazy:       acc.lazy,
+		codeStored: acc.codeStored,
 	}
 	if acc.storageTrie != nil {
 		nacc.storageTrie = acc.storageTrie.Copy()

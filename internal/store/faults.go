@@ -39,8 +39,8 @@ type FaultPolicy struct {
 	// random strict byte prefix of the encoded batch in the log.
 	TornAppendAtWrite int
 	// FlipBitAtWrite flips one random bit of the durable log right
-	// after that write commits — silent corruption, visible only to
-	// the next replay.
+	// after that write commits — silent corruption: a miss to Get, and
+	// repaired or quarantined by the next replay.
 	FlipBitAtWrite int
 	// CrashAtWrite crashes the store right after that write commits.
 	CrashAtWrite int
@@ -88,8 +88,9 @@ func NewFault(inner Store, pol *FaultPolicy) *FaultStore {
 	return s
 }
 
-// Get reads through to the inner index (it survives a crash in-process;
-// harnesses reopen the datadir for the post-crash view).
+// Get reads through to the inner store. A crashed file-backed store has
+// abandoned its descriptor and serves nothing — never bytes that are no
+// longer on disk; harnesses reopen the datadir for the post-crash view.
 func (s *FaultStore) Get(key []byte) ([]byte, bool) { return s.inner.Get(key) }
 
 // Put routes through Write so it counts as one write for the policy.
@@ -115,7 +116,7 @@ func (s *FaultStore) Write(b *Batch) error {
 		return ErrInjectedFault
 	}
 	if s.writes == s.pol.TornAppendAtWrite && s.fs != nil {
-		enc := encodeBatch(nil, b)
+		enc := b.buf // the records exactly as Write would append them
 		cut := 0
 		if len(enc) > 1 {
 			cut = 1 + s.rng.Intn(len(enc)-1) // strict, non-empty prefix

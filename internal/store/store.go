@@ -2,14 +2,23 @@
 // tries, code blobs, blocks and head pointers. Two implementations share
 // one interface: MemStore (a mutex-guarded map, for tests and ephemeral
 // nodes) and FileStore (a single append-only log with an in-memory
-// index, batched writes, checksummed records, crash salvage and
-// compaction on reopen).
+// directory of offsets, batched writes, checksummed records, crash
+// salvage and compaction on reopen).
 //
 // The store is deliberately dumber than a real database: trie nodes are
 // content-addressed (key = Keccak of the value) so records are immutable
 // and an append log with last-write-wins replay is a correct index. The
 // only mutable keys are small pointers (the chain head), which simply
 // append a new record.
+//
+// The log is the only copy of what it holds (the Bitcask design: Sheehy
+// & Smith, 2010). A Batch is the finished records themselves, so a
+// commit is one copy into the batch and one write(2) of it; the index
+// (directory) maps a key to its newest record's {offset, length} and
+// holds no bytes: 70-100 B of RAM per trie node, in a map the GC never
+// scans. Get is one pread of the record, which must pass its CRC and
+// carry the key asked for: a record damaged on disk reads as a miss,
+// never as wrong bytes.
 //
 // On-disk format (SKV2): a 5-byte magic followed by records of
 // `uvarint(len key) || key || uvarint(len value) || value || crc32`,
@@ -20,7 +29,9 @@
 package store
 
 import (
+	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -28,7 +39,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -58,36 +69,46 @@ type Salvager interface {
 	Salvage() SalvageReport
 }
 
-// Batch accumulates key/value pairs for a single Write. It satisfies
-// trie.Writer so a trie commit can stage node encodings directly.
+// Batch accumulates records for a single Write. It satisfies
+// trie.Writer so a trie commit can stage node encodings directly. It is
+// the bytes Write appends: Put encodes each record once, into a buffer
+// Reset keeps, so a reused batch stages without allocating.
 type Batch struct {
-	pairs []kv
-	bytes int
+	buf     []byte // finished SKV2 records, back to back
+	recs    []span // one per record, in Put order
+	payload int
 }
 
-type kv struct {
-	key, val []byte
+// span locates one record, and its key and value, in Batch.buf.
+type span struct {
+	off, klen, vlen int
 }
 
 // Put stages a pair. Key and value are copied, so callers may reuse
 // their buffers.
 func (b *Batch) Put(key, value []byte) {
-	k := make([]byte, len(key))
-	copy(k, key)
-	v := make([]byte, len(value))
-	copy(v, value)
-	b.pairs = append(b.pairs, kv{k, v})
-	b.bytes += len(k) + len(v)
+	b.recs = append(b.recs, span{len(b.buf), len(key), len(value)})
+	b.buf = appendRecord(b.buf, key, value)
+	b.payload += len(key) + len(value)
 }
 
 // Len returns the number of staged pairs.
-func (b *Batch) Len() int { return len(b.pairs) }
+func (b *Batch) Len() int { return len(b.recs) }
 
 // Size returns the staged payload bytes (keys + values).
-func (b *Batch) Size() int { return b.bytes }
+func (b *Batch) Size() int { return b.payload }
 
 // Reset empties the batch for reuse.
-func (b *Batch) Reset() { b.pairs = b.pairs[:0]; b.bytes = 0 }
+func (b *Batch) Reset() { b.buf, b.recs, b.payload = b.buf[:0], b.recs[:0], 0 }
+
+// record returns the i-th staged pair, aliasing the batch's buffer, and
+// the length of its record.
+func (b *Batch) record(i int) (key, val []byte, size int) {
+	r := b.recs[i]
+	k := r.off + uvarintLen(uint64(r.klen))
+	v := k + r.klen + uvarintLen(uint64(r.vlen))
+	return b.buf[k : k+r.klen], b.buf[v : v+r.vlen], v + r.vlen + crcSize - r.off
+}
 
 // MemStore is an in-memory Store.
 type MemStore struct {
@@ -119,8 +140,9 @@ func (s *MemStore) Put(key, value []byte) error {
 // Write applies a batch.
 func (s *MemStore) Write(b *Batch) error {
 	s.mu.Lock()
-	for _, p := range b.pairs {
-		s.m[string(p.key)] = p.val
+	for i := range b.recs {
+		key, val, _ := b.record(i)
+		s.m[string(key)] = bytes.Clone(val)
 	}
 	s.mu.Unlock()
 	return nil
@@ -176,23 +198,21 @@ type CompactStats struct {
 	Records int
 }
 
-// FileStore is an append-only log with a full in-memory index. Write
-// batches many records into a single file append; Sync is explicit so
-// block-boundary commits can group durability points. Reopen replays
-// the log (last write wins), verifying each record's CRC: a torn tail
-// is truncated, mid-log corruption is quarantined by resyncing to the
-// next valid record, and the log is compacted when dead bytes dominate.
+// FileStore is an append-only log with an in-memory directory of record
+// offsets. Write appends a batch's records in a single file write; Sync
+// is explicit so block-boundary commits can group durability points.
+// Reopen replays the log (last write wins), verifying each record's CRC:
+// a torn tail is truncated, mid-log corruption is quarantined by
+// resyncing to the next valid record, and the log is compacted when dead
+// bytes dominate.
 type FileStore struct {
 	mu   sync.RWMutex
-	m    map[string]*fentry
+	dir  directory
 	f    *os.File
 	path string
 
-	buf []byte // pooled append scratch, reused under mu
-
 	size       int64 // file size (magic + log bytes)
 	syncedSize int64 // file size at the last Sync (durability horizon)
-	liveBytes  int64 // bytes occupied by the latest record of each live key
 	closed     bool
 
 	salvage SalvageReport
@@ -206,11 +226,51 @@ type FileStore struct {
 	CompactRatio    float64
 }
 
-// fentry is an index slot. Indirection lets overwrites of an existing
-// key mutate in place, keeping the hot Write path allocation-free (a
-// map assignment would re-allocate the key string every time).
-type fentry struct {
-	val []byte
+// loc is where a record lies in the log: the offset of its first byte
+// and its whole length, CRC included.
+type loc struct {
+	off, n int64
+}
+
+// directory is the index: where the newest record of every key lies, and
+// how many bytes of the log those records occupy. Keys as long as a trie
+// node's, the Keccak of its encoding — all but a few hundred — get a map
+// keyed by an array: no string header per key, no pointer for the GC.
+type directory struct {
+	nodes     map[[32]byte]loc
+	small     map[string]*loc // block bodies, code blobs, the head pointer
+	liveBytes int64
+}
+
+func newDirectory(nodes, small int) directory {
+	return directory{nodes: make(map[[32]byte]loc, nodes), small: make(map[string]*loc, small)}
+}
+
+func (d *directory) len() int { return len(d.nodes) + len(d.small) }
+
+func (d *directory) get(key []byte) (l loc, ok bool) {
+	if len(key) == 32 {
+		l, ok = d.nodes[[32]byte(key)]
+	} else if e := d.small[string(key)]; e != nil {
+		l, ok = *e, true
+	}
+	return l, ok
+}
+
+// put points key at its newest record. Overwrites allocate nothing.
+func (d *directory) put(key []byte, l loc) {
+	if len(key) == 32 {
+		d.liveBytes += l.n - d.nodes[[32]byte(key)].n
+		d.nodes[[32]byte(key)] = l
+		return
+	}
+	if e, ok := d.small[string(key)]; ok {
+		d.liveBytes += l.n - e.n
+		*e = l // assigning to the map would allocate the key's string again
+		return
+	}
+	d.small[string(key)] = &loc{l.off, l.n} // &l would move every call's l to the heap
+	d.liveBytes += l.n
 }
 
 // logMagic heads every store file; it versions the record format.
@@ -255,7 +315,7 @@ func OpenFile(dir string) (*FileStore, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s := &FileStore{
-		m:               make(map[string]*fentry),
+		dir:             newDirectory(0, 0),
 		f:               f,
 		path:            path,
 		CompactMinBytes: defaultCompactMinBytes,
@@ -270,7 +330,7 @@ func OpenFile(dir string) (*FileStore, error) {
 		// Rewrite to a clean log so the damage does not survive into
 		// the next generation.
 		if _, err := s.compactLocked(); err != nil {
-			_ = f.Close()
+			_ = s.f.Close()
 			return nil, err
 		}
 		s.salvage.Compacted = true
@@ -282,7 +342,7 @@ func OpenFile(dir string) (*FileStore, error) {
 // a record boundary. A torn tail (crash mid-append) is truncated away.
 // A CRC failure in the middle of the log resyncs to the next valid
 // record and quarantines the damaged range, so later good records
-// survive.
+// survive. The index keeps offsets: the file image dies with replay.
 func (s *FileStore) replay() error {
 	data, err := io.ReadAll(s.f)
 	if err != nil {
@@ -302,9 +362,9 @@ func (s *FileStore) replay() error {
 	off := len(logMagic)
 	good := off
 	for off < len(data) {
-		key, val, next, ok := readRecord(data, off)
+		key, _, next, ok := readRecord(data, off)
 		if ok {
-			s.index(key, val)
+			s.dir.put(key, loc{int64(off), int64(next - off)})
 			s.salvage.Records++
 			off = next
 			good = off
@@ -320,8 +380,13 @@ func (s *FileStore) replay() error {
 		if resync >= 0 {
 			end = resync
 		}
-		if key, val, ok := correctSingleBit(data, off, end); ok {
-			s.index(key, val)
+		if key, ok := correctSingleBit(data, off, end); ok {
+			// The index points into the file, so the repair goes there
+			// too: the compaction that follows copies what verifies.
+			if _, err := s.f.WriteAt(data[off:end], int64(off)); err != nil {
+				return fmt.Errorf("store: salvage: %w", err)
+			}
+			s.dir.put(key, loc{int64(off), int64(end - off)})
 			s.salvage.Records++
 			s.salvage.Corrected++
 			off = end
@@ -349,18 +414,6 @@ func (s *FileStore) replay() error {
 	return nil
 }
 
-// index applies one record to the in-memory index and the live-bytes
-// accounting. Overwrites mutate the entry in place (no allocation).
-func (s *FileStore) index(key, val []byte) {
-	if e, ok := s.m[string(key)]; ok {
-		s.liveBytes += recordSize(len(key), len(val)) - recordSize(len(key), len(e.val))
-		e.val = val
-		return
-	}
-	s.m[string(key)] = &fentry{val: val}
-	s.liveBytes += recordSize(len(key), len(val))
-}
-
 // correctMaxBytes bounds the damaged range single-bit repair will
 // brute-force; the attempt is O(range² · 8) in CRC work.
 const correctMaxBytes = 1 << 16
@@ -369,23 +422,23 @@ const correctMaxBytes = 1 << 16
 // one record with exactly one flipped bit. CRC32 makes the check
 // sound: a candidate flip must make the range parse as a record ending
 // exactly at end with a matching checksum, so a false repair needs a
-// ~2^-32 collision. The flip is applied to data in place (later
-// compaction rewrites the clean log); a torn tail can never pass,
-// since no single flip invents missing bytes. Salvage-path only.
-func correctSingleBit(data []byte, off, end int) (key, val []byte, ok bool) {
+// ~2^-32 collision. The flip is applied to data in place; a torn tail
+// can never pass, since no single flip invents missing bytes.
+// Salvage-path only.
+func correctSingleBit(data []byte, off, end int) (key []byte, ok bool) {
 	if end-off > correctMaxBytes {
-		return nil, nil, false
+		return nil, false
 	}
 	for i := off; i < end; i++ {
 		for bit := 0; bit < 8; bit++ {
 			data[i] ^= 1 << bit
-			if key, val, next, ok := readRecord(data, off); ok && next == end {
-				return key, val, true
+			if key, _, next, ok := readRecord(data, off); ok && next == end {
+				return key, true
 			}
 			data[i] ^= 1 << bit
 		}
 	}
-	return nil, nil, false
+	return nil, false
 }
 
 // findResync scans forward from off for the next offset that parses as
@@ -398,11 +451,6 @@ func findResync(data []byte, off int) int {
 		}
 	}
 	return -1
-}
-
-// recordSize returns the on-disk footprint of a record.
-func recordSize(klen, vlen int) int64 {
-	return int64(uvarintLen(uint64(klen)) + klen + uvarintLen(uint64(vlen)) + vlen + crcSize)
 }
 
 func uvarintLen(x uint64) int {
@@ -444,50 +492,55 @@ func readRecord(data []byte, off int) (key, val []byte, next int, ok bool) {
 
 // appendRecord encodes one SKV2 record (payload + CRC trailer).
 func appendRecord(buf, key, val []byte) []byte {
-	var tmp [binary.MaxVarintLen64]byte
 	start := len(buf)
-	buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(len(key)))]...)
+	buf = binary.AppendUvarint(buf, uint64(len(key)))
 	buf = append(buf, key...)
-	buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(len(val)))]...)
+	buf = binary.AppendUvarint(buf, uint64(len(val)))
 	buf = append(buf, val...)
-	sum := crc32.ChecksumIEEE(buf[start:])
-	binary.LittleEndian.PutUint32(tmp[:crcSize], sum)
-	return append(buf, tmp[:crcSize]...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
 }
 
-// encodeBatch renders the batch's records into buf (reused between
-// calls) exactly as Write would append them.
-func encodeBatch(buf []byte, b *Batch) []byte {
-	buf = buf[:0]
-	for _, p := range b.pairs {
-		buf = appendRecord(buf, p.key, p.val)
-	}
-	return buf
-}
-
-// Get returns the value stored under key.
+// Get returns the value stored under key. It holds the read lock across
+// its one read of the file — compaction swaps the descriptor — and
+// serves only what it checked: a record that fails its CRC or carries
+// another key is a miss, as is every key once the store is closed.
 func (s *FileStore) Get(key []byte) ([]byte, bool) {
 	s.mu.RLock()
-	e, ok := s.m[string(key)]
-	s.mu.RUnlock()
-	if !ok {
+	defer s.mu.RUnlock()
+	if s.closed {
 		return nil, false
 	}
-	return e.val, true
+	if l, ok := s.dir.get(key); ok {
+		return s.read(l, key)
+	}
+	return nil, false
+}
+
+// read returns the value of the record at l if it verifies and is key's.
+func (s *FileStore) read(l loc, key []byte) ([]byte, bool) {
+	rec := make([]byte, l.n)
+	if _, err := s.f.ReadAt(rec, l.off); err != nil {
+		return nil, false
+	}
+	k, val, next, ok := readRecord(rec, 0)
+	if !ok || next != len(rec) || !bytes.Equal(k, key) {
+		return nil, false
+	}
+	return val, true
 }
 
 // Put appends one record and indexes it.
 func (s *FileStore) Put(key, value []byte) error {
-	b := &Batch{}
+	var b Batch
 	b.Put(key, value)
-	return s.Write(b)
+	return s.Write(&b)
 }
 
-// Write appends the whole batch as one file write, then publishes it to
-// the index. Readers never observe a partially applied batch. The
-// encode scratch is pooled, so steady-state writes do not allocate.
+// Write appends the whole batch as one file write of the batch's own
+// buffer, then publishes it to the index. Readers never observe a
+// partially applied batch; a reused batch writes without allocating.
 func (s *FileStore) Write(b *Batch) error {
-	if len(b.pairs) == 0 {
+	if len(b.recs) == 0 {
 		return nil
 	}
 	s.mu.Lock()
@@ -495,13 +548,15 @@ func (s *FileStore) Write(b *Batch) error {
 	if s.closed {
 		return ErrClosed
 	}
-	s.buf = encodeBatch(s.buf, b)
-	if _, err := s.f.Write(s.buf); err != nil {
+	base := s.size
+	n, err := s.f.Write(b.buf)
+	s.size += int64(n) // a short write still moved the end of the log
+	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	s.size += int64(len(s.buf))
-	for _, p := range b.pairs {
-		s.index(p.key, p.val)
+	for i, r := range b.recs {
+		key, _, size := b.record(i)
+		s.dir.put(key, loc{base + int64(r.off), int64(size)})
 	}
 	return s.maybeCompactLocked()
 }
@@ -515,7 +570,7 @@ func (s *FileStore) maybeCompactLocked() error {
 	if total < s.CompactMinBytes {
 		return nil
 	}
-	if float64(total-s.liveBytes) <= float64(total)*s.CompactRatio {
+	if float64(total-s.dir.liveBytes) <= float64(total)*s.CompactRatio {
 		return nil
 	}
 	_, err := s.compactLocked()
@@ -535,10 +590,23 @@ func (s *FileStore) Compact() (CompactStats, error) {
 	return s.compactLocked()
 }
 
+// compactLocked streams the live records to the temp file in log order
+// (deterministic, so compacted logs are byte-comparable across runs),
+// re-verifying each and indexing it at its new offset. A live record
+// that no longer verifies aborts the rewrite and leaves the log as it
+// is: reopening salvages it, and reports that it did.
 func (s *FileStore) compactLocked() (CompactStats, error) {
+	live := make([]loc, 0, s.dir.len())
+	for _, l := range s.dir.nodes {
+		live = append(live, l)
+	}
+	for _, e := range s.dir.small {
+		live = append(live, *e)
+	}
+	slices.SortFunc(live, func(a, b loc) int { return cmp.Compare(a.off, b.off) })
 	stats := CompactStats{
 		BytesBefore: s.size - int64(len(logMagic)),
-		Records:     len(s.m),
+		Records:     len(live),
 	}
 	tmpPath := filepath.Join(filepath.Dir(s.path), TmpFileName)
 	tmp, err := os.OpenFile(tmpPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -550,23 +618,30 @@ func (s *FileStore) compactLocked() (CompactStats, error) {
 		_ = os.Remove(tmpPath)
 		return stats, fmt.Errorf("store: compact: %w", err)
 	}
-	if _, err := tmp.Write(logMagic); err != nil {
+	w := bufio.NewWriterSize(tmp, 1<<16)
+	if _, err := w.Write(logMagic); err != nil {
 		return fail(err)
 	}
-	// Deterministic record order makes compacted logs byte-comparable
-	// across runs.
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var live int64
-	for _, k := range keys {
-		s.buf = appendRecord(s.buf[:0], []byte(k), s.m[k].val)
-		if _, err := tmp.Write(s.buf); err != nil {
+	next := newDirectory(len(s.dir.nodes), len(s.dir.small))
+	size := int64(len(logMagic))
+	var rec []byte
+	for _, l := range live {
+		rec = slices.Grow(rec[:0], int(l.n))[:l.n]
+		if _, err := s.f.ReadAt(rec, l.off); err != nil {
 			return fail(err)
 		}
-		live += int64(len(s.buf))
+		key, _, end, ok := readRecord(rec, 0)
+		if !ok || end != len(rec) {
+			return fail(fmt.Errorf("live record at offset %d does not verify", l.off))
+		}
+		if _, err := w.Write(rec); err != nil {
+			return fail(err)
+		}
+		next.put(key, loc{size, l.n})
+		size += l.n
+	}
+	if err := w.Flush(); err != nil {
+		return fail(err)
 	}
 	if err := tmp.Sync(); err != nil {
 		return fail(err)
@@ -594,10 +669,10 @@ func (s *FileStore) compactLocked() (CompactStats, error) {
 	}
 	_ = s.f.Close()
 	s.f = f
-	s.size = int64(len(logMagic)) + live
-	s.syncedSize = s.size
-	s.liveBytes = live
-	stats.BytesAfter = live
+	s.dir = next
+	s.size = size
+	s.syncedSize = size
+	stats.BytesAfter = next.liveBytes
 	return stats, nil
 }
 
@@ -605,7 +680,7 @@ func (s *FileStore) compactLocked() (CompactStats, error) {
 func (s *FileStore) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.m)
+	return s.dir.len()
 }
 
 // Salvage returns what the last open had to repair.
@@ -629,8 +704,8 @@ func (s *FileStore) Sync() error {
 	return nil
 }
 
-// Close syncs and closes the log. It is idempotent; the in-memory
-// index keeps serving Get after Close.
+// Close syncs and closes the log. It is idempotent. The values live in
+// the file only, so a closed store serves nothing: Get reports a miss.
 func (s *FileStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -674,7 +749,7 @@ func (s *FileStore) rawAppend(p []byte) error {
 }
 
 // rawTruncate cuts the file to n bytes without touching the index —
-// the on-disk outcome of losing an unsynced tail.
+// losing an unsynced tail; records past the cut read as misses.
 func (s *FileStore) rawTruncate(n int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -692,7 +767,7 @@ func (s *FileStore) rawTruncate(n int64) error {
 }
 
 // rawFlipBit flips one bit at byte offset off — silent media
-// corruption, visible only to the next replay.
+// corruption: a miss to Get, repaired or quarantined by the next replay.
 func (s *FileStore) rawFlipBit(off int64, bit uint) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

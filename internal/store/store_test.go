@@ -2,9 +2,14 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -452,14 +457,14 @@ func TestCloseIdempotent(t *testing.T) {
 	if err := s.Put([]byte("k2"), []byte("v2")); err != ErrClosed {
 		t.Fatalf("write after close: %v", err)
 	}
-	// The index keeps serving reads after close.
-	if v, ok := s.Get([]byte("k")); !ok || string(v) != "v" {
-		t.Fatalf("read after close: %q ok=%v", v, ok)
+	// The values live in the file: a closed store serves nothing.
+	if v, ok := s.Get([]byte("k")); ok {
+		t.Fatalf("read after close: %q", v)
 	}
 }
 
 // BenchmarkFileStoreWrite measures the steady-state batch append path;
-// the pooled scratch buffer should make it allocation-free.
+// the batch is the bytes written, so it is allocation-free.
 func BenchmarkFileStoreWrite(b *testing.B) {
 	s, err := OpenFile(b.TempDir())
 	if err != nil {
@@ -471,7 +476,7 @@ func BenchmarkFileStoreWrite(b *testing.B) {
 	for i := 0; i < 100; i++ {
 		batch.Put([]byte(fmt.Sprintf("key-%03d", i)), bytes.Repeat([]byte{byte(i)}, 64))
 	}
-	if err := s.Write(batch); err != nil { // warm the scratch buffer
+	if err := s.Write(batch); err != nil { // index the keys
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -491,4 +496,359 @@ func TestBadMagic(t *testing.T) {
 	if _, err := OpenFile(dir); err == nil {
 		t.Fatal("bad magic accepted")
 	}
+}
+
+// TestGetServesOnlyWhatTheFileHolds is the contract the offset index
+// makes explicit: a value is in the file and nowhere else, so Get is a
+// miss once the descriptor is gone — closed or crashed — and a miss for
+// a record that no longer verifies, never stale or wrong bytes.
+func TestGetServesOnlyWhatTheFileHolds(t *testing.T) {
+	node := bytes.Repeat([]byte{0xc3}, 32)
+	other := bytes.Repeat([]byte{0xd4}, 32)
+	value := bytes.Repeat([]byte{0x11}, 60)
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, s *FileStore, at loc) // after node, "head" and "late" are written and node's record is at
+		misses []string
+		serves []string
+	}{
+		{
+			name:   "closed",
+			damage: func(t *testing.T, s *FileStore, _ loc) { _ = s.Close() },
+			misses: []string{string(node), "head", "late"},
+		},
+		{
+			name: "crashed, unsynced tail dropped",
+			damage: func(t *testing.T, s *FileStore, _ loc) {
+				NewFault(s, &FaultPolicy{Seed: 3, DropUnsyncedOnCrash: true}).Crash()
+			},
+			misses: []string{string(node), "head", "late"},
+		},
+		{
+			name: "unsynced tail gone from under the index",
+			damage: func(t *testing.T, s *FileStore, _ loc) {
+				_, synced := s.sizes()
+				if err := s.rawTruncate(synced); err != nil {
+					t.Fatal(err)
+				}
+			},
+			misses: []string{"late"},
+			serves: []string{string(node), "head"},
+		},
+		{
+			name: "bit flipped in the value",
+			damage: func(t *testing.T, s *FileStore, at loc) {
+				if err := s.rawFlipBit(at.off+at.n-crcSize-5, 2); err != nil {
+					t.Fatal(err)
+				}
+			},
+			misses: []string{string(node)},
+			serves: []string{"head", "late"},
+		},
+		{
+			name: "bit flipped in the key",
+			damage: func(t *testing.T, s *FileStore, at loc) {
+				if err := s.rawFlipBit(at.off+1+20, 7); err != nil {
+					t.Fatal(err)
+				}
+			},
+			misses: []string{string(node)},
+			serves: []string{"head", "late"},
+		},
+		{
+			name: "a verifying record of another key",
+			damage: func(t *testing.T, s *FileStore, at loc) {
+				if _, err := s.f.WriteAt(appendRecord(nil, other, value), at.off); err != nil {
+					t.Fatal(err)
+				}
+			},
+			misses: []string{string(node), string(other)},
+			serves: []string{"head", "late"},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := OpenFile(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = s.Close() }()
+			at := loc{off: int64(len(logMagic)), n: int64(len(appendRecord(nil, node, value)))}
+			if err := s.Put(node, value); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Put([]byte("head"), value); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Put([]byte("late"), value); err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(t, s, at)
+			for _, k := range tc.misses {
+				if v, ok := s.Get([]byte(k)); ok {
+					t.Errorf("Get(%q) served %x", k, v)
+				}
+			}
+			for _, k := range tc.serves {
+				if v, ok := s.Get([]byte(k)); !ok || !bytes.Equal(v, value) {
+					t.Errorf("Get(%q) = %x, %v", k, v, ok)
+				}
+			}
+		})
+	}
+}
+
+// TestGetRacesCompact reads while the log is rewritten under the
+// readers: compaction swaps the descriptor and moves every record, so a
+// Get that let go of the read lock between its lookup and its pread
+// would read the wrong file. Run under -race.
+func TestGetRacesCompact(t *testing.T) {
+	s, err := OpenFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.Close() }()
+	s.CompactMinBytes = 0
+	b := &Batch{}
+	key := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 32-i%2) } // both maps
+	val := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 20+i) }
+	for i := 0; i < 64; i++ {
+		b.Put(key(i), val(i))
+	}
+	if err := s.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := r; ; i = (i + 7) % 64 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if v, ok := s.Get(key(i)); !ok || !bytes.Equal(v, val(i)) {
+					t.Errorf("Get(key %d) = %x, %v during compaction", i, v, ok)
+					return
+				}
+			}
+		}()
+	}
+	for round := 0; round < 30; round++ {
+		if err := s.Write(b); err != nil { // every record now has a dead twin
+			t.Fatal(err)
+		}
+		if stats, err := s.Compact(); err != nil || stats.Records != 64 {
+			t.Fatalf("compact: %+v, %v", stats, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// nodeKeyN returns the i-th of a family of distinct 32-byte keys that
+// look like trie node hashes.
+func nodeKeyN(i int) []byte {
+	h := sha256.Sum256(binary.BigEndian.AppendUint64(nil, uint64(i)))
+	return h[:]
+}
+
+// fixtureOps is the write sequence testdata/parent-written.kv records,
+// as the commit before the offset index ran it: four blocks of node
+// batches (the next block rewrites a few of the last one's nodes), a code
+// blob, a 31-byte key with an empty value, block and head records, and a
+// head repoint.
+func fixtureOps(t *testing.T, s Store) {
+	t.Helper()
+	node := nodeKeyN
+	blockKey := func(n uint64) []byte { return binary.BigEndian.AppendUint64([]byte{'b'}, n) }
+	for blk := uint64(0); blk < 4; blk++ {
+		b := &Batch{}
+		for i := 0; i < 20; i++ {
+			k := node(int(blk)*15 + i)
+			b.Put(k, append(bytes.Clone(k[:int(blk)+i]), byte(blk)))
+		}
+		if blk == 0 {
+			b.Put(append([]byte{'c'}, node(1000)...), []byte("contract code"))
+			b.Put(node(2000)[:31], nil)
+		}
+		if err := s.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		b.Reset()
+		b.Put(blockKey(blk), node(3000+int(blk)))
+		b.Put([]byte("head"), blockKey(blk)[1:])
+		if err := s.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Put([]byte("head"), blockKey(2)[1:]); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestParentWrittenLog pins the format in both directions: a log the
+// parent commit wrote opens clean with exactly the keys and values its
+// writes left, and the same writes produce that log byte for byte — so
+// the parent opens what this commit writes.
+func TestParentWrittenLog(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "parent-written.kv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := NewMem()
+	fixtureOps(t, want)
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, FileName), fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.Close() }()
+	if rep := s.Salvage(); rep.Dirty() || rep.Records != 91 {
+		t.Fatalf("parent-written log replayed as %+v", rep)
+	}
+	if s.Len() != want.Len() {
+		t.Fatalf("%d live keys, the writes left %d", s.Len(), want.Len())
+	}
+	for k, v := range want.m {
+		if got, ok := s.Get([]byte(k)); !ok || !bytes.Equal(got, v) {
+			t.Fatalf("key %x: got %x (%v), written %x", k, got, ok, v)
+		}
+	}
+
+	w, err := OpenFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixtureOps(t, w)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	written, err := os.ReadFile(w.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(written, fixture) {
+		t.Fatalf("the same writes now produce a different log (%d bytes, parent wrote %d)", len(written), len(fixture))
+	}
+}
+
+// TestWriteOfReusedBatchAllocatesNothing pins the commit path's copy
+// count: the batch is the bytes that are written, the index holds
+// offsets, and overwriting a key — in either map — reuses its entry.
+func TestWriteOfReusedBatchAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	s, err := OpenFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.Close() }()
+	s.CompactMinBytes = 0
+	b := &Batch{}
+	fill := func() {
+		b.Reset()
+		for i := 0; i < 100; i++ {
+			b.Put(bytes.Repeat([]byte{byte(i)}, 32), bytes.Repeat([]byte{byte(i)}, 100))
+		}
+		b.Put([]byte("head"), []byte{0, 0, 0, 0, 0, 0, 0, 1})
+	}
+	fill()
+	if err := s.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	key, val := bytes.Repeat([]byte{1}, 32), bytes.Repeat([]byte{1}, 100)
+	if n := testing.AllocsPerRun(20, func() {
+		b.Reset()
+		for i := 0; i < 101; i++ {
+			b.Put(key, val)
+		}
+	}); n != 0 {
+		t.Errorf("refilling a reset batch allocates %v times", n)
+	}
+	fill()
+	if n := testing.AllocsPerRun(20, func() {
+		if err := s.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Write of a reused batch allocates %v times", n)
+	}
+}
+
+// TestIndexCostsUnder100BytesARecord pins what a record costs in RAM
+// once written: its slot in the node map and the map's slack, 70 B here
+// (the parent kept the value, a key string, an entry and a map slot:
+// 201 B for these records, more for every byte of a larger node).
+func TestIndexCostsUnder100BytesARecord(t *testing.T) {
+	s, err := OpenFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = s.Close() }()
+	const records, perBatch = 100_000, 1000
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	b := &Batch{}
+	write := func(from int) {
+		b.Reset()
+		val := make([]byte, 110) // a branch node of a few children
+		for i := from; i < from+perBatch; i++ {
+			b.Put(nodeKeyN(i), val)
+		}
+		if err := s.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(0) // the batch buffer reaches its size before the baseline
+	before := heap()
+	for from := perBatch; from < records; from += perBatch {
+		write(from)
+	}
+	grown := int64(heap()) - int64(before)
+	t.Logf("heap grew %d B per record", grown/(records-perBatch))
+	if per := grown / (records - perBatch); per > 100 {
+		t.Fatalf("the heap grew %d B per record written, want <= 100", per)
+	}
+	if s.Len() != records {
+		t.Fatalf("%d live keys, wrote %d", s.Len(), records)
+	}
+}
+
+// TestNodeIndexHoldsNoPointer keeps the node map out of the garbage
+// collector's sight: keys and values are integers all the way down, so
+// its buckets are allocated as memory the GC does not scan.
+func TestNodeIndexHoldsNoPointer(t *testing.T) {
+	var walk func(typ reflect.Type, path string)
+	walk = func(typ reflect.Type, path string) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(typ.Field(i).Type, path+"."+typ.Field(i).Name)
+			}
+		case reflect.Array:
+			walk(typ.Elem(), path+"[]")
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Errorf("%s is a %s", path, typ.Kind())
+		}
+	}
+	index := reflect.TypeOf(directory{}.nodes)
+	walk(index.Key(), "key")
+	walk(index.Elem(), "value")
 }

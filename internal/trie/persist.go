@@ -106,8 +106,8 @@ func commitNode(n node, w Writer, isRoot bool) int {
 		// node. valueNode carries no cache, so re-store it each commit —
 		// the shape only arises with variable-length raw keys, never in
 		// the fixed-width secure tries state uses.
-		enc := encoding(cur)
-		if len(enc) >= 32 || isRoot {
+		if rlp.StringSize(cur) >= 32 || isRoot { // measured, not encoded: most values are small
+			enc := encoding(cur)
 			h := types.Keccak(enc)
 			w.Put(h[:], enc)
 			return 1
