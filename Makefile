@@ -62,15 +62,19 @@ parallel-smoke:
 # detector: the model-based churn over a tree of copies (-short: 1000 of
 # its 4000 steps per run), readers on a shared post state while a child
 # copy writes and flushes, the snapshot of a many-generation contract
-# against its flat twin, what Copy costs and what a post state retains;
-# then SpecView and the parallel processor, whose MergeInto writes
-# through the same overlay. Below the storage, the tries: the model-based
-# churn over a tree of trie copies that write their unhashed nodes in
-# place (-short: 1000 of its 4000 steps) and readers on a shared hashed
-# trie, five times; the miner's adoption of the execution it built; and
-# the node encoder fuzzed against the Item-tree oracle for 30 s.
+# against its flat twin, what Copy costs, that its slabs alias nothing,
+# what a post state retains and what a pooled journal array carries to
+# the next body (nothing); then SpecView and the parallel processor,
+# whose MergeInto writes through the same overlay. Below the storage, the
+# tries: the model-based churn over a tree of trie copies that write
+# their unhashed nodes in place (-short: 1000 of its 4000 steps) and
+# readers on a shared hashed trie, five times; the miner's adoption of
+# the execution it built; eight goroutines in CallReadOnly and ViewAMV on
+# pooled machines while the node mines and imports, five times, and what
+# a released machine keeps; and the node encoder fuzzed against the
+# Item-tree oracle for 30 s.
 state-smoke:
-	$(GO) test -race -count=5 -short -run 'TestStorage|TestCopyDoesNotScaleWithStorage|TestSnapshot|TestChurnRootMatchesFromScratch|TestJournalChurn' ./internal/statedb
+	$(GO) test -race -count=5 -short -run 'TestStorage|TestCopyDoesNotScaleWithStorage|TestCopySharesNoAccountStruct|TestPooledScratchCarriesNothing|TestSnapshot|TestChurnRootMatchesFromScratch|TestJournalChurn' ./internal/statedb
 	$(GO) test -race -count=5 -run 'TestProcessPostHoldsNoJournal' ./internal/chain
 	$(GO) test -race -run 'TestSpecView' ./internal/statedb
 	$(GO) test -race -run 'TestParallel' ./internal/chain
@@ -78,6 +82,8 @@ state-smoke:
 	$(GO) test -race -run 'TestInsertBuilt' ./internal/chain
 	$(GO) test -race -run 'TestBuildBlockDoesNotPopulateExecCache' ./internal/miner
 	$(GO) test -race -run 'TestMineAndBroadcastExecutesOnce' ./internal/node
+	$(GO) test -race -count=5 -run 'TestCallReadOnlyRacesImportAndMining' ./internal/node
+	$(GO) test -race -run 'TestPooledScratchCarriesNothing' ./internal/evm
 	$(GO) test -run '^$$' -fuzz '^FuzzNodeEncoding$$' -fuzztime 30s ./internal/trie
 
 # crash-smoke runs the crash-consistency suite under the race detector:

@@ -12,7 +12,8 @@ import (
 // TestRowsMatchCommittedBench pins the registry-driven serethbench to
 // the last BENCH file the hand-written row builders produced: exactly
 // the same row names (minus the two rows whose code path is gone, plus
-// the block-assembly and shared-storage rows added since), and
+// the block-assembly, shared-storage, account-copy and view-read rows
+// added since), and
 // bit-identical η, honest-twin η and η drop on every simulated row.
 // The micro-benchmark rows are checked by name only — running them is
 // the bench smoke's job.
@@ -40,6 +41,7 @@ func TestRowsMatchCommittedBench(t *testing.T) {
 		"txpool/snapshot-after-admit-10k", "miner/order-live-pool10k", "miner/order-scratch-pool10k",
 		"miner/build-50-of-pool10k", "txpool/settle-50-of-10k",
 		"statedb/copy-20k-slots", "replay/kv-250tx-on-20k-slots",
+		"statedb/copy-250-accounts", "node/view-amv",
 	}
 
 	sims, err := simRecords()

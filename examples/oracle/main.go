@@ -38,13 +38,10 @@ func run() error {
 	// deployment this would query a market-data API; here it is a value
 	// that changes between calls to show freshness.
 	rate := uint64(31415)
-	feed := raa.ProviderFunc(func(_ types.Address, args []types.Word) ([]types.Word, bool) {
-		if len(args) < 3 {
-			return nil, false
-		}
+	feed := raa.ProviderFunc(func(_ types.Address, args []byte) bool {
 		// Layout matches get(raa): [flag, mark, value] — the feed writes
 		// the rate into the value slot the contract returns.
-		return []types.Word{args[0], args[1], sereth.WordFromUint64(rate)}, true
+		return raa.SetWord(args, 2, sereth.WordFromUint64(rate))
 	})
 
 	service := raa.NewService()

@@ -71,6 +71,7 @@ func (p *Processor) Process(parentState *statedb.StateDB, header *types.Header, 
 	// One EVM for the whole body: the state and block context are
 	// per-block constants, so rebinding per transaction bought nothing.
 	machine := evm.New(st, evm.BlockContext{Number: header.Number, Time: header.Time})
+	defer machine.Release()
 	var gasUsed uint64
 	for i, tx := range txs {
 		if gasUsed+tx.GasLimit > p.gasLimit {

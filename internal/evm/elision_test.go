@@ -231,3 +231,61 @@ func TestSha3MemoDifferential(t *testing.T) {
 		}
 	}
 }
+
+// TestPooledScratchCarriesNothing pins Release: the machine goes back
+// with no state, no RAA provider, no hint and no memo entry, and the next
+// New — whether or not the pool hands that machine out again — starts
+// without them. The second half does not look inside: it has a machine
+// hash another program's inputs — same lengths and boundary bytes as the
+// next caller's, so they land in the same direct-mapped memo slots —
+// releases it, and demands the next caller's digests, gas and sponge
+// count from a machine that never was in the pool.
+func TestPooledScratchCarriesNothing(t *testing.T) {
+	input := seqBytes(128)
+	ctx := CallContext{Contract: types.Address{19: 0xcc}, Input: input, Gas: 100_000}
+	e := New(newDiffState(sha3Prog(36, 64, false)), BlockContext{Number: 7})
+	e.SetRAAProvider(raaEcho{})
+	e.SetTxHint(hintFor(input))
+	e.Call(ctx)
+	e.Release()
+	if e.state != nil || e.raa != nil || e.hint.MarkInput != nil || e.hint.PrevInput != nil ||
+		!e.hint.Mark.IsZero() || !e.hint.PrevDigest.IsZero() {
+		t.Fatalf("released machine keeps state %v, raa %v, hint %+v", e.state, e.raa, e.hint)
+	}
+	for i, entry := range e.memo.entries {
+		if entry.used {
+			t.Fatalf("released machine keeps memo entry %d (%d bytes)", i, entry.size)
+		}
+	}
+	next := New(newDiffState(nil), BlockContext{})
+	if next.raa != nil || len(next.hint.MarkInput) != 0 || len(next.hint.PrevInput) != 0 {
+		t.Fatalf("New handed out a machine with raa %v, hint %+v", next.raa, next.hint)
+	}
+	next.Release()
+
+	rng := rand.New(rand.NewSource(23))
+	for round := 0; round < 200; round++ {
+		size := []int{32, 64}[round%2]
+		other := make([]byte, 128)
+		rng.Read(other)
+		mine := bytes.Clone(other)
+		rng.Read(mine[37 : 35+size]) // same length, same first and last byte: same slot
+		prog := sha3Prog(36, byte(size), false)
+
+		filler := New(newDiffState(prog), BlockContext{})
+		filler.Call(CallContext{Contract: ctx.Contract, Input: other, Gas: 100_000})
+		filler.Release()
+
+		pooled := New(newDiffState(prog), BlockContext{})
+		before := keccak.Invocations()
+		got := pooled.Call(CallContext{Contract: ctx.Contract, Input: mine, Gas: 100_000})
+		sponges := keccak.Invocations() - before
+		pooled.Release()
+		fresh := (&EVM{state: newDiffState(prog)}).Call(CallContext{Contract: ctx.Contract, Input: mine, Gas: 100_000})
+		if got.Err != nil || got.GasUsed != fresh.GasUsed || !bytes.Equal(got.ReturnData, fresh.ReturnData) ||
+			got.ReturnWord() != types.Keccak(mine[36:36+size]).Word() || sponges != 1 {
+			t.Fatalf("round %d: pooled machine returned (%v, gas %d, %x) in %d sponges, a fresh one (%v, gas %d, %x) in 1",
+				round, got.Err, got.GasUsed, got.ReturnData, sponges, fresh.Err, fresh.GasUsed, fresh.ReturnData)
+		}
+	}
+}

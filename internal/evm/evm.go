@@ -84,10 +84,10 @@ func (r Result) ReturnWord() types.Word {
 	return w
 }
 
-// EVM executes message calls against a State. An instance is cheap to
-// construct; per-call scratch (stack, memory, jumpdest analysis) comes
-// from a package-level frame pool, so a block processor reusing one EVM
-// across a body pays no interpreter allocations in steady state.
+// EVM executes message calls against a State. Instances come from a
+// package-level pool (New, Release) and per-call scratch (stack, memory,
+// jumpdest analysis) from the frame pool beside it, so a block processor
+// and a view read pay no interpreter allocations in steady state.
 type EVM struct {
 	state State
 	block BlockContext
@@ -101,9 +101,26 @@ type EVM struct {
 	memo sha3Memo
 }
 
-// New returns an interpreter bound to the given state and block context.
+// machinePool recycles interpreters: the SHA3 memo makes one a kilobyte
+// of garbage per block and per view read otherwise.
+var machinePool = sync.Pool{New: func() any { return new(EVM) }}
+
+// New returns an interpreter bound to the given state and block context,
+// with no RAA provider, no hash hint and an empty SHA3 memo.
 func New(state State, block BlockContext) *EVM {
-	return &EVM{state: state, block: block}
+	e := machinePool.Get().(*EVM)
+	e.state, e.block = state, block
+	return e
+}
+
+// Release hands the interpreter back for the next New, carrying nothing:
+// the memo's hits are byte-verified and would stay correct, but what it
+// held would then depend on when the collector last emptied the pool, and
+// the digest count of a run with it. The caller must not use the machine
+// again. Optional: a cold caller may leave its machine to the collector.
+func (e *EVM) Release() {
+	*e = EVM{}
+	machinePool.Put(e)
 }
 
 // Reset rebinds the interpreter to a different state, keeping the block
@@ -191,6 +208,7 @@ type interpreter struct {
 	stack   stack
 	mem     memory
 	gasLeft uint64
+	pc      uint64
 
 	// Valid JUMPDEST bitmap, "handler set pc itself" flag, and the
 	// loop-precomputed memory range (see operation.memSize).
@@ -211,6 +229,7 @@ func (in *interpreter) reset(e *EVM, ctx CallContext, input, code []byte) {
 	in.stack.data = in.stack.data[:0]
 	in.mem.data = in.mem.data[:0]
 	in.gasLeft = ctx.Gas
+	in.pc = 0
 	in.dests = nil
 	in.pcSet = false
 	in.memOff, in.memLen, in.memErr = 0, 0, nil

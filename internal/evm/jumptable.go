@@ -48,13 +48,15 @@ func maxStackFor(pops, pushes int) int { return StackLimit + pops - pushes }
 // handler; errors and gas-exhaustion points are pinned bit-identical by
 // the differential fuzz in interp_test.go.
 func (in *interpreter) run() ([]byte, error) {
-	var pc uint64
+	// Handlers take the program counter by address, so it lives in the
+	// pooled frame: a local would be one heap allocation per call.
+	pc := &in.pc
 	codeLen := uint64(len(in.code))
 	for {
-		if pc >= codeLen {
+		if *pc >= codeLen {
 			return nil, nil // implicit STOP
 		}
-		oper := &jumpTable[in.code[pc]]
+		oper := &jumpTable[in.code[*pc]]
 		if oper.execute == nil {
 			return nil, ErrInvalidOpcode
 		}
@@ -73,7 +75,7 @@ func (in *interpreter) run() ([]byte, error) {
 		if oper.memSize != nil {
 			in.memOff, in.memLen, in.memErr = oper.memSize(&in.stack)
 		}
-		ret, err := oper.execute(in, &pc)
+		ret, err := oper.execute(in, pc)
 		if err != nil {
 			return ret, err
 		}
@@ -84,7 +86,7 @@ func (in *interpreter) run() ([]byte, error) {
 			in.pcSet = false
 			continue
 		}
-		pc++
+		*pc++
 	}
 }
 

@@ -699,20 +699,26 @@ func (n *Node) MineAndBroadcast(timestamp uint64) (*types.Block, error) {
 // import delays another.
 func (n *Node) CallReadOnly(from, to types.Address, data []byte) evm.Result {
 	var res evm.Result
+	n.readOnly(func(machine *evm.EVM) { res = machine.Call(readOnlyCall(from, to, data)) })
+	return res
+}
+
+// readOnly runs fn with a machine bound to the head block and its state,
+// under one ReadHeadState acquisition; the machine goes back to the evm
+// package's pool when fn returns.
+func (n *Node) readOnly(fn func(machine *evm.EVM)) {
 	n.chain.ReadHeadState(func(head *types.Block, st *statedb.StateDB) {
 		machine := evm.New(st, evm.BlockContext{Number: head.Header.Number, Time: head.Header.Time})
+		defer machine.Release()
 		if n.raaSvc != nil {
 			machine.SetRAAProvider(n.raaSvc)
 		}
-		res = machine.Call(evm.CallContext{
-			Caller:   from,
-			Contract: to,
-			Input:    data,
-			Gas:      5_000_000,
-			ReadOnly: true,
-		})
+		fn(machine)
 	})
-	return res
+}
+
+func readOnlyCall(from, to types.Address, data []byte) evm.CallContext {
+	return evm.CallContext{Caller: from, Contract: to, Input: data, Gas: 5_000_000, ReadOnly: true}
 }
 
 // StorageAt reads a committed storage word (the READ-COMMITTED view any
@@ -745,19 +751,21 @@ func (n *Node) ViewAMV(caller, contract types.Address) (flag, mark, value types.
 		view := n.tracker.ViewOrSnapshot(n.pool.Pending)
 		// Cross-check through the EVM+RAA path: mark() returns raa[1],
 		// get() returns raa[2]. This keeps the architectural path of the
-		// paper hot; results are identical to the tracker view.
-		res := n.CallReadOnly(caller, contract, types.EncodeCall(asm.SelMark, view.Flag, view.AMV.Mark, view.AMV.Value))
-		if res.Succeeded() {
-			mark = res.ReturnWord()
-		} else {
-			mark = view.AMV.Mark
-		}
-		res = n.CallReadOnly(caller, contract, types.EncodeCall(asm.SelGet, view.Flag, view.AMV.Mark, view.AMV.Value))
-		if res.Succeeded() {
-			value = res.ReturnWord()
-		} else {
-			value = view.AMV.Value
-		}
+		// paper hot; results are identical to the tracker view. The two
+		// calls read one head state on one machine, and the second reuses
+		// the first's calldata under its own selector (the interpreter
+		// never writes its input, and RAA augments a copy).
+		mark, value = view.AMV.Mark, view.AMV.Value
+		data := types.EncodeCall(asm.SelMark, view.Flag, mark, value)
+		n.readOnly(func(machine *evm.EVM) {
+			if res := machine.Call(readOnlyCall(caller, contract, data)); res.Succeeded() {
+				mark = res.ReturnWord()
+			}
+			copy(data, asm.SelGet[:])
+			if res := machine.Call(readOnlyCall(caller, contract, data)); res.Succeeded() {
+				value = res.ReturnWord()
+			}
+		})
 		return view.Flag, mark, value
 	}
 	// Standard client: committed state only.

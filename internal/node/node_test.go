@@ -1,6 +1,7 @@
 package node
 
 import (
+	"sync"
 	"testing"
 
 	"sereth/internal/asm"
@@ -711,6 +712,92 @@ func TestSettleRacesAdmissionsAndViews(t *testing.T) {
 	t.Logf("%d sets in %d blocks", nonce, n.Chain().Height())
 	if n.Pool().Len() != 0 || nonce != sets {
 		t.Fatalf("%d of %d sets mined, %d still pending", nonce, sets, n.Pool().Len())
+	}
+}
+
+// TestCallReadOnlyRacesImportAndMining: eight goroutines read mark() and
+// get() through CallReadOnly and ViewAMV — each call takes a machine from
+// the evm package's pool and gives it back — while the same node mines
+// its own blocks and imports its peer's, whose Process takes and returns
+// machines and journals of its own. Every read must succeed and see a
+// mark and a value of the chain of sets. Run under -race (make
+// state-smoke).
+func TestCallReadOnlyRacesImportAndMining(t *testing.T) {
+	f := newFixture(t,
+		Config{Mode: ModeSereth, Miner: MinerSemantic},
+		Config{Mode: ModeSereth, Miner: MinerSemantic},
+	)
+	n, peer := f.nodes[0], f.nodes[1]
+	const sets = 60
+	marks := map[types.Word]types.Word{types.ZeroWord: types.ZeroWord} // mark -> the value it commits to
+	values := map[types.Word]bool{types.ZeroWord: true}
+	txs := make([]*types.Transaction, sets)
+	prev := types.ZeroWord
+	for i := range txs {
+		value := types.WordFromUint64(uint64(100 + i))
+		txs[i] = f.owner.SignTx(&types.Transaction{
+			Nonce: uint64(i), To: contractAddr, GasPrice: 10, GasLimit: 300_000,
+			Data: types.EncodeCall(asm.SelSet, types.FlagChain, prev, value),
+		})
+		prev = types.NextMark(prev, value)
+		marks[prev], values[value] = value, true
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 8; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			caller := types.Address{19: byte(r + 1)}
+			for reads := 0; ; reads++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if reads%2 == r%2 {
+					res := n.CallReadOnly(caller, contractAddr, types.EncodeCall(asm.SelGet, types.ZeroWord, types.ZeroWord, types.ZeroWord))
+					if !res.Succeeded() {
+						t.Errorf("reader %d: get(): %v", r, res.Err)
+						return
+					}
+					continue
+				}
+				// mark() and get() are augmented one after the other, so a
+				// set admitted between them may part the two: each must be
+				// of the chain, not both of one link.
+				_, mark, value := n.ViewAMV(caller, contractAddr)
+				if _, ok := marks[mark]; !ok || !values[value] {
+					t.Errorf("reader %d: view (mark %x, value %x) is not of the chain of sets", r, mark, value)
+					return
+				}
+			}
+		}(r)
+	}
+	// One set a block, mined alternately here and at the peer, whose
+	// block this node then imports.
+	for i, tx := range txs {
+		if err := n.SubmitTx(tx); err != nil {
+			t.Fatal(err)
+		}
+		f.net.AdvanceTo(f.net.Now() + 20)
+		miner := n
+		if i%2 == 1 {
+			miner = peer
+		}
+		if _, err := miner.MineAndBroadcast(f.net.Now() + 1); err != nil {
+			t.Fatal(err)
+		}
+		f.net.AdvanceTo(f.net.Now() + 20)
+	}
+	close(stop)
+	wg.Wait()
+	if h := n.Chain().Height(); h != sets {
+		t.Fatalf("height %d after %d blocks", h, sets)
+	}
+	if _, mark, value := n.ViewAMV(types.Address{}, contractAddr); mark != prev || value != marks[prev] {
+		t.Fatalf("final view (mark %x, value %x), want (%x, %x)", mark, value, prev, marks[prev])
 	}
 }
 

@@ -7,6 +7,7 @@
 package raa
 
 import (
+	"bytes"
 	"sync"
 
 	"sereth/internal/evm"
@@ -14,18 +15,31 @@ import (
 	"sereth/internal/types"
 )
 
-// Provider computes replacement argument words for one registered
-// function. Returning ok=false leaves the call unmodified.
+// Provider rewrites the argument words of one registered function in
+// place: args is the argument area of a private copy of the calldata,
+// and only words the caller supplied may be written (the "data types
+// must match" restriction of §III-D, kept by SetWord). Returning false
+// leaves the call unmodified, whatever was written.
 type Provider interface {
-	Provide(contract types.Address, args []types.Word) (replacement []types.Word, ok bool)
+	Provide(contract types.Address, args []byte) bool
 }
 
 // ProviderFunc adapts a function to the Provider interface.
-type ProviderFunc func(contract types.Address, args []types.Word) ([]types.Word, bool)
+type ProviderFunc func(contract types.Address, args []byte) bool
 
 // Provide implements Provider.
-func (f ProviderFunc) Provide(contract types.Address, args []types.Word) ([]types.Word, bool) {
+func (f ProviderFunc) Provide(contract types.Address, args []byte) bool {
 	return f(contract, args)
+}
+
+// SetWord writes w as argument word i of args. It reports false, writing
+// nothing, when the caller's argument list has no word i.
+func SetWord(args []byte, i int, w types.Word) bool {
+	if (i+1)*types.WordLength > len(args) {
+		return false
+	}
+	copy(args[i*types.WordLength:], w[:])
+	return true
 }
 
 type registration struct {
@@ -64,9 +78,8 @@ func (s *Service) Unregister(contract types.Address, selector types.Selector) {
 }
 
 // Augment implements evm.RAAProvider. The interpreter invokes it for
-// read-only calls only; the augmented words must fit inside the caller's
-// existing argument list (the "data types must match" restriction of
-// §III-D) or the call is left unchanged.
+// read-only calls only. The provider writes its words straight into the
+// one copy of the calldata Augment makes; input itself is never written.
 func (s *Service) Augment(contract types.Address, input []byte) ([]byte, bool) {
 	sel, ok := types.CallSelector(input)
 	if !ok {
@@ -78,26 +91,11 @@ func (s *Service) Augment(contract types.Address, input []byte) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	args := decodeArgs(input)
-	replacement, ok := p.Provide(contract, args)
-	if !ok || len(replacement) > len(args) {
+	out := bytes.Clone(input)
+	if !p.Provide(contract, out[types.SelectorLength:]) {
 		return nil, false
 	}
-	out := append([]byte{}, input...)
-	for i, w := range replacement {
-		copy(out[types.SelectorLength+i*types.WordLength:], w[:])
-	}
 	return out, true
-}
-
-func decodeArgs(input []byte) []types.Word {
-	body := input[types.SelectorLength:]
-	n := len(body) / types.WordLength
-	args := make([]types.Word, n)
-	for i := 0; i < n; i++ {
-		copy(args[i][:], body[i*types.WordLength:])
-	}
-	return args
 }
 
 // PoolSource supplies the current pending transactions (the TxPool view
@@ -124,12 +122,12 @@ func NewHMSProvider(tracker *hms.Tracker, pool PoolSource) *HMSProvider {
 // Provide implements Provider. A tracker attached to the node's pool
 // serves its incrementally maintained view (O(1) when the pool is
 // unchanged); otherwise the view is recomputed from a pool snapshot.
-func (h *HMSProvider) Provide(_ types.Address, args []types.Word) ([]types.Word, bool) {
-	if len(args) < 3 {
-		return nil, false
+func (h *HMSProvider) Provide(_ types.Address, args []byte) bool {
+	if len(args) < 3*types.WordLength {
+		return false
 	}
 	view := h.tracker.ViewOrSnapshot(h.pool.Pending)
-	return []types.Word{view.Flag, view.AMV.Mark, view.AMV.Value}, true
+	return SetWord(args, 0, view.Flag) && SetWord(args, 1, view.AMV.Mark) && SetWord(args, 2, view.AMV.Value)
 }
 
 // RegisterHMS wires an HMS tracker into the service for the Sereth
@@ -150,6 +148,11 @@ type StaticProvider struct {
 var _ Provider = StaticProvider{}
 
 // Provide implements Provider.
-func (p StaticProvider) Provide(types.Address, []types.Word) ([]types.Word, bool) {
-	return p.Words, true
+func (p StaticProvider) Provide(_ types.Address, args []byte) bool {
+	for i, w := range p.Words {
+		if !SetWord(args, i, w) {
+			return false
+		}
+	}
+	return true
 }

@@ -83,9 +83,9 @@ func TestUnregister(t *testing.T) {
 
 func TestProviderFunc(t *testing.T) {
 	s := NewService()
-	s.Register(contract, asm.SelGet, ProviderFunc(func(_ types.Address, args []types.Word) ([]types.Word, bool) {
+	s.Register(contract, asm.SelGet, ProviderFunc(func(_ types.Address, args []byte) bool {
 		// Echo arg1 into arg0.
-		return []types.Word{args[1]}, true
+		return SetWord(args, 0, types.Word(args[types.WordLength:2*types.WordLength]))
 	}))
 	input := types.EncodeCall(asm.SelGet, types.ZeroWord, types.WordFromUint64(5))
 	out, ok := s.Augment(contract, input)
@@ -98,6 +98,18 @@ func TestProviderFunc(t *testing.T) {
 type stubPool struct{ txs []*types.Transaction }
 
 func (s stubPool) Pending() []*types.Transaction { return s.txs }
+
+// provide runs p over n zero argument words and returns them as p left
+// them.
+func provide(p Provider, n int) ([]types.Word, bool) {
+	args := make([]byte, n*types.WordLength)
+	ok := p.Provide(contract, args)
+	words := make([]types.Word, n)
+	for i := range words {
+		words[i] = types.Word(args[i*types.WordLength:])
+	}
+	return words, ok
+}
 
 func hmsTracker() *hms.Tracker {
 	return hms.NewTracker(hms.Config{
@@ -116,7 +128,7 @@ func TestHMSProviderServesPendingTail(t *testing.T) {
 	}
 	p := NewHMSProvider(tracker, stubPool{txs: []*types.Transaction{pending}})
 
-	words, ok := p.Provide(contract, make([]types.Word, 3))
+	words, ok := provide(p, 3)
 	if !ok {
 		t.Fatal("provider refused")
 	}
@@ -127,7 +139,7 @@ func TestHMSProviderServesPendingTail(t *testing.T) {
 		t.Error("mark/value wrong")
 	}
 	// Too few argument slots: refused.
-	if _, ok := p.Provide(contract, make([]types.Word, 2)); ok {
+	if _, ok := provide(p, 2); ok {
 		t.Error("short arg list accepted")
 	}
 }
@@ -137,7 +149,7 @@ func TestHMSProviderFallsBackToCommitted(t *testing.T) {
 	amv := types.AMV{Mark: types.WordFromUint64(42), Value: types.WordFromUint64(9)}
 	tracker.SetCommitted(amv)
 	p := NewHMSProvider(tracker, stubPool{})
-	words, ok := p.Provide(contract, make([]types.Word, 3))
+	words, ok := provide(p, 3)
 	if !ok || words[0] != types.FlagHead || words[1] != amv.Mark || words[2] != amv.Value {
 		t.Errorf("fallback words = %v ok=%v", words, ok)
 	}

@@ -26,8 +26,10 @@ import (
 // and nothing for the snapshot. miner/build-50-of-pool10k is the block a
 // miner builds on that pool: the same prefix and cursors, one body sized
 // by what fits, and the execution of its 50 transactions, which is most
-// of the count (510 before the prefix lost its Nodes) — what matters is
-// that nothing in it is per pending transaction. txpool/settle-50-of-10k removes 50 transactions through
+// of the count (510 before the prefix lost its Nodes, 495 until the
+// execution's journal, machine and program counters stopped being
+// allocated per block and per call) — what matters is that nothing in it
+// is per pending transaction. txpool/settle-50-of-10k removes 50 transactions through
 // the tracker's feed, which allocates nothing, and admits them again: the
 // 87 are the tracker's, for ten sets and forty buys coming back, and the
 // batch's two result slices (88 while AdmitBatch also kept a slice of
@@ -53,8 +55,8 @@ func TestBlockAssemblyAllocsPinned(t *testing.T) {
 	if scratch < 8_217 || scratch > 8_221 {
 		t.Errorf("miner/order-scratch-pool10k: %v allocs per ordering, pinned 8219 +- 2", scratch)
 	}
-	if build < 489 || build > 501 {
-		t.Errorf("miner/build-50-of-pool10k: %v allocs per block, pinned 495 +- 6", build)
+	if build < 369 || build > 381 {
+		t.Errorf("miner/build-50-of-pool10k: %v allocs per block, pinned 375 +- 6", build)
 	}
 	if settle != 87 {
 		t.Errorf("txpool/settle-50-of-10k: %v allocs per settle and re-admission, pinned 87", settle)

@@ -73,7 +73,9 @@ func Benches() []Bench {
 		Bench{"evm/interp-100op", benchInterp100Op},
 		Bench{"statedb/journal-churn", benchJournalChurn},
 		Bench{"statedb/copy-20k-slots", benchStep(CopyGrownState)},
+		Bench{"statedb/copy-250-accounts", benchStep(CopyManyAccounts)},
 		Bench{"replay/kv-250tx-on-20k-slots", benchStep(ReplayOnGrownState)},
+		Bench{"node/view-amv", func(b *testing.B) { benchStep(func() func() { return ViewAMVOnServingNode(b) })(b) }},
 		Bench{"store/filestore-write-100rec", benchFileStoreWrite},
 		Bench{"store/filestore-compact-1k-live", benchFileStoreCompact},
 	)
@@ -508,12 +510,30 @@ func benchJournalChurn(b *testing.B) {
 
 // CopyGrownState is the statedb/copy-20k-slots step: one Copy of a
 // flushed state whose KV contract holds 20 000 slots. The copy shares
-// the contract's storage generations, so it costs its accounts — eight
+// the contract's storage generations, so it costs its accounts — five
 // allocations — whatever the slot count.
 func CopyGrownState() func() {
 	f := NewGrownKVFixture(250, 20_000)
 	return func() {
 		if f.Genesis.Copy() == nil {
+			panic("no copy")
+		}
+	}
+}
+
+// CopyManyAccounts is the statedb/copy-250-accounts step: one Copy of
+// the post state of a 250-put block — the KV contract and the block's 250
+// senders. The copy is the state, its account map, one slab of account
+// structs and one of storage-trie handles (the contract's: a plain
+// account owns no trie), whatever the account count.
+func CopyManyAccounts() func() {
+	f := NewParallelFixture(250)
+	res, err := f.NewProcessor(0).Process(f.Genesis, f.Header, f.Txs)
+	if err != nil {
+		panic(fmt.Sprintf("post state of the 250-sender block: %v", err))
+	}
+	return func() {
+		if res.Post.Copy() == nil {
 			panic("no copy")
 		}
 	}
@@ -610,7 +630,7 @@ const (
 // set transactions (one per block) and servingPending still in the
 // pool, optionally backed by kv. It returns the node and the chain
 // configuration it runs on (for reopening the same store).
-func servingNode(b *testing.B, kv store.Store) (*node.Node, chain.Config) {
+func servingNode(b testing.TB, kv store.Store) (*node.Node, chain.Config) {
 	reg := wallet.NewRegistry()
 	owner := wallet.NewKey("serving-owner")
 	reg.Register(owner)
@@ -643,6 +663,20 @@ func servingNode(b *testing.B, kv store.Store) (*node.Node, chain.Config) {
 		net.AdvanceTo(net.Now() + 20)
 	}
 	return n, chainCfg
+}
+
+// ViewAMVOnServingNode is the node/view-amv step: the in-process
+// READ-UNCOMMITTED view read every buy starts with — the tracker's
+// cached view, then mark() and get() through the EVM and RAA on the head
+// state — on the serving node, whose pool does not change between reads.
+func ViewAMVOnServingNode(tb testing.TB) func() {
+	n, _ := servingNode(tb, nil)
+	caller := types.Address{19: 0x01}
+	return func() {
+		if _, mark, value := n.ViewAMV(caller, BenchContract); mark.IsZero() || value.IsZero() {
+			panic("view-amv: no view")
+		}
+	}
 }
 
 // benchServing hammers one JSON-RPC read from `clients` concurrent

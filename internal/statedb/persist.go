@@ -42,7 +42,7 @@ func codeKey(h types.Hash) []byte {
 func OpenAt(kv Reader, root types.Hash) *StateDB {
 	return &StateDB{
 		accounts: make(map[types.Address]*account),
-		accTrie:  trie.NewSecureFromRoot(kv, root),
+		accTrie:  *trie.NewSecureFromRoot(kv, root),
 		db:       kv,
 	}
 }
@@ -140,12 +140,14 @@ func decodeAccount(kv Reader, enc []byte) (*account, error) {
 	copy(codeHash[:], codeHashB)
 
 	acc := &account{
-		nonce:       nonce,
-		balance:     balance,
-		storageTrie: trie.NewSecureFromRoot(kv, storageRoot),
-		codeHash:    &codeHash,
-		enc:         enc,
-		lazy:        true,
+		nonce:    nonce,
+		balance:  balance,
+		codeHash: &codeHash,
+		enc:      enc,
+		lazy:     true,
+	}
+	if storageRoot != trie.EmptyRoot {
+		acc.storageTrie = trie.NewSecureFromRoot(kv, storageRoot)
 	}
 	if codeHash != EmptyCodeHash {
 		code, ok := kv.Get(codeKey(codeHash))

@@ -24,6 +24,7 @@ import (
 	"bytes"
 	"fmt"
 	"maps"
+	"sync"
 
 	"sereth/internal/rlp"
 	"sereth/internal/trie"
@@ -39,6 +40,9 @@ import (
 type StateDB struct {
 	accounts map[types.Address]*account
 	journal  []journalEntry
+	// pooled is the journals-pool handle a reservation took; nil while
+	// journal is an array append alone grew.
+	pooled *[]journalEntry
 	// dirty is the set of accounts mutated since the last flush; only
 	// these are re-encoded into the account trie by Root. Journal undos
 	// re-mark their account, so a revert leaves the flush correct.
@@ -47,7 +51,7 @@ type StateDB struct {
 	// immutable (a mutation copies them; only nodes made since the last
 	// flush are written in place), so Copy, which flushes, shares them
 	// wholesale.
-	accTrie *trie.SecureTrie
+	accTrie trie.SecureTrie
 	// db backs a state opened from a persisted root (OpenAt): accounts
 	// and slots absent from the in-memory maps resolve through it on
 	// demand. nil for states built in memory, where the maps are
@@ -67,12 +71,12 @@ type account struct {
 	// gens is the flushed storage below the overlay. The chain is never
 	// written after flush links it in and is shared by every copy of the
 	// account. Always nil on a lazy account.
-	gens    *storageGen
-	deleted bool
+	gens *storageGen
 
 	// storageTrie persistently commits the storage; it lags it by the
-	// overlay until the next flush. The trie struct is private per
-	// account copy, its nodes are shared.
+	// overlay until the next flush. nil, meaning trie.EmptyRoot, until the
+	// account's first slot is flushed: a plain account owns no trie. The
+	// handle is private per account copy, its nodes are shared.
 	storageTrie *trie.SecureTrie
 	// enc is the account's RLP encoding as last flushed into the account
 	// trie; flush skips the trie update when the encoding is unchanged
@@ -86,6 +90,7 @@ type account struct {
 	// blob written, cleared by whatever assigns code (a revert too: at
 	// worst a redundant write), so no commit reads a blob to find it.
 	codeStored bool
+	deleted    bool
 	// lazy marks an account materialized from a persisted trie: its
 	// flushed storage is the storage trie itself (see loadSlot), which is
 	// already persistent and shared, so it keeps no generations.
@@ -250,10 +255,7 @@ func (e *journalEntry) revert(s *StateDB) {
 
 // New returns an empty state.
 func New() *StateDB {
-	return &StateDB{
-		accounts: make(map[types.Address]*account),
-		accTrie:  trie.NewSecure(),
-	}
+	return &StateDB{accounts: make(map[types.Address]*account)}
 }
 
 // touch marks an account dirty for the next flush.
@@ -429,14 +431,26 @@ const bodyJournalSlack = 8
 // n-transaction block body.
 func BodyJournalCapacity(n int) int { return JournalEntriesPerTx*n + bodyJournalSlack }
 
+// journals recycles undo arrays between bodies; every entry of a pooled
+// array is zero.
+var journals = sync.Pool{New: func() any { return new([]journalEntry) }}
+
 // ReserveJournal pre-sizes the undo log for at least n more entries.
-// Block processors call it once per body so the flat journal grows in
-// one allocation instead of doubling through every append of the
-// replay (the entries are value structs, so growth copies payload, not
-// pointers).
+// Block processors call it once per body so the flat journal never pays
+// a growth copy during the replay. An empty journal adopts a pooled
+// array when one is large enough; DiscardJournal gives it back.
 func (s *StateDB) ReserveJournal(n int) {
 	if cap(s.journal)-len(s.journal) >= n {
 		return
+	}
+	if len(s.journal) == 0 {
+		if s.pooled == nil {
+			s.pooled = journals.Get().(*[]journalEntry)
+		}
+		if cap(*s.pooled) >= n {
+			s.journal = (*s.pooled)[:0]
+			return
+		}
 	}
 	j := make([]journalEntry, len(s.journal), len(s.journal)+n)
 	copy(j, s.journal)
@@ -479,16 +493,28 @@ func (s *StateDB) RevertToSnapshot(id int) {
 // DiscardJournal forgets undo history once a body has committed. The
 // entry slice goes with it: callers are done reverting, and the state
 // they hand on (a block's post state, retained by the chain) must not
-// pin a body-sized reservation.
-func (s *StateDB) DiscardJournal() { s.journal = nil }
+// pin a body-sized reservation. A reserved array (or the one that
+// outgrew it) goes back to the pool with its used entries cleared: idle,
+// it pins nothing, and the next body finds no history to revert into.
+func (s *StateDB) DiscardJournal() {
+	if s.pooled != nil {
+		clear(s.journal)
+		*s.pooled = s.journal[:0]
+		journals.Put(s.pooled)
+		s.pooled = nil
+	}
+	s.journal = nil
+}
 
 // Copy returns an independent state with an empty journal, at a cost of
-// the number of accounts. Account structs are copied; everything below
-// them — trie nodes, storage generations, cached encodings, code slices
-// — is immutable and shared. Copy flushes the source first, so the
-// shared structures are fully hashed and sealed and never written by
-// either side afterwards; on an already flushed source (a post state
-// other goroutines read) it writes nothing at all.
+// the number of accounts in time and of three allocations plus the map:
+// the state, one slab of account structs (they live and die together)
+// and one of storage-trie handles. Everything below them — trie nodes,
+// storage generations, cached encodings, code slices — is immutable and
+// shared. Copy flushes the source first, so the shared structures are
+// fully hashed and sealed and never written by either side afterwards;
+// on an already flushed source (a post state other goroutines read) it
+// writes nothing at all.
 func (s *StateDB) Copy() *StateDB {
 	s.Root()
 	cp := &StateDB{
@@ -496,35 +522,29 @@ func (s *StateDB) Copy() *StateDB {
 		accTrie:  s.accTrie.Copy(),
 		db:       s.db,
 	}
+	slab := make([]account, 0, len(s.accounts))
+	tries := 0
 	for addr, acc := range s.accounts {
 		if acc.deleted {
 			continue
 		}
-		cp.accounts[addr] = acc.copy()
+		// The source is flushed: its overlay is nil (the clone makes one on
+		// its first write) and all the struct points to is immutable —
+		// SetCode installs a fresh slice. storageTrie is rebound below.
+		slab = append(slab, *acc)
+		cp.accounts[addr] = &slab[len(slab)-1]
+		if acc.storageTrie != nil {
+			tries++
+		}
+	}
+	handles := make([]trie.SecureTrie, 0, tries)
+	for i := range slab {
+		if st := slab[i].storageTrie; st != nil {
+			handles = append(handles, st.Copy())
+			slab[i].storageTrie = &handles[len(handles)-1]
+		}
 	}
 	return cp
-}
-
-// copy clones the account for a StateDB copy. The receiver must be
-// flushed (empty overlay): the storage generations, storage trie nodes,
-// cached encoding and code slice are shared, and the clone gets an
-// overlay of its own on its first write.
-func (acc *account) copy() *account {
-	nacc := &account{
-		nonce:      acc.nonce,
-		balance:    acc.balance,
-		code:       acc.code, // immutable: SetCode installs a fresh copy
-		gens:       acc.gens,
-		enc:        acc.enc,
-		codeHash:   acc.codeHash,
-		trieKey:    acc.trieKey,
-		lazy:       acc.lazy,
-		codeStored: acc.codeStored,
-	}
-	if acc.storageTrie != nil {
-		nacc.storageTrie = acc.storageTrie.Copy()
-	}
-	return nacc
 }
 
 // Root computes the Merkle commitment over the entire state: a secure
@@ -546,7 +566,11 @@ func (s *StateDB) flush() {
 	for addr := range s.dirty {
 		acc, ok := s.accounts[addr]
 		if !ok || acc.deleted {
-			s.accTrie.Delete(addr[:])
+			if ok && acc.trieKey != (types.Hash{}) {
+				s.accTrie.DeleteHashed(acc.trieKey)
+			} else {
+				s.accTrie.Delete(addr[:])
+			}
 			if ok {
 				// The struct may be resurrected by a journal revert; its
 				// cached encoding no longer mirrors the trie, so it must
@@ -563,7 +587,7 @@ func (s *StateDB) flush() {
 		if acc.trieKey == (types.Hash{}) {
 			acc.trieKey = types.Keccak(addr[:])
 		}
-		s.accTrie.UpdateHashed(acc.trieKey, enc)
+		s.accTrie.UpdateHashed(acc.trieKey, enc) // handed over: never written again
 	}
 	clear(s.dirty)
 }
@@ -571,10 +595,10 @@ func (s *StateDB) flush() {
 // encode flushes the account's overlay into its storage trie, seals it,
 // and returns the account's RLP encoding.
 func (acc *account) encode() []byte {
-	if acc.storageTrie == nil {
-		acc.storageTrie = trie.NewSecure()
-	}
 	if len(acc.storage) > 0 {
+		if acc.storageTrie == nil {
+			acc.storageTrie = trie.NewSecure()
+		}
 		var word [1 + len(types.Word{})]byte // the trie copies what it stores
 		for k, v := range acc.storage {
 			if v.IsZero() {
@@ -585,7 +609,10 @@ func (acc *account) encode() []byte {
 		}
 		acc.seal()
 	}
-	storageRoot := acc.storageTrie.RootHash()
+	storageRoot := trie.EmptyRoot
+	if acc.storageTrie != nil {
+		storageRoot = acc.storageTrie.RootHash()
+	}
 	if acc.codeHash == nil {
 		h := types.Keccak(acc.code)
 		acc.codeHash = &h

@@ -129,7 +129,8 @@ func TestTrieChurnModel(t *testing.T) {
 			if m.tr.hash == nil && m.tr.root != nil {
 				copiedUnhashed++
 			}
-			add(m.tr.Copy(), m, "copy")
+			cp := m.tr.Copy()
+			add(&cp, m, "copy")
 		case op < 17:
 			if m.tr.root == nil {
 				continue

@@ -275,7 +275,7 @@ func TestNodeEncodingSecure(t *testing.T) {
 		rng.Read(k[:])
 		s.Update(k[:], rlp.AppendString(nil, k[:1+rng.Intn(32)]))
 	}
-	checkEncodings(t, s.inner)
+	checkEncodings(t, &s.inner)
 	db := store.NewMem()
 	b := &store.Batch{}
 	s.Commit(b)
@@ -288,7 +288,7 @@ func TestNodeEncodingSecure(t *testing.T) {
 		rng.Read(k[:])
 		re.Update(k[:], []byte{byte(i) + 1})
 	}
-	if seen := checkEncodings(t, re.inner); seen.unresolved == 0 {
+	if seen := checkEncodings(t, &re.inner); seen.unresolved == 0 {
 		t.Fatal("the reopened trie kept no unresolved reference")
 	}
 }

@@ -47,7 +47,7 @@ func NewFromRoot(db NodeReader, root types.Hash) *Trie {
 
 // NewSecureFromRoot opens a secure trie committed at root against db.
 func NewSecureFromRoot(db NodeReader, root types.Hash) *SecureTrie {
-	return &SecureTrie{inner: NewFromRoot(db, root)}
+	return &SecureTrie{inner: *NewFromRoot(db, root)}
 }
 
 // Commit writes every node reachable from the root that is not already

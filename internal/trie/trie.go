@@ -23,8 +23,8 @@ import (
 // EmptyRoot is the root hash of an empty trie: Keccak256(RLP("")).
 var EmptyRoot = types.Keccak(rlp.Encode(rlp.String(nil)))
 
-// Trie is an in-memory Merkle Patricia Trie. The zero value is not usable;
-// call New.
+// Trie is an in-memory Merkle Patricia Trie. The zero value is an empty
+// trie.
 //
 // The trie is persistent where it is shared: Update and Delete copy every
 // hashed node along the mutated path and write only nodes made since the
@@ -84,10 +84,11 @@ func New() *Trie { return &Trie{} }
 // then on both sides path-copy those nodes and write in place only the
 // ones they make themselves. On an already hashed trie Copy writes
 // nothing, so goroutines may Copy (and Get, and RootHash) a hashed trie
-// that none of them mutates.
-func (t *Trie) Copy() *Trie {
+// that none of them mutates. The copy is a value: the caller decides
+// where the handle lives.
+func (t *Trie) Copy() Trie {
 	t.RootHash()
-	return &Trie{root: t.root, hash: t.hash, db: t.db}
+	return Trie{root: t.root, hash: t.hash, db: t.db}
 }
 
 // Get returns the value stored under key, or nil if absent.
@@ -99,7 +100,8 @@ func (t *Trie) Copy() *Trie {
 // which only write nodes private to their trie.
 func (t *Trie) Get(key []byte) []byte {
 	n := t.root
-	k := keyToNibbles(key)
+	var buf [nibbleBuf]byte
+	k := appendNibbles(buf[:0], key)
 	for {
 		switch cur := n.(type) {
 		case nil:
@@ -132,23 +134,25 @@ func (t *Trie) Get(key []byte) []byte {
 	}
 }
 
-// Update stores value under key. An empty or nil value deletes the key.
-func (t *Trie) Update(key, value []byte) {
-	t.hash = nil
-	k := keyToNibbles(key)
-	if len(value) == 0 {
-		t.root = deleteNode(t.db, t.root, k)
-		return
-	}
-	v := make(valueNode, len(value))
-	copy(v, value)
-	t.root = insert(t.db, t.root, k, v)
-}
+// Update stores a copy of value under key. An empty or nil value deletes
+// the key.
+func (t *Trie) Update(key, value []byte) { t.update(key, bytes.Clone(value)) }
 
 // Delete removes key from the trie.
-func (t *Trie) Delete(key []byte) {
+func (t *Trie) Delete(key []byte) { t.update(key, nil) }
+
+// update is Update for a value the caller hands over: the trie keeps the
+// slice itself, and nobody writes it again. The nibble key lives on the
+// stack; insert clones the part of it a new short node keeps.
+func (t *Trie) update(key []byte, value valueNode) {
 	t.hash = nil
-	t.root = deleteNode(t.db, t.root, keyToNibbles(key))
+	var buf [nibbleBuf]byte
+	k := appendNibbles(buf[:0], key)
+	if len(value) == 0 {
+		t.root = deleteNode(t.db, t.root, k)
+	} else {
+		t.root = insert(t.db, t.root, k, value)
+	}
 }
 
 // mutable returns the node to write for a mutation through fn: fn itself
@@ -199,7 +203,7 @@ func insert(db NodeReader, n node, k []byte, v valueNode) node {
 	}
 	switch cur := n.(type) {
 	case nil:
-		return &shortNode{key: k, val: v}
+		return &shortNode{key: bytes.Clone(k), val: v}
 	case valueNode:
 		// Existing value at this exact prefix: push it into a branch.
 		branch := &fullNode{}
@@ -232,7 +236,7 @@ func insert(db NodeReader, n node, k []byte, v valueNode) node {
 		if match == 0 {
 			return branch
 		}
-		return &shortNode{key: k[:match], val: branch}
+		return &shortNode{key: bytes.Clone(k[:match]), val: branch}
 	case *fullNode:
 		cur = cur.mutable()
 		cur.children[k[0]] = insert(db, cur.children[k[0]], k[1:], v)
@@ -497,11 +501,14 @@ func appendHexPrefix(out, nibbles []byte, isLeaf bool) []byte {
 	return out
 }
 
-func keyToNibbles(key []byte) []byte {
-	out := make([]byte, len(key)*2)
-	for i, b := range key {
-		out[i*2] = b >> 4
-		out[i*2+1] = b & 0x0f
+// nibbleBuf is the nibble length of a secure trie's keys, kept on the
+// stack by Get and update; a longer raw key spills to the heap.
+const nibbleBuf = 2 * len(types.Hash{})
+
+// appendNibbles appends key's nibbles, high half first, to out.
+func appendNibbles(out, key []byte) []byte {
+	for _, b := range key {
+		out = append(out, b>>4, b&0x0f)
 	}
 	return out
 }
@@ -554,15 +561,18 @@ func nibblesToKey(nibbles []byte) []byte {
 
 // SecureTrie wraps a Trie, hashing keys with Keccak-256 before use so key
 // material cannot unbalance the tree (Ethereum's "secure trie").
+// The zero value is an empty trie, so a handle can live inside a struct
+// or a slab; once used it is copied by Copy only, which hashes before it
+// shares.
 type SecureTrie struct {
-	inner *Trie
+	inner Trie
 }
 
 // NewSecure returns an empty secure trie.
-func NewSecure() *SecureTrie { return &SecureTrie{inner: New()} }
+func NewSecure() *SecureTrie { return &SecureTrie{} }
 
 // Copy returns a secure trie sharing this trie's nodes (see Trie.Copy).
-func (s *SecureTrie) Copy() *SecureTrie { return &SecureTrie{inner: s.inner.Copy()} }
+func (s *SecureTrie) Copy() SecureTrie { return SecureTrie{inner: s.inner.Copy()} }
 
 // Get returns the value stored under key.
 func (s *SecureTrie) Get(key []byte) []byte {
@@ -570,20 +580,26 @@ func (s *SecureTrie) Get(key []byte) []byte {
 	return s.inner.Get(h[:])
 }
 
-// Update stores value under key; empty value deletes.
+// Update stores a copy of value under key; empty value deletes.
 func (s *SecureTrie) Update(key, value []byte) {
-	s.UpdateHashed(keccak.Sum256(key), value)
+	s.UpdateHashed(keccak.Sum256(key), bytes.Clone(value))
 }
 
-// UpdateHashed is Update for a caller that kept hashed = Keccak(key).
+// UpdateHashed is Update for a caller that kept hashed = Keccak(key) and
+// hands over value: it is kept, not copied, and must never be written
+// again.
 func (s *SecureTrie) UpdateHashed(hashed types.Hash, value []byte) {
-	s.inner.Update(hashed[:], value)
+	s.inner.update(hashed[:], value)
 }
 
 // Delete removes key.
 func (s *SecureTrie) Delete(key []byte) {
-	h := keccak.Sum256(key)
-	s.inner.Delete(h[:])
+	s.DeleteHashed(keccak.Sum256(key))
+}
+
+// DeleteHashed is Delete for a caller that kept hashed = Keccak(key).
+func (s *SecureTrie) DeleteHashed(hashed types.Hash) {
+	s.inner.update(hashed[:], nil)
 }
 
 // RootHash returns the Merkle root.

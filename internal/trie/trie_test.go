@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"sereth/internal/types"
 )
 
 func TestEmptyRootMatchesEthereum(t *testing.T) {
@@ -346,6 +348,66 @@ func TestCopyDivergesIndependently(t *testing.T) {
 	}
 	if cp.RootHash() != fresh.RootHash() {
 		t.Error("diverged copy root != fresh rebuild")
+	}
+}
+
+// TestUpdateOwnership pins who owns what an update passes in. The key's
+// nibbles are built on Update's stack, so every node that keeps part of
+// the key keeps a clone: a second update must not rewrite the first's
+// key. Update copies its value, so the caller may reuse the buffer;
+// UpdateHashed keeps the slice it is handed (the state's flush hands it
+// the encoding it just built) and DeleteHashed is Delete with the hash
+// supplied. An update in place of an unhashed leaf costs its value copy
+// and the slice header the node interface boxes, nothing for the key;
+// with the value handed over it costs the header alone.
+func TestUpdateOwnership(t *testing.T) {
+	st, model := NewSecure(), NewSecure()
+	buf := make([]byte, 40)
+	keys := make([][]byte, 200)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%d", i))
+		for j := range buf {
+			buf[j] = byte(i + j)
+		}
+		st.Update(keys[i], buf) // the same buffer every time
+		model.Update(keys[i], bytes.Clone(buf))
+	}
+	if st.RootHash() != model.RootHash() {
+		t.Fatal("a trie fed from one reused buffer differs from one fed private copies")
+	}
+	for i, k := range keys {
+		if got := st.Get(k); len(got) != len(buf) || got[0] != byte(i) {
+			t.Fatalf("key %d reads %x", i, got)
+		}
+	}
+
+	owned := []byte("handed over, never written again")
+	h := types.Keccak(keys[3])
+	st.UpdateHashed(h, owned)
+	if got := st.Get(keys[3]); &got[0] != &owned[0] {
+		t.Error("UpdateHashed copied the value it was handed")
+	}
+	model.Update(keys[3], owned)
+	if st.RootHash() != model.RootHash() {
+		t.Error("UpdateHashed and Update disagree on the root")
+	}
+	st.DeleteHashed(h)
+	model.Delete(keys[3])
+	if st.Get(keys[3]) != nil || st.RootHash() != model.RootHash() {
+		t.Error("DeleteHashed and Delete disagree")
+	}
+	st.UpdateHashed(h, nil) // empty value deletes, as in Update
+	if st.RootHash() != model.RootHash() {
+		t.Error("UpdateHashed with an empty value is not a delete")
+	}
+
+	h = types.Keccak(keys[5])
+	st.UpdateHashed(h, bytes.Clone(buf)) // path to the leaf is unhashed from here on
+	if n := testing.AllocsPerRun(100, func() { st.inner.Update(h[:], buf) }); n != 2 {
+		t.Errorf("an in-place Update allocates %v times, want 2 (the value copy, its boxed header)", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { st.UpdateHashed(h, owned) }); n != 1 {
+		t.Errorf("an in-place UpdateHashed allocates %v times, want 1 (the boxed header)", n)
 	}
 }
 
