@@ -61,14 +61,17 @@ parallel-smoke:
 # state-smoke runs the shared-storage suite five times under the race
 # detector: the model-based churn over a tree of copies (-short: 1000 of
 # its 4000 steps per run), readers on a shared post state while a child
-# copy writes and flushes, the snapshot of a many-generation contract
-# against its flat twin, what Copy costs, that its slabs alias nothing,
+# copy writes and flushes, the exported records of a many-generation
+# contract against its flat twin's (and of a lazily opened state against
+# its materialized twin's), what Copy costs, that its slabs alias nothing,
 # what a post state retains and what a pooled journal array carries to
 # the next body (nothing); then SpecView and the parallel processor,
 # whose MergeInto writes through the same overlay. Below the storage, the
 # tries: the model-based churn over a tree of trie copies that write
-# their unhashed nodes in place (-short: 1000 of its 4000 steps) and
-# readers on a shared hashed trie, five times; the miner's adoption of
+# their unhashed nodes in place (-short: 1000 of its 4000 steps),
+# readers on a shared hashed trie and the reachable-records walk beside
+# them (it must write nothing: the trie commits in full afterwards), five
+# times; the miner's adoption of
 # the execution it built; eight goroutines in CallReadOnly and ViewAMV on
 # pooled machines while the node mines and imports, five times, and what
 # a released machine keeps; and the node encoder fuzzed against the
@@ -78,7 +81,7 @@ state-smoke:
 	$(GO) test -race -count=5 -run 'TestProcessPostHoldsNoJournal' ./internal/chain
 	$(GO) test -race -run 'TestSpecView' ./internal/statedb
 	$(GO) test -race -run 'TestParallel' ./internal/chain
-	$(GO) test -race -count=5 -short -run 'TestTrieChurnModel|TestTrieSharedReaders' ./internal/trie
+	$(GO) test -race -count=5 -short -run 'TestTrieChurnModel|TestTrieSharedReaders|TestWalk' ./internal/trie
 	$(GO) test -race -run 'TestInsertBuilt' ./internal/chain
 	$(GO) test -race -run 'TestBuildBlockDoesNotPopulateExecCache' ./internal/miner
 	$(GO) test -race -run 'TestMineAndBroadcastExecutesOnce' ./internal/node
@@ -94,8 +97,10 @@ state-smoke:
 # the magic must salvage to a clean log whose every record Get serves;
 # one exec is several fsyncs, so the minimiser is capped or it eats the
 # budget); the chain-level crash-point and bit-flip recovery sweeps
-# (-short: 3 seeds per point), snapshot corruption rejection, the
-# hardened RPC surface, and the sim crash scenario family against its
+# (-short: 3 seeds per point), the snapshot sweeps (an exported
+# sereth.kv cut at every length and flipped at every byte is rejected
+# with the joiner's store untouched or adopted fully verified; -short:
+# every 7th byte), the hardened RPC surface, and the sim crash scenario family against its
 # honest twins, ending with a quick end-to-end crash experiment.
 crash-smoke:
 	$(GO) test -race ./internal/store
@@ -150,9 +155,11 @@ order-smoke:
 	$(GO) test -race -count=10 -run 'TestSeries' ./internal/rpc
 
 # serving-smoke runs the persistence and serving-tier suite under the
-# race detector: the store, trie/state persistence and snapshot
-# round-trips, restart-recovery and snapshot-bootstrap at chain and
-# node level, the RPC dispatch/client surface and serethnode's listener
+# race detector: the store, trie/state persistence, the
+# reachable-records walk and the export/import round-trips built on it (a
+# snapshot is a store: memory-built, store-backed and recovered chains
+# export the same records, and the export opens as a datadir),
+# restart-recovery and snapshot-bootstrap at chain and node level, the RPC dispatch/client surface and serethnode's listener
 # limits, the client's connection lifecycle and the server's drain ten
 # times over, and the golden-scenario differentials with the store and
 # the HTTP serving tier enabled; then it fuzzes each RPC codec target
@@ -160,7 +167,7 @@ order-smoke:
 serving-smoke:
 	$(GO) test -race ./internal/store ./internal/rpc ./cmd/serethnode
 	$(GO) test -race -count=10 -run 'TestConnectionLifecycle|TestShutdownWaitsForEveryAdmittedRequest' ./internal/rpc
-	$(GO) test -race -run 'TestPersist|TestSnapshot|TestOpen|TestGoldenRootsWithStore' ./internal/trie ./internal/statedb ./internal/chain
+	$(GO) test -race -run 'TestPersist|TestWalk|TestSnapshot|TestOpen|TestRecovered|TestExport|TestGoldenRootsWithStore' ./internal/trie ./internal/statedb ./internal/chain
 	$(GO) test -race -run 'TestNodeRestart|TestSnapshot' ./internal/node
 	$(GO) test -race -run 'TestRPCClients|TestPersist' ./internal/sim ./internal/scenarios
 	for f in FuzzRequestEnvelope FuzzResponseEncode FuzzResponseDecode FuzzServeHTTP; do \

@@ -6,8 +6,8 @@
 //
 //	serethnode -listen :8545 -mode sereth -miner semantic -interval 5s
 //	serethnode -datadir /var/lib/sereth            # durable state, survives restarts
-//	serethnode -snapshot head.snap                 # fast-bootstrap from an exported snapshot
-//	serethnode -datadir d -export-snapshot head.snap  # dump head state on shutdown
+//	serethnode -snapshot snap                      # fast-bootstrap from an exported snapshot
+//	serethnode -datadir d -export-snapshot snap    # export the head on shutdown; snap is a datadir too
 //	serethnode -datadir d -compact                 # rewrite the log to live records, then exit
 //
 // SIGINT/SIGTERM shut the node down cleanly: the miner stops, in-flight
@@ -26,6 +26,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
 
@@ -57,8 +58,8 @@ func run(args []string) error {
 	parallel := fs.Bool("parallel", false, "execute block bodies on the optimistic parallel processor")
 	parallelWorkers := fs.Int("parallel-workers", 0, "speculation worker count for -parallel (0 = GOMAXPROCS)")
 	datadir := fs.String("datadir", "", "directory for the persistent state store; a restart recovers the head without replay")
-	snapshot := fs.String("snapshot", "", "bootstrap from an exported state snapshot (ignored when -datadir already has a head)")
-	exportSnapshot := fs.String("export-snapshot", "", "write a state snapshot of the head to this path on clean shutdown")
+	snapshot := fs.String("snapshot", "", "bootstrap from an exported snapshot directory (ignored when -datadir already has a head)")
+	exportSnapshot := fs.String("export-snapshot", "", "export the head into this (new or empty) directory on clean shutdown; it is then a datadir of its own")
 	compact := fs.Bool("compact", false, "compact the -datadir log down to live records, print the stats, and exit")
 	maxInFlight := fs.Int("max-inflight", 0, "cap concurrently served RPC requests; excess requests are shed with 503 (0 = unlimited)")
 	if err := fs.Parse(args); err != nil {
@@ -120,12 +121,18 @@ func run(args []string) error {
 		nodeCfg.Store = kv
 	}
 	if *snapshot != "" {
-		f, err := os.Open(*snapshot)
+		// Stat first: OpenFile would create what a mistyped path lacks.
+		if _, err := os.Stat(filepath.Join(*snapshot, store.FileName)); err != nil {
+			return fmt.Errorf("open snapshot: %w", err)
+		}
+		snap, err := store.OpenFile(*snapshot)
 		if err != nil {
 			return fmt.Errorf("open snapshot: %w", err)
 		}
-		defer func() { _ = f.Close() }()
-		nodeCfg.Bootstrap = f
+		// Open for the life of the node: without a -datadir it is what
+		// the chain's untouched state keeps reading through.
+		defer func() { _ = snap.Close() }()
+		nodeCfg.Bootstrap = snap
 	}
 	n, err := node.New(nodeCfg)
 	if err != nil {
@@ -184,7 +191,7 @@ func run(args []string) error {
 		defer cancel()
 		_ = server.Shutdown(shutdownCtx)
 		if *exportSnapshot != "" {
-			if err := writeSnapshotFile(n, *exportSnapshot); err != nil {
+			if err := exportSnapshotDir(n, *exportSnapshot); err != nil {
 				return fmt.Errorf("export snapshot: %w", err)
 			}
 			fmt.Printf("snapshot written to %s\n", *exportSnapshot)
@@ -244,18 +251,21 @@ func compactDatadir(dir string) error {
 	return nil
 }
 
-// writeSnapshotFile dumps the node's head state snapshot to path. Note
-// that a node recovered lazily from a datadir holds only the state it
-// has touched and cannot serve a full snapshot (statedb.ErrPartialState)
-// — export from a node that executed its history.
-func writeSnapshotFile(n *node.Node, path string) error {
-	f, err := os.Create(path)
+// exportSnapshotDir exports the node's head into a store under dir,
+// which must not hold records already: an export appended to the
+// node's own datadir, or to an older snapshot, would be neither.
+func exportSnapshotDir(n *node.Node, dir string) error {
+	kv, err := store.OpenFile(dir)
 	if err != nil {
 		return err
 	}
-	if err := n.WriteSnapshot(f); err != nil {
-		_ = f.Close()
+	if held := kv.Len(); held != 0 {
+		_ = kv.Close()
+		return fmt.Errorf("%s already holds %d records", dir, held)
+	}
+	if err := n.Chain().Export(kv); err != nil {
+		_ = kv.Close()
 		return err
 	}
-	return f.Close()
+	return kv.Close()
 }

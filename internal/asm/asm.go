@@ -141,23 +141,3 @@ func (p *Program) MustAssemble() []byte {
 	}
 	return code
 }
-
-// Disassemble renders bytecode as one mnemonic per line (debugging aid).
-func Disassemble(code []byte) []string {
-	var out []string
-	for pc := 0; pc < len(code); pc++ {
-		op := evm.OpCode(code[pc])
-		if op.IsPush() {
-			size := op.PushSize()
-			end := pc + 1 + size
-			if end > len(code) {
-				end = len(code)
-			}
-			out = append(out, fmt.Sprintf("%04x: %s 0x%x", pc, op, code[pc+1:end]))
-			pc += size
-			continue
-		}
-		out = append(out, fmt.Sprintf("%04x: %s", pc, op))
-	}
-	return out
-}

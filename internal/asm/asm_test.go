@@ -1,7 +1,6 @@
 package asm
 
 import (
-	"strings"
 	"testing"
 
 	"sereth/internal/evm"
@@ -70,14 +69,6 @@ func TestBadPushSizePanics(t *testing.T) {
 		}
 	}()
 	NewProgram().PushBytes(make([]byte, 33))
-}
-
-func TestDisassemble(t *testing.T) {
-	code := NewProgram().PushInt(5).Op(evm.POP).MustAssemble()
-	lines := Disassemble(code)
-	if len(lines) != 2 || !strings.Contains(lines[0], "PUSH1") || !strings.Contains(lines[1], "POP") {
-		t.Errorf("disassembly: %v", lines)
-	}
 }
 
 // --- Sereth contract integration ---------------------------------------

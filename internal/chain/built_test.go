@@ -236,6 +236,7 @@ func TestInsertBuiltPersistsLikeReplay(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Registry = reg
+	cfg.Store = minerKV
 	reopened, err := Open(cfg, minerKV)
 	if err != nil {
 		t.Fatal(err)

@@ -92,7 +92,6 @@ type Chain struct {
 	// have no history below their snapshot point.
 	base     uint64
 	blocks   []*types.Block
-	byHash   map[types.Hash]*types.Block
 	receipts map[types.Hash][]*types.Receipt // block hash -> receipts
 	state    *statedb.StateDB                // post-head state
 	// posts retains every adopted block's post state by block hash, so a
@@ -117,18 +116,7 @@ func New(cfg Config, genesisState *statedb.StateDB) *Chain {
 		StateRoot: state.Root(),
 		GasLimit:  cfg.GasLimit,
 	}}
-	c := &Chain{
-		cfg:      cfg,
-		proc:     NewProcessor(cfg),
-		blocks:   []*types.Block{genesis},
-		byHash:   map[types.Hash]*types.Block{genesis.Hash(): genesis},
-		receipts: map[types.Hash][]*types.Receipt{},
-		state:    state,
-		posts:    map[types.Hash]*statedb.StateDB{genesis.Hash(): state},
-	}
-	if cfg.Parallel {
-		c.par = NewParallelProcessor(cfg)
-	}
+	c := newChain(cfg, []*types.Block{genesis}, state)
 	if cfg.Store != nil {
 		// Persist genesis so a datadir created now recovers later even if
 		// no block is ever adopted. Persist errors at construction are
@@ -137,6 +125,25 @@ func New(cfg Config, genesisState *statedb.StateDB) *Chain {
 		if err := c.persistLocked(genesis, state); err != nil {
 			panic(fmt.Sprintf("chain: persist genesis: %v", err))
 		}
+	}
+	return c
+}
+
+// newChain assembles a chain over blocks (ascending, dense, at least
+// one) whose last block's post state is state: the one place a Chain is
+// built, for a fresh genesis and for a store alike.
+func newChain(cfg Config, blocks []*types.Block, state *statedb.StateDB) *Chain {
+	c := &Chain{
+		cfg:      cfg,
+		proc:     NewProcessor(cfg),
+		base:     blocks[0].Number(),
+		blocks:   blocks,
+		receipts: map[types.Hash][]*types.Receipt{},
+		state:    state,
+		posts:    map[types.Hash]*statedb.StateDB{blocks[len(blocks)-1].Hash(): state},
+	}
+	if cfg.Parallel {
+		c.par = NewParallelProcessor(cfg)
 	}
 	return c
 }
@@ -181,13 +188,6 @@ func (c *Chain) Base() uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.base
-}
-
-// BlockByHash returns the block with the given hash, or nil.
-func (c *Chain) BlockByHash(h types.Hash) *types.Block {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.byHash[h]
 }
 
 // Receipts returns the receipts of a block by hash.
@@ -429,14 +429,13 @@ func (c *Chain) ImportFork(blocks []*types.Block) (int, error) {
 	}
 
 	// Commit: truncate the losing suffix and splice in the winner. Orphaned
-	// blocks stay reachable in byHash/receipts as side-chain data; their
+	// blocks keep their receipts and post states as side-chain data; their
 	// transactions are NOT re-injected into pools (measured as orphan loss
 	// by the simulator, where a production node would re-broadcast them).
 	orphaned := len(c.blocks) - int(attach-c.base)
 	c.blocks = c.blocks[:attach-c.base]
 	for j, b := range fork {
 		c.blocks = append(c.blocks, b)
-		c.byHash[results[j].hash] = b
 		c.receipts[results[j].hash] = results[j].receipts
 		c.posts[results[j].hash] = results[j].post
 	}
@@ -481,7 +480,6 @@ func (c *Chain) adopt(block *types.Block, hash types.Hash, receipts []*types.Rec
 		}
 	}
 	c.blocks = append(c.blocks, block)
-	c.byHash[hash] = block
 	c.receipts[hash] = receipts
 	c.posts[hash] = post
 	c.state = post

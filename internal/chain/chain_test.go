@@ -106,9 +106,6 @@ func TestInsertValidBlock(t *testing.T) {
 	if got := c.Receipts(block.Hash()); len(got) != 1 {
 		t.Error("receipts not stored")
 	}
-	if c.BlockByHash(block.Hash()) == nil {
-		t.Error("hash index missing")
-	}
 }
 
 func TestFailedTxIncludedButRolledBack(t *testing.T) {

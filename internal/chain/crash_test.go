@@ -116,6 +116,7 @@ func (fx *crashFixture) checkRecovery(t *testing.T, dir, cell string) {
 	}
 	cfg := DefaultConfig()
 	cfg.Registry = fx.reg
+	cfg.Store = re
 	c, err := Open(cfg, re)
 	if err != nil {
 		t.Fatalf("%s: Open after salvage: %v (report %+v)", cell, err, re.Salvage())
@@ -243,6 +244,7 @@ func TestOpenFallsBackToDurableHead(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Registry = fx.reg
+	cfg.Store = re
 	c, err := Open(cfg, re)
 	if err != nil {
 		t.Fatalf("Open after head-record damage: %v", err)
@@ -269,6 +271,7 @@ func TestOpenFallsBackToDurableHead(t *testing.T) {
 	if rep := re2.Salvage(); rep.Dirty() {
 		t.Fatalf("log dirty after fallback repair: %+v", rep)
 	}
+	cfg.Store = re2
 	c2, err := Open(cfg, re2)
 	if err != nil {
 		t.Fatal(err)

@@ -55,20 +55,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// Median returns the sample median (0 for empty input).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64{}, xs...)
-	sort.Float64s(cp)
-	mid := len(cp) / 2
-	if len(cp)%2 == 1 {
-		return cp[mid]
-	}
-	return (cp[mid-1] + cp[mid]) / 2
-}
-
 // Percentile returns the p-quantile (p in [0,1]) of xs by linear
 // interpolation between closest ranks (0 for empty input — callers
 // report percentiles only when samples exist).
@@ -136,14 +122,6 @@ func (t Throughput) Efficiency() float64 {
 		return 1
 	}
 	return float64(t.Succeeded) / float64(t.Included)
-}
-
-// Raw returns raw throughput in transactions per second.
-func (t Throughput) Raw() float64 {
-	if t.Seconds <= 0 {
-		return 0
-	}
-	return float64(t.Included) / t.Seconds
 }
 
 // State returns state throughput T_state = η · T_raw.

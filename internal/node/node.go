@@ -9,7 +9,6 @@ package node
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 
 	"sereth/internal/asm"
@@ -86,10 +85,11 @@ type Config struct {
 	// restart recovers the head without replay. A store that already
 	// holds a head takes precedence over Genesis and Bootstrap.
 	Store store.Store
-	// Bootstrap, when set, is a snapshot stream (from a serving peer's
-	// WriteSnapshot) to fast-bootstrap from; rejected snapshots fall
-	// back to Genesis + block sync. See persist.go.
-	Bootstrap io.Reader
+	// Bootstrap, when set, is a snapshot (the store a serving peer's
+	// Chain().Export filled) to fast-bootstrap from; rejected snapshots
+	// fall back to Genesis + block sync. Without a Store of its own the
+	// node keeps reading through it. See persist.go.
+	Bootstrap store.Store
 }
 
 // Node is one peer: a full validating client, optionally mining.

@@ -3,16 +3,18 @@
 //
 //  1. a datadir that already holds a head — recovered in place, no
 //     replay (Config.Genesis is ignored; the datadir is authoritative);
-//  2. a snapshot stream from a serving peer — verified against its
-//     header's state root and adopted as the new base; a snapshot that
-//     fails verification is discarded and the node falls back to
+//  2. a snapshot: a store a serving peer exported its head into, which
+//     is a datadir like any other and boots through the same
+//     chain.Open — except that it is somebody else's, so its complete
+//     head state is verified before anything is adopted, the verified
+//     records are copied into the node's own store when it has one,
+//     and a snapshot that fails verification leaves that store
+//     untouched and the node falls back to
 //  3. plain genesis — from which ordinary block sync (HandleBlock's
 //     catch-up requests) converges the node with the network.
 package node
 
 import (
-	"io"
-
 	"sereth/internal/chain"
 	"sereth/internal/store"
 )
@@ -28,8 +30,9 @@ const (
 	BootRecovered
 	// BootSnapshot is a chain imported from Config.Bootstrap.
 	BootSnapshot
-	// BootSnapshotFailed means Config.Bootstrap was rejected (corrupt or
-	// root mismatch) and the node fell back to genesis + block sync.
+	// BootSnapshotFailed means Config.Bootstrap was rejected (no head, or
+	// a head state with a missing or altered record) and the node fell
+	// back to genesis + block sync.
 	BootSnapshotFailed
 )
 
@@ -61,21 +64,13 @@ func buildChain(cfg Config) (*chain.Chain, BootSource, error) {
 		}
 	}
 	if cfg.Bootstrap != nil {
-		c, err := chain.OpenSnapshot(cfg.Chain, cfg.Bootstrap)
+		c, err := chain.Open(cfg.Chain, cfg.Bootstrap)
 		if err == nil {
 			return c, BootSnapshot, nil
 		}
 		return chain.New(cfg.Chain, cfg.Genesis), BootSnapshotFailed, nil
 	}
 	return chain.New(cfg.Chain, cfg.Genesis), BootGenesis, nil
-}
-
-// WriteSnapshot streams this node's head block and full state for a
-// joining peer's fast-bootstrap. Nodes recovered from a datadir serve
-// statedb.ErrPartialState (their state is a lazy overlay); joiners then
-// fall back to block sync.
-func (n *Node) WriteSnapshot(w io.Writer) error {
-	return n.chain.WriteSnapshot(w)
 }
 
 // BootSource reports how this node's chain was constructed.

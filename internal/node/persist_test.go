@@ -82,81 +82,186 @@ func TestNodeRestartRecoversHead(t *testing.T) {
 	}
 }
 
+// openDir opens a datadir (or a snapshot: the same thing) under dir.
+func openDir(t *testing.T, dir string) *store.FileStore {
+	t.Helper()
+	kv, err := store.OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = kv.Close() })
+	return kv
+}
+
+// TestSnapshotBootstrapJoiner: a peer restarted from its datadir — its
+// state a lazy overlay on the store — exports its head; the export
+// boots a joiner that keeps no store (and reads through the snapshot),
+// a joiner with a datadir of its own (which the snapshot is copied
+// into), and, being a datadir itself, a node that simply runs on it.
+// All three then follow the network block for block.
 func TestSnapshotBootstrapJoiner(t *testing.T) {
-	f := newFixture(t, Config{Mode: ModeGeth, Miner: MinerBaseline})
+	serverDir := t.TempDir()
+	f := newFixture(t,
+		Config{Mode: ModeGeth, Miner: MinerBaseline},
+		Config{Mode: ModeGeth, Store: openDir(t, serverDir)},
+	)
 	miner := f.nodes[0]
 	mineBlocks(t, f, miner, 3)
-
-	var snap bytes.Buffer
-	if err := miner.WriteSnapshot(&snap); err != nil {
+	if err := f.nodes[1].Close(); err != nil {
 		t.Fatal(err)
 	}
 	chainCfg := chain.DefaultConfig()
 	chainCfg.Registry = f.reg
-	joiner, err := New(Config{
-		ID: 9, Mode: ModeGeth, Contract: contractAddr,
-		Chain: chainCfg, Network: f.net, Bootstrap: bytes.NewReader(snap.Bytes()),
-	})
-	if err != nil {
-		t.Fatal(err)
+	join := func(id p2p.PeerID, own, snapshot store.Store) *Node {
+		t.Helper()
+		n, err := New(Config{
+			ID: id, Mode: ModeGeth, Contract: contractAddr,
+			Chain: chainCfg, Network: f.net, Store: own, Bootstrap: snapshot,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
 	}
-	if joiner.BootSource() != BootSnapshot {
-		t.Fatalf("boot source = %s", joiner.BootSource())
+	server := join(2, openDir(t, serverDir), nil)
+	if server.BootSource() != BootRecovered || server.Chain().Height() != 3 {
+		t.Fatalf("serving peer restarted as %s at %d", server.BootSource(), server.Chain().Height())
 	}
-	if joiner.Chain().Head().Hash() != miner.Chain().Head().Hash() {
-		t.Fatal("joiner head differs from serving peer")
-	}
-	if joiner.Chain().Base() != 3 {
-		t.Fatalf("joiner base = %d", joiner.Chain().Base())
+	snapDir, runDir := t.TempDir(), t.TempDir()
+	for _, dir := range []string{snapDir, runDir} {
+		snap, err := store.OpenFile(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := server.Chain().Export(snap); err != nil {
+			t.Fatalf("a recovered node could not export: %v", err)
+		}
+		if err := snap.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	// The joiner follows subsequent blocks like any peer.
+	ownDir := t.TempDir()
+	snap := openDir(t, snapDir)
+	persisting := join(10, openDir(t, ownDir), snap)
+	if err := snap.Close(); err != nil { // adopted: its own datadir answers from here on
+		t.Fatal(err)
+	}
+	joiners := map[string]*Node{
+		"store-less":          join(9, nil, openDir(t, snapDir)),
+		"persisting":          persisting,
+		"run on the snapshot": join(11, openDir(t, runDir), nil),
+	}
+	for name, n := range joiners {
+		want := BootSnapshot
+		if name == "run on the snapshot" {
+			want = BootRecovered
+		}
+		if n.BootSource() != want {
+			t.Fatalf("%s: boot source = %s", name, n.BootSource())
+		}
+		if n.Chain().Head().Hash() != miner.Chain().Head().Hash() {
+			t.Fatalf("%s: head differs from serving peer", name)
+		}
+		if n.Chain().Base() != 3 {
+			t.Fatalf("%s: base = %d", name, n.Chain().Base())
+		}
+	}
+
+	// The joiners follow subsequent blocks like any peer.
 	mineBlocks(t, f, miner, 2)
-	if joiner.Chain().Height() != miner.Chain().Height() ||
-		joiner.Chain().Head().Hash() != miner.Chain().Head().Hash() {
-		t.Fatalf("joiner at %d, network at %d", joiner.Chain().Height(), miner.Chain().Height())
+	joiners["restarted server"] = server
+	for name, n := range joiners {
+		if n.Chain().Height() != miner.Chain().Height() ||
+			n.Chain().Head().Hash() != miner.Chain().Head().Hash() {
+			t.Fatalf("%s at %d, network at %d", name, n.Chain().Height(), miner.Chain().Height())
+		}
+	}
+	// The persisting joiner's bootstrap and what it adopted since are
+	// durable in its own datadir.
+	if err := persisting.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re := join(10, openDir(t, ownDir), nil)
+	if re.BootSource() != BootRecovered || re.Chain().Head().Hash() != miner.Chain().Head().Hash() {
+		t.Fatalf("persisting joiner restarted as %s at %d", re.BootSource(), re.Chain().Height())
 	}
 }
 
+// TestSnapshotFallbackToBlockSync: a snapshot with an altered state
+// record, and a store that is no snapshot at all, must not wedge the
+// joiner: nothing of them is adopted, its own store starts from
+// genesis, and catch-up sync converges it.
 func TestSnapshotFallbackToBlockSync(t *testing.T) {
 	f := newFixture(t, Config{Mode: ModeGeth, Miner: MinerBaseline})
 	miner := f.nodes[0]
 	mineBlocks(t, f, miner, 3)
 
-	// A corrupt snapshot must not wedge the joiner: it falls back to
-	// genesis and catch-up sync converges it. The joiner shares the
-	// network's genesis so block sync can attach at block 0.
-	genesis := statedb.New()
-	genesis.SetCode(contractAddr, asm.SerethContract())
-	chainCfg := chain.DefaultConfig()
-	chainCfg.Registry = f.reg
-	var snap bytes.Buffer
-	if err := miner.WriteSnapshot(&snap); err != nil {
+	tampered := store.NewMem()
+	if err := miner.Chain().Export(tampered); err != nil {
 		t.Fatal(err)
 	}
-	tampered := snap.Bytes()
-	tampered[len(tampered)-8] ^= 0xff
-	joiner, err := New(Config{
-		ID: 9, Mode: ModeGeth, Contract: contractAddr,
-		Chain: chainCfg, Genesis: genesis, Network: f.net,
-		Bootstrap: bytes.NewReader(tampered),
-	})
-	if err != nil {
+	var key, val []byte
+	root := miner.Chain().Head().Header.StateRoot
+	if err := statedb.OpenAt(tampered, root).Walk(func(k, v []byte) { key, val = bytes.Clone(k), bytes.Clone(v) }); err != nil {
 		t.Fatal(err)
 	}
-	if joiner.BootSource() != BootSnapshotFailed {
-		t.Fatalf("boot source = %s", joiner.BootSource())
-	}
-	if joiner.Chain().Height() != 0 {
-		t.Fatal("fallback joiner should start at genesis")
+	val[len(val)/2] ^= 0xff
+	if err := tampered.Put(key, val); err != nil {
+		t.Fatal(err)
 	}
 
-	// Next broadcast block arrives ahead of the joiner's head; the
-	// orphan/catch-up path pulls the gap and converges it.
+	// The joiners start from the network's genesis so block sync can
+	// attach at block 0 — each from an instance of its own: a state
+	// object remembers which of its nodes the first store it was
+	// committed to already holds.
+	newGenesis := func() *statedb.StateDB {
+		genesis := statedb.New()
+		genesis.SetCode(contractAddr, asm.SerethContract())
+		return genesis
+	}
+	chainCfg := chain.DefaultConfig()
+	chainCfg.Registry = f.reg
+	var joiners []*Node
+	var stores []*store.MemStore
+	for i, snapshot := range []store.Store{tampered, store.NewMem()} {
+		kv := store.NewMem()
+		joiner, err := New(Config{
+			ID: p2p.PeerID(9 + i), Mode: ModeGeth, Contract: contractAddr,
+			Chain: chainCfg, Genesis: newGenesis(), Network: f.net,
+			Store: kv, Bootstrap: snapshot,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if joiner.BootSource() != BootSnapshotFailed {
+			t.Fatalf("boot source = %s", joiner.BootSource())
+		}
+		if joiner.Chain().Height() != 0 {
+			t.Fatal("fallback joiner should start at genesis")
+		}
+		// Its store holds the genesis it fell back to and nothing else.
+		fresh := store.NewMem()
+		chainCfg.Store = fresh
+		chain.New(chainCfg, newGenesis())
+		chainCfg.Store = nil
+		if kv.Len() != fresh.Len() {
+			t.Fatalf("rejected snapshot left %d records in the joiner's store, a genesis datadir holds %d", kv.Len(), fresh.Len())
+		}
+		joiners, stores = append(joiners, joiner), append(stores, kv)
+	}
+
+	// Next broadcast block arrives ahead of the joiners' head; the
+	// orphan/catch-up path pulls the gap and converges them.
 	mineBlocks(t, f, miner, 1)
 	f.net.AdvanceTo(f.net.Now() + 200)
-	if joiner.Chain().Height() != miner.Chain().Height() ||
-		joiner.Chain().Head().Hash() != miner.Chain().Head().Hash() {
-		t.Fatalf("joiner at %d, network at %d", joiner.Chain().Height(), miner.Chain().Height())
+	for i, joiner := range joiners {
+		if joiner.Chain().Height() != miner.Chain().Height() ||
+			joiner.Chain().Head().Hash() != miner.Chain().Head().Hash() {
+			t.Fatalf("joiner at %d, network at %d", joiner.Chain().Height(), miner.Chain().Height())
+		}
+		if err := statedb.VerifyState(stores[i], joiner.Chain().Head().Header.StateRoot); err != nil {
+			t.Fatalf("converged joiner's store: %v", err)
+		}
 	}
 }

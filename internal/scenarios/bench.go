@@ -10,6 +10,8 @@ import (
 	"bytes"
 	"fmt"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -723,6 +725,7 @@ func benchServing(clients int, call func(*rpc.Client) error) func(*testing.B) {
 func benchRestartRecovery(b *testing.B) {
 	kv := openBenchStore(b)
 	_, chainCfg := servingNode(b, kv)
+	chainCfg.Store = kv
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -737,22 +740,40 @@ func benchRestartRecovery(b *testing.B) {
 }
 
 // benchSnapshotBootstrap brings a fresh peer up from a serving peer's
-// streamed, root-verified snapshot.
+// exported snapshot: the log is replayed into an index, the head state
+// verified record by record, and the chain opened over it.
 func benchSnapshotBootstrap(b *testing.B) {
 	stored, chainCfg := servingNode(b, openBenchStore(b))
-	var snap bytes.Buffer
-	if err := stored.WriteSnapshot(&snap); err != nil {
+	dir := b.TempDir()
+	snap, err := store.OpenFile(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := stored.Chain().Export(snap); err != nil {
+		b.Fatal(err)
+	}
+	if err := snap.Close(); err != nil {
+		b.Fatal(err)
+	}
+	info, err := os.Stat(filepath.Join(dir, store.FileName))
+	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c, err := chain.OpenSnapshot(chainCfg, bytes.NewReader(snap.Bytes()))
+		snap, err := store.OpenFile(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		c, err := chain.Open(chainCfg, snap)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if c.Height() != servingBlocks {
 			b.Fatalf("bootstrapped height %d", c.Height())
 		}
+		_ = snap.Close()
 	}
+	b.ReportMetric(float64(info.Size()), "snapshot_bytes")
 }

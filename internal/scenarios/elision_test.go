@@ -41,9 +41,12 @@ func replayCount(t *testing.T, f *ReplayFixture, c *chain.Chain) (uint64, []byte
 func TestReplayKeccakCount(t *testing.T) {
 	f := NewReplayFixture(100)
 
+	// A cold registry (same Owner key, fresh Registry instance) measures
+	// un-cached verification: the pre-elision baseline.
 	coldReg := wallet.NewRegistry()
 	coldReg.Register(f.Owner)
-	cold, coldReceipts := replayCount(t, f, f.NewChainWithRegistry(coldReg))
+	coldChain := chain.New(chain.Config{GasLimit: f.Block.Header.GasLimit, Registry: coldReg}, f.Genesis)
+	cold, coldReceipts := replayCount(t, f, coldChain)
 
 	// Warm-up: the cold run re-tagged the shared instances with
 	// coldReg; restore the fixture registry's verified flags.

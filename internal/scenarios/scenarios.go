@@ -219,14 +219,6 @@ func NewReplayFixture(n int) *ReplayFixture {
 	}
 }
 
-// NewChainWithRegistry is NewChain against a different signature
-// registry. The elision tests use it with a cold registry (same Owner
-// key, fresh Registry instance) to measure un-cached verification —
-// the pre-elision baseline a replay's hash count is pinned against.
-func (f *ReplayFixture) NewChainWithRegistry(reg *wallet.Registry) *chain.Chain {
-	return chain.New(chain.Config{GasLimit: f.Block.Header.GasLimit, Registry: reg}, f.Genesis)
-}
-
 // NewChain returns a fresh validator chain at the fixture's genesis,
 // optionally joined to a shared validated-execution cache.
 func (f *ReplayFixture) NewChain(cache *chain.ExecCache) *chain.Chain {

@@ -301,14 +301,6 @@ func (r Result) SetEfficiency() float64 {
 	return float64(r.SetsSucceeded) / float64(r.SetsIncluded)
 }
 
-// RawTps returns raw throughput over the whole run.
-func (r Result) RawTps() float64 {
-	if r.DurationS <= 0 {
-		return 0
-	}
-	return float64(r.BuysIncluded+r.SetsIncluded) / r.DurationS
-}
-
 // StateTps returns state throughput T_state = η·T_raw.
 func (r Result) StateTps() float64 {
 	if r.DurationS <= 0 {

@@ -65,9 +65,6 @@ func (s *StateDB) CommitTo(kv store.Store) (types.Hash, int, error) {
 	n := s.accTrie.Commit(b)
 	var coded []*account
 	for _, acc := range s.accounts {
-		if acc.deleted {
-			continue
-		}
 		if acc.storageTrie != nil {
 			n += acc.storageTrie.Commit(b)
 		}
@@ -107,38 +104,48 @@ func (s *StateDB) resolveAccount(addr types.Address) *account {
 	return acc
 }
 
-// decodeAccount parses the canonical account encoding (nonce, balance,
-// storage root, code hash) and wires up its lazily-resolved storage
-// trie and code blob.
-func decodeAccount(kv Reader, enc []byte) (*account, error) {
+// accountFields parses the canonical account encoding (nonce, balance,
+// storage root, code hash).
+func accountFields(enc []byte) (nonce, balance uint64, storageRoot, codeHash types.Hash, err error) {
 	it, err := rlp.Decode(enc)
 	if err != nil {
-		return nil, err
+		return
 	}
 	elems, err := it.Items()
 	if err != nil || len(elems) != 4 {
-		return nil, fmt.Errorf("account is not a 4-list (%v)", err)
+		err = fmt.Errorf("account is not a 4-list (%v)", err)
+		return
 	}
-	nonce, err := elems[0].AsUint()
-	if err != nil {
-		return nil, fmt.Errorf("nonce: %w", err)
+	if nonce, err = elems[0].AsUint(); err != nil {
+		err = fmt.Errorf("nonce: %w", err)
+		return
 	}
-	balance, err := elems[1].AsUint()
-	if err != nil {
-		return nil, fmt.Errorf("balance: %w", err)
+	if balance, err = elems[1].AsUint(); err != nil {
+		err = fmt.Errorf("balance: %w", err)
+		return
 	}
 	rootB, err := elems[2].Bytes()
-	if err != nil || len(rootB) != len(types.Hash{}) {
-		return nil, fmt.Errorf("storage root: %v", err)
+	if err != nil || len(rootB) != len(storageRoot) {
+		err = fmt.Errorf("storage root: %v", err)
+		return
 	}
 	codeHashB, err := elems[3].Bytes()
-	if err != nil || len(codeHashB) != len(types.Hash{}) {
-		return nil, fmt.Errorf("code hash: %v", err)
+	if err != nil || len(codeHashB) != len(codeHash) {
+		err = fmt.Errorf("code hash: %v", err)
+		return
 	}
-	var storageRoot, codeHash types.Hash
 	copy(storageRoot[:], rootB)
 	copy(codeHash[:], codeHashB)
+	return
+}
 
+// decodeAccount parses an account encoding and wires up its
+// lazily-resolved storage trie and code blob.
+func decodeAccount(kv Reader, enc []byte) (*account, error) {
+	nonce, balance, storageRoot, codeHash, err := accountFields(enc)
+	if err != nil {
+		return nil, err
+	}
 	acc := &account{
 		nonce:    nonce,
 		balance:  balance,

@@ -2,12 +2,35 @@ package statedb
 
 import (
 	"bytes"
-	"errors"
+	"maps"
 	"testing"
 
 	"sereth/internal/store"
 	"sereth/internal/types"
 )
+
+// exported walks s and returns the records visited, which a snapshot of
+// s consists of.
+func exported(t *testing.T, s *StateDB) map[string][]byte {
+	t.Helper()
+	recs := map[string][]byte{}
+	if err := s.Walk(func(k, v []byte) { recs[string(k)] = bytes.Clone(v) }); err != nil {
+		t.Fatalf("Walk: %v", err)
+	}
+	return recs
+}
+
+// storeOf is a store holding exactly recs.
+func storeOf(t *testing.T, recs map[string][]byte) *store.MemStore {
+	t.Helper()
+	kv := store.NewMem()
+	for k, v := range recs {
+		if err := kv.Put([]byte(k), v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return kv
+}
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := populated(t)
@@ -16,14 +39,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	s.SetState(addrN(0xcc), slotN(3), types.ZeroWord)
 	want := s.Root()
 
-	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
+	recs := exported(t, s)
+	kv := storeOf(t, recs)
+	if err := VerifyState(kv, want); err != nil {
+		t.Fatalf("exported records do not verify: %v", err)
 	}
-	re, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadSnapshot: %v", err)
-	}
+	re := OpenAt(kv, want)
 	if re.Root() != want {
 		t.Fatalf("imported root %x != %x", re.Root(), want)
 	}
@@ -36,37 +57,94 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if got := re.GetState(addrN(0xcc), slotN(4)); got != wordN(4*7+1) {
 		t.Fatalf("slot 4 = %x", got)
 	}
-
-	// Determinism: re-export of the import is byte-identical.
-	var buf2 bytes.Buffer
-	if err := re.WriteSnapshot(&buf2); err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(re.GetCode(addrN(0xcc)), s.GetCode(addrN(0xcc))) {
+		t.Fatal("code blob lost")
 	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("snapshot stream is not deterministic")
+
+	// Determinism: the export of the import is the same record set.
+	if !maps.EqualFunc(exported(t, re), recs, bytes.Equal) {
+		t.Fatal("re-export of an imported state differs from the export it came from")
+	}
+
+	// The walk set no stored flag: s still commits in full, as a twin
+	// nobody walked does.
+	twin := populated(t)
+	twin.getOrCreate(addrN(0xaa))
+	twin.SetState(addrN(0xcc), slotN(3), types.ZeroWord)
+	_, wantN, _ := twin.CommitTo(store.NewMem())
+	full := store.NewMem()
+	if _, n, err := s.CommitTo(full); err != nil || n != wantN {
+		t.Fatalf("a walked state committed %d records (%v), an unwalked twin %d", n, err, wantN)
+	}
+	if err := VerifyState(full, want); err != nil {
+		t.Fatalf("commit after a walk left holes: %v", err)
 	}
 }
 
-func TestSnapshotRejectsPartialState(t *testing.T) {
+// TestSnapshotOfPartialState is the positive form of what used to be a
+// refusal: a state opened lazily from a store — none of it in memory,
+// and then part of it, after writes — exports exactly what its
+// fully-materialized twin exports, and never the nodes its store holds
+// for older roots.
+func TestSnapshotOfPartialState(t *testing.T) {
 	kv := store.NewMem()
 	s := populated(t)
 	root, _, err := s.CommitTo(kv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lazy := OpenAt(kv, root)
-	if err := lazy.WriteSnapshot(&bytes.Buffer{}); !errors.Is(err, ErrPartialState) {
-		t.Fatalf("lazy export: %v", err)
+	if got, want := exported(t, OpenAt(kv, root)), exported(t, populated(t)); !maps.EqualFunc(got, want, bytes.Equal) {
+		t.Fatalf("lazy state exported %d records, its materialized twin %d", len(got), len(want))
+	}
+
+	write := func(st *StateDB) {
+		st.SetState(addrN(0xcc), slotN(1), wordN(99))
+		st.SetState(addrN(0xcc), slotN(2), types.ZeroWord)
+		st.SetNonce(addrN(7), 70)
+		st.SetCode(addrN(0xdd), []byte{0x60, 0x01, 0x00})
+	}
+	lazy, twin := OpenAt(kv, root), populated(t)
+	write(lazy)
+	write(twin)
+	got, want := exported(t, lazy), exported(t, twin)
+	if !maps.EqualFunc(got, want, bytes.Equal) {
+		t.Fatalf("written lazy state exported %d records, its twin %d", len(got), len(want))
+	}
+	// Flushed but never committed: the new nodes exist in memory only,
+	// the rest in kv only. Committed, kv holds two roots' worth; the
+	// export is still one root's.
+	if _, _, err := lazy.CommitTo(kv); err != nil {
+		t.Fatal(err)
+	}
+	if got := exported(t, lazy); !maps.EqualFunc(got, want, bytes.Equal) || kv.Len() <= len(want) {
+		t.Fatalf("after commit: exported %d records, want %d, store holds %d", len(got), len(want), kv.Len())
+	}
+	if err := VerifyState(storeOf(t, got), lazy.Root()); err != nil {
+		t.Fatalf("export of a lazy state does not verify: %v", err)
 	}
 }
 
+// TestSnapshotTruncatedStream: a snapshot cut short — any one of its
+// records missing — never verifies, and neither does one with a record
+// altered; the intact set does.
 func TestSnapshotTruncatedStream(t *testing.T) {
 	s := populated(t)
-	var buf bytes.Buffer
-	if err := s.WriteSnapshot(&buf); err != nil {
+	root := s.Root()
+	recs := exported(t, s)
+	if err := VerifyState(storeOf(t, recs), root); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadSnapshot(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
-		t.Fatal("truncated stream accepted")
+	for k, v := range recs {
+		delete(recs, k)
+		if err := VerifyState(storeOf(t, recs), root); err == nil {
+			t.Fatalf("state verified without record %x", k)
+		}
+		bad := bytes.Clone(v)
+		bad[len(bad)/2] ^= 0x01
+		recs[k] = bad
+		if err := VerifyState(storeOf(t, recs), root); err == nil {
+			t.Fatalf("state verified with record %x altered", k)
+		}
+		recs[k] = v
 	}
 }

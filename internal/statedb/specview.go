@@ -450,7 +450,7 @@ func (v *SpecView) MergeInto(dst *StateDB) {
 // path installs committed (never-reverted) writes, so only the dirty
 // mark matters.
 func (s *StateDB) mergeAccount(addr types.Address) *account {
-	if acc, ok := s.accounts[addr]; ok && !acc.deleted {
+	if acc, ok := s.accounts[addr]; ok {
 		return acc
 	}
 	acc := &account{}

@@ -90,7 +90,6 @@ type account struct {
 	// blob written, cleared by whatever assigns code (a revert too: at
 	// worst a redundant write), so no commit reads a blob to find it.
 	codeStored bool
-	deleted    bool
 	// lazy marks an account materialized from a persisted trie: its
 	// flushed storage is the storage trie itself (see loadSlot), which is
 	// already persistent and shared, so it keeps no generations.
@@ -164,28 +163,8 @@ func (acc *account) seal() {
 	acc.gens = &storageGen{slots: slots, below: below}
 }
 
-// slots materializes the account's storage as one flat map — the
-// generations oldest first, then the overlay, tombstones dropped. It
-// costs the size of the storage: for export, not for execution. Not
-// meaningful on a lazy account, whose flushed slots live in the trie.
-func (acc *account) slots() map[types.Word]types.Word {
-	flat := make(map[types.Word]types.Word)
-	acc.gens.collect(flat)
-	maps.Copy(flat, acc.storage)
-	maps.DeleteFunc(flat, cleared)
-	return flat
-}
-
 // cleared reports a tombstone entry.
 func cleared(_, v types.Word) bool { return v.IsZero() }
-
-func (g *storageGen) collect(into map[types.Word]types.Word) {
-	if g == nil {
-		return
-	}
-	g.below.collect(into)
-	maps.Copy(into, g.slots)
-}
 
 // journalKind tags one flat journal entry. Every kind records a state
 // effect; the chain's contract-activity classification inspects kinds
@@ -195,7 +174,7 @@ type journalKind uint8
 // Journal entry kinds.
 const (
 	// kindAccountCreate: getOrCreate installed a fresh account struct
-	// (possibly displacing a deleted one, carried in prevAcc/existed).
+	// where the map held none.
 	kindAccountCreate journalKind = iota + 1
 	// kindNonce: prevU64 holds the previous nonce of acc.
 	kindNonce
@@ -214,15 +193,12 @@ const (
 // state, where the closure journal allocated a closure (plus captured
 // variables) per mutation.
 type journalEntry struct {
-	kind    journalKind
-	existed bool
-	addr    types.Address
+	kind journalKind
+	addr types.Address
 	// acc is the account struct the mutation applied to; undos restore
 	// its fields directly (reverts run LIFO, so struct identity is the
 	// same one the original mutation saw).
-	acc *account
-	// prevAcc is the accounts-map entry displaced by kindAccountCreate.
-	prevAcc      *account
+	acc          *account
 	prevU64      uint64
 	key          types.Word
 	prevWord     types.Word
@@ -235,11 +211,7 @@ func (e *journalEntry) revert(s *StateDB) {
 	s.touch(e.addr)
 	switch e.kind {
 	case kindAccountCreate:
-		if e.existed {
-			s.accounts[e.addr] = e.prevAcc
-		} else {
-			delete(s.accounts, e.addr)
-		}
+		delete(s.accounts, e.addr)
 	case kindNonce:
 		e.acc.nonce = e.prevU64
 	case kindBalance:
@@ -268,10 +240,9 @@ func (s *StateDB) touch(addr types.Address) {
 
 func (s *StateDB) getOrCreate(addr types.Address) *account {
 	if acc, ok := s.accounts[addr]; ok {
-		if !acc.deleted {
-			return acc
-		}
-	} else if acc := s.resolveAccount(addr); acc != nil {
+		return acc
+	}
+	if acc := s.resolveAccount(addr); acc != nil {
 		// Materializing a persisted account is NOT journaled: the cached
 		// struct is content-equal to the trie, so a revert that crosses
 		// this point simply leaves an accurate cache behind. (Journaling
@@ -281,12 +252,9 @@ func (s *StateDB) getOrCreate(addr types.Address) *account {
 		return acc
 	}
 	acc := &account{}
-	prev, existed := s.accounts[addr]
 	s.accounts[addr] = acc
 	s.touch(addr)
-	s.journal = append(s.journal, journalEntry{
-		kind: kindAccountCreate, addr: addr, prevAcc: prev, existed: existed,
-	})
+	s.journal = append(s.journal, journalEntry{kind: kindAccountCreate, addr: addr})
 	return acc
 }
 
@@ -297,11 +265,7 @@ func (s *StateDB) getOrCreate(addr types.Address) *account {
 // go through getOrCreate, which does install the materialized account —
 // mutation contexts are single-threaded by the StateDB contract.
 func (s *StateDB) get(addr types.Address) (*account, bool) {
-	acc, ok := s.accounts[addr]
-	if ok {
-		if acc.deleted {
-			return nil, false
-		}
+	if acc, ok := s.accounts[addr]; ok {
 		return acc, true
 	}
 	if acc := s.resolveAccount(addr); acc != nil {
@@ -525,9 +489,6 @@ func (s *StateDB) Copy() *StateDB {
 	slab := make([]account, 0, len(s.accounts))
 	tries := 0
 	for addr, acc := range s.accounts {
-		if acc.deleted {
-			continue
-		}
 		// The source is flushed: its overlay is nil (the clone makes one on
 		// its first write) and all the struct points to is immutable —
 		// SetCode installs a fresh slice. storageTrie is rebound below.
@@ -565,18 +526,9 @@ func (s *StateDB) flush() {
 	}
 	for addr := range s.dirty {
 		acc, ok := s.accounts[addr]
-		if !ok || acc.deleted {
-			if ok && acc.trieKey != (types.Hash{}) {
-				s.accTrie.DeleteHashed(acc.trieKey)
-			} else {
-				s.accTrie.Delete(addr[:])
-			}
-			if ok {
-				// The struct may be resurrected by a journal revert; its
-				// cached encoding no longer mirrors the trie, so it must
-				// not arm the unchanged-encoding skip below.
-				acc.enc = nil
-			}
+		if !ok {
+			// A reverted creation: the struct went with the revert.
+			s.accTrie.Delete(addr[:])
 			continue
 		}
 		enc := acc.encode()
@@ -638,10 +590,8 @@ func minimalBytes(w types.Word) []byte {
 // Accounts returns the addresses present in the state (testing aid).
 func (s *StateDB) Accounts() []types.Address {
 	out := make([]types.Address, 0, len(s.accounts))
-	for addr, acc := range s.accounts {
-		if !acc.deleted {
-			out = append(out, addr)
-		}
+	for addr := range s.accounts {
+		out = append(out, addr)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package statedb
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -243,6 +244,27 @@ func TestQuickRevertIsComplete(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+}
+
+// slots materializes the account's storage as one flat map — the
+// generations oldest first, then the overlay, tombstones dropped. It
+// costs the size of the storage: a test reference, like rootFromScratch
+// below. Not meaningful on a lazy account, whose flushed slots live in
+// the trie.
+func (acc *account) slots() map[types.Word]types.Word {
+	flat := make(map[types.Word]types.Word)
+	acc.gens.collect(flat)
+	maps.Copy(flat, acc.storage)
+	maps.DeleteFunc(flat, cleared)
+	return flat
+}
+
+func (g *storageGen) collect(into map[types.Word]types.Word) {
+	if g == nil {
+		return
+	}
+	g.below.collect(into)
+	maps.Copy(into, g.slots)
 }
 
 // rootFromScratch recomputes the commitment the pre-incremental way:

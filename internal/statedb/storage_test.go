@@ -2,7 +2,6 @@ package statedb
 
 import (
 	"bytes"
-	"errors"
 	"maps"
 	"math/bits"
 	"math/rand"
@@ -357,9 +356,10 @@ func TestStorageSharedReaders(t *testing.T) {
 
 // TestStorageSnapshotAcrossGenerations: a contract that went through
 // many generations, with slots cleared and set again along the way,
-// exports the very bytes of a twin built flat in one generation, and
-// the import lands on the same root. A lazily opened state still
-// refuses to export, also after it has written and flushed.
+// exports the very records of a twin built flat in one generation, and
+// the import lands on the same root and reads every slot of the flat
+// shadow. A lazily opened state exports them too, also after it has
+// written and flushed.
 func TestStorageSnapshotAcrossGenerations(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := newModel()
@@ -381,25 +381,20 @@ func TestStorageSnapshotAcrossGenerations(t *testing.T) {
 		t.Fatal("fixture has a single generation")
 	}
 
-	var churned, flat bytes.Buffer
-	if err := m.s.WriteSnapshot(&churned); err != nil {
+	churned := exported(t, m.s)
+	if flat := exported(t, flatTwin(m.flat)); !maps.EqualFunc(churned, flat, bytes.Equal) {
+		t.Fatalf("snapshot of the churned state (%d records) differs from its flat twin's (%d)", len(churned), len(flat))
+	}
+	re := OpenAt(storeOf(t, churned), m.s.Root())
+	for a, slots := range m.flat {
+		for k, v := range slots {
+			if got := re.GetState(a, k); got != v {
+				t.Fatalf("imported slot %x of %x = %x, want %x", k, a, got, v)
+			}
+		}
+	}
+	if err := VerifyState(storeOf(t, churned), m.s.Root()); err != nil {
 		t.Fatal(err)
-	}
-	if err := flatTwin(m.flat).WriteSnapshot(&flat); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(churned.Bytes(), flat.Bytes()) {
-		t.Fatalf("snapshot of the churned state (%d B) differs from its flat twin's (%d B)", churned.Len(), flat.Len())
-	}
-	re, err := ReadSnapshot(bytes.NewReader(churned.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.Root() != m.s.Root() {
-		t.Fatalf("imported root %x, exported state %x", re.Root(), m.s.Root())
-	}
-	if cap(re.journal) != 0 {
-		t.Fatalf("imported state keeps a journal of capacity %d", cap(re.journal))
 	}
 
 	kv := store.NewMem()
@@ -408,9 +403,12 @@ func TestStorageSnapshotAcrossGenerations(t *testing.T) {
 		t.Fatal(err)
 	}
 	lazy := OpenAt(kv, at)
+	if got := exported(t, lazy); !maps.EqualFunc(got, churned, bytes.Equal) {
+		t.Fatalf("lazy export: %d records, want %d", len(got), len(churned))
+	}
 	lazy.SetState(churnAddrs[0], slotN(1), wordN(99))
-	lazy.Root()
-	if err := lazy.WriteSnapshot(&bytes.Buffer{}); !errors.Is(err, ErrPartialState) {
-		t.Fatalf("lazy export after a write: %v", err)
+	m.set(churnAddrs[0], slotN(1), wordN(99))
+	if got, want := exported(t, lazy), exported(t, flatTwin(m.flat)); !maps.EqualFunc(got, want, bytes.Equal) {
+		t.Fatalf("lazy export after a write: %d records, want %d", len(got), len(want))
 	}
 }

@@ -192,13 +192,6 @@ func (s *FaultStore) crashLocked() {
 	s.fs.abandon()
 }
 
-// Crashed reports whether the store has crashed.
-func (s *FaultStore) Crashed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.crashed
-}
-
 // Writes returns how many writes the policy has observed.
 func (s *FaultStore) Writes() int {
 	s.mu.Lock()

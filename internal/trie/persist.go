@@ -128,28 +128,38 @@ func commitChildren(n node, w Writer) int {
 	return commitNode(n, w, false)
 }
 
-// mustResolve fetches and decodes the node referenced by h. Missing or
-// corrupt nodes panic: they mean the store backing an opened trie lost
-// data, which no caller can meaningfully recover from mid-lookup.
-func mustResolve(db NodeReader, h hashNode) node {
+// resolve fetches and decodes the node referenced by h, returning the
+// stored bytes beside it. The decoded node round-trips to exactly enc;
+// its cache is seeded so a later hash walk does not re-encode or re-hash
+// it.
+func resolve(db NodeReader, h hashNode) (node, []byte, error) {
 	if db == nil {
-		panic(fmt.Sprintf("trie: no node store attached, cannot resolve %x", types.Hash(h)))
+		return nil, nil, fmt.Errorf("trie: no node store attached, cannot resolve %x", types.Hash(h))
 	}
 	enc, ok := db.Get(h[:])
 	if !ok {
-		panic(fmt.Sprintf("trie: missing node %x", types.Hash(h)))
+		return nil, nil, fmt.Errorf("trie: missing node %x", types.Hash(h))
 	}
 	n, err := decodeNode(enc)
 	if err != nil {
-		panic(fmt.Sprintf("trie: corrupt node %x: %v", types.Hash(h), err))
+		return nil, nil, fmt.Errorf("trie: corrupt node %x: %v", types.Hash(h), err)
 	}
-	// The decoded node round-trips to exactly enc; seed its cache so a
-	// later hash walk does not re-encode or re-hash it.
 	switch cur := n.(type) {
 	case *shortNode:
 		cur.cache = nodeCache{enc: enc, hash: types.Hash(h), hashed: true, stored: true}
 	case *fullNode:
 		cur.cache = nodeCache{enc: enc, hash: types.Hash(h), hashed: true, stored: true}
+	}
+	return n, enc, nil
+}
+
+// mustResolve is resolve for a lookup or a mutation. Missing or corrupt
+// nodes panic: they mean the store backing an opened trie lost data,
+// which no caller can meaningfully recover from mid-lookup.
+func mustResolve(db NodeReader, h hashNode) node {
+	n, _, err := resolve(db, h)
+	if err != nil {
+		panic(err.Error())
 	}
 	return n
 }

@@ -594,12 +594,7 @@ func (s *SecureTrie) UpdateHashed(hashed types.Hash, value []byte) {
 
 // Delete removes key.
 func (s *SecureTrie) Delete(key []byte) {
-	s.DeleteHashed(keccak.Sum256(key))
-}
-
-// DeleteHashed is Delete for a caller that kept hashed = Keccak(key).
-func (s *SecureTrie) DeleteHashed(hashed types.Hash) {
-	s.inner.update(hashed[:], nil)
+	s.UpdateHashed(keccak.Sum256(key), nil)
 }
 
 // RootHash returns the Merkle root.

@@ -356,8 +356,7 @@ func TestCopyDivergesIndependently(t *testing.T) {
 // the key keeps a clone: a second update must not rewrite the first's
 // key. Update copies its value, so the caller may reuse the buffer;
 // UpdateHashed keeps the slice it is handed (the state's flush hands it
-// the encoding it just built) and DeleteHashed is Delete with the hash
-// supplied. An update in place of an unhashed leaf costs its value copy
+// the encoding it just built). An update in place of an unhashed leaf costs its value copy
 // and the slice header the node interface boxes, nothing for the key;
 // with the value handed over it costs the header alone.
 func TestUpdateOwnership(t *testing.T) {
@@ -391,11 +390,7 @@ func TestUpdateOwnership(t *testing.T) {
 	if st.RootHash() != model.RootHash() {
 		t.Error("UpdateHashed and Update disagree on the root")
 	}
-	st.DeleteHashed(h)
 	model.Delete(keys[3])
-	if st.Get(keys[3]) != nil || st.RootHash() != model.RootHash() {
-		t.Error("DeleteHashed and Delete disagree")
-	}
 	st.UpdateHashed(h, nil) // empty value deletes, as in Update
 	if st.RootHash() != model.RootHash() {
 		t.Error("UpdateHashed with an empty value is not a delete")

@@ -102,11 +102,3 @@ func (r *Registry) VerifyTx(tx *types.Transaction) error {
 	tx.MarkSigVerified(r)
 	return nil
 }
-
-// Known reports whether an address is registered.
-func (r *Registry) Known(addr types.Address) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.keys[addr]
-	return ok
-}

@@ -84,12 +84,9 @@ func TestVerifyUnknownSigner(t *testing.T) {
 	if err := reg.VerifyTx(tx); !errors.Is(err, ErrUnknownSigner) {
 		t.Errorf("unknown signer accepted: %v", err)
 	}
-	if reg.Known(alice.Address()) {
-		t.Error("Known true for unregistered key")
-	}
 	reg.Register(alice)
-	if !reg.Known(alice.Address()) {
-		t.Error("Known false for registered key")
+	if err := reg.VerifyTx(tx); err != nil {
+		t.Errorf("registered signer rejected: %v", err)
 	}
 }
 
