@@ -71,8 +71,11 @@ parallel-smoke:
 # their unhashed nodes in place (-short: 1000 of its 4000 steps),
 # readers on a shared hashed trie and the reachable-records walk beside
 # them (it must write nothing: the trie commits in full afterwards), five
-# times; the miner's adoption of
-# the execution it built; eight goroutines in CallReadOnly and ViewAMV on
+# times; the miner's adoption of the execution it built, which is what
+# the shared exec cache memoizes for every other importer (a build writes
+# nothing, a refused or edited self-import leaves no entry, an edited
+# header is accepted or refused exactly as a replay would); eight
+# goroutines in CallReadOnly and ViewAMV on
 # pooled machines while the node mines and imports, five times, and what
 # a released machine keeps; and the node encoder fuzzed against the
 # Item-tree oracle for 30 s.
@@ -82,8 +85,8 @@ state-smoke:
 	$(GO) test -race -run 'TestSpecView' ./internal/statedb
 	$(GO) test -race -run 'TestParallel' ./internal/chain
 	$(GO) test -race -count=5 -short -run 'TestTrieChurnModel|TestTrieSharedReaders|TestWalk' ./internal/trie
-	$(GO) test -race -run 'TestInsertBuilt' ./internal/chain
-	$(GO) test -race -run 'TestBuildBlockDoesNotPopulateExecCache' ./internal/miner
+	$(GO) test -race -run 'TestInsertBuilt|TestCacheHoldsOnlyVerifiedExecutions' ./internal/chain
+	$(GO) test -race -run 'TestBuildWritesNothingAdoptionMemoizes' ./internal/miner
 	$(GO) test -race -run 'TestMineAndBroadcastExecutesOnce' ./internal/node
 	$(GO) test -race -count=5 -run 'TestCallReadOnlyRacesImportAndMining' ./internal/node
 	$(GO) test -race -run 'TestPooledScratchCarriesNothing' ./internal/evm
@@ -118,7 +121,9 @@ crash-smoke:
 # signature, unknown signer, duplicate) and what a market transaction
 # costs a 3-node mesh from signature to last delivery, and the golden
 # replay pinned at its absolute digest count with bit-identical receipts
-# (sequential and parallel lanes); then it fuzzes the permutation
+# (sequential and parallel lanes), and what a fault-free Figure-2 cell
+# costs in block executions (one per block, by its miner: every other
+# peer hits the shared exec cache); then it fuzzes the permutation
 # against the loop form for 30 s.
 elision-smoke:
 	$(GO) test -race -run 'TestInvocations' ./internal/keccak
@@ -127,6 +132,7 @@ elision-smoke:
 	$(GO) test -race -run 'TestSubmitDigestBudget' ./internal/node
 	$(GO) test -race -run 'TestBatchID|TestBroadcastTxsHashCount' ./internal/p2p
 	$(GO) test -race -run 'TestReplayKeccakCount|TestReplayAllocsPinned|TestParallelReplayElidesIdentically' ./internal/scenarios
+	$(GO) test -race -run 'TestPopulationExecutesEachBlockOnce' ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzF1600$$' -fuzztime 30s ./internal/keccak
 
 # order-smoke runs the block-assembly and settlement suite ten times

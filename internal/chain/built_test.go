@@ -48,10 +48,11 @@ func aliceSet(alice *wallet.Key, nonce, value uint64) []*types.Transaction {
 	return []*types.Transaction{setTxFor(alice, nonce, types.ZeroWord, value, types.FlagHead)}
 }
 
-// TestInsertBuiltAdoptsAndBypassesCache: the miner's import takes the
-// execution it built, reads and writes no cache entry, and leaves the
-// first other importer to replay (one miss) and the next to hit.
-func TestInsertBuiltAdoptsAndBypassesCache(t *testing.T) {
+// TestInsertBuiltMemoizesVerifiedBuild: the miner's import takes the
+// execution it built without a lookup, and once that execution has passed
+// the header checks it is the one entry every other importer hits — no
+// peer replays the block, and all of them adopt the miner's post state.
+func TestInsertBuiltMemoizesVerifiedBuild(t *testing.T) {
 	alice := wallet.NewKey("alice")
 	reg, cache, mk := cachedChainSetup(t)
 	reg.Register(alice)
@@ -68,38 +69,33 @@ func TestInsertBuiltAdoptsAndBypassesCache(t *testing.T) {
 	if len(receipts) != 1 || receipts[0] != built.Receipts[0] {
 		t.Fatal("the miner's import did not return the built receipts")
 	}
-	if hits, misses := cache.Stats(); cache.Len() != 0 || hits != 0 || misses != 0 {
-		t.Fatalf("adoption touched the cache: %d entries, %d hits, %d misses", cache.Len(), hits, misses)
+	if hits, misses := cache.Stats(); cache.Len() != 1 || hits != 0 || misses != 0 {
+		t.Fatalf("adoption: %d entries, %d hits, %d misses; want 1, 0, 0", cache.Len(), hits, misses)
 	}
 
-	first, second := mk(), mk()
-	if _, err := first.InsertBlock(block); err != nil {
-		t.Fatal(err)
+	for i, peer := range []*Chain{mk(), mk()} {
+		if _, err := peer.InsertBlock(block); err != nil {
+			t.Fatal(err)
+		}
+		if headState(peer) != built.Post {
+			t.Fatalf("importer %d replayed instead of adopting the miner's execution", i)
+		}
+		if a, b := producer.State().Root(), peer.State().Root(); a != b {
+			t.Fatalf("miner and importer %d diverged: %x vs %x", i, a, b)
+		}
 	}
-	if hits, misses := cache.Stats(); cache.Len() != 1 || hits != 0 || misses != 1 {
-		t.Fatalf("first other importer: %d entries, %d hits, %d misses; want 1, 0, 1", cache.Len(), hits, misses)
-	}
-	if headState(first) == built.Post {
-		t.Fatal("another peer shares the miner's post state: it did not replay")
-	}
-	if _, err := second.InsertBlock(block); err != nil {
-		t.Fatal(err)
-	}
-	if hits, _ := cache.Stats(); hits != 1 {
-		t.Fatalf("second other importer hit the cache %d times, want 1", hits)
-	}
-	if a, b := producer.State().Root(), first.State().Root(); a != b {
-		t.Fatalf("miner and importer diverged: %x vs %x", a, b)
+	if hits, misses := cache.Stats(); cache.Len() != 1 || hits != 2 || misses != 0 {
+		t.Fatalf("two other importers: %d entries, %d hits, %d misses; want 1, 2, 0", cache.Len(), hits, misses)
 	}
 }
 
 // TestInsertBuiltRejectsTamperedHeader: a header changed between build
 // and insert — the execution is still bound to it by identity — is
-// refused with the error InsertBlock gives for the same block, and the
-// head does not move.
+// refused with the error InsertBlock gives for the same block, the head
+// does not move, and the shared cache gains no entry from either refusal.
 func TestInsertBuiltRejectsTamperedHeader(t *testing.T) {
 	alice := wallet.NewKey("alice")
-	reg := wallet.NewRegistry()
+	reg, cache, mk := cachedChainSetup(t)
 	reg.Register(alice)
 	tests := []struct {
 		name   string
@@ -115,17 +111,82 @@ func TestInsertBuiltRejectsTamperedHeader(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			c := newTestChain(t, reg)
+			c := mk()
 			block, built := buildOnHead(t, c, aliceSet(alice, 0, 5))
 			tt.tamper(block.Header)
+			before := cache.Len()
 			if _, err := c.InsertBuilt(block, built); !errors.Is(err, tt.want) {
 				t.Fatalf("InsertBuilt: %v, want %v", err, tt.want)
 			}
-			if _, err := newTestChain(t, reg).InsertBlock(block); !errors.Is(err, tt.want) {
+			if _, err := mk().InsertBlock(block); !errors.Is(err, tt.want) {
 				t.Fatalf("InsertBlock of the same block: %v, want %v", err, tt.want)
 			}
 			if c.Height() != 0 {
 				t.Fatal("a refused block moved the head")
+			}
+			if cache.Len() != before {
+				t.Fatalf("a refused block left %d cache entries", cache.Len()-before)
+			}
+		})
+	}
+}
+
+// TestInsertBuiltAgreesWithReplay is the differential behind memoizing the
+// miner's build: whatever header field is edited after the build, the
+// miner's InsertBuilt and an honest replay on a fresh cacheless chain
+// accept or refuse alike and land on the same head. An accepted edit is
+// memoized under the edited header, and a peer that hits that entry lands
+// where the replay did; a refused one leaves no entry.
+func TestInsertBuiltAgreesWithReplay(t *testing.T) {
+	alice := wallet.NewKey("alice")
+	reg, cache, mk := cachedChainSetup(t)
+	reg.Register(alice)
+	edits := []struct {
+		field string
+		edit  func(h *types.Header)
+	}{
+		{"parent hash", func(h *types.Header) { h.ParentHash[0] ^= 1 }},
+		{"number", func(h *types.Header) { h.Number++ }},
+		{"state root", func(h *types.Header) { h.StateRoot[0] ^= 1 }},
+		{"tx root", func(h *types.Header) { h.TxRoot[0] ^= 1 }},
+		{"receipt root", func(h *types.Header) { h.ReceiptRoot[0] ^= 1 }},
+		{"coinbase", func(h *types.Header) { h.Coinbase[0] ^= 1 }},
+		{"difficulty", func(h *types.Header) { h.Difficulty++ }},
+		{"gas limit", func(h *types.Header) { h.GasLimit-- }},
+		{"gas used", func(h *types.Header) { h.GasUsed++ }},
+		{"time", func(h *types.Header) { h.Time++ }},
+		{"pow nonce", func(h *types.Header) { h.PowNonce++ }},
+	}
+	for _, e := range edits {
+		t.Run(e.field, func(t *testing.T) {
+			miner := mk()
+			block, built := buildOnHead(t, miner, aliceSet(alice, 0, 5))
+			e.edit(block.Header)
+			before := cache.Len()
+			_, builtErr := miner.InsertBuilt(block, built)
+			replayer := newTestChain(t, reg)
+			_, replayErr := replayer.InsertBlock(block)
+			if (builtErr == nil) != (replayErr == nil) || (builtErr != nil && builtErr.Error() != replayErr.Error()) {
+				t.Fatalf("InsertBuilt: %v; replay: %v", builtErr, replayErr)
+			}
+			if builtErr != nil {
+				if cache.Len() != before {
+					t.Fatal("a refused edit was memoized")
+				}
+				return
+			}
+			if cache.Len() != before+1 {
+				t.Fatalf("an accepted edit added %d cache entries, want 1", cache.Len()-before)
+			}
+			peer := mk()
+			if _, err := peer.InsertBlock(block); err != nil {
+				t.Fatal(err)
+			}
+			want := replayer.Head().Header.StateRoot
+			for name, c := range map[string]*Chain{"miner": miner, "cached peer": peer} {
+				if c.Head().Hash() != replayer.Head().Hash() || c.State().Root() != want {
+					t.Fatalf("%s is not where the replay landed", name)
+				}
 			}
 		})
 	}

@@ -42,8 +42,13 @@ type Config struct {
 	Registry *wallet.Registry
 	// ExecCache, when set, shares validated block executions across every
 	// chain wired to the same instance (the in-process peers of a
-	// simulation): each block body is replayed once and subsequent
-	// importers verify the header against the memoized roots.
+	// simulation): each block body is executed once — by its miner when
+	// the miner adopts its own build, else by the first importer — and
+	// every other importer verifies the header against the memoized roots
+	// and adopts the memoized post state. A chain with a Store commits
+	// what it adopts, but a post state another chain already committed
+	// has its trie nodes marked stored and contributes none of them, so a
+	// chain that must recover from its own datadir needs a private cache.
 	ExecCache *ExecCache
 	// Parallel enables optimistic parallel intra-block execution
 	// (ParallelProcessor): bodies of at least ParallelThreshold
@@ -253,8 +258,9 @@ func (c *Chain) Process(parentState *statedb.StateDB, header *types.Header, txs 
 
 // InsertBlock validates a block and appends it to the chain. Without an
 // ExecCache every peer re-executes the body and checks the roots (§II-D,
-// validation by full replay). With a shared cache the first importer
-// replays and memoizes; later importers verify the header against the
+// validation by full replay). With a shared cache a verified execution of
+// the block — the miner's adopted build, or else the first importer's
+// replay — is memoized; later importers verify the header against the
 // memoized roots and share the flushed post state instead of
 // recomputing it.
 func (c *Chain) InsertBlock(block *types.Block) ([]*types.Receipt, error) {
@@ -267,8 +273,12 @@ func (c *Chain) InsertBlock(block *types.Block) ([]*types.Receipt, error) {
 // that is still the head. Anything else (nil, another header, a head that
 // has moved) is ignored and the block is replayed. Every check of
 // InsertBlock still runs — gas used, receipt root and state root against
-// the header included — and the result never enters the ExecCache: other
-// peers replay as before.
+// the header included — and only an execution that passes them enters the
+// ExecCache, under the hash of the header it was checked against: the
+// other in-process peers then adopt it instead of replaying. Execution
+// reads only Number and Time from the header, and both are bound to the
+// build, so an edited header either lands on another key or is refused
+// here with nothing memoized.
 func (c *Chain) InsertBuilt(block *types.Block, built *ExecResult) ([]*types.Receipt, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -301,8 +311,9 @@ func (c *Chain) InsertBuilt(block *types.Block, built *ExecResult) ([]*types.Rec
 // (cache-aware) and returns the resulting receipts and post state. hash
 // is block.Hash(), derived by the caller for this call. built, when it is
 // the execution of this header on this parent state, is verified in place
-// of a replay and bypasses the cache. It does not check parent linkage,
-// number, or seal — callers do — and does not mutate the chain.
+// of a replay and of a cache lookup. Whatever execution passes is
+// memoized. It does not check parent linkage, number, or seal — callers
+// do — and does not mutate the chain.
 func (c *Chain) verifyBlockLocked(parentRoot types.Hash, parentState *statedb.StateDB, block *types.Block, hash types.Hash, built *ExecResult) ([]*types.Receipt, *statedb.StateDB, error) {
 	key := ExecKey{ParentRoot: parentRoot, BlockHash: hash}
 	var res *ExecResult
@@ -323,8 +334,7 @@ func (c *Chain) verifyBlockLocked(parentRoot types.Hash, parentState *statedb.St
 	if got := block.TxRoot(); got != block.Header.TxRoot {
 		return nil, nil, ErrBadTxRoot
 	}
-	replayed := res == nil
-	if replayed {
+	if res == nil {
 		var err error
 		if res, err = c.Process(parentState, block.Header, block.Txs); err != nil {
 			return nil, nil, err
@@ -332,8 +342,7 @@ func (c *Chain) verifyBlockLocked(parentRoot types.Hash, parentState *statedb.St
 	}
 	// Replayed, memoized or built, the execution must land exactly on the
 	// header's claims: one ExecResult carries the receipts AND the
-	// memoized roots, so nothing is re-derived here, and a cache Put
-	// shares the very same result with every later importer.
+	// memoized roots, so nothing is re-derived here.
 	if res.GasUsed != block.Header.GasUsed {
 		return nil, nil, fmt.Errorf("%w: replay %d, header %d", ErrBadGasUsed, res.GasUsed, block.Header.GasUsed)
 	}
@@ -343,7 +352,11 @@ func (c *Chain) verifyBlockLocked(parentRoot types.Hash, parentState *statedb.St
 	if res.StateRoot != block.Header.StateRoot {
 		return nil, nil, fmt.Errorf("%w: replay %s, header %s", ErrBadStateRoot, res.StateRoot.Hex(), block.Header.StateRoot.Hex())
 	}
-	if c.cfg.ExecCache != nil && replayed {
+	// Every execution that got here passed the same checks against the
+	// header it is keyed by, so a built one is as good as a replay: the
+	// miner's adoption memoizes its block for every other importer, and
+	// a hit is kept (Put keeps the first writer's entry).
+	if c.cfg.ExecCache != nil {
 		c.cfg.ExecCache.Put(key, res)
 	}
 	return res.Receipts, res.Post, nil

@@ -4,9 +4,10 @@
 // ExecCache memoizes each validated state transition once, keyed by
 // (parent state root, block hash); peers that import the same block
 // afterwards verify the header against the memoized roots instead of
-// re-executing the body. It holds importer-side replays only: a miner's
-// own import (InsertBuilt) neither reads nor writes it, so the first other
-// peer to import the block still replays it.
+// re-executing the body. It holds executions that passed the header
+// checks and nothing else: the miner's adopted build (InsertBuilt), or a
+// replay when no chain sharing the cache built the block. Building a
+// block (Chain.Process) writes nothing, and neither does a refused import.
 package chain
 
 import (

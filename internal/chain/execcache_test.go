@@ -109,18 +109,18 @@ func TestExecCacheRejectsSwappedBody(t *testing.T) {
 	}
 }
 
-func TestCacheOnlyHoldsImporterReplays(t *testing.T) {
-	// The cache is populated exclusively by InsertBlock's replay path:
-	// building and executing a block must leave it empty, so the first
-	// import of every block is always an honest replay with full header
-	// verification — a block whose header lies about its roots dies
-	// there instead of being laundered through a builder-populated entry.
+func TestCacheHoldsOnlyVerifiedExecutions(t *testing.T) {
+	// The cache is populated only by an execution that passed the header
+	// checks: building and executing a block leaves it empty, and a header
+	// that lies about its roots dies in those checks — whether it arrives
+	// as a block to replay or as the miner's own build edited after the
+	// fact — instead of being laundered into an entry.
 	alice := wallet.NewKey("alice")
 	reg, cache, mk := cachedChainSetup(t)
 	reg.Register(alice)
 
 	producer := mk()
-	block := buildBlock(t, producer, []*types.Transaction{setTxFor(alice, 0, types.ZeroWord, 5, types.FlagHead)})
+	block, built := buildOnHead(t, producer, aliceSet(alice, 0, 5))
 	if cache.Len() != 0 {
 		t.Fatal("block build populated the cache before any import")
 	}
@@ -128,16 +128,25 @@ func TestCacheOnlyHoldsImporterReplays(t *testing.T) {
 	lyingHeader.StateRoot = types.Hash{0xbb}
 	lying := &types.Block{Header: &lyingHeader, Txs: block.Txs}
 	if _, err := producer.InsertBlock(lying); !errors.Is(err, ErrBadStateRoot) {
-		t.Errorf("lying header survived first import: %v", err)
+		t.Errorf("lying header survived a replay: %v", err)
 	}
 	if cache.Len() != 0 {
-		t.Error("rejected block left a cache entry")
+		t.Error("a block refused by replay left a cache entry")
 	}
-	if _, err := producer.InsertBlock(block); err != nil {
+	sealed := *block.Header
+	block.Header.StateRoot = types.Hash{0xbb}
+	if _, err := producer.InsertBuilt(block, built); !errors.Is(err, ErrBadStateRoot) {
+		t.Errorf("lying header survived the miner's own import: %v", err)
+	}
+	if cache.Len() != 0 {
+		t.Error("a build refused at its own import left a cache entry")
+	}
+	*block.Header = sealed
+	if _, err := producer.InsertBuilt(block, built); err != nil {
 		t.Fatal(err)
 	}
 	if cache.Len() != 1 {
-		t.Error("validated import did not populate the cache")
+		t.Error("a verified build was not memoized")
 	}
 }
 

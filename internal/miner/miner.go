@@ -383,9 +383,9 @@ func (m *Miner) Build(timestamp uint64) (*types.Block, *chain.ExecResult, error)
 	if !chain.Seal(header, m.chain.Config().Difficulty, m.maxSealIter) {
 		return nil, nil, fmt.Errorf("build block %d: seal search exhausted", header.Number)
 	}
-	// The execution goes to the caller, not into the chain's ExecCache: the
-	// cache holds importer-side replays only, so the first other peer to
-	// import the block performs an honest replay of its own, and the
-	// miner's import still compares every root against the sealed header.
+	// The execution goes to the caller, not into the chain's ExecCache: it
+	// is memoized only once the miner's import (InsertBuilt) has compared
+	// every root against the sealed header, and from then on it is what
+	// the other in-process peers adopt.
 	return block, res, nil
 }

@@ -360,12 +360,13 @@ func TestMinerEmptyPool(t *testing.T) {
 	}
 }
 
-// TestBuildBlockDoesNotPopulateExecCache pins what the shared cache
-// holds: importer-side replays only. Neither a build nor the miner's
-// adoption of its own build (Build + InsertBuilt) reads or writes it; an
-// InsertBlock of the same block is a replay like any peer's, and only
-// THAT validated result is shared with the other peers.
-func TestBuildBlockDoesNotPopulateExecCache(t *testing.T) {
+// TestBuildWritesNothingAdoptionMemoizes pins what the shared cache
+// holds: verified executions only. A build neither reads nor writes it; an
+// InsertBlock of the built block is a replay like any peer's (one miss,
+// one entry); the miner's adoption of its own build (Build + InsertBuilt)
+// reads nothing and writes exactly one entry, the execution its import
+// verified, for the other peers to adopt.
+func TestBuildWritesNothingAdoptionMemoizes(t *testing.T) {
 	owner := wallet.NewKey("owner")
 	reg := wallet.NewRegistry()
 	reg.Register(owner)
@@ -409,6 +410,10 @@ func TestBuildBlockDoesNotPopulateExecCache(t *testing.T) {
 	if built.StateRoot != block.Header.StateRoot || len(built.Receipts) != len(block.Txs) {
 		t.Fatal("Build returned an execution that is not the block's")
 	}
+	if cfg.ExecCache.Len() != 1 {
+		t.Error("Build populated the exec cache before any import")
+	}
+	parent := c.Head().Header.StateRoot
 	if _, err := c.InsertBuilt(block, built); err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +422,10 @@ func TestBuildBlockDoesNotPopulateExecCache(t *testing.T) {
 	if head != built.Post {
 		t.Error("the chain replayed a block it was handed the execution of")
 	}
-	if hits, misses := cfg.ExecCache.Stats(); cfg.ExecCache.Len() != 1 || hits != 0 || misses != 1 {
-		t.Errorf("adopting a build touched the cache: %d entries, hits=%d misses=%d", cfg.ExecCache.Len(), hits, misses)
+	if hits, misses := cfg.ExecCache.Stats(); cfg.ExecCache.Len() != 2 || hits != 0 || misses != 1 {
+		t.Errorf("adopting a build: %d entries, hits=%d misses=%d; want one entry written, nothing read (2, 0, 1)", cfg.ExecCache.Len(), hits, misses)
+	}
+	if res, ok := cfg.ExecCache.Get(chain.ExecKey{ParentRoot: parent, BlockHash: block.Hash()}); !ok || res != built {
+		t.Error("the entry the adoption wrote is not the execution it verified")
 	}
 }

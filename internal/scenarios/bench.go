@@ -190,8 +190,8 @@ func benchStateRootFromScratch(b *testing.B) {
 
 // benchReplay is a fresh peer importing the sealed 100-tx golden block:
 // by full replay (§II-D), or — cached — by adopting the shared validated
-// execution and verifying by root comparison, the per-peer import cost
-// of an N-peer process after the first replay. The shared instances are
+// execution and verifying by root comparison, the import cost of every
+// peer of an N-peer process but the block's miner. The shared instances are
 // warm (signature verdicts cached, the steady state of a gossiped
 // body); keccak_per_op is the digests one import costs.
 func benchReplay(cached bool) func(*testing.B) {

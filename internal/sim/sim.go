@@ -503,10 +503,11 @@ func newScenario(cfg ScenarioConfig) (*scenario, error) {
 
 	genesis := statedb.New()
 	genesis.SetCode(s.contract, asm.SerethContract())
-	// One shared validated-execution cache for the whole population: the
-	// first importer of each block (usually its miner) replays it once,
-	// everyone else verifies by root comparison (§II-D economics without
-	// N identical replays per in-process block).
+	// One shared validated-execution cache for the whole population: a
+	// block's miner executes it once, to build it, and memoizes that
+	// execution when its own import has verified it; every other peer
+	// verifies the header by root comparison (§II-D economics without N
+	// identical executions per in-process block).
 	chainCfg := chain.Config{
 		GasLimit:  cfg.BlockGasLimit,
 		Registry:  reg,

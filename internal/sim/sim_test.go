@@ -212,6 +212,34 @@ func TestEtaGoldenSeed101(t *testing.T) {
 	}
 }
 
+// TestPopulationExecutesEachBlockOnce counts executions through the
+// population's shared cache: on a fault-free Figure-2 cell each block is
+// executed once, by its miner, whose verified build every other peer
+// hits — no peer misses, so none replays.
+func TestPopulationExecutesEachBlockOnce(t *testing.T) {
+	for _, mk := range []func(int, int64) ScenarioConfig{GethUnmodified, SerethClient, SemanticMining} {
+		cfg := mk(20, 101)
+		t.Run(cfg.Name, func(t *testing.T) {
+			s, err := newScenario(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.cleanup()
+			res, err := s.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Converged || res.Blocks == 0 || res.BlocksMined != res.Blocks {
+				t.Fatalf("fixture: converged=%v, %d blocks mined, %d canonical", res.Converged, res.BlocksMined, res.Blocks)
+			}
+			hits, misses := s.nodes[0].Chain().Config().ExecCache.Stats()
+			if want := uint64((len(s.nodes) - 1) * res.Blocks); misses != 0 || hits != want {
+				t.Fatalf("%d peers, %d blocks: %d hits, %d misses; want %d, 0", len(s.nodes), res.Blocks, hits, misses, want)
+			}
+		})
+	}
+}
+
 // TestDeliveryTraceDeterministic replays the same seeded scenario twice
 // and requires identical network delivery traces and η — the regression
 // gate for the time-wheel scheduler and batched gossip.

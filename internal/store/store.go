@@ -342,10 +342,15 @@ func OpenFile(dir string) (*FileStore, error) {
 // a record boundary. A torn tail (crash mid-append) is truncated away.
 // A CRC failure in the middle of the log resyncs to the next valid
 // record and quarantines the damaged range, so later good records
-// survive. The index keeps offsets: the file image dies with replay.
+// survive. The index keeps offsets: the file image, read in one
+// allocation of the file's size, dies with replay.
 func (s *FileStore) replay() error {
-	data, err := io.ReadAll(s.f)
+	fi, err := s.f.Stat()
 	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	data := make([]byte, fi.Size())
+	if _, err := io.ReadFull(s.f, data); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	if len(data) == 0 {

@@ -829,6 +829,62 @@ func TestIndexCostsUnder100BytesARecord(t *testing.T) {
 	}
 }
 
+// TestOpenReadsTheLogOnce: reopen reads the file image into one buffer of
+// the file's size, so opening an N-byte log allocates less than 1.25·N
+// plus what building its index allocates. Growing the buffer as the file
+// is read (io.ReadAll) allocates several times N.
+func TestOpenReadsTheLogOnce(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const records = 2000
+	keys := make([][]byte, records)
+	b, val := &Batch{}, make([]byte, 1000)
+	for i := range keys {
+		keys[i] = nodeKeyN(i)
+		b.Put(keys[i], val)
+	}
+	if err := s.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(filepath.Join(dir, FileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	index := allocated(func() {
+		d := newDirectory(0, 0)
+		for i, key := range keys {
+			d.put(key, loc{int64(i), 1})
+		}
+	})
+	var re *FileStore
+	opened := allocated(func() { re, err = OpenFile(dir) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = re.Close() }()
+	if re.Len() != records {
+		t.Fatalf("reopened %d records, wrote %d", re.Len(), records)
+	}
+	n := uint64(fi.Size())
+	t.Logf("log %d B, open allocated %d B, index %d B", n, opened, index)
+	if limit := n*5/4 + index; opened >= limit {
+		t.Fatalf("opening a %d B log allocated %d B, want < 1.25·N + index = %d", n, opened, limit)
+	}
+}
+
 // TestNodeIndexHoldsNoPointer keeps the node map out of the garbage
 // collector's sight: keys and values are integers all the way down, so
 // its buckets are allocated as memory the GC does not scan.
