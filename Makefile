@@ -123,8 +123,12 @@ crash-smoke:
 # replay pinned at its absolute digest count with bit-identical receipts
 # (sequential and parallel lanes), and what a fault-free Figure-2 cell
 # costs in block executions (one per block, by its miner: every other
-# peer hits the shared exec cache); then it fuzzes the permutation
-# against the loop form for 30 s.
+# peer hits the shared exec cache); what the write path allocates around
+# its digests — a transaction's two digests nothing while its calldata
+# fits the stack scratch, the tx root one buffer whatever the body, both
+# equal to their Item-tree forms — and that a CallReadOnly result
+# survives later calls on the pooled machine whose return buffer it came
+# from; then it fuzzes the permutation against the loop form for 30 s.
 elision-smoke:
 	$(GO) test -race -run 'TestInvocations' ./internal/keccak
 	$(GO) test -race -run 'TestSha3|TestJumpTableMatchesGeneric|FuzzInterpreter' ./internal/evm
@@ -133,6 +137,8 @@ elision-smoke:
 	$(GO) test -race -run 'TestBatchID|TestBroadcastTxsHashCount' ./internal/p2p
 	$(GO) test -race -run 'TestReplayKeccakCount|TestReplayAllocsPinned|TestParallelReplayElidesIdentically' ./internal/scenarios
 	$(GO) test -race -run 'TestPopulationExecutesEachBlockOnce' ./internal/sim
+	$(GO) test -race -run 'TestTxDigestsEncodeOnTheStack|TestDeriveTxRootIsFlat' ./internal/types
+	$(GO) test -race -run 'TestCallReadOnlyResultOutlivesTheMachine' ./internal/node
 	$(GO) test -run '^$$' -fuzz '^FuzzF1600$$' -fuzztime 30s ./internal/keccak
 
 # order-smoke runs the block-assembly and settlement suite ten times
@@ -162,14 +168,18 @@ order-smoke:
 
 # serving-smoke runs the persistence and serving-tier suite under the
 # race detector: the store, trie/state persistence, the
-# reachable-records walk and the export/import round-trips built on it (a
+# reachable-records walk (a commit into an empty store writes exactly the
+# records it visits, for a trie and for a state) and the export/import
+# round-trips built on it (a
 # snapshot is a store: memory-built, store-backed and recovered chains
 # export the same records, and the export opens as a datadir),
 # restart-recovery and snapshot-bootstrap at chain and node level, the RPC dispatch/client surface and serethnode's listener
 # limits, the client's connection lifecycle and the server's drain ten
 # times over, and the golden-scenario differentials with the store and
 # the HTTP serving tier enabled; then it fuzzes each RPC codec target
-# against encoding/json for 30 s.
+# against encoding/json for 30 s, and the wire RLP — a transaction and a
+# block, each either refused or decoded to a value that re-encodes to the
+# input byte for byte with its digests reproduced — for 30 s each.
 serving-smoke:
 	$(GO) test -race ./internal/store ./internal/rpc ./cmd/serethnode
 	$(GO) test -race -count=10 -run 'TestConnectionLifecycle|TestShutdownWaitsForEveryAdmittedRequest' ./internal/rpc
@@ -179,3 +189,5 @@ serving-smoke:
 	for f in FuzzRequestEnvelope FuzzResponseEncode FuzzResponseDecode FuzzServeHTTP; do \
 		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 30s ./internal/rpc || exit 1; \
 	done
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTransaction$$' -fuzztime 30s ./internal/types
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlock$$' -fuzztime 30s ./internal/types

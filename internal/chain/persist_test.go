@@ -224,14 +224,13 @@ func TestSnapshotBootstrapConverges(t *testing.T) {
 				name, other.Len(), len(got), snap.Len(), len(want))
 		}
 	}
-	// What CommitTo writes for that state into an empty store is those
-	// records, and a copy of each large leaf value that nothing
-	// references (ROADMAP item 2's finding), which no export carries.
+	// What CommitTo writes for that state into an empty store is exactly
+	// those records.
 	fresh := store.NewMem()
 	if _, _, err := mem.State().CommitTo(fresh); err != nil {
 		t.Fatal(err)
 	}
-	if got := stateRecords(t, fresh, root); !maps.EqualFunc(got, want, bytes.Equal) || fresh.Len() < len(want) {
+	if got := stateRecords(t, fresh, root); !maps.EqualFunc(got, want, bytes.Equal) || fresh.Len() != len(want) {
 		t.Fatalf("CommitTo wrote %d records, %d referenced; the export carries %d", fresh.Len(), len(got), len(want))
 	}
 

@@ -235,8 +235,11 @@ func TestSha3MemoDifferential(t *testing.T) {
 // TestPooledScratchCarriesNothing pins Release: the machine goes back
 // with no state, no RAA provider, no hint and no memo entry, and the next
 // New — whether or not the pool hands that machine out again — starts
-// without them. The second half does not look inside: it has a machine
-// hash another program's inputs — same lengths and boundary bytes as the
+// without them. What it does keep is the return buffer's capacity,
+// emptied: that buffer holds bytes, not references, and a Result aliases
+// it only until the machine's next Call or Release, so each round below
+// compares its return data before Release. The second half does not look
+// inside: it has a machine hash another program's inputs — same lengths and boundary bytes as the
 // next caller's, so they land in the same direct-mapped memo slots —
 // releases it, and demands the next caller's digests, gas and sponge
 // count from a machine that never was in the pool.
@@ -246,11 +249,16 @@ func TestPooledScratchCarriesNothing(t *testing.T) {
 	e := New(newDiffState(sha3Prog(36, 64, false)), BlockContext{Number: 7})
 	e.SetRAAProvider(raaEcho{})
 	e.SetTxHint(hintFor(input))
-	e.Call(ctx)
+	if res := e.Call(ctx); len(res.ReturnData) == 0 {
+		t.Fatal("the program returned nothing")
+	}
 	e.Release()
 	if e.state != nil || e.raa != nil || e.hint.MarkInput != nil || e.hint.PrevInput != nil ||
 		!e.hint.Mark.IsZero() || !e.hint.PrevDigest.IsZero() {
 		t.Fatalf("released machine keeps state %v, raa %v, hint %+v", e.state, e.raa, e.hint)
+	}
+	if len(e.ret) != 0 || cap(e.ret) == 0 {
+		t.Fatalf("released machine's return buffer: %d bytes, capacity %d; want empty, capacity kept", len(e.ret), cap(e.ret))
 	}
 	for i, entry := range e.memo.entries {
 		if entry.used {
@@ -280,12 +288,12 @@ func TestPooledScratchCarriesNothing(t *testing.T) {
 		before := keccak.Invocations()
 		got := pooled.Call(CallContext{Contract: ctx.Contract, Input: mine, Gas: 100_000})
 		sponges := keccak.Invocations() - before
-		pooled.Release()
 		fresh := (&EVM{state: newDiffState(prog)}).Call(CallContext{Contract: ctx.Contract, Input: mine, Gas: 100_000})
 		if got.Err != nil || got.GasUsed != fresh.GasUsed || !bytes.Equal(got.ReturnData, fresh.ReturnData) ||
 			got.ReturnWord() != types.Keccak(mine[36:36+size]).Word() || sponges != 1 {
 			t.Fatalf("round %d: pooled machine returned (%v, gas %d, %x) in %d sponges, a fresh one (%v, gas %d, %x) in 1",
 				round, got.Err, got.GasUsed, got.ReturnData, sponges, fresh.Err, fresh.GasUsed, fresh.ReturnData)
 		}
+		pooled.Release()
 	}
 }

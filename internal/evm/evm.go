@@ -69,6 +69,10 @@ var (
 
 // Result is the outcome of a call.
 type Result struct {
+	// ReturnData is what RETURN or REVERT handed back. It aliases a
+	// buffer the machine owns and reuses: it is valid until the
+	// machine's next Call or its Release, and a caller that keeps the
+	// bytes longer copies them (node.CallReadOnly does).
 	ReturnData []byte
 	GasUsed    uint64
 	Err        error // nil on normal halt; ErrExecutionRevert on REVERT
@@ -99,6 +103,9 @@ type EVM struct {
 	// because its entries are content-verified and never stale.
 	hint TxHint
 	memo sha3Memo
+
+	// ret holds the last call's return data (see Result.ReturnData).
+	ret []byte
 }
 
 // machinePool recycles interpreters: the SHA3 memo makes one a kilobyte
@@ -116,10 +123,12 @@ func New(state State, block BlockContext) *EVM {
 // Release hands the interpreter back for the next New, carrying nothing:
 // the memo's hits are byte-verified and would stay correct, but what it
 // held would then depend on when the collector last emptied the pool, and
-// the digest count of a run with it. The caller must not use the machine
+// the digest count of a run with it. Only the return buffer's capacity is
+// kept — it holds bytes, not references, and the next Call overwrites
+// it. The caller must not use the machine, or a Result it returned,
 // again. Optional: a cold caller may leave its machine to the collector.
 func (e *EVM) Release() {
-	*e = EVM{}
+	*e = EVM{ret: e.ret[:0]}
 	machinePool.Put(e)
 }
 

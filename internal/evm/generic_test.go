@@ -36,6 +36,16 @@ func (e *EVM) CallGeneric(ctx CallContext) Result {
 	return e.finish(ctx, in.gasLeft, ret, err)
 }
 
+// get returns a copy of [offset, offset+size) of memory, nil for size 0.
+func (m *memory) get(offset, size uint64) []byte {
+	if size == 0 {
+		return nil
+	}
+	out := make([]byte, size)
+	copy(out, m.data[offset:offset+size])
+	return out
+}
+
 func analyzeJumpDests(code []byte) map[uint64]bool {
 	dests := make(map[uint64]bool)
 	for pc := 0; pc < len(code); pc++ {

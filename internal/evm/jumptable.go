@@ -654,19 +654,22 @@ func opReturn(in *interpreter, _ *uint64) ([]byte, error) {
 	if err := in.chargeMemory(in.memOff, in.memLen); err != nil {
 		return nil, err
 	}
-	// get copies: the returned data must outlive the pooled memory.
-	return in.mem.get(in.memOff, in.memLen), nil
+	if in.memLen == 0 {
+		return nil, nil
+	}
+	// The range must outlive the pooled memory: it is copied into the
+	// machine's return buffer, which the Result aliases.
+	e := in.evm
+	e.ret = append(e.ret[:0], in.mem.view(in.memOff, in.memLen)...)
+	return e.ret, nil
 }
 
-func opRevert(in *interpreter, _ *uint64) ([]byte, error) {
-	in.stack.udrop(2)
-	if in.memErr != nil {
-		return nil, in.memErr
-	}
-	if err := in.chargeMemory(in.memOff, in.memLen); err != nil {
+func opRevert(in *interpreter, pc *uint64) ([]byte, error) {
+	ret, err := opReturn(in, pc)
+	if err != nil {
 		return nil, err
 	}
-	return in.mem.get(in.memOff, in.memLen), ErrExecutionRevert
+	return ret, ErrExecutionRevert
 }
 
 func opInvalid(*interpreter, *uint64) ([]byte, error) { return nil, ErrInvalidOpcode }

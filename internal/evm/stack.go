@@ -78,15 +78,6 @@ func (m *memory) expand(offset, size uint64) uint64 {
 	return grown
 }
 
-func (m *memory) get(offset, size uint64) []byte {
-	if size == 0 {
-		return nil
-	}
-	out := make([]byte, size)
-	copy(out, m.data[offset:offset+size])
-	return out
-}
-
 // view returns the backing bytes of [offset, offset+size) without
 // copying. Callers must consume the slice before the next expand (and
 // must never let it escape a pooled frame); memory data is pooled, so

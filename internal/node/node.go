@@ -7,6 +7,7 @@
 package node
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -696,10 +697,14 @@ func (n *Node) MineAndBroadcast(timestamp uint64) (*types.Block, error) {
 // state the call reads. The lock hold is bounded by the read-only gas
 // allowance — the same order as the write-lock hold of an InsertBlock
 // replay, so a slow view call delays imports no worse than a block
-// import delays another.
+// import delays another. The return data is the caller's: it is copied
+// out of the machine before the machine goes back to its pool.
 func (n *Node) CallReadOnly(from, to types.Address, data []byte) evm.Result {
 	var res evm.Result
-	n.readOnly(func(machine *evm.EVM) { res = machine.Call(readOnlyCall(from, to, data)) })
+	n.readOnly(func(machine *evm.EVM) {
+		res = machine.Call(readOnlyCall(from, to, data))
+		res.ReturnData = bytes.Clone(res.ReturnData)
+	})
 	return res
 }
 

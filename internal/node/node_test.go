@@ -6,6 +6,7 @@ import (
 
 	"sereth/internal/asm"
 	"sereth/internal/chain"
+	"sereth/internal/evm"
 	"sereth/internal/keccak"
 	"sereth/internal/p2p"
 	"sereth/internal/statedb"
@@ -712,6 +713,29 @@ func TestSettleRacesAdmissionsAndViews(t *testing.T) {
 	t.Logf("%d sets in %d blocks", nonce, n.Chain().Height())
 	if n.Pool().Len() != 0 || nonce != sets {
 		t.Fatalf("%d of %d sets mined, %d still pending", nonce, sets, n.Pool().Len())
+	}
+}
+
+// TestCallReadOnlyResultOutlivesTheMachine: a machine's return data
+// lives in a buffer the machine reuses, and CallReadOnly's machine goes
+// back to the evm package's pool when it returns, so the result it hands
+// out must be a copy. On a Geth node get() and mark() return the words
+// they are called with; a result kept across later calls — on the same
+// pooled machine, returning other bytes — still holds its own.
+func TestCallReadOnlyResultOutlivesTheMachine(t *testing.T) {
+	n := newFixture(t, Config{Mode: ModeGeth, Miner: MinerBaseline}).nodes[0]
+	call := func(sel types.Selector, w types.Word) evm.Result {
+		return n.CallReadOnly(types.Address{}, contractAddr, types.EncodeCall(sel, types.FlagHead, w, w))
+	}
+	want := types.WordFromUint64(5)
+	kept := call(asm.SelGet, want)
+	for i := uint64(0); i < 10; i++ {
+		if res := call(asm.SelMark, types.WordFromUint64(100+i)); res.ReturnWord() != types.WordFromUint64(100+i) {
+			t.Fatalf("call %d returned %x", i, res.ReturnData)
+		}
+	}
+	if !kept.Succeeded() || kept.ReturnWord() != want {
+		t.Fatalf("a kept result reads %x (%v), it was returned %x", kept.ReturnData, kept.Err, want)
 	}
 }
 

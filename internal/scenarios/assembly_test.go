@@ -28,8 +28,10 @@ import (
 // by what fits, and the execution of its 50 transactions, which is most
 // of the count (510 before the prefix lost its Nodes, 495 until the
 // execution's journal, machine and program counters stopped being
-// allocated per block and per call) — what matters is that nothing in it
-// is per pending transaction. txpool/settle-50-of-10k removes 50 transactions through
+// allocated per block and per call, 375 until transaction digests and
+// the tx root encoded on the stack and RETURN wrote into the machine's
+// own buffer) — what matters is that nothing in it is per pending
+// transaction. txpool/settle-50-of-10k removes 50 transactions through
 // the tracker's feed, which allocates nothing, and admits them again: the
 // 87 are the tracker's, for ten sets and forty buys coming back, and the
 // batch's two result slices (88 while AdmitBatch also kept a slice of
@@ -55,8 +57,8 @@ func TestBlockAssemblyAllocsPinned(t *testing.T) {
 	if scratch < 8_217 || scratch > 8_221 {
 		t.Errorf("miner/order-scratch-pool10k: %v allocs per ordering, pinned 8219 +- 2", scratch)
 	}
-	if build < 369 || build > 381 {
-		t.Errorf("miner/build-50-of-pool10k: %v allocs per block, pinned 375 +- 6", build)
+	if build < 258 || build > 270 {
+		t.Errorf("miner/build-50-of-pool10k: %v allocs per block, pinned 264 +- 6", build)
 	}
 	if settle != 87 {
 		t.Errorf("txpool/settle-50-of-10k: %v allocs per settle and re-admission, pinned 87", settle)

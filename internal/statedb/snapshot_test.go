@@ -81,6 +81,42 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWalkVisitsWhatCommitToWrites is trie.TestWalkVisitsWhatCommitWrites
+// for a whole state: CommitTo into an empty store writes exactly the
+// records Walk visits. Every account leaf (about 70 bytes) and every slot
+// holding a full 32-byte word (a Sereth mark) reaches the size a node is
+// referenced by hash at, but nothing references a leaf's value on its
+// own, so no copy of one is written.
+func TestWalkVisitsWhatCommitToWrites(t *testing.T) {
+	s := New()
+	for i := uint64(1); i <= 200; i++ {
+		a := types.Address{18: byte(i >> 8), 19: byte(i)}
+		s.SetNonce(a, i)
+		s.AddBalance(a, i*1000)
+	}
+	contract := addrN(0xcc)
+	s.SetCode(contract, []byte{0x60, 0x00, 0x60, 0x00, 0x55, 0x00})
+	for i := uint64(0); i < 50; i++ {
+		s.SetState(contract, slotN(i), types.Keccak(slotN(i).Hash().Bytes()).Word())
+	}
+	s.DiscardJournal()
+
+	kv := store.NewMem()
+	_, n, err := s.CommitTo(kv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := exported(t, s)
+	if n != len(recs) || kv.Len() != len(recs) {
+		t.Fatalf("CommitTo wrote %d records (%d keys), Walk visits %d", n, kv.Len(), len(recs))
+	}
+	for k, v := range recs {
+		if got, ok := kv.Get([]byte(k)); !ok || !bytes.Equal(got, v) {
+			t.Fatalf("Walk visits %x, which CommitTo did not write", k)
+		}
+	}
+}
+
 // TestSnapshotOfPartialState is the positive form of what used to be a
 // refusal: a state opened lazily from a store — none of it in memory,
 // and then part of it, after writes — exports exactly what its

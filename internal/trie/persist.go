@@ -1,9 +1,11 @@
 // This file implements trie persistence: committing referenced nodes
 // into a flat node store and reopening a trie lazily from a root hash.
-// The store holds `Keccak(enc) -> enc` for every node whose encoding is
-// >= 32 bytes (smaller nodes stay embedded in their parents, exactly as
-// they do in the in-memory encoding), plus the root node
-// unconditionally so a root hash alone is a complete handle.
+// The store holds `Keccak(enc) -> enc` for every node a parent
+// references by hash — its encoding is >= 32 bytes; smaller nodes stay
+// embedded in their parents, exactly as they do in the in-memory
+// encoding — plus the root node unconditionally so a root hash alone is
+// a complete handle, and nothing else: a leaf's value is part of the
+// leaf's record and gets none of its own.
 
 package trie
 
@@ -75,7 +77,12 @@ func commitNode(n node, w Writer, isRoot bool) int {
 			return 0
 		}
 		enc := encoding(cur)
-		written := commitChildren(cur.val, w)
+		written := 0
+		if _, leaf := cur.val.(valueNode); !leaf {
+			// A leaf's value is part of enc: only an extension's child can
+			// hold records of its own.
+			written = commitChildren(cur.val, w)
+		}
 		if len(enc) >= 32 || isRoot {
 			w.Put(cur.cache.hashRef(enc)[:], enc)
 			cur.cache.stored = true
@@ -100,12 +107,13 @@ func commitNode(n node, w Writer, isRoot bool) int {
 		}
 		return written
 	case valueNode:
-		// Values usually live embedded in their parents, but a value
-		// sitting directly in a branch slot (a split 1-nibble leaf) whose
-		// encoding reaches 32 bytes is referenced by hash like any other
-		// node. valueNode carries no cache, so re-store it each commit —
-		// the shape only arises with variable-length raw keys, never in
-		// the fixed-width secure tries state uses.
+		// Reached only at the root or in a branch's sixteen slots (a split
+		// 1-nibble leaf): a leaf's value and a branch's value slot are part
+		// of their node's own record. A bare value whose encoding reaches
+		// 32 bytes is referenced by hash like any other node. valueNode
+		// carries no cache, so it is re-stored each commit — the shape
+		// only arises with variable-length raw keys, never in the
+		// fixed-width secure tries state uses.
 		if rlp.StringSize(cur) >= 32 || isRoot { // measured, not encoded: most values are small
 			enc := encoding(cur)
 			h := types.Keccak(enc)

@@ -13,13 +13,12 @@ import (
 	"sereth/internal/types"
 )
 
-// Walk visits every record a node store holds for the trie — the set
-// Commit writes into an empty store, less the copies of leaf values
-// nothing references: the root node under the root hash whatever its
-// size, and every node below it whose encoding reaches 32 bytes, as
-// visit(hash, encoding). onLeaf, when non-nil, receives every stored
-// value (so a state-level walk can recurse into storage tries and code
-// blobs); its error ends the walk.
+// Walk visits every record a node store holds for the trie — exactly the
+// set Commit writes into an empty store: the root node under the root
+// hash whatever its size, and every node below it whose encoding reaches
+// 32 bytes, as visit(hash, encoding). onLeaf, when non-nil, receives
+// every stored value (so a state-level walk can recurse into storage
+// tries and code blobs); its error ends the walk.
 //
 // Nodes in memory are read by their cached encodings and nothing is
 // written on the way — no node is marked stored — so a hashed trie that

@@ -194,14 +194,15 @@ func DecodeBlock(data []byte) (*Block, error) {
 // DeriveTxRoot computes the ordered commitment over a transaction list.
 // It hashes the RLP list of transaction hashes; a Merkle trie root over
 // index→tx is equivalent for integrity purposes and this form is cheaper
-// to recompute during validation.
+// to recompute during validation. The list is encoded flat into one
+// buffer of its final size, whatever the number of transactions.
 func DeriveTxRoot(txs []*Transaction) Hash {
-	items := make([]rlp.Item, len(txs))
-	for i, tx := range txs {
+	out := make([]byte, 0, 33*len(txs)+listHeaderMaxSize)
+	for _, tx := range txs {
 		h := tx.Hash()
-		items[i] = rlp.String(h[:])
+		out = rlp.AppendString(out, h[:])
 	}
-	return Keccak(rlp.Encode(rlp.List(items...)))
+	return Keccak(wrapList(out, 0))
 }
 
 // DeriveReceiptRoot computes the ordered commitment over a receipt

@@ -145,7 +145,8 @@ func (tx *Transaction) appendSigPayload(out []byte) []byte {
 }
 
 func (tx *Transaction) computeSigHash() Hash {
-	hash := Keccak(wrapList(tx.appendSigPayload(make([]byte, 0, txMaxOverhead+len(tx.Data))), 0))
+	var scratch [txScratchSize]byte
+	hash := Keccak(wrapList(tx.appendSigPayload(tx.digestBuf(scratch[:0])), 0))
 	if d := tx.derived; d != nil {
 		d.sigHash, d.signed = hash, true
 	}
@@ -162,7 +163,8 @@ func (tx *Transaction) Hash() Hash {
 }
 
 func (tx *Transaction) computeHash() Hash {
-	hash := Keccak(tx.EncodeRLP())
+	var scratch [txScratchSize]byte
+	hash := Keccak(tx.appendRLP(tx.digestBuf(scratch[:0])))
 	if d := tx.derived; d != nil {
 		d.hash, d.hashed = hash, true
 	}
@@ -173,6 +175,20 @@ func (tx *Transaction) computeHash() Hash {
 // integers of at most 9 bytes, two 21-byte addresses, the 33-byte
 // signature, and the list and calldata headers.
 const txMaxOverhead = 4*9 + 2*21 + 33 + 2*listHeaderMaxSize
+
+// txScratchSize is the stack buffer a digest encodes into: it holds the
+// encoding of any transaction with up to 128 bytes of calldata, which
+// covers every call this repository makes (a Sereth call is 100).
+const txScratchSize = txMaxOverhead + 128
+
+// digestBuf returns scratch when the encoding fits it, and a heap buffer
+// of the encoding's size when the calldata is longer.
+func (tx *Transaction) digestBuf(scratch []byte) []byte {
+	if n := txMaxOverhead + len(tx.Data); n > cap(scratch) {
+		return make([]byte, 0, n)
+	}
+	return scratch
+}
 
 // appendRLP appends the transaction's RLP encoding — the list of the
 // signed fields and the signature — to out.
