@@ -43,10 +43,13 @@ bench-check:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . ./internal/keccak
 
-# chaos-smoke runs the fault-injection determinism/convergence tests and
-# a short churn+partition sweep under the race detector.
+# chaos-smoke runs the fault-injection determinism/convergence tests, the
+# fault families as actors (each variant reports a result section for
+# exactly the families it plans; every family at once in one population,
+# churn and a crash holding the same peer down), and a short
+# churn+partition sweep under the race detector.
 chaos-smoke:
-	$(GO) test -race -run 'TestChaosConcurrent|TestChaosTraceDeterministic|TestPartitionHealConverges|TestChurnRejoinCatchUp' ./internal/sim
+	$(GO) test -race -run 'TestChaosConcurrent|TestChaosTraceDeterministic|TestPartitionHealConverges|TestChurnRejoinCatchUp|TestSectionsFollowPlans|TestFamiliesCompose' ./internal/sim
 	$(GO) run -race ./cmd/serethsim -experiment chaos -quick -runs 2 -churn -partition
 
 # parallel-smoke runs the parallel-execution differential suite — the

@@ -1,7 +1,7 @@
 // Package metrics provides the small statistics toolkit the evaluation
 // harness uses: sample summaries with 90% confidence intervals (Figure 2
-// plots smoothed means with 90% CI bands) and throughput accounting for
-// the paper's state-throughput metric.
+// plots means with 90% CI bands) and percentiles. The paper's η and
+// state-throughput accounting is sim.Result's.
 package metrics
 
 import (
@@ -77,59 +77,6 @@ func Percentile(xs []float64, p float64) float64 {
 		return cp[lo]
 	}
 	return cp[lo]*(1-frac) + cp[lo+1]*frac
-}
-
-// MovingAverage smooths a series with a centered window of the given
-// width (the "smoothed averages" of Figure 2). Width < 2 returns a copy.
-func MovingAverage(xs []float64, width int) []float64 {
-	out := make([]float64, len(xs))
-	if width < 2 {
-		copy(out, xs)
-		return out
-	}
-	half := width / 2
-	for i := range xs {
-		lo := i - half
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + half
-		if hi >= len(xs) {
-			hi = len(xs) - 1
-		}
-		var sum float64
-		for j := lo; j <= hi; j++ {
-			sum += xs[j]
-		}
-		out[i] = sum / float64(hi-lo+1)
-	}
-	return out
-}
-
-// Throughput is the paper's §III-A accounting: raw throughput counts all
-// included transactions, state throughput only those that changed state.
-type Throughput struct {
-	Included  int
-	Succeeded int
-	// Seconds of model time covered.
-	Seconds float64
-}
-
-// Efficiency returns η = succeeded / included (1.0 for an empty sample,
-// matching the paper's sequential-history baseline).
-func (t Throughput) Efficiency() float64 {
-	if t.Included == 0 {
-		return 1
-	}
-	return float64(t.Succeeded) / float64(t.Included)
-}
-
-// State returns state throughput T_state = η · T_raw.
-func (t Throughput) State() float64 {
-	if t.Seconds <= 0 {
-		return 0
-	}
-	return float64(t.Succeeded) / t.Seconds
 }
 
 // String renders the summary compactly.

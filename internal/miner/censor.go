@@ -7,7 +7,7 @@ import "sereth/internal/types"
 // wrapped strategy. This models the censoring-miner attack — the miner
 // produces otherwise-valid blocks, so no peer can reject them; the
 // damage is measured as inclusion delay/denial for the targeted senders
-// (sim.Result.TxsCensored / CensoredLost).
+// (the sim's sim.CensorResult section).
 type Censor struct {
 	inner    Strategy
 	targets  map[types.Address]struct{}

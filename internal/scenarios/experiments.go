@@ -91,6 +91,16 @@ func flag(b bool) float64 {
 	return 0
 }
 
+// orZero reads a fault family's section of a result: a run the family
+// was not in (its section nil) reads as the zero section.
+func orZero[T any](section *T) T {
+	if section == nil {
+		var zero T
+		return zero
+	}
+	return *section
+}
+
 // etaColumns is η with its 90% confidence half-width — the y-axis of
 // Figure 2 and the first two columns of every family — then extra.
 func etaColumns(extra ...Column) []Column {
@@ -189,18 +199,12 @@ func (e Experiment) row(p Point, seeds []int64, shape sim.Shape) (Row, error) {
 		}
 		row.Values[c.Name] = agg(xs)
 	}
-	for _, r := range results {
-		// The crash-consistency invariant: every killed peer came back.
-		if r.CrashRecoveries < r.Crashes {
-			return Row{}, fmt.Errorf("seed %d: %d crashes but only %d recoveries", r.Config.Seed, r.Crashes, r.CrashRecoveries)
-		}
-	}
 	runs := len(results)
 	if e.Twin {
 		honest, err := runSeeds(seeds, func(seed int64) sim.ScenarioConfig {
 			cfg := p.Make(seed)
 			cfg.Name += "_honest"
-			cfg.Faults = sim.FaultPlan{}
+			cfg.Faults = sim.Faults{}
 			return shape.Apply(cfg)
 		})
 		if err != nil {
@@ -498,19 +502,19 @@ func Chaos() Experiment {
 		QuickSeeds: 2,
 		Columns: etaColumns(
 			Column{Name: "orphaned", Of: func(r sim.Result) float64 { return float64(r.BlocksOrphaned) }},
-			Column{Name: "censored", Of: func(r sim.Result) float64 { return float64(r.CensoredSubmitted - r.CensoredIncluded) }},
+			Column{Name: "censored", Of: func(r sim.Result) float64 { c := orZero(r.Censor); return float64(c.Submitted - c.Included) }},
 			// 1 when every run ended with all online peers on one head.
 			Column{Name: "converged", Of: func(r sim.Result) float64 { return flag(r.Converged) }, Agg: slices.Min[[]float64]},
 			// Resync latency pooled across every rejoin in every run.
-			Column{Name: "resync_p50_ms", Pool: func(r sim.Result) []float64 { return r.ResyncMs }, Agg: p50},
-			Column{Name: "resync_p90_ms", Pool: func(r sim.Result) []float64 { return r.ResyncMs }, Agg: p90},
-			Column{Name: "rejoins", Of: func(r sim.Result) float64 { return float64(r.Rejoins) }, Agg: sum},
-			Column{Name: "resync_incomplete", Of: func(r sim.Result) float64 { return float64(r.ResyncIncomplete) }, Agg: sum},
-			Column{Name: "attack_sent", Of: func(r sim.Result) float64 { return float64(r.AttackTxsSent) }, Agg: sum},
-			Column{Name: "attack_included", Of: func(r sim.Result) float64 { return float64(r.AttackTxsIncluded) }, Agg: sum},
-			Column{Name: "attack_succeeded", Of: func(r sim.Result) float64 { return float64(r.AttackTxsSucceeded) }, Agg: sum},
+			Column{Name: "resync_p50_ms", Pool: func(r sim.Result) []float64 { return orZero(r.Churn).ResyncMs }, Agg: p50},
+			Column{Name: "resync_p90_ms", Pool: func(r sim.Result) []float64 { return orZero(r.Churn).ResyncMs }, Agg: p90},
+			Column{Name: "rejoins", Of: func(r sim.Result) float64 { return float64(orZero(r.Churn).Rejoins) }, Agg: sum},
+			Column{Name: "resync_incomplete", Of: func(r sim.Result) float64 { return float64(orZero(r.Churn).Incomplete) }, Agg: sum},
+			Column{Name: "attack_sent", Of: func(r sim.Result) float64 { return float64(orZero(r.Attack).TxsSent) }, Agg: sum},
+			Column{Name: "attack_included", Of: func(r sim.Result) float64 { return float64(orZero(r.Attack).TxsIncluded) }, Agg: sum},
+			Column{Name: "attack_succeeded", Of: func(r sim.Result) float64 { return float64(orZero(r.Attack).TxsSucceeded) }, Agg: sum},
 			// Must stay 0: forged blocks never enter a chain.
-			Column{Name: "forged_accepted", Of: func(r sim.Result) float64 { return float64(r.ForgedBlocksAccepted) }, Agg: sum}),
+			Column{Name: "forged_accepted", Of: func(r sim.Result) float64 { return float64(orZero(r.Attack).BlocksAccepted) }, Agg: sum}),
 		Line: func(r Row) string {
 			v := r.Values
 			return fmt.Sprintf("%-16s η=%.3f honest=%.3f drop=%+.3f orphaned=%.1f resync_p50=%.0fms converged=%t",
@@ -546,17 +550,17 @@ func Crash() Experiment {
 		Columns: etaColumns(
 			// 1 when every run ended with all online peers on one head.
 			Column{Name: "converged", Of: func(r sim.Result) float64 { return flag(r.Converged) }, Agg: slices.Min[[]float64]},
-			Column{Name: "crashes", Of: func(r sim.Result) float64 { return float64(r.Crashes) }, Agg: sum},
+			Column{Name: "crashes", Of: func(r sim.Result) float64 { return float64(orZero(r.Crash).Crashes) }, Agg: sum},
 			// Restarts that found a durable head on disk; the rest
 			// legitimately restarted from genesis because the kill
 			// predated any synced write.
-			Column{Name: "recovered_from_disk", Of: func(r sim.Result) float64 { return float64(r.RecoveredBoots) }, Agg: sum},
+			Column{Name: "recovered_from_disk", Of: func(r sim.Result) float64 { return float64(orZero(r.Crash).RecoveredBoots) }, Agg: sum},
 			// Salvage + gossip catch-up, pooled across every restart.
-			Column{Name: "recovery_p50_ms", Pool: func(r sim.Result) []float64 { return r.CrashRecoveryMs }, Agg: p50},
-			Column{Name: "recovery_p90_ms", Pool: func(r sim.Result) []float64 { return r.CrashRecoveryMs }, Agg: p90},
-			Column{Name: "salvage_torn_bytes", Of: func(r sim.Result) float64 { return float64(r.SalvageTornBytes) }, Agg: sum},
-			Column{Name: "salvage_quarantined", Of: func(r sim.Result) float64 { return float64(r.SalvageQuarantined) }, Agg: sum},
-			Column{Name: "salvage_corrected", Of: func(r sim.Result) float64 { return float64(r.SalvageCorrected) }, Agg: sum}),
+			Column{Name: "recovery_p50_ms", Pool: func(r sim.Result) []float64 { return orZero(r.Crash).RecoveryMs }, Agg: p50},
+			Column{Name: "recovery_p90_ms", Pool: func(r sim.Result) []float64 { return orZero(r.Crash).RecoveryMs }, Agg: p90},
+			Column{Name: "salvage_torn_bytes", Of: func(r sim.Result) float64 { return float64(orZero(r.Crash).SalvageTornBytes) }, Agg: sum},
+			Column{Name: "salvage_quarantined", Of: func(r sim.Result) float64 { return float64(orZero(r.Crash).SalvageQuarantined) }, Agg: sum},
+			Column{Name: "salvage_corrected", Of: func(r sim.Result) float64 { return float64(orZero(r.Crash).SalvageCorrected) }, Agg: sum}),
 		Line: func(r Row) string {
 			v := r.Values
 			return fmt.Sprintf("%-18s η=%.3f honest=%.3f drop=%+.3f crashes=%.0f recovered-from-disk=%.0f torn=%.0fB recovery_p50=%.0fms converged=%t",

@@ -120,8 +120,8 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 
 // TestCrashMultiSweep exercises the multi-kill and sync-every-block
 // variants across a few seeds via the registry runner, honest twins
-// included (the runner itself fails a row whose recoveries fall short
-// of its crashes).
+// included (the crash actor fails a run whose recoveries fall short of
+// its crashes).
 func TestCrashMultiSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash sweep is a long test")

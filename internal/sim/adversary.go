@@ -2,30 +2,210 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"sereth/internal/asm"
+	"sereth/internal/node"
 	"sereth/internal/p2p"
 	"sereth/internal/types"
 	"sereth/internal/wallet"
 )
 
-// adversary is a scenario actor that joins the network as a regular peer
-// (so it sees honest gossip) and mounts its attack when the timeline
-// fires an evAttack event. Adversaries are fully deterministic: their
-// choices derive from what they observed and how many attacks they have
-// mounted, never from a clock or an un-namespaced RNG.
-type adversary interface {
-	p2p.Handler
-	attack(at uint64)
-	stats() attackStats
+// CensorPlan makes the first Miners miners (0 = all) exclude every
+// transaction from the first Targets buyer accounts (0 = a quarter, at
+// least one).
+type CensorPlan struct {
+	Miners  int
+	Targets int
 }
 
-// attackStats counts what the adversary emitted; what the honest
-// population did with it is measured in collect() via the shared hash
-// sets.
-type attackStats struct {
-	TxsSent    int
-	BlocksSent int
+// CensorResult is the censor family's section of a Result. Excluded
+// counts exclusion events (one per targeted pending transaction per block
+// build); Submitted and Included track the targeted senders' buys end to
+// end.
+type CensorResult struct {
+	Excluded  uint64
+	Submitted int
+	Included  int
+}
+
+type censor struct {
+	passive
+	s       *scenario
+	targets []types.Address
+	hashes  map[types.Hash]bool // the targeted senders' accepted buys
+	left    int                 // miners still to configure
+	res     CensorResult
+}
+
+func newCensor(s *scenario, plan CensorPlan) *censor {
+	k := plan.Targets
+	if k <= 0 {
+		k = (len(s.buyers) + 3) / 4
+	}
+	c := &censor{s: s, hashes: make(map[types.Hash]bool), left: plan.Miners}
+	for _, b := range s.buyers[:min(k, len(s.buyers))] {
+		c.targets = append(c.targets, b.Address())
+	}
+	if c.left <= 0 {
+		semantic, baseline, _ := s.cfg.population()
+		c.left = semantic + baseline
+	}
+	return c
+}
+
+func (c *censor) configure(_ int, cfg *node.Config) error {
+	if cfg.Miner != node.MinerNone && c.left > 0 {
+		cfg.CensorTargets = c.targets
+		c.left--
+	}
+	return nil
+}
+
+func (c *censor) accepted(tx *types.Transaction) {
+	if slices.Contains(c.targets, tx.From) {
+		c.res.Submitted++
+		c.hashes[tx.Hash()] = true
+	}
+}
+
+func (c *censor) report(res *Result) error {
+	for _, n := range c.s.nodes {
+		c.res.Excluded += n.CensorExcluded()
+	}
+	c.s.canonical(func(_ *types.Block, receipts []*types.Receipt) {
+		for _, r := range receipts {
+			if c.hashes[r.TxHash] {
+				c.res.Included++
+			}
+		}
+	})
+	res.Censor = &c.res
+	return nil
+}
+
+// Attacker kinds for AttackPlan.Kind.
+const (
+	// AdversaryForger gossips tampered replays, unknown-signer
+	// mark-collision buys, and forged blocks — all of which honest peers
+	// must reject at admission and import.
+	AdversaryForger = "forger"
+	// AdversaryFrontrun captures gossiped offers and replays stale ones
+	// from its own funded identity at a gas-price premium (the §V-B
+	// lost-update attack as a live actor).
+	AdversaryFrontrun = "frontrun"
+)
+
+// AttackPlan joins one attacker peer of the given Kind after the
+// population; it mounts its attack every IntervalMs (0 = 2000) of the
+// submission window.
+type AttackPlan struct {
+	Kind       string
+	IntervalMs uint64
+}
+
+// AttackResult is the attack family's section of a Result: what the
+// attacker emitted and what the honest chain absorbed. BlocksAccepted
+// must stay 0.
+type AttackResult struct {
+	TxsSent        int
+	TxsIncluded    int
+	TxsSucceeded   int
+	BlocksSent     int
+	BlocksAccepted int
+}
+
+// attack is the attack family: one attacker peer, and the emissions the
+// report looks for on the canonical chain.
+type attack struct {
+	passive
+	s      *scenario
+	plan   AttackPlan
+	id     p2p.PeerID
+	peer   attacker
+	txs    map[types.Hash]bool
+	blocks map[types.Hash]bool
+	res    AttackResult
+}
+
+// attacker joins the network as a regular peer (so it sees honest
+// gossip) and mounts its attack when the timeline fires. Attackers are
+// fully deterministic: their choices derive from what they observed and
+// how many attacks they have mounted, never from a clock or an
+// un-namespaced RNG.
+type attacker interface {
+	p2p.Handler
+	attack(at uint64)
+}
+
+// newAttack builds the attacker; a front-runner's funded key is
+// registered before the registry is shared out to the population.
+func newAttack(s *scenario, plan AttackPlan, reg *wallet.Registry) (*attack, error) {
+	a := &attack{s: s, plan: plan, txs: make(map[types.Hash]bool), blocks: make(map[types.Hash]bool)}
+	switch plan.Kind {
+	case AdversaryForger:
+		a.peer = &forger{a: a, key: wallet.NewKey(fmt.Sprintf("forger-%d", s.cfg.Seed))}
+	case AdversaryFrontrun:
+		key := wallet.NewKey(fmt.Sprintf("frontrunner-%d", s.cfg.Seed))
+		reg.Register(key)
+		a.peer = &frontrunner{a: a, key: key}
+	default:
+		return nil, fmt.Errorf("sim: unknown adversary %q", plan.Kind)
+	}
+	return a, nil
+}
+
+// start joins the attacker under the first peer id after the nodes'.
+func (a *attack) start() {
+	a.id = p2p.PeerID(len(a.s.nodes) + 1)
+	a.s.extras = append(a.s.extras, a.id)
+	a.s.net.Join(a.id, a.peer)
+}
+
+func (a *attack) events(buyStart, span uint64) []event {
+	interval := a.plan.IntervalMs
+	if interval == 0 {
+		interval = 2000
+	}
+	fire := func(at uint64) error { a.peer.attack(at); return nil }
+	var evs []event
+	for at := buyStart + interval; at <= buyStart+span; at += interval {
+		evs = append(evs, event{at: at, fire: fire})
+	}
+	return evs
+}
+
+// sendTx memoizes and gossips an attack transaction, remembering it for
+// the report.
+func (a *attack) sendTx(tx *types.Transaction) {
+	tx.Memoize()
+	a.txs[tx.Hash()] = true
+	a.res.TxsSent++
+	a.s.net.BroadcastTx(a.id, tx)
+}
+
+func (a *attack) sendBlock(blk *types.Block) {
+	a.blocks[blk.Hash()] = true
+	a.res.BlocksSent++
+	a.s.net.BroadcastBlock(a.id, blk)
+}
+
+func (a *attack) report(res *Result) error {
+	a.s.canonical(func(block *types.Block, receipts []*types.Receipt) {
+		if a.blocks[block.Hash()] {
+			a.res.BlocksAccepted++
+		}
+		for _, r := range receipts {
+			if a.txs[r.TxHash] {
+				a.res.TxsIncluded++
+				if r.Status == types.StatusSucceeded {
+					a.res.TxsSucceeded++
+				}
+			}
+		}
+	})
+	res.Attack = &a.res
+	return nil
 }
 
 // forger is the mark-collision / replay / forged-block attacker. It
@@ -38,39 +218,21 @@ type attackStats struct {
 //   - forged blocks (captured valid txs under a fabricated state root on
 //     the observed head) die at import verification on every peer.
 //
-// The chaos_forger scenario asserts AttackTxsIncluded == 0 and
-// ForgedBlocksAccepted == 0: admission and import are the two gates the
-// paper's integrity argument leans on.
+// The chaos_forger scenario asserts TxsIncluded == 0 and BlocksAccepted
+// == 0: admission and import are the two gates the paper's integrity
+// argument leans on.
 type forger struct {
-	net      *p2p.Network
-	id       p2p.PeerID
-	key      *wallet.Key // NOT in the registry
-	contract types.Address
+	a   *attack
+	key *wallet.Key // NOT in the registry
 
 	captured []*types.Transaction // honest contract txs seen on the wire
 	head     *types.Block         // highest block seen on the wire
 	step     int
 	nonce    uint64
-
-	st attackStats
-	// attackTxs / forgedBlocks are shared with the scenario's collect()
-	// pass, which scans the canonical chain for them.
-	attackTxs    map[types.Hash]bool
-	forgedBlocks map[types.Hash]bool
-}
-
-func newForger(net *p2p.Network, id p2p.PeerID, seed int64, contract types.Address,
-	attackTxs map[types.Hash]bool, forgedBlocks map[types.Hash]bool) *forger {
-	return &forger{
-		net: net, id: id,
-		key:       wallet.NewKey(fmt.Sprintf("forger-%d", seed)),
-		contract:  contract,
-		attackTxs: attackTxs, forgedBlocks: forgedBlocks,
-	}
 }
 
 func (f *forger) HandleTx(from p2p.PeerID, tx *types.Transaction) {
-	if tx.To == f.contract && len(f.captured) < 512 {
+	if tx.To == f.a.s.contract && len(f.captured) < 512 {
 		f.captured = append(f.captured, tx)
 	}
 }
@@ -83,49 +245,36 @@ func (f *forger) HandleBlock(from p2p.PeerID, block *types.Block) {
 
 func (f *forger) HandleBlockRequest(from p2p.PeerID, fromNumber uint64) {}
 
-func (f *forger) stats() attackStats { return f.st }
-
 // attack cycles through the three forgery avenues.
 func (f *forger) attack(at uint64) {
 	defer func() { f.step++ }()
+	if len(f.captured) == 0 {
+		return
+	}
+	victim := f.captured[(f.step/3)%len(f.captured)]
 	switch f.step % 3 {
 	case 0: // tampered replay: mutate a signed tx after signing
-		if len(f.captured) == 0 {
-			return
-		}
-		victim := f.captured[(f.step/3)%len(f.captured)]
 		tx := victim.Copy()
 		tx.GasPrice += 7 // the signature no longer covers the content
-		tx.Memoize()
-		f.attackTxs[tx.Hash()] = true
-		f.st.TxsSent++
-		f.net.BroadcastTx(f.id, tx)
+		f.a.sendTx(tx)
 	case 1: // mark-collision buy from an unknown signer
-		if len(f.captured) == 0 {
-			return
-		}
-		victim := f.captured[(f.step/3)%len(f.captured)]
 		fpv, err := victim.FPV()
 		if err != nil {
 			return
 		}
 		tx := f.key.SignTx(&types.Transaction{
 			Nonce:    f.nonce,
-			To:       f.contract,
+			To:       f.a.s.contract,
 			GasPrice: 100, // outbid everyone: only the signer gate stops it
 			GasLimit: 300_000,
 			Data:     types.EncodeCall(asm.SelBuy, types.FlagChain, fpv.PrevMark, fpv.Value),
 		})
 		f.nonce++
-		tx.Memoize()
-		f.attackTxs[tx.Hash()] = true
-		f.st.TxsSent++
-		f.net.BroadcastTx(f.id, tx)
-	case 2: // forged block: captured valid txs under fabricated roots
-		if f.head == nil || len(f.captured) == 0 {
+		f.a.sendTx(tx)
+	case 2: // forged block: a captured valid tx under fabricated roots
+		if f.head == nil {
 			return
 		}
-		body := []*types.Transaction{f.captured[(f.step/3)%len(f.captured)]}
 		header := &types.Header{
 			ParentHash: f.head.Hash(),
 			Number:     f.head.Number() + 1,
@@ -134,11 +283,9 @@ func (f *forger) attack(at uint64) {
 			GasLimit:   f.head.Header.GasLimit,
 			Time:       at / 1000,
 		}
-		blk := &types.Block{Header: header, Txs: body}
+		blk := &types.Block{Header: header, Txs: []*types.Transaction{victim}}
 		header.TxRoot = blk.TxRoot()
-		f.forgedBlocks[blk.Hash()] = true
-		f.st.BlocksSent++
-		f.net.BroadcastBlock(f.id, blk)
+		f.a.sendBlock(blk)
 	}
 }
 
@@ -152,20 +299,15 @@ func (f *forger) attack(at uint64) {
 // committed mark chain, so the buy is included but fails). Replays that
 // race ahead of the pending set they front-run can still succeed — that
 // is the residual (and legitimate-at-the-contract) price-change
-// front-run the point reports as AttackTxsSucceeded.
+// front-run the point reports as TxsSucceeded.
 type frontrunner struct {
-	net      *p2p.Network
-	id       p2p.PeerID
-	key      *wallet.Key // registered: its txs pass every signature gate
-	contract types.Address
+	a   *attack
+	key *wallet.Key // registered: its txs pass every signature gate
 
 	mark     types.Word // freshest mark observed in set gossip
 	haveMark bool
 	captured []capturedOffer
 	nonce    uint64
-
-	st        attackStats
-	attackTxs map[types.Hash]bool
 }
 
 type capturedOffer struct {
@@ -175,15 +317,8 @@ type capturedOffer struct {
 	replayed bool
 }
 
-func newFrontrunner(net *p2p.Network, id p2p.PeerID, key *wallet.Key,
-	contract types.Address, attackTxs map[types.Hash]bool) *frontrunner {
-	return &frontrunner{
-		net: net, id: id, key: key, contract: contract, attackTxs: attackTxs,
-	}
-}
-
 func (f *frontrunner) HandleTx(from p2p.PeerID, tx *types.Transaction) {
-	if tx.To != f.contract {
+	if tx.To != f.a.s.contract {
 		return
 	}
 	sel, ok := tx.Selector()
@@ -214,8 +349,6 @@ func (f *frontrunner) HandleTx(from p2p.PeerID, tx *types.Transaction) {
 func (f *frontrunner) HandleBlock(from p2p.PeerID, block *types.Block)       {}
 func (f *frontrunner) HandleBlockRequest(from p2p.PeerID, fromNumber uint64) {}
 
-func (f *frontrunner) stats() attackStats { return f.st }
-
 // attack replays the oldest un-replayed stale offer (one per event: a
 // patient attacker is harder to filter than a flood).
 func (f *frontrunner) attack(at uint64) {
@@ -230,16 +363,13 @@ func (f *frontrunner) attack(at uint64) {
 		offer.replayed = true
 		tx := f.key.SignTx(&types.Transaction{
 			Nonce:    f.nonce,
-			To:       f.contract,
+			To:       f.a.s.contract,
 			GasPrice: offer.gasPrice*3 + 1,
 			GasLimit: 300_000,
 			Data:     offer.data, // verbatim: the stale FPV is the attack
 		})
 		f.nonce++
-		tx.Memoize()
-		f.attackTxs[tx.Hash()] = true
-		f.st.TxsSent++
-		f.net.BroadcastTx(f.id, tx)
+		f.a.sendTx(tx)
 		return
 	}
 }

@@ -12,12 +12,11 @@ import (
 // (buys span [15s, 55s] at the default intervals).
 func fastChaos(cfg ScenarioConfig) ScenarioConfig {
 	cfg = fast(cfg)
-	if cfg.Faults.ChurnPeers > 0 {
-		cfg.Faults.ChurnDownMs = 20_000
+	if c := cfg.Faults.Churn; c != nil {
+		cfg.Faults.Churn = &ChurnPlan{Peers: c.Peers, DownMs: 20_000}
 	}
-	if cfg.Faults.PartitionForMs > 0 {
-		cfg.Faults.PartitionAtMs = 20_000
-		cfg.Faults.PartitionForMs = 25_000
+	if cfg.Faults.Partition != nil {
+		cfg.Faults.Partition = &PartitionPlan{AtMs: 20_000, ForMs: 25_000}
 	}
 	return cfg
 }
@@ -27,7 +26,7 @@ func TestPartitionHealConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PartitionBlocked == 0 {
+	if res.Partition.Blocked == 0 {
 		t.Error("partition blocked no deliveries: the cut never took effect")
 	}
 	if !res.Converged {
@@ -46,12 +45,13 @@ func TestChurnRejoinCatchUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rejoins != 2 {
-		t.Fatalf("rejoins = %d, want 2", res.Rejoins)
+	churn := res.Churn
+	if churn.Rejoins != 2 {
+		t.Fatalf("rejoins = %d, want 2", churn.Rejoins)
 	}
-	if len(res.ResyncMs) != 2 || res.ResyncIncomplete != 0 {
+	if len(churn.ResyncMs) != 2 || churn.Incomplete != 0 {
 		t.Fatalf("resyncs: %d recorded, %d incomplete (want 2, 0); latencies %v",
-			len(res.ResyncMs), res.ResyncIncomplete, res.ResyncMs)
+			len(churn.ResyncMs), churn.Incomplete, churn.ResyncMs)
 	}
 	if !res.Converged {
 		t.Fatal("rejoined peers did not catch back up to the population head")
@@ -65,18 +65,17 @@ func TestCensoringMinerDegradesEta(t *testing.T) {
 		t.Fatal(err)
 	}
 	honestCfg := cfg
-	honestCfg.Faults = FaultPlan{}
+	honestCfg.Faults = Faults{}
 	honest, err := Run(honestCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TxsCensored == 0 || res.CensoredSubmitted == 0 {
-		t.Fatalf("censorship never engaged: %d exclusions, %d targeted buys",
-			res.TxsCensored, res.CensoredSubmitted)
+	if c := res.Censor; c.Excluded == 0 || c.Submitted == 0 {
+		t.Fatalf("censorship never engaged: %d exclusions, %d targeted buys", c.Excluded, c.Submitted)
 	}
 	// Every miner censors, so targeted buys must never land.
-	if res.CensoredIncluded != 0 {
-		t.Errorf("%d targeted buys slipped past an all-censoring miner set", res.CensoredIncluded)
+	if res.Censor.Included != 0 {
+		t.Errorf("%d targeted buys slipped past an all-censoring miner set", res.Censor.Included)
 	}
 	if res.BuysIncluded >= honest.BuysIncluded {
 		t.Errorf("censorship did not reduce inclusion: %d included vs honest %d",
@@ -94,20 +93,21 @@ func TestForgerRejectedEverywhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.AttackTxsSent == 0 || res.ForgedBlocksSent == 0 {
-		t.Fatalf("forger idle: %d txs, %d blocks sent", res.AttackTxsSent, res.ForgedBlocksSent)
+	a := res.Attack
+	if a.TxsSent == 0 || a.BlocksSent == 0 {
+		t.Fatalf("forger idle: %d txs, %d blocks sent", a.TxsSent, a.BlocksSent)
 	}
-	if res.AttackTxsIncluded != 0 {
-		t.Errorf("%d forged txs entered the canonical chain", res.AttackTxsIncluded)
+	if a.TxsIncluded != 0 {
+		t.Errorf("%d forged txs entered the canonical chain", a.TxsIncluded)
 	}
-	if res.ForgedBlocksAccepted != 0 {
-		t.Errorf("%d forged blocks entered the canonical chain", res.ForgedBlocksAccepted)
+	if a.BlocksAccepted != 0 {
+		t.Errorf("%d forged blocks entered the canonical chain", a.BlocksAccepted)
 	}
 	// The forger emits only rejected traffic and the chaos link policy is
 	// clean, so the honest workload's outcome must be untouched — bit-for-
 	// bit the same η as the faults-disabled twin at the same seed.
 	honestCfg := cfg
-	honestCfg.Faults = FaultPlan{}
+	honestCfg.Faults = Faults{}
 	honest, err := Run(honestCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -123,18 +123,18 @@ func TestFrontrunnerReplaysDefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.AttackTxsSent == 0 {
+	a := res.Attack
+	if a.TxsSent == 0 {
 		t.Fatal("frontrunner never replayed an offer")
 	}
 	// Replays are validly signed by a registered key at a gas premium, so
 	// they DO get included; the RAA binding is what must defuse the stale
 	// ones at execution.
-	if res.AttackTxsIncluded == 0 {
+	if a.TxsIncluded == 0 {
 		t.Error("no replay was included despite the gas premium")
 	}
-	if res.AttackTxsSucceeded > res.AttackTxsIncluded {
-		t.Errorf("attack accounting: %d succeeded > %d included",
-			res.AttackTxsSucceeded, res.AttackTxsIncluded)
+	if a.TxsSucceeded > a.TxsIncluded {
+		t.Errorf("attack accounting: %d succeeded > %d included", a.TxsSucceeded, a.TxsIncluded)
 	}
 	if res.SetEfficiency() != 1 {
 		t.Errorf("replays broke the owner's set chain: set η %.3f", res.SetEfficiency())
@@ -149,7 +149,7 @@ func TestChaosLossCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.LinkDropped == 0 {
+	if res.Links.Dropped == 0 {
 		t.Error("lossy links dropped nothing")
 	}
 	if res.BuysIncluded == 0 {
@@ -177,7 +177,7 @@ func TestChaosTraceDeterministic(t *testing.T) {
 	ta, ra := run()
 	tb, rb := run()
 	if ra.Efficiency() != rb.Efficiency() || ra.BlocksOrphaned != rb.BlocksOrphaned ||
-		ra.LinkDropped != rb.LinkDropped || ra.PartitionBlocked != rb.PartitionBlocked {
+		*ra.Links != *rb.Links || *ra.Partition != *rb.Partition {
 		t.Fatalf("chaos results differ across identical runs:\n%+v\n%+v", ra, rb)
 	}
 	if len(ta) == 0 || len(ta) != len(tb) {

@@ -13,11 +13,11 @@ func TestCrashSingleRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Crashes != 1 {
-		t.Fatalf("crashes = %d, want 1", res.Crashes)
+	if res.Crash.Crashes != 1 {
+		t.Fatalf("crashes = %d, want 1", res.Crash.Crashes)
 	}
-	if res.CrashRecoveries != res.Crashes {
-		t.Fatalf("recoveries %d != crashes %d", res.CrashRecoveries, res.Crashes)
+	if res.Crash.Recoveries != res.Crash.Crashes {
+		t.Fatalf("recoveries %d != crashes %d", res.Crash.Recoveries, res.Crash.Crashes)
 	}
 	if !res.Converged {
 		t.Fatal("population did not converge after crash recovery")
@@ -33,7 +33,7 @@ func TestCrashSingleRecovers(t *testing.T) {
 func TestCrashHonestTwinUnaffected(t *testing.T) {
 	base := Crash(7)
 	withLayer := Crash(7)
-	withLayer.Faults = FaultPlan{}
+	withLayer.Faults = Faults{}
 	a, err := Run(base)
 	if err != nil {
 		t.Fatal(err)
@@ -52,8 +52,8 @@ func TestCrashHonestTwinUnaffected(t *testing.T) {
 // its datadir has executed nothing yet, so all of its head state still
 // resolves through the store on demand — and a crashed store serves
 // nothing, so any read through it panics the trie with a missing node.
-// doCrash takes the peer off the network before its store dies and
-// doRestart replaces the node, so nothing reads it in between.
+// kill takes the peer off the network before its store dies and
+// restart replaces the node, so nothing reads it in between.
 func TestCrashedLazyNodeIsDiscardedUnread(t *testing.T) {
 	s, err := newScenario(CrashSyncEveryBlock(5))
 	if err != nil {
@@ -61,28 +61,29 @@ func TestCrashedLazyNodeIsDiscardedUnread(t *testing.T) {
 	}
 	defer s.cleanup()
 	tl := s.newTimeline()
-	var restart event
+	// The crash peer's outage is the timeline's only pair of actor
+	// events; its restart is the later one.
+	var restart uint64
 	for _, ev := range tl.subs {
-		if ev.kind == evRestart {
-			restart = ev
+		if ev.fire != nil {
+			restart = ev.at
 		}
 	}
-	if restart.kind != evRestart || restart.at+30_000 > tl.lastSub {
-		t.Fatalf("no room for a second kill after the restart at %d ms (submissions end at %d)", restart.at, tl.lastSub)
+	if restart == 0 || restart+30_000 > tl.lastSub {
+		t.Fatalf("no room for a second kill after the restart at %d ms (submissions end at %d)", restart, tl.lastSub)
 	}
-	tl.subs = append(tl.subs,
-		event{at: restart.at + 1, kind: evCrash, idx: restart.idx},
-		event{at: restart.at + 30_000, kind: evRestart, idx: restart.idx})
+	c := s.actors[0].(*crasher)
+	tl.subs = append(tl.subs, c.outage(c.idxs[0], restart+1, restart+30_000)...)
 	sort.SliceStable(tl.subs, func(i, j int) bool { return tl.subs[i].at < tl.subs[j].at })
 	res, err := s.drive(tl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Crashes != 2 || res.CrashRecoveries != 2 {
-		t.Fatalf("crashes %d, recoveries %d, want 2 and 2", res.Crashes, res.CrashRecoveries)
+	if res.Crash.Crashes != 2 || res.Crash.Recoveries != 2 {
+		t.Fatalf("crashes %d, recoveries %d, want 2 and 2", res.Crash.Crashes, res.Crash.Recoveries)
 	}
-	if res.RecoveredBoots != 2 {
-		t.Fatalf("%d of 2 restarts recovered a durable head: the second kill did not land on a lazy node", res.RecoveredBoots)
+	if res.Crash.RecoveredBoots != 2 {
+		t.Fatalf("%d of 2 restarts recovered a durable head: the second kill did not land on a lazy node", res.Crash.RecoveredBoots)
 	}
 	if !res.Converged {
 		t.Fatal("population did not converge after the second recovery")

@@ -1,27 +1,20 @@
 package sim
 
-// Shape overrides a sweep's population and network geometry — the
-// -peers/-clients/-topology knobs of serethsim. Zero fields leave the
-// scenario's own configuration untouched.
+// Shape overrides a sweep's population, network geometry and modes — the
+// -peers/-clients/-topology/-degree/-parallel/-rpc-clients/-persist knobs
+// of serethsim. Each non-zero field overrides the ScenarioConfig field of
+// the same name; zero fields leave the scenario's own configuration
+// untouched. The modes leave η bit-identical: they exist to exercise
+// their paths across every sweep.
 type Shape struct {
 	SemanticMiners int
 	BaselineMiners int
 	Clients        int
 	Topology       string
 	Degree         int
-	// ParallelExec routes block execution through the optimistic
-	// parallel processor (serethsim -parallel). η is bit-identical
-	// either way; the flag exists to exercise the parallel path across
-	// every sweep.
-	ParallelExec bool
-	// RPCClients publishes client peers behind real HTTP JSON-RPC
-	// endpoints (serethsim -rpc-clients). η is bit-identical either
-	// way; the flag exists to exercise the serving tier across sweeps.
-	RPCClients bool
-	// Persist backs every node's chain with an in-memory store
-	// (serethsim -persist), flushing state and blocks write-through at
-	// each adoption. η is bit-identical either way.
-	Persist bool
+	ParallelExec   bool
+	RPCClients     bool
+	Persist        bool
 }
 
 // Apply returns cfg with the non-zero shape fields overridden.

@@ -14,10 +14,7 @@ func RunBlocks(cfg ScenarioConfig) (Result, []*types.Block, error) {
 	if err != nil {
 		return Result{}, nil, err
 	}
-	c := s.clients[0].Chain()
-	blocks := make([]*types.Block, 0, c.Height())
-	for n := uint64(1); n <= c.Height(); n++ {
-		blocks = append(blocks, c.BlockByNumber(n))
-	}
+	var blocks []*types.Block
+	s.canonical(func(b *types.Block, _ []*types.Receipt) { blocks = append(blocks, b) })
 	return res, blocks, nil
 }

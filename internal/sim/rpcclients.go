@@ -1,12 +1,3 @@
-// The serving-tier frontend: under ScenarioConfig.RPCClients every
-// client peer is published behind a real HTTP JSON-RPC endpoint
-// (rpc.Server on an httptest listener) and the workload's view reads
-// and submissions travel as sereth_view / eth_getStorageAt /
-// eth_sendRawTransaction calls instead of in-process method calls. The
-// RPC round trip returns the same view words and admits the same
-// signed transactions, so every measured η is unaffected — the mode
-// exists to exercise the deployable serving path under the full
-// scenario suite.
 package sim
 
 import (
@@ -16,16 +7,16 @@ import (
 	"strings"
 	"time"
 
-	"sereth/internal/asm"
 	"sereth/internal/node"
 	"sereth/internal/rpc"
 	"sereth/internal/txpool"
 	"sereth/internal/types"
 )
 
-// rpcFrontend holds one HTTP server and one typed caller per client
-// peer. Calls are synchronous in-process HTTP, so the simulation's
-// event timeline stays fully deterministic.
+// rpcFrontend is the serving tier ScenarioConfig.RPCClients puts in front
+// of the clients: one HTTP server and one typed caller per client peer.
+// Calls are synchronous in-process HTTP, so the simulation's event
+// timeline stays fully deterministic.
 type rpcFrontend struct {
 	servers []*httptest.Server
 	callers []*rpc.Client
@@ -116,17 +107,4 @@ func (s *scenario) submitVia(clientIdx int, tx *types.Transaction) error {
 		return txpool.ErrPoolFull
 	}
 	return err
-}
-
-// submitSetVia signs, memoizes (see buildBuy) and submits the owner's next
-// set through the primary client: the transaction SubmitSetPriced builds.
-func (s *scenario) submitSetVia(clientIdx int, gasPrice uint64, flag, prev, value types.Word) (*types.Transaction, error) {
-	tx := s.owner.SignTx(&types.Transaction{
-		Nonce:    s.ownerNonce,
-		To:       s.contract,
-		GasPrice: gasPrice,
-		GasLimit: 300_000,
-		Data:     types.EncodeCall(asm.SelSet, flag, prev, value),
-	}).Memoize()
-	return tx, s.submitVia(clientIdx, tx)
 }
