@@ -131,16 +131,20 @@ crash-smoke:
 # fits the stack scratch, the tx root one buffer whatever the body, both
 # equal to their Item-tree forms — and that a CallReadOnly result
 # survives later calls on the pooled machine whose return buffer it came
-# from; then it fuzzes the permutation against the loop form for 30 s.
+# from; what the copies cost — a frozen copy one allocation, a caller's
+# later edits reaching no instance a pool or a peer keeps — and that
+# recycled envelopes keep the delivery traces, allocate nothing on a
+# fault-free mesh and survive two goroutines advancing the clock; then it
+# fuzzes the permutation against the loop form for 30 s.
 elision-smoke:
 	$(GO) test -race -run 'TestInvocations' ./internal/keccak
 	$(GO) test -race -run 'TestSha3|TestJumpTableMatchesGeneric|FuzzInterpreter' ./internal/evm
-	$(GO) test -race -run 'TestAdmitAdoptsFrozenInstance|TestNthPoolAdmissionZeroKeccak|TestVerifiedFlagDoesNotSurviveTamper|TestAdmissionDigestBudget' ./internal/txpool
+	$(GO) test -race -run 'TestAdmitAdoptsFrozenInstance|TestNthPoolAdmissionZeroKeccak|TestVerifiedFlagDoesNotSurviveTamper|TestAdmissionDigestBudget|TestCallerEditsReachNoKeptInstance' ./internal/txpool
 	$(GO) test -race -run 'TestSubmitDigestBudget' ./internal/node
-	$(GO) test -race -run 'TestBatchID|TestBroadcastTxsHashCount' ./internal/p2p
+	$(GO) test -race -run 'TestBatchID|TestBroadcastTxsHashCount|TestRecycledEnvelopesKeepTheTrace|TestMeshGossipAllocatesNothing|TestConcurrentAdvanceDeliversEachOnce' ./internal/p2p
 	$(GO) test -race -run 'TestReplayKeccakCount|TestReplayAllocsPinned|TestParallelReplayElidesIdentically' ./internal/scenarios
 	$(GO) test -race -run 'TestPopulationExecutesEachBlockOnce' ./internal/sim
-	$(GO) test -race -run 'TestTxDigestsEncodeOnTheStack|TestDeriveTxRootIsFlat' ./internal/types
+	$(GO) test -race -run 'TestTxDigestsEncodeOnTheStack|TestDeriveTxRootIsFlat|TestFrozenCopyIsOneObject' ./internal/types
 	$(GO) test -race -run 'TestCallReadOnlyResultOutlivesTheMachine' ./internal/node
 	$(GO) test -run '^$$' -fuzz '^FuzzF1600$$' -fuzztime 30s ./internal/keccak
 
@@ -161,13 +165,17 @@ elision-smoke:
 # appended-to snapshot cache against an ordered-list model; a node
 # settling blocks while transactions are admitted and views read;
 # sereth_series served from the live DAG while batches are admitted and
-# removed.
+# removed; then AdmitBatch fuzzed for 30 s against sequential Admit on a
+# twin pool and a list model (forged signatures, duplicates within a
+# batch, replacements, stale nonces after a block, a full pool with and
+# without evict-lowest; seeds in internal/txpool/testdata/fuzz/).
 order-smoke:
 	$(GO) test -race -count=10 -run 'TestIncrementalEquivalence|TestProcess|TestAttach|TestConcurrentViewChurn|TestSemanticPrefix|TestBuyIndex' ./internal/hms
 	$(GO) test -race -count=10 -short -run 'TestOrderDifferential|TestBuildMatchesReference|TestRepair|TestRestCountMismatchIsNamed|TestBlockDoesNotPinPoolSizedBody|TestMinerSkipsSenderAfterGasMiss|TestBuildBlockRacesPoolChurn' ./internal/miner
 	$(GO) test -race -count=10 -short -run 'TestSettle|TestSnapshot|TestReAdmitted|TestClear' ./internal/txpool
 	$(GO) test -race -count=10 -run 'TestSettleRacesAdmissionsAndViews' ./internal/node
 	$(GO) test -race -count=10 -run 'TestSeries' ./internal/rpc
+	$(GO) test -run '^$$' -fuzz '^FuzzAdmitBatch$$' -fuzztime 30s ./internal/txpool
 
 # serving-smoke runs the persistence and serving-tier suite under the
 # race detector: the store, trie/state persistence, the

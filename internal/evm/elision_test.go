@@ -252,6 +252,9 @@ func TestPooledScratchCarriesNothing(t *testing.T) {
 	if res := e.Call(ctx); len(res.ReturnData) == 0 {
 		t.Fatal("the program returned nothing")
 	}
+	readOnly := ctx
+	readOnly.ReadOnly = true
+	e.Call(readOnly) // RAA augments into the machine's buffer
 	e.Release()
 	if e.state != nil || e.raa != nil || e.hint.MarkInput != nil || e.hint.PrevInput != nil ||
 		!e.hint.Mark.IsZero() || !e.hint.PrevDigest.IsZero() {
@@ -259,6 +262,9 @@ func TestPooledScratchCarriesNothing(t *testing.T) {
 	}
 	if len(e.ret) != 0 || cap(e.ret) == 0 {
 		t.Fatalf("released machine's return buffer: %d bytes, capacity %d; want empty, capacity kept", len(e.ret), cap(e.ret))
+	}
+	if len(e.aug) != 0 || cap(e.aug) == 0 {
+		t.Fatalf("released machine's augmented-calldata buffer: %d bytes, capacity %d; want empty, capacity kept", len(e.aug), cap(e.aug))
 	}
 	for i, entry := range e.memo.entries {
 		if entry.used {

@@ -33,10 +33,13 @@ type State interface {
 }
 
 // RAAProvider supplies Runtime Argument Augmentation data. Augment may
-// return rewritten calldata for a read-only call into contract; ok=false
-// leaves the call unmodified.
+// return rewritten calldata for a read-only call into contract, built as
+// append(dst[:0], input...) and then rewritten, never in input itself;
+// ok=false leaves the call unmodified. dst is a buffer the machine owns
+// and reuses, like its return buffer (see Result.ReturnData): the
+// augmented calldata lives until the machine's next Call or its Release.
 type RAAProvider interface {
-	Augment(contract types.Address, input []byte) (augmented []byte, ok bool)
+	Augment(dst []byte, contract types.Address, input []byte) (augmented []byte, ok bool)
 }
 
 // BlockContext exposes block-level environment values to the interpreter.
@@ -104,8 +107,10 @@ type EVM struct {
 	hint TxHint
 	memo sha3Memo
 
-	// ret holds the last call's return data (see Result.ReturnData).
+	// ret holds the last call's return data (see Result.ReturnData), aug
+	// its RAA-augmented calldata (see RAAProvider).
 	ret []byte
+	aug []byte
 }
 
 // machinePool recycles interpreters: the SHA3 memo makes one a kilobyte
@@ -123,12 +128,13 @@ func New(state State, block BlockContext) *EVM {
 // Release hands the interpreter back for the next New, carrying nothing:
 // the memo's hits are byte-verified and would stay correct, but what it
 // held would then depend on when the collector last emptied the pool, and
-// the digest count of a run with it. Only the return buffer's capacity is
-// kept — it holds bytes, not references, and the next Call overwrites
-// it. The caller must not use the machine, or a Result it returned,
-// again. Optional: a cold caller may leave its machine to the collector.
+// the digest count of a run with it. Only the capacity of the return and
+// augmented-calldata buffers is kept — they hold bytes, not references,
+// and the next Call overwrites them. The caller must not use the machine,
+// or a Result it returned, again. Optional: a cold caller may leave its
+// machine to the collector.
 func (e *EVM) Release() {
-	*e = EVM{ret: e.ret[:0]}
+	*e = EVM{ret: e.ret[:0], aug: e.aug[:0]}
 	machinePool.Put(e)
 }
 
@@ -189,8 +195,8 @@ func (e *EVM) prepare(ctx CallContext) (code, input []byte, empty bool) {
 	}
 	input = ctx.Input
 	if ctx.ReadOnly && e.raa != nil {
-		if augmented, ok := e.raa.Augment(ctx.Contract, input); ok {
-			input = augmented
+		if augmented, ok := e.raa.Augment(e.aug, ctx.Contract, input); ok {
+			e.aug, input = augmented, augmented
 		}
 	}
 	return code, input, false

@@ -1,6 +1,7 @@
 package evm
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -290,11 +291,11 @@ func TestTruncatedPushImmediate(t *testing.T) {
 // raaEcho rewrites argument word 0 to a fixed value.
 type raaEcho struct{ value types.Word }
 
-func (r raaEcho) Augment(_ types.Address, input []byte) ([]byte, bool) {
+func (r raaEcho) Augment(dst []byte, _ types.Address, input []byte) ([]byte, bool) {
 	if len(input) < 4+32 {
 		return nil, false
 	}
-	out := append([]byte{}, input...)
+	out := append(dst[:0], input...)
 	copy(out[4:36], r.value[:])
 	return out, true
 }
@@ -309,10 +310,18 @@ func TestRAAHookReadOnly(t *testing.T) {
 	e.SetRAAProvider(raaEcho{value: want})
 
 	input := make([]byte, 36) // zero arg word
-	// Read-only call: augmented.
+	// Read-only call: augmented, in the machine's own buffer, which the
+	// next read-only call reuses; the caller's input is never written.
 	res := e.Call(CallContext{Contract: contractAddr, Input: input, Gas: 100000, ReadOnly: true})
 	if res.ReturnWord() != want {
 		t.Errorf("RAA did not augment: got %x", res.ReturnWord())
+	}
+	aug := &e.aug[0]
+	if e.Call(CallContext{Contract: contractAddr, Input: input, Gas: 100000, ReadOnly: true}); &e.aug[0] != aug {
+		t.Error("the second read-only call augmented into a new buffer")
+	}
+	if !bytes.Equal(input, make([]byte, 36)) {
+		t.Error("RAA wrote the caller's calldata")
 	}
 	// Transaction (non-read-only): never augmented — the calldata is
 	// signature-protected (paper §III-D).

@@ -759,7 +759,8 @@ func (n *Node) ViewAMV(caller, contract types.Address) (flag, mark, value types.
 		// paper hot; results are identical to the tracker view. The two
 		// calls read one head state on one machine, and the second reuses
 		// the first's calldata under its own selector (the interpreter
-		// never writes its input, and RAA augments a copy).
+		// never writes its input, and RAA augments a copy in the
+		// machine's own buffer).
 		mark, value = view.AMV.Mark, view.AMV.Value
 		data := types.EncodeCall(asm.SelMark, view.Flag, mark, value)
 		n.readOnly(func(machine *evm.EVM) {

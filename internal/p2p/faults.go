@@ -138,11 +138,12 @@ func (n *Network) Leave(id PeerID) {
 }
 
 // scheduleFaultyLocked is the fault-layer counterpart of scheduleLocked:
-// instead of one shared envelope it fans out one clone per recipient so
-// each link can apply its own policy. Per recipient (in ascending id
-// order, matching recipientsLocked) the draw order from the fault RNG is
-// fixed: drop, jitter, reorder, duplicate — any fixed order works, but
-// it must never change, or seeded chaos runs lose reproducibility.
+// instead of one shared envelope it fans out one single-recipient
+// envelope per recipient, sharing the immutable payload, so each link
+// can apply its own policy. Per recipient (in ascending id order,
+// matching addressLocked) the draw order from the fault RNG is fixed:
+// drop, jitter, reorder, duplicate — any fixed order works, but it must
+// never change, or seeded chaos runs lose reproducibility.
 func (n *Network) scheduleFaultyLocked(env *envelope) {
 	// With a perfect policy on every link the fan-out is pointless:
 	// enqueue the shared envelope exactly like the plain path, so a
@@ -159,10 +160,11 @@ func (n *Network) scheduleFaultyLocked(env *envelope) {
 		n.enqueueLocked(env, n.cfg.LatencyMs)
 		return
 	}
+	defer n.releaseLocked(env) // every recipient gets its own clone
 	for _, r := range env.to {
 		pol := n.cfg.Faults.policyFor(env.from, r)
 		if pol.zero() {
-			n.enqueueLocked(env.cloneFor(r), n.cfg.LatencyMs)
+			n.enqueueLocked(n.envelopeLocked(env.message, r), n.cfg.LatencyMs)
 			continue
 		}
 		if !env.direct && pol.DropRate > 0 && n.faultRng.Float64() < pol.DropRate {
@@ -178,19 +180,11 @@ func (n *Network) scheduleFaultyLocked(env *envelope) {
 			n.fstats.Reordered++
 			delay += pol.ReorderDelayMs
 		}
-		n.enqueueLocked(env.cloneFor(r), delay)
+		n.enqueueLocked(n.envelopeLocked(env.message, r), delay)
 		if !env.direct && pol.DuplicateRate > 0 && n.faultRng.Float64() < pol.DuplicateRate {
 			n.fstats.Duplicated++
 			n.sent++
-			n.enqueueLocked(env.cloneFor(r), delay)
+			n.enqueueLocked(n.envelopeLocked(env.message, r), delay)
 		}
 	}
-}
-
-// cloneFor returns a single-recipient copy of the envelope sharing the
-// immutable payload.
-func (env *envelope) cloneFor(r PeerID) *envelope {
-	cp := *env
-	cp.to = []PeerID{r}
-	return &cp
 }

@@ -14,6 +14,7 @@ package p2p
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -92,19 +93,31 @@ func (k MsgKind) String() string {
 // envelope is one scheduled delivery: a single immutable payload shared
 // by every recipient. Broadcast payloads (tx, block) are never copied
 // per recipient — receivers that need ownership copy at pool admission.
+// A delivered envelope goes back to the network's free list, zeroed but
+// for buf's capacity, so steady-state traffic allocates no envelopes.
 type envelope struct {
 	deliverAt uint64
 	seq       uint64 // tie-break for deterministic ordering
-	kind      MsgKind
-	from      PeerID
-	to        []PeerID // recipients in ascending id order
-	tx        *types.Transaction
-	txs       []*types.Transaction // MsgTxBatch payload, shared immutable
-	block     *types.Block
-	number    uint64
-	relay     bool       // multihop gossip: recipients re-forward on delivery
-	direct    bool       // point-to-point send: reliable, never dropped/duplicated
-	id        types.Hash // payload identity for duplicate suppression (relay only)
+	message
+	// to lists the recipients in ascending id order and is never written
+	// once set: either buf, or a lossless full-mesh gossip's cached list
+	// of everyone but the sender (peerSet.othersLocked), shared by every
+	// envelope that sender gossips until the peer set changes.
+	to  []PeerID
+	buf []PeerID // this envelope's own recipient storage
+}
+
+// message is what an envelope carries, and how it travels.
+type message struct {
+	kind   MsgKind
+	from   PeerID
+	tx     *types.Transaction
+	txs    []*types.Transaction // MsgTxBatch payload, shared immutable
+	block  *types.Block
+	number uint64
+	relay  bool       // multihop gossip: recipients re-forward on delivery
+	direct bool       // point-to-point send: reliable, never dropped/duplicated
+	id     types.Hash // payload identity for duplicate suppression (relay only)
 }
 
 // TraceEvent records one delivery, for determinism regression tests.
@@ -133,19 +146,39 @@ const (
 )
 
 // peerSet is an immutable snapshot of the joined peers, sorted by id.
-// Join replaces it copy-on-write so deliveries resolve handlers without
-// holding the network lock.
+// Join replaces it copy-on-write so deliveries resolve handlers through
+// the set captured when their envelope popped, without holding the
+// network lock.
 type peerSet struct {
 	ids   []PeerID
 	hands []Handler
+	// others[i] caches ids without ids[i], built on first use under the
+	// network lock; deliveries never read it.
+	others [][]PeerID
 }
 
 func (ps *peerSet) handler(id PeerID) Handler {
-	i := sort.Search(len(ps.ids), func(i int) bool { return ps.ids[i] >= id })
-	if i < len(ps.ids) && ps.ids[i] == id {
+	if i, ok := slices.BinarySearch(ps.ids, id); ok {
 		return ps.hands[i]
 	}
 	return nil
+}
+
+// othersLocked returns every peer but from, in ascending id order: one
+// read-only list per sender and peer set. Callers hold the network lock.
+func (ps *peerSet) othersLocked(from PeerID) []PeerID {
+	i, ok := slices.BinarySearch(ps.ids, from)
+	if !ok {
+		return ps.ids
+	}
+	if ps.others == nil {
+		ps.others = make([][]PeerID, len(ps.ids))
+	}
+	if ps.others[i] == nil {
+		rest := make([]PeerID, 0, len(ps.ids)-1)
+		ps.others[i] = append(append(rest, ps.ids[:i]...), ps.ids[i+1:]...)
+	}
+	return ps.others[i]
 }
 
 // Network is the simulated fabric connecting peers. Safe for concurrent
@@ -169,6 +202,7 @@ type Network struct {
 	dropped uint64
 	sent    uint64
 	tracer  func(TraceEvent)
+	free    []*envelope // delivered envelopes, ready for reuse
 
 	// Fault-injection state (nil / zero unless cfg.Faults is set).
 	faultRng  *rand.Rand     // dedicated stream; never aliases rng
@@ -245,16 +279,17 @@ func (n *Network) Stats() (sent, dropped uint64) {
 // BroadcastTx gossips a transaction from the given peer, arriving after
 // the configured latency. A memoized (pool-admitted) transaction is
 // shared as-is with every recipient; an unmemoized one is copied ONCE
-// and frozen, so the caller keeps ownership of its instance either way.
+// (types.FrozenCopy) and memoized, so the caller keeps ownership of its
+// instance either way.
 func (n *Network) BroadcastTx(from PeerID, tx *types.Transaction) {
 	if !tx.Memoized() {
-		tx = tx.Copy().Memoize()
+		tx = types.FrozenCopy(tx).Memoize()
 	}
-	env := &envelope{kind: MsgTx, from: from, tx: tx}
+	msg := message{kind: MsgTx, from: from, tx: tx}
 	if n.topo != nil {
-		env.id = tx.Hash()
+		msg.id = tx.Hash()
 	}
-	n.gossip(env)
+	n.gossip(msg)
 }
 
 // BroadcastTxs gossips a batch of transactions as ONE envelope: one
@@ -274,11 +309,11 @@ func (n *Network) BroadcastTxs(from PeerID, txs []*types.Transaction) {
 	shared := make([]*types.Transaction, len(txs))
 	for i, tx := range txs {
 		if !tx.Memoized() {
-			tx = tx.Copy().Memoize()
+			tx = types.FrozenCopy(tx).Memoize()
 		}
 		shared[i] = tx
 	}
-	env := &envelope{kind: MsgTxBatch, from: from, txs: shared}
+	msg := message{kind: MsgTxBatch, from: from, txs: shared}
 	if n.topo != nil {
 		// Every member was frozen above, so each Hash() is a cached
 		// read — the only sponge here is the one over the id buffer.
@@ -291,18 +326,18 @@ func (n *Network) BroadcastTxs(from PeerID, txs []*types.Transaction) {
 			h := tx.Hash()
 			buf = append(buf, h[:]...)
 		}
-		env.id = types.Keccak(buf)
+		msg.id = types.Keccak(buf)
 	}
-	n.gossip(env)
+	n.gossip(msg)
 }
 
 // BroadcastBlock gossips a block. The block is shared, not copied.
 func (n *Network) BroadcastBlock(from PeerID, block *types.Block) {
-	env := &envelope{kind: MsgBlock, from: from, block: block}
+	msg := message{kind: MsgBlock, from: from, block: block}
 	if n.topo != nil {
-		env.id = block.Hash()
+		msg.id = block.Hash()
 	}
-	n.gossip(env)
+	n.gossip(msg)
 }
 
 // SendBlock delivers a block to one specific peer (sync responses).
@@ -310,54 +345,85 @@ func (n *Network) BroadcastBlock(from PeerID, block *types.Block) {
 // They are still subject to link latency/jitter and blocked across an
 // active partition.
 func (n *Network) SendBlock(from, to PeerID, block *types.Block) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.partitionedLocked(from, to) {
-		n.fstats.PartitionBlocked++
-		return
-	}
-	n.sent++
-	n.scheduleLocked(&envelope{kind: MsgBlock, from: from, to: []PeerID{to}, block: block, direct: true})
+	n.send(message{kind: MsgBlock, from: from, block: block, direct: true}, to)
 }
 
 // RequestBlocks asks one peer for its blocks from fromNumber onward.
 func (n *Network) RequestBlocks(from, to PeerID, fromNumber uint64) {
+	n.send(message{kind: MsgBlockRequest, from: from, number: fromNumber, direct: true}, to)
+}
+
+// send schedules a point-to-point message.
+func (n *Network) send(msg message, to PeerID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.partitionedLocked(from, to) {
+	if n.partitionedLocked(msg.from, to) {
 		n.fstats.PartitionBlocked++
 		return
 	}
 	n.sent++
-	n.scheduleLocked(&envelope{kind: MsgBlockRequest, from: from, to: []PeerID{to}, number: fromNumber, direct: true})
+	n.scheduleLocked(n.envelopeLocked(msg, to))
 }
 
 // gossip enqueues one shared envelope for the sender's neighbor set
-// (full mesh: everyone else). env.id identifies the payload for
+// (full mesh: everyone else). msg.id identifies the payload for
 // multihop duplicate suppression.
-func (n *Network) gossip(env *envelope) {
+func (n *Network) gossip(msg message) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.topo == nil {
-		env.to = n.recipientsLocked(env.from, n.peers.ids, env.kind, nil)
-	} else {
+	env := n.envelopeLocked(msg)
+	switch {
+	case n.topo != nil:
 		n.seen[seenKey{peer: env.from, kind: env.kind, id: env.id}] = struct{}{}
 		env.relay = true
-		env.to = n.recipientsLocked(env.from, n.neighborsLocked(env.from), env.kind, &env.id)
+		n.addressLocked(env, n.neighborsLocked(env.from), &env.id)
+	case n.cfg.DropRate == 0 && n.partition == nil:
+		// Nothing to filter and no draws to make: the recipients are
+		// everyone but the sender, a list cached per peer set.
+		env.to = n.peers.othersLocked(env.from)
+		n.sent += uint64(len(env.to))
+	default:
+		n.addressLocked(env, n.peers.ids, nil)
 	}
 	if len(env.to) == 0 {
+		n.releaseLocked(env)
 		return
 	}
 	n.scheduleLocked(env)
 }
 
-// recipientsLocked filters candidate recipients: the sender itself,
-// deterministic drops, and (multihop) peers that already saw the
-// payload. Drops consume one rng draw per attempted recipient, in
-// ascending id order — the exact stream of the per-recipient heap
-// implementation, so seeded runs stay bit-identical.
-func (n *Network) recipientsLocked(from PeerID, candidates []PeerID, kind MsgKind, seenID *types.Hash) []PeerID {
-	to := make([]PeerID, 0, len(candidates))
+// envelopeLocked returns an envelope for msg from the free list (or a
+// new one), addressed to the given recipients, if any, in its own buf.
+func (n *Network) envelopeLocked(msg message, to ...PeerID) *envelope {
+	var env *envelope
+	if k := len(n.free); k > 0 {
+		env = n.free[k-1]
+		n.free[k-1] = nil
+		n.free = n.free[:k-1]
+	} else {
+		env = new(envelope)
+	}
+	env.message = msg
+	env.buf = append(env.buf[:0], to...)
+	env.to = env.buf
+	return env
+}
+
+// releaseLocked returns an envelope no delivery will read again to the
+// free list, dropping its references so an idle envelope pins no payload.
+func (n *Network) releaseLocked(env *envelope) {
+	*env = envelope{buf: env.buf[:0]}
+	n.free = append(n.free, env)
+}
+
+// addressLocked addresses env, in its own buf, to the candidates that
+// pass the filters: not the sender itself, no deterministic drop, and
+// (multihop) not already seen the payload. Drops consume one rng draw
+// per attempted recipient, in ascending id order — the exact stream of
+// the per-recipient heap implementation, so seeded runs stay
+// bit-identical.
+func (n *Network) addressLocked(env *envelope, candidates []PeerID, seenID *types.Hash) {
+	from, kind, to := env.from, env.kind, env.buf[:0]
 	for _, r := range candidates {
 		if r == from {
 			continue
@@ -383,7 +449,7 @@ func (n *Network) recipientsLocked(from PeerID, candidates []PeerID, kind MsgKin
 		}
 		to = append(to, r)
 	}
-	return to
+	env.buf, env.to = to, to
 }
 
 // neighborsLocked returns the sender's neighbor list under the active
@@ -418,10 +484,11 @@ func (n *Network) enqueueLocked(env *envelope, delay uint64) {
 }
 
 // popDueLocked removes and returns the earliest envelope due at or
-// before t, together with its recipients' handlers, advancing model
-// time to its delivery instant. Within one delivery time, envelopes pop
-// in sequence order (wheel buckets are append-ordered).
-func (n *Network) popDueLocked(t uint64) (*envelope, []Handler, bool) {
+// before t, together with the peer set its recipients' handlers resolve
+// in, advancing model time to its delivery instant. Within one delivery
+// time, envelopes pop in sequence order (wheel buckets are
+// append-ordered).
+func (n *Network) popDueLocked(t uint64) (*envelope, *peerSet, bool) {
 	if n.pending == 0 {
 		return nil, nil, false
 	}
@@ -443,11 +510,7 @@ func (n *Network) popDueLocked(t uint64) (*envelope, []Handler, bool) {
 			if cursor > n.now {
 				n.now = cursor
 			}
-			hs := make([]Handler, len(env.to))
-			for j, r := range env.to {
-				hs[j] = n.peers.handler(r)
-			}
-			return env, hs, true
+			return env, n.peers, true
 		}
 	}
 	n.nextDue = cursor // every pending envelope is beyond t
@@ -458,12 +521,25 @@ func (n *Network) popDueLocked(t uint64) (*envelope, []Handler, bool) {
 // scheduled at or before t in deterministic order. Handlers invoked
 // during delivery may enqueue further messages; those are delivered too
 // if they fall within the window.
-func (n *Network) AdvanceTo(t uint64) {
+func (n *Network) AdvanceTo(t uint64) { n.deliverDue(t, true) }
+
+// Drain delivers every queued message regardless of timestamps, advancing
+// the clock as needed. Useful at the end of an experiment.
+func (n *Network) Drain() { n.deliverDue(^uint64(0), false) }
+
+// deliverDue delivers every envelope due at or before t, one at a time
+// outside the lock, releasing each when the next is popped; advance
+// then moves the clock to t.
+func (n *Network) deliverDue(t uint64, advance bool) {
+	var done *envelope
 	for {
 		n.mu.Lock()
-		env, hs, ok := n.popDueLocked(t)
+		if done != nil {
+			n.releaseLocked(done)
+		}
+		env, ps, ok := n.popDueLocked(t)
 		if !ok {
-			if t > n.now {
+			if advance && t > n.now {
 				n.now = t // time only moves forward
 			}
 			n.mu.Unlock()
@@ -471,32 +547,19 @@ func (n *Network) AdvanceTo(t uint64) {
 		}
 		tracer := n.tracer
 		n.mu.Unlock()
-		n.deliver(env, hs, tracer)
-	}
-}
-
-// Drain delivers every queued message regardless of timestamps, advancing
-// the clock as needed. Useful at the end of an experiment.
-func (n *Network) Drain() {
-	for {
-		n.mu.Lock()
-		env, hs, ok := n.popDueLocked(^uint64(0))
-		tracer := n.tracer
-		n.mu.Unlock()
-		if !ok {
-			return
-		}
-		n.deliver(env, hs, tracer)
+		n.deliver(env, ps, tracer)
+		done = env
 	}
 }
 
 // deliver invokes each recipient's handler in recipient order and, for
-// multihop gossip, forwards the shared payload one hop further.
-func (n *Network) deliver(env *envelope, hs []Handler, tracer func(TraceEvent)) {
-	for i, to := range env.to {
-		h := hs[i]
+// multihop gossip, forwards the shared payload one hop further. A
+// recipient missing from ps left (churn) after the send was scheduled.
+func (n *Network) deliver(env *envelope, ps *peerSet, tracer func(TraceEvent)) {
+	for _, to := range env.to {
+		h := ps.handler(to)
 		if h == nil {
-			continue // recipient left (churn) after the send was scheduled
+			continue
 		}
 		if tracer != nil {
 			tracer(TraceEvent{At: env.deliverAt, Seq: env.seq, Kind: env.kind, From: env.from, To: to})
@@ -528,9 +591,12 @@ func (n *Network) deliver(env *envelope, hs []Handler, tracer func(TraceEvent)) 
 func (n *Network) relayFrom(from PeerID, env *envelope) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	fwd := &envelope{kind: env.kind, from: from, tx: env.tx, txs: env.txs, block: env.block, relay: true, id: env.id}
-	fwd.to = n.recipientsLocked(from, n.neighborsLocked(from), env.kind, &fwd.id)
+	msg := env.message
+	msg.from = from
+	fwd := n.envelopeLocked(msg)
+	n.addressLocked(fwd, n.neighborsLocked(from), &fwd.id)
 	if len(fwd.to) == 0 {
+		n.releaseLocked(fwd)
 		return
 	}
 	n.scheduleLocked(fwd)

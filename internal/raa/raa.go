@@ -7,7 +7,6 @@
 package raa
 
 import (
-	"bytes"
 	"sync"
 
 	"sereth/internal/evm"
@@ -16,7 +15,7 @@ import (
 )
 
 // Provider rewrites the argument words of one registered function in
-// place: args is the argument area of a private copy of the calldata,
+// place: args is the argument area of a copy of the calldata,
 // and only words the caller supplied may be written (the "data types
 // must match" restriction of §III-D, kept by SetWord). Returning false
 // leaves the call unmodified, whatever was written.
@@ -79,8 +78,9 @@ func (s *Service) Unregister(contract types.Address, selector types.Selector) {
 
 // Augment implements evm.RAAProvider. The interpreter invokes it for
 // read-only calls only. The provider writes its words straight into the
-// one copy of the calldata Augment makes; input itself is never written.
-func (s *Service) Augment(contract types.Address, input []byte) ([]byte, bool) {
+// copy of the calldata Augment makes in dst's storage; input itself is
+// never written.
+func (s *Service) Augment(dst []byte, contract types.Address, input []byte) ([]byte, bool) {
 	sel, ok := types.CallSelector(input)
 	if !ok {
 		return nil, false
@@ -91,7 +91,7 @@ func (s *Service) Augment(contract types.Address, input []byte) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	out := bytes.Clone(input)
+	out := append(dst[:0], input...)
 	if !p.Provide(contract, out[types.SelectorLength:]) {
 		return nil, false
 	}

@@ -21,7 +21,7 @@ func TestAugmentRouting(t *testing.T) {
 	s.Register(contract, asm.SelGet, StaticProvider{Words: []types.Word{want}})
 
 	input := types.EncodeCall(asm.SelGet, types.ZeroWord, types.ZeroWord, types.ZeroWord)
-	out, ok := s.Augment(contract, input)
+	out, ok := s.Augment(nil, contract, input)
 	if !ok {
 		t.Fatal("registered call not augmented")
 	}
@@ -31,15 +31,15 @@ func TestAugmentRouting(t *testing.T) {
 		t.Errorf("arg0 = %x", got)
 	}
 	// Unregistered selector untouched.
-	if _, ok := s.Augment(contract, types.EncodeCall(asm.SelBuy, types.ZeroWord)); ok {
+	if _, ok := s.Augment(nil, contract, types.EncodeCall(asm.SelBuy, types.ZeroWord)); ok {
 		t.Error("unregistered selector augmented")
 	}
 	// Unregistered contract untouched.
-	if _, ok := s.Augment(types.Address{19: 0xdd}, input); ok {
+	if _, ok := s.Augment(nil, types.Address{19: 0xdd}, input); ok {
 		t.Error("unregistered contract augmented")
 	}
 	// Selector-less input untouched.
-	if _, ok := s.Augment(contract, []byte{1, 2}); ok {
+	if _, ok := s.Augment(nil, contract, []byte{1, 2}); ok {
 		t.Error("short input augmented")
 	}
 }
@@ -51,7 +51,7 @@ func TestAugmentDoesNotOverflowArgs(t *testing.T) {
 	})
 	// Only one argument slot available: must refuse (type/shape mismatch).
 	input := types.EncodeCall(asm.SelGet, types.ZeroWord)
-	if _, ok := s.Augment(contract, input); ok {
+	if _, ok := s.Augment(nil, contract, input); ok {
 		t.Error("oversized replacement accepted")
 	}
 }
@@ -60,7 +60,7 @@ func TestAugmentDoesNotMutateInput(t *testing.T) {
 	s := NewService()
 	s.Register(contract, asm.SelGet, StaticProvider{Words: []types.Word{types.WordFromUint64(9)}})
 	input := types.EncodeCall(asm.SelGet, types.ZeroWord)
-	out, ok := s.Augment(contract, input)
+	out, ok := s.Augment(nil, contract, input)
 	if !ok {
 		t.Fatal("not augmented")
 	}
@@ -76,7 +76,7 @@ func TestUnregister(t *testing.T) {
 	s := NewService()
 	s.Register(contract, asm.SelGet, StaticProvider{Words: []types.Word{{}}})
 	s.Unregister(contract, asm.SelGet)
-	if _, ok := s.Augment(contract, types.EncodeCall(asm.SelGet, types.ZeroWord)); ok {
+	if _, ok := s.Augment(nil, contract, types.EncodeCall(asm.SelGet, types.ZeroWord)); ok {
 		t.Error("unregistered provider still active")
 	}
 }
@@ -88,7 +88,7 @@ func TestProviderFunc(t *testing.T) {
 		return SetWord(args, 0, types.Word(args[types.WordLength:2*types.WordLength]))
 	}))
 	input := types.EncodeCall(asm.SelGet, types.ZeroWord, types.WordFromUint64(5))
-	out, ok := s.Augment(contract, input)
+	out, ok := s.Augment(nil, contract, input)
 	if !ok || out[35] != 5 {
 		t.Error("ProviderFunc routing broken")
 	}

@@ -33,9 +33,11 @@ import (
 // own buffer) — what matters is that nothing in it is per pending
 // transaction. txpool/settle-50-of-10k removes 50 transactions through
 // the tracker's feed, which allocates nothing, and admits them again: the
-// 87 are the tracker's, for ten sets and forty buys coming back, and the
-// batch's two result slices (88 while AdmitBatch also kept a slice of
-// the hashes the frozen instances already carry). The orderings and the
+// 42 are the tracker's, for ten sets and forty buys coming back, and the
+// batch's two result slices (87 while the pool's nonce index was a map
+// per sender, dropped with a sender's last transaction and made again
+// on its return; 88 while AdmitBatch also kept a slice of the hashes the
+// frozen instances already carry). The orderings and the
 // build are pinned to a range either side for map growth under the
 // per-process hash seed.
 func TestBlockAssemblyAllocsPinned(t *testing.T) {
@@ -60,8 +62,8 @@ func TestBlockAssemblyAllocsPinned(t *testing.T) {
 	if build < 258 || build > 270 {
 		t.Errorf("miner/build-50-of-pool10k: %v allocs per block, pinned 264 +- 6", build)
 	}
-	if settle != 87 {
-		t.Errorf("txpool/settle-50-of-10k: %v allocs per settle and re-admission, pinned 87", settle)
+	if settle != 42 {
+		t.Errorf("txpool/settle-50-of-10k: %v allocs per settle and re-admission, pinned 42", settle)
 	}
 	if admit != 3 {
 		t.Errorf("txpool/snapshot-after-admit-10k: %v allocs per admission and snapshot, pinned 3", admit)

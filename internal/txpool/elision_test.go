@@ -1,10 +1,12 @@
 package txpool
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
 	"sereth/internal/keccak"
+	"sereth/internal/p2p"
 	"sereth/internal/types"
 	"sereth/internal/wallet"
 )
@@ -124,31 +126,73 @@ func TestNthPoolAdmissionZeroKeccak(t *testing.T) {
 // TestVerifiedFlagDoesNotSurviveTamper pins forge-safety: mutating a
 // copy of a verified transaction (the forger adversary's move) must
 // re-verify and fail — the flag lives in the derived cache that Copy
-// drops.
+// drops. It holds for every verified instance the process keeps: one
+// memoized in place, a FrozenCopy, the instance a pool admits from a
+// caller-owned copy and the one a peer receives when the network copies
+// a caller-owned transaction. A Copy of any of them carries no digest:
+// its identity hash is derived again.
 func TestVerifiedFlagDoesNotSurviveTamper(t *testing.T) {
 	reg := wallet.NewRegistry()
 	key := wallet.NewKey("elision-tamper")
 	reg.Register(key)
-	frozen := frozenSignedTx(key, 0)
-	if err := reg.VerifyTx(frozen); err != nil {
-		t.Fatalf("honest verify: %v", err)
+	sources := []struct {
+		name     string
+		instance func(nonce uint64) *types.Transaction
+	}{
+		{"memoized", func(nonce uint64) *types.Transaction { return frozenSignedTx(key, nonce) }},
+		{"frozen copy", func(nonce uint64) *types.Transaction {
+			return types.FrozenCopy(frozenSignedTx(key, nonce).Copy()).Memoize()
+		}},
+		{"admitted", func(nonce uint64) *types.Transaction {
+			kept, err := New(WithValidator(reg.VerifyTx)).Admit(frozenSignedTx(key, nonce).Copy())
+			if err != nil {
+				t.Fatalf("admit: %v", err)
+			}
+			return kept
+		}},
+		{"gossiped", func(nonce uint64) *types.Transaction {
+			return gossip(frozenSignedTx(key, nonce).Copy(), nil)
+		}},
 	}
+	for i, src := range sources {
+		frozen := src.instance(uint64(i))
+		if !frozen.Memoized() {
+			t.Fatalf("%s: the instance is not memoized", src.name)
+		}
+		if err := reg.VerifyTx(frozen); err != nil {
+			t.Fatalf("%s: honest verify: %v", src.name, err)
+		}
+		if !frozen.SigVerifiedBy(reg) {
+			t.Fatalf("%s: a verified instance does not carry the flag", src.name)
+		}
+		cp := frozen.Copy()
+		if cp.Memoized() || cp.SigVerifiedBy(reg) {
+			t.Fatalf("%s: copy kept the derived cache or the flag", src.name)
+		}
+		before := keccak.Invocations()
+		if cp.Hash() != frozen.Hash() {
+			t.Fatalf("%s: copy hashes differently", src.name)
+		}
+		if n := keccak.Invocations() - before; n != 1 {
+			t.Fatalf("%s: a copy's identity hash cost %d digests, want 1 (derived again)", src.name, n)
+		}
+		if cp.Freeze().SigVerifiedBy(reg) {
+			t.Fatalf("%s: a refrozen copy carries the flag", src.name)
+		}
 
-	forged := frozen.Copy()
-	forged.Value = 1_000_000 // tampered content, stale signature
-	if forged.Memoized() {
-		t.Fatal("copy must drop the derived cache")
-	}
-	if err := reg.VerifyTx(forged); err == nil {
-		t.Fatal("tampered copy passed verification via a leaked cached flag")
-	}
-	// And the honest instance still passes from cache.
-	before := keccak.Invocations()
-	if err := reg.VerifyTx(frozen); err != nil {
-		t.Fatalf("honest re-verify: %v", err)
-	}
-	if n := keccak.Invocations() - before; n != 0 {
-		t.Fatalf("cached re-verify: %d keccak invocations, want 0", n)
+		forged := frozen.Copy()
+		forged.Value = 1_000_000 // tampered content, stale signature
+		if err := reg.VerifyTx(forged); err == nil {
+			t.Fatalf("%s: tampered copy passed verification via a leaked cached flag", src.name)
+		}
+		// And the honest instance still passes from cache.
+		before = keccak.Invocations()
+		if err := reg.VerifyTx(frozen); err != nil {
+			t.Fatalf("%s: honest re-verify: %v", src.name, err)
+		}
+		if n := keccak.Invocations() - before; n != 0 {
+			t.Fatalf("%s: cached re-verify: %d keccak invocations, want 0", src.name, n)
+		}
 	}
 
 	// The same through the pools: the origin verifies the private copy it
@@ -158,7 +202,7 @@ func TestVerifiedFlagDoesNotSurviveTamper(t *testing.T) {
 	// digest and no flag, and is refused.
 	validator := WithValidator(reg.VerifyTx)
 	origin, second := New(validator), New(validator)
-	gossiped, err := origin.Admit(frozenSignedTx(key, 1).Copy())
+	gossiped, err := origin.Admit(frozenSignedTx(key, 10).Copy())
 	if err != nil {
 		t.Fatalf("origin admit: %v", err)
 	}
@@ -173,12 +217,88 @@ func TestVerifiedFlagDoesNotSurviveTamper(t *testing.T) {
 	if _, err := second.Admit(flipped); !errors.Is(err, ErrRejected) {
 		t.Fatalf("bit-flipped copy of a flagged instance: %v, want ErrRejected", err)
 	}
-	before = keccak.Invocations()
+	before := keccak.Invocations()
 	if _, err := second.Admit(gossiped); err != nil {
 		t.Fatalf("second pool admit: %v", err)
 	}
 	if n := keccak.Invocations() - before; n != 0 {
 		t.Fatalf("second pool admitted the flagged instance for %d keccak invocations, want 0", n)
+	}
+}
+
+// catcher is a network peer that keeps what it receives.
+type catcher struct{ got []*types.Transaction }
+
+func (c *catcher) HandleTx(_ p2p.PeerID, tx *types.Transaction) { c.got = append(c.got, tx) }
+func (c *catcher) HandleBlock(p2p.PeerID, *types.Block)         {}
+func (c *catcher) HandleBlockRequest(p2p.PeerID, uint64)        {}
+
+// gossip broadcasts tx from one peer to another, calls edit (if any)
+// on tx while the gossip is in flight, and returns what the other peer
+// receives.
+func gossip(tx *types.Transaction, edit func(*types.Transaction)) *types.Transaction {
+	net := p2p.NewNetwork(p2p.Config{LatencyMs: 1})
+	recv := &catcher{}
+	net.Join(1, &catcher{})
+	net.Join(2, recv)
+	net.BroadcastTx(1, tx)
+	if edit != nil {
+		edit(tx)
+	}
+	net.Drain()
+	return recv.got[0]
+}
+
+// TestCallerEditsReachNoKeptInstance is the copy differential: after a
+// pool admits, or the network gossips, a caller-owned transaction, no
+// edit the caller makes to its instance — calldata written in place,
+// resliced or appended to, any field — changes the kept instance's bytes
+// or its Hash and SigHash, cached or derived again from a copy.
+func TestCallerEditsReachNoKeptInstance(t *testing.T) {
+	reg := wallet.NewRegistry()
+	key := wallet.NewKey("elision-edits")
+	reg.Register(key)
+	edits := []struct {
+		name string
+		edit func(*types.Transaction)
+	}{
+		{"calldata byte", func(tx *types.Transaction) { tx.Data[len(tx.Data)-1] ^= 1 }},
+		{"calldata cleared", func(tx *types.Transaction) { clear(tx.Data) }},
+		{"calldata resliced", func(tx *types.Transaction) { tx.Data = tx.Data[:4] }},
+		{"calldata appended in place", func(tx *types.Transaction) { tx.Data = append(tx.Data[:8], 0xee) }},
+		{"nonce", func(tx *types.Transaction) { tx.Nonce++ }},
+		{"to", func(tx *types.Transaction) { tx.To[0] ^= 1 }},
+		{"value", func(tx *types.Transaction) { tx.Value = 1 << 40 }},
+		{"gas price", func(tx *types.Transaction) { tx.GasPrice *= 3 }},
+		{"gas limit", func(tx *types.Transaction) { tx.GasLimit-- }},
+		{"from", func(tx *types.Transaction) { tx.From[19] ^= 1 }},
+		{"signature", func(tx *types.Transaction) { tx.Sig[0] ^= 1 }},
+	}
+	for i, e := range edits {
+		own := frozenSignedTx(key, uint64(i)).Copy()
+		wantBytes, wantHash, wantSig := own.EncodeRLP(), own.Hash(), own.SigHash()
+		check := func(path string, kept *types.Transaction) {
+			t.Helper()
+			if !bytes.Equal(kept.EncodeRLP(), wantBytes) || kept.Hash() != wantHash || kept.SigHash() != wantSig {
+				t.Errorf("%s, then the caller edits its %s: the kept instance changed", path, e.name)
+			}
+			if cp := kept.Copy(); cp.Hash() != wantHash || cp.SigHash() != wantSig {
+				t.Errorf("%s, then the caller edits its %s: the kept bytes no longer derive the cached digests", path, e.name)
+			}
+		}
+
+		p := New(WithValidator(reg.VerifyTx))
+		kept, err := p.Admit(own)
+		if err != nil {
+			t.Fatalf("%s: admit: %v", e.name, err)
+		}
+		e.edit(own)
+		check("Admit", kept)
+		snap, _ := p.Snapshot()
+		check("Admit (the snapshot's instance)", snap[0])
+
+		own = frozenSignedTx(key, uint64(i)).Copy()
+		check("BroadcastTx", gossip(own, e.edit))
 	}
 }
 

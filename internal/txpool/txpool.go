@@ -9,7 +9,6 @@ package txpool
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"sereth/internal/types"
@@ -80,10 +79,12 @@ type Pool struct {
 	// a removal leaves a nil slot (compacted lazily), so a re-admitted
 	// transaction appears once, at its new position, and reading the
 	// pending set in order is a pointer scan.
-	arrival  []*types.Transaction
-	settled  int                // arrival[settled:] was admitted since the last Settle
-	slot     map[types.Hash]int // every live hash's slot in arrival
-	bySender map[types.Address]map[uint64]types.Hash
+	arrival []*types.Transaction
+	settled int                // arrival[settled:] was admitted since the last Settle
+	slot    map[types.Hash]int // every live hash's slot in arrival
+	// byNonce holds the resident of every (sender, nonce) slot: one flat
+	// map, so an admission allocates no per-sender map.
+	byNonce  map[senderNonce]*types.Transaction
 	validate Validator
 	capacity int
 	// evictLowest selects the overflow policy: evict the oldest
@@ -104,11 +105,20 @@ type Pool struct {
 	snap []*types.Transaction
 }
 
+// senderNonce keys the nonce index: a sender holds at most one pending
+// transaction per nonce.
+type senderNonce struct {
+	from  types.Address
+	nonce uint64
+}
+
+func slotOf(tx *types.Transaction) senderNonce { return senderNonce{tx.From, tx.Nonce} }
+
 // New returns an empty pool.
 func New(opts ...Option) *Pool {
 	p := &Pool{
 		slot:     make(map[types.Hash]int),
-		bySender: make(map[types.Address]map[uint64]types.Hash),
+		byNonce:  make(map[senderNonce]*types.Transaction),
 		capacity: 65536,
 	}
 	for _, opt := range opts {
@@ -237,13 +247,14 @@ func (p *Pool) Admit(tx *types.Transaction) (*types.Transaction, error) {
 // peer — is adopted as-is: it carries its derived data (identity hash,
 // sig digest, mark, verified-signature flag), so admission is a cache hit
 // with no copy and no re-derivation, and every pool in the process shares
-// one frozen instance. Anything else is copied and the copy frozen before
-// the validator sees it: the signing digest the check derives and its
-// verdict stay on the instance the pool keeps and gossips, whatever the
-// caller does to its own meanwhile.
+// one frozen instance. Anything else becomes a frozen copy
+// (types.FrozenCopy, one allocation) before the validator sees it: the
+// signing digest the check derives and its verdict stay on the instance
+// the pool keeps and gossips, whatever the caller does to its own
+// meanwhile.
 func (p *Pool) screen(tx *types.Transaction) (*types.Transaction, error) {
 	if !tx.Memoized() {
-		tx = tx.Copy().Freeze()
+		tx = types.FrozenCopy(tx)
 	}
 	if p.validate != nil {
 		if err := p.validate(tx); err != nil {
@@ -290,37 +301,25 @@ func (p *Pool) admitLocked(tx *types.Transaction) error {
 	if _, known := p.slot[hash]; known {
 		return ErrAlreadyKnown
 	}
-	var prevHash types.Hash
-	var replacing bool
-	if nonces, ok := p.bySender[tx.From]; ok {
-		prevHash, replacing = nonces[tx.Nonce]
-	}
-	if replacing {
+	key := slotOf(tx)
+	if prev, replacing := p.byNonce[key]; replacing {
 		// A price bump swaps a resident tx, so it is admissible even at
 		// capacity.
-		if tx.GasPrice <= p.arrival[p.slot[prevHash]].GasPrice {
+		if tx.GasPrice <= prev.GasPrice {
 			return ErrUnderpriced
 		}
-		p.removeLocked(prevHash)
+		p.removeLocked(prev.Hash())
 	} else if len(p.slot) >= p.capacity {
 		if !p.evictLowest || !p.evictLowestLocked(tx.GasPrice) {
 			return ErrPoolFull
 		}
-	}
-	// Look the nonce map up after the removal above: evicting the
-	// sender's only pending tx drops their map, and writing into the
-	// stale one would orphan the sender from the index.
-	nonces, ok := p.bySender[tx.From]
-	if !ok {
-		nonces = make(map[uint64]types.Hash)
-		p.bySender[tx.From] = nonces
 	}
 	// Admitted: derive the marks, so every later Hash/Selector/FPV/Mark
 	// access (views, mining, gossip) is a cached lookup.
 	tx.Memoize()
 	p.slot[hash] = len(p.arrival)
 	p.arrival = append(p.arrival, tx)
-	nonces[tx.Nonce] = hash
+	p.byNonce[key] = tx
 	p.changedLocked(TxAdded, tx)
 	return nil
 }
@@ -392,27 +391,6 @@ func (p *Pool) Pending() []*types.Transaction {
 	return out
 }
 
-// BySender returns each sender's pending transactions sorted by nonce —
-// the view a miner works from (§II-C): it may reorder across senders but
-// must respect nonce order within one.
-func (p *Pool) BySender() map[types.Address][]*types.Transaction {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	out := make(map[types.Address][]*types.Transaction, len(p.bySender))
-	for sender, nonces := range p.bySender {
-		if len(nonces) == 0 {
-			continue
-		}
-		txs := make([]*types.Transaction, 0, len(nonces))
-		for _, h := range nonces {
-			txs = append(txs, p.arrival[p.slot[h]].Copy())
-		}
-		sort.Slice(txs, func(i, j int) bool { return txs[i].Nonce < txs[j].Nonce })
-		out[sender] = txs
-	}
-	return out
-}
-
 // Remove deletes the given transactions (e.g. after block inclusion).
 func (p *Pool) Remove(hashes []types.Hash) {
 	p.mu.Lock()
@@ -441,8 +419,8 @@ func (p *Pool) Settle(included []*types.Transaction, nonceOf func(types.Address)
 		p.removeLocked(tx.Hash())
 	}
 	for _, tx := range included {
-		if h, ok := p.bySender[tx.From][tx.Nonce]; ok {
-			p.removeLocked(h)
+		if resident, ok := p.byNonce[slotOf(tx)]; ok {
+			p.removeLocked(resident.Hash())
 		}
 	}
 	// Removing compacts arrival, so the late arrivals are listed first.
@@ -466,7 +444,7 @@ func (p *Pool) Clear() {
 	arrival := p.arrival
 	p.arrival, p.settled = nil, 0
 	p.slot = make(map[types.Hash]int)
-	p.bySender = make(map[types.Address]map[uint64]types.Hash)
+	p.byNonce = make(map[senderNonce]*types.Transaction)
 	for _, tx := range arrival {
 		if tx != nil {
 			p.changedLocked(TxRemoved, tx)
@@ -483,13 +461,8 @@ func (p *Pool) removeLocked(h types.Hash) {
 	p.arrival[i] = nil
 	delete(p.slot, h)
 	p.changedLocked(TxRemoved, tx)
-	if nonces, ok := p.bySender[tx.From]; ok {
-		if cur, ok := nonces[tx.Nonce]; ok && cur == h {
-			delete(nonces, tx.Nonce)
-		}
-		if len(nonces) == 0 {
-			delete(p.bySender, tx.From)
-		}
+	if key := slotOf(tx); p.byNonce[key] == tx {
+		delete(p.byNonce, key)
 	}
 	// arrival is compacted lazily; drop the nil slots when the slice
 	// grows far past the live set.

@@ -69,12 +69,16 @@ type txDerived struct {
 // calls write: the instance is private to its owner until Memoize.
 func (tx *Transaction) Freeze() *Transaction {
 	if tx.derived == nil {
-		d := &txDerived{}
-		d.sel, d.selOK = CallSelector(tx.Data)
-		d.fpv, d.fpvErr = DecodeFPV(tx.Data)
-		tx.derived = d
+		tx.derived = new(txDerived)
+		tx.derived.decode(tx.Data)
 	}
 	return tx
+}
+
+// decode writes what Freeze derives from the calldata: selector and FPV.
+func (d *txDerived) decode(data []byte) {
+	d.sel, d.selOK = CallSelector(data)
+	d.fpv, d.fpvErr = DecodeFPV(data)
 }
 
 // Memoize freezes the transaction and caches all of its derived data —
@@ -177,9 +181,8 @@ func (tx *Transaction) computeHash() Hash {
 const txMaxOverhead = 4*9 + 2*21 + 33 + 2*listHeaderMaxSize
 
 // txScratchSize is the stack buffer a digest encodes into: it holds the
-// encoding of any transaction with up to 128 bytes of calldata, which
-// covers every call this repository makes (a Sereth call is 100).
-const txScratchSize = txMaxOverhead + 128
+// encoding of any transaction whose calldata fits frozenCalldata.
+const txScratchSize = txMaxOverhead + frozenCalldata
 
 // digestBuf returns scratch when the encoding fits it, and a heap buffer
 // of the encoding's size when the calldata is longer.
@@ -350,6 +353,39 @@ func (tx *Transaction) Copy() *Transaction {
 	cp.Data = append([]byte{}, tx.Data...)
 	cp.derived = nil
 	return &cp
+}
+
+// frozenCalldata is the calldata FrozenCopy keeps inline and a digest
+// encodes on the stack: every call this repository makes fits (a Sereth
+// call is 100 bytes).
+const frozenCalldata = 128
+
+// frozenTx is what FrozenCopy allocates: the copy, its derived block and
+// its calldata, in one object.
+type frozenTx struct {
+	tx   Transaction
+	d    txDerived
+	data [frozenCalldata]byte
+}
+
+// FrozenCopy returns tx.Copy().Freeze() in one allocation when the
+// calldata fits 128 bytes, and two when it is longer: the transaction,
+// its derived block and its calldata live in one object. Like Copy it
+// carries no digest and no verified flag from tx, and like Freeze the
+// result must not be mutated. The pool and the network copy every
+// caller-owned transaction they keep this way.
+func FrozenCopy(tx *Transaction) *Transaction {
+	f := &frozenTx{tx: *tx}
+	cp := &f.tx
+	if n := len(tx.Data); n <= frozenCalldata {
+		cp.Data = f.data[:n:n]
+		copy(cp.Data, tx.Data)
+	} else {
+		cp.Data = append([]byte{}, tx.Data...)
+	}
+	cp.derived = &f.d
+	f.d.decode(cp.Data)
+	return cp
 }
 
 // ReceiptStatus reports whether an included transaction changed state.

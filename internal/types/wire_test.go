@@ -59,6 +59,47 @@ func TestTxDigestsEncodeOnTheStack(t *testing.T) {
 	}
 }
 
+// kept holds what an allocation count measures, so the compiler cannot
+// keep it on the stack.
+var kept *Transaction
+
+// TestFrozenCopyIsOneObject: FrozenCopy is one allocation — the copy, its
+// derived block and its calldata — while the calldata fits 128 bytes,
+// and two beyond. Either way it is Copy().Freeze() field for field and
+// digest for digest, and shares no byte with the original.
+func TestFrozenCopyIsOneObject(t *testing.T) {
+	for _, n := range []int{0, 100, frozenCalldata, frozenCalldata + 1, 4096} {
+		tx := widestTx(n)
+		tx.Data = append(tx.Data, 0xcd)[:n] // a spare byte past len: the copy must not see it
+		cp, ref := FrozenCopy(tx), tx.Copy().Freeze()
+		if !bytes.Equal(cp.EncodeRLP(), ref.EncodeRLP()) || cp.Hash() != ref.Hash() || cp.SigHash() != ref.SigHash() {
+			t.Fatalf("calldata of %d bytes: the frozen copy encodes or hashes differently", n)
+		}
+		if cpSel, cpOK := cp.Selector(); cpSel != ref.derived.sel || cpOK != ref.derived.selOK {
+			t.Fatalf("calldata of %d bytes: selector %x/%v, want %x/%v", n, cpSel, cpOK, ref.derived.sel, ref.derived.selOK)
+		}
+		if cpFPV, err := cp.FPV(); cpFPV != ref.derived.fpv || (err == nil) != (ref.derived.fpvErr == nil) {
+			t.Fatalf("calldata of %d bytes: FPV differs", n)
+		}
+		if len(cp.Data) != n || (n <= frozenCalldata && cap(cp.Data) != n) {
+			t.Fatalf("calldata of %d bytes: the copy's calldata has length %d, capacity %d", n, len(cp.Data), cap(cp.Data))
+		}
+		if n > 0 {
+			tx.Data[0] ^= 1
+			if cp.Data[0] == tx.Data[0] {
+				t.Fatalf("calldata of %d bytes: the copy shares the original's calldata", n)
+			}
+		}
+		want := 1.0
+		if n > frozenCalldata {
+			want = 2
+		}
+		if got := testing.AllocsPerRun(50, func() { kept = FrozenCopy(tx) }); got != want {
+			t.Errorf("calldata of %d bytes: FrozenCopy allocates %v times, want %v", n, got, want)
+		}
+	}
+}
+
 // TestDeriveTxRootIsFlat: the flat tx root is byte for byte the hash of
 // the Item-tree list of transaction hashes, for an empty, a one, a two
 // and a hundred transaction body, and costs one allocation whatever the
