@@ -188,17 +188,20 @@ order-smoke:
 # limits, the client's connection lifecycle and the server's drain ten
 # times over, and the golden-scenario differentials with the store and
 # the HTTP serving tier enabled; then it fuzzes each RPC codec target
-# against encoding/json for 30 s, and the wire RLP — a transaction and a
+# against encoding/json and the client's reply-head reader against
+# http.ReadResponse for 30 s each (the minimiser capped: a 64 KiB head
+# seed would eat the budget), and the wire RLP — a transaction and a
 # block, each either refused or decoded to a value that re-encodes to the
-# input byte for byte with its digests reproduced — for 30 s each.
+# input byte for byte with its digests reproduced, and read field for
+# field as the Item-tree oracle reads it — for 30 s each.
 serving-smoke:
 	$(GO) test -race ./internal/store ./internal/rpc ./cmd/serethnode
 	$(GO) test -race -count=10 -run 'TestConnectionLifecycle|TestShutdownWaitsForEveryAdmittedRequest' ./internal/rpc
 	$(GO) test -race -run 'TestPersist|TestWalk|TestSnapshot|TestOpen|TestRecovered|TestExport|TestGoldenRootsWithStore' ./internal/trie ./internal/statedb ./internal/chain
 	$(GO) test -race -run 'TestNodeRestart|TestSnapshot' ./internal/node
 	$(GO) test -race -run 'TestRPCClients|TestPersist' ./internal/sim ./internal/scenarios
-	for f in FuzzRequestEnvelope FuzzResponseEncode FuzzResponseDecode FuzzServeHTTP; do \
-		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 30s ./internal/rpc || exit 1; \
+	for f in FuzzRequestEnvelope FuzzResponseEncode FuzzResponseDecode FuzzServeHTTP FuzzResponseHead; do \
+		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 30s -fuzzminimizetime 1s ./internal/rpc || exit 1; \
 	done
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTransaction$$' -fuzztime 30s ./internal/types
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlock$$' -fuzztime 30s ./internal/types

@@ -94,17 +94,13 @@ func (k MsgKind) String() string {
 // by every recipient. Broadcast payloads (tx, block) are never copied
 // per recipient — receivers that need ownership copy at pool admission.
 // A delivered envelope goes back to the network's free list, zeroed but
-// for buf's capacity, so steady-state traffic allocates no envelopes.
+// for to's capacity, so steady-state traffic allocates no envelopes and,
+// once their lists have grown, no recipient storage either.
 type envelope struct {
 	deliverAt uint64
 	seq       uint64 // tie-break for deterministic ordering
 	message
-	// to lists the recipients in ascending id order and is never written
-	// once set: either buf, or a lossless full-mesh gossip's cached list
-	// of everyone but the sender (peerSet.othersLocked), shared by every
-	// envelope that sender gossips until the peer set changes.
-	to  []PeerID
-	buf []PeerID // this envelope's own recipient storage
+	to []PeerID // recipients in ascending id order; set once, before scheduling
 }
 
 // message is what an envelope carries, and how it travels.
@@ -152,9 +148,6 @@ const (
 type peerSet struct {
 	ids   []PeerID
 	hands []Handler
-	// others[i] caches ids without ids[i], built on first use under the
-	// network lock; deliveries never read it.
-	others [][]PeerID
 }
 
 func (ps *peerSet) handler(id PeerID) Handler {
@@ -162,23 +155,6 @@ func (ps *peerSet) handler(id PeerID) Handler {
 		return ps.hands[i]
 	}
 	return nil
-}
-
-// othersLocked returns every peer but from, in ascending id order: one
-// read-only list per sender and peer set. Callers hold the network lock.
-func (ps *peerSet) othersLocked(from PeerID) []PeerID {
-	i, ok := slices.BinarySearch(ps.ids, from)
-	if !ok {
-		return ps.ids
-	}
-	if ps.others == nil {
-		ps.others = make([][]PeerID, len(ps.ids))
-	}
-	if ps.others[i] == nil {
-		rest := make([]PeerID, 0, len(ps.ids)-1)
-		ps.others[i] = append(append(rest, ps.ids[:i]...), ps.ids[i+1:]...)
-	}
-	return ps.others[i]
 }
 
 // Network is the simulated fabric connecting peers. Safe for concurrent
@@ -377,11 +353,6 @@ func (n *Network) gossip(msg message) {
 		n.seen[seenKey{peer: env.from, kind: env.kind, id: env.id}] = struct{}{}
 		env.relay = true
 		n.addressLocked(env, n.neighborsLocked(env.from), &env.id)
-	case n.cfg.DropRate == 0 && n.partition == nil:
-		// Nothing to filter and no draws to make: the recipients are
-		// everyone but the sender, a list cached per peer set.
-		env.to = n.peers.othersLocked(env.from)
-		n.sent += uint64(len(env.to))
 	default:
 		n.addressLocked(env, n.peers.ids, nil)
 	}
@@ -393,7 +364,7 @@ func (n *Network) gossip(msg message) {
 }
 
 // envelopeLocked returns an envelope for msg from the free list (or a
-// new one), addressed to the given recipients, if any, in its own buf.
+// new one), addressed to the given recipients, if any.
 func (n *Network) envelopeLocked(msg message, to ...PeerID) *envelope {
 	var env *envelope
 	if k := len(n.free); k > 0 {
@@ -404,26 +375,25 @@ func (n *Network) envelopeLocked(msg message, to ...PeerID) *envelope {
 		env = new(envelope)
 	}
 	env.message = msg
-	env.buf = append(env.buf[:0], to...)
-	env.to = env.buf
+	env.to = append(env.to[:0], to...)
 	return env
 }
 
 // releaseLocked returns an envelope no delivery will read again to the
 // free list, dropping its references so an idle envelope pins no payload.
 func (n *Network) releaseLocked(env *envelope) {
-	*env = envelope{buf: env.buf[:0]}
+	*env = envelope{to: env.to[:0]}
 	n.free = append(n.free, env)
 }
 
-// addressLocked addresses env, in its own buf, to the candidates that
-// pass the filters: not the sender itself, no deterministic drop, and
-// (multihop) not already seen the payload. Drops consume one rng draw
-// per attempted recipient, in ascending id order — the exact stream of
-// the per-recipient heap implementation, so seeded runs stay
-// bit-identical.
+// addressLocked addresses env to the candidates that pass the filters:
+// not the sender itself, no deterministic drop, and (multihop) not
+// already seen the payload. It fills env's own list, which a recycled
+// envelope brings back grown. Drops consume one rng draw per attempted
+// recipient, in ascending id order — the exact stream of the
+// per-recipient heap implementation, so seeded runs stay bit-identical.
 func (n *Network) addressLocked(env *envelope, candidates []PeerID, seenID *types.Hash) {
-	from, kind, to := env.from, env.kind, env.buf[:0]
+	from, kind, to := env.from, env.kind, env.to[:0]
 	for _, r := range candidates {
 		if r == from {
 			continue
@@ -449,7 +419,7 @@ func (n *Network) addressLocked(env *envelope, candidates []PeerID, seenID *type
 		}
 		to = append(to, r)
 	}
-	env.buf, env.to = to, to
+	env.to = to
 }
 
 // neighborsLocked returns the sender's neighbor list under the active

@@ -233,60 +233,54 @@ func Decode(data []byte) (Item, error) {
 }
 
 func decodeOne(data []byte) (Item, []byte, error) {
+	kind, content, rest, err := Split(data)
+	if err != nil {
+		return Item{}, nil, err
+	}
+	if kind == KindString {
+		return Item{kind: KindString, str: content}, rest, nil
+	}
+	children, err := decodeList(content)
+	if err != nil {
+		return Item{}, nil, err
+	}
+	return Item{kind: KindList, list: children}, rest, nil
+}
+
+// Split reads the header of the first RLP value in data and returns its
+// kind, its content — a string's bytes or a list's payload, both aliasing
+// data — and the bytes after it, with Decode's checks on that header. A
+// list's payload is not looked into: a flat decoder splits each child in
+// turn, and so never builds an Item tree.
+func Split(data []byte) (kind Kind, content, rest []byte, err error) {
 	if len(data) == 0 {
-		return Item{}, nil, ErrTruncated
+		return 0, nil, nil, ErrTruncated
 	}
-	prefix := data[0]
-	switch {
+	var n int
+	switch prefix := data[0]; {
 	case prefix < 0x80: // single byte
-		return Item{kind: KindString, str: data[:1]}, data[1:], nil
-
+		return KindString, data[:1], data[1:], nil
 	case prefix <= 0xb7: // short string
-		n := int(prefix - 0x80)
-		if len(data)-1 < n {
-			return Item{}, nil, ErrLengthTooBig
-		}
-		s := data[1 : 1+n]
-		if n == 1 && s[0] < 0x80 {
-			return Item{}, nil, ErrNonCanonical
-		}
-		return Item{kind: KindString, str: s}, data[1+n:], nil
-
+		kind, n, rest = KindString, int(prefix-0x80), data[1:]
 	case prefix <= 0xbf: // long string
-		n, rest, err := decodeLongLength(data, prefix-0xb7)
-		if err != nil {
-			return Item{}, nil, err
-		}
-		if len(rest) < n {
-			return Item{}, nil, ErrLengthTooBig
-		}
-		return Item{kind: KindString, str: rest[:n]}, rest[n:], nil
-
+		kind = KindString
+		n, rest, err = decodeLongLength(data, prefix-0xb7)
 	case prefix <= 0xf7: // short list
-		n := int(prefix - 0xc0)
-		if len(data)-1 < n {
-			return Item{}, nil, ErrLengthTooBig
-		}
-		children, err := decodeList(data[1 : 1+n])
-		if err != nil {
-			return Item{}, nil, err
-		}
-		return Item{kind: KindList, list: children}, data[1+n:], nil
-
+		kind, n, rest = KindList, int(prefix-0xc0), data[1:]
 	default: // long list
-		n, rest, err := decodeLongLength(data, prefix-0xf7)
-		if err != nil {
-			return Item{}, nil, err
-		}
-		if len(rest) < n {
-			return Item{}, nil, ErrLengthTooBig
-		}
-		children, err := decodeList(rest[:n])
-		if err != nil {
-			return Item{}, nil, err
-		}
-		return Item{kind: KindList, list: children}, rest[n:], nil
+		kind = KindList
+		n, rest, err = decodeLongLength(data, prefix-0xf7)
 	}
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	if len(rest) < n {
+		return 0, nil, nil, ErrLengthTooBig
+	}
+	if kind == KindString && n == 1 && rest[0] < 0x80 {
+		return 0, nil, nil, ErrNonCanonical // a single byte below 0x80 is its own encoding
+	}
+	return kind, rest[:n], rest[n:], nil
 }
 
 func decodeLongLength(data []byte, lenOfLen byte) (int, []byte, error) {

@@ -42,7 +42,7 @@ type Client struct {
 type conn struct {
 	net.Conn
 	br *bufio.Reader
-	lr io.LimitedReader // caps the response body being read
+	lr io.LimitedReader // caps a body http.ReadResponse reads
 }
 
 // ClientOption configures a Client.
@@ -113,6 +113,12 @@ func (c *Client) Call(method string, out interface{}, params ...interface{}) err
 		}
 		req = append(req[:len(c.head)], body...)
 	}
+	return c.roundTrip(buf, req, out)
+}
+
+// roundTrip sends req, built in buf's spare room behind nothing else,
+// and decodes the result of the reply into out.
+func (c *Client) roundTrip(buf *bytes.Buffer, req []byte, out interface{}) error {
 	n := len(req) - len(c.head)
 	if n > maxRequestBody {
 		return fmt.Errorf("request: %w", errTooLarge)
@@ -129,22 +135,9 @@ func (c *Client) Call(method string, out interface{}, params ...interface{}) err
 	if err != nil {
 		return err
 	}
-	resp, err := http.ReadResponse(cn.br, nil)
-	switch {
-	case err != nil:
-	case resp.StatusCode != http.StatusOK:
-		snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		err = fmt.Errorf("%w: %d %s", ErrHTTPStatus, resp.StatusCode, strings.TrimSpace(string(snippet)))
-	case resp.ContentLength > maxResponseBody:
-		err = fmt.Errorf("response: %w", errTooLarge)
-	default:
-		buf.Reset() // the request is sent: its bytes make room for the reply
-		cn.lr = io.LimitedReader{R: resp.Body, N: maxResponseBody + 1}
-		if _, err = buf.ReadFrom(&cn.lr); err == nil && buf.Len() > maxResponseBody {
-			err = fmt.Errorf("response: %w", errTooLarge)
-		}
-	}
-	keep := err == nil && !resp.Close
+	buf.Reset() // the request is sent: its bytes make room for the reply
+	closing, err := cn.readReply(buf)
+	keep := err == nil && !closing
 	c.mu.Lock()
 	if keep = keep && len(c.idle) < maxIdleConns; keep {
 		c.idle = append(c.idle, cn)
@@ -170,6 +163,155 @@ func (c *Client) Call(method string, out interface{}, params ...interface{}) err
 		return json.Unmarshal(reply.Result, out)
 	}
 	return nil
+}
+
+// readReply reads a 200 reply's body into buf and reports whether the
+// server closes the connection after it. A head readHead recognises is
+// consumed here; any other is http.ReadResponse's, which reports a
+// non-200 status with the start of its body.
+func (cn *conn) readReply(buf *bytes.Buffer) (closing bool, err error) {
+	if h, ok := readHead(cn.br); ok {
+		if h.length > maxResponseBody {
+			return true, fmt.Errorf("response: %w", errTooLarge)
+		}
+		buf.Grow(int(h.length))
+		body := buf.AvailableBuffer()[:h.length]
+		_, err = io.ReadFull(cn.br, body)
+		buf.Write(body)
+		return h.close, err
+	}
+	resp, err := http.ReadResponse(cn.br, nil)
+	switch {
+	case err != nil:
+		return true, err
+	case resp.StatusCode != http.StatusOK:
+		snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
+		err = fmt.Errorf("%w: %d %s", ErrHTTPStatus, resp.StatusCode, strings.TrimSpace(string(snippet)))
+	case resp.ContentLength > maxResponseBody:
+		err = fmt.Errorf("response: %w", errTooLarge)
+	default:
+		cn.lr = io.LimitedReader{R: resp.Body, N: maxResponseBody + 1}
+		if _, err = buf.ReadFrom(&cn.lr); err == nil && buf.Len() > maxResponseBody {
+			err = fmt.Errorf("response: %w", errTooLarge)
+		}
+	}
+	return resp.Close, err
+}
+
+// replyHead is what Call needs of a reply's head.
+type replyHead struct {
+	length int64 // Content-Length
+	close  bool  // the server closes the connection after the body
+	size   int   // the head's bytes, blank line included
+}
+
+// readHead recognises the head of a 200 reply with a Content-Length in
+// the bytes br already holds and consumes it, or declines and consumes
+// nothing. The reply of a net/http server to a request that fits one
+// packet arrives whole, so that is the common case.
+func readHead(br *bufio.Reader) (replyHead, bool) {
+	window, _ := br.Peek(br.Buffered())
+	h, ok := parseHead(window)
+	if ok {
+		_, _ = br.Discard(h.size) // buffered, so it cannot fail
+	}
+	return h, ok
+}
+
+// parseHead reads a head at the front of b as http.ReadResponse reads it,
+// when it is one of the simple kind a net/http server writes: an HTTP/1.0
+// or HTTP/1.1 status line with status 200, then CRLF-terminated
+// "Key: value" lines of visible ASCII, one of them Content-Length, none a
+// Transfer-Encoding, then a blank line. It declines anything else: another
+// status, a missing or repeated length, a folded line, a key
+// http.ReadResponse would not canonicalize, a head that does not end in b.
+func parseHead(b []byte) (h replyHead, ok bool) {
+	status, rest, ok := cutLine(b)
+	if !ok || len(status) < 12 || string(status[:7]) != "HTTP/1." || status[7] != '0' && status[7] != '1' ||
+		string(status[8:12]) != " 200" || len(status) > 12 && status[12] != ' ' {
+		return h, false
+	}
+	keepAlive, lengths := false, 0
+	for {
+		var line []byte
+		if line, rest, ok = cutLine(rest); !ok {
+			return h, false
+		}
+		if len(line) == 0 {
+			break
+		}
+		key, value, ok := bytes.Cut(line, []byte(":"))
+		if !ok || !headerKey(key) {
+			return h, false
+		}
+		value = bytes.Trim(value, " \t")
+		switch {
+		case bytes.EqualFold(key, []byte("Content-Length")):
+			if lengths++; len(value) == 0 || len(value) > 18 {
+				return h, false // a length of 18 digits fits 63 bits
+			}
+			h.length = 0
+			for _, c := range value {
+				if c < '0' || c > '9' {
+					return h, false
+				}
+				h.length = h.length*10 + int64(c-'0')
+			}
+		case bytes.EqualFold(key, []byte("Transfer-Encoding")):
+			return h, false
+		case bytes.EqualFold(key, []byte("Connection")):
+			h.close = h.close || hasToken(value, "close")
+			keepAlive = keepAlive || hasToken(value, "keep-alive")
+		}
+	}
+	if lengths != 1 {
+		return h, false
+	}
+	h.close = h.close || status[7] == '0' && !keepAlive // HTTP/1.0 closes unless asked not to
+	h.size = len(b) - len(rest)
+	return h, true
+}
+
+// cutLine cuts a CRLF-terminated line of visible ASCII, spaces and tabs
+// — the bytes a header value may hold — off the front of b.
+func cutLine(b []byte) (line, rest []byte, ok bool) {
+	for i, c := range b {
+		switch {
+		case c == '\r':
+			if i+1 == len(b) || b[i+1] != '\n' {
+				return nil, nil, false
+			}
+			return b[:i], b[i+2:], true
+		case c != '\t' && (c < 0x20 || c > 0x7e):
+			return nil, nil, false
+		}
+	}
+	return nil, nil, false
+}
+
+// headerKey reports whether k is a non-empty run of letters, digits and
+// dashes: a key http.ReadResponse canonicalizes, so that it names
+// Content-Length whatever its case exactly when EqualFold says so.
+func headerKey(k []byte) bool {
+	for _, c := range k {
+		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '-') {
+			return false
+		}
+	}
+	return len(k) > 0
+}
+
+// hasToken reports whether the comma-separated list v holds token,
+// case-insensitively, as net/http reads a Connection header.
+func hasToken(v []byte, token string) bool {
+	for len(v) > 0 {
+		var t []byte
+		t, v, _ = bytes.Cut(v, []byte(","))
+		if bytes.EqualFold(bytes.Trim(t, " \t"), []byte(token)) {
+			return true
+		}
+	}
+	return false
 }
 
 // send writes req on a connection — an idle one unless fresh — and waits
@@ -223,9 +365,18 @@ func (c *Client) View() (ViewResult, error) {
 	return v, err
 }
 
-// SendRawTransaction submits an RLP-encoded signed transaction.
+// SendRawTransaction submits an RLP-encoded signed transaction. The
+// transaction's hex goes straight into the request, which is the one
+// Call would send with its 0x string.
 func (c *Client) SendRawTransaction(raw []byte) (string, error) {
 	var h string
-	err := c.Call("eth_sendRawTransaction", &h, "0x"+hex.EncodeToString(raw))
+	if c.err != nil {
+		return h, c.err
+	}
+	buf := bufPool.Get().(*bytes.Buffer)
+	defer putBuf(buf)
+	req, _ := appendCall(append(buf.AvailableBuffer(), c.head...), "eth_sendRawTransaction")
+	req = append(hex.AppendEncode(append(req, `"0x`...), raw), `"]}`...)
+	err := c.roundTrip(buf, req, &h)
 	return h, err
 }

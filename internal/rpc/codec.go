@@ -91,17 +91,37 @@ func (s *scanner) str() []byte {
 // unquote copies a string str returned, or nothing if it returned none.
 func unquote(v []byte) string { return string(v[min(1, len(v)) : max(1, len(v))-1]) }
 
-// strs wants an array of such strings.
-func (s *scanner) strs() []json.RawMessage {
-	vs := []json.RawMessage{} // as json.Unmarshal leaves "[]": empty, not nil
+// known are the strings a request names without a copy: the protocol
+// version and the methods dispatch answers.
+var known = [...]string{"2.0", "eth_blockNumber", "eth_getStorageAt", "eth_getTransactionCount",
+	"eth_call", "eth_sendRawTransaction", "txpool_status", "sereth_view", "sereth_series"}
+
+// intern is unquote returning the known string it spells, if any.
+func intern(v []byte) string {
+	v = v[min(1, len(v)) : max(1, len(v))-1]
+	for _, k := range known {
+		if string(v) == k {
+			return k
+		}
+	}
+	return string(v)
+}
+
+// params wants an array of at most two such strings and keeps them in
+// req's two slots.
+func (s *scanner) params(req *request) {
 	s.want('[')
 	for !s.bad && !s.eat(']') {
-		if len(vs) > 0 {
+		if req.nparams > 0 {
 			s.want(',')
 		}
-		vs = append(vs, s.str())
+		if req.nparams == len(req.params) {
+			s.bad = true // no method takes a third
+			return
+		}
+		req.params[req.nparams] = s.str()
+		req.nparams++
 	}
-	return vs
 }
 
 // id wants an integer request id, which json.Encoder writes back as is.
@@ -119,8 +139,8 @@ func (s *scanner) id() []byte {
 }
 
 // parseRequest recognises the canonical request envelope and fills a
-// request as json.Unmarshal would, except that ID and Params alias b and
-// plain is set.
+// request as json.Unmarshal would, except that ID aliases b, the params
+// are in req.params, aliasing b too, and plain is set.
 func parseRequest(b []byte) (request, bool) {
 	req := request{plain: true}
 	s := scanner{b: b}
@@ -133,13 +153,14 @@ func parseRequest(b []byte) (request, bool) {
 		s.want(':')
 		switch string(key) {
 		case `"jsonrpc"`:
-			bit, req.Version = 1, unquote(s.str())
+			bit, req.Version = 1, intern(s.str())
 		case `"id"`:
 			bit, req.ID = 2, s.id()
 		case `"method"`:
-			bit, req.Method = 4, unquote(s.str())
+			bit, req.Method = 4, intern(s.str())
 		case `"params"`:
-			bit, req.Params = 8, s.strs()
+			bit = 8
+			s.params(&req)
 		}
 		s.bad = s.bad || bit&^seen == 0 // not a known key met for the first time
 		seen |= bit
@@ -154,6 +175,13 @@ type viewWords struct{ flag, mark, value types.Word }
 func (v viewWords) MarshalJSON() ([]byte, error) {
 	return json.Marshal(ViewResult{Flag: v.flag.Hex(), Mark: v.mark.Hex(), Value: v.value.Hex()})
 }
+
+// txHash is the eth_sendRawTransaction result: appendReply writes the
+// hex of the admitted transaction's hash straight into the reply,
+// encoding/json sees the string. One pointer, it is boxed without a copy.
+type txHash struct{ tx *types.Transaction }
+
+func (h txHash) MarshalJSON() ([]byte, error) { return json.Marshal(h.tx.Hash().Hex()) }
 
 // appendReply appends the success reply to request id exactly as
 // json.Encoder renders response{Version: "2.0", ID: id, Result: result},
@@ -175,6 +203,9 @@ func appendReply(b []byte, id json.RawMessage, result interface{}) ([]byte, bool
 		b = hex.AppendEncode(append(b, `","mark":"0x`...), r.mark[:])
 		b = hex.AppendEncode(append(b, `","value":"0x`...), r.value[:])
 		b = append(b, `"}`...)
+	case txHash:
+		h := r.tx.Hash()
+		b = append(hex.AppendEncode(append(b, `"0x`...), h[:]), '"')
 	case []string:
 		b, ok = append(b, '['), r != nil
 		for i := 0; i < len(r) && ok; i++ {
@@ -193,8 +224,7 @@ func appendReply(b []byte, id json.RawMessage, result interface{}) ([]byte, bool
 // appendRequest appends the envelope json.Marshal renders for a call
 // with id 1, or declines a param that is not a plain string.
 func appendRequest(b []byte, method string, params []interface{}) ([]byte, bool) {
-	b, ok := appendString(append(b, `{"jsonrpc":"2.0","id":1,"method":`...), method)
-	b = append(b, `,"params":[`...)
+	b, ok := appendCall(b, method)
 	for i := 0; i < len(params) && ok; i++ {
 		if i > 0 {
 			b = append(b, ',')
@@ -205,6 +235,12 @@ func appendRequest(b []byte, method string, params []interface{}) ([]byte, bool)
 		}
 	}
 	return append(b, "]}"...), ok
+}
+
+// appendCall appends that envelope up to its first param.
+func appendCall(b []byte, method string) ([]byte, bool) {
+	b, ok := appendString(append(b, `{"jsonrpc":"2.0","id":1,"method":`...), method)
+	return append(b, `,"params":[`...), ok
 }
 
 // parseReply recognises a success reply to id 1 whose result has out's

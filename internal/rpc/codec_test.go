@@ -64,8 +64,9 @@ func TestRequestRecognition(t *testing.T) {
 func sameRaw(a, b []byte) bool { return (a == nil) == (b == nil) && bytes.Equal(a, b) }
 
 // FuzzRequestEnvelope: on arbitrary bytes parseRequest either declines
-// or fills a request exactly as json.Unmarshal does, and its params read
-// as the same strings.
+// or fills a request exactly as json.Unmarshal does — its params in the
+// two slots, where json.Unmarshal fills Params — and its params read as
+// the same strings.
 func FuzzRequestEnvelope(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, ok := parseRequest(data)
@@ -77,13 +78,13 @@ func FuzzRequestEnvelope(f *testing.F) {
 			t.Fatalf("recognised %q, which encoding/json rejects: %v", data, err)
 		}
 		if got.Version != want.Version || got.Method != want.Method || !sameRaw(got.ID, want.ID) ||
-			len(got.Params) != len(want.Params) || (got.Params == nil) != (want.Params == nil) {
+			got.Params != nil || got.nparams != len(want.Params) {
 			t.Fatalf("%q\nrecognised as %+v\nencoding/json %+v", data, got, want)
 		}
 		for i := range want.Params {
 			g, gerr := stringParam(&got, i)
 			w, werr := stringParam(&want, i)
-			if !bytes.Equal(got.Params[i], want.Params[i]) || g != w || gerr != nil || werr != nil {
+			if !bytes.Equal(got.params[i], want.Params[i]) || !bytes.Equal(g, w) || gerr != nil || werr != nil {
 				t.Fatalf("%q param %d: recognised %q (%v), encoding/json %q (%v)", data, i, g, gerr, w, werr)
 			}
 		}

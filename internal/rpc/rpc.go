@@ -40,7 +40,11 @@ type request struct {
 	Method  string            `json:"method"`
 	Params  []json.RawMessage `json:"params"`
 
-	plain bool // parseRequest filled it: every param is a plain quoted string
+	// parseRequest filled it (plain) and kept its params here instead of
+	// in Params: at most two plain quoted strings.
+	plain   bool
+	params  [2]json.RawMessage
+	nparams int
 }
 
 type response struct {
@@ -146,7 +150,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	buf := bufPool.Get().(*bytes.Buffer)
 	defer putBuf(buf)
-	_, err := buf.ReadFrom(io.LimitReader(r.Body, maxRequestBody))
+	err := readBody(buf, r.Body)
+	_ = r.Body.Close() // read to its end: net/http then has nothing to drain
 	if err != nil {
 		http.Error(w, "read body", http.StatusBadRequest)
 		return
@@ -169,7 +174,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// The reply goes behind the request in the same buffer: req.ID
 		// may still point into the request.
 		if reply, ok := appendReply(buf.AvailableBuffer(), req.ID, resp.Result); ok {
-			w.Header()["Content-Length"] = []string{strconv.Itoa(len(reply))}
+			if len(reply) > autoLength {
+				w.Header()["Content-Length"] = []string{strconv.Itoa(len(reply))}
+			}
 			_, _ = w.Write(reply) // a connection-level failure; nothing more to do
 			return
 		}
@@ -178,6 +185,29 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 var jsonContentType = []string{"application/json"}
+
+// autoLength is the longest reply net/http writes a Content-Length for
+// by itself (its bufferBeforeChunkingSize): a handler that returns with
+// the whole reply still buffered. A longer one states it, or goes chunked.
+const autoLength = 2048
+
+// readBody reads into buf what buf.ReadFrom(io.LimitReader(body,
+// maxRequestBody)) would, without allocating the limiting reader.
+func readBody(buf *bytes.Buffer, body io.Reader) error {
+	for buf.Len() < maxRequestBody {
+		buf.Grow(bytes.MinRead)
+		b := buf.AvailableBuffer()
+		n, err := body.Read(b[:min(cap(b), maxRequestBody-buf.Len())])
+		buf.Write(b[:n])
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // serveHealth answers the liveness probe: 200 with chain height while
 // serving, 503 once draining.
@@ -250,11 +280,11 @@ func (s *Server) dispatch(req *request) (interface{}, *rpcError) {
 		if rerr != nil {
 			return nil, rerr
 		}
-		addr, err := types.HexToAddress(p[0])
+		addr, err := types.HexToAddress(string(p[0]))
 		if err != nil {
 			return nil, paramsErr(err)
 		}
-		slot, err := parseHexUint(p[1])
+		slot, err := parseHexUint(string(p[1]))
 		if err != nil {
 			return nil, paramsErr(err)
 		}
@@ -266,7 +296,7 @@ func (s *Server) dispatch(req *request) (interface{}, *rpcError) {
 		if rerr != nil {
 			return nil, rerr
 		}
-		addr, err := types.HexToAddress(p[0])
+		addr, err := types.HexToAddress(string(p[0]))
 		if err != nil {
 			return nil, paramsErr(err)
 		}
@@ -279,11 +309,11 @@ func (s *Server) dispatch(req *request) (interface{}, *rpcError) {
 		if rerr != nil {
 			return nil, rerr
 		}
-		to, err := types.HexToAddress(p[0])
+		to, err := types.HexToAddress(string(p[0]))
 		if err != nil {
 			return nil, paramsErr(err)
 		}
-		data, err := decodeHexBytes(p[1])
+		data, err := unhex(p[1])
 		if err != nil {
 			return nil, paramsErr(err)
 		}
@@ -298,7 +328,7 @@ func (s *Server) dispatch(req *request) (interface{}, *rpcError) {
 		if rerr != nil {
 			return nil, rerr
 		}
-		raw, err := decodeHexBytes(p[0])
+		raw, err := unhex(p[0])
 		if err != nil {
 			return nil, paramsErr(err)
 		}
@@ -306,10 +336,12 @@ func (s *Server) dispatch(req *request) (interface{}, *rpcError) {
 		if err != nil {
 			return nil, paramsErr(err)
 		}
-		if err := s.node.SubmitTx(tx); err != nil {
+		// The decoded instance is the server's own: memoized, the pool
+		// adopts it instead of copying it again.
+		if err := s.node.SubmitTx(tx.Memoize()); err != nil {
 			return nil, &rpcError{Code: codeInternal, Message: err.Error()}
 		}
-		return tx.Hash().Hex(), nil
+		return txHash{tx}, nil
 
 	case "txpool_status":
 		return map[string]string{"pending": hexUint(uint64(s.node.Pool().Len()))}, nil
@@ -337,9 +369,15 @@ func (s *Server) dispatch(req *request) (interface{}, *rpcError) {
 	}
 }
 
-// stringParams decodes the first n parameters, of at most two, as strings.
-func stringParams(req *request, n int) (p [2]string, rerr *rpcError) {
-	if len(req.Params) < n {
+// stringParams decodes the first n parameters, of at most two, as
+// strings. The bytes are the server's own to edit: a plain param's are
+// the request body's between the quotes, any other's a fresh copy.
+func stringParams(req *request, n int) (p [2][]byte, rerr *rpcError) {
+	count := len(req.Params)
+	if req.plain {
+		count = req.nparams
+	}
+	if count < n {
 		return p, &rpcError{Code: codeInvalidParams, Message: [...]string{1: "missing parameter", 2: "need two parameters"}[n]}
 	}
 	for i := 0; i < n && rerr == nil; i++ {
@@ -348,15 +386,16 @@ func stringParams(req *request, n int) (p [2]string, rerr *rpcError) {
 	return p, rerr
 }
 
-func stringParam(req *request, i int) (string, *rpcError) {
+func stringParam(req *request, i int) ([]byte, *rpcError) {
 	if req.plain {
-		return unquote(req.Params[i]), nil
+		v := req.params[i]
+		return v[1 : len(v)-1], nil
 	}
 	var s string
 	if err := json.Unmarshal(req.Params[i], &s); err != nil {
-		return "", paramsErr(err)
+		return nil, paramsErr(err)
 	}
-	return s, nil
+	return []byte(s), nil
 }
 
 func paramsErr(err error) *rpcError {
@@ -370,7 +409,10 @@ func parseHexUint(s string) (uint64, error) {
 	return strconv.ParseUint(s, 16, 64)
 }
 
-func decodeHexBytes(s string) ([]byte, error) {
-	s = strings.TrimPrefix(s, "0x")
-	return hex.DecodeString(s)
+// unhex decodes in place the hex of s, 0x-prefixed or not, as
+// hex.DecodeString decodes a copy, and returns the bytes it spells.
+func unhex(s []byte) ([]byte, error) {
+	s = bytes.TrimPrefix(s, []byte("0x"))
+	n, err := hex.Decode(s, s)
+	return s[:n], err
 }

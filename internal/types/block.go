@@ -2,7 +2,6 @@ package types
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 
 	"sereth/internal/keccak"
@@ -66,41 +65,6 @@ func (h *Header) SealHash() Hash {
 	return cp.Hash()
 }
 
-func headerFromItem(it rlp.Item) (*Header, error) {
-	fields, err := it.Items()
-	if err != nil || len(fields) != 11 {
-		return nil, ErrBadBlockEncoding
-	}
-	var h Header
-	fixed := []struct {
-		idx int
-		dst []byte
-	}{
-		{0, h.ParentHash[:]}, {2, h.StateRoot[:]}, {3, h.TxRoot[:]},
-		{4, h.ReceiptRoot[:]}, {5, h.Coinbase[:]},
-	}
-	for _, f := range fixed {
-		if err := copyFixed(fields[f.idx], f.dst); err != nil {
-			return nil, ErrBadBlockEncoding
-		}
-	}
-	uints := []struct {
-		idx int
-		dst *uint64
-	}{
-		{1, &h.Number}, {6, &h.Difficulty}, {7, &h.GasLimit},
-		{8, &h.GasUsed}, {9, &h.Time}, {10, &h.PowNonce},
-	}
-	for _, u := range uints {
-		v, err := fields[u.idx].AsUint()
-		if err != nil {
-			return nil, ErrBadBlockEncoding
-		}
-		*u.dst = v
-	}
-	return &h, nil
-}
-
 // Block couples a header with its transaction body.
 type Block struct {
 	Header *Header
@@ -162,33 +126,37 @@ func wrapList(out []byte, start int) []byte {
 	return out
 }
 
-// DecodeBlock parses a block from its RLP encoding.
+// DecodeBlock parses a block from its canonical RLP encoding. Each
+// transaction is one frozen object, as DecodeTransaction returns it.
 func DecodeBlock(data []byte) (*Block, error) {
-	it, err := rlp.Decode(data)
-	if err != nil {
-		return nil, fmt.Errorf("decode block: %w", err)
+	r := fields{p: data}
+	parts := r.list()
+	f := parts.list()
+	h := new(Header)
+	f.fixed(h.ParentHash[:])
+	h.Number = f.uint()
+	f.fixed(h.StateRoot[:])
+	f.fixed(h.TxRoot[:])
+	f.fixed(h.ReceiptRoot[:])
+	f.fixed(h.Coinbase[:])
+	h.Difficulty = f.uint()
+	h.GasLimit = f.uint()
+	h.GasUsed = f.uint()
+	h.Time = f.uint()
+	h.PowNonce = f.uint()
+	body := parts.list()
+	n := 0
+	for count := body; len(count.p) > 0 && !count.bad; n++ {
+		count.list()
 	}
-	parts, err := it.Items()
-	if err != nil || len(parts) != 2 {
+	txs := make([]*Transaction, n)
+	for i := range txs {
+		txs[i] = body.tx()
+	}
+	if !f.done() || !body.done() || !parts.done() || !r.done() {
 		return nil, ErrBadBlockEncoding
 	}
-	header, err := headerFromItem(parts[0])
-	if err != nil {
-		return nil, err
-	}
-	txItems, err := parts[1].Items()
-	if err != nil {
-		return nil, ErrBadBlockEncoding
-	}
-	txs := make([]*Transaction, len(txItems))
-	for i, ti := range txItems {
-		tx, err := transactionFromItem(ti)
-		if err != nil {
-			return nil, err
-		}
-		txs[i] = tx
-	}
-	return &Block{Header: header, Txs: txs}, nil
+	return &Block{Header: h, Txs: txs}, nil
 }
 
 // DeriveTxRoot computes the ordered commitment over a transaction list.

@@ -2,7 +2,6 @@ package types
 
 import (
 	"errors"
-	"fmt"
 	"sync/atomic"
 
 	"sereth/internal/keccak"
@@ -205,57 +204,80 @@ func (tx *Transaction) EncodeRLP() []byte {
 	return tx.appendRLP(make([]byte, 0, txMaxOverhead+len(tx.Data)))
 }
 
-// DecodeTransaction parses a transaction from its RLP encoding.
+// DecodeTransaction parses a transaction from its canonical RLP encoding
+// into one frozen object (see FrozenCopy) that shares no byte with data.
 func DecodeTransaction(data []byte) (*Transaction, error) {
-	it, err := rlp.Decode(data)
-	if err != nil {
-		return nil, fmt.Errorf("decode tx: %w", err)
+	r := fields{p: data}
+	if tx := r.tx(); r.done() {
+		return tx, nil
 	}
-	return transactionFromItem(it)
+	return nil, ErrBadTxEncoding
 }
 
-func transactionFromItem(it rlp.Item) (*Transaction, error) {
-	fields, err := it.Items()
-	if err != nil || len(fields) != 8 {
-		return nil, ErrBadTxEncoding
-	}
-	var tx Transaction
-	if tx.Nonce, err = fields[0].AsUint(); err != nil {
-		return nil, ErrBadTxEncoding
-	}
-	if err := copyFixed(fields[1], tx.To[:]); err != nil {
-		return nil, ErrBadTxEncoding
-	}
-	if tx.Value, err = fields[2].AsUint(); err != nil {
-		return nil, ErrBadTxEncoding
-	}
-	if tx.GasPrice, err = fields[3].AsUint(); err != nil {
-		return nil, ErrBadTxEncoding
-	}
-	if tx.GasLimit, err = fields[4].AsUint(); err != nil {
-		return nil, ErrBadTxEncoding
-	}
-	data, err := fields[5].Bytes()
-	if err != nil {
-		return nil, ErrBadTxEncoding
-	}
-	tx.Data = append([]byte{}, data...)
-	if err := copyFixed(fields[6], tx.From[:]); err != nil {
-		return nil, ErrBadTxEncoding
-	}
-	if err := copyFixed(fields[7], tx.Sig[:]); err != nil {
-		return nil, ErrBadTxEncoding
-	}
-	return &tx, nil
+// fields reads RLP values off the front of p for the flat decoders. A
+// value that is not what the caller wants sets bad, after which what the
+// reads return means nothing: callers check done at the end.
+type fields struct {
+	p   []byte
+	bad bool
 }
 
-func copyFixed(it rlp.Item, dst []byte) error {
-	b, err := it.Bytes()
-	if err != nil || len(b) != len(dst) {
-		return ErrBadTxEncoding
+// next splits off the next value, which must be of the given kind.
+func (r *fields) next(want rlp.Kind) []byte {
+	kind, content, rest, err := rlp.Split(r.p)
+	if r.bad = r.bad || err != nil || kind != want; r.bad {
+		return nil
 	}
+	r.p = rest
+	return content
+}
+
+// list returns a reader over the next value, a list's, payload.
+func (r *fields) list() fields {
+	p := r.next(rlp.KindList)
+	return fields{p: p, bad: r.bad}
+}
+
+// uint reads a canonical integer of at most 64 bits.
+func (r *fields) uint() uint64 {
+	b := r.next(rlp.KindString)
+	if len(b) > 8 || len(b) > 0 && b[0] == 0 {
+		r.bad = true
+	}
+	var v uint64
+	for _, c := range b {
+		v = v<<8 | uint64(c)
+	}
+	return v
+}
+
+// fixed reads a string of exactly len(dst) bytes into dst.
+func (r *fields) fixed(dst []byte) {
+	b := r.next(rlp.KindString)
+	r.bad = r.bad || len(b) != len(dst)
 	copy(dst, b)
-	return nil
+}
+
+// done reports whether every read succeeded and nothing is left.
+func (r *fields) done() bool { return !r.bad && len(r.p) == 0 }
+
+// tx reads a transaction, the list of its eight fields, into a frozen
+// copy: one allocation while its calldata fits frozenCalldata.
+func (r *fields) tx() *Transaction {
+	f := r.list()
+	var tx Transaction
+	tx.Nonce = f.uint()
+	f.fixed(tx.To[:])
+	tx.Value = f.uint()
+	tx.GasPrice = f.uint()
+	tx.GasLimit = f.uint()
+	data := f.next(rlp.KindString)
+	f.fixed(tx.From[:])
+	f.fixed(tx.Sig[:])
+	if r.bad = r.bad || !f.done(); r.bad {
+		return nil
+	}
+	return frozen(&tx, data)
 }
 
 // FPV extracts the HMS argument tuple from the transaction calldata,
@@ -373,15 +395,19 @@ type frozenTx struct {
 // its derived block and its calldata live in one object. Like Copy it
 // carries no digest and no verified flag from tx, and like Freeze the
 // result must not be mutated. The pool and the network copy every
-// caller-owned transaction they keep this way.
-func FrozenCopy(tx *Transaction) *Transaction {
+// caller-owned transaction they keep this way, and the wire decoders
+// build every transaction they return so.
+func FrozenCopy(tx *Transaction) *Transaction { return frozen(tx, tx.Data) }
+
+// frozen is FrozenCopy with data, which it copies, for calldata.
+func frozen(tx *Transaction, data []byte) *Transaction {
 	f := &frozenTx{tx: *tx}
 	cp := &f.tx
-	if n := len(tx.Data); n <= frozenCalldata {
+	if n := len(data); n <= frozenCalldata {
 		cp.Data = f.data[:n:n]
-		copy(cp.Data, tx.Data)
+		copy(cp.Data, data)
 	} else {
-		cp.Data = append([]byte{}, tx.Data...)
+		cp.Data = append([]byte{}, data...)
 	}
 	cp.derived = &f.d
 	f.d.decode(cp.Data)

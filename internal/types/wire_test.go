@@ -100,6 +100,29 @@ func TestFrozenCopyIsOneObject(t *testing.T) {
 	}
 }
 
+// TestDecodeTransactionIsOneObject: a decoded transaction is built the
+// way FrozenCopy builds a copy — one allocation while its calldata fits
+// 128 bytes, two beyond — and a block's body costs that per transaction,
+// plus the header and the slice.
+func TestDecodeTransactionIsOneObject(t *testing.T) {
+	for _, n := range []int{0, 100, frozenCalldata, frozenCalldata + 1, 4096} {
+		enc := widestTx(n).EncodeRLP()
+		want := 1.0
+		if n > frozenCalldata {
+			want = 2
+		}
+		if got := testing.AllocsPerRun(50, func() { kept, _ = DecodeTransaction(enc) }); got != want {
+			t.Errorf("calldata of %d bytes: DecodeTransaction allocates %v times, want %v", n, got, want)
+		}
+	}
+	b := sampleBlock()
+	b.Txs = append(b.Txs, sampleTx(), sampleTx())
+	enc := b.EncodeRLP()
+	if got := testing.AllocsPerRun(50, func() { _, _ = DecodeBlock(enc) }); got != 3+3 {
+		t.Errorf("a three-transaction block: DecodeBlock allocates %v times, want 6", got)
+	}
+}
+
 // TestDeriveTxRootIsFlat: the flat tx root is byte for byte the hash of
 // the Item-tree list of transaction hashes, for an empty, a one, a two
 // and a hundred transaction body, and costs one allocation whatever the
@@ -121,6 +144,124 @@ func TestDeriveTxRootIsFlat(t *testing.T) {
 			t.Errorf("%d transactions: DeriveTxRoot allocates %v times, want 1", n, got)
 		}
 	}
+}
+
+// The Item-tree decoders, the shipped ones until the flat decoders
+// replaced them: the oracle the fuzz targets hold DecodeTransaction and
+// DecodeBlock to.
+
+func itemDecodeTransaction(data []byte) (*Transaction, error) {
+	it, err := rlp.Decode(data)
+	if err != nil {
+		return nil, err
+	}
+	return transactionFromItem(it)
+}
+
+func transactionFromItem(it rlp.Item) (*Transaction, error) {
+	fields, err := it.Items()
+	if err != nil || len(fields) != 8 {
+		return nil, ErrBadTxEncoding
+	}
+	var tx Transaction
+	if tx.Nonce, err = fields[0].AsUint(); err != nil {
+		return nil, ErrBadTxEncoding
+	}
+	if err := copyFixed(fields[1], tx.To[:]); err != nil {
+		return nil, ErrBadTxEncoding
+	}
+	if tx.Value, err = fields[2].AsUint(); err != nil {
+		return nil, ErrBadTxEncoding
+	}
+	if tx.GasPrice, err = fields[3].AsUint(); err != nil {
+		return nil, ErrBadTxEncoding
+	}
+	if tx.GasLimit, err = fields[4].AsUint(); err != nil {
+		return nil, ErrBadTxEncoding
+	}
+	data, err := fields[5].Bytes()
+	if err != nil {
+		return nil, ErrBadTxEncoding
+	}
+	tx.Data = append([]byte{}, data...)
+	if err := copyFixed(fields[6], tx.From[:]); err != nil {
+		return nil, ErrBadTxEncoding
+	}
+	if err := copyFixed(fields[7], tx.Sig[:]); err != nil {
+		return nil, ErrBadTxEncoding
+	}
+	return &tx, nil
+}
+
+func copyFixed(it rlp.Item, dst []byte) error {
+	b, err := it.Bytes()
+	if err != nil || len(b) != len(dst) {
+		return ErrBadTxEncoding
+	}
+	copy(dst, b)
+	return nil
+}
+
+func itemDecodeBlock(data []byte) (*Block, error) {
+	it, err := rlp.Decode(data)
+	if err != nil {
+		return nil, err
+	}
+	parts, err := it.Items()
+	if err != nil || len(parts) != 2 {
+		return nil, ErrBadBlockEncoding
+	}
+	fields, err := parts[0].Items()
+	if err != nil || len(fields) != 11 {
+		return nil, ErrBadBlockEncoding
+	}
+	var h Header
+	for i, dst := range map[int][]byte{0: h.ParentHash[:], 2: h.StateRoot[:], 3: h.TxRoot[:], 4: h.ReceiptRoot[:], 5: h.Coinbase[:]} {
+		if err := copyFixed(fields[i], dst); err != nil {
+			return nil, ErrBadBlockEncoding
+		}
+	}
+	for i, dst := range map[int]*uint64{1: &h.Number, 6: &h.Difficulty, 7: &h.GasLimit, 8: &h.GasUsed, 9: &h.Time, 10: &h.PowNonce} {
+		if *dst, err = fields[i].AsUint(); err != nil {
+			return nil, ErrBadBlockEncoding
+		}
+	}
+	txItems, err := parts[1].Items()
+	if err != nil {
+		return nil, ErrBadBlockEncoding
+	}
+	txs := make([]*Transaction, len(txItems))
+	for i, ti := range txItems {
+		if txs[i], err = transactionFromItem(ti); err != nil {
+			return nil, err
+		}
+	}
+	return &Block{Header: &h, Txs: txs}, nil
+}
+
+// sameTx fails unless a decoded transaction has the oracle's every
+// field and is frozen, with fresh derived data.
+func sameTx(t *testing.T, got, want *Transaction) {
+	t.Helper()
+	if got.Nonce != want.Nonce || got.To != want.To || got.Value != want.Value || got.GasPrice != want.GasPrice ||
+		got.GasLimit != want.GasLimit || !bytes.Equal(got.Data, want.Data) || (got.Data == nil) != (want.Data == nil) ||
+		got.From != want.From || got.Sig != want.Sig {
+		t.Fatalf("decoded %+v, the Item tree %+v", got, want)
+	}
+	if d := got.derived; d == nil || d.signed || d.hashed || d.memoized || d.sigOK.Load() != nil {
+		t.Fatal("a decoded transaction is not frozen, or not freshly")
+	}
+}
+
+// decodeScratch runs decode on a copy of data that it then overwrites,
+// so a result that aliased its input no longer matches the oracle's.
+func decodeScratch[T any](data []byte, decode func([]byte) (T, error)) (T, error) {
+	in := bytes.Clone(data)
+	v, err := decode(in)
+	for i := range in {
+		in[i] ^= 0xff
+	}
+	return v, err
 }
 
 // checkTxDecode is the property both wire targets hold every decoded
@@ -151,16 +292,24 @@ func checkTxDecode(t *testing.T, tx *Transaction) {
 
 // FuzzDecodeTransaction: any input is refused, or decodes to a
 // transaction whose encoding is the input byte for byte — the decoder
-// takes canonical encodings only — and that checkTxDecode holds.
+// takes canonical encodings only — and that checkTxDecode holds. The
+// Item-tree oracle refuses exactly the same inputs and reads the same
+// fields, which the flat decoder's frozen result keeps after its input
+// is overwritten.
 // Seeds: testdata/fuzz/FuzzDecodeTransaction, which include calldata
 // past the digest scratch, so the heap path is fuzzed too.
 func FuzzDecodeTransaction(f *testing.F) {
 	f.Add(sampleTx().EncodeRLP())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tx, err := DecodeTransaction(data)
+		tx, err := decodeScratch(data, DecodeTransaction)
+		want, werr := itemDecodeTransaction(data)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("%x: flat decoder says %v, the Item tree %v", data, err, werr)
+		}
 		if err != nil {
 			return
 		}
+		sameTx(t, tx, want)
 		if enc := tx.EncodeRLP(); !bytes.Equal(enc, data) {
 			t.Fatalf("decoded %x, re-encoded %x", data, enc)
 		}
@@ -171,13 +320,25 @@ func FuzzDecodeTransaction(f *testing.F) {
 // FuzzDecodeBlock: any input is refused, or decodes to a block whose
 // encoding is the input byte for byte, whose header hash, tx root and
 // transaction digests a re-decode reproduces, and whose transactions
-// checkTxDecode holds. Seeds: testdata/fuzz/FuzzDecodeBlock.
+// checkTxDecode holds; the Item-tree oracle agrees on refusal and on
+// every field, as for FuzzDecodeTransaction. Seeds:
+// testdata/fuzz/FuzzDecodeBlock.
 func FuzzDecodeBlock(f *testing.F) {
 	f.Add(sampleBlock().EncodeRLP())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := DecodeBlock(data)
+		b, err := decodeScratch(data, DecodeBlock)
+		want, werr := itemDecodeBlock(data)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("%x: flat decoder says %v, the Item tree %v", data, err, werr)
+		}
 		if err != nil {
 			return
+		}
+		if *b.Header != *want.Header || len(b.Txs) != len(want.Txs) || (b.Txs == nil) != (want.Txs == nil) {
+			t.Fatalf("decoded header %+v and %d transactions, the Item tree %+v and %d", *b.Header, len(b.Txs), *want.Header, len(want.Txs))
+		}
+		for i, tx := range b.Txs {
+			sameTx(t, tx, want.Txs[i])
 		}
 		if enc := b.EncodeRLP(); !bytes.Equal(enc, data) {
 			t.Fatalf("decoded %x, re-encoded %x", data, enc)
