@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet loc bench bench-eta bench-check bench-smoke chaos-smoke parallel-smoke state-smoke serving-smoke crash-smoke elision-smoke order-smoke
+.PHONY: all build test race vet loc shipped-deps smoke-patterns bench bench-check bench-smoke chaos-smoke parallel-smoke state-smoke serving-smoke crash-smoke elision-smoke order-smoke
 
 all: vet build test
 
@@ -21,16 +21,23 @@ vet:
 loc:
 	@git ls-files -co --exclude-standard '*.go' | grep -v -e '_test\.go$$' -e '^bench/' | xargs cat | wc -l
 
-# bench runs the full suite (η rows + micro-benchmarks, every row from
-# the internal/scenarios registries) and writes BENCH_<date>.json. It is
-# the microscope; the gate is the nested bench/ module (bench/README.md).
-bench:
-	$(GO) run ./cmd/serethbench
+# shipped-deps fails if a shipped package links the test harness:
+# benchmarks and fixtures live in _test.go files.
+shipped-deps:
+	@! $(GO) list -deps . ./cmd/... ./internal/... ./examples/... | grep -x -e testing -e net/http/httptest
 
-# bench-eta reproduces the paper's Figure-2/ablation numbers via go test
-# (the shared η table in internal/scenarios).
-bench-eta:
-	$(GO) test -run '^$$' -bench BenchmarkEta -benchtime 1x .
+# smoke-patterns fails when an alternative of a smoke target's -run
+# pattern names no test in that command's packages, so a renamed test
+# cannot silently drop out of a smoke target.
+smoke-patterns:
+	@bash smoke-patterns.sh chaos-smoke parallel-smoke state-smoke serving-smoke crash-smoke elision-smoke order-smoke
+
+# bench runs every Go benchmark of the module: the microscope. The gate,
+# on which performance claims are made, is the nested bench/ module
+# (bench/README.md); the η rows are pinned by internal/scenarios'
+# testdata/eta.golden.
+bench:
+	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 # bench-check vets and tests the nested bench module: root `go test
 # ./...` does not see it, so an internal rename that breaks bench/e2e
@@ -39,9 +46,9 @@ bench-check:
 	$(GO) -C bench vet ./...
 	$(GO) -C bench test ./...
 
-# bench-smoke runs every root and keccak benchmark for one iteration.
+# bench-smoke runs every benchmark of the module for one iteration.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . ./internal/keccak
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x ./...
 
 # chaos-smoke runs the fault-injection determinism/convergence tests, the
 # fault families as actors (each variant reports a result section for
@@ -112,7 +119,7 @@ crash-smoke:
 	$(GO) test -race ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzLogReplay$$' -fuzztime 30s -fuzzminimizetime 1s ./internal/store
 	$(GO) test -race -short -run 'TestCrash|TestBitFlip|TestOpenFallsBack|TestInjectedWriteFailure|TestOpenSnapshot' ./internal/chain
-	$(GO) test -race -run 'TestPanic|TestMaxInFlight|TestShed|TestShutdown|TestHealth' ./internal/rpc
+	$(GO) test -race -run 'TestPanic|TestMaxInFlight|TestClientSurfacesShedStatus|TestShutdown|TestHealth' ./internal/rpc
 	$(GO) test -race -run 'TestCrash' ./internal/sim ./internal/scenarios
 	$(GO) run -race ./cmd/serethsim -experiment crash -quick -runs 2
 

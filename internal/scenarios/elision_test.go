@@ -109,7 +109,7 @@ func TestParallelReplayElidesIdentically(t *testing.T) {
 
 // insertAllocs returns the heap allocations of one InsertBlock of the
 // fixture block on a fresh chain — the quantity the replay/insert-*
-// BENCH rows report as allocs/op (chain construction runs with the
+// BENCH rows reported as allocs/op (chain construction runs with the
 // benchmark timer stopped, so it is measured and subtracted here) — as
 // the fewest of 25 single runs. The collector is held off while
 // counting: a GC cycle empties the sync.Pools behind the interpreter's

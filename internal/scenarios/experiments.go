@@ -1,8 +1,8 @@
-// The experiment registry: every sweep serethsim prints and every
-// simulated row serethbench records is one Experiment value here — a
-// list of labelled points, the columns measured on each, and the
-// function that renders a row. One runner (Experiment.Run) sweeps the
-// seeds; the commands and the root benchmarks are loops over this file.
+// The experiment registry: every sweep serethsim prints is one
+// Experiment value here — a list of labelled points, the columns
+// measured on each, and the function that renders a row. One runner
+// (Experiment.Run) sweeps the seeds; serethsim and the η golden test are
+// loops over this file.
 package scenarios
 
 import (
@@ -22,7 +22,6 @@ import (
 // sweep runs once per seed.
 type Point struct {
 	Label string // the cell's left-hand text in a serethsim row
-	Bench string // BENCH row name; "" keeps the point out of serethbench
 	Quick bool   // member of the -quick subset
 	Make  func(seed int64) sim.ScenarioConfig
 }
@@ -329,8 +328,8 @@ func figure2Footer(rows []Row) string {
 }
 
 // The §V-C / §V-A ablation cells. Each constructor is the one definition
-// of its family's configuration: the serethsim sweeps and the BENCH η
-// table (EtaTable) both build their points here.
+// of its family's configuration: the serethsim sweeps and the η table
+// (EtaTable) both build their points here.
 
 func participationPoint(fraction float64) Point {
 	return Point{Label: fmt.Sprintf("fraction=%.2f", fraction), Make: func(seed int64) sim.ScenarioConfig {
@@ -386,11 +385,9 @@ func burstPoint(size int) Point {
 	}}
 }
 
-// variant is one member of a fault family: Make's name is the label and,
-// with its first underscore turned into a slash, the BENCH row.
+// variant is one member of a fault family, labelled with Make's name.
 func variant(quick bool, mk func(seed int64) sim.ScenarioConfig) Point {
-	name := mk(0).Name
-	return Point{Label: name, Bench: strings.Replace(name, "_", "/", 1), Quick: quick, Make: mk}
+	return Point{Label: mk(0).Name, Quick: quick, Make: mk}
 }
 
 // family builds a fault family's footer: a title, then each row's

@@ -1,11 +1,75 @@
 package scenarios
 
 import (
+	"os"
+	"strconv"
+	"strings"
 	"testing"
 
 	"sereth/internal/chain"
+	"sereth/internal/sim"
 	"sereth/internal/types"
 )
+
+// TestEtaMatchesGolden pins η, the honest twin's η and the η drop of
+// every simulated row to testdata/eta.golden, bit for bit: the 22
+// EtaTable and 3 ScaleTable rows at EtaSeed, and the chaos and crash
+// variants over sim.DefaultSeeds(2) against their honest twins. The
+// golden holds the values BENCH_2026-08-07.json recorded, so a row that
+// moves has moved from that historical number, and a row added to or
+// removed from a table fails the count.
+func TestEtaMatchesGolden(t *testing.T) {
+	data, err := os.ReadFile("testdata/eta.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]string
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			want = append(want, strings.Fields(line))
+		}
+	}
+
+	tables := Experiment{Name: "eta", Columns: []Column{{Name: "eta", Of: sim.Result.Efficiency}}}
+	for _, e := range append(EtaTable(), ScaleTable()...) {
+		tables.Points = append(tables.Points, Point{Label: e.Name, Make: e.Make})
+	}
+	var got []Row
+	for _, sweep := range []struct {
+		exp   Experiment
+		seeds []int64
+	}{
+		{tables, []int64{EtaSeed}},
+		{Chaos(), sim.DefaultSeeds(2)},
+		{Crash(), sim.DefaultSeeds(2)},
+	} {
+		rows, err := sweep.exp.Run(Options{Seeds: sweep.seeds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, rows...)
+	}
+
+	if len(got) != len(want) {
+		t.Errorf("%d rows ran, the golden has %d", len(got), len(want))
+	}
+	for i, r := range got[:min(len(got), len(want))] {
+		w := want[i]
+		if len(w) != 4 || w[0] != r.Label {
+			t.Errorf("row %d is %q, the golden's is %q", i, r.Label, w)
+			continue
+		}
+		for j, col := range []string{"eta", "honest_eta", "eta_drop"} {
+			v, err := strconv.ParseFloat(w[j+1], 64)
+			if err != nil {
+				t.Fatalf("%s: %v", r.Label, err)
+			}
+			if r.Values[col] != v {
+				t.Errorf("%s: %s = %s, golden %s", r.Label, col, strconv.FormatFloat(r.Values[col], 'g', -1, 64), w[j+1])
+			}
+		}
+	}
+}
 
 func TestEtaTableShape(t *testing.T) {
 	table := EtaTable()

@@ -3,7 +3,8 @@ package sim
 import (
 	"encoding/hex"
 	"fmt"
-	"net/http/httptest"
+	"net"
+	"net/http"
 	"strings"
 	"time"
 
@@ -14,25 +15,33 @@ import (
 )
 
 // rpcFrontend is the serving tier ScenarioConfig.RPCClients puts in front
-// of the clients: one HTTP server and one typed caller per client peer.
-// Calls are synchronous in-process HTTP, so the simulation's event
-// timeline stays fully deterministic.
+// of the clients: one HTTP server on a loopback port and one typed caller
+// per client peer. Calls are synchronous in-process HTTP, so the
+// simulation's event timeline stays fully deterministic.
 type rpcFrontend struct {
-	servers []*httptest.Server
+	servers []*http.Server
 	callers []*rpc.Client
 }
 
 // newRPCFrontend publishes every client peer over JSON-RPC. The
 // generous timeout (vs rpc.DefaultTimeout) keeps loaded CI runners
 // from injecting spurious transport failures into a deterministic run.
-func newRPCFrontend(clients []*node.Node, contract types.Address) *rpcFrontend {
+func newRPCFrontend(clients []*node.Node, contract types.Address) (*rpcFrontend, error) {
 	f := &rpcFrontend{}
 	for _, n := range clients {
-		srv := httptest.NewServer(rpc.NewServer(n, contract))
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			f.close()
+			return nil, fmt.Errorf("sim: rpc listener: %w", err)
+		}
+		srv := &http.Server{Handler: rpc.NewServer(n, contract)}
+		// Serve returns once close closes srv; a failed accept shows as
+		// the caller's transport error.
+		go srv.Serve(ln)
 		f.servers = append(f.servers, srv)
-		f.callers = append(f.callers, rpc.NewClient(srv.URL, rpc.WithTimeout(30*time.Second)))
+		f.callers = append(f.callers, rpc.NewClient("http://"+ln.Addr().String(), rpc.WithTimeout(30*time.Second)))
 	}
-	return f
+	return f, nil
 }
 
 func (f *rpcFrontend) close() {

@@ -106,7 +106,7 @@ type ScenarioConfig struct {
 	ParallelExec bool
 
 	// RPCClients publishes every client peer behind a real HTTP JSON-RPC
-	// endpoint (rpc.Server on an httptest listener): view reads travel
+	// endpoint (rpc.Server on a loopback listener): view reads travel
 	// as sereth_view / eth_getStorageAt calls and submissions as
 	// eth_sendRawTransaction, exercising the full serving tier
 	// in-process. The round trip returns the same view words and admits
@@ -483,11 +483,14 @@ func newScenario(cfg ScenarioConfig) (*scenario, error) {
 	for _, a := range s.actors {
 		a.start()
 	}
-	// The serving tier comes up last: newScenario has no error paths
-	// after this point, so the listeners cannot leak on a failed build
-	// (run tears them down).
+	// The serving tier comes up last, so a failed build before it leaves
+	// no listener behind; run tears them down.
 	if cfg.RPCClients {
-		s.rpc = newRPCFrontend(s.clients, s.contract)
+		var err error
+		if s.rpc, err = newRPCFrontend(s.clients, s.contract); err != nil {
+			s.cleanup()
+			return nil, err
+		}
 	}
 	return s, nil
 }
