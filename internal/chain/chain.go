@@ -127,7 +127,7 @@ func New(cfg Config, genesisState *statedb.StateDB) *Chain {
 		// no block is ever adopted. Persist errors at construction are
 		// deliberately fatal-by-panic: a node that silently starts without
 		// its datadir would lose every block it adopts.
-		if err := c.persistLocked(genesis, state); err != nil {
+		if err := c.persistLocked(state, genesis); err != nil {
 			panic(fmt.Sprintf("chain: persist genesis: %v", err))
 		}
 	}
@@ -455,18 +455,13 @@ func (c *Chain) ImportFork(blocks []*types.Block) (int, error) {
 	c.state = results[len(results)-1].post
 	c.orphaned += uint64(orphaned)
 	if c.cfg.Store != nil {
-		// Rewrite the reorged numbers (the log's last-write-wins replay
-		// makes the new branch canonical on recovery) and move the head.
-		// The branch is already fully validated and adopted in memory, so
-		// persist errors only degrade restart fidelity.
-		for j, b := range fork {
-			var post *statedb.StateDB
-			if j == len(fork)-1 {
-				post = results[j].post
-			}
-			if err := c.persistLocked(b, post); err != nil {
-				return orphaned, fmt.Errorf("chain: persist fork block %d: %w", b.Number(), err)
-			}
+		// Commit the tip's state, rewrite the reorged numbers (the log's
+		// last-write-wins replay makes the new branch canonical on
+		// recovery) and move the head to the tip. The branch is already
+		// fully validated and adopted in memory, so persist errors only
+		// degrade restart fidelity.
+		if err := c.persistLocked(c.state, fork...); err != nil {
+			return orphaned, fmt.Errorf("chain: persist fork to block %d: %w", tip, err)
 		}
 	}
 	return orphaned, nil
@@ -488,7 +483,7 @@ func (c *Chain) Orphaned() uint64 {
 // leaves memory and disk agreeing on the old head.
 func (c *Chain) adopt(block *types.Block, hash types.Hash, receipts []*types.Receipt, post *statedb.StateDB) error {
 	if c.cfg.Store != nil {
-		if err := c.persistLocked(block, post); err != nil {
+		if err := c.persistLocked(post, block); err != nil {
 			return fmt.Errorf("chain: persist block %d: %w", block.Number(), err)
 		}
 	}

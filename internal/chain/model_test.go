@@ -1,0 +1,407 @@
+package chain
+
+import (
+	"errors"
+	"fmt"
+	"maps"
+	"math/rand"
+	"testing"
+
+	"sereth/internal/asm"
+	"sereth/internal/statedb"
+	"sereth/internal/store"
+	"sereth/internal/types"
+	"sereth/internal/wallet"
+)
+
+// modelKV is the key-value contract the chain model writes through.
+var modelKV = types.Address{19: 0xd1}
+
+// modelSlots is the slot universe the model's writes draw from: enough
+// that the contract's storage trie is three levels deep, few enough that
+// blocks overwrite and clear one another's slots.
+const modelSlots = 256
+
+// modelSyncEvery is the chain's SyncEvery in the model: a crash keeps
+// the blocks up to the last multiple of it and some of what follows.
+const modelSyncEvery = 3
+
+// modelBlock is what the model knows of a block it built: the slot
+// values of its post state, the writer's next nonce after it, and the
+// post state itself, executed by the model's own processor apart from
+// the chain under test and its store, to build children on.
+type modelBlock struct {
+	block *types.Block
+	hash  types.Hash
+	slots map[types.Word]types.Word
+	nonce uint64
+	post  *statedb.StateDB
+}
+
+// chainModel is what the chain under test must hold: canon is the
+// canonical chain from genesis. posts names the blocks whose post state
+// the chain keeps (a fork may attach only above one), stateful the
+// blocks whose post state the store holds, and floor the height below
+// which a crash may not take the head (a multiple of modelSyncEvery the
+// chain synced at, with its state).
+type chainModel struct {
+	t        *testing.T
+	rng      *rand.Rand
+	writer   *wallet.Key
+	proc     *Processor
+	gasLimit uint64
+	built    map[types.Hash]*modelBlock
+	canon    []*modelBlock
+	posts    map[types.Hash]bool
+	stateful map[types.Hash]bool
+	floor    uint64
+}
+
+func (m *chainModel) head() *modelBlock { return m.canon[len(m.canon)-1] }
+
+// body draws the transactions of a child of parent — puts of random
+// values to random slots, a quarter of them clearing the slot — and
+// returns them with the slot values they leave.
+func (m *chainModel) body(parent *modelBlock) ([]*types.Transaction, map[types.Word]types.Word) {
+	slots := maps.Clone(parent.slots)
+	txs := make([]*types.Transaction, m.rng.Intn(12))
+	for i := range txs {
+		slot := types.WordFromUint64(uint64(m.rng.Intn(modelSlots)))
+		var value types.Word
+		if m.rng.Intn(4) != 0 {
+			value = types.WordFromUint64(m.rng.Uint64() | 1)
+			slots[slot] = value
+		} else {
+			delete(slots, slot)
+		}
+		txs[i] = m.writer.SignTx(&types.Transaction{
+			Nonce:    parent.nonce + uint64(i),
+			To:       modelKV,
+			GasPrice: 10,
+			GasLimit: 100_000,
+			Data:     types.EncodeCall(asm.SelPut, slot, value),
+		})
+	}
+	return txs, slots
+}
+
+// header returns the unsealed header of a child of parent; the random
+// time keeps sibling branches apart even when their bodies are empty.
+func (m *chainModel) header(parent *modelBlock) *types.Header {
+	return &types.Header{
+		ParentHash: parent.hash,
+		Number:     parent.block.Number() + 1,
+		GasLimit:   m.gasLimit,
+		Time:       parent.block.Header.Time + 1 + uint64(m.rng.Intn(30)),
+	}
+}
+
+// execute runs a child of parent on the model's processor, fills
+// header's claims from it unless they are filled already (a block the
+// chain built), and records the block.
+func (m *chainModel) execute(parent *modelBlock, header *types.Header, txs []*types.Transaction, slots map[types.Word]types.Word) *modelBlock {
+	m.t.Helper()
+	res, err := m.proc.Process(parent.post, header, txs)
+	if err != nil {
+		m.t.Fatalf("model execution of block %d: %v", header.Number, err)
+	}
+	for _, r := range res.Receipts {
+		if r.Status != types.StatusSucceeded {
+			m.t.Fatalf("a put failed in block %d", header.Number)
+		}
+	}
+	block := &types.Block{Header: header, Txs: txs}
+	if header.StateRoot == (types.Hash{}) {
+		header.TxRoot = block.TxRoot()
+		header.ReceiptRoot, header.StateRoot, header.GasUsed = res.ReceiptRoot, res.StateRoot, res.GasUsed
+	} else if header.StateRoot != res.StateRoot || header.ReceiptRoot != res.ReceiptRoot {
+		m.t.Fatalf("block %d: the chain's build and the model's execution disagree", header.Number)
+	}
+	mb := &modelBlock{block: block, hash: block.Hash(), slots: slots, nonce: parent.nonce + uint64(len(txs)), post: res.Post}
+	m.built[mb.hash] = mb
+	return mb
+}
+
+// child builds a block on parent with the model's processor.
+func (m *chainModel) child(parent *modelBlock) *modelBlock {
+	txs, slots := m.body(parent)
+	return m.execute(parent, m.header(parent), txs, slots)
+}
+
+// branch builds n blocks on parent.
+func (m *chainModel) branch(parent *modelBlock, n int) []*modelBlock {
+	out := make([]*modelBlock, n)
+	for i := range out {
+		out[i] = m.child(parent)
+		parent = out[i]
+	}
+	return out
+}
+
+// adopted records mb as the chain's new head, with its state committed.
+func (m *chainModel) adopted(mb *modelBlock) {
+	m.canon = append(m.canon, mb)
+	m.posts[mb.hash] = true
+	m.stateful[mb.hash] = true
+	if mb.block.Number()%modelSyncEvery == 0 {
+		m.floor = mb.block.Number()
+	}
+}
+
+// forked records the switch to a branch whose first block is not
+// canonical and sits at height attach. The chain commits the tip's state
+// and writes the branch with the head pointer in one more write, synced
+// if the branch holds a multiple of modelSyncEvery; if not, the floor
+// falls to the highest block left below the branch whose state the
+// store holds, as a crash may cut that write short of the head record
+// after bodies that replace the blocks above it.
+func (m *chainModel) forked(attach uint64, branch []*modelBlock) {
+	m.canon = m.canon[:attach]
+	for _, mb := range branch {
+		m.canon = append(m.canon, mb)
+		m.posts[mb.hash] = true
+	}
+	f := min(m.floor, attach-1)
+	for !m.stateful[m.canon[f].hash] {
+		f--
+	}
+	m.floor = f
+	tip := branch[len(branch)-1].block.Number()
+	m.stateful[m.canon[tip].hash] = true
+	if tip-tip%modelSyncEvery >= attach {
+		m.floor = tip
+	}
+}
+
+// reopened takes the chain c opened from the store as the canonical one.
+// Every block it holds must be one the model built; after a crash, the
+// head may be any of them at or above the floor.
+func (m *chainModel) reopened(c *Chain, crashed bool) {
+	m.t.Helper()
+	head := c.Head()
+	if !crashed && head.Hash() != m.head().hash {
+		m.t.Fatalf("a clean reopen came back at %d, the model's head is %d", head.Number(), m.head().block.Number())
+	}
+	if head.Number() < m.floor {
+		m.t.Fatalf("a crash took the head to %d, below the synced block %d", head.Number(), m.floor)
+	}
+	m.canon = m.canon[:0]
+	for n := uint64(0); n <= head.Number(); n++ {
+		mb, ok := m.built[c.BlockByNumber(n).Hash()]
+		if !ok {
+			m.t.Fatalf("the reopened chain holds block %d, which the model never built", n)
+		}
+		m.canon = append(m.canon, mb)
+	}
+	m.posts = map[types.Hash]bool{head.Hash(): true}
+	m.stateful = map[types.Hash]bool{m.canon[0].hash: true, head.Hash(): true}
+	m.floor = head.Number() // a reopened log is on disk in full
+}
+
+// check compares the chain under test with the model: its blocks, the
+// head state's slots and nonce, a walk of the head state in the store,
+// and an export of it that verifies on its own.
+func (m *chainModel) check(c *Chain, kv store.Store) {
+	m.t.Helper()
+	if got, want := c.Height(), m.head().block.Number(); got != want {
+		m.t.Fatalf("height %d, model %d", got, want)
+	}
+	for n := c.Base(); n <= c.Height(); n++ {
+		if got := c.BlockByNumber(n).Hash(); got != m.canon[n].hash {
+			m.t.Fatalf("block %d is %s, model %s", n, got.Hex(), m.canon[n].hash.Hex())
+		}
+	}
+	head := m.head()
+	c.ReadState(func(st *statedb.StateDB) {
+		for i := uint64(0); i < modelSlots; i++ {
+			slot := types.WordFromUint64(i)
+			if got, want := st.GetState(modelKV, slot), head.slots[slot]; got != want {
+				m.t.Fatalf("head %d: slot %d holds %x, model %x", head.block.Number(), i, got, want)
+			}
+		}
+		if got := st.GetNonce(m.writer.Address()); got != head.nonce {
+			m.t.Fatalf("head %d: writer nonce %d, model %d", head.block.Number(), got, head.nonce)
+		}
+	})
+	root := head.block.Header.StateRoot
+	if err := statedb.VerifyState(kv, root); err != nil {
+		m.t.Fatalf("head %d: the store does not hold its state: %v", head.block.Number(), err)
+	}
+	snap := store.NewMem()
+	if err := c.Export(snap); err != nil {
+		m.t.Fatalf("export: %v", err)
+	}
+	if err := statedb.VerifyState(snap, root); err != nil {
+		m.t.Fatalf("head %d: the export does not hold its state: %v", head.block.Number(), err)
+	}
+}
+
+// TestChainModel drives seeded random sequences of what a chain is asked
+// to do — import a block it replays, adopt a block it built, switch to a
+// longer fork, refuse one that is not longer, reopen its datadir after a
+// clean close and after a crash that drops part of the unsynced tail —
+// against a list model of the canonical chain and the slot values of
+// each block. The chain commits every adopted state to a FileStore, so
+// its head state is in part in memory and in part read lazily through
+// the store. A commit stages its records in map order, so where a crash
+// cuts, and so the recovered head, differs from run to run; the model
+// accepts every head its invariants allow. -short runs a slice.
+func TestChainModel(t *testing.T) {
+	steps := 300
+	if testing.Short() {
+		steps = 80
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			t.Parallel()
+			runChainModel(t, seed, steps)
+		})
+	}
+}
+
+func runChainModel(t *testing.T, seed int64, steps int) {
+	rng := rand.New(rand.NewSource(seed))
+	reg := wallet.NewRegistry()
+	writer := wallet.NewKey(fmt.Sprint("model-writer-", seed))
+	reg.Register(writer)
+	cfg := DefaultConfig()
+	cfg.Registry = reg
+	cfg.SyncEvery = modelSyncEvery
+
+	dir := t.TempDir()
+	var kv *store.FaultStore
+	crashes := 0
+	openStore := func() {
+		fs, err := store.OpenFile(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kv = store.NewFault(fs, &store.FaultPolicy{Seed: seed*100 + int64(crashes), DropUnsyncedOnCrash: true})
+		cfg.Store = kv
+	}
+	openStore()
+	defer func() { _ = kv.Close() }()
+
+	genesis := statedb.New()
+	genesis.SetCode(modelKV, asm.KVStoreContract())
+	c := New(cfg, genesis)
+	g := &modelBlock{block: c.Head(), hash: c.Head().Hash(), slots: map[types.Word]types.Word{}, post: genesis.Copy()}
+	m := &chainModel{
+		t: t, rng: rng, writer: writer, proc: NewProcessor(cfg), gasLimit: cfg.GasLimit,
+		built:    map[types.Hash]*modelBlock{g.hash: g},
+		canon:    []*modelBlock{g},
+		posts:    map[types.Hash]bool{g.hash: true},
+		stateful: map[types.Hash]bool{g.hash: true},
+	}
+
+	forks, builds := 0, 0
+	for step := 0; step < steps; step++ {
+		switch r := rng.Intn(100); {
+		case r < 35: // a block the chain replays
+			mb := m.child(m.head())
+			if _, err := c.InsertBlock(mb.block); err != nil {
+				t.Fatalf("step %d: insert: %v", step, err)
+			}
+			m.adopted(mb)
+		case r < 55: // a block the chain built on its live head state
+			parent := m.head()
+			txs, slots := m.body(parent)
+			header := m.header(parent)
+			var res *ExecResult
+			c.ReadHeadState(func(_ *types.Block, st *statedb.StateDB) {
+				var err error
+				if res, err = c.Process(st, header, txs); err != nil {
+					t.Fatalf("step %d: build: %v", step, err)
+				}
+			})
+			block := &types.Block{Header: header, Txs: txs}
+			header.TxRoot = block.TxRoot()
+			header.ReceiptRoot, header.StateRoot, header.GasUsed = res.ReceiptRoot, res.StateRoot, res.GasUsed
+			mb := m.execute(parent, header, txs, slots)
+			if _, err := c.InsertBuilt(mb.block, res); err != nil {
+				t.Fatalf("step %d: insert built: %v", step, err)
+			}
+			if st := headState(c); st != res.Post {
+				t.Fatalf("step %d: the chain replayed its own build", step)
+			}
+			m.adopted(mb)
+			builds++
+		case r < 72: // a longer fork; a shorter or equal one is refused
+			var attaches []uint64
+			for a := uint64(1); a < uint64(len(m.canon)); a++ {
+				if m.posts[m.canon[a-1].hash] {
+					attaches = append(attaches, a)
+				}
+			}
+			if len(attaches) == 0 {
+				continue
+			}
+			attach := attaches[rng.Intn(len(attaches))]
+			height := m.head().block.Number()
+			longer := rng.Intn(4) != 0
+			n := int(height-attach) + 1 // as high as the head
+			if longer {
+				n += 1 + rng.Intn(2)
+			}
+			branch := m.branch(m.canon[attach-1], n)
+			blocks := make([]*types.Block, n)
+			for i, mb := range branch {
+				blocks[i] = mb.block
+			}
+			orphaned, err := c.ImportFork(blocks)
+			// A block of the branch that is the canonical one at its height
+			// (an empty body drawn at the same time) is skipped, not
+			// orphaned.
+			diverge := attach
+			for i := 0; i < n && diverge <= height && branch[i].hash == m.canon[diverge].hash; i++ {
+				diverge++
+			}
+			if !longer {
+				if diverge > height {
+					if err != nil || orphaned != 0 {
+						t.Fatalf("step %d: a canonical run as a fork: %d orphaned, %v", step, orphaned, err)
+					}
+				} else if !errors.Is(err, ErrForkTooShort) || c.Head().Hash() != m.head().hash {
+					t.Fatalf("step %d: a fork as high as the head: %v, head %d", step, err, c.Height())
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("step %d: fork at %d: %v", step, attach, err)
+			}
+			if want := int(height-diverge) + 1; orphaned != want {
+				t.Fatalf("step %d: fork at %d orphaned %d blocks, want %d", step, attach, orphaned, want)
+			}
+			m.forked(diverge, branch[diverge-attach:])
+			forks++
+		case r < 86:
+			m.check(c, kv)
+		case r < 92: // a clean close and reopen
+			if err := kv.Close(); err != nil {
+				t.Fatalf("step %d: close: %v", step, err)
+			}
+			openStore()
+			var err error
+			if c, err = Open(cfg, kv); err != nil {
+				t.Fatalf("step %d: reopen: %v", step, err)
+			}
+			m.reopened(c, false)
+			m.check(c, kv)
+		default: // a crash that drops part of the unsynced tail
+			kv.Crash()
+			crashes++
+			openStore()
+			var err error
+			if c, err = Open(cfg, kv); err != nil {
+				t.Fatalf("step %d: open after a crash: %v", step, err)
+			}
+			m.reopened(c, true)
+			m.check(c, kv)
+		}
+	}
+	m.check(c, kv)
+	t.Logf("%d steps: head %d, %d forks, %d own builds, %d crashes", steps, c.Height(), forks, builds, crashes)
+	if forks == 0 || builds == 0 || crashes == 0 {
+		t.Fatalf("the run took %d forks, %d own builds and %d crashes: raise the steps", forks, builds, crashes)
+	}
+}

@@ -27,6 +27,7 @@ import (
 
 	"sereth/internal/statedb"
 	"sereth/internal/store"
+	"sereth/internal/trie"
 	"sereth/internal/types"
 )
 
@@ -42,27 +43,28 @@ func blockKey(n uint64) []byte {
 	return k
 }
 
-// persistLocked writes one adopted block to the store: the post state's
-// new trie nodes and code first (their own batch), then the block body
-// and head pointer, head last — so a torn tail after a crash always
-// drops the head record before the data it points at. post may be nil
-// when the state was already committed by a later block in the same
-// reorg batch.
-func (c *Chain) persistLocked(block *types.Block, post *statedb.StateDB) error {
-	if post != nil {
-		root, _, err := post.CommitTo(c.cfg.Store)
-		if err != nil {
-			return err
-		}
-		if root != block.Header.StateRoot {
-			// Defensive: the block was validated against this exact state.
-			return fmt.Errorf("%w: committed %s, header %s", ErrBadStateRoot, root.Hex(), block.Header.StateRoot.Hex())
-		}
-	}
-	if err := writeHead(c.cfg.Store, &c.headBatch, block); err != nil {
+// persistLocked writes a run of adopted blocks — one block, or the
+// branch a reorg switched to — to the store: post, the state of the last
+// block, as its new trie nodes and code first (their own batch), then
+// the bodies and the head pointer naming the last, head last — so a torn
+// tail after a crash always drops the head record before the data it
+// points at, and no head record names a block whose state the store was
+// not given (a branch's blocks below its tip have none). It syncs when
+// the run holds a multiple of SyncEvery.
+func (c *Chain) persistLocked(post *statedb.StateDB, blocks ...*types.Block) error {
+	tip := blocks[len(blocks)-1]
+	root, _, err := post.CommitTo(c.cfg.Store)
+	if err != nil {
 		return err
 	}
-	if n := c.cfg.SyncEvery; n > 0 && block.Number()%uint64(n) == 0 {
+	if root != tip.Header.StateRoot {
+		// Defensive: the block was validated against this exact state.
+		return fmt.Errorf("%w: committed %s, header %s", ErrBadStateRoot, root.Hex(), tip.Header.StateRoot.Hex())
+	}
+	if err := writeHead(c.cfg.Store, &c.headBatch, blocks...); err != nil {
+		return err
+	}
+	if n := uint64(c.cfg.SyncEvery); n > 0 && tip.Number()-tip.Number()%n >= blocks[0].Number() {
 		if sy, ok := c.cfg.Store.(store.Syncer); ok {
 			return sy.Sync()
 		}
@@ -70,13 +72,15 @@ func (c *Chain) persistLocked(block *types.Block, post *statedb.StateDB) error {
 	return nil
 }
 
-// writeHead appends block's body and the head pointer naming it to kv
-// through b, which it resets first.
-func writeHead(kv store.Store, b *store.Batch, block *types.Block) error {
+// writeHead appends the bodies of a run of blocks and the head pointer
+// naming the last to kv through b, which it resets first.
+func writeHead(kv store.Store, b *store.Batch, blocks ...*types.Block) error {
 	b.Reset()
-	b.Put(blockKey(block.Number()), block.EncodeRLP())
+	for _, block := range blocks {
+		b.Put(blockKey(block.Number()), block.EncodeRLP())
+	}
 	var num [8]byte
-	binary.BigEndian.PutUint64(num[:], block.Number())
+	binary.BigEndian.PutUint64(num[:], blocks[len(blocks)-1].Number())
 	b.Put(headKey, num[:])
 	return kv.Write(b)
 }
@@ -190,7 +194,13 @@ func Open(cfg Config, kv store.Store) (*Chain, error) {
 		suspect = sv.Salvage().Dirty()
 	}
 	if !suspect {
-		return openAt(cfg, kv, head)
+		c, err := openAt(cfg, kv, head)
+		if err != nil || hasStateRoot(kv, c.Head().Header.StateRoot) {
+			return c, err
+		}
+		// A clean log whose head names a block it holds no state for: a
+		// crash cut a reorg's write at a record boundary, after branch
+		// bodies that replaced the one the head record names.
 	}
 	var firstErr error
 	for num := head; ; num-- {
@@ -214,6 +224,17 @@ func Open(cfg Config, kv store.Store) (*Chain, error) {
 			return nil, fmt.Errorf("chain: no verifiable durable head after salvage: %w", firstErr)
 		}
 	}
+}
+
+// hasStateRoot reports whether kv holds the root record of the state
+// committed at root: what a trusted open checks before it reads through
+// it.
+func hasStateRoot(kv store.Store, root types.Hash) bool {
+	if root == trie.EmptyRoot {
+		return true
+	}
+	_, ok := kv.Get(root[:])
+	return ok
 }
 
 // openVerified is openAt for a head that has yet to earn trust: the

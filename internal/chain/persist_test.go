@@ -2,6 +2,7 @@ package chain
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"maps"
 	"os"
@@ -95,7 +96,11 @@ func TestOpenRecoversHeadWithoutReplay(t *testing.T) {
 	}
 }
 
-func TestOpenAfterReorgFollowsCanonicalBranch(t *testing.T) {
+// reorgRig is a store-backed chain that grew two blocks of its own and
+// then switched to a four-block branch from genesis; every block sets
+// the contract's value, so no two blocks share a state.
+func reorgRig(t *testing.T) (Config, *store.MemStore, *Chain) {
+	t.Helper()
 	kv := store.NewMem()
 	reg := wallet.NewRegistry()
 	owner := wallet.NewKey("fork-owner")
@@ -110,25 +115,29 @@ func TestOpenAfterReorgFollowsCanonicalBranch(t *testing.T) {
 
 	grow := func(c *Chain, n int, firstValue uint64) []*types.Block {
 		var out []*types.Block
+		prev := types.ZeroWord
 		for i := 0; i < n; i++ {
-			var txs []*types.Transaction
-			if i == 0 {
-				txs = []*types.Transaction{setTxFor(owner, 0, types.ZeroWord, firstValue, types.FlagHead)}
-			}
+			value := firstValue + uint64(i)
+			txs := []*types.Transaction{setTxFor(owner, uint64(i), prev, value, types.FlagHead)}
 			blk := buildBlock(t, c, txs)
 			if _, err := c.InsertBlock(blk); err != nil {
 				t.Fatalf("grow: %v", err)
 			}
 			out = append(out, blk)
+			prev = types.WordFromUint64(value)
 		}
 		return out
 	}
 	grow(local, 2, 5)
-	remoteBlocks := grow(remote, 4, 7)
+	remoteBlocks := grow(remote, 4, 50)
 	if _, err := local.ImportFork(remoteBlocks); err != nil {
 		t.Fatalf("ImportFork: %v", err)
 	}
+	return cfg, kv, local
+}
 
+func TestOpenAfterReorgFollowsCanonicalBranch(t *testing.T) {
+	cfg, kv, local := reorgRig(t)
 	re, err := Open(cfg, kv)
 	if err != nil {
 		t.Fatalf("Open after reorg: %v", err)
@@ -142,6 +151,35 @@ func TestOpenAfterReorgFollowsCanonicalBranch(t *testing.T) {
 		if re.BlockByNumber(n).Hash() != local.BlockByNumber(n).Hash() {
 			t.Fatalf("block %d diverges from canonical branch", n)
 		}
+	}
+}
+
+// TestOpenDistrustsAHeadWithoutState: a reorg commits only its tip's
+// state, then writes the branch's bodies and the head pointer, head last.
+// A crash that cuts that write at a record boundary leaves a log that
+// salvages clean, whose old head record now names a branch block the
+// store holds no state for. Open must not trust it: it walks down to the
+// deepest block whose state verifies — here genesis, as the branch's
+// blocks below its tip have none — and repoints the head there.
+func TestOpenDistrustsAHeadWithoutState(t *testing.T) {
+	cfg, kv, local := reorgRig(t)
+	var num [8]byte
+	binary.BigEndian.PutUint64(num[:], 2) // the pre-reorg head
+	if err := kv.Put(headKey, num[:]); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(cfg, kv)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if re.Height() != 0 || re.Head().Hash() != local.BlockByNumber(0).Hash() {
+		t.Fatalf("recovered head %d, want genesis: the blocks above it have no state", re.Height())
+	}
+	if err := statedb.VerifyState(kv, re.Head().Header.StateRoot); err != nil {
+		t.Fatalf("recovered head state: %v", err)
+	}
+	if head, _ := kv.Get(headKey); binary.BigEndian.Uint64(head) != 0 {
+		t.Fatalf("head record still names block %d", binary.BigEndian.Uint64(head))
 	}
 }
 

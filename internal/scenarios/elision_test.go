@@ -146,10 +146,12 @@ func insertAllocs(f *ReplayFixture, cache *chain.ExecCache) float64 {
 // inserts), and 265..266 → 156..157 when a call's program counter moved
 // into its pooled frame (one allocation a transaction), Process began to
 // take its journal and its machine from pools, a plain account stopped
-// owning a storage trie and a state copy became slabs, and 156..157 →
+// owning a storage trie and a state copy became slabs, 156..157 →
 // 55..56 when the tx root began to encode into one flat buffer (the Item
 // tree cost a copy of every transaction hash) and RETURN to write into
-// the machine's own buffer.
+// the machine's own buffer, and 55..56 → 42..43 when a trie node stopped
+// keeping a copy of its encoding (one allocation per node hashed) and a
+// storage flush began to hand the trie its values in one slab.
 func TestReplayAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -159,8 +161,8 @@ func TestReplayAllocsPinned(t *testing.T) {
 	if _, err := f.NewChain(warm).InsertBlock(f.Block); err != nil {
 		t.Fatal(err)
 	}
-	if got := insertAllocs(f, nil); got < 55 || got > 56 {
-		t.Errorf("replay/insert-100tx-full: %v allocs per insert, pinned 55..56", got)
+	if got := insertAllocs(f, nil); got < 42 || got > 43 {
+		t.Errorf("replay/insert-100tx-full: %v allocs per insert, pinned 42..43", got)
 	}
 	if got := insertAllocs(f, warm); got != 2 {
 		t.Errorf("replay/insert-100tx-cached: %v allocs per insert, pinned 2", got)

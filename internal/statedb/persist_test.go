@@ -6,6 +6,7 @@ import (
 	"os"
 	"testing"
 
+	"sereth/internal/keccak"
 	"sereth/internal/store"
 	"sereth/internal/types"
 )
@@ -430,6 +431,51 @@ func TestCommitAllocatesPerBlockNotPerNode(t *testing.T) {
 	}
 	if extra := with - without; extra > 10 {
 		t.Fatalf("committing %d nodes allocated %v times (%v with the commit, %v without)", nodes, extra, with, without)
+	}
+}
+
+// TestCommitComputesNoDigest counts digests, not time: once Root has
+// hashed a state, every trie node holds its reference, so CommitTo
+// encodes the nodes it writes again under those references and runs no
+// Keccak at all — the roots' included (it hashed each committed trie's
+// root again while the root's hash lived outside its node). Walking the
+// hashed state in memory runs none either.
+func TestCommitComputesNoDigest(t *testing.T) {
+	s := populated(t)
+	s.Root()
+	kv := store.NewMem()
+	before := keccak.Invocations()
+	if _, n, err := s.CommitTo(kv); err != nil || n == 0 {
+		t.Fatalf("commit wrote %d records: %v", n, err)
+	}
+	if d := keccak.Invocations() - before; d != 0 {
+		t.Errorf("CommitTo of a hashed state ran %d digests, want 0", d)
+	}
+
+	for i := uint64(0); i < 10; i++ {
+		s.SetState(addrN(0xcc), slotN(i*5), wordN(i+100))
+	}
+	s.AddBalance(addrN(3), 1)
+	s.DiscardJournal()
+	root := s.Root()
+	before = keccak.Invocations()
+	if _, n, err := s.CommitTo(kv); err != nil || n == 0 {
+		t.Fatalf("second commit wrote %d records: %v", n, err)
+	}
+	if d := keccak.Invocations() - before; d != 0 {
+		t.Errorf("CommitTo of a hashed block ran %d digests, want 0", d)
+	}
+
+	before = keccak.Invocations()
+	records := 0
+	if err := s.Walk(func(_, _ []byte) { records++ }); err != nil {
+		t.Fatal(err)
+	}
+	if d := keccak.Invocations() - before; d != 0 {
+		t.Errorf("Walk of a hashed state ran %d digests, want 0", d)
+	}
+	if err := VerifyState(kv, root); err != nil || records == 0 {
+		t.Fatalf("walked %d records; the commit does not verify: %v", records, err)
 	}
 }
 

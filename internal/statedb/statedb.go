@@ -545,19 +545,23 @@ func (s *StateDB) flush() {
 }
 
 // encode flushes the account's overlay into its storage trie, seals it,
-// and returns the account's RLP encoding.
+// and returns the account's RLP encoding. The overlay's values are
+// encoded into one slab, and each is handed to the trie as a
+// capacity-capped slice of it that nobody writes again.
 func (acc *account) encode() []byte {
 	if len(acc.storage) > 0 {
 		if acc.storageTrie == nil {
 			acc.storageTrie = trie.NewSecure()
 		}
-		var word [1 + len(types.Word{})]byte // the trie copies what it stores
+		slab := make([]byte, 0, len(acc.storage)*(1+len(types.Word{})))
 		for k, v := range acc.storage {
 			if v.IsZero() {
 				acc.storageTrie.Delete(k[:])
-			} else {
-				acc.storageTrie.Update(k[:], rlp.AppendString(word[:0], minimalBytes(v)))
+				continue
 			}
+			start := len(slab)
+			slab = rlp.AppendString(slab, minimalBytes(v))
+			acc.storageTrie.UpdateHashed(types.Keccak(k[:]), slab[start:len(slab):len(slab)])
 		}
 		acc.seal()
 	}

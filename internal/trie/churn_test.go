@@ -126,7 +126,7 @@ func TestTrieChurnModel(t *testing.T) {
 		case op < 13:
 			commit(m)
 		case op < 16:
-			if m.tr.hash == nil && m.tr.root != nil {
+			if c := cacheOf(m.tr.root); c != nil && c.refLen == 0 {
 				copiedUnhashed++
 			}
 			cp := m.tr.Copy()

@@ -13,7 +13,7 @@ import (
 
 // The reference encoder: the Item-tree form the trie used before nodes
 // were written straight into their buffers. It reads no cache and shares
-// no code with encoding — it builds a node's rlp.Item, nesting an
+// no code with the encoder — it builds a node's rlp.Item, nesting an
 // embedded child as the child's own Item and replacing a child whose
 // encoding reaches 32 bytes by the string of its Keccak hash.
 
@@ -75,10 +75,18 @@ func oracleHexPrefix(nibbles []byte, isLeaf bool) []byte {
 	return out
 }
 
+// encodingOf returns a copy of n's encoding, hashing what is below it
+// first.
+func encodingOf(n node) []byte {
+	var h hasher
+	h.hash(n)
+	return bytes.Clone(h.encode(n))
+}
+
 // checkEncodings asserts, for every node reachable from the root without
-// resolving a reference, that encoding agrees with the oracle and that
-// the decoded encoding encodes to itself; and that the root hash is the
-// oracle's. It returns what it saw, so callers can assert the shapes
+// resolving a reference, that its encoding and the reference its cache
+// holds agree with the oracle and that the decoded encoding encodes to
+// itself; and that the root hash is the oracle's. It returns what it saw, so callers can assert the shapes
 // they meant to build were built.
 type seenShapes struct {
 	nodes, embedded, hashedBare, branchValues, extensions, unresolved, longLists int
@@ -124,9 +132,12 @@ func checkEncodings(t testing.TB, tr *Trie) seenShapes {
 			}
 		}
 		seen.nodes++
-		got := encoding(n)
+		got := encodingOf(n)
 		if want := rlp.Encode(oracleItem(n)); !bytes.Equal(got, want) {
 			t.Fatalf("encoding(%T) = %x, oracle %x", n, got, want)
+		}
+		if ref, want := cacheOf(n).appendRef(nil), rlp.Encode(oracleRef(n)); !bytes.Equal(ref, want) {
+			t.Fatalf("reference of %T = %x, oracle %x", n, ref, want)
 		}
 		if len(got) < 32 {
 			seen.embedded++
@@ -138,7 +149,7 @@ func checkEncodings(t testing.TB, tr *Trie) seenShapes {
 		if err != nil {
 			t.Fatalf("decodeNode(%x): %v", got, err)
 		}
-		if again := encoding(decoded); !bytes.Equal(again, got) {
+		if again := encodingOf(decoded); !bytes.Equal(again, got) {
 			t.Fatalf("decodeNode(%x) re-encodes to %x", got, again)
 		}
 	}

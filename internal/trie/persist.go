@@ -42,8 +42,6 @@ func NewFromRoot(db NodeReader, root types.Hash) *Trie {
 		return t
 	}
 	t.root = hashNode(root)
-	h := root
-	t.hash = &h
 	return t
 }
 
@@ -59,54 +57,27 @@ func NewSecureFromRoot(db NodeReader, root types.Hash) *SecureTrie {
 // short-circuits on the stored flag, a commit after N updates touches
 // exactly the fresh paths — the PR-3 dirty set — not the whole trie. The
 // root node is stored even when its encoding is shorter than 32 bytes,
-// so the root hash alone always reopens the trie.
+// so the root hash alone always reopens the trie. Commit hashes the trie
+// first; a node it writes is encoded again into the hasher's buffer,
+// under the reference hashing left it, so a hashed trie commits without
+// a digest.
 func (t *Trie) Commit(w Writer) int {
 	if t.root == nil {
 		return 0
 	}
-	return commitNode(t.root, w, true)
+	h := hashers.Get().(*hasher)
+	defer hashers.Put(h)
+	h.hash(t.root)
+	return h.commit(t.root, w, true)
 }
 
 // Commit on a secure trie commits the underlying node trie.
 func (s *SecureTrie) Commit(w Writer) int { return s.inner.Commit(w) }
 
-func commitNode(n node, w Writer, isRoot bool) int {
-	switch cur := n.(type) {
-	case *shortNode:
-		if cur.cache.stored {
-			return 0
-		}
-		enc := encoding(cur)
-		written := 0
-		if _, leaf := cur.val.(valueNode); !leaf {
-			// A leaf's value is part of enc: only an extension's child can
-			// hold records of its own.
-			written = commitChildren(cur.val, w)
-		}
-		if len(enc) >= 32 || isRoot {
-			w.Put(cur.cache.hashRef(enc)[:], enc)
-			cur.cache.stored = true
-			written++
-		}
-		return written
-	case *fullNode:
-		if cur.cache.stored {
-			return 0
-		}
-		enc := encoding(cur)
-		written := 0
-		for i := 0; i < 16; i++ {
-			if cur.children[i] != nil {
-				written += commitChildren(cur.children[i], w)
-			}
-		}
-		if len(enc) >= 32 || isRoot {
-			w.Put(cur.cache.hashRef(enc)[:], enc)
-			cur.cache.stored = true
-			written++
-		}
-		return written
-	case valueNode:
+// commit writes the records of the hashed node n and of the unstored
+// nodes below it.
+func (h *hasher) commit(n node, w Writer, isRoot bool) int {
+	if v, ok := n.(valueNode); ok {
 		// Reached only at the root or in a branch's sixteen slots (a split
 		// 1-nibble leaf): a leaf's value and a branch's value slot are part
 		// of their node's own record. A bare value whose encoding reaches
@@ -114,32 +85,51 @@ func commitNode(n node, w Writer, isRoot bool) int {
 		// carries no cache, so it is re-stored each commit — the shape
 		// only arises with variable-length raw keys, never in the
 		// fixed-width secure tries state uses.
-		if rlp.StringSize(cur) >= 32 || isRoot { // measured, not encoded: most values are small
-			enc := encoding(cur)
-			h := types.Keccak(enc)
-			w.Put(h[:], enc)
-			return 1
+		if rlp.StringSize(v) < embedLimit && !isRoot { // measured, not encoded: most values are small
+			return 0
 		}
-		return 0
-	default:
-		// hashNode is already persisted; nil stores nothing.
+		enc := h.encode(v)
+		key := types.Keccak(enc)
+		w.Put(key[:], enc)
+		return 1
+	}
+	// hashNode is already persisted and nil stores nothing. A node
+	// embedded in its parent (encoding < 32 bytes) has no record, and
+	// holds none below it: a 32-byte reference would blow it past the
+	// embedding limit.
+	c := cacheOf(n)
+	if c == nil || c.stored || (c.refLen != hashRef && !isRoot) {
 		return 0
 	}
-}
-
-// commitChildren recurses into a child subtree. Children embedded in
-// the parent encoding (enc < 32 bytes) cannot themselves contain
-// by-hash references — a 32-byte ref would blow the parent past the
-// embedding limit — so only hash-referenced children can hold
-// unpersisted descendants.
-func commitChildren(n node, w Writer) int {
-	return commitNode(n, w, false)
+	written := 0
+	switch cur := n.(type) {
+	case *shortNode:
+		if _, leaf := cur.val.(valueNode); !leaf {
+			// A leaf's value is part of its record: only an extension's
+			// child can hold records of its own.
+			written = h.commit(cur.val, w, false)
+		}
+	case *fullNode:
+		for _, child := range cur.children[:16] {
+			written += h.commit(child, w, false)
+		}
+	}
+	enc := h.encode(n)
+	if c.refLen == hashRef {
+		w.Put(c.ref[:], enc)
+	} else { // a root smaller than 32 bytes, stored under its digest
+		key := types.Keccak(enc)
+		w.Put(key[:], enc)
+	}
+	c.stored = true
+	return written + 1
 }
 
 // resolve fetches and decodes the node referenced by h, returning the
 // stored bytes beside it. The decoded node round-trips to exactly enc;
-// its cache is seeded so a later hash walk does not re-encode or re-hash
-// it.
+// its reference is seeded from h (or from enc, for a root smaller than
+// 32 bytes), so a later hash walk neither encodes nor hashes it, and
+// enc is not kept.
 func resolve(db NodeReader, h hashNode) (node, []byte, error) {
 	if db == nil {
 		return nil, nil, fmt.Errorf("trie: no node store attached, cannot resolve %x", types.Hash(h))
@@ -152,11 +142,13 @@ func resolve(db NodeReader, h hashNode) (node, []byte, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("trie: corrupt node %x: %v", types.Hash(h), err)
 	}
-	switch cur := n.(type) {
-	case *shortNode:
-		cur.cache = nodeCache{enc: enc, hash: types.Hash(h), hashed: true, stored: true}
-	case *fullNode:
-		cur.cache = nodeCache{enc: enc, hash: types.Hash(h), hashed: true, stored: true}
+	if c := cacheOf(n); c != nil {
+		if len(enc) < embedLimit {
+			c.set(enc)
+		} else {
+			c.ref, c.refLen = types.Hash(h), hashRef
+		}
+		c.stored = true
 	}
 	return n, enc, nil
 }
@@ -259,11 +251,13 @@ func decodeNodeItem(it rlp.Item) (node, error) {
 func decodeRef(it rlp.Item) (node, error) {
 	if it.Kind() == rlp.KindList {
 		n, err := decodeNodeItem(it)
-		if err == nil {
+		if c := cacheOf(n); c != nil && err == nil {
 			// An embedded node is as shared as the stored parent it came
-			// in: fill its cache, or it would pass for a node this trie
-			// made itself and be written in place (see mutable).
-			encoding(n)
+			// in: fill its reference, which is its encoding, or it would
+			// pass for a node this trie made itself and be written in
+			// place (see mutable). What is below it came filled.
+			var buf [embedLimit]byte
+			c.set(appendEncoding(buf[:0], n))
 		}
 		return n, err
 	}

@@ -4,8 +4,8 @@
 // parent, per the specification), so identical contents always produce
 // identical roots regardless of insertion order.
 //
-// Sharing rule: a node whose encoding cache is filled may be reachable
-// from other tries and is never written again; a node whose cache is
+// Sharing rule: a node whose reference is filled may be reachable from
+// other tries and is never written again; a node whose reference is
 // empty was made by the one trie that holds it since that trie was last
 // hashed, and that trie writes it in place. Copy hashes before it shares,
 // so no unhashed node is ever reachable from two tries.
@@ -14,6 +14,7 @@ package trie
 import (
 	"bytes"
 	"sort"
+	"sync"
 
 	"sereth/internal/keccak"
 	"sereth/internal/rlp"
@@ -31,14 +32,14 @@ var EmptyRoot = types.Keccak(rlp.Encode(rlp.String(nil)))
 // last hashing, which no other trie can reach (see the package comment),
 // so a Copy stays valid while either side keeps mutating, and a burst of
 // updates between two hashings copies each node at most once. Each node
-// memoizes its RLP encoding and Keccak reference the first time it is
-// hashed, which makes RootHash O(changed paths) instead of O(trie): the
-// untouched siblings of a mutated path reuse their cached encodings.
+// keeps the reference its parent embeds — its Keccak hash, or its
+// encoding itself when that is shorter than 32 bytes — from the first
+// time it is hashed, and nothing else of its encoding, which makes
+// RootHash O(changed paths) instead of O(trie): a node on a mutated path
+// is encoded again from its children's references, and the untouched
+// siblings are not visited.
 type Trie struct {
 	root node
-	// hash caches the root hash of the current root node; any mutation
-	// clears it.
-	hash *types.Hash
 	// db resolves by-hash node references for tries opened from a
 	// persisted root (NewFromRoot); nil for purely in-memory tries.
 	db NodeReader
@@ -49,17 +50,16 @@ type Trie struct {
 // node store). nil means the empty subtrie.
 type node interface{}
 
-// nodeCache memoizes a node's canonical encoding. enc is the node's RLP
-// encoding (nil until computed); hash is Keccak(enc), valid only when
-// hashed is set (computed lazily and only for encodings >= 32 bytes,
-// which are referenced by hash per the MPT spec). stored marks nodes
-// whose encoding already lives in a node store, so Commit stops walking
-// there. An empty cache (enc == nil) is also what marks a node private
-// to its trie — see mutable.
+// nodeCache holds what a parent embeds for a node: with refLen 32, ref
+// is Keccak of the node's encoding (a node of 32 bytes or more is
+// referenced by hash, per the MPT spec); with refLen 1 to 31, ref[:refLen]
+// is the encoding itself, embedded verbatim. refLen 0 means the node has
+// not been hashed since it was made, which is also what marks it private
+// to its trie — see mutable. stored marks nodes whose encoding already
+// lives in a node store, so Commit stops walking there.
 type nodeCache struct {
-	enc    []byte
-	hash   types.Hash
-	hashed bool
+	ref    types.Hash
+	refLen uint8
 	stored bool
 }
 
@@ -88,7 +88,7 @@ func New() *Trie { return &Trie{} }
 // where the handle lives.
 func (t *Trie) Copy() Trie {
 	t.RootHash()
-	return Trie{root: t.root, hash: t.hash, db: t.db}
+	return Trie{root: t.root, db: t.db}
 }
 
 // Get returns the value stored under key, or nil if absent.
@@ -145,7 +145,6 @@ func (t *Trie) Delete(key []byte) { t.update(key, nil) }
 // slice itself, and nobody writes it again. The nibble key lives on the
 // stack; insert clones the part of it a new short node keeps.
 func (t *Trie) update(key []byte, value valueNode) {
-	t.hash = nil
 	var buf [nibbleBuf]byte
 	k := appendNibbles(buf[:0], key)
 	if len(value) == 0 {
@@ -159,7 +158,7 @@ func (t *Trie) update(key []byte, value valueNode) {
 // when it has not been hashed since this trie made it (no other trie can
 // reach it), otherwise a copy with an empty cache.
 func (fn *fullNode) mutable() *fullNode {
-	if fn.cache.enc == nil {
+	if fn.cache.refLen == 0 {
 		return fn
 	}
 	return &fullNode{children: fn.children}
@@ -167,7 +166,7 @@ func (fn *fullNode) mutable() *fullNode {
 
 // mutable is fullNode.mutable for short nodes.
 func (sn *shortNode) mutable() *shortNode {
-	if sn.cache.enc == nil {
+	if sn.cache.refLen == 0 {
 		return sn
 	}
 	return &shortNode{key: sn.key, val: sn.val}
@@ -336,51 +335,101 @@ func commonPrefix(a, b []byte) int {
 }
 
 // RootHash computes the Merkle root of the current trie contents. The
-// result is cached until the next mutation; on a trie where only a few
-// paths changed since the last call, only those paths are re-encoded and
-// re-hashed.
+// root of 32 bytes or more keeps its hash as its reference, so on a trie
+// where nothing changed since the last call this reads it; where a few
+// paths changed, only those paths are encoded and hashed again.
 func (t *Trie) RootHash() types.Hash {
-	if t.root == nil {
+	switch root := t.root.(type) {
+	case nil:
 		return EmptyRoot
-	}
-	if h, ok := t.root.(hashNode); ok {
+	case hashNode:
 		// An untouched persisted trie is already its own commitment.
-		return types.Hash(h)
+		return types.Hash(root)
 	}
-	if t.hash == nil {
-		h := types.Keccak(encoding(t.root))
-		t.hash = &h
+	c := cacheOf(t.root)
+	if c != nil && c.refLen == hashRef {
+		return c.ref
 	}
-	return *t.hash
+	h := hashers.Get().(*hasher)
+	defer hashers.Put(h)
+	h.hash(t.root)
+	if c != nil && c.refLen == hashRef {
+		return c.ref
+	}
+	// A root smaller than 32 bytes, or a bare value: its hash is the
+	// digest of its encoding, taken again on every call.
+	return types.Keccak(h.encode(t.root))
 }
 
-// encoding returns the node's canonical RLP encoding, memoized on short
-// and full nodes. The first call after a mutation encodes exactly the
-// nodes written or copied since the last one; every untouched subtree
-// returns its cached bytes without recursing.
-func encoding(n node) []byte {
+// hasher encodes nodes into one scratch buffer. A node is encoded only
+// once every node below it has its reference, so the buffer is free
+// again whenever the next node begins: one buffer serves a whole
+// RootHash, Commit or Walk, and no node keeps its encoding.
+type hasher struct{ buf []byte }
+
+// hashers recycles the scratch buffers; one grows to the largest node
+// encoding once (a branch of sixteen hash references is 532 bytes).
+var hashers = sync.Pool{New: func() any { return &hasher{buf: make([]byte, 0, 1024)} }}
+
+// hash fills the reference of n and of every node below it made since
+// the last hashing. A node that has its reference already is not
+// descended: no other trie may write below it.
+func (h *hasher) hash(n node) {
+	switch cur := n.(type) {
+	case *shortNode:
+		if cur.cache.refLen == 0 {
+			h.hash(cur.val)
+			cur.cache.set(h.encode(cur))
+		}
+	case *fullNode:
+		if cur.cache.refLen == 0 {
+			for _, child := range cur.children[:16] {
+				h.hash(child)
+			}
+			cur.cache.set(h.encode(cur))
+		}
+	}
+}
+
+// encode writes the canonical RLP encoding of n, whose children are
+// hashed, into the scratch buffer. The bytes are valid until the next
+// encode.
+func (h *hasher) encode(n node) []byte {
+	out := appendEncoding(h.buf[:0], n)
+	h.buf = out[:0] // keep what the buffer grew to
+	return out
+}
+
+// appendEncoding appends the canonical RLP encoding of n, whose children
+// are hashed.
+func appendEncoding(out []byte, n node) []byte {
 	switch cur := n.(type) {
 	case valueNode:
-		return rlp.AppendString(nil, cur)
+		return rlp.AppendString(out, cur)
 	case *shortNode:
-		if cur.cache.enc == nil {
-			cur.cache.enc = cur.encode()
-		}
-		return cur.cache.enc
+		return cur.appendEncoding(out)
 	case *fullNode:
-		if cur.cache.enc == nil {
-			cur.cache.enc = cur.encode()
-		}
-		return cur.cache.enc
+		return cur.appendEncoding(out)
 	default: // nil
-		return []byte{0x80}
+		return append(out, 0x80)
 	}
 }
 
-// encode measures the short node — the list of its hex-prefix key and
-// either its value (a leaf) or the reference to its child (an extension)
-// — and writes it into one buffer of the exact size.
-func (sn *shortNode) encode() []byte {
+// cacheOf returns the cache of a short or full node, nil for any other.
+func cacheOf(n node) *nodeCache {
+	switch cur := n.(type) {
+	case *shortNode:
+		return &cur.cache
+	case *fullNode:
+		return &cur.cache
+	}
+	return nil
+}
+
+// appendEncoding appends the short node — the list of its hex-prefix key
+// and either its value (a leaf) or the reference to its child (an
+// extension), measured first so the list header is written once.
+func (sn *shortNode) appendEncoding(out []byte) []byte {
 	var keyBuf [33]byte // a secure trie's keys are at most 64 nibbles
 	leaf, isLeaf := sn.val.(valueNode)
 	key := appendHexPrefix(keyBuf[:0], sn.key, isLeaf)
@@ -390,7 +439,7 @@ func (sn *shortNode) encode() []byte {
 	} else {
 		size += refSize(sn.val)
 	}
-	out := rlp.AppendListHeader(make([]byte, 0, rlp.ListSize(size)), size)
+	out = rlp.AppendListHeader(out, size)
 	out = rlp.AppendString(out, key)
 	if isLeaf {
 		return rlp.AppendString(out, leaf)
@@ -398,15 +447,15 @@ func (sn *shortNode) encode() []byte {
 	return appendRef(out, sn.val)
 }
 
-// encode measures the branch — sixteen child references and the value
-// slot — and writes it into one buffer of the exact size.
-func (fn *fullNode) encode() []byte {
+// appendEncoding appends the branch — sixteen child references and the
+// value slot — measured first so the list header is written once.
+func (fn *fullNode) appendEncoding(out []byte) []byte {
 	value, _ := fn.children[16].(valueNode)
 	size := rlp.StringSize(value)
 	for _, child := range fn.children[:16] {
 		size += refSize(child)
 	}
-	out := rlp.AppendListHeader(make([]byte, 0, rlp.ListSize(size)), size)
+	out = rlp.AppendListHeader(out, size)
 	for _, child := range fn.children[:16] {
 		out = appendRef(out, child)
 	}
@@ -417,28 +466,38 @@ func (fn *fullNode) encode() []byte {
 // Keccak hash instead of being embedded verbatim in its parent (MPT spec).
 const embedLimit = len(types.Hash{})
 
-// refSize returns the number of bytes appendRef writes for a child,
-// encoding (and memoizing) the child on the way.
+// hashRef is the refLen of a node referenced by its hash.
+const hashRef = uint8(len(types.Hash{}))
+
+// set fills the cache from the node's encoding.
+func (c *nodeCache) set(enc []byte) {
+	if len(enc) < embedLimit {
+		c.refLen = uint8(copy(c.ref[:], enc))
+		return
+	}
+	keccak.Sum256Into((*[32]byte)(&c.ref), enc)
+	c.refLen = hashRef
+}
+
+// refSize returns the number of bytes appendRef writes for a hashed
+// child.
 func refSize(n node) int {
-	var size int
 	switch cur := n.(type) {
 	case nil:
 		return 1
-	case hashNode:
-		size = len(cur)
 	case valueNode:
-		size = rlp.StringSize(cur)
-	case *shortNode, *fullNode:
-		size = len(encoding(cur))
+		if size := rlp.StringSize(cur); size < embedLimit {
+			return size
+		}
+	case *shortNode:
+		return cur.cache.refSize()
+	case *fullNode:
+		return cur.cache.refSize()
 	}
-	if size < embedLimit {
-		return size
-	}
-	return 1 + len(types.Hash{}) // a 32-byte string
+	return 1 + len(types.Hash{}) // a hash reference: a 32-byte string
 }
 
-// appendRef appends the parent-embedded reference to a child node,
-// memoizing the child's Keccak alongside its encoding.
+// appendRef appends the parent-embedded reference to a hashed child.
 func appendRef(out []byte, n node) []byte {
 	switch cur := n.(type) {
 	case nil:
@@ -456,30 +515,29 @@ func appendRef(out []byte, n node) []byte {
 		h := keccak.Sum256(rlp.AppendString(nil, cur))
 		return rlp.AppendString(out, h[:])
 	case *shortNode:
-		return cur.cache.appendRef(out, encoding(cur))
+		return cur.cache.appendRef(out)
 	case *fullNode:
-		return cur.cache.appendRef(out, encoding(cur))
+		return cur.cache.appendRef(out)
 	default:
 		return out
 	}
 }
 
-// appendRef appends enc itself when it is small enough to embed, the
-// node's by-hash reference otherwise.
-func (c *nodeCache) appendRef(out, enc []byte) []byte {
-	if len(enc) < embedLimit {
-		return append(out, enc...)
+// refSize is the number of bytes appendRef writes.
+func (c *nodeCache) refSize() int {
+	if c.refLen != hashRef {
+		return int(c.refLen)
 	}
-	return rlp.AppendString(out, c.hashRef(enc)[:])
+	return 1 + len(c.ref)
 }
 
-// hashRef returns Keccak(enc), memoized.
-func (c *nodeCache) hashRef(enc []byte) *types.Hash {
-	if !c.hashed {
-		keccak.Sum256Into((*[32]byte)(&c.hash), enc)
-		c.hashed = true
+// appendRef appends the node's reference as its parent embeds it: the
+// encoding itself, or the hash as a 32-byte string.
+func (c *nodeCache) appendRef(out []byte) []byte {
+	if c.refLen != hashRef {
+		return append(out, c.ref[:c.refLen]...)
 	}
-	return &c.hash
+	return rlp.AppendString(out, c.ref[:])
 }
 
 // appendHexPrefix appends a nibble key packed with the leaf/extension

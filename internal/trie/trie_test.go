@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
@@ -403,6 +405,42 @@ func TestUpdateOwnership(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { st.UpdateHashed(h, owned) }); n != 1 {
 		t.Errorf("an in-place UpdateHashed allocates %v times, want 1 (the boxed header)", n)
+	}
+}
+
+// TestRootHashAllocatesPerCallNotPerNode counts, not times: RootHash
+// encodes every node on the dirty paths into one scratch buffer it takes
+// from a pool, and a node keeps only its 32-byte reference, so hashing
+// allocates nothing — as few objects after 4 dirty paths as after 1024
+// (a buffer per node would be about four per path).
+func TestRootHashAllocatesPerCallNotPerNode(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // the GC empties pools
+	const leaves = 4096
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%d", i)) }
+	s := NewSecure()
+	for i := 0; i < leaves; i++ {
+		s.Update(key(i), []byte{1, byte(i)})
+	}
+	s.RootHash()
+	rng := rand.New(rand.NewSource(1))
+	var before, after runtime.MemStats
+	for _, paths := range []int{4, 1024} {
+		fewest := uint64(1 << 62)
+		for round := 0; round < 5; round++ {
+			for i := 0; i < paths; i++ {
+				s.Update(key(rng.Intn(leaves)), []byte{2, byte(round), byte(i)})
+			}
+			runtime.ReadMemStats(&before)
+			s.RootHash()
+			runtime.ReadMemStats(&after)
+			fewest = min(fewest, after.Mallocs-before.Mallocs)
+		}
+		if fewest != 0 {
+			t.Errorf("RootHash over %d dirty paths allocated %d objects, want 0", paths, fewest)
+		}
 	}
 }
 

@@ -20,21 +20,25 @@ import (
 // every stored value (so a state-level walk can recurse into storage
 // tries and code blobs); its error ends the walk.
 //
-// Nodes in memory are read by their cached encodings and nothing is
+// Nodes in memory are encoded again, from their children's references,
+// into one scratch buffer that visit must copy from, and nothing is
 // written on the way — no node is marked stored — so a hashed trie that
 // other holders read (a chain's post state) can be walked beside them
 // and still commits in full afterwards; an unhashed trie is hashed
-// first, as Copy does. Unresolved references are fetched through the
-// trie's reader and must be present, hash to their reference and
-// decode: the first that does not is the error returned, which makes
-// the walk of a trie opened from a root the integrity check of that
-// root. O(trie): not something to run per block.
+// first, as Copy does. A hashed trie in memory is walked without a
+// digest. Unresolved references are fetched through the trie's reader
+// and must be present, hash to their reference and decode: the first
+// that does not is the error returned, which makes the walk of a trie
+// opened from a root the integrity check of that root. O(trie): not
+// something to run per block.
 func (t *Trie) Walk(visit func(hash, enc []byte), onLeaf func(val []byte) error) error {
 	if t.root == nil {
 		return nil
 	}
 	root := t.RootHash()
-	w := walker{db: t.db, visit: visit, onLeaf: onLeaf}
+	h := hashers.Get().(*hasher)
+	defer hashers.Put(h)
+	w := walker{db: t.db, h: h, visit: visit, onLeaf: onLeaf}
 	return w.node(t.root, &root)
 }
 
@@ -45,6 +49,7 @@ func (s *SecureTrie) Walk(visit func(hash, enc []byte), onLeaf func(val []byte) 
 
 type walker struct {
 	db     NodeReader
+	h      *hasher
 	visit  func(hash, enc []byte)
 	onLeaf func(val []byte) error
 }
@@ -70,29 +75,27 @@ func (w *walker) node(n node, at *types.Hash) error {
 		// A bare value at the root or in a branch slot (a split 1-nibble
 		// leaf) is referenced by hash like any other node once it reaches
 		// 32 bytes; it carries no cache.
-		if enc := encoding(cur); at != nil {
+		if enc := w.h.encode(cur); at != nil {
 			w.visit(at[:], enc)
 		} else if len(enc) >= embedLimit {
 			h := types.Keccak(enc)
 			w.visit(h[:], enc)
 		}
-	case *shortNode:
-		w.record(&cur.cache, at)
-	case *fullNode:
-		w.record(&cur.cache, at)
+	case *shortNode, *fullNode:
+		w.record(cur, at)
 	}
 	return w.below(n)
 }
 
-// record visits a hashed in-memory node: one below the root has a record
-// exactly when its parent references it by hash, and that parent's
-// encoding memoized the hash.
-func (w *walker) record(c *nodeCache, at *types.Hash) {
-	switch {
+// record visits the record of a hashed in-memory node: one below the
+// root has a record exactly when its parent references it by hash, the
+// hash its cache holds.
+func (w *walker) record(n node, at *types.Hash) {
+	switch c := cacheOf(n); {
 	case at != nil:
-		w.visit(at[:], c.enc)
-	case len(c.enc) >= embedLimit:
-		w.visit(c.hash[:], c.enc)
+		w.visit(at[:], w.h.encode(n))
+	case c.refLen == hashRef:
+		w.visit(c.ref[:], w.h.encode(n))
 	}
 }
 
