@@ -112,7 +112,10 @@ state-smoke:
 # budget); the chain-level crash-point and bit-flip recovery sweeps
 # (-short: 3 seeds per point), the chain against its list model (inserts,
 # own builds, reorgs, clean reopens and crashes of a FileStore datadir;
-# -short: 3 x 80 steps), the snapshot sweeps (an exported
+# -short: 3 x 80 steps; the 512-block reorg horizon of a memory chain
+# and of one with an ExecCache), forks below the window of post states
+# a store-backed chain without an ExecCache keeps, reopened from its
+# store, the bounded retention of post states, the snapshot sweeps (an exported
 # sereth.kv cut at every length and flipped at every byte is rejected
 # with the joiner's store untouched or adopted fully verified; -short:
 # every 7th byte), the hardened RPC surface, and the sim crash scenario family against its
@@ -120,7 +123,7 @@ state-smoke:
 crash-smoke:
 	$(GO) test -race ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzLogReplay$$' -fuzztime 30s -fuzzminimizetime 1s ./internal/store
-	$(GO) test -race -short -run 'TestCrash|TestBitFlip|TestOpenFallsBack|TestInjectedWriteFailure|TestOpenSnapshot|TestOpenDistrusts|TestChainModel' ./internal/chain
+	$(GO) test -race -short -run 'TestCrash|TestBitFlip|TestOpenFallsBack|TestInjectedWriteFailure|TestOpenSnapshot|TestOpenDistrusts|TestChainModel|TestForkBelowWindow|TestSharedCacheChain|TestPostRetention' ./internal/chain
 	$(GO) test -race -run 'TestPanic|TestMaxInFlight|TestClientSurfacesShedStatus|TestShutdown|TestHealth' ./internal/rpc
 	$(GO) test -race -run 'TestCrash' ./internal/sim ./internal/scenarios
 	$(GO) run -race ./cmd/serethsim -experiment crash -quick -runs 2

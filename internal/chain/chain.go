@@ -29,7 +29,31 @@ var (
 	ErrBadNonce        = errors.New("chain: invalid transaction nonce")
 	ErrGasLimitReached = errors.New("chain: block gas limit exceeded")
 	ErrForkTooShort    = errors.New("chain: competing chain does not exceed current head")
+	// ErrForkTooDeep refuses a fork whose parent's post state the chain
+	// neither keeps nor can reopen from its store (see memoryWindow). It
+	// wraps ErrUnknownParent, so a node falls back to block sync.
+	ErrForkTooDeep = fmt.Errorf("%w: fork parent below the reorg horizon", ErrUnknownParent)
 )
+
+// The reorg horizon: how many post states below its head a chain keeps.
+// A chain that validates forks only from these keeps as many as a node
+// buffers fork blocks below its head (node.bufferWindow). One that
+// reopens older fork parents from its store (reopensForks) keeps only
+// the head's parent, from which a rival to the head block validates.
+const (
+	memoryWindow = 512
+	storeWindow  = 1
+)
+
+// reopensForks reports whether a chain with cfg reopens a fork parent
+// below its window from its store. Its store must hold every canonical
+// block's complete state: ImportFork commits a branch's inner blocks for
+// that, but a chain with an ExecCache adopts post states another chain
+// may have committed first, whose nodes it does not write again, so its
+// store can hold a root without the state under it.
+func reopensForks(cfg Config) bool {
+	return cfg.Store != nil && cfg.ExecCache == nil
+}
 
 // Config parameterizes a chain instance.
 type Config struct {
@@ -49,6 +73,8 @@ type Config struct {
 	// what it adopts, but a post state another chain already committed
 	// has its trie nodes marked stored and contributes none of them, so a
 	// chain that must recover from its own datadir needs a private cache.
+	// A chain with a cache, private or shared, validates forks only from
+	// the post states it keeps, as a memory chain does (memoryWindow).
 	ExecCache *ExecCache
 	// Parallel enables optimistic parallel intra-block execution
 	// (ParallelProcessor): bodies of at least ParallelThreshold
@@ -99,13 +125,14 @@ type Chain struct {
 	blocks   []*types.Block
 	receipts map[types.Hash][]*types.Receipt // block hash -> receipts
 	state    *statedb.StateDB                // post-head state
-	// posts retains every adopted block's post state by block hash, so a
-	// longest-chain reorg (ImportFork) can re-validate a competing branch
-	// from its attachment point. Post states are immutable once flushed
-	// and share with their parent every trie node and every storage slot
-	// the block did not write, so one more costs what its block touched.
-	// The map itself is never pruned: it grows with the chain.
-	posts     map[types.Hash]*statedb.StateDB
+	// posts holds the post states of the canonical blocks right below the
+	// head, oldest first: posts[len(posts)-d] is that of the block d below
+	// the head, the parent a fork d deep is validated from. Its capacity
+	// is the window (memoryWindow or storeWindow), and it never grows.
+	// Post states are immutable once flushed and share with their parent
+	// every trie node and storage slot the block did not write, so one
+	// more costs what its block touched.
+	posts     []*statedb.StateDB
 	orphaned  uint64      // canonical blocks displaced by reorgs
 	headBatch store.Batch // a block's body and head records, reused
 }
@@ -138,6 +165,10 @@ func New(cfg Config, genesisState *statedb.StateDB) *Chain {
 // one) whose last block's post state is state: the one place a Chain is
 // built, for a fresh genesis and for a store alike.
 func newChain(cfg Config, blocks []*types.Block, state *statedb.StateDB) *Chain {
+	window := memoryWindow
+	if reopensForks(cfg) {
+		window = storeWindow
+	}
 	c := &Chain{
 		cfg:      cfg,
 		proc:     NewProcessor(cfg),
@@ -145,7 +176,7 @@ func newChain(cfg Config, blocks []*types.Block, state *statedb.StateDB) *Chain 
 		blocks:   blocks,
 		receipts: map[types.Hash][]*types.Receipt{},
 		state:    state,
-		posts:    map[types.Hash]*statedb.StateDB{blocks[len(blocks)-1].Hash(): state},
+		posts:    make([]*statedb.StateDB, 0, window),
 	}
 	if cfg.Parallel {
 		c.par = NewParallelProcessor(cfg)
@@ -366,10 +397,12 @@ func (c *Chain) verifyBlockLocked(parentRoot types.Hash, parentState *statedb.St
 // blocks must be a parent-linked ascending run whose first block attaches
 // to a canonical block and whose tip is strictly higher than the current
 // head; already-canonical prefix blocks are skipped. Every non-canonical
-// block is fully validated (seal, tx root, replay against the stored
-// parent post state) before ANY chain state changes — a branch that fails
-// validation leaves the chain untouched. Returns the number of canonical
-// blocks orphaned by the switch.
+// block is fully validated (seal, tx root, replay against its parent's
+// post state) before ANY chain state changes — a branch that fails
+// validation leaves the chain untouched. The first parent's post state
+// is one the chain keeps or, on a store-backed chain without an
+// ExecCache, one it reopens from its store; past that horizon the fork
+// is refused with ErrForkTooDeep. Returns the number of canonical blocks orphaned by the switch.
 func (c *Chain) ImportFork(blocks []*types.Block) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -405,15 +438,21 @@ func (c *Chain) ImportFork(blocks []*types.Block) (int, error) {
 	if first.Header.ParentHash != parentHash {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownParent, first.Header.ParentHash.Hex())
 	}
-	tip := fork[len(fork)-1].Number()
-	if head := c.blocks[len(c.blocks)-1].Number(); tip <= head {
+	tip, head := fork[len(fork)-1].Number(), c.blocks[len(c.blocks)-1].Number()
+	if tip <= head {
 		return 0, fmt.Errorf("%w: fork tip %d, head %d", ErrForkTooShort, tip, head)
 	}
 
 	// Validate the whole branch before touching canonical state.
-	parentState, ok := c.posts[parentHash]
-	if !ok {
-		return 0, fmt.Errorf("%w: no stored state for %s", ErrUnknownParent, parentHash.Hex())
+	depth := head - parent.Number() // >= 1: the fork attaches at or below the head
+	var parentState *statedb.StateDB
+	switch root := parent.Header.StateRoot; {
+	case depth <= uint64(len(c.posts)):
+		parentState = c.posts[len(c.posts)-int(depth)]
+	case reopensForks(c.cfg) && hasStateRoot(c.cfg.Store, root):
+		parentState = statedb.OpenAt(c.cfg.Store, root)
+	default:
+		return 0, fmt.Errorf("%w: parent %d is %d below head %d", ErrForkTooDeep, parent.Number(), depth, head)
 	}
 	type validated struct {
 		hash     types.Hash
@@ -442,29 +481,57 @@ func (c *Chain) ImportFork(blocks []*types.Block) (int, error) {
 	}
 
 	// Commit: truncate the losing suffix and splice in the winner. Orphaned
-	// blocks keep their receipts and post states as side-chain data; their
-	// transactions are NOT re-injected into pools (measured as orphan loss
-	// by the simulator, where a production node would re-broadcast them).
+	// blocks keep their receipts as side-chain data, but not their post
+	// states; their transactions are NOT re-injected into pools (measured
+	// as orphan loss by the simulator, where a production node would
+	// re-broadcast them).
 	orphaned := len(c.blocks) - int(attach-c.base)
 	c.blocks = c.blocks[:attach-c.base]
 	for j, b := range fork {
 		c.blocks = append(c.blocks, b)
 		c.receipts[results[j].hash] = results[j].receipts
-		c.posts[results[j].hash] = results[j].post
+	}
+	// The posts up to the parent's stay (one reopened from the store is
+	// not kept), the branch's below its tip follow.
+	kept := 0
+	if depth <= uint64(len(c.posts)) {
+		kept = len(c.posts) - int(depth) + 1
+	}
+	clear(c.posts[kept:])
+	c.posts = c.posts[:kept]
+	for _, r := range results[:len(results)-1] {
+		c.keepPost(r.post)
 	}
 	c.state = results[len(results)-1].post
 	c.orphaned += uint64(orphaned)
 	if c.cfg.Store != nil {
-		// Commit the tip's state, rewrite the reorged numbers (the log's
-		// last-write-wins replay makes the new branch canonical on
+		// Commit every branch block's state, so a later fork can reopen
+		// any of them as its parent, then rewrite the reorged numbers (the
+		// log's last-write-wins replay makes the new branch canonical on
 		// recovery) and move the head to the tip. The branch is already
 		// fully validated and adopted in memory, so persist errors only
 		// degrade restart fidelity.
+		for j, b := range fork[:len(fork)-1] {
+			if err := c.commitLocked(results[j].post, b); err != nil {
+				return orphaned, fmt.Errorf("chain: persist fork block %d: %w", b.Number(), err)
+			}
+		}
 		if err := c.persistLocked(c.state, fork...); err != nil {
 			return orphaned, fmt.Errorf("chain: persist fork to block %d: %w", tip, err)
 		}
 	}
 	return orphaned, nil
+}
+
+// keepPost appends the post state of the block now right below the head
+// to posts, dropping the oldest beyond the window.
+func (c *Chain) keepPost(post *statedb.StateDB) {
+	if len(c.posts) < cap(c.posts) {
+		c.posts = append(c.posts, post)
+		return
+	}
+	copy(c.posts, c.posts[1:])
+	c.posts[len(c.posts)-1] = post
 }
 
 // Orphaned returns the total number of canonical blocks displaced by
@@ -489,7 +556,7 @@ func (c *Chain) adopt(block *types.Block, hash types.Hash, receipts []*types.Rec
 	}
 	c.blocks = append(c.blocks, block)
 	c.receipts[hash] = receipts
-	c.posts[hash] = post
+	c.keepPost(c.state)
 	c.state = post
 	return nil
 }

@@ -27,23 +27,28 @@ const modelSlots = 256
 const modelSyncEvery = 3
 
 // modelBlock is what the model knows of a block it built: the slot
-// values of its post state, the writer's next nonce after it, and the
-// post state itself, executed by the model's own processor apart from
-// the chain under test and its store, to build children on.
+// values of its post state, the writer's next nonce after it, the post
+// state itself, executed by the model's own processor apart from the
+// chain under test and its store, to build children on, and the
+// receipts of that execution. inner marks a block a fork branch held
+// below its tip.
 type modelBlock struct {
-	block *types.Block
-	hash  types.Hash
-	slots map[types.Word]types.Word
-	nonce uint64
-	post  *statedb.StateDB
+	block    *types.Block
+	hash     types.Hash
+	slots    map[types.Word]types.Word
+	nonce    uint64
+	post     *statedb.StateDB
+	receipts []*types.Receipt
+	inner    bool
 }
 
 // chainModel is what the chain under test must hold: canon is the
-// canonical chain from genesis. posts names the blocks whose post state
-// the chain keeps (a fork may attach only above one), stateful the
-// blocks whose post state the store holds, and floor the height below
-// which a crash may not take the head (a multiple of modelSyncEvery the
-// chain synced at, with its state).
+// canonical chain from genesis, and floor the height below which a
+// crash may not take the head (a multiple of modelSyncEvery the chain
+// synced at). The store holds the state of every canonical block, so a
+// fork may attach anywhere above genesis: within the chain's window of
+// post states or, below it, through a parent the chain reopens from the
+// store.
 type chainModel struct {
 	t        *testing.T
 	rng      *rand.Rand
@@ -52,8 +57,6 @@ type chainModel struct {
 	gasLimit uint64
 	built    map[types.Hash]*modelBlock
 	canon    []*modelBlock
-	posts    map[types.Hash]bool
-	stateful map[types.Hash]bool
 	floor    uint64
 }
 
@@ -117,7 +120,7 @@ func (m *chainModel) execute(parent *modelBlock, header *types.Header, txs []*ty
 	} else if header.StateRoot != res.StateRoot || header.ReceiptRoot != res.ReceiptRoot {
 		m.t.Fatalf("block %d: the chain's build and the model's execution disagree", header.Number)
 	}
-	mb := &modelBlock{block: block, hash: block.Hash(), slots: slots, nonce: parent.nonce + uint64(len(txs)), post: res.Post}
+	mb := &modelBlock{block: block, hash: block.Hash(), slots: slots, nonce: parent.nonce + uint64(len(txs)), post: res.Post, receipts: res.Receipts}
 	m.built[mb.hash] = mb
 	return mb
 }
@@ -141,35 +144,88 @@ func (m *chainModel) branch(parent *modelBlock, n int) []*modelBlock {
 // adopted records mb as the chain's new head, with its state committed.
 func (m *chainModel) adopted(mb *modelBlock) {
 	m.canon = append(m.canon, mb)
-	m.posts[mb.hash] = true
-	m.stateful[mb.hash] = true
 	if mb.block.Number()%modelSyncEvery == 0 {
 		m.floor = mb.block.Number()
 	}
 }
 
 // forked records the switch to a branch whose first block is not
-// canonical and sits at height attach. The chain commits the tip's state
-// and writes the branch with the head pointer in one more write, synced
-// if the branch holds a multiple of modelSyncEvery; if not, the floor
-// falls to the highest block left below the branch whose state the
-// store holds, as a crash may cut that write short of the head record
-// after bodies that replace the blocks above it.
+// canonical and sits at height attach. The chain commits the state of
+// every branch block, then writes the branch with the head pointer in
+// one more write, synced if the branch holds a multiple of
+// modelSyncEvery. A crash may cut that write short of the head record
+// after bodies that replace the blocks above attach, but every body it
+// keeps has its state in the store before it, so the head a crash leaves
+// is never below the floor the chain synced at.
 func (m *chainModel) forked(attach uint64, branch []*modelBlock) {
-	m.canon = m.canon[:attach]
-	for _, mb := range branch {
-		m.canon = append(m.canon, mb)
-		m.posts[mb.hash] = true
+	m.canon = append(m.canon[:attach], branch...)
+	for _, mb := range branch[:len(branch)-1] {
+		mb.inner = true
 	}
-	f := min(m.floor, attach-1)
-	for !m.stateful[m.canon[f].hash] {
-		f--
-	}
-	m.floor = f
-	tip := branch[len(branch)-1].block.Number()
-	m.stateful[m.canon[tip].hash] = true
-	if tip-tip%modelSyncEvery >= attach {
+	if tip := branch[len(branch)-1].block.Number(); tip-tip%modelSyncEvery >= attach {
 		m.floor = tip
+	}
+}
+
+// grow has the model build n blocks on its head and every chain adopt
+// them.
+func (m *chainModel) grow(n int, chains ...*Chain) {
+	m.t.Helper()
+	for range n {
+		mb := m.child(m.head())
+		for _, c := range chains {
+			if _, err := c.InsertBlock(mb.block); err != nil {
+				m.t.Fatalf("insert %d: %v", mb.block.Number(), err)
+			}
+		}
+		m.adopted(mb)
+	}
+}
+
+// fork has the model build a branch on the canonical block parent, one
+// block higher than the head. The chains have not seen it.
+func (m *chainModel) fork(parent uint64) []*modelBlock {
+	return m.branch(m.canon[parent], int(m.head().block.Number()-parent)+1)
+}
+
+// follow has every chain import branch as a fork, checks that each
+// switched to it as the model says — orphaning the blocks above its
+// parent, with the model's receipts for every branch block — and records
+// the switch.
+func (m *chainModel) follow(branch []*modelBlock, chains ...*Chain) {
+	m.t.Helper()
+	parent := branch[0].block.Number() - 1
+	depth := int(m.head().block.Number() - parent)
+	for _, c := range chains {
+		orphaned, err := c.ImportFork(blocksOf(branch))
+		if err != nil {
+			m.t.Fatalf("a fork %d deep: %v", depth, err)
+		}
+		if orphaned != depth {
+			m.t.Fatalf("a fork %d deep orphaned %d blocks", depth, orphaned)
+		}
+		m.receiptsMatch(c, branch)
+	}
+	m.forked(parent+1, branch)
+}
+
+func blocksOf(mbs []*modelBlock) []*types.Block {
+	out := make([]*types.Block, len(mbs))
+	for i, mb := range mbs {
+		out[i] = mb.block
+	}
+	return out
+}
+
+// receiptsMatch fails the test unless c holds the model's receipts for
+// every block of branch.
+func (m *chainModel) receiptsMatch(c *Chain, branch []*modelBlock) {
+	m.t.Helper()
+	for _, mb := range branch {
+		got := c.Receipts(mb.hash)
+		if len(got) != len(mb.receipts) || types.DeriveReceiptRoot(got) != types.DeriveReceiptRoot(mb.receipts) {
+			m.t.Fatalf("fork block %d: the chain's receipts differ from the model's", mb.block.Number())
+		}
 	}
 }
 
@@ -193,14 +249,13 @@ func (m *chainModel) reopened(c *Chain, crashed bool) {
 		}
 		m.canon = append(m.canon, mb)
 	}
-	m.posts = map[types.Hash]bool{head.Hash(): true}
-	m.stateful = map[types.Hash]bool{m.canon[0].hash: true, head.Hash(): true}
 	m.floor = head.Number() // a reopened log is on disk in full
 }
 
 // check compares the chain under test with the model: its blocks, the
-// head state's slots and nonce, a walk of the head state in the store,
-// and an export of it that verifies on its own.
+// head state's slots and nonce, a walk of the head state in the store kv
+// (nil for a memory chain), and an export of it that verifies on its
+// own.
 func (m *chainModel) check(c *Chain, kv store.Store) {
 	m.t.Helper()
 	if got, want := c.Height(), m.head().block.Number(); got != want {
@@ -224,8 +279,10 @@ func (m *chainModel) check(c *Chain, kv store.Store) {
 		}
 	})
 	root := head.block.Header.StateRoot
-	if err := statedb.VerifyState(kv, root); err != nil {
-		m.t.Fatalf("head %d: the store does not hold its state: %v", head.block.Number(), err)
+	if kv != nil {
+		if err := statedb.VerifyState(kv, root); err != nil {
+			m.t.Fatalf("head %d: the store does not hold its state: %v", head.block.Number(), err)
+		}
 	}
 	snap := store.NewMem()
 	if err := c.Export(snap); err != nil {
@@ -233,6 +290,20 @@ func (m *chainModel) check(c *Chain, kv store.Store) {
 	}
 	if err := statedb.VerifyState(snap, root); err != nil {
 		m.t.Fatalf("head %d: the export does not hold its state: %v", head.block.Number(), err)
+	}
+}
+
+// newChainModel builds a chain with cfg over a genesis holding the
+// model's key-value contract, and the model of it.
+func newChainModel(t *testing.T, rng *rand.Rand, writer *wallet.Key, cfg Config) (*Chain, *chainModel) {
+	genesis := statedb.New()
+	genesis.SetCode(modelKV, asm.KVStoreContract())
+	c := New(cfg, genesis)
+	g := &modelBlock{block: c.Head(), hash: c.Head().Hash(), slots: map[types.Word]types.Word{}, post: genesis.Copy()}
+	return c, &chainModel{
+		t: t, rng: rng, writer: writer, proc: NewProcessor(cfg), gasLimit: cfg.GasLimit,
+		built: map[types.Hash]*modelBlock{g.hash: g},
+		canon: []*modelBlock{g},
 	}
 }
 
@@ -282,19 +353,9 @@ func runChainModel(t *testing.T, seed int64, steps int) {
 	openStore()
 	defer func() { _ = kv.Close() }()
 
-	genesis := statedb.New()
-	genesis.SetCode(modelKV, asm.KVStoreContract())
-	c := New(cfg, genesis)
-	g := &modelBlock{block: c.Head(), hash: c.Head().Hash(), slots: map[types.Word]types.Word{}, post: genesis.Copy()}
-	m := &chainModel{
-		t: t, rng: rng, writer: writer, proc: NewProcessor(cfg), gasLimit: cfg.GasLimit,
-		built:    map[types.Hash]*modelBlock{g.hash: g},
-		canon:    []*modelBlock{g},
-		posts:    map[types.Hash]bool{g.hash: true},
-		stateful: map[types.Hash]bool{g.hash: true},
-	}
+	c, m := newChainModel(t, rng, writer, cfg)
 
-	forks, builds := 0, 0
+	forks, deep, deepInner, builds := 0, 0, 0, 0
 	for step := 0; step < steps; step++ {
 		switch r := rng.Intn(100); {
 		case r < 35: // a block the chain replays
@@ -327,17 +388,37 @@ func runChainModel(t *testing.T, seed int64, steps int) {
 			m.adopted(mb)
 			builds++
 		case r < 72: // a longer fork; a shorter or equal one is refused
-			var attaches []uint64
-			for a := uint64(1); a < uint64(len(m.canon)); a++ {
-				if m.posts[m.canon[a-1].hash] {
-					attaches = append(attaches, a)
-				}
-			}
-			if len(attaches) == 0 {
+			height := m.head().block.Number()
+			if height == 0 {
 				continue
 			}
-			attach := attaches[rng.Intn(len(attaches))]
-			height := m.head().block.Number()
+			// Half the forks attach within the chain's window of post
+			// states; the rest anywhere above genesis, mostly below the
+			// window, where the chain reopens the parent from its store —
+			// half of those through a block an earlier branch held below
+			// its tip, which only a store holding every branch block's
+			// state can reopen. Until one such fork has been followed,
+			// every fork tries for one.
+			kept := len(c.keptPostRoots())
+			attach := 1 + uint64(rng.Int63n(int64(height)))
+			pick := rng.Intn(4)
+			if deepInner == 0 {
+				pick = 2
+			}
+			switch pick {
+			case 0, 1:
+				attach = height - uint64(rng.Intn(max(kept, 1)))
+			case 2:
+				var inner []uint64
+				for a := uint64(1); a+uint64(kept) <= height; a++ {
+					if m.canon[a-1].inner {
+						inner = append(inner, a)
+					}
+				}
+				if len(inner) > 0 {
+					attach = inner[rng.Intn(len(inner))]
+				}
+			}
 			longer := rng.Intn(4) != 0
 			n := int(height-attach) + 1 // as high as the head
 			if longer {
@@ -372,6 +453,13 @@ func runChainModel(t *testing.T, seed int64, steps int) {
 			if want := int(height-diverge) + 1; orphaned != want {
 				t.Fatalf("step %d: fork at %d orphaned %d blocks, want %d", step, attach, orphaned, want)
 			}
+			m.receiptsMatch(c, branch[diverge-attach:])
+			if parent := m.canon[diverge-1]; height-parent.block.Number() > uint64(kept) {
+				deep++
+				if parent.inner {
+					deepInner++
+				}
+			}
 			m.forked(diverge, branch[diverge-attach:])
 			forks++
 		case r < 86:
@@ -400,8 +488,77 @@ func runChainModel(t *testing.T, seed int64, steps int) {
 		}
 	}
 	m.check(c, kv)
-	t.Logf("%d steps: head %d, %d forks, %d own builds, %d crashes", steps, c.Height(), forks, builds, crashes)
-	if forks == 0 || builds == 0 || crashes == 0 {
-		t.Fatalf("the run took %d forks, %d own builds and %d crashes: raise the steps", forks, builds, crashes)
+	t.Logf("%d steps: head %d, %d forks (%d below the window, %d of them through an earlier branch), %d own builds, %d crashes",
+		steps, c.Height(), forks, deep, deepInner, builds, crashes)
+	if forks == 0 || deep == 0 || deepInner == 0 || builds == 0 || crashes == 0 {
+		t.Fatalf("the run took %d forks, %d below the window, %d through an earlier branch, %d own builds and %d crashes: raise the steps",
+			forks, deep, deepInner, builds, crashes)
 	}
+}
+
+// TestChainModelReorgHorizon takes a memory chain to its reorg horizon
+// against the list model: a fork that orphans 512 blocks — the deepest a
+// node buffers (node.bufferWindow) — validates from the oldest post
+// state the chain keeps and lands where the model does, and one that
+// orphans one more is refused with ErrForkTooDeep, which a node reads as
+// an unknown parent, leaving the chain as it was. A store-backed chain
+// with an ExecCache has the same horizon: its store may lack states
+// (TestSharedCacheChainKeepsTheMemoryHorizon), so it refuses the deeper
+// fork too, although this one's store holds it. Blocks past the first
+// few are empty, which keeps the 1,500 executions cheap; the cached
+// chain replays few of them.
+func TestChainModelReorgHorizon(t *testing.T) {
+	const horizon = 512
+	reg := wallet.NewRegistry()
+	writer := wallet.NewKey("model-writer-horizon")
+	reg.Register(writer)
+	cfg := DefaultConfig()
+	cfg.Registry = reg
+	cfg.ExecCache = NewExecCache(0)
+	c, m := newChainModel(t, rand.New(rand.NewSource(1)), writer, cfg)
+	cfg.Store = store.NewMem()
+	cached, _ := newChainModel(t, rand.New(rand.NewSource(1)), writer, cfg)
+	chains := []*Chain{c, cached}
+
+	// empty builds an empty child of parent; the header's random time
+	// keeps it apart from its siblings.
+	empty := func(parent *modelBlock) *modelBlock {
+		return m.execute(parent, m.header(parent), nil, parent.slots)
+	}
+	for n := 1; n <= horizon+2; n++ {
+		mb := empty(m.head())
+		if n <= 3 {
+			mb = m.child(m.head())
+		}
+		for _, c := range chains {
+			if _, err := c.InsertBlock(mb.block); err != nil {
+				t.Fatalf("insert %d: %v", n, err)
+			}
+		}
+		m.adopted(mb)
+	}
+	height := m.head().block.Number()
+	// branchOn builds a branch on block p: a block of puts, then empty
+	// blocks up to one above the head.
+	branchOn := func(p uint64) []*modelBlock {
+		branch := []*modelBlock{m.child(m.canon[p])}
+		for branch[len(branch)-1].block.Number() <= height {
+			branch = append(branch, empty(branch[len(branch)-1]))
+		}
+		return branch
+	}
+	tooDeep := blocksOf(branchOn(height - horizon - 1))
+	for _, c := range chains {
+		_, err := c.ImportFork(tooDeep)
+		if !errors.Is(err, ErrForkTooDeep) || !errors.Is(err, ErrUnknownParent) {
+			t.Fatalf("a fork %d deep: %v, want ErrForkTooDeep", horizon+1, err)
+		}
+		if c.Head().Hash() != m.head().hash || c.Orphaned() != 0 {
+			t.Fatalf("a refused fork moved the chain to %d", c.Height())
+		}
+		m.check(c, nil)
+	}
+	m.follow(branchOn(height-horizon), chains...)
+	m.check(c, nil)
+	m.check(cached, cfg.Store)
 }

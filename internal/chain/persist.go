@@ -49,17 +49,14 @@ func blockKey(n uint64) []byte {
 // the bodies and the head pointer naming the last, head last — so a torn
 // tail after a crash always drops the head record before the data it
 // points at, and no head record names a block whose state the store was
-// not given (a branch's blocks below its tip have none). It syncs when
-// the run holds a multiple of SyncEvery.
+// not given. ImportFork commits the states of a branch's blocks below
+// its tip (commitLocked) before it calls this, so every canonical block's
+// state is in the store. It syncs when the run holds a multiple of
+// SyncEvery.
 func (c *Chain) persistLocked(post *statedb.StateDB, blocks ...*types.Block) error {
 	tip := blocks[len(blocks)-1]
-	root, _, err := post.CommitTo(c.cfg.Store)
-	if err != nil {
+	if err := c.commitLocked(post, tip); err != nil {
 		return err
-	}
-	if root != tip.Header.StateRoot {
-		// Defensive: the block was validated against this exact state.
-		return fmt.Errorf("%w: committed %s, header %s", ErrBadStateRoot, root.Hex(), tip.Header.StateRoot.Hex())
 	}
 	if err := writeHead(c.cfg.Store, &c.headBatch, blocks...); err != nil {
 		return err
@@ -68,6 +65,20 @@ func (c *Chain) persistLocked(post *statedb.StateDB, blocks ...*types.Block) err
 		if sy, ok := c.cfg.Store.(store.Syncer); ok {
 			return sy.Sync()
 		}
+	}
+	return nil
+}
+
+// commitLocked writes post, the state of block, as its new trie nodes
+// and code, in one batch.
+func (c *Chain) commitLocked(post *statedb.StateDB, block *types.Block) error {
+	root, _, err := post.CommitTo(c.cfg.Store)
+	if err != nil {
+		return err
+	}
+	if root != block.Header.StateRoot {
+		// Defensive: the block was validated against this exact state.
+		return fmt.Errorf("%w: committed %s, header %s", ErrBadStateRoot, root.Hex(), block.Header.StateRoot.Hex())
 	}
 	return nil
 }
@@ -144,9 +155,12 @@ func HasHead(kv store.Store) bool {
 //
 //   - accepts new blocks exactly like the original (its head state
 //     resolves reads through kv on demand);
-//   - retains only the head post state, so ImportFork can reorg only at
-//     the head (deeper attach points report ErrUnknownParent and the
-//     node falls back to block sync);
+//   - keeps no post state below the head at first. Without an
+//     ExecCache, ImportFork reopens a fork's parent from the store (a
+//     parent whose state a datadir written before reorgs committed
+//     their branch blocks' states lacks is refused with ErrForkTooDeep,
+//     and the node falls back to block sync); with one, it refuses forks
+//     below the head until adopted blocks fill its window again;
 //   - has no receipts for historical blocks.
 //
 // kv is what the chain reads; cfg.Store, as always, is what it writes.

@@ -154,31 +154,32 @@ func TestOpenAfterReorgFollowsCanonicalBranch(t *testing.T) {
 	}
 }
 
-// TestOpenDistrustsAHeadWithoutState: a reorg commits only its tip's
-// state, then writes the branch's bodies and the head pointer, head last.
-// A crash that cuts that write at a record boundary leaves a log that
-// salvages clean, whose old head record now names a branch block the
-// store holds no state for. Open must not trust it: it walks down to the
-// deepest block whose state verifies — here genesis, as the branch's
-// blocks below its tip have none — and repoints the head there.
+// TestOpenDistrustsAHeadWithoutState: a clean log whose head record
+// names a block the store holds no state for — the body and head pointer
+// written, the state not — must not be trusted. Open walks down to the
+// deepest block whose state verifies, here the block below it, and
+// repoints the head there. (A chain never writes such a log: it commits
+// a block's state, a reorg's branch blocks included, before the body and
+// head record naming it, so the log is built here directly.)
 func TestOpenDistrustsAHeadWithoutState(t *testing.T) {
-	cfg, kv, local := reorgRig(t)
-	var num [8]byte
-	binary.BigEndian.PutUint64(num[:], 2) // the pre-reorg head
-	if err := kv.Put(headKey, num[:]); err != nil {
+	kv := store.NewMem()
+	local, owner := persistRig(t, kv, 2)
+	stateless := buildBlock(t, local, []*types.Transaction{setTxFor(owner, 2, types.WordFromUint64(11), 99, types.FlagHead)})
+	var b store.Batch
+	if err := writeHead(kv, &b, stateless); err != nil {
 		t.Fatal(err)
 	}
-	re, err := Open(cfg, kv)
+	re, err := Open(local.Config(), kv)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	if re.Height() != 0 || re.Head().Hash() != local.BlockByNumber(0).Hash() {
-		t.Fatalf("recovered head %d, want genesis: the blocks above it have no state", re.Height())
+	if re.Height() != 2 || re.Head().Hash() != local.Head().Hash() {
+		t.Fatalf("recovered head %d, want 2: block 3 has no state", re.Height())
 	}
 	if err := statedb.VerifyState(kv, re.Head().Header.StateRoot); err != nil {
 		t.Fatalf("recovered head state: %v", err)
 	}
-	if head, _ := kv.Get(headKey); binary.BigEndian.Uint64(head) != 0 {
+	if head, _ := kv.Get(headKey); binary.BigEndian.Uint64(head) != 2 {
 		t.Fatalf("head record still names block %d", binary.BigEndian.Uint64(head))
 	}
 }
