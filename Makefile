@@ -105,13 +105,17 @@ state-smoke:
 # crash-smoke runs the crash-consistency suite under the race detector:
 # storage fault injection and salvage, the store against its map model
 # at full length (3 x 6000 steps of writes, compactions, reopens and
-# crashes that drop the unsynced tail; -short runs 3 x 1000), Get racing
-# compaction, and the SKV2 log fuzzed for 30 s (arbitrary bytes after
-# the magic must salvage to a clean log whose every record Get serves;
+# crashes that drop the unsynced tail or tear a batch; -short runs 3 x
+# 1000), a write the file size limit cuts short, Get racing
+# compaction, and the log fuzzed for 30 s (arbitrary bytes after the
+# magic must salvage to a clean log of whole batches whose every record
+# Get serves, a batch served whole or not at all;
 # one exec is several fsyncs, so the minimiser is capped or it eats the
 # budget); the chain-level crash-point and bit-flip recovery sweeps
-# (-short: 3 seeds per point), the chain against its list model (inserts,
-# own builds, reorgs, clean reopens and crashes of a FileStore datadir;
+# (-short: 3 seeds per point), every write of a reorg torn at 20 seeds
+# (the chain reopens from genesis), one store write per adopted block and
+# per reorg, the chain against its list model (inserts, own builds,
+# reorgs, clean reopens, crashes and torn reorgs of a FileStore datadir;
 # -short: 3 x 80 steps; the 512-block reorg horizon of a memory chain
 # and of one with an ExecCache), forks below the window of post states
 # a store-backed chain without an ExecCache keeps, reopened from its
@@ -123,7 +127,7 @@ state-smoke:
 crash-smoke:
 	$(GO) test -race ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzLogReplay$$' -fuzztime 30s -fuzzminimizetime 1s ./internal/store
-	$(GO) test -race -short -run 'TestCrash|TestBitFlip|TestOpenFallsBack|TestInjectedWriteFailure|TestOpenSnapshot|TestOpenDistrusts|TestChainModel|TestForkBelowWindow|TestSharedCacheChain|TestPostRetention' ./internal/chain
+	$(GO) test -race -short -run 'TestCrash|TestBitFlip|TestTornReorg|TestOneWrite|TestOpenFallsBack|TestInjectedWriteFailure|TestOpenSnapshot|TestOpenDistrusts|TestChainModel|TestForkBelowWindow|TestSharedCacheChain|TestPostRetention' ./internal/chain
 	$(GO) test -race -run 'TestPanic|TestMaxInFlight|TestClientSurfacesShedStatus|TestShutdown|TestHealth' ./internal/rpc
 	$(GO) test -race -run 'TestCrash' ./internal/sim ./internal/scenarios
 	$(GO) run -race ./cmd/serethsim -experiment crash -quick -runs 2

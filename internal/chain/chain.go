@@ -132,9 +132,9 @@ type Chain struct {
 	// Post states are immutable once flushed and share with their parent
 	// every trie node and storage slot the block did not write, so one
 	// more costs what its block touched.
-	posts     []*statedb.StateDB
-	orphaned  uint64      // canonical blocks displaced by reorgs
-	headBatch store.Batch // a block's body and head records, reused
+	posts    []*statedb.StateDB
+	orphaned uint64      // canonical blocks displaced by reorgs
+	batch    store.Batch // the records of a persisted run, reused
 }
 
 // New creates a chain whose genesis commits the given pre-state.
@@ -154,7 +154,7 @@ func New(cfg Config, genesisState *statedb.StateDB) *Chain {
 		// no block is ever adopted. Persist errors at construction are
 		// deliberately fatal-by-panic: a node that silently starts without
 		// its datadir would lose every block it adopts.
-		if err := c.persistLocked(state, genesis); err != nil {
+		if err := c.persistLocked([]*types.Block{genesis}, []*statedb.StateDB{state}); err != nil {
 			panic(fmt.Sprintf("chain: persist genesis: %v", err))
 		}
 	}
@@ -457,9 +457,9 @@ func (c *Chain) ImportFork(blocks []*types.Block) (int, error) {
 	type validated struct {
 		hash     types.Hash
 		receipts []*types.Receipt
-		post     *statedb.StateDB
 	}
 	results := make([]validated, len(fork))
+	posts := make([]*statedb.StateDB, len(fork))
 	prev, prevHash, prevState := parent, parentHash, parentState
 	for j, b := range fork {
 		if b.Header.ParentHash != prevHash {
@@ -476,7 +476,7 @@ func (c *Chain) ImportFork(blocks []*types.Block) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		results[j] = validated{hash: hash, receipts: receipts, post: post}
+		results[j], posts[j] = validated{hash: hash, receipts: receipts}, post
 		prev, prevHash, prevState = b, hash, post
 	}
 
@@ -499,24 +499,18 @@ func (c *Chain) ImportFork(blocks []*types.Block) (int, error) {
 	}
 	clear(c.posts[kept:])
 	c.posts = c.posts[:kept]
-	for _, r := range results[:len(results)-1] {
-		c.keepPost(r.post)
+	for _, post := range posts[:len(posts)-1] {
+		c.keepPost(post)
 	}
-	c.state = results[len(results)-1].post
+	c.state = posts[len(posts)-1]
 	c.orphaned += uint64(orphaned)
 	if c.cfg.Store != nil {
-		// Commit every branch block's state, so a later fork can reopen
-		// any of them as its parent, then rewrite the reorged numbers (the
-		// log's last-write-wins replay makes the new branch canonical on
-		// recovery) and move the head to the tip. The branch is already
-		// fully validated and adopted in memory, so persist errors only
-		// degrade restart fidelity.
-		for j, b := range fork[:len(fork)-1] {
-			if err := c.commitLocked(results[j].post, b); err != nil {
-				return orphaned, fmt.Errorf("chain: persist fork block %d: %w", b.Number(), err)
-			}
-		}
-		if err := c.persistLocked(c.state, fork...); err != nil {
+		// Rewrite the reorged numbers (the log's last-write-wins replay
+		// makes the new branch canonical on recovery) with every branch
+		// block's state, and move the head to the tip. The branch is
+		// already fully validated and adopted in memory, so persist
+		// errors only degrade restart fidelity.
+		if err := c.persistLocked(fork, posts); err != nil {
 			return orphaned, fmt.Errorf("chain: persist fork to block %d: %w", tip, err)
 		}
 	}
@@ -550,7 +544,7 @@ func (c *Chain) Orphaned() uint64 {
 // leaves memory and disk agreeing on the old head.
 func (c *Chain) adopt(block *types.Block, hash types.Hash, receipts []*types.Receipt, post *statedb.StateDB) error {
 	if c.cfg.Store != nil {
-		if err := c.persistLocked(post, block); err != nil {
+		if err := c.persistLocked([]*types.Block{block}, []*statedb.StateDB{post}); err != nil {
 			return fmt.Errorf("chain: persist block %d: %w", block.Number(), err)
 		}
 	}

@@ -2,8 +2,10 @@ package chain
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"sync"
 	"testing"
@@ -68,8 +70,8 @@ func getCrashFixture(t *testing.T) *crashFixture {
 		fx.runInto(t, counter, 2)
 		fx.writes = counter.Writes()
 		_ = counter.Close()
-		if fx.writes < 2*(crashFixtureBlocks+1) {
-			t.Fatalf("fixture writes = %d, expected at least %d", fx.writes, 2*(crashFixtureBlocks+1))
+		if fx.writes != crashFixtureBlocks+1 {
+			t.Fatalf("fixture writes = %d, want one a block: %d", fx.writes, crashFixtureBlocks+1)
 		}
 		crashFixtureVal = fx
 	})
@@ -303,5 +305,81 @@ func TestInjectedWriteFailureSurfacesCleanly(t *testing.T) {
 	}
 	if !sawErr {
 		t.Fatal("injected write failures never surfaced")
+	}
+}
+
+// TestTornReorgKeepsHistory tears each write a reorg issues — a chain of
+// four blocks on a FileStore switching to a branch of six from genesis —
+// at 20 seeds each, which move the cut, and reopens the datadir: the
+// chain comes back from genesis, on the head it had or on the branch's
+// tip, and every block of it is one the chain or the branch built.
+func TestTornReorgKeepsHistory(t *testing.T) {
+	reg := wallet.NewRegistry()
+	writer := wallet.NewKey("torn-reorg-writer")
+	reg.Register(writer)
+	cfg := DefaultConfig()
+	cfg.Registry = reg
+	_, m := newChainModel(t, rand.New(rand.NewSource(1)), writer, cfg)
+	canon, branch := m.branch(m.canon[0], 4), m.branch(m.canon[0], 6)
+
+	// run grows the chain on a FaultStore over dir, then imports the
+	// branch; it returns the store, how many writes preceded the import,
+	// and the import's error.
+	run := func(dir string, pol *store.FaultPolicy) (*store.FaultStore, int, error) {
+		fs, err := store.OpenFile(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kv := store.NewFault(fs, pol)
+		cfg := cfg
+		cfg.Store = kv
+		c := New(cfg, modelGenesis())
+		for _, mb := range canon {
+			if _, err := c.InsertBlock(mb.block); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := kv.Writes()
+		_, err = c.ImportFork(blocksOf(branch))
+		return kv, before, err
+	}
+	counter, before, err := run(t.TempDir(), &store.FaultPolicy{FailEveryNth: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes := counter.Writes() - before
+	_ = counter.Close()
+	for k := 1; k <= writes; k++ {
+		for seed := int64(0); seed < 20; seed++ {
+			cell := fmt.Sprintf("write %d of %d, seed %d", k, writes, seed)
+			dir := t.TempDir()
+			kv, _, err := run(dir, &store.FaultPolicy{Seed: seed, TornAppendAtWrite: before + k})
+			if !errors.Is(err, store.ErrCrashed) {
+				t.Fatalf("%s: the torn import returned %v", cell, err)
+			}
+			_ = kv.Close()
+			re, err := store.OpenFile(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := cfg
+			cfg.Store = re
+			c, err := Open(cfg, re)
+			if err != nil {
+				t.Fatalf("%s: reopen: %v", cell, err)
+			}
+			if c.Base() != 0 {
+				t.Fatalf("%s: the reopened chain starts at block %d, head %d", cell, c.Base(), c.Height())
+			}
+			for n := c.Base(); n <= c.Height(); n++ {
+				if _, ok := m.built[c.BlockByNumber(n).Hash()]; !ok {
+					t.Fatalf("%s: the reopened chain holds block %d, which nobody built", cell, n)
+				}
+			}
+			if head := c.Head().Hash(); head != canon[3].hash && head != branch[5].hash {
+				t.Fatalf("%s: the reopened chain's head is block %d, neither tip", cell, c.Height())
+			}
+			_ = re.Close()
+		}
 	}
 }

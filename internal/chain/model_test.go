@@ -150,13 +150,9 @@ func (m *chainModel) adopted(mb *modelBlock) {
 }
 
 // forked records the switch to a branch whose first block is not
-// canonical and sits at height attach. The chain commits the state of
-// every branch block, then writes the branch with the head pointer in
-// one more write, synced if the branch holds a multiple of
-// modelSyncEvery. A crash may cut that write short of the head record
-// after bodies that replace the blocks above attach, but every body it
-// keeps has its state in the store before it, so the head a crash leaves
-// is never below the floor the chain synced at.
+// canonical and sits at height attach. The chain writes the branch in
+// one batch, synced if the branch holds a multiple of modelSyncEvery;
+// a crash keeps all of it or none.
 func (m *chainModel) forked(attach uint64, branch []*modelBlock) {
 	m.canon = append(m.canon[:attach], branch...)
 	for _, mb := range branch[:len(branch)-1] {
@@ -230,8 +226,9 @@ func (m *chainModel) receiptsMatch(c *Chain, branch []*modelBlock) {
 }
 
 // reopened takes the chain c opened from the store as the canonical one.
-// Every block it holds must be one the model built; after a crash, the
-// head may be any of them at or above the floor.
+// It must start at genesis, and every block it holds must be one the
+// model built; after a crash, the head may be any of them at or above
+// the floor.
 func (m *chainModel) reopened(c *Chain, crashed bool) {
 	m.t.Helper()
 	head := c.Head()
@@ -241,8 +238,11 @@ func (m *chainModel) reopened(c *Chain, crashed bool) {
 	if head.Number() < m.floor {
 		m.t.Fatalf("a crash took the head to %d, below the synced block %d", head.Number(), m.floor)
 	}
+	if c.Base() != 0 {
+		m.t.Fatalf("the reopened chain starts at block %d, head %d", c.Base(), head.Number())
+	}
 	m.canon = m.canon[:0]
-	for n := uint64(0); n <= head.Number(); n++ {
+	for n := c.Base(); n <= head.Number(); n++ {
 		mb, ok := m.built[c.BlockByNumber(n).Hash()]
 		if !ok {
 			m.t.Fatalf("the reopened chain holds block %d, which the model never built", n)
@@ -293,11 +293,18 @@ func (m *chainModel) check(c *Chain, kv store.Store) {
 	}
 }
 
-// newChainModel builds a chain with cfg over a genesis holding the
-// model's key-value contract, and the model of it.
-func newChainModel(t *testing.T, rng *rand.Rand, writer *wallet.Key, cfg Config) (*Chain, *chainModel) {
+// modelGenesis returns a genesis state holding the model's key-value
+// contract.
+func modelGenesis() *statedb.StateDB {
 	genesis := statedb.New()
 	genesis.SetCode(modelKV, asm.KVStoreContract())
+	return genesis
+}
+
+// newChainModel builds a chain with cfg over modelGenesis, and the model
+// of it.
+func newChainModel(t *testing.T, rng *rand.Rand, writer *wallet.Key, cfg Config) (*Chain, *chainModel) {
+	genesis := modelGenesis()
 	c := New(cfg, genesis)
 	g := &modelBlock{block: c.Head(), hash: c.Head().Hash(), slots: map[types.Word]types.Word{}, post: genesis.Copy()}
 	return c, &chainModel{
@@ -310,9 +317,9 @@ func newChainModel(t *testing.T, rng *rand.Rand, writer *wallet.Key, cfg Config)
 // TestChainModel drives seeded random sequences of what a chain is asked
 // to do — import a block it replays, adopt a block it built, switch to a
 // longer fork, refuse one that is not longer, reopen its datadir after a
-// clean close and after a crash that drops part of the unsynced tail —
-// against a list model of the canonical chain and the slot values of
-// each block. The chain commits every adopted state to a FileStore, so
+// clean close, after a crash that drops part of the unsynced tail and
+// after one that tears a reorg's write — against a list model of the
+// canonical chain and the slot values of each block. The chain commits every adopted state to a FileStore, so
 // its head state is in part in memory and in part read lazily through
 // the store. A commit stages its records in map order, so where a crash
 // cuts, and so the recovered head, differs from run to run; the model
@@ -341,23 +348,45 @@ func runChainModel(t *testing.T, seed int64, steps int) {
 
 	dir := t.TempDir()
 	var kv *store.FaultStore
-	crashes := 0
-	openStore := func() {
+	crashes, tornReorgs := 0, 0
+	// openStore opens the datadir; tear arms a torn append at its first
+	// write.
+	openStore := func(tear bool) {
 		fs, err := store.OpenFile(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		kv = store.NewFault(fs, &store.FaultPolicy{Seed: seed*100 + int64(crashes), DropUnsyncedOnCrash: true})
+		pol := &store.FaultPolicy{Seed: seed*100 + int64(crashes), DropUnsyncedOnCrash: true}
+		if tear {
+			pol.TornAppendAtWrite = 1
+		}
+		kv = store.NewFault(fs, pol)
 		cfg.Store = kv
 	}
-	openStore()
+	openStore(false)
 	defer func() { _ = kv.Close() }()
 
 	c, m := newChainModel(t, rng, writer, cfg)
+	// crashed reopens the chain after a crash.
+	crashed := func(step int) {
+		crashes++
+		openStore(false)
+		var err error
+		if c, err = Open(cfg, kv); err != nil {
+			t.Fatalf("step %d: open after a crash: %v", step, err)
+		}
+		m.reopened(c, true)
+		m.check(c, kv)
+	}
 
 	forks, deep, deepInner, builds := 0, 0, 0, 0
+	tearReorg := false // the next step is a longer fork whose write tears
 	for step := 0; step < steps; step++ {
-		switch r := rng.Intn(100); {
+		r := rng.Intn(100)
+		if tearReorg {
+			r = 55
+		}
+		switch {
 		case r < 35: // a block the chain replays
 			mb := m.child(m.head())
 			if _, err := c.InsertBlock(mb.block); err != nil {
@@ -419,7 +448,7 @@ func runChainModel(t *testing.T, seed int64, steps int) {
 					attach = inner[rng.Intn(len(inner))]
 				}
 			}
-			longer := rng.Intn(4) != 0
+			longer := tearReorg || rng.Intn(4) != 0
 			n := int(height-attach) + 1 // as high as the head
 			if longer {
 				n += 1 + rng.Intn(2)
@@ -430,6 +459,15 @@ func runChainModel(t *testing.T, seed int64, steps int) {
 				blocks[i] = mb.block
 			}
 			orphaned, err := c.ImportFork(blocks)
+			if tearReorg {
+				if !errors.Is(err, store.ErrCrashed) {
+					t.Fatalf("step %d: a torn reorg returned %v", step, err)
+				}
+				tearReorg = false
+				tornReorgs++
+				crashed(step)
+				continue
+			}
 			// A block of the branch that is the canonical one at its height
 			// (an empty body drawn at the same time) is skipped, not
 			// orphaned.
@@ -465,10 +503,13 @@ func runChainModel(t *testing.T, seed int64, steps int) {
 		case r < 86:
 			m.check(c, kv)
 		case r < 92: // a clean close and reopen
+			// Half the time the store comes back armed to tear its first
+			// write, and the next step is a reorg.
+			tearReorg = m.head().block.Number() > 0 && rng.Intn(2) == 0
 			if err := kv.Close(); err != nil {
 				t.Fatalf("step %d: close: %v", step, err)
 			}
-			openStore()
+			openStore(tearReorg)
 			var err error
 			if c, err = Open(cfg, kv); err != nil {
 				t.Fatalf("step %d: reopen: %v", step, err)
@@ -477,22 +518,15 @@ func runChainModel(t *testing.T, seed int64, steps int) {
 			m.check(c, kv)
 		default: // a crash that drops part of the unsynced tail
 			kv.Crash()
-			crashes++
-			openStore()
-			var err error
-			if c, err = Open(cfg, kv); err != nil {
-				t.Fatalf("step %d: open after a crash: %v", step, err)
-			}
-			m.reopened(c, true)
-			m.check(c, kv)
+			crashed(step)
 		}
 	}
 	m.check(c, kv)
-	t.Logf("%d steps: head %d, %d forks (%d below the window, %d of them through an earlier branch), %d own builds, %d crashes",
-		steps, c.Height(), forks, deep, deepInner, builds, crashes)
-	if forks == 0 || deep == 0 || deepInner == 0 || builds == 0 || crashes == 0 {
-		t.Fatalf("the run took %d forks, %d below the window, %d through an earlier branch, %d own builds and %d crashes: raise the steps",
-			forks, deep, deepInner, builds, crashes)
+	t.Logf("%d steps: head %d, %d forks (%d below the window, %d of them through an earlier branch), %d own builds, %d crashes (%d tearing a reorg)",
+		steps, c.Height(), forks, deep, deepInner, builds, crashes, tornReorgs)
+	if forks == 0 || deep == 0 || deepInner == 0 || builds == 0 || crashes == 0 || tornReorgs == 0 {
+		t.Fatalf("the run took %d forks, %d below the window, %d through an earlier branch, %d own builds and %d crashes, %d tearing a reorg: raise the steps",
+			forks, deep, deepInner, builds, crashes, tornReorgs)
 	}
 }
 

@@ -2,14 +2,17 @@
 // snapshot a joining peer boots from — one serialised form, one boot
 // path. With a Config.Store attached, every adopted block commits its
 // post state's dirty trie paths, its RLP body and a head pointer into
-// the flat store; Open rebuilds a chain from those records WITHOUT
-// replaying a single transaction — blocks decode straight from the log
-// and head state reopens lazily from its root. Export writes the same
-// records for the head alone into another store, so a snapshot IS a
-// datadir, and a joiner adopts it through the Open a restart uses.
+// the flat store as one batch, and a reorg its whole branch as one; the
+// store applies a batch whole or not at all, across a crash too, so
+// what survives a crash is the store's business alone. Open rebuilds a
+// chain from those records WITHOUT replaying a single transaction —
+// blocks decode straight from the log and head state reopens lazily
+// from its root. Export writes the same records for the head alone into
+// another store, so a snapshot IS a datadir, and a joiner adopts it
+// through the Open a restart uses.
 //
 // Store layout (alongside the raw 32-byte trie-node and 'c'-prefixed
-// code records written through statedb.CommitTo):
+// code records staged through statedb.StageTo):
 //
 //	'b' || uint64be(number) -> block RLP   (last write wins on reorgs)
 //	"head"                  -> uint64be(number) of the canonical head
@@ -44,23 +47,29 @@ func blockKey(n uint64) []byte {
 }
 
 // persistLocked writes a run of adopted blocks — one block, or the
-// branch a reorg switched to — to the store: post, the state of the last
-// block, as its new trie nodes and code first (their own batch), then
-// the bodies and the head pointer naming the last, head last — so a torn
-// tail after a crash always drops the head record before the data it
-// points at, and no head record names a block whose state the store was
-// not given. ImportFork commits the states of a branch's blocks below
-// its tip (commitLocked) before it calls this, so every canonical block's
-// state is in the store. It syncs when the run holds a multiple of
-// SyncEvery.
-func (c *Chain) persistLocked(post *statedb.StateDB, blocks ...*types.Block) error {
+// branch a reorg switched to — to the store in one Write: the new trie
+// nodes and code of every block's state (states[i] is blocks[i]'s, so
+// every canonical block's state is in the store and a later fork can
+// reopen any of them as its parent), their bodies, and the head pointer
+// naming the last. A crash leaves all of it or none. It syncs when the
+// run holds a multiple of SyncEvery.
+func (c *Chain) persistLocked(blocks []*types.Block, states []*statedb.StateDB) error {
+	b := &c.batch
+	b.Reset()
+	for i, st := range states {
+		if root := st.StageTo(b); root != blocks[i].Header.StateRoot {
+			// Defensive: the block was validated against this exact state.
+			return fmt.Errorf("%w: committed %s, header %s", ErrBadStateRoot, root.Hex(), blocks[i].Header.StateRoot.Hex())
+		}
+	}
+	stageHead(b, blocks...)
+	if err := c.cfg.Store.Write(b); err != nil {
+		return err
+	}
+	for _, st := range states {
+		st.Stored()
+	}
 	tip := blocks[len(blocks)-1]
-	if err := c.commitLocked(post, tip); err != nil {
-		return err
-	}
-	if err := writeHead(c.cfg.Store, &c.headBatch, blocks...); err != nil {
-		return err
-	}
 	if n := uint64(c.cfg.SyncEvery); n > 0 && tip.Number()-tip.Number()%n >= blocks[0].Number() {
 		if sy, ok := c.cfg.Store.(store.Syncer); ok {
 			return sy.Sync()
@@ -69,31 +78,15 @@ func (c *Chain) persistLocked(post *statedb.StateDB, blocks ...*types.Block) err
 	return nil
 }
 
-// commitLocked writes post, the state of block, as its new trie nodes
-// and code, in one batch.
-func (c *Chain) commitLocked(post *statedb.StateDB, block *types.Block) error {
-	root, _, err := post.CommitTo(c.cfg.Store)
-	if err != nil {
-		return err
-	}
-	if root != block.Header.StateRoot {
-		// Defensive: the block was validated against this exact state.
-		return fmt.Errorf("%w: committed %s, header %s", ErrBadStateRoot, root.Hex(), block.Header.StateRoot.Hex())
-	}
-	return nil
-}
-
-// writeHead appends the bodies of a run of blocks and the head pointer
-// naming the last to kv through b, which it resets first.
-func writeHead(kv store.Store, b *store.Batch, blocks ...*types.Block) error {
-	b.Reset()
+// stageHead stages the bodies of a run of blocks and the head pointer
+// naming the last.
+func stageHead(b *store.Batch, blocks ...*types.Block) {
 	for _, block := range blocks {
 		b.Put(blockKey(block.Number()), block.EncodeRLP())
 	}
 	var num [8]byte
 	binary.BigEndian.PutUint64(num[:], blocks[len(blocks)-1].Number())
 	b.Put(headKey, num[:])
-	return kv.Write(b)
 }
 
 // exportChunk is how much of an export is staged before it is written.
@@ -102,9 +95,10 @@ const exportChunk = 4 << 20
 // Export writes the current head into dst as the records a store holds
 // for it: every trie node and code blob reachable from the head's state
 // root (statedb.Walk — not the nodes earlier blocks superseded), then
-// the head block and the head pointer, head last. dst then IS a datadir
-// whose chain is that one block: Open recovers it, a node restarts on
-// it, and a joiner handed it as a snapshot adopts it after verifying it.
+// the head block and the head pointer, in the last batch. dst then IS a
+// datadir whose chain is that one block: Open recovers it, a node
+// restarts on it, and a joiner handed it as a snapshot adopts it after
+// verifying it.
 // Every chain can serve its head — built in memory, backed by a store,
 // or recovered from one (what its lazy state has not touched is read
 // through its store). The walk writes nothing to the head state, which
@@ -130,10 +124,8 @@ func (c *Chain) Export(dst store.Store) error {
 		err = werr
 	}
 	if err == nil {
+		stageHead(&b, head)
 		err = dst.Write(&b)
-	}
-	if err == nil {
-		err = writeHead(dst, &b, head)
 	}
 	if err != nil {
 		return fmt.Errorf("chain: export: %w", err)
@@ -166,14 +158,14 @@ func HasHead(kv store.Store) bool {
 // kv is what the chain reads; cfg.Store, as always, is what it writes.
 //
 // When they are the same store this is a restart, and the store is
-// trusted unless it reports dirty salvage (a torn tail or quarantined
-// corruption repaired on reopen). Then Open does not believe the head
-// record: it verifies the head block's complete state (account trie,
-// storage tries, code blobs) and, if the newest records did not survive
-// intact, walks the head backwards to the deepest block whose state
-// verifies — the last truly durable commit — then repoints the head
-// record there. A store that salvaged cleanly skips the (O(state size))
-// verification entirely.
+// trusted unless it reports dirty salvage (a torn trailing batch or
+// quarantined corruption repaired on reopen). Then Open does not
+// believe the head record: it verifies the head block's complete state
+// (account trie, storage tries, code blobs) and, if the newest records
+// did not survive intact, walks the head backwards to the deepest block
+// whose state verifies — the last truly durable commit — then repoints
+// the head record there. A store that salvaged cleanly skips the
+// (O(state size)) verification entirely.
 //
 // When they differ, kv is a snapshot somebody else wrote. Nothing in it
 // is trusted and nothing in it is repaired: the head state is verified
@@ -213,8 +205,9 @@ func Open(cfg Config, kv store.Store) (*Chain, error) {
 			return c, err
 		}
 		// A clean log whose head names a block it holds no state for: a
-		// crash cut a reorg's write at a record boundary, after branch
-		// bodies that replaced the one the head record names.
+		// log written before a batch survived a crash whole, cut in a
+		// reorg's write after branch bodies that replaced the one the
+		// head record names.
 	}
 	var firstErr error
 	for num := head; ; num-- {

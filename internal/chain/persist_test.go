@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"maps"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -158,15 +159,17 @@ func TestOpenAfterReorgFollowsCanonicalBranch(t *testing.T) {
 // names a block the store holds no state for — the body and head pointer
 // written, the state not — must not be trusted. Open walks down to the
 // deepest block whose state verifies, here the block below it, and
-// repoints the head there. (A chain never writes such a log: it commits
-// a block's state, a reorg's branch blocks included, before the body and
-// head record naming it, so the log is built here directly.)
+// repoints the head there. (A chain never writes such a log now: a
+// block's state goes in the batch of its body and head record. One
+// written before a batch survived a crash whole can hold it, so the log
+// is built here directly.)
 func TestOpenDistrustsAHeadWithoutState(t *testing.T) {
 	kv := store.NewMem()
 	local, owner := persistRig(t, kv, 2)
 	stateless := buildBlock(t, local, []*types.Transaction{setTxFor(owner, 2, types.WordFromUint64(11), 99, types.FlagHead)})
 	var b store.Batch
-	if err := writeHead(kv, &b, stateless); err != nil {
+	stageHead(&b, stateless)
+	if err := kv.Write(&b); err != nil {
 		t.Fatal(err)
 	}
 	re, err := Open(local.Config(), kv)
@@ -666,4 +669,29 @@ func TestGoldenRootsWithStore(t *testing.T) {
 	if a != b {
 		t.Fatal("store changed state roots")
 	}
+}
+
+// TestOneWritePerBlockAndReorg counts a store-backed chain's writes:
+// genesis, every adopted block and a reorg to a branch of three blocks
+// are one Write each.
+func TestOneWritePerBlockAndReorg(t *testing.T) {
+	reg := wallet.NewRegistry()
+	writer := wallet.NewKey("one-write-writer")
+	reg.Register(writer)
+	cfg := DefaultConfig()
+	cfg.Registry = reg
+	kv := store.NewFault(store.NewMem(), &store.FaultPolicy{FailEveryNth: 1 << 30}) // counts, never fails
+	cfg.Store = kv
+	c, m := newChainModel(t, rand.New(rand.NewSource(1)), writer, cfg)
+	writes := func(want int, after string) {
+		t.Helper()
+		if got := kv.Writes(); got != want {
+			t.Fatalf("%d writes after %s, want %d", got, after, want)
+		}
+	}
+	writes(1, "genesis")
+	m.grow(3, c)
+	writes(4, "three blocks")
+	m.follow(m.fork(1), c)
+	writes(5, "a reorg")
 }

@@ -7,7 +7,6 @@ package statedb
 
 import (
 	"fmt"
-	"sync"
 
 	"sereth/internal/rlp"
 	"sereth/internal/store"
@@ -47,26 +46,28 @@ func OpenAt(kv Reader, root types.Hash) *StateDB {
 	}
 }
 
-// commitBatches recycles the batch a commit fills: a block's records
-// land in a buffer the previous block already grew to size.
-var commitBatches = sync.Pool{New: func() any { return new(store.Batch) }}
-
-// CommitTo flushes the state and writes every trie node not yet
-// persisted — exactly the paths the dirty tracking re-encoded since the
-// last commit — plus any new code blobs into kv as one batch. It
-// returns the committed root and the number of records written. It
-// reads nothing from kv: what is already there is remembered on the
-// nodes and accounts that were written or resolved.
+// CommitTo is StageTo into a batch of its own, one Write to kv, and
+// Stored. It returns the committed root and the number of records.
 func (s *StateDB) CommitTo(kv store.Store) (types.Hash, int, error) {
+	var b store.Batch
+	root := s.StageTo(&b)
+	if err := kv.Write(&b); err != nil {
+		return types.Hash{}, 0, err
+	}
+	s.Stored()
+	return root, b.Len(), nil
+}
+
+// StageTo flushes the state, stages into b every trie node not yet
+// persisted (the paths the dirty tracking re-encoded) and every code blob
+// not yet Stored, and returns the root. It reads no store: what is there
+// is remembered on the nodes and accounts that were written or resolved.
+func (s *StateDB) StageTo(b *store.Batch) types.Hash {
 	root := s.Root() // flush: fold dirty accounts/slots into the tries
-	b := commitBatches.Get().(*store.Batch)
-	b.Reset()
-	defer commitBatches.Put(b)
-	n := s.accTrie.Commit(b)
-	var coded []*account
+	s.accTrie.Commit(b)
 	for _, acc := range s.accounts {
 		if acc.storageTrie != nil {
-			n += acc.storageTrie.Commit(b)
+			acc.storageTrie.Commit(b)
 		}
 		if len(acc.code) > 0 && !acc.codeStored {
 			if acc.codeHash == nil {
@@ -74,17 +75,16 @@ func (s *StateDB) CommitTo(kv store.Store) (types.Hash, int, error) {
 				acc.codeHash = &h
 			}
 			b.Put(codeKey(*acc.codeHash), acc.code)
-			coded = append(coded, acc)
-			n++
 		}
 	}
-	if err := kv.Write(b); err != nil {
-		return types.Hash{}, 0, err
+	return root
+}
+
+// Stored marks the code blobs StageTo staged as written, once they are.
+func (s *StateDB) Stored() {
+	for _, acc := range s.accounts {
+		acc.codeStored = acc.codeStored || len(acc.code) > 0
 	}
-	for _, acc := range coded {
-		acc.codeStored = true
-	}
-	return root, n, nil
 }
 
 // resolveAccount materializes addr from the persisted account trie, or

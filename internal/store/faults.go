@@ -116,7 +116,7 @@ func (s *FaultStore) Write(b *Batch) error {
 		return ErrInjectedFault
 	}
 	if s.writes == s.pol.TornAppendAtWrite && s.fs != nil {
-		enc := b.buf // the records exactly as Write would append them
+		enc := b.sealed() // the records exactly as Write would append them
 		cut := 0
 		if len(enc) > 1 {
 			cut = 1 + s.rng.Intn(len(enc)-1) // strict, non-empty prefix

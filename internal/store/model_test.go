@@ -3,7 +3,9 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -59,11 +61,11 @@ type modelOp struct{ key, val []byte }
 
 // storeModel is what the store must hold: now contains every write;
 // durable is now as of the last durability point, and pending the
-// records appended since, in order — a crash keeps durable plus some
-// prefix of pending.
+// batches appended since, in order — a crash keeps durable plus some
+// prefix of pending, whole batches only.
 type storeModel struct {
 	now, durable map[string][]byte
-	pending      []modelOp
+	pending      [][]modelOp
 }
 
 func cloneMap(m map[string][]byte) map[string][]byte {
@@ -74,11 +76,12 @@ func cloneMap(m map[string][]byte) map[string][]byte {
 	return c
 }
 
+// write records one batch.
 func (m *storeModel) write(ops ...modelOp) {
 	for _, op := range ops {
 		m.now[string(op.key)] = op.val
 	}
-	m.pending = append(m.pending, ops...)
+	m.pending = append(m.pending, ops)
 }
 
 func (m *storeModel) synced() { m.durable, m.pending = cloneMap(m.now), nil }
@@ -97,9 +100,11 @@ func holds(s Store, keys [][]byte, want map[string][]byte) error {
 
 // TestFileStoreModel drives seeded random sequences of every operation
 // the store has — single and batched writes, overwrites, reads, Sync,
-// Compact (explicit and automatic), a clean Close and reopen, and a
-// FaultStore crash that drops a random part of the unsynced tail followed
-// by a salvaging reopen — against a map model. -short runs a slice.
+// Compact (explicit and automatic), a clean Close and reopen, and
+// FaultStore crashes followed by a salvaging reopen: a kill that drops a
+// random part of the unsynced tail, and a torn append of a batch — against
+// a map model, which holds that a crash keeps whole batches only.
+// -short runs a slice.
 func TestFileStoreModel(t *testing.T) {
 	steps := 6000
 	if testing.Short() {
@@ -119,7 +124,7 @@ func runStoreModel(t *testing.T, seed int64, steps int) {
 	dir := t.TempDir()
 	var fs *FileStore
 	var s *FaultStore
-	crashes := 0
+	crashes, torn := 0, 0
 	open := func() {
 		var err error
 		if fs, err = OpenFile(dir); err != nil {
@@ -127,30 +132,67 @@ func runStoreModel(t *testing.T, seed int64, steps int) {
 		}
 		// Low enough that overwrites trigger automatic compaction.
 		fs.CompactMinBytes = 64 << 10
-		s = NewFault(fs, &FaultPolicy{Seed: seed + int64(crashes), DropUnsyncedOnCrash: true})
+		pol := &FaultPolicy{Seed: seed + int64(crashes), DropUnsyncedOnCrash: true}
+		if rng.Intn(2) == 0 {
+			pol.TornAppendAtWrite = 1 + rng.Intn(30)
+		}
+		s = NewFault(fs, pol)
 	}
 	open()
 	defer func() { _ = s.Close() }()
 	m := &storeModel{now: map[string][]byte{}, durable: map[string][]byte{}}
 	key := func() []byte { return keys[rng.Intn(len(keys))] }
+	// crashed reopens the store after a crash, which kept what was
+	// durable and the first k of the batches after it.
+	crashed := func(step int) {
+		crashes++
+		if err := holds(s, keys, nil); err != nil {
+			t.Fatalf("step %d: crashed store still serves: %v", step, err)
+		}
+		open()
+		survivors := cloneMap(m.durable)
+		k := 0
+		for err := holds(s, keys, survivors); err != nil; err = holds(s, keys, survivors) {
+			if k == len(m.pending) {
+				t.Fatalf("step %d: after crash, no prefix of the %d unsynced batches matches: %v", step, k, err)
+			}
+			for _, op := range m.pending[k] {
+				survivors[string(op.key)] = op.val
+			}
+			k++
+		}
+		m.now = survivors
+		m.synced()
+	}
 
 	for step := 0; step < steps; step++ {
 		switch r := rng.Intn(100); {
-		case r < 30:
-			op := modelOp{key(), modelValue(rng)}
-			if err := s.Put(op.key, op.val); err != nil {
-				t.Fatalf("step %d: put: %v", step, err)
-			}
-			m.write(op)
 		case r < 55:
 			b := &Batch{}
 			var ops []modelOp
-			for n := 1 + rng.Intn(40); n > 0; n-- { // repeats a key now and then
+			n := 1
+			if r >= 30 {
+				n += rng.Intn(40) // repeats a key now and then
+			}
+			for ; n > 0; n-- {
 				op := modelOp{key(), modelValue(rng)}
 				b.Put(op.key, op.val)
 				ops = append(ops, op)
 			}
-			if err := s.Write(b); err != nil {
+			var err error
+			if len(ops) == 1 {
+				err = s.Put(ops[0].key, ops[0].val)
+			} else {
+				err = s.Write(b)
+			}
+			if errors.Is(err, ErrCrashed) { // the write was torn
+				if len(ops) > 1 {
+					torn++
+				}
+				crashed(step)
+				break
+			}
+			if err != nil {
 				t.Fatalf("step %d: write: %v", step, err)
 			}
 			m.write(ops...)
@@ -184,24 +226,7 @@ func runStoreModel(t *testing.T, seed int64, steps int) {
 			}
 		default:
 			s.Crash()
-			crashes++
-			if err := holds(s, keys, nil); err != nil {
-				t.Fatalf("step %d: crashed store still serves: %v", step, err)
-			}
-			open()
-			// The cut fell somewhere in the unsynced tail: the log holds
-			// what was durable and the first k of the records after it.
-			survivors := cloneMap(m.durable)
-			k := 0
-			for err := holds(s, keys, survivors); err != nil; err = holds(s, keys, survivors) {
-				if k == len(m.pending) {
-					t.Fatalf("step %d: after crash, no prefix of the %d unsynced records matches: %v", step, k, err)
-				}
-				survivors[string(m.pending[k].key)] = m.pending[k].val
-				k++
-			}
-			m.now = survivors
-			m.synced()
+			crashed(step)
 		}
 		// A compaction, explicit or automatic, is a durability point.
 		if size, synced := fs.sizes(); size == synced {
@@ -214,13 +239,14 @@ func runStoreModel(t *testing.T, seed int64, steps int) {
 	if err := holds(s, keys, m.now); err != nil {
 		t.Fatal(err)
 	}
-	if crashes == 0 {
-		t.Fatal("the sequence never crashed")
+	if crashes == 0 || torn == 0 {
+		t.Fatalf("the sequence crashed %d times, %d of them tearing a batch", crashes, torn)
 	}
 }
 
-// parseCleanLog reads a log that must be nothing but whole, verifying
-// records and returns what it holds, last write winning.
+// parseCleanLog reads a log that must be nothing but whole batches of
+// whole, verifying records and returns what it holds, last write
+// winning.
 func parseCleanLog(t *testing.T, path string) (map[string][]byte, int) {
 	t.Helper()
 	data, err := os.ReadFile(path)
@@ -230,26 +256,70 @@ func parseCleanLog(t *testing.T, path string) (map[string][]byte, int) {
 	if !bytes.HasPrefix(data, logMagic) {
 		t.Fatalf("salvaged log lost its magic: %q", data[:min(len(data), 8)])
 	}
-	held, records := map[string][]byte{}, 0
+	held, records, open := map[string][]byte{}, 0, false
 	for off := len(logMagic); off < len(data); records++ {
-		key, val, next, ok := readRecord(data, off)
+		key, val, next, more, ok := readRecord(data, off)
 		if !ok {
 			t.Fatalf("salvaged log does not parse at offset %d of %d", off, len(data))
 		}
 		held[string(key)] = val
-		off = next
+		off, open = next, more
+	}
+	if open {
+		t.Fatal("salvaged log ends inside a batch")
 	}
 	return held, records
 }
 
+// logBatches splits the longest prefix of log that parses as records
+// into the batches it ended and the records after them, and reports
+// whether that prefix is all of log.
+func logBatches(log []byte) (ended [][]modelOp, rest []modelOp, whole bool) {
+	off := 0
+	for off < len(log) {
+		key, val, next, more, ok := readRecord(log, off)
+		if !ok {
+			return ended, rest, false
+		}
+		rest = append(rest, modelOp{key, val})
+		if off = next; !more {
+			ended, rest = append(ended, rest), nil
+		}
+	}
+	return ended, rest, true
+}
+
 // FuzzLogReplay opens a log whose bytes after the magic are arbitrary.
-// OpenFile must salvage it without panicking and leave a clean log
-// behind; every record of that log is served, re-verified, by Get, and
-// nothing else is; a second open finds nothing to repair and serves the
-// same.
+// OpenFile must salvage it without panicking and leave a clean log of
+// whole batches behind; every record of that log is served, re-verified,
+// by Get, and nothing else is; a second open finds nothing to repair and
+// serves the same. A batch is served whole or not at all: every key of a
+// batch that ends before the first damage is served, and when there is
+// no damage the store holds exactly the batches that ended, and nothing
+// of the records after the last of them.
 func FuzzLogReplay(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(appendRecord(appendRecord(nil, []byte("k"), []byte("v")), bytes.Repeat([]byte{7}, 32), nil))
+	one := func(key, val []byte) []byte { var b Batch; b.Put(key, val); return b.sealed() }
+	f.Add(append(one([]byte("k"), []byte("v")), one(bytes.Repeat([]byte{7}, 32), nil)...))
+	var batches []byte
+	for i, n := range []int{3, 1, 4, 2} {
+		b := &Batch{}
+		for j := range n {
+			b.Put(nodeKeyN(i*10+j%3), bytes.Repeat([]byte{byte(i)}, 1+j*40))
+		}
+		if i < 3 {
+			batches = append(batches, b.sealed()...)
+		} else {
+			batches = append(batches, b.buf...) // its end never made it
+		}
+	}
+	f.Add(batches)
+	f.Add(batches[:len(batches)-60]) // torn inside the batch that never ended
+
+	// A record a store never writes, a 128-byte key: its length takes two
+	// bytes, so it reads as damage.
+	long := append(binary.AppendUvarint(nil, 128), make([]byte, 129)...)
+	f.Add(binary.LittleEndian.AppendUint32(long, crc32.ChecksumIEEE(long)))
 	f.Fuzz(func(t *testing.T, tail []byte) {
 		if len(tail) > 4096 {
 			t.Skip("salvage is quadratic in the damaged range")
@@ -267,6 +337,21 @@ func FuzzLogReplay(f *testing.F) {
 		var keys [][]byte
 		for k := range want {
 			keys = append(keys, []byte(k))
+		}
+		ended, rest, whole := logBatches(tail)
+		lastWins := map[string][]byte{}
+		for _, batch := range ended {
+			for _, op := range batch {
+				if _, ok := want[string(op.key)]; !ok {
+					t.Fatalf("key %x of a batch that ended is not served", op.key)
+				}
+				lastWins[string(op.key)] = op.val
+			}
+		}
+		if whole {
+			if err := holds(s, append(keys, keysOf(rest)...), lastWins); err != nil {
+				t.Fatalf("an undamaged log replayed as other than its ended batches: %v", err)
+			}
 		}
 		serves := func(s *FileStore) {
 			t.Helper()
@@ -291,4 +376,12 @@ func FuzzLogReplay(f *testing.F) {
 		}
 		serves(r)
 	})
+}
+
+func keysOf(ops []modelOp) [][]byte {
+	keys := make([][]byte, len(ops))
+	for i, op := range ops {
+		keys[i] = op.key
+	}
+	return keys
 }

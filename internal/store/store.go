@@ -20,12 +20,17 @@
 // carry the key asked for: a record damaged on disk reads as a miss,
 // never as wrong bytes.
 //
-// On-disk format (SKV2): a 5-byte magic followed by records of
+// On-disk format (SKV3): a 5-byte magic followed by records of
 // `uvarint(len key) || key || uvarint(len value) || value || crc32`,
 // where the CRC (IEEE, little-endian) covers the record bytes before
-// it. The CRC lets reopen distinguish a torn tail (truncate and keep
-// going) from mid-log corruption (scan ahead to the next valid record,
-// quarantine the damaged range, keep every later record).
+// it. Keys are shorter than 64 bytes, and bit 6 of a key length marks a
+// record more of its batch follows: reopen indexes a batch only once its
+// last record verifies (LevelDB's log rule), so a Write survives a crash
+// whole or not at all. The CRC lets reopen distinguish a torn trailing
+// batch (truncate it) from mid-log corruption (scan ahead to the next
+// valid record, quarantine the damaged range, keep every later record).
+// An SKV2 log (one-record batches) opens as it is, restamped SKV3 so
+// that SKV2 readers refuse the batches that follow.
 package store
 
 import (
@@ -45,13 +50,13 @@ import (
 
 // Store is the flat-KV surface the state and chain layers commit
 // through. Writes arrive either singly (Put) or as a Batch flushed in
-// one append (Write); both are atomic with respect to Get.
+// one append (Write); both are atomic with respect to Get and a crash.
 type Store interface {
 	// Get returns the value stored under key and whether it exists.
 	Get(key []byte) ([]byte, bool)
 	// Put stores a single key/value pair.
 	Put(key, value []byte) error
-	// Write applies every pair in the batch as one append.
+	// Write applies every pair in the batch as one append, all or nothing.
 	Write(b *Batch) error
 	// Close flushes and releases the store.
 	Close() error
@@ -74,7 +79,7 @@ type Salvager interface {
 // the bytes Write appends: Put encodes each record once, into a buffer
 // Reset keeps, so a reused batch stages without allocating.
 type Batch struct {
-	buf     []byte // finished SKV2 records, back to back
+	buf     []byte // finished SKV3 records, back to back
 	recs    []span // one per record, in Put order
 	payload int
 }
@@ -84,12 +89,27 @@ type span struct {
 	off, klen, vlen int
 }
 
-// Put stages a pair. Key and value are copied, so callers may reuse
-// their buffers.
+// Put stages a pair, marked as followed by more of the batch. Key and
+// value are copied, so callers may reuse their buffers. A key of
+// maxKeyLen bytes or more panics.
 func (b *Batch) Put(key, value []byte) {
+	if len(key) >= maxKeyLen {
+		panic(fmt.Sprintf("store: %d-byte key", len(key)))
+	}
+	if n := len(b.recs); n > 0 { // the end of a batch written already
+		setMore(b.buf[b.recs[n-1].off:], true)
+	}
 	b.recs = append(b.recs, span{len(b.buf), len(key), len(value)})
 	b.buf = appendRecord(b.buf, key, value)
 	b.payload += len(key) + len(value)
+}
+
+// sealed returns the records Write appends: its last one ends the batch.
+func (b *Batch) sealed() []byte {
+	if n := len(b.recs); n > 0 {
+		setMore(b.buf[b.recs[n-1].off:], false)
+	}
+	return b.buf
 }
 
 // Len returns the number of staged pairs.
@@ -163,7 +183,7 @@ func (s *MemStore) Close() error { return nil }
 type SalvageReport struct {
 	// Records is how many records replayed into the index.
 	Records int
-	// TornBytes is the length of the truncated trailing partial record
+	// TornBytes is the length of the truncated trailing partial batch
 	// (a crash mid-append).
 	TornBytes int64
 	// Corrected counts records restored by single-bit CRC correction:
@@ -202,9 +222,9 @@ type CompactStats struct {
 // offsets. Write appends a batch's records in a single file write; Sync
 // is explicit so block-boundary commits can group durability points.
 // Reopen replays the log (last write wins), verifying each record's CRC:
-// a torn tail is truncated, mid-log corruption is quarantined by
-// resyncing to the next valid record, and the log is compacted when dead
-// bytes dominate.
+// a torn trailing batch is truncated, mid-log corruption is quarantined
+// by resyncing to the next valid record, and the log is compacted when
+// dead bytes dominate.
 type FileStore struct {
 	mu   sync.RWMutex
 	dir  directory
@@ -274,7 +294,11 @@ func (d *directory) put(key []byte, l loc) {
 }
 
 // logMagic heads every store file; it versions the record format.
-var logMagic = []byte("SKV2\n")
+var logMagic, skv2Magic = []byte("SKV3\n"), []byte("SKV2\n")
+
+// maxKeyLen is one more than the longest key: a key's length is the low
+// six bits of its record's first byte, and moreBit the seventh.
+const maxKeyLen, moreBit = 64, 0x40
 
 // ErrNotStoreFile marks a file that does not start with the store magic.
 var ErrNotStoreFile = errors.New("store: not a store file")
@@ -290,7 +314,7 @@ const FileName = "sereth.kv"
 // authoritative; reopen discards the leftover.
 const TmpFileName = FileName + ".tmp"
 
-// crcSize is the per-record checksum trailer length in SKV2.
+// crcSize is the per-record checksum trailer length.
 const crcSize = 4
 
 const (
@@ -299,8 +323,8 @@ const (
 )
 
 // OpenFile opens (or creates) the log under dir and replays it into the
-// index. Torn tails are truncated; mid-log corruption is quarantined
-// and then rewritten to a clean log via compaction.
+// index. A torn trailing batch is truncated; mid-log corruption is
+// quarantined and then rewritten to a clean log via compaction.
 func OpenFile(dir string) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -338,12 +362,13 @@ func OpenFile(dir string) (*FileStore, error) {
 	return s, nil
 }
 
-// replay rebuilds the index from the log. A clean file ends exactly at
-// a record boundary. A torn tail (crash mid-append) is truncated away.
-// A CRC failure in the middle of the log resyncs to the next valid
-// record and quarantines the damaged range, so later good records
-// survive. The index keeps offsets: the file image, read in one
-// allocation of the file's size, dies with replay.
+// replay rebuilds the index from the log, a batch at a time. A clean
+// file ends exactly at a batch boundary. A torn trailing batch (crash
+// mid-append) is truncated away. A CRC failure in the middle of the log
+// resyncs to the next valid record and quarantines the damaged range,
+// which ends no batch, so later good records survive. The index keeps
+// offsets: the file image, read in one allocation of the file's size,
+// dies with replay.
 func (s *FileStore) replay() error {
 	fi, err := s.f.Stat()
 	if err != nil {
@@ -361,49 +386,51 @@ func (s *FileStore) replay() error {
 		s.syncedSize = s.size
 		return nil
 	}
-	if !bytes.HasPrefix(data, logMagic) {
+	if bytes.HasPrefix(data, skv2Magic) {
+		if _, err := s.f.WriteAt(logMagic, 0); err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+	} else if !bytes.HasPrefix(data, logMagic) {
 		return ErrNotStoreFile
 	}
+	var batch []loc // the records, all verified, of the batch not yet ended
 	off := len(logMagic)
 	good := off
 	for off < len(data) {
-		key, _, next, ok := readRecord(data, off)
-		if ok {
-			s.dir.put(key, loc{int64(off), int64(next - off)})
-			s.salvage.Records++
-			off = next
-			good = off
-			continue
-		}
-		// Damaged or incomplete record at off. Scan ahead for the
-		// next valid record: the damaged range is bounded either by
-		// it or by EOF, which makes single-bit repair tractable; an
-		// unrepairable mid-log range is quarantined, an unrepairable
-		// tail is torn.
-		resync := findResync(data, off+1)
-		end := len(data)
-		if resync >= 0 {
-			end = resync
-		}
-		if key, ok := correctSingleBit(data, off, end); ok {
+		_, _, next, more, ok := readRecord(data, off)
+		if !ok {
+			// Damaged or incomplete record at off. Scan ahead for the
+			// next valid record: the damaged range is bounded either by
+			// it or by EOF, which makes single-bit repair tractable; an
+			// unrepairable mid-log range is quarantined, an unrepairable
+			// tail is torn.
+			resync := findResync(data, off+1)
+			if next = resync; resync < 0 {
+				next = len(data)
+			}
+			if more, ok = correctSingleBit(data, off, next); !ok && resync < 0 {
+				break
+			} else if !ok {
+				s.salvage.Quarantined++
+				s.salvage.QuarantinedBytes += int64(resync - off)
+				off = resync
+				continue
+			}
 			// The index points into the file, so the repair goes there
 			// too: the compaction that follows copies what verifies.
-			if _, err := s.f.WriteAt(data[off:end], int64(off)); err != nil {
+			if _, err := s.f.WriteAt(data[off:next], int64(off)); err != nil {
 				return fmt.Errorf("store: salvage: %w", err)
 			}
-			s.dir.put(key, loc{int64(off), int64(end - off)})
-			s.salvage.Records++
 			s.salvage.Corrected++
-			off = end
-			good = off
-			continue
 		}
-		if resync < 0 {
-			break
+		batch = append(batch, loc{int64(off), int64(next - off)})
+		if off = next; !more {
+			for _, l := range batch { // a record starts with its key's length and key
+				s.dir.put(data[l.off+1:][:data[l.off]&^moreBit], l)
+			}
+			s.salvage.Records += len(batch)
+			batch, good = batch[:0], off
 		}
-		s.salvage.Quarantined++
-		s.salvage.QuarantinedBytes += int64(resync - off)
-		off = resync
 	}
 	if good != len(data) {
 		s.salvage.TornBytes = int64(len(data) - good)
@@ -424,26 +451,25 @@ func (s *FileStore) replay() error {
 const correctMaxBytes = 1 << 16
 
 // correctSingleBit tries to repair the damaged range data[off:end) as
-// one record with exactly one flipped bit. CRC32 makes the check
-// sound: a candidate flip must make the range parse as a record ending
-// exactly at end with a matching checksum, so a false repair needs a
-// ~2^-32 collision. The flip is applied to data in place; a torn tail
-// can never pass, since no single flip invents missing bytes.
-// Salvage-path only.
-func correctSingleBit(data []byte, off, end int) (key []byte, ok bool) {
+// one record with exactly one flipped bit, and returns its more bit. CRC32 makes the check sound: a candidate flip must make the range
+// parse as a record ending exactly at end with a matching checksum, so a
+// false repair needs a ~2^-32 collision. The flip is applied to data in
+// place; a torn tail can never pass, since no single flip invents
+// missing bytes. Salvage-path only.
+func correctSingleBit(data []byte, off, end int) (more, ok bool) {
 	if end-off > correctMaxBytes {
-		return nil, false
+		return false, false
 	}
 	for i := off; i < end; i++ {
 		for bit := 0; bit < 8; bit++ {
 			data[i] ^= 1 << bit
-			if key, _, next, ok := readRecord(data, off); ok && next == end {
-				return key, true
+			if _, _, next, more, ok := readRecord(data, off); ok && next == end {
+				return more, true
 			}
 			data[i] ^= 1 << bit
 		}
 	}
-	return nil, false
+	return false, false
 }
 
 // findResync scans forward from off for the next offset that parses as
@@ -451,7 +477,7 @@ func correctSingleBit(data []byte, off, end int) (key []byte, ok bool) {
 // corruption, so the quadratic worst case never sits on a hot path.
 func findResync(data []byte, off int) int {
 	for ; off < len(data); off++ {
-		if _, _, _, ok := readRecord(data, off); ok {
+		if _, _, _, _, ok := readRecord(data, off); ok {
 			return off
 		}
 	}
@@ -467,42 +493,53 @@ func uvarintLen(x uint64) int {
 	return n
 }
 
-// readRecord parses one record at off; ok is false when the bytes do
-// not form a complete record or fail the checksum.
-func readRecord(data []byte, off int) (key, val []byte, next int, ok bool) {
+// readRecord parses one record at off, and whether more of its batch
+// follows; ok is false when the bytes do not form a complete record or
+// fail the checksum.
+func readRecord(data []byte, off int) (key, val []byte, next int, more, ok bool) {
 	start := off
 	klen, n := binary.Uvarint(data[off:])
-	if n <= 0 || uint64(len(data)-off-n) < klen {
-		return nil, nil, 0, false
+	more, klen = klen&moreBit != 0, klen&^moreBit
+	if n != 1 || uint64(len(data)-off-n) < klen { // a key length is one byte
+		return nil, nil, 0, false, false
 	}
 	off += n
 	key = data[off : off+int(klen)]
 	off += int(klen)
 	vlen, n := binary.Uvarint(data[off:])
 	if n <= 0 || uint64(len(data)-off-n) < vlen {
-		return nil, nil, 0, false
+		return nil, nil, 0, false, false
 	}
 	off += n
 	val = data[off : off+int(vlen)]
 	off += int(vlen)
 	if len(data)-off < crcSize {
-		return nil, nil, 0, false
+		return nil, nil, 0, false, false
 	}
 	want := binary.LittleEndian.Uint32(data[off:])
 	if crc32.ChecksumIEEE(data[start:off]) != want {
-		return nil, nil, 0, false
+		return nil, nil, 0, false, false
 	}
-	return key, val, off + crcSize, true
+	return key, val, off + crcSize, more, true
 }
 
-// appendRecord encodes one SKV2 record (payload + CRC trailer).
+// appendRecord encodes one record (payload + CRC trailer), marked as
+// followed by more of its batch.
 func appendRecord(buf, key, val []byte) []byte {
 	start := len(buf)
-	buf = binary.AppendUvarint(buf, uint64(len(key)))
+	buf = binary.AppendUvarint(buf, uint64(len(key))|moreBit)
 	buf = append(buf, key...)
 	buf = binary.AppendUvarint(buf, uint64(len(val)))
 	buf = append(buf, val...)
 	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
+}
+
+// setMore sets or clears the more bit of rec, one whole record.
+func setMore(rec []byte, more bool) {
+	if end := len(rec) - crcSize; rec[0]&moreBit != 0 != more {
+		rec[0] ^= moreBit
+		binary.LittleEndian.PutUint32(rec[end:], crc32.ChecksumIEEE(rec[:end]))
+	}
 }
 
 // Get returns the value stored under key. It holds the read lock across
@@ -527,7 +564,7 @@ func (s *FileStore) read(l loc, key []byte) ([]byte, bool) {
 	if _, err := s.f.ReadAt(rec, l.off); err != nil {
 		return nil, false
 	}
-	k, val, next, ok := readRecord(rec, 0)
+	k, val, next, _, ok := readRecord(rec, 0)
 	if !ok || next != len(rec) || !bytes.Equal(k, key) {
 		return nil, false
 	}
@@ -542,8 +579,8 @@ func (s *FileStore) Put(key, value []byte) error {
 }
 
 // Write appends the whole batch as one file write of the batch's own
-// buffer, then publishes it to the index. Readers never observe a
-// partially applied batch; a reused batch writes without allocating.
+// buffer, then publishes it to the index. Neither readers nor a reopen
+// observe part of a batch; a reused batch writes without allocating.
 func (s *FileStore) Write(b *Batch) error {
 	if len(b.recs) == 0 {
 		return nil
@@ -554,16 +591,26 @@ func (s *FileStore) Write(b *Batch) error {
 		return ErrClosed
 	}
 	base := s.size
-	n, err := s.f.Write(b.buf)
-	s.size += int64(n) // a short write still moved the end of the log
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
+	n, err := s.f.Write(b.sealed())
+	s.size += int64(n)
+	if err != nil { // take back what reached the file, so the next batch follows the last
+		return errors.Join(fmt.Errorf("store: %w", err), s.truncateLocked(base))
 	}
 	for i, r := range b.recs {
 		key, _, size := b.record(i)
 		s.dir.put(key, loc{base + int64(r.off), int64(size)})
 	}
 	return s.maybeCompactLocked()
+}
+
+// truncateLocked cuts the log to n bytes and moves its end there.
+func (s *FileStore) truncateLocked(n int64) error {
+	if err := s.f.Truncate(n); err != nil {
+		return err
+	}
+	s.size, s.syncedSize = min(s.size, n), min(s.syncedSize, n)
+	_, err := s.f.Seek(s.size, io.SeekStart)
+	return err
 }
 
 // maybeCompactLocked rewrites the log when dead bytes dominate.
@@ -597,9 +644,10 @@ func (s *FileStore) Compact() (CompactStats, error) {
 
 // compactLocked streams the live records to the temp file in log order
 // (deterministic, so compacted logs are byte-comparable across runs),
-// re-verifying each and indexing it at its new offset. A live record
-// that no longer verifies aborts the rewrite and leaves the log as it
-// is: reopening salvages it, and reports that it did.
+// re-verifying each, ending it as a batch of its own (the record that
+// ended its batch may be dead) and indexing it at its new offset. A live
+// record that no longer verifies aborts the rewrite and leaves the log
+// as it is: reopening salvages it, and reports that it did.
 func (s *FileStore) compactLocked() (CompactStats, error) {
 	live := make([]loc, 0, s.dir.len())
 	for _, l := range s.dir.nodes {
@@ -635,10 +683,11 @@ func (s *FileStore) compactLocked() (CompactStats, error) {
 		if _, err := s.f.ReadAt(rec, l.off); err != nil {
 			return fail(err)
 		}
-		key, _, end, ok := readRecord(rec, 0)
+		key, _, end, _, ok := readRecord(rec, 0)
 		if !ok || end != len(rec) {
 			return fail(fmt.Errorf("live record at offset %d does not verify", l.off))
 		}
+		setMore(rec, false)
 		if _, err := w.Write(rec); err != nil {
 			return fail(err)
 		}
@@ -758,17 +807,7 @@ func (s *FileStore) rawAppend(p []byte) error {
 func (s *FileStore) rawTruncate(n int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.f.Truncate(n); err != nil {
-		return err
-	}
-	if n < s.size {
-		s.size = n
-	}
-	if n < s.syncedSize {
-		s.syncedSize = n
-	}
-	_, err := s.f.Seek(s.size, io.SeekStart)
-	return err
+	return s.truncateLocked(n)
 }
 
 // rawFlipBit flips one bit at byte offset off — silent media

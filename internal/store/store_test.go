@@ -692,10 +692,11 @@ func fixtureOps(t *testing.T, s Store) {
 	}
 }
 
-// TestParentWrittenLog pins the format in both directions: a log the
-// parent commit wrote opens clean with exactly the keys and values its
-// writes left, and the same writes produce that log byte for byte — so
-// the parent opens what this commit writes.
+// TestParentWrittenLog pins the format in both directions: an SKV2 log,
+// written before batches were marked, opens clean with exactly the keys
+// and values its writes left, restamped SKV3; the same writes produce
+// testdata/written.kv byte for byte, a log as long as the SKV2 one whose
+// magic a binary that knows only SKV2 refuses.
 func TestParentWrittenLog(t *testing.T) {
 	fixture, err := os.ReadFile(filepath.Join("testdata", "parent-written.kv"))
 	if err != nil {
@@ -725,6 +726,14 @@ func TestParentWrittenLog(t *testing.T) {
 		}
 	}
 
+	if stamped, err := os.ReadFile(s.Path()); err != nil || !bytes.HasPrefix(stamped, logMagic) {
+		t.Fatalf("the reopened SKV2 log is stamped %q (%v)", stamped[:len(skv2Magic)], err)
+	}
+
+	pinned, err := os.ReadFile(filepath.Join("testdata", "written.kv"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	w, err := OpenFile(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -737,8 +746,155 @@ func TestParentWrittenLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(written, fixture) {
-		t.Fatalf("the same writes now produce a different log (%d bytes, parent wrote %d)", len(written), len(fixture))
+	if !bytes.Equal(written, pinned) {
+		t.Fatalf("the same writes now produce a different log (%d bytes, pinned %d)", len(written), len(pinned))
+	}
+	if len(written) != len(fixture) || bytes.HasPrefix(written, skv2Magic) {
+		t.Fatalf("the log is %d bytes headed %q; the SKV2 one is %d bytes and SKV2 readers must refuse it", len(written), written[:len(logMagic)], len(fixture))
+	}
+}
+
+// TestBatchRefusesLongKeys: the length of a key of maxKeyLen bytes would
+// need the bit that marks a batch's records.
+func TestBatchRefusesLongKeys(t *testing.T) {
+	var b Batch
+	b.Put(make([]byte, maxKeyLen-1), nil)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a 64-byte key was staged")
+		}
+	}()
+	b.Put(make([]byte, maxKeyLen), nil)
+}
+
+// TestTornBatchIsDroppedWhole cuts a log at every byte of its last
+// batch: reopen serves the batches before it and nothing of it, drops
+// exactly its bytes, and the next batch appended survives another reopen.
+func TestTornBatchIsDroppedWhole(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, last := &Batch{}, &Batch{}
+	first.Put([]byte("head"), []byte{1})
+	for i := 0; i < 3; i++ {
+		last.Put(nodeKeyN(i), bytes.Repeat([]byte{byte(i)}, 50))
+	}
+	last.Put([]byte("head"), []byte{2})
+	for _, b := range []*Batch{first, last} {
+		if err := s.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.ReadFile(s.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := len(log) - len(last.buf)
+	for cut := end + 1; cut < len(log); cut++ {
+		if err := os.WriteFile(s.Path(), log[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenFile(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep := r.Salvage(); rep.TornBytes != int64(cut-end) || rep.Records != 1 {
+			t.Fatalf("cut at %d: %+v, want the %d bytes of the torn batch dropped", cut, rep, cut-end)
+		}
+		if err := holds(r, [][]byte{[]byte("head"), nodeKeyN(0), nodeKeyN(1), nodeKeyN(2)},
+			map[string][]byte{"head": {1}}); err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		if err := r.Put(nodeKeyN(9), nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err = OpenFile(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := r.Get(nodeKeyN(9)); !ok || r.Salvage().Dirty() {
+			t.Fatalf("cut at %d: the batch after the salvage reopened as %+v", cut, r.Salvage())
+		}
+		_ = r.Close()
+	}
+}
+
+// TestCompactEndsEveryBatch compacts a log whose newest multi-record
+// batch lost its last record to a later write, so the records it keeps
+// are all marked as followed by more: the compacted log holds every live
+// record as a batch of its own, reopens clean and serves every live key.
+func TestCompactEndsEveryBatch(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &Batch{}
+	for i := 0; i < 3; i++ {
+		b.Put(nodeKeyN(i), []byte{byte(i)})
+	}
+	b.Put([]byte("head"), []byte{1})
+	if err := s.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put([]byte("head"), []byte{2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.ReadFile(s.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := len(logMagic); off < len(log); {
+		_, _, next, more, ok := readRecord(log, off)
+		if !ok || more {
+			t.Fatalf("compacted record at %d: verifies %v, marked as followed %v", off, ok, more)
+		}
+		off = next
+	}
+	r, err := OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = r.Close() }()
+	want := map[string][]byte{"head": {2}}
+	keys := [][]byte{[]byte("head")}
+	for i := 0; i < 3; i++ {
+		want[string(nodeKeyN(i))] = []byte{byte(i)}
+		keys = append(keys, nodeKeyN(i))
+	}
+	if rep := r.Salvage(); rep.Dirty() || rep.Records != 4 {
+		t.Fatalf("compacted log reopened as %+v", rep)
+	}
+	if err := holds(r, keys, want); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReusedBatchStaysOneBatch writes a batch, stages more into it
+// without a Reset and writes it again: the second append is one batch
+// too, so a tear anywhere in it drops all of it.
+func TestReusedBatchStaysOneBatch(t *testing.T) {
+	b := &Batch{}
+	b.Put([]byte("a"), []byte{1})
+	b.sealed()
+	b.Put([]byte("b"), []byte{2})
+	ended, rest, whole := logBatches(b.sealed())
+	if !whole || len(ended) != 1 || len(ended[0]) != 2 || len(rest) != 0 {
+		t.Fatalf("a grown batch parses as %d batches and %d loose records", len(ended), len(rest))
 	}
 }
 
