@@ -78,10 +78,12 @@ parallel-smoke:
 # the next body (nothing); then SpecView and the parallel processor,
 # whose MergeInto writes through the same overlay. Below the storage, the
 # tries: the model-based churn over a tree of trie copies that write
-# their unhashed nodes in place (-short: 1000 of its 4000 steps),
-# readers on a shared hashed trie and the reachable-records walk beside
-# them (it must write nothing: the trie commits in full afterwards), five
-# times; the miner's adoption of the execution it built, which is what
+# their unhashed nodes in place (-short: 1000 of its 4000 steps; both
+# sides of a fresh copy write one key twice, the second write overwriting
+# a leaf in place, and each must read its own value), readers on a shared
+# hashed trie and the reachable-records walk beside them (it must write
+# nothing: the trie commits in full afterwards), and who owns the key and
+# value an update passes in, five times; the miner's adoption of the execution it built, which is what
 # the shared exec cache memoizes for every other importer (a build writes
 # nothing, a refused or edited self-import leaves no entry, an edited
 # header is accepted or refused exactly as a replay would); eight
@@ -94,7 +96,7 @@ state-smoke:
 	$(GO) test -race -count=5 -run 'TestProcessPostHoldsNoJournal' ./internal/chain
 	$(GO) test -race -run 'TestSpecView' ./internal/statedb
 	$(GO) test -race -run 'TestParallel' ./internal/chain
-	$(GO) test -race -count=5 -short -run 'TestTrieChurnModel|TestTrieSharedReaders|TestWalk' ./internal/trie
+	$(GO) test -race -count=5 -short -run 'TestTrieChurnModel|TestTrieSharedReaders|TestWalk|TestUpdateOwnership' ./internal/trie
 	$(GO) test -race -run 'TestInsertBuilt|TestCacheHoldsOnlyVerifiedExecutions' ./internal/chain
 	$(GO) test -race -run 'TestBuildWritesNothingAdoptionMemoizes' ./internal/miner
 	$(GO) test -race -run 'TestMineAndBroadcastExecutesOnce' ./internal/node

@@ -31,7 +31,9 @@ var (
 	ErrForkTooShort    = errors.New("chain: competing chain does not exceed current head")
 	// ErrForkTooDeep refuses a fork whose parent's post state the chain
 	// neither keeps nor can reopen from its store (see memoryWindow). It
-	// wraps ErrUnknownParent, so a node falls back to block sync.
+	// wraps ErrUnknownParent. A node does not follow such a branch: it
+	// counts it in Stats.ForksTooDeep and keeps what is below its
+	// horizon as final.
 	ErrForkTooDeep = fmt.Errorf("%w: fork parent below the reorg horizon", ErrUnknownParent)
 )
 

@@ -186,6 +186,11 @@ type Stats struct {
 	// BlocksOrphaned counts canonical blocks this node displaced via
 	// longest-chain reorgs (partition heals).
 	BlocksOrphaned uint64
+	// ForksTooDeep counts fork imports the chain refused because the
+	// branch forks below its reorg horizon (chain.ErrForkTooDeep). What
+	// lies below the horizon is final for this node: such a branch is
+	// not counted as rejected, and it is not fetched again.
+	ForksTooDeep uint64
 }
 
 var (
@@ -583,6 +588,14 @@ func (n *Node) noteForkBlock(from p2p.PeerID, block *types.Block) {
 	}
 	orphaned, err := n.chain.ImportFork(blocks)
 	n.mu.Lock()
+	if errors.Is(err, chain.ErrForkTooDeep) {
+		// The candidates stay buffered: still linked, they send no
+		// back-walk after the branch, and the head's next moves prune
+		// them as it prunes any candidate it leaves behind.
+		n.stats.ForksTooDeep++
+		n.mu.Unlock()
+		return
+	}
 	for i := lo; i <= hi; i++ {
 		delete(n.fork, i)
 	}

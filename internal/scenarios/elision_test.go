@@ -151,7 +151,10 @@ func insertAllocs(f *ReplayFixture, cache *chain.ExecCache) float64 {
 // tree cost a copy of every transaction hash) and RETURN to write into
 // the machine's own buffer, and 55..56 → 42..43 when a trie node stopped
 // keeping a copy of its encoding (one allocation per node hashed) and a
-// storage flush began to hand the trie its values in one slab.
+// storage flush began to hand the trie its values in one slab, and
+// 42..43 → 30..31 when a trie leaf became one object with its value and
+// nibbles, written in place while unhashed, and a state flush began to
+// encode its accounts into one slab.
 func TestReplayAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -161,8 +164,8 @@ func TestReplayAllocsPinned(t *testing.T) {
 	if _, err := f.NewChain(warm).InsertBlock(f.Block); err != nil {
 		t.Fatal(err)
 	}
-	if got := insertAllocs(f, nil); got < 42 || got > 43 {
-		t.Errorf("replay/insert-100tx-full: %v allocs per insert, pinned 42..43", got)
+	if got := insertAllocs(f, nil); got < 30 || got > 31 {
+		t.Errorf("replay/insert-100tx-full: %v allocs per insert, pinned 30..31", got)
 	}
 	if got := insertAllocs(f, warm); got != 2 {
 		t.Errorf("replay/insert-100tx-cached: %v allocs per insert, pinned 2", got)

@@ -517,13 +517,17 @@ func (s *StateDB) Root() types.Hash {
 	return s.accTrie.RootHash()
 }
 
-// flush folds every dirty account into the persistent tries. Accounts
-// whose encoding is unchanged (a snapshot/revert round trip) skip the
-// trie update, preserving the cached root.
+// flush folds every dirty account into the persistent tries. The
+// accounts' encodings share one slab, and each is handed to the account
+// trie as a capacity-capped slice of it that nobody writes again.
+// Accounts whose encoding is unchanged (a snapshot/revert round trip)
+// give their bytes back to the slab and skip the trie update, preserving
+// the cached root.
 func (s *StateDB) flush() {
 	if len(s.dirty) == 0 {
 		return
 	}
+	slab := make([]byte, 0, len(s.dirty)*maxAccountEnc)
 	for addr := range s.dirty {
 		acc, ok := s.accounts[addr]
 		if !ok {
@@ -531,8 +535,11 @@ func (s *StateDB) flush() {
 			s.accTrie.Delete(addr[:])
 			continue
 		}
-		enc := acc.encode()
+		start := len(slab)
+		slab = acc.appendEncoding(slab)
+		enc := slab[start:len(slab):len(slab)]
 		if bytes.Equal(enc, acc.enc) {
+			slab = slab[:start]
 			continue
 		}
 		acc.enc = enc
@@ -544,11 +551,15 @@ func (s *StateDB) flush() {
 	clear(s.dirty)
 }
 
-// encode flushes the account's overlay into its storage trie, seals it,
-// and returns the account's RLP encoding. The overlay's values are
-// encoded into one slab, and each is handed to the trie as a
+// maxAccountEnc bounds an account's encoding: a two-byte list header
+// over two integers of at most 9 bytes and two 33-byte hash strings.
+const maxAccountEnc = 2 + 2*9 + 2*33
+
+// appendEncoding flushes the account's overlay into its storage trie,
+// seals it, and appends the account's RLP encoding to out. The overlay's
+// values are encoded into one slab, and each is handed to the trie as a
 // capacity-capped slice of it that nobody writes again.
-func (acc *account) encode() []byte {
+func (acc *account) appendEncoding(out []byte) []byte {
 	if len(acc.storage) > 0 {
 		if acc.storageTrie == nil {
 			acc.storageTrie = trie.NewSecure()
@@ -573,13 +584,12 @@ func (acc *account) encode() []byte {
 		h := types.Keccak(acc.code)
 		acc.codeHash = &h
 	}
-	// Two integers of at most 9 bytes and two 33-byte hash strings.
-	var fields [2*9 + 2*33]byte
+	var fields [maxAccountEnc - 2]byte
 	payload := rlp.AppendUint(fields[:0], acc.nonce)
 	payload = rlp.AppendUint(payload, acc.balance)
 	payload = rlp.AppendString(payload, storageRoot[:])
 	payload = rlp.AppendString(payload, acc.codeHash[:])
-	return rlp.AppendList(make([]byte, 0, rlp.ListSize(len(payload))), payload)
+	return rlp.AppendList(out, payload)
 }
 
 // minimalBytes strips leading zeroes (canonical storage value encoding).

@@ -3,6 +3,8 @@ package statedb
 import (
 	"maps"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
@@ -346,6 +348,53 @@ func TestChurnRootMatchesFromScratch(t *testing.T) {
 	}
 	for i, s := range states {
 		check(-i, s)
+	}
+}
+
+// TestFlushEncodesAccountsIntoOneSlab counts, not times: a flush encodes
+// every dirty account into one slab whatever their number (it was one
+// buffer per account), gives the bytes of an unchanged encoding back to
+// it, and hands the trie slices of it that later flushes leave alone.
+// The second flush writes leaves its first made and nothing hashed since,
+// so the trie overwrites them in place and allocates nothing itself.
+func TestFlushEncodesAccountsIntoOneSlab(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const accounts = 200
+	s := New()
+	for i := 0; i < accounts; i++ {
+		s.AddBalance(addr(byte(i)), 1)
+	}
+	s.flush()
+	first := s.accounts[addr(3)].enc
+	kept := string(first)
+	for i := 0; i < accounts; i++ {
+		s.AddBalance(addr(byte(i)), uint64(i%2)) // half of them unchanged
+	}
+	s.DiscardJournal()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.flush()
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 1 {
+		t.Errorf("a flush of %d dirty accounts allocated %d objects, want 1 (the slab)", accounts, n)
+	}
+	if string(first) != kept {
+		t.Error("a later flush wrote into an encoding the trie keeps")
+	}
+	for i := 0; i < accounts; i++ {
+		if got := s.GetBalance(addr(byte(i))); got != 1+uint64(i%2) {
+			t.Fatalf("account %d: balance %d", i, got)
+		}
+	}
+	fresh := New()
+	for i := 0; i < accounts; i++ {
+		fresh.AddBalance(addr(byte(i)), 1+uint64(i%2))
+	}
+	if s.Root() != fresh.Root() {
+		t.Error("the slab-encoded state differs from one built afresh")
 	}
 }
 

@@ -451,7 +451,8 @@ func (s *FileStore) replay() error {
 const correctMaxBytes = 1 << 16
 
 // correctSingleBit tries to repair the damaged range data[off:end) as
-// one record with exactly one flipped bit, and returns its more bit. CRC32 makes the check sound: a candidate flip must make the range
+// one record with exactly one flipped bit, and returns its more bit.
+// CRC32 makes the check sound: a candidate flip must make the range
 // parse as a record ending exactly at end with a matching checksum, so a
 // false repair needs a ~2^-32 collision. The flip is applied to data in
 // place; a torn tail can never pass, since no single flip invents

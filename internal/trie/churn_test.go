@@ -45,7 +45,9 @@ func (m *modelTrie) check(t *testing.T, step int, keys []string) {
 // bursts of updates and deletes, hashing, commits to a store, copies —
 // also of tries that were never hashed, the case the in-place rule
 // depends on Copy hashing for —, copies of copies, reopening from the
-// committed root, and drops, over up to 8 live tries. A burst is checked
+// committed root, and drops, over up to 8 live tries; and both sides of
+// a fresh copy writing one key twice, the second write in place, while
+// the other side must read its own value. A burst is checked
 // by reads alone, so tries stay unhashed between the full checks, which
 // re-check every live trie after its relatives kept writing.
 func TestTrieChurnModel(t *testing.T) {
@@ -76,7 +78,7 @@ func TestTrieChurnModel(t *testing.T) {
 
 	live := []*modelTrie{{tr: New(), shadow: map[string]string{}, name: "0"}}
 	born := 1
-	add := func(tr *Trie, from *modelTrie, how string) {
+	add := func(tr *Trie, from *modelTrie, how string) *modelTrie {
 		shadow := make(map[string]string, len(from.shadow))
 		for k, v := range from.shadow {
 			shadow[k] = v
@@ -88,6 +90,7 @@ func TestTrieChurnModel(t *testing.T) {
 		} else {
 			live[rng.Intn(len(live))] = m
 		}
+		return m
 	}
 	commit := func(m *modelTrie) {
 		b := &store.Batch{}
@@ -99,7 +102,7 @@ func TestTrieChurnModel(t *testing.T) {
 	copiedUnhashed := 0
 	for step := 0; step < steps; step++ {
 		m := live[rng.Intn(len(live))]
-		switch op := rng.Intn(19); {
+		switch op := rng.Intn(21); {
 		case op < 10: // a burst of writes, as one block's flush makes
 			n := 1 + rng.Intn(40)
 			touched := make([]string, n)
@@ -131,13 +134,37 @@ func TestTrieChurnModel(t *testing.T) {
 			}
 			cp := m.tr.Copy()
 			add(&cp, m, "copy")
-		case op < 17:
+		case op < 18:
+			// Both sides of a Copy write one key twice before either
+			// hashes again: the first write makes each side a leaf of its
+			// own, the second overwrites that leaf in place, and neither
+			// may reach the other, which must still read its own value.
+			k := keys[rng.Intn(len(keys))]
+			cp := m.tr.Copy()
+			sides := []*modelTrie{m, add(&cp, m, "copy")}
+			if rng.Intn(2) == 0 {
+				sides[0], sides[1] = sides[1], sides[0]
+			}
+			for i, side := range sides {
+				for range 2 {
+					v := make([]byte, 1+rng.Intn(40))
+					rng.Read(v)
+					side.tr.Update([]byte(k), v)
+					side.shadow[k] = string(v)
+				}
+				for _, m := range sides {
+					if got := m.tr.Get([]byte(k)); string(got) != m.shadow[k] {
+						t.Fatalf("step %d, trie %s: Get(%x) = %x after side %d overwrote it twice, want %x", step, m.name, k, got, i, m.shadow[k])
+					}
+				}
+			}
+		case op < 19:
 			if m.tr.root == nil {
 				continue
 			}
 			commit(m)
 			add(NewFromRoot(db, m.tr.RootHash()), m, "reopen")
-		case op < 18:
+		case op < 20:
 			if len(live) > 1 {
 				i := rng.Intn(len(live))
 				live = append(live[:i], live[i+1:]...)

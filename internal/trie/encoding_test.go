@@ -22,8 +22,8 @@ func oracleItem(n node) rlp.Item {
 	case valueNode:
 		return rlp.String(cur)
 	case *shortNode:
-		if v, isLeaf := cur.val.(valueNode); isLeaf {
-			return rlp.List(rlp.String(oracleHexPrefix(cur.key, true)), rlp.String(v))
+		if cur.val == nil {
+			return rlp.List(rlp.String(oracleHexPrefix(cur.key, true)), rlp.String(cur.value))
 		}
 		return rlp.List(rlp.String(oracleHexPrefix(cur.key, false)), oracleRef(cur.val))
 	case *fullNode:
@@ -119,7 +119,7 @@ func checkEncodings(t testing.TB, tr *Trie) seenShapes {
 		case nil:
 			return
 		case *shortNode:
-			if _, isLeaf := cur.val.(valueNode); !isLeaf {
+			if cur.val != nil {
 				seen.extensions++
 				visit(cur.val)
 			}

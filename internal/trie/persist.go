@@ -10,6 +10,7 @@
 package trie
 
 import (
+	"bytes"
 	"fmt"
 
 	"sereth/internal/rlp"
@@ -104,11 +105,9 @@ func (h *hasher) commit(n node, w Writer, isRoot bool) int {
 	written := 0
 	switch cur := n.(type) {
 	case *shortNode:
-		if _, leaf := cur.val.(valueNode); !leaf {
-			// A leaf's value is part of its record: only an extension's
-			// child can hold records of its own.
-			written = h.commit(cur.val, w, false)
-		}
+		// A leaf's value is part of its record: only an extension's child
+		// can hold records of its own.
+		written = h.commit(cur.val, w, false)
 	case *fullNode:
 		for _, child := range cur.children[:16] {
 			written += h.commit(child, w, false)
@@ -178,7 +177,7 @@ func decodeNode(enc []byte) (node, error) {
 func decodeNodeItem(it rlp.Item) (node, error) {
 	if it.Kind() == rlp.KindString {
 		// A hash-referenced bare value (see the valueNode case in
-		// commitNode).
+		// commit).
 		b, _ := it.Bytes()
 		v := make(valueNode, len(b))
 		copy(v, b)
@@ -194,30 +193,26 @@ func decodeNodeItem(it rlp.Item) (node, error) {
 		if err != nil {
 			return nil, err
 		}
-		nibbles, isLeaf, err := hexPrefixDecode(kb)
+		var buf [nibbleBuf]byte
+		nibbles, isLeaf, err := hexPrefixDecode(buf[:0], kb)
 		if err != nil {
 			return nil, err
 		}
-		sn := &shortNode{key: nibbles}
 		if isLeaf {
 			vb, err := elems[1].Bytes()
 			if err != nil {
 				return nil, err
 			}
-			v := make(valueNode, len(vb))
-			copy(v, vb)
-			sn.val = v
-		} else {
-			child, err := decodeRef(elems[1])
-			if err != nil {
-				return nil, err
-			}
-			if child == nil {
-				return nil, fmt.Errorf("extension node with empty child")
-			}
-			sn.val = child
+			return newLeaf(nibbles, bytes.Clone(vb)), nil
 		}
-		return sn, nil
+		child, err := decodeRef(elems[1])
+		if err != nil {
+			return nil, err
+		}
+		if child == nil {
+			return nil, fmt.Errorf("extension node with empty child")
+		}
+		return &shortNode{key: bytes.Clone(nibbles), val: child}, nil
 	case 17:
 		fn := &fullNode{}
 		for i := 0; i < 16; i++ {
@@ -279,8 +274,9 @@ func decodeRef(it rlp.Item) (node, error) {
 	}
 }
 
-// hexPrefixDecode inverts appendHexPrefix (Yellow Paper Appendix C).
-func hexPrefixDecode(b []byte) (nibbles []byte, isLeaf bool, err error) {
+// hexPrefixDecode inverts appendHexPrefix (Yellow Paper Appendix C),
+// appending the nibbles to dst.
+func hexPrefixDecode(dst, b []byte) (nibbles []byte, isLeaf bool, err error) {
 	if len(b) == 0 {
 		return nil, false, fmt.Errorf("empty hex-prefix key")
 	}
@@ -289,6 +285,7 @@ func hexPrefixDecode(b []byte) (nibbles []byte, isLeaf bool, err error) {
 		return nil, false, fmt.Errorf("bad hex-prefix flag %d", flag)
 	}
 	isLeaf = flag&2 != 0
+	nibbles = dst
 	if flag&1 == 1 { // odd length: low nibble of byte 0 is the first nibble
 		nibbles = append(nibbles, b[0]&0x0f)
 	} else if b[0]&0x0f != 0 {

@@ -46,8 +46,9 @@ type Trie struct {
 }
 
 // node is one of: *shortNode (leaf/extension), *fullNode (branch),
-// valueNode (stored value), hashNode (an unresolved reference into a
-// node store). nil means the empty subtrie.
+// valueNode (a value in a branch's value slot, or a bare one in a child
+// or root slot), hashNode (an unresolved reference into a node store).
+// nil means the empty subtrie.
 type node interface{}
 
 // nodeCache holds what a parent embeds for a node: with refLen 32, ref
@@ -63,10 +64,33 @@ type nodeCache struct {
 	stored bool
 }
 
+// shortNode is a leaf when val is nil, its value in value, and an
+// extension otherwise. A leaf made by newLeaf is one object with its
+// nibbles; an unhashed one is overwritten in place.
 type shortNode struct {
 	key   []byte // nibbles
-	val   node   // valueNode for a leaf, otherwise child node
+	val   node   // an extension's child; nil for a leaf
+	value []byte // a leaf's value
 	cache nodeCache
+}
+
+// leafNode is a leaf and the nibbles of its key in one allocation.
+type leafNode struct {
+	shortNode
+	nibbles [nibbleBuf]byte
+}
+
+// newLeaf returns a leaf holding value under a copy of the nibbles k.
+// The leaf keeps value itself.
+func newLeaf(k, value []byte) *shortNode {
+	if len(k) > nibbleBuf { // a raw key longer than a hash
+		return &shortNode{key: bytes.Clone(k), value: value}
+	}
+	l := &leafNode{}
+	n := copy(l.nibbles[:], k)
+	l.key = l.nibbles[:n:n]
+	l.value = value
+	return &l.shortNode
 }
 
 type fullNode struct {
@@ -74,6 +98,11 @@ type fullNode struct {
 	cache    nodeCache
 }
 
+// valueNode is a value that is not a leaf's: one in a branch's value
+// slot, or a bare one where a leaf's key would be empty (a child slot of
+// a branch, or the root). Only raw keys that are prefixes of one another
+// and a 63-nibble collision of hashed keys make that shape; each boxes
+// its slice header into the node interface.
 type valueNode []byte
 
 // New returns an empty trie.
@@ -118,6 +147,12 @@ func (t *Trie) Get(key []byte) []byte {
 				return nil
 			}
 			k = k[len(cur.key):]
+			if cur.val == nil {
+				if len(k) > 0 {
+					return nil // the leaf's key is a proper prefix of this one
+				}
+				return cur.value
+			}
 			n = cur.val
 		case *fullNode:
 			if len(k) == 0 {
@@ -143,8 +178,8 @@ func (t *Trie) Delete(key []byte) { t.update(key, nil) }
 
 // update is Update for a value the caller hands over: the trie keeps the
 // slice itself, and nobody writes it again. The nibble key lives on the
-// stack; insert clones the part of it a new short node keeps.
-func (t *Trie) update(key []byte, value valueNode) {
+// stack; insert copies the part of it a new short node keeps.
+func (t *Trie) update(key, value []byte) {
 	var buf [nibbleBuf]byte
 	k := appendNibbles(buf[:0], key)
 	if len(value) == 0 {
@@ -164,7 +199,9 @@ func (fn *fullNode) mutable() *fullNode {
 	return &fullNode{children: fn.children}
 }
 
-// mutable is fullNode.mutable for short nodes.
+// mutable is fullNode.mutable for extensions. A leaf is not copied but
+// made again by newLeaf, whose key may not share the hashed leaf's: that
+// would keep the old leaf object, and the value it holds, alive.
 func (sn *shortNode) mutable() *shortNode {
 	if sn.cache.refLen == 0 {
 		return sn
@@ -172,7 +209,22 @@ func (sn *shortNode) mutable() *shortNode {
 	return &shortNode{key: sn.key, val: sn.val}
 }
 
-func insert(db NodeReader, n node, k []byte, v valueNode) node {
+// below returns what sits under the first k nibbles of sn's key: the
+// rest of sn, or its child when k covers the whole key. A leaf's rest is
+// a new leaf of its key's suffix, or its bare value if that is empty.
+func (sn *shortNode) below(k int) node {
+	switch {
+	case sn.val == nil && k == len(sn.key):
+		return valueNode(sn.value)
+	case sn.val == nil:
+		return newLeaf(sn.key[k:], sn.value)
+	case k == len(sn.key):
+		return sn.val
+	}
+	return &shortNode{key: sn.key[k:], val: sn.val}
+}
+
+func insert(db NodeReader, n node, k, v []byte) node {
 	if h, ok := n.(hashNode); ok {
 		// The resolved node is hashed, so the mutation below lands in a
 		// copy of it; the reference itself stays as it is for its sharers.
@@ -182,27 +234,23 @@ func insert(db NodeReader, n node, k []byte, v valueNode) node {
 		switch cur := n.(type) {
 		case *fullNode:
 			cur = cur.mutable()
-			cur.children[16] = v
+			cur.children[16] = valueNode(v)
 			return cur
 		case *shortNode:
 			// The new value terminates above an existing subtree: make a
 			// branch holding the value and push the short node down one
 			// nibble.
 			branch := &fullNode{}
-			branch.children[16] = v
-			if len(cur.key) == 1 {
-				branch.children[cur.key[0]] = cur.val
-			} else {
-				branch.children[cur.key[0]] = &shortNode{key: cur.key[1:], val: cur.val}
-			}
+			branch.children[16] = valueNode(v)
+			branch.children[cur.key[0]] = cur.below(1)
 			return branch
 		default: // nil or valueNode: create/overwrite
-			return v
+			return valueNode(v)
 		}
 	}
 	switch cur := n.(type) {
 	case nil:
-		return &shortNode{key: bytes.Clone(k), val: v}
+		return newLeaf(k, v)
 	case valueNode:
 		// Existing value at this exact prefix: push it into a branch.
 		branch := &fullNode{}
@@ -211,24 +259,32 @@ func insert(db NodeReader, n node, k []byte, v valueNode) node {
 		return branch
 	case *shortNode:
 		match := commonPrefix(k, cur.key)
-		if match == len(cur.key) {
+		switch {
+		case match == len(cur.key) && cur.val != nil:
 			cur = cur.mutable()
 			cur.val = insert(db, cur.val, k[match:], v)
 			return cur
+		case match == len(k) && cur.val == nil && match == len(cur.key):
+			// An overwrite: in place when the leaf is this trie's own.
+			if cur.cache.refLen != 0 {
+				return newLeaf(cur.key, v)
+			}
+			cur.value = v
+			return cur
 		}
-		// Split: branch at the divergence point.
+		// Split: branch at the divergence point, the existing node under
+		// its next nibble or, for a leaf whose key is a proper prefix of
+		// k, in the value slot.
 		branch := &fullNode{}
-		// Existing child goes under its next nibble.
-		existingKey := cur.key[match:]
-		if len(existingKey) == 1 {
-			branch.children[existingKey[0]] = cur.val
+		if match == len(cur.key) {
+			branch.children[16] = valueNode(cur.value)
 		} else {
-			branch.children[existingKey[0]] = &shortNode{key: existingKey[1:], val: cur.val}
+			branch.children[cur.key[match]] = cur.below(match + 1)
 		}
 		// New value goes under its next nibble (or the value slot).
 		newKey := k[match:]
 		if len(newKey) == 0 {
-			branch.children[16] = v
+			branch.children[16] = valueNode(v)
 		} else {
 			branch.children[newKey[0]] = insert(db, nil, newKey[1:], v)
 		}
@@ -261,14 +317,19 @@ func deleteNode(db NodeReader, n node, k []byte) node {
 		if len(k) < len(cur.key) || !bytes.Equal(k[:len(cur.key)], cur.key) {
 			return cur
 		}
-		child := deleteNode(db, cur.val, k[len(cur.key):])
-		if child == nil {
-			return nil
+		if cur.val == nil {
+			if len(k) == len(cur.key) {
+				return nil
+			}
+			return cur // only a proper prefix of k is stored
 		}
-		// Merge chains of short nodes back together.
-		if sn, ok := child.(*shortNode); ok {
-			merged := append(append([]byte{}, cur.key...), sn.key...)
-			return &shortNode{key: merged, val: sn.val}
+		child := deleteNode(db, cur.val, k[len(cur.key):])
+		switch child.(type) {
+		case nil:
+			return nil
+		case *shortNode, valueNode:
+			// Merge chains of short nodes back together.
+			return join(cur.key, child)
 		}
 		cur = cur.mutable()
 		cur.val = child
@@ -311,14 +372,28 @@ func collapse(db NodeReader, branch *fullNode) node {
 		if h, ok := child.(hashNode); ok {
 			child = mustResolve(db, h)
 		}
-		if sn, ok := child.(*shortNode); ok {
-			merged := append([]byte{byte(live)}, sn.key...)
-			return &shortNode{key: merged, val: sn.val}
-		}
-		return &shortNode{key: []byte{byte(live)}, val: child}
+		return join([]byte{byte(live)}, child)
 	default:
 		return branch
 	}
+}
+
+// join returns the node that reaches child through the nibbles prefix: a
+// short node child's key merges into prefix, and a bare value becomes
+// the leaf of prefix.
+func join(prefix []byte, child node) node {
+	switch cur := child.(type) {
+	case *shortNode:
+		if cur.val == nil {
+			var buf [nibbleBuf]byte
+			return newLeaf(append(append(buf[:0], prefix...), cur.key...), cur.value)
+		}
+		merged := append(append(make([]byte, 0, len(prefix)+len(cur.key)), prefix...), cur.key...)
+		return &shortNode{key: merged, val: cur.val}
+	case valueNode:
+		return newLeaf(prefix, cur)
+	}
+	return &shortNode{key: prefix, val: child}
 }
 
 func commonPrefix(a, b []byte) int {
@@ -378,7 +453,7 @@ func (h *hasher) hash(n node) {
 	switch cur := n.(type) {
 	case *shortNode:
 		if cur.cache.refLen == 0 {
-			h.hash(cur.val)
+			h.hash(cur.val) // nil for a leaf
 			cur.cache.set(h.encode(cur))
 		}
 	case *fullNode:
@@ -431,18 +506,18 @@ func cacheOf(n node) *nodeCache {
 // extension), measured first so the list header is written once.
 func (sn *shortNode) appendEncoding(out []byte) []byte {
 	var keyBuf [33]byte // a secure trie's keys are at most 64 nibbles
-	leaf, isLeaf := sn.val.(valueNode)
+	isLeaf := sn.val == nil
 	key := appendHexPrefix(keyBuf[:0], sn.key, isLeaf)
 	size := rlp.StringSize(key)
 	if isLeaf {
-		size += rlp.StringSize(leaf)
+		size += rlp.StringSize(sn.value)
 	} else {
 		size += refSize(sn.val)
 	}
 	out = rlp.AppendListHeader(out, size)
 	out = rlp.AppendString(out, key)
 	if isLeaf {
-		return rlp.AppendString(out, leaf)
+		return rlp.AppendString(out, sn.value)
 	}
 	return appendRef(out, sn.val)
 }
@@ -596,7 +671,12 @@ func walk(db NodeReader, n node, prefix []byte, visit func(nibbles, value []byte
 	case hashNode:
 		walk(db, mustResolve(db, cur), prefix, visit)
 	case *shortNode:
-		walk(db, cur.val, append(append([]byte{}, prefix...), cur.key...), visit)
+		nibbles := append(append([]byte{}, prefix...), cur.key...)
+		if cur.val == nil {
+			visit(nibbles, cur.value)
+		} else {
+			walk(db, cur.val, nibbles, visit)
+		}
 	case *fullNode:
 		for i := 0; i < 16; i++ {
 			if cur.children[i] != nil {

@@ -358,9 +358,9 @@ func TestCopyDivergesIndependently(t *testing.T) {
 // the key keeps a clone: a second update must not rewrite the first's
 // key. Update copies its value, so the caller may reuse the buffer;
 // UpdateHashed keeps the slice it is handed (the state's flush hands it
-// the encoding it just built). An update in place of an unhashed leaf costs its value copy
-// and the slice header the node interface boxes, nothing for the key;
-// with the value handed over it costs the header alone.
+// the encoding it just built). An update of an unhashed leaf writes its
+// value in place: it costs the value copy and nothing for the key, and
+// with the value handed over it costs nothing.
 func TestUpdateOwnership(t *testing.T) {
 	st, model := NewSecure(), NewSecure()
 	buf := make([]byte, 40)
@@ -400,11 +400,11 @@ func TestUpdateOwnership(t *testing.T) {
 
 	h = types.Keccak(keys[5])
 	st.UpdateHashed(h, bytes.Clone(buf)) // path to the leaf is unhashed from here on
-	if n := testing.AllocsPerRun(100, func() { st.inner.Update(h[:], buf) }); n != 2 {
-		t.Errorf("an in-place Update allocates %v times, want 2 (the value copy, its boxed header)", n)
+	if n := testing.AllocsPerRun(100, func() { st.inner.Update(h[:], buf) }); n != 1 {
+		t.Errorf("an in-place Update allocates %v times, want 1 (the value copy)", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { st.UpdateHashed(h, owned) }); n != 1 {
-		t.Errorf("an in-place UpdateHashed allocates %v times, want 1 (the boxed header)", n)
+	if n := testing.AllocsPerRun(100, func() { st.UpdateHashed(h, owned) }); n != 0 {
+		t.Errorf("an in-place UpdateHashed allocates %v times, want 0", n)
 	}
 }
 
@@ -444,6 +444,87 @@ func TestRootHashAllocatesPerCallNotPerNode(t *testing.T) {
 	}
 }
 
+// TestLeafAllocations counts, not times, what an update of a hashed
+// secure trie allocates beyond the copies of the hashed nodes on its
+// path: a new key that lands in an empty branch slot one object (the
+// leaf, its nibbles and its value header together), an overwrite of a
+// hashed leaf one (its new leaf), and an overwrite of a leaf the trie
+// made since its last hashing none (it is written in place).
+func TestLeafAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const leaves = 50_000
+	base := NewSecure()
+	for i := 0; i < leaves; i++ {
+		base.Update([]byte(fmt.Sprintf("key-%d", i)), []byte{1, byte(i)})
+	}
+	base.RootHash()
+	var before, after runtime.MemStats
+	mallocs := func(update func()) uint64 {
+		runtime.ReadMemStats(&before)
+		update()
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	value := []byte{2, 2}
+	for i := 0; i < 20; i++ {
+		h := types.Keccak([]byte(fmt.Sprintf("key-%d", i*997)))
+		s := base.Copy()
+		copies, _ := hashedPath(&s.inner, h[:])
+		if got := mallocs(func() { s.UpdateHashed(h, value) }); got != uint64(copies)+1 {
+			t.Errorf("overwriting a hashed leaf below %d hashed nodes allocated %d objects, want %d", copies, got, copies+1)
+		}
+		if got := mallocs(func() { s.UpdateHashed(h, value[:1]) }); got != 0 {
+			t.Errorf("overwriting an unhashed leaf allocated %d objects, want 0", got)
+		}
+		if !bytes.Equal(s.Get([]byte(fmt.Sprintf("key-%d", i*997))), value[:1]) {
+			t.Fatalf("key %d does not read its overwrite", i*997)
+		}
+	}
+	for i, fresh := 0, 0; fresh < 20; i++ {
+		h := types.Keccak([]byte(fmt.Sprintf("new-%d", i)))
+		s := base.Copy()
+		copies, at := hashedPath(&s.inner, h[:])
+		if at != nil {
+			continue // a leaf the new key would split
+		}
+		if got := mallocs(func() { s.UpdateHashed(h, value) }); got != uint64(copies)+1 {
+			t.Errorf("a new key in an empty slot below %d hashed nodes allocated %d objects, want %d", copies, got, copies+1)
+		}
+		if !bytes.Equal(s.inner.Get(h[:]), value) {
+			t.Fatalf("new key %d does not read its value", i)
+		}
+		fresh++
+	}
+	if base.inner.Len() != leaves || base.Get([]byte("key-0"))[0] != 1 {
+		t.Fatal("the updates of the copies reached the hashed base")
+	}
+}
+
+// hashedPath returns the number of nodes above the slot of key's nibbles
+// in a hashed trie, each of which an update of key copies, and what the
+// slot holds: nil, or the leaf there.
+func hashedPath(tr *Trie, key []byte) (copies int, at *shortNode) {
+	k := appendNibbles(nil, key)
+	for n := tr.root; ; {
+		switch cur := n.(type) {
+		case *fullNode:
+			copies++
+			n, k = cur.children[k[0]], k[1:]
+		case *shortNode:
+			if cur.val == nil || !bytes.HasPrefix(k, cur.key) {
+				return copies, cur
+			}
+			copies++
+			n, k = cur.val, k[len(cur.key):]
+		default:
+			return copies, nil
+		}
+	}
+}
+
 func BenchmarkInsert1k(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -451,6 +532,36 @@ func BenchmarkInsert1k(b *testing.B) {
 		for j := 0; j < 1000; j++ {
 			tr.Update([]byte(fmt.Sprintf("key-%d", j)), []byte("value"))
 		}
+	}
+}
+
+// BenchmarkSecureFlush is one kv-blocks block's flush into a storage
+// trie: 250 hashed keys, most of them present, written with values the
+// trie keeps, then the root, on a copy of a hashed 50 000-leaf trie.
+func BenchmarkSecureFlush(b *testing.B) {
+	const leaves, writes = 50_000, 250
+	base := NewSecure()
+	for i := 0; i < leaves; i++ {
+		base.Update([]byte(fmt.Sprintf("key-%d", i)), []byte{1, byte(i)})
+	}
+	base.RootHash()
+	rng := rand.New(rand.NewSource(1))
+	hashed := make([]types.Hash, writes)
+	for i := range hashed {
+		hashed[i] = types.Keccak([]byte(fmt.Sprintf("key-%d", rng.Intn(leaves+leaves/10))))
+	}
+	values := make([]byte, 0, writes*3)
+	for i := range writes {
+		values = append(values, 0x82, 2, byte(i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := base.Copy()
+		for j, h := range hashed {
+			s.UpdateHashed(h, values[3*j:3*j+3:3*j+3])
+		}
+		s.RootHash()
 	}
 }
 

@@ -107,8 +107,8 @@ func (w *walker) below(n node) error {
 	case valueNode:
 		return w.leaf(cur)
 	case *shortNode:
-		if v, ok := cur.val.(valueNode); ok {
-			return w.leaf(v)
+		if cur.val == nil {
+			return w.leaf(cur.value)
 		}
 		return w.node(cur.val, nil)
 	case *fullNode:
@@ -124,7 +124,7 @@ func (w *walker) below(n node) error {
 	return nil
 }
 
-func (w *walker) leaf(v valueNode) error {
+func (w *walker) leaf(v []byte) error {
 	if w.onLeaf == nil {
 		return nil
 	}
