@@ -108,8 +108,8 @@ state-smoke:
 # storage fault injection and salvage, the store against its map model
 # at full length (3 x 6000 steps of writes, compactions, reopens and
 # crashes that drop the unsynced tail or tear a batch; -short runs 3 x
-# 1000), a write the file size limit cuts short, Get racing
-# compaction, and the log fuzzed for 30 s (arbitrary bytes after the
+# 1000), compactions that keep what a filter accepts, a write the file
+# size limit cuts short, Get racing compaction, and the log fuzzed for 30 s (arbitrary bytes after the
 # magic must salvage to a clean log of whole batches whose every record
 # Get serves, a batch served whole or not at all;
 # one exec is several fsyncs, so the minimiser is capped or it eats the
@@ -117,11 +117,20 @@ state-smoke:
 # (-short: 3 seeds per point), every write of a reorg torn at 20 seeds
 # (the chain reopens from genesis), one store write per adopted block and
 # per reorg, the chain against its list model (inserts, own builds,
-# reorgs, clean reopens, crashes and torn reorgs of a FileStore datadir;
+# reorgs, sweeps, clean reopens, crashes, torn reorgs and sweeps stopped
+# between their synced temp log and the rename, of a FileStore datadir;
 # -short: 3 x 80 steps; the 512-block reorg horizon of a memory chain
 # and of one with an ExecCache), forks below the window of post states
 # a store-backed chain without an ExecCache keeps, reopened from its
-# store, the bounded retention of post states, the snapshot sweeps (an exported
+# store, the bounded retention of post states, a chain that sweeps its
+# store by itself through 10 sweeps (each leaves exactly the states
+# within the horizon, the bodies and the head, in a log within twice what
+# the last one kept; a fork at the horizon imports after a reopen, one
+# a block deeper is refused), sweeps beside imports (what blocks adopted
+# during the mark wrote is kept) and failing sweeps (the block that set
+# one off stays adopted; the next waits a horizon), serethnode -compact
+# on a reorged datadir,
+# the snapshot sweeps (an exported
 # sereth.kv cut at every length and flipped at every byte is rejected
 # with the joiner's store untouched or adopted fully verified; -short:
 # every 7th byte), the hardened RPC surface, and the sim crash scenario family against its
@@ -130,6 +139,8 @@ crash-smoke:
 	$(GO) test -race ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzLogReplay$$' -fuzztime 30s -fuzzminimizetime 1s ./internal/store
 	$(GO) test -race -short -run 'TestCrash|TestBitFlip|TestTornReorg|TestOneWrite|TestOpenFallsBack|TestInjectedWriteFailure|TestOpenSnapshot|TestOpenDistrusts|TestChainModel|TestForkBelowWindow|TestSharedCacheChain|TestPostRetention' ./internal/chain
+	$(GO) test -race -run 'TestSweepBoundsTheStore|TestSweepBesideImports|TestFailedSweep' ./internal/chain
+	$(GO) test -race -run 'TestCompactSweepsAReorgedDatadir' ./cmd/serethnode
 	$(GO) test -race -run 'TestPanic|TestMaxInFlight|TestClientSurfacesShedStatus|TestShutdown|TestHealth' ./internal/rpc
 	$(GO) test -race -run 'TestCrash' ./internal/sim ./internal/scenarios
 	$(GO) run -race ./cmd/serethsim -experiment crash -quick -runs 2

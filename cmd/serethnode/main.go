@@ -8,7 +8,7 @@
 //	serethnode -datadir /var/lib/sereth            # durable state, survives restarts
 //	serethnode -snapshot snap                      # fast-bootstrap from an exported snapshot
 //	serethnode -datadir d -export-snapshot snap    # export the head on shutdown; snap is a datadir too
-//	serethnode -datadir d -compact                 # rewrite the log to live records, then exit
+//	serethnode -datadir d -compact                 # sweep the log down to the reorg horizon, then exit
 //
 // SIGINT/SIGTERM shut the node down cleanly: the miner stops, in-flight
 // RPC requests drain, the store is flushed and closed, and the final
@@ -60,7 +60,7 @@ func run(args []string) error {
 	datadir := fs.String("datadir", "", "directory for the persistent state store; a restart recovers the head without replay")
 	snapshot := fs.String("snapshot", "", "bootstrap from an exported snapshot directory (ignored when -datadir already has a head)")
 	exportSnapshot := fs.String("export-snapshot", "", "export the head into this (new or empty) directory on clean shutdown; it is then a datadir of its own")
-	compact := fs.Bool("compact", false, "compact the -datadir log down to live records, print the stats, and exit")
+	compact := fs.Bool("compact", false, "sweep the -datadir log down to the states within the reorg horizon, print the stats, and exit")
 	maxInFlight := fs.Int("max-inflight", 0, "cap concurrently served RPC requests; excess requests are shed with 503 (0 = unlimited)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -114,10 +114,7 @@ func run(args []string) error {
 			return fmt.Errorf("open datadir: %w", err)
 		}
 		defer func() { _ = kv.Close() }()
-		if rep := kv.Salvage(); rep.Dirty() {
-			fmt.Printf("datadir salvaged: torn_tail=%dB corrected=%d quarantined=%d (%dB) tmp_removed=%v\n",
-				rep.TornBytes, rep.Corrected, rep.Quarantined, rep.QuarantinedBytes, rep.TmpRemoved)
-		}
+		printSalvage(kv)
 		nodeCfg.Store = kv
 	}
 	if *snapshot != "" {
@@ -157,6 +154,7 @@ func run(args []string) error {
 		ticker := time.NewTicker(*interval)
 		defer ticker.Stop()
 		start := time.Now()
+		var sweepErr error
 		for {
 			select {
 			case <-ticker.C:
@@ -164,6 +162,11 @@ func run(args []string) error {
 				if err != nil {
 					fmt.Fprintln(os.Stderr, "mine:", err)
 					continue
+				}
+				if err := n.Chain().SweepErr(); err != sweepErr { // a new failure, or none
+					if sweepErr = err; err != nil {
+						fmt.Fprintln(os.Stderr, err)
+					}
 				}
 				if block != nil {
 					fmt.Printf("mined block %d with %d txs (%s)\n",
@@ -226,28 +229,40 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 	}
 }
 
-// compactDatadir opens the store (salvaging if needed), rewrites the
-// log down to live records, and reports the savings.
+// printSalvage reports what opening a datadir had to repair.
+func printSalvage(kv *store.FileStore) {
+	if rep := kv.Salvage(); rep.Dirty() {
+		fmt.Printf("datadir salvaged: torn_tail=%dB corrected=%d quarantined=%d (%dB) tmp_removed=%v\n",
+			rep.TornBytes, rep.Corrected, rep.Quarantined, rep.QuarantinedBytes, rep.TmpRemoved)
+	}
+}
+
+// compactDatadir opens the chain in the datadir (verifying its head if
+// the store was salvaged), sweeps the log down to what the chain can
+// still read, and reports the savings.
 func compactDatadir(dir string) error {
 	kv, err := store.OpenFile(dir)
 	if err != nil {
 		return fmt.Errorf("open datadir: %w", err)
 	}
-	if rep := kv.Salvage(); rep.Dirty() {
-		fmt.Printf("datadir salvaged: torn_tail=%dB corrected=%d quarantined=%d (%dB) tmp_removed=%v\n",
-			rep.TornBytes, rep.Corrected, rep.Quarantined, rep.QuarantinedBytes, rep.TmpRemoved)
-	}
-	stats, err := kv.Compact()
+	defer func() { _ = kv.Close() }()
+	printSalvage(kv)
+	cfg := chain.DefaultConfig()
+	cfg.Store = kv
+	c, err := chain.Open(cfg, kv)
 	if err != nil {
-		_ = kv.Close()
-		return fmt.Errorf("compact: %w", err)
+		return fmt.Errorf("open chain: %w", err)
+	}
+	records := kv.Len()
+	stats, err := c.Sweep()
+	if err != nil {
+		return err
 	}
 	if err := kv.Close(); err != nil {
 		return fmt.Errorf("close: %w", err)
 	}
-	saved := stats.BytesBefore - stats.BytesAfter
-	fmt.Printf("compacted %s: %d live records, %d -> %d bytes (%d reclaimed)\n",
-		dir, stats.Records, stats.BytesBefore, stats.BytesAfter, saved)
+	fmt.Printf("swept %s at head %d: %d -> %d records, %d -> %d bytes (%d reclaimed)\n",
+		dir, c.Height(), records, stats.Records, stats.BytesBefore, stats.BytesAfter, stats.BytesBefore-stats.BytesAfter)
 	return nil
 }
 

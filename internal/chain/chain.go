@@ -29,30 +29,33 @@ var (
 	ErrBadNonce        = errors.New("chain: invalid transaction nonce")
 	ErrGasLimitReached = errors.New("chain: block gas limit exceeded")
 	ErrForkTooShort    = errors.New("chain: competing chain does not exceed current head")
-	// ErrForkTooDeep refuses a fork whose parent's post state the chain
-	// neither keeps nor can reopen from its store (see memoryWindow). It
-	// wraps ErrUnknownParent. A node does not follow such a branch: it
-	// counts it in Stats.ForksTooDeep and keeps what is below its
-	// horizon as final.
+	// ErrForkTooDeep refuses a fork whose parent is below the reorg
+	// horizon, or whose post state the chain neither keeps nor can reopen
+	// from its store (see memoryWindow). It wraps ErrUnknownParent. A
+	// node does not follow such a branch: it counts it in
+	// Stats.ForksTooDeep and keeps what is below its horizon as final.
 	ErrForkTooDeep = fmt.Errorf("%w: fork parent below the reorg horizon", ErrUnknownParent)
 )
 
-// The reorg horizon: how many post states below its head a chain keeps.
-// A chain that validates forks only from these keeps as many as a node
-// buffers fork blocks below its head (node.bufferWindow). One that
-// reopens older fork parents from its store (reopensForks) keeps only
-// the head's parent, from which a rival to the head block validates.
+// The reorg horizon: a fork attaches at most memoryWindow blocks below
+// the head, as deep as a node buffers fork blocks (node.bufferWindow).
+// A chain that validates forks only from the post states it keeps keeps
+// that many. One that reopens older fork parents from its store
+// (reopensForks) keeps only the head's parent, from which a rival to the
+// head block validates, and its sweep keeps the states within the
+// horizon in the store.
 const (
 	memoryWindow = 512
 	storeWindow  = 1
 )
 
 // reopensForks reports whether a chain with cfg reopens a fork parent
-// below its window from its store. Its store must hold every canonical
-// block's complete state: ImportFork commits a branch's inner blocks for
-// that, but a chain with an ExecCache adopts post states another chain
-// may have committed first, whose nodes it does not write again, so its
-// store can hold a root without the state under it.
+// below its window from its store, and sweeps that store. Its store must
+// hold every canonical block's complete state: ImportFork commits a
+// branch's inner blocks for that, but a chain with an ExecCache adopts
+// post states another chain may have committed first, whose nodes it
+// does not write again, so its store can hold a root without the state
+// under it.
 func reopensForks(cfg Config) bool {
 	return cfg.Store != nil && cfg.ExecCache == nil
 }
@@ -134,9 +137,14 @@ type Chain struct {
 	// Post states are immutable once flushed and share with their parent
 	// every trie node and storage slot the block did not write, so one
 	// more costs what its block touched.
-	posts    []*statedb.StateDB
-	orphaned uint64      // canonical blocks displaced by reorgs
-	batch    store.Batch // the records of a persisted run, reused
+	posts         []*statedb.StateDB
+	orphaned      uint64      // canonical blocks displaced by reorgs
+	batch         store.Batch // the records of a persisted run, reused
+	sweptAt       uint64      // the head at the last sweep, or at the open
+	written, kept int64       // log bytes persisted since, and kept by it
+	sweepErr      error       // why the last sweep failed; nil if it did not
+
+	sweepMu sync.Mutex // held through a sweep; taken before mu
 }
 
 // New creates a chain whose genesis commits the given pre-state.
@@ -179,6 +187,7 @@ func newChain(cfg Config, blocks []*types.Block, state *statedb.StateDB) *Chain 
 		receipts: map[types.Hash][]*types.Receipt{},
 		state:    state,
 		posts:    make([]*statedb.StateDB, 0, window),
+		sweptAt:  blocks[len(blocks)-1].Number(),
 	}
 	if cfg.Parallel {
 		c.par = NewParallelProcessor(cfg)
@@ -313,6 +322,16 @@ func (c *Chain) InsertBlock(block *types.Block) ([]*types.Receipt, error) {
 // build, so an edited header either lands on another key or is refused
 // here with nothing memoized.
 func (c *Chain) InsertBuilt(block *types.Block, built *ExecResult) ([]*types.Receipt, error) {
+	receipts, err := c.insertBuilt(block, built)
+	if err == nil {
+		c.maybeSweep()
+	}
+	return receipts, err
+}
+
+// insertBuilt is InsertBuilt under the chain's lock, without the sweep
+// the adoption may set off.
+func (c *Chain) insertBuilt(block *types.Block, built *ExecResult) ([]*types.Receipt, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
@@ -403,9 +422,20 @@ func (c *Chain) verifyBlockLocked(parentRoot types.Hash, parentState *statedb.St
 // post state) before ANY chain state changes — a branch that fails
 // validation leaves the chain untouched. The first parent's post state
 // is one the chain keeps or, on a store-backed chain without an
-// ExecCache, one it reopens from its store; past that horizon the fork
-// is refused with ErrForkTooDeep. Returns the number of canonical blocks orphaned by the switch.
+// ExecCache, one it reopens from its store (postAt); past the reorg
+// horizon the fork is refused with ErrForkTooDeep. Returns the number of
+// canonical blocks orphaned by the switch.
 func (c *Chain) ImportFork(blocks []*types.Block) (int, error) {
+	orphaned, err := c.importFork(blocks)
+	if err == nil {
+		c.maybeSweep()
+	}
+	return orphaned, err
+}
+
+// importFork is ImportFork under the chain's lock, without the sweep the
+// reorg may set off.
+func (c *Chain) importFork(blocks []*types.Block) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(blocks) == 0 {
@@ -447,13 +477,8 @@ func (c *Chain) ImportFork(blocks []*types.Block) (int, error) {
 
 	// Validate the whole branch before touching canonical state.
 	depth := head - parent.Number() // >= 1: the fork attaches at or below the head
-	var parentState *statedb.StateDB
-	switch root := parent.Header.StateRoot; {
-	case depth <= uint64(len(c.posts)):
-		parentState = c.posts[len(c.posts)-int(depth)]
-	case reopensForks(c.cfg) && hasStateRoot(c.cfg.Store, root):
-		parentState = statedb.OpenAt(c.cfg.Store, root)
-	default:
+	parentState := c.postAt(depth)
+	if parentState == nil {
 		return 0, fmt.Errorf("%w: parent %d is %d below head %d", ErrForkTooDeep, parent.Number(), depth, head)
 	}
 	type validated struct {
@@ -517,6 +542,22 @@ func (c *Chain) ImportFork(blocks []*types.Block) (int, error) {
 		}
 	}
 	return orphaned, nil
+}
+
+// postAt returns the post state of the canonical block depth below the
+// head that the chain keeps or reopens from its store, and nil past the
+// reorg horizon or for a state the store lacks.
+func (c *Chain) postAt(depth uint64) *statedb.StateDB {
+	root := c.blocks[len(c.blocks)-1-int(depth)].Header.StateRoot
+	switch {
+	case depth == 0:
+		return c.state
+	case depth <= uint64(len(c.posts)):
+		return c.posts[len(c.posts)-int(depth)]
+	case depth <= memoryWindow && reopensForks(c.cfg) && hasStateRoot(c.cfg.Store, root):
+		return statedb.OpenAt(c.cfg.Store, root)
+	}
+	return nil
 }
 
 // keepPost appends the post state of the block now right below the head

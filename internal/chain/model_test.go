@@ -1,10 +1,13 @@
 package chain
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"maps"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"sereth/internal/asm"
@@ -293,6 +296,35 @@ func (m *chainModel) check(c *Chain, kv store.Store) {
 	}
 }
 
+// swept checks the store of a chain that has just swept it: the state
+// of every canonical block the model knows is whole in it. The model's
+// chains are shorter than the horizon, so a sweep drops only what
+// orphaned branches and superseded nodes held.
+func (m *chainModel) swept(kv store.Store) {
+	m.t.Helper()
+	for _, mb := range m.canon {
+		if err := statedb.VerifyState(kv, mb.block.Header.StateRoot); err != nil {
+			m.t.Fatalf("after a sweep, the state of block %d: %v", mb.block.Number(), err)
+		}
+	}
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func writeFile(t *testing.T, path string, b []byte) {
+	t.Helper()
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // modelGenesis returns a genesis state holding the model's key-value
 // contract.
 func modelGenesis() *statedb.StateDB {
@@ -316,9 +348,11 @@ func newChainModel(t *testing.T, rng *rand.Rand, writer *wallet.Key, cfg Config)
 
 // TestChainModel drives seeded random sequences of what a chain is asked
 // to do — import a block it replays, adopt a block it built, switch to a
-// longer fork, refuse one that is not longer, reopen its datadir after a
-// clean close, after a crash that drops part of the unsynced tail and
-// after one that tears a reorg's write — against a list model of the
+// longer fork, refuse one that is not longer, sweep its store, reopen its
+// datadir after a clean close, after a crash that drops part of the
+// unsynced tail, after one that tears a reorg's write and after one
+// that stops a sweep between its synced temp log and the rename, or
+// right after the rename — against a list model of the
 // canonical chain and the slot values of each block. The chain commits every adopted state to a FileStore, so
 // its head state is in part in memory and in part read lazily through
 // the store. A commit stages its records in map order, so where a crash
@@ -379,7 +413,7 @@ func runChainModel(t *testing.T, seed int64, steps int) {
 		m.check(c, kv)
 	}
 
-	forks, deep, deepInner, builds := 0, 0, 0, 0
+	forks, deep, deepInner, builds, sweeps, sweepCrashes, reclaimed := 0, 0, 0, 0, 0, 0, int64(0)
 	tearReorg := false // the next step is a longer fork whose write tears
 	for step := 0; step < steps; step++ {
 		r := rng.Intn(100)
@@ -500,8 +534,36 @@ func runChainModel(t *testing.T, seed int64, steps int) {
 			}
 			m.forked(diverge, branch[diverge-attach:])
 			forks++
-		case r < 86:
+		case r < 80:
 			m.check(c, kv)
+		case r < 86: // a sweep; half of them crash at its rename
+			logPath := filepath.Join(dir, store.FileName)
+			pre := readFile(t, logPath)
+			stats, err := c.Sweep()
+			if err != nil {
+				t.Fatalf("step %d: sweep: %v", step, err)
+			}
+			sweeps, reclaimed = sweeps+1, reclaimed+stats.BytesBefore-stats.BytesAfter
+			m.swept(kv)
+			if sweepCrashes > 0 && rng.Intn(2) == 0 {
+				continue
+			}
+			// The crash comes between the synced temp log and the rename,
+			// which leaves both files — every crash until one has — or
+			// right after the rename. The store reopens on one log or the
+			// other, whole.
+			want, early := readFile(t, logPath), sweepCrashes == 0 || rng.Intn(2) == 0
+			kv.Crash()
+			if early {
+				writeFile(t, filepath.Join(dir, store.TmpFileName), want)
+				writeFile(t, logPath, pre)
+				want = pre
+				sweepCrashes++
+			}
+			crashed(step)
+			if !bytes.Equal(readFile(t, logPath), want) || kv.Salvage().TmpRemoved != early {
+				t.Fatalf("step %d: a sweep crashed before the rename %v reopened on neither log whole (%+v)", step, early, kv.Salvage())
+			}
 		case r < 92: // a clean close and reopen
 			// Half the time the store comes back armed to tear its first
 			// write, and the next step is a reorg.
@@ -524,9 +586,10 @@ func runChainModel(t *testing.T, seed int64, steps int) {
 	m.check(c, kv)
 	t.Logf("%d steps: head %d, %d forks (%d below the window, %d of them through an earlier branch), %d own builds, %d crashes (%d tearing a reorg)",
 		steps, c.Height(), forks, deep, deepInner, builds, crashes, tornReorgs)
-	if forks == 0 || deep == 0 || deepInner == 0 || builds == 0 || crashes == 0 || tornReorgs == 0 {
-		t.Fatalf("the run took %d forks, %d below the window, %d through an earlier branch, %d own builds and %d crashes, %d tearing a reorg: raise the steps",
-			forks, deep, deepInner, builds, crashes, tornReorgs)
+	t.Logf("%d sweeps reclaiming %d bytes, %d of them stopped before the rename", sweeps, reclaimed, sweepCrashes)
+	if forks == 0 || deep == 0 || deepInner == 0 || builds == 0 || crashes == 0 || tornReorgs == 0 || sweepCrashes == 0 {
+		t.Fatalf("the run took %d forks, %d below the window, %d through an earlier branch, %d own builds and %d crashes, %d tearing a reorg and %d stopping a sweep: raise the steps",
+			forks, deep, deepInner, builds, crashes, tornReorgs, sweepCrashes)
 	}
 }
 

@@ -9,7 +9,9 @@
 // blocks decode straight from the log and head state reopens lazily
 // from its root. Export writes the same records for the head alone into
 // another store, so a snapshot IS a datadir, and a joiner adopts it
-// through the Open a restart uses.
+// through the Open a restart uses. A content-addressed trie node is never
+// dead to the store, so the chain sweeps it (Sweep): it marks what the
+// states within its reorg horizon reach, and the store drops the rest.
 //
 // Store layout (alongside the raw 32-byte trie-node and 'c'-prefixed
 // code records staged through statedb.StageTo):
@@ -66,6 +68,7 @@ func (c *Chain) persistLocked(blocks []*types.Block, states []*statedb.StateDB) 
 	if err := c.cfg.Store.Write(b); err != nil {
 		return err
 	}
+	c.written += int64(b.LogBytes())
 	for _, st := range states {
 		st.Stored()
 	}
@@ -89,12 +92,119 @@ func stageHead(b *store.Batch, blocks ...*types.Block) {
 	b.Put(headKey, num[:])
 }
 
+// Sweep is a mark and a sweep of the chain's store: Export's walk over
+// the states of the canonical blocks within the reorg horizon, with one
+// mark set, marks their nodes and code blobs, and the store keeps those,
+// the bodies and the head pointer. No fork (postAt) and no reopen reads
+// what it drops. Only a chain that reopens forks from its store sweeps.
+//
+// The mark, most of the work, reads only flushed states and the store,
+// so blocks import and readers read beside it. The chain is locked only
+// to mark what it adopted meanwhile, and for the store's rewrite. A
+// failed sweep leaves the log as it was.
+func (c *Chain) Sweep() (store.CompactStats, error) {
+	if !reopensForks(c.cfg) {
+		return store.CompactStats{}, errors.New("chain: sweep: no store of its own")
+	}
+	c.sweepMu.Lock()
+	defer c.sweepMu.Unlock()
+	return c.sweep()
+}
+
+// maybeSweep sweeps, unless a sweep is running, once the head is a
+// horizon past the last sweep (or the open) and the chain has written as
+// many bytes as that sweep kept: a byte written pays for at most one
+// copied. An adoption calls it with the chain unlocked. A sweep that
+// fails is SweepErr's, and the next waits a horizon.
+func (c *Chain) maybeSweep() {
+	if !reopensForks(c.cfg) || !c.sweepMu.TryLock() {
+		return
+	}
+	defer c.sweepMu.Unlock()
+	c.mu.RLock()
+	due := c.blocks[len(c.blocks)-1].Number() >= c.sweptAt+memoryWindow && c.written >= c.kept
+	c.mu.RUnlock()
+	if due {
+		_, _ = c.sweep()
+	}
+}
+
+// SweepErr returns why the chain's last sweep failed, or nil if it did
+// not fail or none has run. The blocks it followed stay adopted.
+func (c *Chain) SweepErr() error {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.sweepErr
+}
+
+// sweep sweeps; the caller holds sweepMu.
+func (c *Chain) sweep() (store.CompactStats, error) {
+	marked := make(map[types.Hash]struct{})
+	codes := make(map[string]struct{})
+	visit := func(key, _ []byte) {
+		if statedb.IsCodeKey(key) {
+			codes[string(key)] = struct{}{}
+		}
+	}
+	mark := func(states []*statedb.StateDB) error {
+		for _, st := range states {
+			if err := st.Walk(marked, visit); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	c.mu.RLock()
+	states := c.horizonLocked()
+	c.mu.RUnlock()
+	err := mark(states)
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var stats store.CompactStats
+	if err == nil {
+		// The states adopted during the mark: all but their new records
+		// are marked already, and a walk skips what is.
+		err = mark(c.horizonLocked())
+	}
+	if err == nil {
+		stats, err = c.cfg.Store.Compact(func(key []byte) bool {
+			if len(key) == len(types.Hash{}) {
+				_, ok := marked[types.Hash(key)]
+				return ok
+			}
+			_, ok := codes[string(key)]
+			return ok || !statedb.IsCodeKey(key)
+		})
+	}
+	c.sweptAt, c.written = c.blocks[len(c.blocks)-1].Number(), 0
+	if err != nil {
+		c.sweepErr = fmt.Errorf("chain: sweep: %w", err)
+		return stats, c.sweepErr
+	}
+	c.kept, c.sweepErr = stats.BytesAfter, nil
+	return stats, nil
+}
+
+// horizonLocked returns the post states of the canonical blocks within
+// the reorg horizon that the chain keeps or reopens: what a sweep marks.
+func (c *Chain) horizonLocked() []*statedb.StateDB {
+	states := make([]*statedb.StateDB, 0, memoryWindow+1)
+	for depth := uint64(0); depth <= memoryWindow && depth < uint64(len(c.blocks)); depth++ {
+		if st := c.postAt(depth); st != nil {
+			states = append(states, st)
+		}
+	}
+	return states
+}
+
 // exportChunk is how much of an export is staged before it is written.
 const exportChunk = 4 << 20
 
 // Export writes the current head into dst as the records a store holds
 // for it: every trie node and code blob reachable from the head's state
-// root (statedb.Walk — not the nodes earlier blocks superseded), then
+// root (statedb.Walk, a sweep's mark of the head alone — not the nodes
+// earlier blocks superseded), then
 // the head block and the head pointer, in the last batch. dst then IS a
 // datadir whose chain is that one block: Open recovers it, a node
 // restarts on it, and a joiner handed it as a snapshot adopts it after
@@ -110,7 +220,7 @@ func (c *Chain) Export(dst store.Store) error {
 
 	var b store.Batch
 	var werr error
-	err := state.Walk(func(key, value []byte) {
+	err := state.Walk(make(map[types.Hash]struct{}), func(key, value []byte) {
 		if werr != nil {
 			return
 		}
@@ -148,11 +258,13 @@ func HasHead(kv store.Store) bool {
 //   - accepts new blocks exactly like the original (its head state
 //     resolves reads through kv on demand);
 //   - keeps no post state below the head at first. Without an
-//     ExecCache, ImportFork reopens a fork's parent from the store (a
-//     parent whose state a datadir written before reorgs committed
-//     their branch blocks' states lacks is refused with ErrForkTooDeep,
-//     and the node falls back to block sync); with one, it refuses forks
-//     below the head until adopted blocks fill its window again;
+//     ExecCache, ImportFork reopens a fork's parent within the reorg
+//     horizon from the store (a parent whose state a datadir written
+//     before reorgs committed their branch blocks' states lacks is
+//     refused with ErrForkTooDeep, and the node falls back to block
+//     sync), and the chain sweeps the store once its head is a horizon
+//     past the open; with one, it refuses forks below the head until
+//     adopted blocks fill its window again;
 //   - has no receipts for historical blocks.
 //
 // kv is what the chain reads; cfg.Store, as always, is what it writes.

@@ -212,7 +212,7 @@ func exportOf(t *testing.T, c *Chain) *store.MemStore {
 func stateRecords(t *testing.T, kv store.Store, root types.Hash) map[string][]byte {
 	t.Helper()
 	recs := map[string][]byte{}
-	err := statedb.OpenAt(kv, root).Walk(func(k, v []byte) { recs[string(k)] = bytes.Clone(v) })
+	err := statedb.OpenAt(kv, root).Walk(nil, func(k, v []byte) { recs[string(k)] = bytes.Clone(v) })
 	if err != nil {
 		t.Fatalf("state %s does not verify: %v", root.Hex(), err)
 	}

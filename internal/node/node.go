@@ -492,12 +492,20 @@ func (n *Node) drainOrphans() {
 
 // importBlock inserts a block at the head and settles the pool. built is
 // the execution this node's miner built the block from, nil for a block
-// that arrived from a peer.
+// that arrived from a peer. A block whose parent is not the head is not
+// counted as rejected — the caller buffers it as a fork candidate —
+// unless no fork could attach it: a block at or below the chain's base,
+// or right above it on another parent, since what is below the base is
+// final (ImportFork refuses it).
 func (n *Node) importBlock(block *types.Block, built *chain.ExecResult) error {
 	if _, err := n.chain.InsertBuilt(block, built); err != nil {
-		n.mu.Lock()
-		n.stats.BlocksRejected++
-		n.mu.Unlock()
+		base := n.chain.BlockByNumber(n.chain.Base())
+		if !errors.Is(err, chain.ErrUnknownParent) || block.Number() <= base.Number() ||
+			block.Number() == base.Number()+1 && block.Header.ParentHash != base.Hash() {
+			n.mu.Lock()
+			n.stats.BlocksRejected++
+			n.mu.Unlock()
+		}
 		return err
 	}
 	n.mu.Lock()

@@ -2,6 +2,7 @@ package node
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"sereth/internal/asm"
@@ -28,6 +29,36 @@ func mineBlocks(t *testing.T, f *fixture, n *Node, count int) {
 		}
 		f.net.AdvanceTo(f.net.Now() + 20)
 		prev = types.WordFromUint64(val)
+	}
+}
+
+// compactFails is a store whose rewrites fail, as they do on a full
+// disk.
+type compactFails struct{ store.Store }
+
+func (compactFails) Compact(func(key []byte) bool) (store.CompactStats, error) {
+	return store.CompactStats{}, errors.New("no space left on device")
+}
+
+// TestFailedSweepIsNotARejection: a miner whose chain cannot sweep its
+// store adopts and broadcasts the block that set the sweep off, and the
+// blocks after it; neither it nor its peer counts one as rejected.
+func TestFailedSweepIsNotARejection(t *testing.T) {
+	f := newFixture(t,
+		Config{Mode: ModeSereth, Miner: MinerBaseline, Store: compactFails{store.NewMem()}},
+		Config{Mode: ModeSereth})
+	miner, peer := f.nodes[0], f.nodes[1]
+	mineBlocks(t, f, miner, 514)
+	if miner.Chain().SweepErr() == nil {
+		t.Fatal("the sweep at block 512 did not fail")
+	}
+	if peer.Chain().Head().Hash() != miner.Chain().Head().Hash() {
+		t.Fatalf("peer at %d, miner at %d", peer.Chain().Height(), miner.Chain().Height())
+	}
+	for _, n := range f.nodes {
+		if st := n.Stats(); st.BlocksRejected != 0 {
+			t.Fatalf("node %d rejected %d blocks", n.id, st.BlocksRejected)
+		}
 	}
 }
 
@@ -186,6 +217,16 @@ func TestSnapshotBootstrapJoiner(t *testing.T) {
 	if re.BootSource() != BootRecovered || re.Chain().Head().Hash() != miner.Chain().Head().Hash() {
 		t.Fatalf("persisting joiner restarted as %s at %d", re.BootSource(), re.Chain().Height())
 	}
+
+	// Below a joiner's base is final: a block right above it on another
+	// parent attaches to nothing and is rejected, while a rival block on
+	// the base is a fork candidate.
+	n, base := joiners["store-less"], joiners["store-less"].Chain().BlockByNumber(3)
+	n.HandleBlock(99, &types.Block{Header: &types.Header{Number: 4, ParentHash: types.Hash{1}}})
+	n.HandleBlock(99, &types.Block{Header: &types.Header{Number: 4, ParentHash: base.Hash(), Time: 1}})
+	if got := n.Stats().BlocksRejected; got != 1 {
+		t.Fatalf("the store-less joiner counted %d blocks rejected, want 1", got)
+	}
 }
 
 // TestSnapshotFallbackToBlockSync: a snapshot with an altered state
@@ -203,7 +244,7 @@ func TestSnapshotFallbackToBlockSync(t *testing.T) {
 	}
 	var key, val []byte
 	root := miner.Chain().Head().Header.StateRoot
-	if err := statedb.OpenAt(tampered, root).Walk(func(k, v []byte) { key, val = bytes.Clone(k), bytes.Clone(v) }); err != nil {
+	if err := statedb.OpenAt(tampered, root).Walk(nil, func(k, v []byte) { key, val = bytes.Clone(k), bytes.Clone(v) }); err != nil {
 		t.Fatal(err)
 	}
 	val[len(val)/2] ^= 0xff

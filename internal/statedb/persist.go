@@ -34,6 +34,9 @@ func codeKey(h types.Hash) []byte {
 	return k
 }
 
+// IsCodeKey reports whether key is a code blob's.
+func IsCodeKey(key []byte) bool { return len(key) == 1+len(types.Hash{}) && key[0] == 'c' }
+
 // OpenAt reopens the state committed at root against kv. Accounts and
 // storage slots resolve lazily on first access; nothing is read up
 // front, so opening head state after a restart is O(1) regardless of

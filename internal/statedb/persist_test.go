@@ -394,7 +394,6 @@ func TestCommitAllocatesPerBlockNotPerNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = kv.Close() }()
-	kv.CompactMinBytes = 0
 	s := New()
 	contract := addrN(0xcc)
 	s.SetCode(contract, []byte{0x60, 0x00, 0x55, 0x00})
@@ -471,7 +470,7 @@ func TestCommitComputesNoDigest(t *testing.T) {
 
 	before = keccak.Invocations()
 	records := 0
-	if err := s.Walk(func(_, _ []byte) { records++ }); err != nil {
+	if err := s.Walk(nil, func(_, _ []byte) { records++ }); err != nil {
 		t.Fatal(err)
 	}
 	if d := keccak.Invocations() - before; d != 0 {

@@ -14,7 +14,7 @@ import (
 func exported(t *testing.T, s *StateDB) map[string][]byte {
 	t.Helper()
 	recs := map[string][]byte{}
-	if err := s.Walk(func(k, v []byte) { recs[string(k)] = bytes.Clone(v) }); err != nil {
+	if err := s.Walk(nil, func(k, v []byte) { recs[string(k)] = bytes.Clone(v) }); err != nil {
 		t.Fatalf("Walk: %v", err)
 	}
 	return recs

@@ -27,8 +27,10 @@ import (
 // of a recovered one — is fetched through the state's reader and must
 // be present, intact and decodable: the first record that is not is
 // the error returned. Like Copy it flushes first, which on a flushed
-// state writes nothing. O(state size).
-func (s *StateDB) Walk(visit func(key, value []byte)) error {
+// state writes nothing. O(state size). marked is trie.Walk's mark set:
+// what is below a node in it, storage tries and code blobs included,
+// is skipped.
+func (s *StateDB) Walk(marked map[types.Hash]struct{}, visit func(key, value []byte)) error {
 	s.Root()
 	// An account leaf names its storage and code by hash; the accounts in
 	// memory answer for the hashes they hold, the reader for the rest.
@@ -42,7 +44,7 @@ func (s *StateDB) Walk(visit func(key, value []byte)) error {
 			codes[*acc.codeHash] = acc.code
 		}
 	}
-	return s.accTrie.Walk(visit, func(enc []byte) error {
+	return s.accTrie.Walk(marked, visit, func(enc []byte) error {
 		_, _, storageRoot, codeHash, err := accountFields(enc)
 		if err != nil {
 			return fmt.Errorf("statedb: walk: account: %w", err)
@@ -51,7 +53,7 @@ func (s *StateDB) Walk(visit func(key, value []byte)) error {
 		if !ok {
 			storage = trie.NewSecureFromRoot(s.db, storageRoot)
 		}
-		if err := storage.Walk(visit, nil); err != nil {
+		if err := storage.Walk(marked, visit, nil); err != nil {
 			return fmt.Errorf("statedb: walk: storage: %w", err)
 		}
 		if codeHash == EmptyCodeHash {
@@ -79,5 +81,5 @@ func (s *StateDB) Walk(visit func(key, value []byte)) error {
 // returns the first inconsistency. nil means a StateDB opened at root
 // can serve any read without hitting missing or corrupt records.
 func VerifyState(kv Reader, root types.Hash) error {
-	return OpenAt(kv, root).Walk(func(_, _ []byte) {})
+	return OpenAt(kv, root).Walk(nil, func(_, _ []byte) {})
 }

@@ -207,6 +207,11 @@ func (s *FaultStore) Salvage() SalvageReport {
 	return SalvageReport{}
 }
 
+// Compact forwards to the inner store; after a crash it refuses, closed.
+func (s *FaultStore) Compact(keep func(key []byte) bool) (CompactStats, error) {
+	return s.inner.Compact(keep)
+}
+
 // Close closes the inner store; after a crash it is a no-op (the
 // handle is already abandoned).
 func (s *FaultStore) Close() error {

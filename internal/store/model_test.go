@@ -100,7 +100,7 @@ func holds(s Store, keys [][]byte, want map[string][]byte) error {
 
 // TestFileStoreModel drives seeded random sequences of every operation
 // the store has — single and batched writes, overwrites, reads, Sync,
-// Compact (explicit and automatic), a clean Close and reopen, and
+// Compact (keeping every key), a clean Close and reopen, and
 // FaultStore crashes followed by a salvaging reopen: a kill that drops a
 // random part of the unsynced tail, and a torn append of a batch — against
 // a map model, which holds that a crash keeps whole batches only.
@@ -130,8 +130,6 @@ func runStoreModel(t *testing.T, seed int64, steps int) {
 		if fs, err = OpenFile(dir); err != nil {
 			t.Fatal(err)
 		}
-		// Low enough that overwrites trigger automatic compaction.
-		fs.CompactMinBytes = 64 << 10
 		pol := &FaultPolicy{Seed: seed + int64(crashes), DropUnsyncedOnCrash: true}
 		if rng.Intn(2) == 0 {
 			pol.TornAppendAtWrite = 1 + rng.Intn(30)
@@ -206,7 +204,7 @@ func runStoreModel(t *testing.T, seed int64, steps int) {
 				t.Fatalf("step %d: sync: %v", step, err)
 			}
 		case r < 94:
-			if _, err := fs.Compact(); err != nil {
+			if _, err := fs.Compact(nil); err != nil {
 				t.Fatalf("step %d: compact: %v", step, err)
 			}
 			if err := holds(s, keys, m.now); err != nil {

@@ -9,7 +9,10 @@
 // content-addressed (key = Keccak of the value) so records are immutable
 // and an append log with last-write-wins replay is a correct index. The
 // only mutable keys are small pointers (the chain head), which simply
-// append a new record.
+// append a new record. Neither store drops a record by itself: a
+// superseded trie node may still be referenced, so only the store's
+// owner knows what is dead, and Compact keeps what it names (the
+// chain's sweep).
 //
 // The log is the only copy of what it holds (the Bitcask design: Sheehy
 // & Smith, 2010). A Batch is the finished records themselves, so a
@@ -42,6 +45,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"slices"
@@ -58,6 +62,9 @@ type Store interface {
 	Put(key, value []byte) error
 	// Write applies every pair in the batch as one append, all or nothing.
 	Write(b *Batch) error
+	// Compact keeps the newest record of every key keep accepts (of
+	// every key, for a nil keep) and drops the rest, all or nothing.
+	Compact(keep func(key []byte) bool) (CompactStats, error)
 	// Close flushes and releases the store.
 	Close() error
 }
@@ -117,6 +124,10 @@ func (b *Batch) Len() int { return len(b.recs) }
 
 // Size returns the staged payload bytes (keys + values).
 func (b *Batch) Size() int { return b.payload }
+
+// LogBytes returns the bytes a FileStore's Write appends for the batch:
+// its records, with their framing and checksums.
+func (b *Batch) LogBytes() int { return len(b.buf) }
 
 // Reset empties the batch for reuse.
 func (b *Batch) Reset() { b.buf, b.recs, b.payload = b.buf[:0], b.recs[:0], 0 }
@@ -178,6 +189,14 @@ func (s *MemStore) Len() int {
 // Close is a no-op for the in-memory store.
 func (s *MemStore) Close() error { return nil }
 
+// Compact deletes every key keep rejects.
+func (s *MemStore) Compact(keep func(key []byte) bool) (CompactStats, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	maps.DeleteFunc(s.m, func(k string, _ []byte) bool { return keep != nil && !keep([]byte(k)) })
+	return CompactStats{Records: len(s.m)}, nil
+}
+
 // SalvageReport describes what reopen had to repair to produce a
 // consistent index. A zero report means the log was clean.
 type SalvageReport struct {
@@ -212,9 +231,9 @@ func (r SalvageReport) Dirty() bool {
 // CompactStats summarises one log compaction.
 type CompactStats struct {
 	// BytesBefore/BytesAfter are the log sizes (excluding magic)
-	// around the rewrite.
+	// around the rewrite; zero for a MemStore.
 	BytesBefore, BytesAfter int64
-	// Records is the number of live records written.
+	// Records is the number of records kept.
 	Records int
 }
 
@@ -223,8 +242,8 @@ type CompactStats struct {
 // is explicit so block-boundary commits can group durability points.
 // Reopen replays the log (last write wins), verifying each record's CRC:
 // a torn trailing batch is truncated, mid-log corruption is quarantined
-// by resyncing to the next valid record, and the log is compacted when
-// dead bytes dominate.
+// by resyncing to the next valid record. Nothing else leaves the log
+// until its owner compacts it, naming what to keep.
 type FileStore struct {
 	mu   sync.RWMutex
 	dir  directory
@@ -236,14 +255,6 @@ type FileStore struct {
 	closed     bool
 
 	salvage SalvageReport
-
-	// CompactMinBytes and CompactRatio gate automatic compaction: when
-	// the log (excluding magic) exceeds CompactMinBytes and more than
-	// CompactRatio of it is dead (superseded or quarantined) bytes,
-	// Write triggers a rewrite. Set CompactMinBytes to 0 to disable.
-	// Adjust only right after OpenFile, before concurrent use.
-	CompactMinBytes int64
-	CompactRatio    float64
 }
 
 // loc is where a record lies in the log: the offset of its first byte
@@ -252,14 +263,13 @@ type loc struct {
 	off, n int64
 }
 
-// directory is the index: where the newest record of every key lies, and
-// how many bytes of the log those records occupy. Keys as long as a trie
-// node's, the Keccak of its encoding — all but a few hundred — get a map
-// keyed by an array: no string header per key, no pointer for the GC.
+// directory is the index: where the newest record of every key lies.
+// Keys as long as a trie node's, the Keccak of its encoding — all but a
+// few hundred — get a map keyed by an array: no string header per key,
+// no pointer for the GC.
 type directory struct {
-	nodes     map[[32]byte]loc
-	small     map[string]*loc // block bodies, code blobs, the head pointer
-	liveBytes int64
+	nodes map[[32]byte]loc
+	small map[string]*loc // block bodies, code blobs, the head pointer
 }
 
 func newDirectory(nodes, small int) directory {
@@ -280,17 +290,14 @@ func (d *directory) get(key []byte) (l loc, ok bool) {
 // put points key at its newest record. Overwrites allocate nothing.
 func (d *directory) put(key []byte, l loc) {
 	if len(key) == 32 {
-		d.liveBytes += l.n - d.nodes[[32]byte(key)].n
 		d.nodes[[32]byte(key)] = l
 		return
 	}
 	if e, ok := d.small[string(key)]; ok {
-		d.liveBytes += l.n - e.n
 		*e = l // assigning to the map would allocate the key's string again
 		return
 	}
 	d.small[string(key)] = &loc{l.off, l.n} // &l would move every call's l to the heap
-	d.liveBytes += l.n
 }
 
 // logMagic heads every store file; it versions the record format.
@@ -317,11 +324,6 @@ const TmpFileName = FileName + ".tmp"
 // crcSize is the per-record checksum trailer length.
 const crcSize = 4
 
-const (
-	defaultCompactMinBytes = 1 << 20
-	defaultCompactRatio    = 0.5
-)
-
 // OpenFile opens (or creates) the log under dir and replays it into the
 // index. A torn trailing batch is truncated; mid-log corruption is
 // quarantined and then rewritten to a clean log via compaction.
@@ -338,13 +340,7 @@ func OpenFile(dir string) (*FileStore, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &FileStore{
-		dir:             newDirectory(0, 0),
-		f:               f,
-		path:            path,
-		CompactMinBytes: defaultCompactMinBytes,
-		CompactRatio:    defaultCompactRatio,
-	}
+	s := &FileStore{dir: newDirectory(0, 0), f: f, path: path}
 	s.salvage.TmpRemoved = tmpRemoved
 	if err := s.replay(); err != nil {
 		_ = f.Close()
@@ -353,7 +349,7 @@ func OpenFile(dir string) (*FileStore, error) {
 	if s.salvage.Quarantined > 0 || s.salvage.Corrected > 0 {
 		// Rewrite to a clean log so the damage does not survive into
 		// the next generation.
-		if _, err := s.compactLocked(); err != nil {
+		if _, err := s.compactLocked(nil); err != nil {
 			_ = s.f.Close()
 			return nil, err
 		}
@@ -601,7 +597,7 @@ func (s *FileStore) Write(b *Batch) error {
 		key, _, size := b.record(i)
 		s.dir.put(key, loc{base + int64(r.off), int64(size)})
 	}
-	return s.maybeCompactLocked()
+	return nil
 }
 
 // truncateLocked cuts the log to n bytes and moves its end there.
@@ -614,53 +610,44 @@ func (s *FileStore) truncateLocked(n int64) error {
 	return err
 }
 
-// maybeCompactLocked rewrites the log when dead bytes dominate.
-func (s *FileStore) maybeCompactLocked() error {
-	if s.CompactMinBytes <= 0 {
-		return nil
-	}
-	total := s.size - int64(len(logMagic))
-	if total < s.CompactMinBytes {
-		return nil
-	}
-	if float64(total-s.dir.liveBytes) <= float64(total)*s.CompactRatio {
-		return nil
-	}
-	_, err := s.compactLocked()
-	return err
-}
-
-// Compact rewrites the log to contain exactly the live records: they
-// are written to a temp file, synced, and atomically renamed over the
-// log. A crash at any point leaves either the old or the new log fully
-// intact (a leftover temp file is discarded on the next open).
-func (s *FileStore) Compact() (CompactStats, error) {
+// Compact rewrites the log to hold the newest record of every key keep
+// accepts (of every key, for a nil keep): they are written to a temp
+// file, synced, and atomically renamed over the log. A crash at any
+// point leaves either the old or the new log fully intact (a leftover
+// temp file is discarded, and reported, on the next open).
+func (s *FileStore) Compact(keep func(key []byte) bool) (CompactStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return CompactStats{}, ErrClosed
 	}
-	return s.compactLocked()
+	return s.compactLocked(keep)
 }
 
-// compactLocked streams the live records to the temp file in log order
+// compactLocked streams the kept records to the temp file in log order
 // (deterministic, so compacted logs are byte-comparable across runs),
 // re-verifying each, ending it as a batch of its own (the record that
-// ended its batch may be dead) and indexing it at its new offset. A live
-// record that no longer verifies aborts the rewrite and leaves the log
-// as it is: reopening salvages it, and reports that it did.
-func (s *FileStore) compactLocked() (CompactStats, error) {
-	live := make([]loc, 0, s.dir.len())
-	for _, l := range s.dir.nodes {
-		live = append(live, l)
+// ended its batch may be dropped) and indexing it at its new offset. A
+// kept record that no longer verifies aborts the rewrite and leaves the
+// log as it is: reopening salvages it, and reports that it did.
+func (s *FileStore) compactLocked(keep func(key []byte) bool) (CompactStats, error) {
+	kept := make([]loc, 0, s.dir.len())
+	var node [32]byte // one copy for keep to see every node key in
+	for k, l := range s.dir.nodes {
+		if node = k; keep == nil || keep(node[:]) {
+			kept = append(kept, l)
+		}
 	}
-	for _, e := range s.dir.small {
-		live = append(live, *e)
+	nodes := len(kept)
+	for k, e := range s.dir.small {
+		if keep == nil || keep([]byte(k)) {
+			kept = append(kept, *e)
+		}
 	}
-	slices.SortFunc(live, func(a, b loc) int { return cmp.Compare(a.off, b.off) })
+	slices.SortFunc(kept, func(a, b loc) int { return cmp.Compare(a.off, b.off) })
 	stats := CompactStats{
 		BytesBefore: s.size - int64(len(logMagic)),
-		Records:     len(live),
+		Records:     len(kept),
 	}
 	tmpPath := filepath.Join(filepath.Dir(s.path), TmpFileName)
 	tmp, err := os.OpenFile(tmpPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -676,17 +663,17 @@ func (s *FileStore) compactLocked() (CompactStats, error) {
 	if _, err := w.Write(logMagic); err != nil {
 		return fail(err)
 	}
-	next := newDirectory(len(s.dir.nodes), len(s.dir.small))
+	next := newDirectory(nodes, len(kept)-nodes)
 	size := int64(len(logMagic))
 	var rec []byte
-	for _, l := range live {
+	for _, l := range kept {
 		rec = slices.Grow(rec[:0], int(l.n))[:l.n]
 		if _, err := s.f.ReadAt(rec, l.off); err != nil {
 			return fail(err)
 		}
 		key, _, end, _, ok := readRecord(rec, 0)
 		if !ok || end != len(rec) {
-			return fail(fmt.Errorf("live record at offset %d does not verify", l.off))
+			return fail(fmt.Errorf("kept record at offset %d does not verify", l.off))
 		}
 		setMore(rec, false)
 		if _, err := w.Write(rec); err != nil {
@@ -727,7 +714,7 @@ func (s *FileStore) compactLocked() (CompactStats, error) {
 	s.dir = next
 	s.size = size
 	s.syncedSize = size
-	stats.BytesAfter = next.liveBytes
+	stats.BytesAfter = size - int64(len(logMagic))
 	return stats, nil
 }
 

@@ -340,7 +340,7 @@ func TestCompactPreservesGets(t *testing.T) {
 		}
 	}
 	before, _ := s.sizes()
-	stats, err := s.Compact()
+	stats, err := s.Compact(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,6 +374,67 @@ func TestCompactPreservesGets(t *testing.T) {
 		t.Fatalf("compacted log dirty on reopen: %+v", rep)
 	}
 	check(r)
+}
+
+// TestCompactKeepsWhatKeepAccepts: a compaction with a keep filter —
+// a chain's sweep — drops every key the filter rejects, node keys and
+// the others alike, from the index and from the rewritten log, and
+// serves every key it accepts. A MemStore drops the same keys.
+func TestCompactKeepsWhatKeepAccepts(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := NewMem()
+	keys := make([][]byte, 0, 80)
+	b := &Batch{}
+	for i := range 40 {
+		keys = append(keys, nodeKeyN(i), []byte(fmt.Sprintf("b%02d", i)))
+		b.Put(keys[2*i], []byte{byte(i)})
+		b.Put(keys[2*i+1], []byte{byte(i), 1})
+	}
+	for _, kv := range []Store{s, mem} {
+		if err := kv.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keep := func(key []byte) bool { return key[len(key)-1]%3 != 0 }
+	stats, err := s.Compact(keep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mem.Compact(keep); err != nil {
+		t.Fatal(err)
+	}
+	check := func(kv Store, what string) {
+		t.Helper()
+		held := 0
+		for _, k := range keys {
+			if _, ok := kv.Get(k); ok != keep(k) {
+				t.Fatalf("%s: key %x held %v, kept %v", what, k, ok, keep(k))
+			} else if ok {
+				held++
+			}
+		}
+		if held != stats.Records || held == 0 || held == len(keys) {
+			t.Fatalf("%s: %d keys held, %d kept of %d", what, held, stats.Records, len(keys))
+		}
+	}
+	check(s, "compacted")
+	check(mem, "memory")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = r.Close() }()
+	check(r, "reopened")
+	if size, _ := r.sizes(); size-int64(len(logMagic)) != stats.BytesAfter {
+		t.Fatalf("log of %d bytes after a compaction that kept %d", size, stats.BytesAfter)
+	}
 }
 
 // TestCompactCrashLeftoverTmp models a crash between tmp-write and
@@ -414,32 +475,6 @@ func TestCompactCrashLeftoverTmp(t *testing.T) {
 	}
 }
 
-// TestAutoCompactTrigger overwrites one key until dead bytes dominate
-// and checks the log shrinks without losing the live value.
-func TestAutoCompactTrigger(t *testing.T) {
-	dir := t.TempDir()
-	s, err := OpenFile(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = s.Close() }()
-	s.CompactMinBytes = 4096
-	s.CompactRatio = 0.5
-	val := bytes.Repeat([]byte{0xab}, 256)
-	for i := 0; i < 100; i++ {
-		if err := s.Put([]byte("hot"), val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	size, _ := s.sizes()
-	if size > 4096 {
-		t.Fatalf("auto-compaction never fired: size %d", size)
-	}
-	if v, _ := s.Get([]byte("hot")); !bytes.Equal(v, val) {
-		t.Fatalf("live value lost by auto-compaction")
-	}
-}
-
 func TestCloseIdempotent(t *testing.T) {
 	s, err := OpenFile(t.TempDir())
 	if err != nil {
@@ -471,7 +506,6 @@ func BenchmarkFileStoreWrite(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer func() { _ = s.Close() }()
-	s.CompactMinBytes = 0 // keep compaction out of the measurement
 	batch := &Batch{}
 	for i := 0; i < 100; i++ {
 		batch.Put([]byte(fmt.Sprintf("key-%03d", i)), bytes.Repeat([]byte{byte(i)}, 64))
@@ -610,7 +644,6 @@ func TestGetRacesCompact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = s.Close() }()
-	s.CompactMinBytes = 0
 	b := &Batch{}
 	key := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 32-i%2) } // both maps
 	val := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 20+i) }
@@ -643,7 +676,7 @@ func TestGetRacesCompact(t *testing.T) {
 		if err := s.Write(b); err != nil { // every record now has a dead twin
 			t.Fatal(err)
 		}
-		if stats, err := s.Compact(); err != nil || stats.Records != 64 {
+		if stats, err := s.Compact(nil); err != nil || stats.Records != 64 {
 			t.Fatalf("compact: %+v, %v", stats, err)
 		}
 	}
@@ -848,7 +881,7 @@ func TestCompactEndsEveryBatch(t *testing.T) {
 	if err := s.Put([]byte("head"), []byte{2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Compact(); err != nil {
+	if _, err := s.Compact(nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -910,7 +943,6 @@ func TestWriteOfReusedBatchAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = s.Close() }()
-	s.CompactMinBytes = 0
 	b := &Batch{}
 	fill := func() {
 		b.Reset()

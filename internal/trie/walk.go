@@ -30,38 +30,53 @@ import (
 // and must be present, hash to their reference and decode: the first
 // that does not is the error returned, which makes the walk of a trie
 // opened from a root the integrity check of that root. O(trie): not
-// something to run per block.
-func (t *Trie) Walk(visit func(hash, enc []byte), onLeaf func(val []byte) error) error {
+// something to run per block. A non-nil marked is the mark set of a
+// walk over several roots: what is under a hash in it is skipped, and
+// every record visited is added, so the walks cost their union.
+func (t *Trie) Walk(marked map[types.Hash]struct{}, visit func(hash, enc []byte), onLeaf func(val []byte) error) error {
 	if t.root == nil {
 		return nil
 	}
 	root := t.RootHash()
 	h := hashers.Get().(*hasher)
 	defer hashers.Put(h)
-	w := walker{db: t.db, h: h, visit: visit, onLeaf: onLeaf}
+	w := walker{db: t.db, h: h, marked: marked, visit: visit, onLeaf: onLeaf}
 	return w.node(t.root, &root)
 }
 
 // Walk on a secure trie walks the underlying node trie.
-func (s *SecureTrie) Walk(visit func(hash, enc []byte), onLeaf func(val []byte) error) error {
-	return s.inner.Walk(visit, onLeaf)
+func (s *SecureTrie) Walk(marked map[types.Hash]struct{}, visit func(hash, enc []byte), onLeaf func(val []byte) error) error {
+	return s.inner.Walk(marked, visit, onLeaf)
 }
 
 type walker struct {
 	db     NodeReader
 	h      *hasher
+	marked map[types.Hash]struct{}
 	visit  func(hash, enc []byte)
 	onLeaf func(val []byte) error
 }
 
-// node visits n's own record, if it has one, and then what is below it.
-// at is the hash n is stored under when that does not depend on its
-// size: the root's.
+// first reports whether the walk has yet to mark hash, and marks it.
+func (w *walker) first(hash types.Hash) bool {
+	_, marked := w.marked[hash]
+	if !marked && w.marked != nil {
+		w.marked[hash] = struct{}{}
+	}
+	return !marked
+}
+
+// node visits n's own record, if it has one and the walk has not marked
+// it, and then what is below it. at is the hash n is stored under when
+// that does not depend on its size: the root's.
 func (w *walker) node(n node, at *types.Hash) error {
 	switch cur := n.(type) {
 	case nil:
 		return nil
 	case hashNode:
+		if !w.first(types.Hash(cur)) {
+			return nil
+		}
 		got, enc, err := resolve(w.db, cur)
 		if err != nil {
 			return err
@@ -75,28 +90,24 @@ func (w *walker) node(n node, at *types.Hash) error {
 		// A bare value at the root or in a branch slot (a split 1-nibble
 		// leaf) is referenced by hash like any other node once it reaches
 		// 32 bytes; it carries no cache.
-		if enc := w.h.encode(cur); at != nil {
-			w.visit(at[:], enc)
-		} else if len(enc) >= embedLimit {
+		if enc := w.h.encode(cur); at == nil && len(enc) >= embedLimit {
 			h := types.Keccak(enc)
-			w.visit(h[:], enc)
+			at = &h
 		}
 	case *shortNode, *fullNode:
-		w.record(cur, at)
+		// One below the root has a record exactly when its parent
+		// references it by hash, the hash its cache holds.
+		if c := cacheOf(cur); at == nil && c.refLen == hashRef {
+			at = &c.ref
+		}
+	}
+	if at != nil {
+		if !w.first(*at) {
+			return nil
+		}
+		w.visit(at[:], w.h.encode(n))
 	}
 	return w.below(n)
-}
-
-// record visits the record of a hashed in-memory node: one below the
-// root has a record exactly when its parent references it by hash, the
-// hash its cache holds.
-func (w *walker) record(n node, at *types.Hash) {
-	switch c := cacheOf(n); {
-	case at != nil:
-		w.visit(at[:], w.h.encode(n))
-	case c.refLen == hashRef:
-		w.visit(c.ref[:], w.h.encode(n))
-	}
 }
 
 // below walks the children of a node whose own record has been visited.

@@ -23,7 +23,7 @@ func (m mapDB) Put(k, v []byte)             { m[string(k)] = bytes.Clone(v) }
 func walked(t *testing.T, tr *Trie) mapDB {
 	t.Helper()
 	got := mapDB{}
-	err := tr.Walk(func(hash, enc []byte) {
+	err := tr.Walk(nil, func(hash, enc []byte) {
 		if types.Keccak(enc) != types.Hash(hash) {
 			t.Fatalf("record visited under %x hashes to %x", hash, types.Keccak(enc))
 		}
@@ -174,6 +174,64 @@ func TestWalkVisitsWhatCommitWrites(t *testing.T) {
 	}
 }
 
+// TestWalkMarksTheUnion: walks of several versions of a trie — reopened
+// from their roots, and the newest held in memory — that share one mark
+// set visit every record some root references exactly once, and a walk
+// of a root already walked visits nothing: the mark of a sweep costs the
+// union of what its roots reference, not the sum.
+func TestWalkMarksTheUnion(t *testing.T) {
+	for name, shape := range walkShapes {
+		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			kvs := shape(rng)
+			mem, db := build(kvs), mapDB{}
+			var roots []types.Hash
+			for range 4 {
+				roots = append(roots, mem.RootHash())
+				mem.Commit(db)
+				for k := range kvs {
+					if rng.Intn(8) == 0 {
+						mem.Update([]byte(k), bytes.Repeat([]byte{byte(rng.Intn(256))}, 1+rng.Intn(80)))
+					}
+				}
+			}
+			mem.RootHash()
+			union := referenced(t, db, roots[0])
+			marked := map[types.Hash]struct{}{}
+			visited := mapDB{}
+			visit := func(hash, enc []byte) {
+				if _, dup := visited[string(hash)]; dup {
+					t.Fatalf("record %x visited twice", hash)
+				}
+				visited.Put(hash, enc)
+			}
+			walk := func(tr *Trie) {
+				t.Helper()
+				if err := tr.Walk(marked, visit, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			walk(mem)
+			for _, root := range roots {
+				maps.Copy(union, referenced(t, db, root))
+				walk(NewFromRoot(db, root))
+			}
+			// The in-memory version was never committed: its records are
+			// the ones its walk visited before the others.
+			maps.Copy(union, walked(t, mem))
+			if !maps.EqualFunc(visited, union, bytes.Equal) || len(marked) != len(union) {
+				t.Fatalf("visited %d records, marked %d, the roots reference %d", len(visited), len(marked), len(union))
+			}
+			before := len(visited)
+			walk(NewFromRoot(db, roots[1]))
+			walk(mem)
+			if len(visited) != before {
+				t.Fatalf("walks of marked roots visited %d more records", len(visited)-before)
+			}
+		})
+	}
+}
+
 // TestWalkWritesNothing: goroutines walk a hashed trie while others read
 // it (the race detector is the assertion), and the trie then commits
 // every node it would have committed unwalked — no stored flag was set.
@@ -186,7 +244,7 @@ func TestWalkWritesNothing(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			if err := tr.Walk(func(_, _ []byte) {}, func([]byte) error { return nil }); err != nil {
+			if err := tr.Walk(nil, func(_, _ []byte) {}, func([]byte) error { return nil }); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -218,7 +276,7 @@ func TestWalkReportsDamage(t *testing.T) {
 	root := tr.RootHash()
 
 	leaves := 0
-	err := NewFromRoot(db, root).Walk(func(_, _ []byte) {}, func(v []byte) error {
+	err := NewFromRoot(db, root).Walk(nil, func(_, _ []byte) {}, func(v []byte) error {
 		leaves++
 		return nil
 	})
@@ -226,22 +284,22 @@ func TestWalkReportsDamage(t *testing.T) {
 		t.Fatalf("intact store: %d leaves of %d, err %v", leaves, len(kvs), err)
 	}
 	stop := fmt.Errorf("stop")
-	if err := NewFromRoot(db, root).Walk(func(_, _ []byte) {}, func([]byte) error { return stop }); err != stop {
+	if err := NewFromRoot(db, root).Walk(nil, func(_, _ []byte) {}, func([]byte) error { return stop }); err != stop {
 		t.Fatalf("onLeaf's error came back as %v", err)
 	}
-	if err := NewFromRoot(nil, root).Walk(func(_, _ []byte) {}, nil); err == nil {
+	if err := NewFromRoot(nil, root).Walk(nil, func(_, _ []byte) {}, nil); err == nil {
 		t.Fatal("walk without a reader passed")
 	}
 	for k, enc := range referenced(t, db, root) {
 		delete(db, k)
-		if err := NewFromRoot(db, root).Walk(func(_, _ []byte) {}, nil); err == nil {
+		if err := NewFromRoot(db, root).Walk(nil, func(_, _ []byte) {}, nil); err == nil {
 			t.Fatalf("walk passed without record %x", k)
 		}
 		for _, at := range []int{0, len(enc) / 2, len(enc) - 1} {
 			bad := bytes.Clone(enc)
 			bad[at] ^= 0x10
 			db[k] = bad
-			if err := NewFromRoot(db, root).Walk(func(_, _ []byte) {}, nil); err == nil {
+			if err := NewFromRoot(db, root).Walk(nil, func(_, _ []byte) {}, nil); err == nil {
 				t.Fatalf("walk passed with byte %d of record %x flipped", at, k)
 			}
 		}
