@@ -129,7 +129,9 @@ state-smoke:
 # a block deeper is refused), sweeps beside imports (what blocks adopted
 # during the mark wrote is kept) and failing sweeps (the block that set
 # one off stays adopted; the next waits a horizon), serethnode -compact
-# on a reorged datadir,
+# on a reorged datadir, a node's block intake against its block-tree
+# model (several producers and a forger, gossip permuted, duplicated,
+# dropped and late; -short: 4 x 500 steps),
 # the snapshot sweeps (an exported
 # sereth.kv cut at every length and flipped at every byte is rejected
 # with the joiner's store untouched or adopted fully verified; -short:
@@ -141,6 +143,7 @@ crash-smoke:
 	$(GO) test -race -short -run 'TestCrash|TestBitFlip|TestTornReorg|TestOneWrite|TestOpenFallsBack|TestInjectedWriteFailure|TestOpenSnapshot|TestOpenDistrusts|TestChainModel|TestForkBelowWindow|TestSharedCacheChain|TestPostRetention' ./internal/chain
 	$(GO) test -race -run 'TestSweepBoundsTheStore|TestSweepBesideImports|TestFailedSweep' ./internal/chain
 	$(GO) test -race -run 'TestCompactSweepsAReorgedDatadir' ./cmd/serethnode
+	$(GO) test -race -short -run 'TestNodeModel' ./internal/node
 	$(GO) test -race -run 'TestPanic|TestMaxInFlight|TestClientSurfacesShedStatus|TestShutdown|TestHealth' ./internal/rpc
 	$(GO) test -race -run 'TestCrash' ./internal/sim ./internal/scenarios
 	$(GO) run -race ./cmd/serethsim -experiment crash -quick -runs 2
@@ -155,7 +158,9 @@ crash-smoke:
 # replay pinned at its absolute digest count with bit-identical receipts
 # (sequential and parallel lanes), and what a fault-free Figure-2 cell
 # costs in block executions (one per block, by its miner: every other
-# peer hits the shared exec cache); what the write path allocates around
+# peer hits the shared exec cache) and in digests per simulated set and
+# buy (a client signs and memoizes in one step, deriving the signing
+# digest once); what the write path allocates around
 # its digests — a transaction's two digests nothing while its calldata
 # fits the stack scratch, the tx root one buffer whatever the body, both
 # equal to their Item-tree forms — and that a CallReadOnly result
@@ -172,7 +177,8 @@ elision-smoke:
 	$(GO) test -race -run 'TestSubmitDigestBudget' ./internal/node
 	$(GO) test -race -run 'TestBatchID|TestBroadcastTxsHashCount|TestRecycledEnvelopesKeepTheTrace|TestMeshGossipAllocatesNothing|TestConcurrentAdvanceDeliversEachOnce' ./internal/p2p
 	$(GO) test -race -run 'TestReplayKeccakCount|TestReplayAllocsPinned|TestParallelReplayElidesIdentically' ./internal/scenarios
-	$(GO) test -race -run 'TestPopulationExecutesEachBlockOnce' ./internal/sim
+	$(GO) test -race -run 'TestPopulationExecutesEachBlockOnce|TestSubmissionDigestBudget' ./internal/sim
+	$(GO) test -race -run 'TestSignMemoized' ./internal/wallet
 	$(GO) test -race -run 'TestTxDigestsEncodeOnTheStack|TestDeriveTxRootIsFlat|TestFrozenCopyIsOneObject' ./internal/types
 	$(GO) test -race -run 'TestCallReadOnlyResultOutlivesTheMachine' ./internal/node
 	$(GO) test -run '^$$' -fuzz '^FuzzF1600$$' -fuzztime 30s ./internal/keccak
@@ -181,18 +187,22 @@ elision-smoke:
 # under the race detector: view, series, buy index and semantic prefix
 # three ways under churn — the dag the pool's feed maintains, a dag
 # filled from the snapshot, the paper's literal algorithms
-# (internal/hms/reference_test.go) — then the mark filter and dedupe by
-# instance and by mark, attachment to a live pool, mark cycles and
-# pinning; the pulled orderings, collected, against the eager
-# slice-in/slice-out implementations they replaced (-short: 2 x 1000 of
+# (internal/hms/reference_test.go), with every vertex of the live dag
+# checked to list only what belongs under its mark — then the mark
+# filter and dedupe by instance and by mark, attachment to a live pool,
+# mark cycles and pinning, and, without the race detector, what an
+# honest set and four buys cost the dag (one vertex); the pulled
+# orderings, collected, against the eager slice-in/slice-out
+# implementations they replaced (-short: 2 x 1000 of
 # the 2 x 6000 churn steps per run), Build's bodies and generator
 # positions against the eager ordering and the old trim at random gas
 # limits (-short: 300 of 2400), the nonce repair on long queues, the body
 # a block keeps, the gas-trim wedge and BuildBlock racing pool churn;
 # Pool.Settle against the full sweep on twin pools with trackers attached
 # (-short: 1500 of 6000 steps) and the order of its change feed; the
-# appended-to snapshot cache against an ordered-list model; a node
-# settling blocks while transactions are admitted and views read;
+# appended-to snapshot cache and the smallest pending GasLimit against an
+# ordered-list model; a node settling blocks while transactions are
+# admitted and views read;
 # sereth_series served from the live DAG while batches are admitted and
 # removed; then AdmitBatch fuzzed for 30 s against sequential Admit on a
 # twin pool and a list model (forged signatures, duplicates within a
@@ -200,6 +210,7 @@ elision-smoke:
 # without evict-lowest; seeds in internal/txpool/testdata/fuzz/).
 order-smoke:
 	$(GO) test -race -count=10 -run 'TestIncrementalEquivalence|TestProcess|TestAttach|TestConcurrentViewChurn|TestSemanticPrefix|TestBuyIndex' ./internal/hms
+	$(GO) test -count=1 -run 'TestSetAndBuysAllocateOneObject' ./internal/hms
 	$(GO) test -race -count=10 -short -run 'TestOrderDifferential|TestBuildMatchesReference|TestRepair|TestRestCountMismatchIsNamed|TestBlockDoesNotPinPoolSizedBody|TestMinerSkipsSenderAfterGasMiss|TestBuildBlockRacesPoolChurn' ./internal/miner
 	$(GO) test -race -count=10 -short -run 'TestSettle|TestSnapshot|TestReAdmitted|TestClear' ./internal/txpool
 	$(GO) test -race -count=10 -run 'TestSettleRacesAdmissionsAndViews' ./internal/node

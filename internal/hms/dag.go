@@ -7,14 +7,38 @@ import (
 	"sereth/internal/types"
 )
 
-// entry is a vertex of the DAG. seq is its insertion position: the
-// arrival order Algorithm 2's first-holder dedupe and Algorithm 3's
-// head and child scans break ties by.
+// entry is one set transaction of the DAG. seq is its insertion
+// position: the arrival order Algorithm 2's first-holder dedupe and
+// Algorithm 3's head and child scans break ties by. v is the vertex of
+// its mark, where its children are listed; it stays valid while the
+// entry is in the DAG, because the entry is one of that vertex's holders.
 type entry struct {
 	tx   *types.Transaction
 	fpv  types.FPV
 	mark types.Word
 	seq  uint64
+	v    *vertex
+}
+
+// vertex is all the DAG knows under one mark, in three lists:
+//   - holders: the sets that produce the mark, in seq order; [0] is the
+//     active one, the first holder Algorithm 2's dedupe keeps;
+//   - kids: the active sets whose previous mark it is, in seq order;
+//   - buys: the buys that target the interval it opens, in arrival order.
+//
+// Inline backing covers the common case: the first holder's entry
+// itself, one child and four buys, so an honest set costs the DAG one
+// allocation and a buy none. The first slot is free when first.tx is
+// nil. A vertex leaves the table when its three lists are empty.
+type vertex struct {
+	holders []*entry
+	kids    []*entry
+	buys    []*types.Transaction
+
+	first  entry
+	holder [1]*entry
+	kid    [1]*entry
+	buy    [4]*types.Transaction
 }
 
 // dag is the mark-keyed transaction DAG of one pending set plus its buy
@@ -26,14 +50,10 @@ type entry struct {
 // O(V+E) pointer-chasing pass. It is not safe for concurrent use, reads
 // included: the walk reuses the scratch tables.
 type dag struct {
-	cfg  Config
-	seq  uint64                        // insertions so far
-	sets map[*types.Transaction]*entry // every set, by the instance inserted
-	dups map[types.Word][]*entry       // mark -> seq-ordered holders; [0] is active
-	kids map[types.Word][]*entry       // prevMark -> seq-ordered active entries
-	// buys groups every buy by the mark of the set interval it targets,
-	// in arrival order.
-	buys map[types.Word][]*types.Transaction
+	cfg      Config
+	seq      uint64                        // insertions so far
+	sets     map[*types.Transaction]*entry // every set, by the instance inserted
+	vertices map[types.Word]*vertex        // every mark a set, a child or a buy names
 
 	depths map[*entry]int // walk scratch, cleared after each walk
 	heads  []*entry       // walk scratch
@@ -43,12 +63,10 @@ type dag struct {
 // fill returns the DAG of pending, inserted in slice order.
 func fill(cfg Config, pending []*types.Transaction) *dag {
 	d := &dag{
-		cfg:    cfg,
-		sets:   make(map[*types.Transaction]*entry),
-		dups:   make(map[types.Word][]*entry),
-		kids:   make(map[types.Word][]*entry),
-		buys:   make(map[types.Word][]*types.Transaction),
-		depths: make(map[*entry]int),
+		cfg:      cfg,
+		sets:     make(map[*types.Transaction]*entry),
+		vertices: make(map[types.Word]*vertex),
+		depths:   make(map[*entry]int),
 	}
 	for _, tx := range pending {
 		d.insert(tx)
@@ -56,54 +74,71 @@ func fill(cfg Config, pending []*types.Transaction) *dag {
 	return d
 }
 
-// insert admits one transaction into the DAG or the buy index. It
-// reports whether the series may have changed: false for transactions
-// the view does not depend on (foreign contracts, buys, rejected flags,
-// a mark that already has a holder).
+// vertexOf returns the vertex of mark, making it if there is none.
+func (d *dag) vertexOf(mark types.Word) *vertex {
+	v := d.vertices[mark]
+	if v == nil {
+		v = new(vertex)
+		v.holders, v.kids, v.buys = v.holder[:0], v.kid[:0], v.buy[:0]
+		d.vertices[mark] = v
+	}
+	return v
+}
+
+// release drops the vertex of mark from the table once its three lists
+// are empty.
+func (d *dag) release(mark types.Word, v *vertex) {
+	if len(v.holders) == 0 && len(v.kids) == 0 && len(v.buys) == 0 {
+		delete(d.vertices, mark)
+	}
+}
+
+// insert admits one transaction into the DAG: a set as a holder of its
+// mark, a buy into the list of the interval it targets. It reports
+// whether the series may have changed: false for transactions the view
+// does not depend on (foreign contracts, buys, rejected flags, a mark
+// that already has a holder).
 func (d *dag) insert(tx *types.Transaction) bool {
 	if interval, ok := d.cfg.buyInterval(tx); ok {
-		bucket := d.buys[interval]
-		if bucket == nil {
-			bucket = make([]*types.Transaction, 0, 4) // a set is typically followed by a few buys
-		}
-		d.buys[interval] = append(bucket, tx)
+		v := d.vertexOf(interval)
+		v.buys = append(v.buys, tx)
 	}
 	fpv, mark, ok := d.cfg.classifySet(tx)
 	if !ok {
 		return false
 	}
 	if _, dup := d.sets[tx]; dup {
-		return false // this instance is already a vertex; the first insertion stands
+		return false // this instance is already a holder; the first insertion stands
 	}
 	d.seq++
-	e := &entry{tx: tx, fpv: fpv, mark: mark, seq: d.seq}
+	v := d.vertexOf(mark)
+	e := &v.first
+	if e.tx != nil {
+		e = new(entry) // a duplicate, or a holder beside one that left
+	}
+	*e = entry{tx: tx, fpv: fpv, mark: mark, seq: d.seq, v: v}
 	d.sets[tx] = e
-	lst := d.dups[mark]
-	d.dups[mark] = append(lst, e) // new seq is maximal: list stays sorted
-	if len(lst) > 0 {
+	v.holders = append(v.holders, e) // new seq is maximal: the list stays sorted
+	if len(v.holders) > 1 {
 		return false // an inactive duplicate: the adjacency is untouched
 	}
 	d.activate(e) // first holder of this mark becomes active
 	return true
 }
 
-// delete removes the instance insert was given from the DAG or the buy
-// index and reports whether the series may have changed. When the active
-// holder of a mark leaves, the earliest surviving duplicate (if any)
-// takes its place at its own arrival position — the holder a fill of the
-// remaining transactions would select.
+// delete removes the instance insert was given from the DAG and reports
+// whether the series may have changed. When the active holder of a mark
+// leaves, the earliest surviving duplicate (if any) takes its place at
+// its own arrival position — the holder a fill of the remaining
+// transactions would select. slices.Delete zeroes every vacated slot, and
+// a freed first slot is zeroed too, so no list pins a removed instance.
 func (d *dag) delete(tx *types.Transaction) bool {
 	if interval, ok := d.cfg.buyInterval(tx); ok {
-		// slices.Delete zeroes the vacated slot, so the bucket does not
-		// pin the removed instance.
-		lst := d.buys[interval]
-		if i := slices.Index(lst, tx); i >= 0 {
-			lst = slices.Delete(lst, i, i+1)
-		}
-		if len(lst) == 0 {
-			delete(d.buys, interval)
-		} else {
-			d.buys[interval] = lst
+		if v := d.vertices[interval]; v != nil {
+			if i := slices.Index(v.buys, tx); i >= 0 {
+				v.buys = slices.Delete(v.buys, i, i+1)
+				d.release(interval, v)
+			}
 		}
 	}
 	e, ok := d.sets[tx]
@@ -111,45 +146,36 @@ func (d *dag) delete(tx *types.Transaction) bool {
 		return false
 	}
 	delete(d.sets, tx)
-	lst := d.dups[e.mark]
-	idx := slices.Index(lst, e)
-	if idx < 0 {
-		return true // unreachable: sets and dups are kept in lockstep
+	v, mark := e.v, e.mark
+	idx := slices.Index(v.holders, e)
+	v.holders = slices.Delete(v.holders, idx, idx+1)
+	if idx == 0 {
+		d.deactivate(e)
+		if len(v.holders) > 0 {
+			d.activate(v.holders[0])
+		}
 	}
-	lst = slices.Delete(lst, idx, idx+1)
-	if len(lst) == 0 {
-		delete(d.dups, e.mark)
-	} else {
-		d.dups[e.mark] = lst
+	if e == &v.first {
+		v.first = entry{}
 	}
-	if idx != 0 {
-		return false // an inactive duplicate left: the adjacency is untouched
-	}
-	d.deactivate(e)
-	if len(lst) > 0 {
-		d.activate(lst[0])
-	}
-	return true
+	d.release(mark, v)
+	return idx == 0 // an inactive duplicate leaving touches no adjacency
 }
 
 // activate inserts e into its parent's child list at the position its
 // arrival order dictates.
 func (d *dag) activate(e *entry) {
-	lst := d.kids[e.fpv.PrevMark]
-	i := sort.Search(len(lst), func(i int) bool { return lst[i].seq > e.seq })
-	d.kids[e.fpv.PrevMark] = slices.Insert(lst, i, e)
+	p := d.vertexOf(e.fpv.PrevMark)
+	i := sort.Search(len(p.kids), func(i int) bool { return p.kids[i].seq > e.seq })
+	p.kids = slices.Insert(p.kids, i, e)
 }
 
 func (d *dag) deactivate(e *entry) {
-	lst := d.kids[e.fpv.PrevMark]
-	if i := slices.Index(lst, e); i >= 0 {
-		lst = slices.Delete(lst, i, i+1)
+	p := d.vertices[e.fpv.PrevMark]
+	if i := slices.Index(p.kids, e); i >= 0 {
+		p.kids = slices.Delete(p.kids, i, i+1)
 	}
-	if len(lst) == 0 {
-		delete(d.kids, e.fpv.PrevMark)
-	} else {
-		d.kids[e.fpv.PrevMark] = lst
-	}
+	d.release(e.fpv.PrevMark, p)
 }
 
 // depthPending marks a vertex currently on the DFS stack; edges into it
@@ -174,7 +200,7 @@ func (d *dag) depth(root *entry) int {
 	if deep, ok := d.depths[root]; ok && deep != depthPending {
 		return deep
 	}
-	stack := append(d.stack[:0], dagFrame{n: root, kids: d.kids[root.mark]})
+	stack := append(d.stack[:0], dagFrame{n: root, kids: root.v.kids})
 	d.depths[root] = depthPending
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
@@ -192,7 +218,7 @@ func (d *dag) depth(root *entry) int {
 				f.best = max(f.best, deep)
 			default:
 				d.depths[c] = depthPending
-				stack = append(stack, dagFrame{n: c, kids: d.kids[c.mark]})
+				stack = append(stack, dagFrame{n: c, kids: c.v.kids})
 			}
 			continue
 		}
@@ -232,11 +258,12 @@ func (d *dag) walkSeries(committedMark types.Word, visit func(*entry)) {
 	// holder of the committed mark — is pending (a forged self-parent does
 	// not count).
 	heads := d.heads[:0]
-	parent := d.dups[committedMark]
-	for _, e := range d.kids[committedMark] {
-		orphan := len(parent) == 0 || parent[0] == e
-		if e.fpv.Flag == types.FlagHead || d.cfg.ExtendHeads && orphan {
-			heads = append(heads, e)
+	if root := d.vertices[committedMark]; root != nil {
+		for _, e := range root.kids {
+			orphan := len(root.holders) == 0 || root.holders[0] == e
+			if e.fpv.Flag == types.FlagHead || d.cfg.ExtendHeads && orphan {
+				heads = append(heads, e)
+			}
 		}
 	}
 	d.heads = heads[:0]
@@ -255,7 +282,7 @@ func (d *dag) walkSeries(committedMark types.Word, visit func(*entry)) {
 		// truncated there (adversarial marks only).
 		next = nil
 		if want := d.depths[e] - 1; want > 0 {
-			for _, c := range d.kids[e.mark] {
+			for _, c := range e.v.kids {
 				if c != e && d.depths[c] == want {
 					next = c
 					break
@@ -300,11 +327,14 @@ func (d *dag) series(committedMark types.Word) (series []*Node) {
 // committed mark; that bucket is already placed and is not scheduled
 // twice: the miner counts on a prefix of distinct pool transactions.
 func (d *dag) semanticPrefix(committedMark types.Word) []*types.Transaction {
-	out := slices.Clone(d.buys[committedMark])
+	var out []*types.Transaction
+	if v := d.vertices[committedMark]; v != nil {
+		out = append(out, v.buys...)
+	}
 	d.walkSeries(committedMark, func(e *entry) {
 		out = append(out, e.tx)
 		if e.mark != committedMark {
-			out = append(out, d.buys[e.mark]...)
+			out = append(out, e.v.buys...)
 		}
 	})
 	return out

@@ -116,6 +116,63 @@ var (
 	selBuy = cfg().BuySelector
 )
 
+// buyIndex returns the buy lists of d's vertices by the interval they
+// target, leaving out the empty ones: the lists themselves, not copies,
+// so a caller sees what their backing arrays hold.
+func buyIndex(d *dag) map[types.Word][]*types.Transaction {
+	out := make(map[types.Word][]*types.Transaction)
+	for mark, v := range d.vertices {
+		if len(v.buys) > 0 {
+			out[mark] = v.buys
+		}
+	}
+	return out
+}
+
+// remark moves the set tx, a vertex's only holder, under mark, as a
+// forged mark would have filed it.
+func remark(d *dag, tx *types.Transaction, mark types.Word) {
+	e := d.sets[tx]
+	old := e.v
+	old.holders = slices.DeleteFunc(old.holders, func(h *entry) bool { return h == e })
+	d.release(e.mark, old)
+	e.mark, e.v = mark, d.vertexOf(mark)
+	e.v.holders = append(e.v.holders, e)
+}
+
+// checkVertices fails the test unless every vertex of d lists something
+// and lists it where it belongs: a holder produces the vertex's mark and
+// points back at it, a child is the active holder of its own mark and
+// chains off this one, and a buy targets this interval.
+func checkVertices(t *testing.T, step int, d *dag) {
+	t.Helper()
+	holders := 0
+	for mark, v := range d.vertices {
+		if len(v.holders) == 0 && len(v.kids) == 0 && len(v.buys) == 0 {
+			t.Fatalf("step %d: an empty vertex stays in the table", step)
+		}
+		for i, e := range v.holders {
+			if e.mark != mark || e.v != v || d.sets[e.tx] != e || i > 0 && v.holders[i-1].seq >= e.seq {
+				t.Fatalf("step %d: holder %d of a vertex is filed elsewhere or out of order", step, i)
+			}
+		}
+		holders += len(v.holders)
+		for i, e := range v.kids {
+			if e.fpv.PrevMark != mark || e.v.holders[0] != e || i > 0 && v.kids[i-1].seq >= e.seq {
+				t.Fatalf("step %d: child %d of a vertex is not an active set chained off it, or out of order", step, i)
+			}
+		}
+		for _, tx := range v.buys {
+			if interval, ok := d.cfg.buyInterval(tx); !ok || interval != mark {
+				t.Fatalf("step %d: a buy is listed under an interval it does not target", step)
+			}
+		}
+	}
+	if holders != len(d.sets) {
+		t.Fatalf("step %d: %d holders for %d sets", step, holders, len(d.sets))
+	}
+}
+
 // sameNodes reports whether two series hold the same transaction
 // instances with the same FPVs and marks, in the same order.
 func sameNodes(a, b []*Node) bool {
@@ -146,9 +203,10 @@ func checkAgainstReference(t *testing.T, step int, inc, det *Tracker, pool *txpo
 	}
 
 	inc.mu.RLock()
-	same := maps.EqualFunc(inc.dag.buys, buys, slices.Equal[[]*types.Transaction])
+	same := maps.EqualFunc(buyIndex(inc.dag), buys, slices.Equal[[]*types.Transaction])
+	checkVertices(t, step, inc.dag)
 	inc.mu.RUnlock()
-	if !same || !maps.EqualFunc(fill(det.cfg, snap).buys, buys, slices.Equal[[]*types.Transaction]) {
+	if !same || !maps.EqualFunc(buyIndex(fill(det.cfg, snap)), buys, slices.Equal[[]*types.Transaction]) {
 		t.Fatalf("step %d: live or detached buy index differs from the reference's %d buckets", step, len(buys))
 	}
 
@@ -496,12 +554,7 @@ func TestSemanticPrefixMarkCycle(t *testing.T) {
 	want := []*types.Transaction{snap[2], snap[1], snap[0], snap[3]} // buyCommitted, a, buyA, b
 
 	// The forgery: b's vertex moves under the committed mark.
-	forge := func(d *dag) {
-		eb := d.sets[snap[3]]
-		delete(d.dups, eb.mark)
-		eb.mark = committed
-		d.dups[committed] = []*entry{eb}
-	}
+	forge := func(d *dag) { remark(d, snap[3], committed) }
 	tr.mu.Lock()
 	forge(tr.dag)
 	tr.mu.Unlock()
@@ -551,7 +604,7 @@ func TestBuyIndexDropsRemovedTransactions(t *testing.T) {
 	holds := func(tx *types.Transaction) bool {
 		tr.mu.RLock()
 		defer tr.mu.RUnlock()
-		for _, bucket := range tr.dag.buys {
+		for _, bucket := range buyIndex(tr.dag) {
 			if slices.Contains(bucket[:cap(bucket)], tx) {
 				return true
 			}
@@ -567,9 +620,65 @@ func TestBuyIndexDropsRemovedTransactions(t *testing.T) {
 	}
 	pool.Clear()
 	tr.mu.RLock()
-	left := len(tr.dag.buys)
+	left := len(buyIndex(tr.dag))
 	tr.mu.RUnlock()
 	if left != 0 {
 		t.Fatalf("after Clear the buy index still has %d buckets", left)
+	}
+}
+
+// TestSetAndBuysAllocateOneObject pins what an honest set costs the DAG:
+// a head set and four buys on its mark, admitted into an attached
+// tracker, allocate one object — the vertex of the set's mark, which
+// holds the set's entry, its first child slot and the four buys. The
+// committed mark already has a vertex (a buy on the committed interval
+// is pending), whose inline child slot takes the set. The tracker is fed
+// the pool's own instances through its change feed, so only the DAG is
+// counted; removing them again allocates nothing.
+func TestSetAndBuysAllocateOneObject(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	pool := txpool.New()
+	tr := NewTracker(cfg())
+	tr.Attach(pool)
+	committed := types.WordFromUint64(0xC0)
+	tr.SetCommitted(types.AMV{Mark: committed})
+	if err := pool.Add(buyTx(committed, types.WordFromUint64(1))); err != nil {
+		t.Fatal(err)
+	}
+	value := types.WordFromUint64(7)
+	mark := types.NextMark(committed, value)
+	txs := []*types.Transaction{setTx(types.FlagHead, committed, value)}
+	for i := range 4 {
+		txs = append(txs, buyTx(mark, types.WordFromUint64(uint64(i))))
+	}
+	for i, tx := range txs {
+		admitted, err := pool.Admit(tx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		txs[i] = admitted
+	}
+	hashes := make([]types.Hash, len(txs))
+	for i, tx := range txs {
+		hashes[i] = tx.Hash()
+	}
+	pool.Remove(hashes)
+
+	feed := func(kind txpool.ChangeKind) {
+		for _, tx := range txs {
+			tr.onPoolChange(txpool.Change{Kind: kind, Tx: tx})
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		feed(txpool.TxAdded)
+		if v, _ := tr.View(); v.Depth != 1 {
+			t.Fatalf("view depth %d after the set, want 1", v.Depth)
+		}
+		feed(txpool.TxRemoved)
+	})
+	if allocs != 1 {
+		t.Errorf("a head set and four buys on its mark: %v DAG allocations, want 1", allocs)
 	}
 }

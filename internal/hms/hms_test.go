@@ -276,7 +276,7 @@ func TestBuysByInterval(t *testing.T) {
 	set := setTx(types.FlagHead, types.ZeroWord, types.WordFromUint64(5))
 	pool := []*types.Transaction{b1, set, b2, b3}
 
-	groups := fill(cfg(), pool).buys
+	groups := buyIndex(fill(cfg(), pool))
 	if !slices.Equal(groups[m1], []*types.Transaction{b1, b2}) || !slices.Equal(groups[m2], []*types.Transaction{b3}) {
 		t.Errorf("groups: %d/%d", len(groups[m1]), len(groups[m2]))
 	}

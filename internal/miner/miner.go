@@ -5,8 +5,11 @@
 // (§V-C) orders the block by the Hash-Mark-Set series, interleaving every
 // set with its dependent buys so the interleaving matches the
 // READ-UNCOMMITTED views clients used when submitting. An ordering is a
-// cursor the miner pulls until the block is full, so a block costs what
-// it holds, not what the pool holds.
+// cursor the miner pulls until the block is full, and the smallest
+// pending GasLimit that stops the pull comes from the pool's count of
+// its limits, so a block costs what it holds, not what the pool holds.
+// The one O(pool) step left is the pool's: the first snapshot after a
+// removal rebuilds the pending slice.
 package miner
 
 import (
@@ -19,6 +22,7 @@ import (
 	"sereth/internal/chain"
 	"sereth/internal/hms"
 	"sereth/internal/statedb"
+	"sereth/internal/txpool"
 	"sereth/internal/types"
 )
 
@@ -266,23 +270,10 @@ func (r *repair) Next() *types.Transaction {
 	}
 }
 
-// PendingSource is the pool view a miner consumes.
-type PendingSource interface {
-	Pending() []*types.Transaction
-}
-
-// snapshotter is the optional zero-copy pool view (txpool.Pool's
-// Snapshot): shared, memoized transaction pointers instead of a deep
-// copy per BuildBlock. Strategies treat pending transactions as
-// read-only, so sharing is safe.
-type snapshotter interface {
-	Snapshot() ([]*types.Transaction, uint64)
-}
-
 // Miner builds sealed blocks on top of a chain.
 type Miner struct {
 	chain    *chain.Chain
-	pool     PendingSource
+	pool     *txpool.Pool
 	strategy Strategy
 	coinbase types.Address
 	// maxSealIter bounds the PoW nonce search.
@@ -290,7 +281,7 @@ type Miner struct {
 }
 
 // NewMiner returns a miner using the given ordering strategy.
-func NewMiner(c *chain.Chain, pool PendingSource, strategy Strategy, coinbase types.Address) *Miner {
+func NewMiner(c *chain.Chain, pool *txpool.Pool, strategy Strategy, coinbase types.Address) *Miner {
 	return &Miner{
 		chain:       c,
 		pool:        pool,
@@ -319,12 +310,9 @@ func (m *Miner) Build(timestamp uint64) (*types.Block, *chain.ExecResult, error)
 	var head *types.Block
 	var state *statedb.StateDB
 	m.chain.ReadHeadState(func(h *types.Block, st *statedb.StateDB) { head, state = h, st })
-	var pending []*types.Transaction
-	if s, ok := m.pool.(snapshotter); ok {
-		pending, _ = s.Snapshot()
-	} else {
-		pending = m.pool.Pending()
-	}
+	// The pool's shared snapshot: strategies treat pending transactions
+	// as read-only.
+	pending, minGas := m.pool.SnapshotMinGas()
 	// Trim to the block gas limit using the declared per-tx limits. Once
 	// a sender's transaction does not fit, their later ones would leave a
 	// nonce gap and are skipped with it. The ordering is pulled while the
@@ -334,10 +322,6 @@ func (m *Miner) Build(timestamp uint64) (*types.Block, *chain.ExecResult, error)
 	// full in that sense — against every pending transaction, censored and
 	// unplaceable ones included — costs O(block).
 	limit := m.chain.Config().GasLimit
-	minGas := ^uint64(0)
-	for _, tx := range pending {
-		minGas = min(minGas, tx.GasLimit)
-	}
 	// The block keeps body's backing array: size it by what can fit.
 	body := make([]*types.Transaction, 0, min(uint64(len(pending)), limit/max(minGas, 1)))
 	ordering := m.strategy.Pull(pending, state.GetNonce)

@@ -355,10 +355,11 @@ func TestCloseReleasesDescriptors(t *testing.T) {
 // does a reply head the client stops reading itself (http.ReadResponse
 // costs 11). What is left is mostly net/http's server reading the request.
 const (
-	// measured 29; 45 while the client read every head with
-	// http.ReadResponse and the server copied the version and method and
-	// read the body through an io.LimitReader it then drained again
-	viewRoundTripAllocs = 32
+	// measured 28; 29 while the server boxed a copy of the view's words,
+	// 45 while the client read every head with http.ReadResponse and the
+	// server copied the version and method and read the body through an
+	// io.LimitReader it then drained again
+	viewRoundTripAllocs = 31
 	// measured 29; 63 while, besides, the client boxed a hex string of
 	// the transaction, the server copied and hex-decoded it, decoded it
 	// through an Item tree that the pool then copied, and boxed the hash's

@@ -170,7 +170,11 @@ func parseRequest(b []byte) (request, bool) {
 
 // viewWords is the sereth_view result: appendReply writes the words' hex
 // straight into the reply, encoding/json sees the ViewResult they make.
+// The server hands them over by pointer, taken from viewPool and put back
+// once the reply is written, so a reply boxes no copy of the words.
 type viewWords struct{ flag, mark, value types.Word }
+
+var viewPool = sync.Pool{New: func() interface{} { return new(viewWords) }}
 
 func (v viewWords) MarshalJSON() ([]byte, error) {
 	return json.Marshal(ViewResult{Flag: v.flag.Hex(), Mark: v.mark.Hex(), Value: v.value.Hex()})
@@ -198,7 +202,7 @@ func appendReply(b []byte, id json.RawMessage, result interface{}) ([]byte, bool
 	switch r := result.(type) {
 	case string:
 		b, ok = appendString(b, r)
-	case viewWords:
+	case *viewWords:
 		b = hex.AppendEncode(append(b, `{"flag":"0x`...), r.flag[:])
 		b = hex.AppendEncode(append(b, `","mark":"0x`...), r.mark[:])
 		b = hex.AppendEncode(append(b, `","value":"0x`...), r.value[:])

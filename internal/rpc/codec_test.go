@@ -114,7 +114,7 @@ func FuzzResponseEncode(f *testing.F) {
 		case 0:
 			result = a
 		case 1:
-			result = viewWords{wordOf(a), wordOf(b), wordOf(c)}
+			result = &viewWords{wordOf(a), wordOf(b), wordOf(c)}
 		case 2:
 			result = []string{a, b, c}[:int(kind/6)%4]
 		case 3:
@@ -145,7 +145,7 @@ func FuzzResponseEncode(f *testing.F) {
 			if !parseReply(got[6:], &back) || back != r {
 				t.Fatalf("reply %q read back as %q", got, back)
 			}
-		case viewWords:
+		case *viewWords:
 			var back ViewResult
 			if want := (ViewResult{r.flag.Hex(), r.mark.Hex(), r.value.Hex()}); !parseReply(got[6:], &back) || back != want {
 				t.Fatalf("reply %q read back as %+v", got, back)

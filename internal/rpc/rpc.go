@@ -168,6 +168,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	} else {
 		resp.ID = req.ID
 		resp.Result, resp.Error = s.safeDispatch(&req)
+		if v, ok := resp.Result.(*viewWords); ok {
+			defer viewPool.Put(v)
+		}
 	}
 	w.Header()["Content-Type"] = jsonContentType
 	if resp.Error == nil {
@@ -348,8 +351,9 @@ func (s *Server) dispatch(req *request) (interface{}, *rpcError) {
 
 	case "sereth_view":
 		// The READ-UNCOMMITTED view of the managed variable.
-		flag, mark, value := s.node.ViewAMV(types.Address{}, s.contract)
-		return viewWords{flag, mark, value}, nil
+		v := viewPool.Get().(*viewWords)
+		v.flag, v.mark, v.value = s.node.ViewAMV(types.Address{}, s.contract)
+		return v, nil
 
 	case "sereth_series":
 		// Pending series marks, head to tail (empty on geth nodes).

@@ -15,15 +15,18 @@ import (
 // transactions — tens of allocations, none per transaction and none per
 // series member (58 while the prefix was assembled from a []*Node of the
 // series). miner/order-scratch-pool10k is the same ordering for a slice
-// that is not the pool's snapshot, so it fills a dag first: three
-// allocations per pending set (entry, duplicate list, child list), one
-// bucket per interval (2 010 of each) and the five maps' growth — 10 188
-// while a second, from-scratch implementation served such slices with a
-// Node and a child list per set and three pool-sized maps; it is the
-// same-run twin, pinned so the pair keeps its distance.
-// txpool/snapshot-after-admit-10k is the attached tracker's
-// three allocations for a new set (entry, duplicate list, child list)
-// and nothing for the snapshot. miner/build-50-of-pool10k is the block a
+// that is not the pool's snapshot, so it fills a dag first: one vertex
+// per pending set (2 010), which holds its entry, its first child and
+// its first four buys, and the three maps' growth — 8 219 while the dag
+// kept an entry, a duplicate list and a child list per set and a buy
+// bucket per interval in three maps, 10 188 while a second, from-scratch
+// implementation served such slices with a Node and a child list per set
+// and three pool-sized maps; it is the same-run twin, pinned so the pair
+// keeps its distance. txpool/snapshot-after-admit-10k is the attached
+// tracker's two allocations for a new set whose previous mark nothing
+// else names (the vertex of its mark and the vertex of the previous
+// mark; three while entry, duplicate list and child list were separate
+// objects) and nothing for the snapshot. miner/build-50-of-pool10k is the block a
 // miner builds on that pool: the same prefix and cursors, one body sized
 // by what fits, and the execution of its 50 transactions, which is most
 // of the count (510 before the prefix lost its Nodes, 495 until the
@@ -38,8 +41,10 @@ import (
 // — what matters is that nothing in it is per pending
 // transaction. txpool/settle-50-of-10k removes 50 transactions through
 // the tracker's feed, which allocates nothing, and admits them again: the
-// 42 are the tracker's, for ten sets and forty buys coming back, and the
-// batch's two result slices (87 while the pool's nonce index was a map
+// 13 are the tracker's, a vertex for each of the ten sets coming back and
+// one for the committed mark they chain off, and the batch's two result
+// slices (42 while a set cost the dag three objects and the first buy on
+// its mark a bucket, 87 while the pool's nonce index was a map
 // per sender, dropped with a sender's last transaction and made again
 // on its return; 88 while AdmitBatch also kept a slice of the hashes the
 // frozen instances already carry). The orderings and the
@@ -61,16 +66,16 @@ func TestBlockAssemblyAllocsPinned(t *testing.T) {
 	if live < 41 || live > 45 {
 		t.Errorf("miner/order-live-pool10k: %v allocs per ordering, pinned 43 +- 2", live)
 	}
-	if scratch < 8_217 || scratch > 8_221 {
-		t.Errorf("miner/order-scratch-pool10k: %v allocs per ordering, pinned 8219 +- 2", scratch)
+	if scratch < 2_127 || scratch > 2_131 {
+		t.Errorf("miner/order-scratch-pool10k: %v allocs per ordering, pinned 2129 +- 2", scratch)
 	}
 	if build < 140 || build > 152 {
 		t.Errorf("miner/build-50-of-pool10k: %v allocs per block, pinned 146 +- 6", build)
 	}
-	if settle != 42 {
-		t.Errorf("txpool/settle-50-of-10k: %v allocs per settle and re-admission, pinned 42", settle)
+	if settle != 13 {
+		t.Errorf("txpool/settle-50-of-10k: %v allocs per settle and re-admission, pinned 13", settle)
 	}
-	if admit != 3 {
-		t.Errorf("txpool/snapshot-after-admit-10k: %v allocs per admission and snapshot, pinned 3", admit)
+	if admit != 2 {
+		t.Errorf("txpool/snapshot-after-admit-10k: %v allocs per admission and snapshot, pinned 2", admit)
 	}
 }

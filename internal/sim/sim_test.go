@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"sereth/internal/keccak"
 	"sereth/internal/node"
 	"sereth/internal/p2p"
 )
@@ -479,4 +480,35 @@ func TestBurstMultiClient(t *testing.T) {
 	if res.BuysIncluded == 0 || res.Blocks == 0 {
 		t.Errorf("burst run stalled: included=%d blocks=%d", res.BuysIncluded, res.Blocks)
 	}
+}
+
+// TestSubmissionDigestBudget counts, not times, what one simulated
+// submission costs in digests from its client's read to its last
+// delivery, as TestSubmitDigestBudget (internal/node) does for a market
+// transaction: a set — the committed mark read, the signing digest, the
+// signature, the identity hash, the mark and the mark-check digest, then
+// the client pool's signature check — and a buy, built the same way
+// from its client's READ-UNCOMMITTED view. Every other peer admits the
+// client's frozen, flagged instance. A client signs and memoizes in one
+// step (wallet.Key.SignMemoized), so the signing digest is derived once;
+// each count was one higher while it signed, then memoized.
+func TestSubmissionDigestBudget(t *testing.T) {
+	s, err := newScenario(SerethClient(4, 101))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.cleanup()
+	budget := func(name string, want uint64, submit func() error) {
+		t.Helper()
+		start := keccak.Invocations()
+		if err := submit(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		s.net.Drain()
+		if got := keccak.Invocations() - start; got != want {
+			t.Errorf("%s: %d digests from read to last delivery, want %d", name, got, want)
+		}
+	}
+	budget("set", 7, s.submitSet)
+	budget("buy", 6, func() error { return s.submitBuy(0) })
 }

@@ -30,13 +30,13 @@ func (s *scenario) submitSet() error {
 		gasPrice = 10 + uint64(s.cfg.GasPriceSpread)
 	}
 	// The transaction SubmitSetPriced builds, memoized (see buildBuy).
-	tx := s.owner.SignTx(&types.Transaction{
+	tx := s.owner.SignMemoized(&types.Transaction{
 		Nonce:    s.ownerNonce,
 		To:       s.contract,
 		GasPrice: gasPrice,
 		GasLimit: 300_000,
 		Data:     types.EncodeCall(asm.SelSet, flag, s.ownerMark, price),
-	}).Memoize()
+	})
 	if err := s.submitVia(0, tx); err != nil {
 		if errors.Is(err, txpool.ErrPoolFull) {
 			s.setsDropped++
@@ -59,8 +59,9 @@ func (s *scenario) submitSet() error {
 // chain instead of a remote view). The sender's nonce is read but NOT
 // consumed — callers commit it via commitBuy once the transaction is
 // accepted, so a refused buy never gaps the sender's sequence. Nothing
-// mutates the transaction after signing, so it is memoized: the client's
-// pool adopts this instance and its hash is derived once.
+// mutates the transaction after signing, so it is signed memoized: the
+// client's pool adopts this instance, and its signing digest and hash are
+// derived once.
 func (s *scenario) buildBuy(i int) (clientIdx, buyerIdx int, tx *types.Transaction, err error) {
 	buyerIdx = i % len(s.buyers)
 	key := s.buyers[buyerIdx]
@@ -91,13 +92,13 @@ func (s *scenario) buildBuy(i int) (clientIdx, buyerIdx int, tx *types.Transacti
 	if s.cfg.GasPriceSpread > 0 {
 		gasPrice += uint64(s.rng.Intn(s.cfg.GasPriceSpread))
 	}
-	return clientIdx, buyerIdx, key.SignTx(&types.Transaction{
+	return clientIdx, buyerIdx, key.SignMemoized(&types.Transaction{
 		Nonce:    nonce,
 		To:       s.contract,
 		GasPrice: gasPrice,
 		GasLimit: 300_000,
 		Data:     types.EncodeCall(asm.SelBuy, flag, mark, value),
-	}).Memoize(), nil
+	}), nil
 }
 
 // commitBuy records an accepted buy: the sender's nonce is consumed, the

@@ -3,6 +3,7 @@ package txpool
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"testing"
 
@@ -243,7 +244,8 @@ func FuzzAdmitBatch(f *testing.F) {
 
 // checkAgainstModel checks that the pool holds exactly the model's live
 // transactions, in its order, and that every index agrees: the hash
-// slots, the flat (sender, nonce) index and the arrival list.
+// slots, the flat (sender, nonce) index, the arrival list and the count
+// of each GasLimit.
 func checkAgainstModel(t *testing.T, p *Pool, m *batchModel) {
 	t.Helper()
 	snap, _ := p.Snapshot()
@@ -259,6 +261,13 @@ func checkAgainstModel(t *testing.T, p *Pool, m *batchModel) {
 	defer p.mu.RUnlock()
 	if len(p.byNonce) != len(m.live) {
 		t.Fatalf("nonce index holds %d entries for %d transactions", len(p.byNonce), len(m.live))
+	}
+	gasLimits := map[uint64]int{}
+	for _, tx := range m.live {
+		gasLimits[tx.GasLimit]++
+	}
+	if !maps.Equal(p.gasLimits, gasLimits) {
+		t.Fatalf("GasLimit counts %v, model %v", p.gasLimits, gasLimits)
 	}
 	for _, tx := range m.live {
 		h := tx.Hash()

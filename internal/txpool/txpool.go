@@ -84,9 +84,12 @@ type Pool struct {
 	slot    map[types.Hash]int // every live hash's slot in arrival
 	// byNonce holds the resident of every (sender, nonce) slot: one flat
 	// map, so an admission allocates no per-sender map.
-	byNonce  map[senderNonce]*types.Transaction
-	validate Validator
-	capacity int
+	byNonce map[senderNonce]*types.Transaction
+	// gasLimits counts the pending transactions of each GasLimit, so a
+	// miner finds the smallest without a pass over the pool.
+	gasLimits map[uint64]int
+	validate  Validator
+	capacity  int
 	// evictLowest selects the overflow policy: evict the oldest
 	// lowest-priced resident instead of rejecting the newcomer.
 	evictLowest bool
@@ -117,9 +120,10 @@ func slotOf(tx *types.Transaction) senderNonce { return senderNonce{tx.From, tx.
 // New returns an empty pool.
 func New(opts ...Option) *Pool {
 	p := &Pool{
-		slot:     make(map[types.Hash]int),
-		byNonce:  make(map[senderNonce]*types.Transaction),
-		capacity: 65536,
+		slot:      make(map[types.Hash]int),
+		byNonce:   make(map[senderNonce]*types.Transaction),
+		gasLimits: make(map[uint64]int),
+		capacity:  65536,
 	}
 	for _, opt := range opts {
 		opt(p)
@@ -168,6 +172,31 @@ func (p *Pool) Snapshot() ([]*types.Transaction, uint64) {
 		p.mu.Unlock()
 	}
 	return snap[:len(snap):len(snap)], gen
+}
+
+// SnapshotMinGas is Snapshot with the smallest GasLimit pending instead
+// of the generation, both read under one lock: what a miner needs to
+// assemble a block. An empty pool's smallest limit is the largest uint64.
+// Finding it costs a pass over the distinct limits pending, not over the
+// pool.
+func (p *Pool) SnapshotMinGas() ([]*types.Transaction, uint64) {
+	p.mu.RLock()
+	snap, minGas := p.snap, p.minGasLocked()
+	p.mu.RUnlock()
+	if snap == nil {
+		p.mu.Lock()
+		snap, minGas = p.snapshotLocked(), p.minGasLocked()
+		p.mu.Unlock()
+	}
+	return snap[:len(snap):len(snap)], minGas
+}
+
+func (p *Pool) minGasLocked() uint64 {
+	least := ^uint64(0)
+	for limit := range p.gasLimits {
+		least = min(least, limit)
+	}
+	return least
 }
 
 func (p *Pool) snapshotLocked() []*types.Transaction {
@@ -320,6 +349,7 @@ func (p *Pool) admitLocked(tx *types.Transaction) error {
 	p.slot[hash] = len(p.arrival)
 	p.arrival = append(p.arrival, tx)
 	p.byNonce[key] = tx
+	p.gasLimits[tx.GasLimit]++
 	p.changedLocked(TxAdded, tx)
 	return nil
 }
@@ -445,6 +475,7 @@ func (p *Pool) Clear() {
 	p.arrival, p.settled = nil, 0
 	p.slot = make(map[types.Hash]int)
 	p.byNonce = make(map[senderNonce]*types.Transaction)
+	clear(p.gasLimits)
 	for _, tx := range arrival {
 		if tx != nil {
 			p.changedLocked(TxRemoved, tx)
@@ -460,6 +491,9 @@ func (p *Pool) removeLocked(h types.Hash) {
 	tx := p.arrival[i]
 	p.arrival[i] = nil
 	delete(p.slot, h)
+	if p.gasLimits[tx.GasLimit]--; p.gasLimits[tx.GasLimit] == 0 {
+		delete(p.gasLimits, tx.GasLimit)
+	}
 	p.changedLocked(TxRemoved, tx)
 	if key := slotOf(tx); p.byNonce[key] == tx {
 		delete(p.byNonce, key)

@@ -850,8 +850,9 @@ func TestSnapshotAppendsOnAdmission(t *testing.T) {
 // TestSnapshotMatchesModelUnderChurn drives admissions (single and
 // batched), removals, re-admissions, price-bump replacements, evict-lowest
 // overflow and Clear against a plain ordered list, and checks after every
-// operation that Snapshot and Pending are that list — and that every
-// snapshot handed out in the last few steps still reads as it did then.
+// operation that Snapshot, Pending and SnapshotMinGas's snapshot are that
+// list and its smallest GasLimit — and that every snapshot handed out in
+// the last few steps still reads as it did then.
 func TestSnapshotMatchesModelUnderChurn(t *testing.T) {
 	p := New(WithCapacity(40), WithEvictLowest())
 	var model []*types.Transaction // pool instances, arrival order
@@ -876,7 +877,9 @@ func TestSnapshotMatchesModelUnderChurn(t *testing.T) {
 	fresh := func() *types.Transaction {
 		s := byte(rng.Intn(8) + 1)
 		nonces[s]++
-		return tx(s, nonces[s], uint64(rng.Intn(4)+1)*5)
+		next := tx(s, nonces[s], uint64(rng.Intn(4)+1)*5)
+		next.GasLimit = 21_000 * (1 + nonces[s]%5)
+		return next
 	}
 	for step := 0; step < 4000; step++ {
 		switch op := rng.Intn(20); {
@@ -902,6 +905,13 @@ func TestSnapshotMatchesModelUnderChurn(t *testing.T) {
 		snap, _ := p.Snapshot()
 		if !slices.Equal(snap, model) {
 			t.Fatalf("step %d: snapshot of %d txs is not the model's %d in arrival order", step, len(snap), len(model))
+		}
+		least := ^uint64(0)
+		for _, tx := range model {
+			least = min(least, tx.GasLimit)
+		}
+		if withMin, minGas := p.SnapshotMinGas(); !slices.Equal(withMin, model) || minGas != least {
+			t.Fatalf("step %d: SnapshotMinGas gave %d txs and a least GasLimit of %d, model %d and %d", step, len(withMin), minGas, len(model), least)
 		}
 		pending := p.Pending()
 		if len(pending) != len(model) || p.Len() != len(model) {

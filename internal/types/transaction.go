@@ -112,6 +112,21 @@ func (tx *Transaction) Memoize() *Transaction {
 	return tx
 }
 
+// MemoizeSigned sets Sig to sign(the signing digest) and memoizes tx,
+// deriving that digest once for the signature and the derived block both,
+// where a signature followed by Memoize derives it twice. tx must not be
+// frozen yet, since a frozen one may keep a hash of its old Sig; it
+// panics otherwise. Sig is set after Freeze: the signing digest does not
+// cover it, and nothing derived before Memoize reads it. Returns tx for
+// chaining.
+func (tx *Transaction) MemoizeSigned(sign func(sigHash Hash) Hash) *Transaction {
+	if tx.derived != nil {
+		panic("types: MemoizeSigned on a frozen transaction")
+	}
+	tx.Sig = sign(tx.Freeze().SigHash())
+	return tx.Memoize()
+}
+
 // Memoized reports whether all derived data is cached and safe to share.
 func (tx *Transaction) Memoized() bool { return tx.derived != nil && tx.derived.memoized }
 

@@ -50,6 +50,14 @@ func (k *Key) SignTx(tx *types.Transaction) *types.Transaction {
 	return tx
 }
 
+// SignMemoized is SignTx followed by Memoize, deriving the signing
+// digest once (types.Transaction.MemoizeSigned). The transaction comes
+// back frozen: a caller that edits what it signed uses SignTx.
+func (k *Key) SignMemoized(tx *types.Transaction) *types.Transaction {
+	tx.From = k.addr
+	return tx.MemoizeSigned(k.Sign)
+}
+
 // Verification errors.
 var (
 	ErrUnknownSigner = errors.New("wallet: unknown signer address")

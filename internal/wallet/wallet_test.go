@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"sereth/internal/keccak"
 	"sereth/internal/types"
 )
 
@@ -97,4 +98,41 @@ func TestSignaturesDifferPerTx(t *testing.T) {
 	if tx1.Sig == tx2.Sig {
 		t.Error("different payloads share a signature")
 	}
+}
+
+// TestSignMemoizedDerivesTheSigningDigestOnce: SignMemoized yields the
+// transaction SignTx then Memoize yield — signature, identity hash,
+// derived data — at one digest fewer, the registry accepts it, and it
+// refuses a transaction already frozen.
+func TestSignMemoizedDerivesTheSigningDigestOnce(t *testing.T) {
+	k := NewKey("alice")
+	r := NewRegistry()
+	r.Register(k)
+	data := types.EncodeCall(types.SelectorFor("set(bytes32[3])"), types.FlagHead, types.ZeroWord, types.WordFromUint64(7))
+	start := keccak.Invocations()
+	want := k.SignTx(sampleTx(data)).Memoize()
+	twice := keccak.Invocations() - start
+	start = keccak.Invocations()
+	got := k.SignMemoized(sampleTx(data))
+	once := keccak.Invocations() - start
+	if once != twice-1 {
+		t.Errorf("SignMemoized derived %d digests, SignTx then Memoize %d; want one fewer", once, twice)
+	}
+	if !got.Memoized() || got.Sig != want.Sig || got.Hash() != want.Hash() || got.SigHash() != want.SigHash() {
+		t.Fatal("SignMemoized and SignTx then Memoize disagree")
+	}
+	if gm, _ := got.Mark(); gm != types.NextMark(types.ZeroWord, types.WordFromUint64(7)) {
+		t.Fatal("SignMemoized did not derive the mark")
+	}
+	if err := r.VerifyTx(got); err != nil {
+		t.Fatal(err)
+	}
+	// A frozen transaction may keep a hash of its old signature: it is
+	// not signed again.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SignMemoized signed a frozen transaction")
+		}
+	}()
+	k.SignMemoized(got)
 }
