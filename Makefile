@@ -61,12 +61,14 @@ chaos-smoke:
 
 # parallel-smoke runs the parallel-execution differential suite — the
 # SpecView shadow model, the conflict-dense fuzz corpus against the
-# sequential oracle, and the golden-scenario η comparison — under the
+# sequential oracle (and a parallel chain reopened from its store
+# importing a block), and the sim mode matrix, whose parallel cells must
+# reproduce the sequential base's whole result on every row — under the
 # race detector.
 parallel-smoke:
 	$(GO) test -race -run 'TestSpecView' ./internal/statedb
 	$(GO) test -race -run 'TestParallel|FuzzParallelDifferential' ./internal/chain
-	$(GO) test -race -run 'TestParallelExec' ./internal/scenarios
+	$(GO) test -race -run 'TestModeMatrix' ./internal/scenarios
 
 # state-smoke runs the shared-storage suite five times under the race
 # detector: the model-based churn over a tree of copies (-short: 1000 of
@@ -226,9 +228,9 @@ order-smoke:
 # export the same records, and the export opens as a datadir),
 # restart-recovery and snapshot-bootstrap at chain and node level, the RPC dispatch/client surface and serethnode's listener
 # limits, the client's connection lifecycle and the server's drain ten
-# times over, and the golden-scenario differentials with the store and
-# the HTTP serving tier enabled; then it fuzzes each RPC codec target
-# against encoding/json and the client's reply-head reader against
+# times over, and the sim mode matrix, whose persist and rpc cells must
+# reproduce the base cell's whole result on every row; then it fuzzes
+# each RPC codec target against encoding/json and the client's reply-head reader against
 # http.ReadResponse for 30 s each (the minimiser capped: a 64 KiB head
 # seed would eat the budget), and the wire RLP — a transaction and a
 # block, each either refused or decoded to a value that re-encodes to the
@@ -239,7 +241,7 @@ serving-smoke:
 	$(GO) test -race -count=10 -run 'TestConnectionLifecycle|TestShutdownWaitsForEveryAdmittedRequest' ./internal/rpc
 	$(GO) test -race -run 'TestPersist|TestWalk|TestSnapshot|TestOpen|TestRecovered|TestExport|TestGoldenRootsWithStore' ./internal/trie ./internal/statedb ./internal/chain
 	$(GO) test -race -run 'TestNodeRestart|TestSnapshot' ./internal/node
-	$(GO) test -race -run 'TestRPCClients|TestPersist' ./internal/sim ./internal/scenarios
+	$(GO) test -race -run 'TestModeMatrix' ./internal/scenarios
 	for f in FuzzRequestEnvelope FuzzResponseEncode FuzzResponseDecode FuzzServeHTTP FuzzResponseHead; do \
 		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime 30s -fuzzminimizetime 1s ./internal/rpc || exit 1; \
 	done

@@ -51,12 +51,6 @@ func run(args []string, out io.Writer) error {
 	clients := fs.Int("clients", 1, "non-mining client peers (used when -peers is set)")
 	topology := fs.String("topology", "", "gossip topology: mesh (default), ring, dregular")
 	degree := fs.Int("degree", 0, "neighbor degree for -topology dregular")
-	parallel := fs.Bool("parallel", false,
-		"execute block bodies on the optimistic parallel processor (4 workers, threshold 1); η is bit-identical to sequential execution")
-	rpcClients := fs.Bool("rpc-clients", false,
-		"clients reach their peers over real HTTP JSON-RPC (sereth_view / eth_sendRawTransaction); η is bit-identical to in-process clients")
-	persist := fs.Bool("persist", false,
-		"back every node's chain with a write-through store, flushing state and blocks at each adoption; η is bit-identical either way")
 	churn := fs.Bool("churn", false, "chaos: include the churn variant (flags combine; none selected = every variant)")
 	partition := fs.Bool("partition", false, "chaos: include the partition variant")
 	loss := fs.Bool("loss", false, "chaos: include the lossy-links variant")
@@ -73,9 +67,6 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	shape.ParallelExec = *parallel
-	shape.RPCClients = *rpcClients
-	shape.Persist = *persist
 
 	ran := false
 	for _, e := range experiments {

@@ -10,6 +10,7 @@ import (
 
 	"sereth/internal/asm"
 	"sereth/internal/statedb"
+	"sereth/internal/store"
 	"sereth/internal/types"
 	"sereth/internal/wallet"
 )
@@ -403,4 +404,34 @@ func FuzzParallelDifferential(f *testing.F) {
 		}
 		requireIdentical(t, randomBody(seed, int(n)), 4)
 	})
+}
+
+// TestParallelReopenedChainImports imports a sequentially built block on
+// a parallel chain reopened from its store. The reopened head state
+// resolves its accounts from the trie on first touch, so the merge that
+// commits a speculated transaction must resolve them too: a blank
+// account in their place drops the contract's code and balance, and the
+// import fails its state root.
+func TestParallelReopenedChainImports(t *testing.T) {
+	kv := store.NewMem()
+	c, owner := persistRig(t, kv, 2)
+	var mark types.Word
+	c.ReadState(func(st *statedb.StateDB) { mark = st.GetState(contractAddr, types.WordFromUint64(asm.SlotMark)) })
+	block := buildBlock(t, c, []*types.Transaction{setTxFor(owner, 2, mark, 99, types.FlagHead)})
+	cfg := c.Config()
+	cfg.Parallel, cfg.ParallelWorkers, cfg.ParallelThreshold = true, 4, 1
+	re, err := Open(cfg, kv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	receipts, err := re.InsertBlock(block)
+	if err != nil {
+		t.Fatalf("reopened parallel chain rejected a sequentially built block: %v", err)
+	}
+	if receipts[0].Status != types.StatusSucceeded {
+		t.Fatal("the set failed: the merge took its nonce-only path")
+	}
+	if stats := re.ParallelStats(); stats.Speculated == 0 {
+		t.Error("import did not exercise the parallel path")
+	}
 }

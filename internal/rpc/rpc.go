@@ -2,7 +2,7 @@
 // Ethereum-flavoured method set plus Sereth extensions for the
 // READ-UNCOMMITTED view. The server wraps a *node.Node and is mounted on
 // a net/http listener its owner builds (cmd/serethnode, httptest); the
-// client is a minimal typed caller, used by the simulator's rpc-clients
+// client is a minimal typed caller, used by the simulator's RPCClients
 // mode, the benchmarks and tests, that drives its own kept-alive
 // connections (see Client). Both ends read and write the envelope through
 // codec.go and fall back to encoding/json for what it declines.

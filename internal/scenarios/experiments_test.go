@@ -142,31 +142,3 @@ func TestCrashMultiSweep(t *testing.T) {
 		}
 	}
 }
-
-// chaosTwinRows runs the three quick chaos variants at one seed under
-// the given shape.
-func chaosTwinRows(t *testing.T, shape sim.Shape) []Row {
-	t.Helper()
-	rows, err := Chaos().Run(Options{Seeds: sim.DefaultSeeds(1), Quick: true, Shape: shape})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rows
-}
-
-// compareChaosTwins demands that a mode flag moves neither η under
-// faults, nor the honest twin's η, nor the robustness columns.
-func compareChaosTwins(t *testing.T, mode string, base, other []Row) {
-	t.Helper()
-	if len(base) != 3 || len(base) != len(other) {
-		t.Fatalf("point count divergence: %d vs %d", len(base), len(other))
-	}
-	for i := range base {
-		s, p := base[i].Values, other[i].Values
-		for _, col := range []string{"eta", "honest_eta", "orphaned", "converged"} {
-			if s[col] != p[col] {
-				t.Errorf("%s: %s divergence: %v, %s %v", base[i].Label, col, s[col], mode, p[col])
-			}
-		}
-	}
-}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -64,11 +65,15 @@ type crashPeer struct {
 	cfg   node.Config
 }
 
+// ErrCrashWithRPC refuses a crash plan in a run with RPCClients: the
+// serving tier would keep serving the killed nodes.
+var ErrCrashWithRPC = errors.New("sim: a crash plan is incompatible with RPCClients (the frontend would serve dead nodes)")
+
 // newCrasher draws the crashing peers from the same expendable set as
 // churn.
 func newCrasher(s *scenario, plan CrashPlan) (*crasher, error) {
 	if s.cfg.RPCClients {
-		return nil, fmt.Errorf("sim: a crash plan is incompatible with RPCClients (the frontend would serve dead nodes)")
+		return nil, ErrCrashWithRPC
 	}
 	eligible := s.cfg.expendable()
 	rng := rand.New(rand.NewSource(subSeed(s.cfg.Seed, "crash")))

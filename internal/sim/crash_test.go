@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"sort"
 	"testing"
 )
@@ -87,5 +88,16 @@ func TestCrashedLazyNodeIsDiscardedUnread(t *testing.T) {
 	}
 	if !res.Converged {
 		t.Fatal("population did not converge after the second recovery")
+	}
+}
+
+// TestCrashRefusesRPCClients: the serving tier would keep serving a
+// killed node, so a crash plan with RPCClients fails with the sentinel
+// the mode matrix skips on, before any peer or listener is built.
+func TestCrashRefusesRPCClients(t *testing.T) {
+	cfg := CrashSingle(5)
+	cfg.RPCClients = true
+	if _, err := Run(cfg); !errors.Is(err, ErrCrashWithRPC) {
+		t.Fatalf("err = %v, want ErrCrashWithRPC", err)
 	}
 }

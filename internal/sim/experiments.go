@@ -1,20 +1,16 @@
 package sim
 
-// Shape overrides a sweep's population, network geometry and modes — the
-// -peers/-clients/-topology/-degree/-parallel/-rpc-clients/-persist knobs
-// of serethsim. Each non-zero field overrides the ScenarioConfig field of
-// the same name; zero fields leave the scenario's own configuration
-// untouched. The modes leave η bit-identical: they exist to exercise
-// their paths across every sweep.
+// Shape overrides a sweep's population and network geometry — the
+// -peers/-clients/-topology/-degree knobs of serethsim and the rows of
+// the scale table. Each non-zero field overrides the ScenarioConfig
+// field of the same name; zero fields leave the scenario's own
+// configuration untouched.
 type Shape struct {
 	SemanticMiners int
 	BaselineMiners int
 	Clients        int
 	Topology       string
 	Degree         int
-	ParallelExec   bool
-	RPCClients     bool
-	Persist        bool
 }
 
 // Apply returns cfg with the non-zero shape fields overridden.
@@ -24,9 +20,6 @@ func (sh Shape) Apply(cfg ScenarioConfig) ScenarioConfig {
 	override(&cfg.Clients, sh.Clients)
 	override(&cfg.Topology, sh.Topology)
 	override(&cfg.Degree, sh.Degree)
-	override(&cfg.ParallelExec, sh.ParallelExec)
-	override(&cfg.RPCClients, sh.RPCClients)
-	override(&cfg.Persist, sh.Persist)
 	return cfg
 }
 

@@ -1,79 +1,40 @@
 package sim
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
-// requireIdentical compares the full workload accounting of two runs.
-func requireIdentical(t *testing.T, name string, a, b Result) {
+// requireSameResult runs cfg plain and with on applied, and demands the
+// two whole Results equal once their Configs are set equal.
+func requireSameResult(t *testing.T, cfg ScenarioConfig, on func(*ScenarioConfig)) {
 	t.Helper()
-	if a.BuysSubmitted != b.BuysSubmitted || a.BuysIncluded != b.BuysIncluded ||
-		a.BuysSucceeded != b.BuysSucceeded || a.BuysDropped != b.BuysDropped {
-		t.Errorf("%s: buy divergence: %d/%d/%d/%d vs %d/%d/%d/%d", name,
-			a.BuysSubmitted, a.BuysIncluded, a.BuysSucceeded, a.BuysDropped,
-			b.BuysSubmitted, b.BuysIncluded, b.BuysSucceeded, b.BuysDropped)
+	plain, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a.SetsSubmitted != b.SetsSubmitted || a.SetsIncluded != b.SetsIncluded ||
-		a.SetsSucceeded != b.SetsSucceeded || a.SetsDropped != b.SetsDropped {
-		t.Errorf("%s: set divergence", name)
+	on(&cfg)
+	moded, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a.Blocks != b.Blocks || a.MsgsSent != b.MsgsSent || a.Evicted != b.Evicted {
-		t.Errorf("%s: chain/network divergence: %d blocks %d msgs %d evicted vs %d/%d/%d",
-			name, a.Blocks, a.MsgsSent, a.Evicted, b.Blocks, b.MsgsSent, b.Evicted)
+	moded.Config = plain.Config
+	if !reflect.DeepEqual(plain, moded) {
+		t.Errorf("%s: result diverges:\n  plain %+v\n  moded %+v", cfg.Name, plain, moded)
 	}
 }
 
 // TestRPCClientsEtaMatchesInProcess pins the serving tier against the
-// in-process client on both Figure-2 client modes: the HTTP JSON-RPC
-// round trip must return the same views and admit the same
-// transactions, leaving every measured quantity bit-identical.
+// in-process client on both Figure-2 client modes of the paper rig; the
+// full sweep over every mode cell is internal/scenarios' TestModeMatrix.
 func TestRPCClientsEtaMatchesInProcess(t *testing.T) {
 	for _, mk := range []func(int, int64) ScenarioConfig{SerethClient, GethUnmodified} {
-		local, err := Run(mk(20, 101))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := mk(20, 101)
-		cfg.RPCClients = true
-		served, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireIdentical(t, cfg.Name, local, served)
+		requireSameResult(t, mk(20, 101), func(c *ScenarioConfig) { c.RPCClients = true })
 	}
-}
-
-// TestRPCClientsOverloadBackpressure proves the wire path preserves
-// pool backpressure: a full pool's refusal crosses the RPC boundary as
-// an error that maps back to the drop accounting, so the overload
-// family measures identical drops and evictions either way.
-func TestRPCClientsOverloadBackpressure(t *testing.T) {
-	local, err := Run(Overload(101))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if local.BuysDropped == 0 && local.Evicted == 0 {
-		t.Fatal("overload fixture exerted no backpressure; the test proves nothing")
-	}
-	cfg := Overload(101)
-	cfg.RPCClients = true
-	served, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, "overload", local, served)
 }
 
 // TestPersistDeterministic pins store-backed runs against plain runs on
-// the paper rig (the full golden sweep lives in internal/scenarios).
+// the paper rig.
 func TestPersistDeterministic(t *testing.T) {
-	plain, err := Run(SerethClient(20, 101))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := SerethClient(20, 101)
-	cfg.Persist = true
-	persisted, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, "sereth_client", plain, persisted)
+	requireSameResult(t, SerethClient(20, 101), func(c *ScenarioConfig) { c.Persist = true })
 }

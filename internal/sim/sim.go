@@ -112,7 +112,8 @@ type ScenarioConfig struct {
 	// in-process. The round trip returns the same view words and admits
 	// the same signed transactions, so every measured η is unaffected.
 	// Burst submissions (BurstSize > 1) keep the in-process batched
-	// pipeline — JSON-RPC has no batch submit.
+	// pipeline — JSON-RPC has no batch submit. A crash plan refuses it
+	// (ErrCrashWithRPC).
 	RPCClients bool
 
 	// Persist backs every node's chain with its own in-memory
@@ -484,7 +485,7 @@ func newScenario(cfg ScenarioConfig) (*scenario, error) {
 		a.start()
 	}
 	// The serving tier comes up last, so a failed build before it leaves
-	// no listener behind; run tears them down.
+	// no listener behind; cleanup tears them down.
 	if cfg.RPCClients {
 		var err error
 		if s.rpc, err = newRPCFrontend(s.clients, s.contract); err != nil {
@@ -495,10 +496,15 @@ func newScenario(cfg ScenarioConfig) (*scenario, error) {
 	return s, nil
 }
 
-// cleanup releases what the actors hold (the crash family's datadirs
-// and store handles). It is idempotent; Run always calls it, as do
-// newScenario's error paths.
+// cleanup closes the serving tier's listeners and connections, then
+// releases what the actors hold (the crash family's datadirs and store
+// handles). It is idempotent; Run always calls it, as do newScenario's
+// error paths.
 func (s *scenario) cleanup() {
+	if s.rpc != nil {
+		s.rpc.close()
+		s.rpc = nil
+	}
 	for _, a := range s.actors {
 		a.close()
 	}
@@ -612,9 +618,6 @@ func (s *scenario) run() (Result, error) { return s.drive(s.newTimeline()) }
 // has added events to). After every event each actor observes the
 // population.
 func (s *scenario) drive(tl *timeline) (Result, error) {
-	if s.rpc != nil {
-		defer s.rpc.close()
-	}
 	for {
 		ev, ok := tl.next()
 		if !ok {
