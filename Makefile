@@ -161,8 +161,10 @@ crash-smoke:
 # (sequential and parallel lanes), and what a fault-free Figure-2 cell
 # costs in block executions (one per block, by its miner: every other
 # peer hits the shared exec cache) and in digests per simulated set and
-# buy (a client signs and memoizes in one step, deriving the signing
-# digest once); what the write path allocates around
+# buy (a client builds, signs and memoizes a call in one step, deriving
+# the signing digest once, equal to signing then memoizing over random
+# fields) and per block of ten of them (a miner's build, a peer's replay,
+# the receipt root); what the write path allocates around
 # its digests — a transaction's two digests nothing while its calldata
 # fits the stack scratch, the tx root one buffer whatever the body, both
 # equal to their Item-tree forms — and that a CallReadOnly result
@@ -170,8 +172,13 @@ crash-smoke:
 # from; what the copies cost — a frozen copy one allocation, a caller's
 # later edits reaching no instance a pool or a peer keeps — and that
 # recycled envelopes keep the delivery traces, allocate nothing on a
-# fault-free mesh and survive two goroutines advancing the clock; then it
-# fuzzes the permutation against the loop form for 30 s.
+# fault-free mesh and survive two goroutines advancing the clock; then,
+# without the race detector, which changes allocation counts, that a
+# client's signed call is one allocation, a delivery onto a wheel slot a
+# fresh network never used none, a second Sereth contract none (it is
+# assembled once) and, alone, so that no other test binary moves it
+# between processors and past its pooled machine, a view read none; then
+# it fuzzes the permutation against the loop form for 30 s.
 elision-smoke:
 	$(GO) test -race -run 'TestInvocations' ./internal/keccak
 	$(GO) test -race -run 'TestSha3|TestJumpTableMatchesGeneric|FuzzInterpreter' ./internal/evm
@@ -179,10 +186,13 @@ elision-smoke:
 	$(GO) test -race -run 'TestSubmitDigestBudget' ./internal/node
 	$(GO) test -race -run 'TestBatchID|TestBroadcastTxsHashCount|TestRecycledEnvelopesKeepTheTrace|TestMeshGossipAllocatesNothing|TestConcurrentAdvanceDeliversEachOnce' ./internal/p2p
 	$(GO) test -race -run 'TestReplayKeccakCount|TestReplayAllocsPinned|TestParallelReplayElidesIdentically' ./internal/scenarios
-	$(GO) test -race -run 'TestPopulationExecutesEachBlockOnce|TestSubmissionDigestBudget' ./internal/sim
-	$(GO) test -race -run 'TestSignMemoized' ./internal/wallet
+	$(GO) test -race -run 'TestPopulationExecutesEachBlockOnce|TestSubmissionDigestBudget|TestBlockDigestBudget' ./internal/sim
+	$(GO) test -race -run 'TestSignCall' ./internal/wallet
+	$(GO) test -race -run 'TestSerethContract' ./internal/asm
 	$(GO) test -race -run 'TestTxDigestsEncodeOnTheStack|TestDeriveTxRootIsFlat|TestFrozenCopyIsOneObject' ./internal/types
 	$(GO) test -race -run 'TestCallReadOnlyResultOutlivesTheMachine' ./internal/node
+	$(GO) test -count=1 -run 'TestSignCallIsOneObject|TestFreshWheelSlotsAllocateNothing|TestSerethContractAssembledOnce' ./internal/wallet ./internal/p2p ./internal/asm
+	$(GO) test -count=1 -run 'TestViewAMVAllocs' ./internal/scenarios
 	$(GO) test -run '^$$' -fuzz '^FuzzF1600$$' -fuzztime 30s ./internal/keccak
 
 # order-smoke runs the block-assembly and settlement suite ten times

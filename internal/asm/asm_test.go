@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"bytes"
 	"testing"
 
 	"sereth/internal/evm"
@@ -297,5 +298,24 @@ func BenchmarkSerethBuy(b *testing.B) {
 		if res := env.call(buyer, SelBuy, types.FlagChain, mark, price); res.Err != nil {
 			b.Fatal(res.Err)
 		}
+	}
+}
+
+// TestSerethContractAssembledOnce: the contract is assembled once per
+// process, so a second SerethContract costs nothing and returns the same
+// shared slice, byte for byte a fresh assembly.
+func TestSerethContractAssembledOnce(t *testing.T) {
+	first := SerethContract()
+	if !bytes.Equal(first, assembleSereth()) {
+		t.Fatal("the shared contract differs from a fresh assembly")
+	}
+	if second := SerethContract(); &second[0] != &first[0] {
+		t.Fatal("a second SerethContract assembled the contract again")
+	}
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	if got := testing.AllocsPerRun(100, func() { _ = SerethContract() }); got != 0 {
+		t.Errorf("a second SerethContract allocates %v times, want 0", got)
 	}
 }

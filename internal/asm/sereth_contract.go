@@ -1,6 +1,8 @@
 package asm
 
 import (
+	"sync"
+
 	"sereth/internal/evm"
 	"sereth/internal/types"
 )
@@ -47,7 +49,15 @@ const (
 	memReturn   = 0x40
 )
 
-// SerethContract assembles the runtime bytecode of the Sereth contract.
+// SerethContract returns the runtime bytecode of the Sereth contract,
+// assembled once per process. The slice is shared by every caller and
+// must not be written: install it with a SetCode, which copies, and copy
+// it before editing (the exported sereth.SerethContract returns a copy).
+func SerethContract() []byte { return serethCode() }
+
+var serethCode = sync.OnceValue(assembleSereth)
+
+// assembleSereth assembles the runtime bytecode of the Sereth contract.
 //
 // Semantics (mirroring paper Listing 1):
 //
@@ -65,7 +75,7 @@ const (
 //
 // Failed set/buy calls RETURN 0 without touching storage: the transaction
 // is still included in its block (paper §II-D failure semantics).
-func SerethContract() []byte {
+func assembleSereth() []byte {
 	p := NewProgram()
 
 	// --- dispatcher -----------------------------------------------------

@@ -415,9 +415,7 @@ func FuzzParallelDifferential(f *testing.F) {
 func TestParallelReopenedChainImports(t *testing.T) {
 	kv := store.NewMem()
 	c, owner := persistRig(t, kv, 2)
-	var mark types.Word
-	c.ReadState(func(st *statedb.StateDB) { mark = st.GetState(contractAddr, types.WordFromUint64(asm.SlotMark)) })
-	block := buildBlock(t, c, []*types.Transaction{setTxFor(owner, 2, mark, 99, types.FlagHead)})
+	block := buildBlock(t, c, nextSet(c, owner, 2, 99))
 	cfg := c.Config()
 	cfg.Parallel, cfg.ParallelWorkers, cfg.ParallelThreshold = true, 4, 1
 	re, err := Open(cfg, kv)

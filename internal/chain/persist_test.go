@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"sereth/internal/asm"
 	"sereth/internal/statedb"
 	"sereth/internal/store"
 	"sereth/internal/types"
@@ -17,7 +18,8 @@ import (
 )
 
 // persistRig builds a store-backed chain with a few blocks of real
-// contract traffic on it.
+// contract traffic on it: each block one set, chained on the last, that
+// succeeds.
 func persistRig(t *testing.T, kv store.Store, blocks int) (*Chain, *wallet.Key) {
 	t.Helper()
 	reg := wallet.NewRegistry()
@@ -27,18 +29,48 @@ func persistRig(t *testing.T, kv store.Store, blocks int) (*Chain, *wallet.Key) 
 	cfg.Registry = reg
 	cfg.Store = kv
 	c := New(cfg, genesisWithContract())
-
-	prev := types.ZeroWord
 	for i := 0; i < blocks; i++ {
-		val := uint64(10 + i)
-		tx := setTxFor(owner, uint64(i), prev, val, types.FlagHead)
-		blk := buildBlock(t, c, []*types.Transaction{tx})
-		if _, err := c.InsertBlock(blk); err != nil {
-			t.Fatalf("insert %d: %v", i, err)
-		}
-		prev = types.WordFromUint64(val)
+		setOnHead(t, c, owner, uint64(i), uint64(10+i))
 	}
 	return c, owner
+}
+
+// headMark is the contract's committed mark at c's head: the prev a set
+// on top of it must carry, since the contract compares marks, not values.
+func headMark(c *Chain) types.Word {
+	var mark types.Word
+	c.ReadState(func(st *statedb.StateDB) { mark = st.GetState(contractAddr, types.WordFromUint64(asm.SlotMark)) })
+	return mark
+}
+
+// nextSet is owner's set of value on c's head mark, as a one-set body.
+func nextSet(c *Chain, owner *wallet.Key, nonce, value uint64) []*types.Transaction {
+	return []*types.Transaction{setTxFor(owner, nonce, headMark(c), value, types.FlagHead)}
+}
+
+// setOnHead builds the block of owner's next set on c, inserts it and
+// requires that the set succeeded.
+func setOnHead(t *testing.T, c *Chain, owner *wallet.Key, nonce, value uint64) *types.Block {
+	t.Helper()
+	blk := buildBlock(t, c, nextSet(c, owner, nonce, value))
+	insertSucceeding(t, c, blk)
+	return blk
+}
+
+// insertSucceeding inserts blk into c and fails the test unless every
+// transaction in it succeeded: a set whose prev is not the committed mark
+// is included, but fails and leaves the contract as it was.
+func insertSucceeding(t *testing.T, c *Chain, blk *types.Block) {
+	t.Helper()
+	receipts, err := c.InsertBlock(blk)
+	if err != nil {
+		t.Fatalf("insert block %d: %v", blk.Number(), err)
+	}
+	for i, r := range receipts {
+		if r.Status != types.StatusSucceeded {
+			t.Fatalf("block %d: transaction %d failed", blk.Number(), i)
+		}
+	}
 }
 
 func TestOpenRecoversHeadWithoutReplay(t *testing.T) {
@@ -87,11 +119,7 @@ func TestOpenRecoversHeadWithoutReplay(t *testing.T) {
 	}
 
 	// The recovered chain keeps working: build and insert the next block.
-	tx := setTxFor(owner, 3, types.WordFromUint64(12), 99, types.FlagHead)
-	blk := buildBlock(t, re, []*types.Transaction{tx})
-	if _, err := re.InsertBlock(blk); err != nil {
-		t.Fatalf("insert after recovery: %v", err)
-	}
+	setOnHead(t, re, owner, 3, 99)
 	if re.Height() != 4 {
 		t.Fatal("recovered chain did not advance")
 	}
@@ -116,16 +144,8 @@ func reorgRig(t *testing.T) (Config, *store.MemStore, *Chain) {
 
 	grow := func(c *Chain, n int, firstValue uint64) []*types.Block {
 		var out []*types.Block
-		prev := types.ZeroWord
 		for i := 0; i < n; i++ {
-			value := firstValue + uint64(i)
-			txs := []*types.Transaction{setTxFor(owner, uint64(i), prev, value, types.FlagHead)}
-			blk := buildBlock(t, c, txs)
-			if _, err := c.InsertBlock(blk); err != nil {
-				t.Fatalf("grow: %v", err)
-			}
-			out = append(out, blk)
-			prev = types.WordFromUint64(value)
+			out = append(out, setOnHead(t, c, owner, uint64(i), firstValue+uint64(i)))
 		}
 		return out
 	}
@@ -166,7 +186,7 @@ func TestOpenAfterReorgFollowsCanonicalBranch(t *testing.T) {
 func TestOpenDistrustsAHeadWithoutState(t *testing.T) {
 	kv := store.NewMem()
 	local, owner := persistRig(t, kv, 2)
-	stateless := buildBlock(t, local, []*types.Transaction{setTxFor(owner, 2, types.WordFromUint64(11), 99, types.FlagHead)})
+	stateless := buildBlock(t, local, nextSet(local, owner, 2, 99))
 	var b store.Batch
 	stageHead(&b, stateless)
 	if err := kv.Write(&b); err != nil {
@@ -307,14 +327,8 @@ func TestSnapshotBootstrapConverges(t *testing.T) {
 	})
 
 	// Both peers apply the same next block and stay converged.
-	tx := setTxFor(owner, 3, types.WordFromUint64(12), 50, types.FlagHead)
-	blk := buildBlock(t, c, []*types.Transaction{tx})
-	if _, err := c.InsertBlock(blk); err != nil {
-		t.Fatalf("origin insert: %v", err)
-	}
-	if _, err := boot.InsertBlock(blk); err != nil {
-		t.Fatalf("bootstrapped insert: %v", err)
-	}
+	blk := setOnHead(t, c, owner, 3, 50)
+	insertSucceeding(t, boot, blk)
 	if boot.Head().Hash() != c.Head().Hash() {
 		t.Fatal("peers diverged after bootstrap")
 	}
@@ -538,7 +552,6 @@ func TestRecoveredChainServesSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := uint64(11)
 	for round := uint64(0); round < 2; round++ {
 		boot, err := Open(joinerCfg(c, nil), exportOf(t, re))
 		if err != nil {
@@ -548,11 +561,7 @@ func TestRecoveredChainServesSnapshots(t *testing.T) {
 			t.Fatalf("round %d: joiner on %d/%s, origin on %d/%s", round,
 				boot.Height(), boot.Head().Hash().Hex(), re.Height(), re.Head().Hash().Hex())
 		}
-		tx := setTxFor(owner, 2+round, types.WordFromUint64(prev), 77+round, types.FlagHead)
-		if _, err := re.InsertBlock(buildBlock(t, re, []*types.Transaction{tx})); err != nil {
-			t.Fatal(err)
-		}
-		prev = 77 + round
+		setOnHead(t, re, owner, 2+round, 77+round)
 	}
 }
 
@@ -617,13 +626,8 @@ func TestExportRacesInsert(t *testing.T) {
 			}
 		}
 	}()
-	prev := uint64(10)
 	for i := uint64(1); i <= 25; i++ {
-		tx := setTxFor(owner, i, types.WordFromUint64(prev), 100+i, types.FlagHead)
-		if _, err := c.InsertBlock(buildBlock(t, c, []*types.Transaction{tx})); err != nil {
-			t.Fatal(err)
-		}
-		prev = 100 + i
+		setOnHead(t, c, owner, i, 100+i)
 	}
 	<-done
 }
@@ -647,18 +651,8 @@ func TestGoldenRootsWithStore(t *testing.T) {
 		return New(cfg, genesisWithContract())
 	}()
 
-	prev := types.ZeroWord
-	for i := 0; i < 4; i++ {
-		val := uint64(30 + i)
-		tx := setTxFor(owner, uint64(i), prev, val, types.FlagHead)
-		blk := buildBlock(t, plain, []*types.Transaction{tx})
-		if _, err := plain.InsertBlock(blk); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := stored.InsertBlock(blk); err != nil {
-			t.Fatal(err)
-		}
-		prev = types.WordFromUint64(val)
+	for i := uint64(0); i < 4; i++ {
+		insertSucceeding(t, stored, setOnHead(t, plain, owner, i, 30+i))
 	}
 	if plain.Head().Hash() != stored.Head().Hash() {
 		t.Fatal("store changed block production")

@@ -254,7 +254,9 @@ func TestPooledScratchCarriesNothing(t *testing.T) {
 	}
 	readOnly := ctx
 	readOnly.ReadOnly = true
-	e.Call(readOnly) // RAA augments into the machine's buffer
+	readOnly.Input = e.Input(len(input))
+	copy(readOnly.Input, input)
+	e.Call(readOnly) // RAA augments the lent input into the machine's buffer
 	e.Release()
 	if e.state != nil || e.raa != nil || e.hint.MarkInput != nil || e.hint.PrevInput != nil ||
 		!e.hint.Mark.IsZero() || !e.hint.PrevDigest.IsZero() {
@@ -265,6 +267,9 @@ func TestPooledScratchCarriesNothing(t *testing.T) {
 	}
 	if len(e.aug) != 0 || cap(e.aug) == 0 {
 		t.Fatalf("released machine's augmented-calldata buffer: %d bytes, capacity %d; want empty, capacity kept", len(e.aug), cap(e.aug))
+	}
+	if len(e.in) != 0 || cap(e.in) == 0 {
+		t.Fatalf("released machine's input buffer: %d bytes, capacity %d; want empty, capacity kept", len(e.in), cap(e.in))
 	}
 	for i, entry := range e.memo.entries {
 		if entry.used {

@@ -108,9 +108,11 @@ type EVM struct {
 	memo sha3Memo
 
 	// ret holds the last call's return data (see Result.ReturnData), aug
-	// its RAA-augmented calldata (see RAAProvider).
+	// its RAA-augmented calldata (see RAAProvider), in the buffer Input
+	// lends.
 	ret []byte
 	aug []byte
+	in  []byte
 }
 
 // machinePool recycles interpreters: the SHA3 memo makes one a kilobyte
@@ -128,14 +130,27 @@ func New(state State, block BlockContext) *EVM {
 // Release hands the interpreter back for the next New, carrying nothing:
 // the memo's hits are byte-verified and would stay correct, but what it
 // held would then depend on when the collector last emptied the pool, and
-// the digest count of a run with it. Only the capacity of the return and
-// augmented-calldata buffers is kept — they hold bytes, not references,
-// and the next Call overwrites them. The caller must not use the machine,
-// or a Result it returned, again. Optional: a cold caller may leave its
-// machine to the collector.
+// the digest count of a run with it. Only the capacity of the return,
+// augmented-calldata and input buffers is kept — they hold bytes, not
+// references, and the next Call or Input overwrites them. The caller must
+// not use the machine, a Result it returned or an input it lent, again.
+// Optional: a cold caller may leave its machine to the collector.
 func (e *EVM) Release() {
-	*e = EVM{ret: e.ret[:0], aug: e.aug[:0]}
+	*e = EVM{ret: e.ret[:0], aug: e.aug[:0], in: e.in[:0]}
 	machinePool.Put(e)
+}
+
+// Input lends the caller n bytes the machine owns to build a call's
+// input in, so a pooled machine's caller needs no heap slice of its own
+// (a CallContext's Input escapes with it). No Call writes the buffer, so
+// one input serves several calls; it is valid until the next Input or
+// the machine's Release.
+func (e *EVM) Input(n int) []byte {
+	if cap(e.in) < n {
+		e.in = make([]byte, n)
+	}
+	e.in = e.in[:n]
+	return e.in
 }
 
 // Reset rebinds the interpreter to a different state, keeping the block

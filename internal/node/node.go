@@ -778,13 +778,14 @@ func (n *Node) ViewAMV(caller, contract types.Address) (flag, mark, value types.
 		// Cross-check through the EVM+RAA path: mark() returns raa[1],
 		// get() returns raa[2]. This keeps the architectural path of the
 		// paper hot; results are identical to the tracker view. The two
-		// calls read one head state on one machine, and the second reuses
-		// the first's calldata under its own selector (the interpreter
-		// never writes its input, and RAA augments a copy in the
-		// machine's own buffer).
+		// calls read one head state on one machine, and their calldata is
+		// built in an input the machine lends, so a read allocates
+		// nothing; the second reuses the first's under its own selector
+		// (the interpreter never writes its input, and RAA augments a
+		// copy in the machine's own buffer).
 		mark, value = view.AMV.Mark, view.AMV.Value
-		data := types.EncodeCall(asm.SelMark, view.Flag, mark, value)
 		n.readOnly(func(machine *evm.EVM) {
+			data := types.PutCall(machine.Input(types.CallLength(3)), asm.SelMark, view.Flag, mark, value)
 			if res := machine.Call(readOnlyCall(caller, contract, data)); res.Succeeded() {
 				mark = res.ReturnWord()
 			}
@@ -802,6 +803,9 @@ func (n *Node) ViewAMV(caller, contract types.Address) (flag, mark, value types.
 }
 
 // Wallet-facing helper: build and submit a signed set/buy transaction.
+// The transaction is built signed and memoized in one object
+// (wallet.Key.SignCall), which the pool adopts without a copy; it comes
+// back frozen and must not be edited.
 
 // SubmitSet submits a signed set(fpv) transaction from key.
 func (n *Node) SubmitSet(key *wallet.Key, nonce uint64, contract types.Address, flag, prev, value types.Word) (*types.Transaction, error) {
@@ -810,13 +814,12 @@ func (n *Node) SubmitSet(key *wallet.Key, nonce uint64, contract types.Address, 
 
 // SubmitSetPriced is SubmitSet with an explicit gas price.
 func (n *Node) SubmitSetPriced(key *wallet.Key, nonce uint64, contract types.Address, gasPrice uint64, flag, prev, value types.Word) (*types.Transaction, error) {
-	tx := key.SignTx(&types.Transaction{
+	tx := key.SignCall(types.Transaction{
 		Nonce:    nonce,
 		To:       contract,
 		GasPrice: gasPrice,
 		GasLimit: 300_000,
-		Data:     types.EncodeCall(asm.SelSet, flag, prev, value),
-	})
+	}, asm.SelSet, flag, prev, value)
 	return tx, n.SubmitTx(tx)
 }
 
@@ -828,12 +831,11 @@ func (n *Node) SubmitBuy(key *wallet.Key, nonce uint64, contract types.Address, 
 // SubmitBuyPriced is SubmitBuy with an explicit gas price (overload
 // scenarios bid against the eviction floor).
 func (n *Node) SubmitBuyPriced(key *wallet.Key, nonce uint64, contract types.Address, gasPrice uint64, flag, mark, value types.Word) (*types.Transaction, error) {
-	tx := key.SignTx(&types.Transaction{
+	tx := key.SignCall(types.Transaction{
 		Nonce:    nonce,
 		To:       contract,
 		GasPrice: gasPrice,
 		GasLimit: 300_000,
-		Data:     types.EncodeCall(asm.SelBuy, flag, mark, value),
-	})
+	}, asm.SelBuy, flag, mark, value)
 	return tx, n.SubmitTx(tx)
 }

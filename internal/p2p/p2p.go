@@ -7,7 +7,9 @@
 // Scheduling is a bucketed time-wheel keyed by delivery time: every
 // gossip enqueues ONE shared immutable envelope carrying the full
 // recipient set, instead of one heap entry (and one payload copy) per
-// recipient. Messages for each peer are delivered in (time, sequence)
+// recipient. Each bucket is a FIFO linked through its envelopes, so
+// scheduling allocates nothing, even into a bucket a fresh network has
+// never used. Messages for each peer are delivered in (time, sequence)
 // order — the per-peer ordered delivery the old global heap provided,
 // without its O(peers × log queue) cost per gossip.
 package p2p
@@ -101,6 +103,9 @@ type envelope struct {
 	seq       uint64 // tie-break for deterministic ordering
 	message
 	to []PeerID // recipients in ascending id order; set once, before scheduling
+	// next links the envelope into its wheel bucket while it is
+	// scheduled, and into the free list once it is released.
+	next *envelope
 }
 
 // message is what an envelope carries, and how it travels.
@@ -141,6 +146,13 @@ const (
 	wheelMask = wheelSize - 1
 )
 
+// bucket is one wheel slot: a FIFO of scheduled envelopes linked through
+// their next fields, in the order they were scheduled, which is sequence
+// order.
+type bucket struct {
+	head, tail *envelope
+}
+
 // peerSet is an immutable snapshot of the joined peers, sorted by id.
 // Join replaces it copy-on-write so deliveries resolve handlers through
 // the set captured when their envelope popped, without holding the
@@ -166,7 +178,7 @@ type Network struct {
 	mu    sync.Mutex
 	peers *peerSet
 	adj   map[PeerID][]PeerID // multihop adjacency, rebuilt after Join
-	wheel [wheelSize][]*envelope
+	wheel [wheelSize]bucket
 	// pending counts scheduled envelopes; nextDue is a lower bound on
 	// the earliest deliverAt while pending > 0.
 	pending int
@@ -178,7 +190,7 @@ type Network struct {
 	dropped uint64
 	sent    uint64
 	tracer  func(TraceEvent)
-	free    []*envelope // delivered envelopes, ready for reuse
+	free    *envelope // delivered envelopes, ready for reuse, linked by next
 
 	// Fault-injection state (nil / zero unless cfg.Faults is set).
 	faultRng  *rand.Rand     // dedicated stream; never aliases rng
@@ -366,11 +378,9 @@ func (n *Network) gossip(msg message) {
 // envelopeLocked returns an envelope for msg from the free list (or a
 // new one), addressed to the given recipients, if any.
 func (n *Network) envelopeLocked(msg message, to ...PeerID) *envelope {
-	var env *envelope
-	if k := len(n.free); k > 0 {
-		env = n.free[k-1]
-		n.free[k-1] = nil
-		n.free = n.free[:k-1]
+	env := n.free
+	if env != nil {
+		n.free, env.next = env.next, nil
 	} else {
 		env = new(envelope)
 	}
@@ -382,8 +392,8 @@ func (n *Network) envelopeLocked(msg message, to ...PeerID) *envelope {
 // releaseLocked returns an envelope no delivery will read again to the
 // free list, dropping its references so an idle envelope pins no payload.
 func (n *Network) releaseLocked(env *envelope) {
-	*env = envelope{to: env.to[:0]}
-	n.free = append(n.free, env)
+	*env = envelope{to: env.to[:0], next: n.free}
+	n.free = env
 }
 
 // addressLocked addresses env to the candidates that pass the filters:
@@ -449,15 +459,20 @@ func (n *Network) enqueueLocked(env *envelope, delay uint64) {
 		n.nextDue = env.deliverAt
 	}
 	n.pending++
-	slot := env.deliverAt & wheelMask
-	n.wheel[slot] = append(n.wheel[slot], env)
+	b := &n.wheel[env.deliverAt&wheelMask]
+	if b.tail == nil {
+		b.head = env
+	} else {
+		b.tail.next = env
+	}
+	b.tail = env
 }
 
 // popDueLocked removes and returns the earliest envelope due at or
 // before t, together with the peer set its recipients' handlers resolve
 // in, advancing model time to its delivery instant. Within one delivery
-// time, envelopes pop in sequence order (wheel buckets are
-// append-ordered).
+// time, envelopes pop in sequence order: a bucket is a FIFO, and the
+// first of its envelopes due at an instant is the earliest scheduled.
 func (n *Network) popDueLocked(t uint64) (*envelope, *peerSet, bool) {
 	if n.pending == 0 {
 		return nil, nil, false
@@ -467,14 +482,21 @@ func (n *Network) popDueLocked(t uint64) (*envelope, *peerSet, bool) {
 		cursor = n.now
 	}
 	for ; cursor <= t; cursor++ {
-		slot := n.wheel[cursor&wheelMask]
-		for i, env := range slot {
+		b := &n.wheel[cursor&wheelMask]
+		var prev *envelope
+		for env := b.head; env != nil; prev, env = env, env.next {
 			if env.deliverAt != cursor {
 				continue // a later wheel revolution shares this slot
 			}
-			copy(slot[i:], slot[i+1:])
-			slot[len(slot)-1] = nil
-			n.wheel[cursor&wheelMask] = slot[:len(slot)-1]
+			if prev == nil {
+				b.head = env.next
+			} else {
+				prev.next = env.next
+			}
+			if b.tail == env {
+				b.tail = prev
+			}
+			env.next = nil
 			n.pending--
 			n.nextDue = cursor
 			if cursor > n.now {

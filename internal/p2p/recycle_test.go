@@ -166,11 +166,14 @@ func (discard) HandleTx(PeerID, *types.Transaction) {}
 func (discard) HandleBlock(PeerID, *types.Block)    {}
 func (discard) HandleBlockRequest(PeerID, uint64)   {}
 
-// TestMeshGossipAllocatesNothing: once every wheel slot has held an
-// envelope, a fault-free full-mesh gossip of a pool instance and the
-// deliveries that follow allocate nothing — the envelope comes off the
-// free list, its recipients are the sender's cached list, and handlers
-// resolve through the peer set captured at pop.
+// TestMeshGossipAllocatesNothing: once one round has grown an
+// envelope's recipient list, a fault-free full-mesh gossip of a pool
+// instance and the deliveries that follow allocate nothing — the envelope
+// comes off the free list, its recipients are the sender's cached list,
+// the wheel bucket links it through its own next field, and handlers
+// resolve through the peer set captured at pop. No wheel slot needs
+// warming: the 500 rounds land on slots never used before, then wrap
+// the wheel onto used ones.
 func TestMeshGossipAllocatesNothing(t *testing.T) {
 	net := NewNetwork(Config{LatencyMs: 10})
 	for id := PeerID(1); id <= 8; id++ {
@@ -183,11 +186,42 @@ func TestMeshGossipAllocatesNothing(t *testing.T) {
 		now += 10
 		net.AdvanceTo(now)
 	}
-	for i := 0; i < wheelSize; i++ {
-		round()
-	}
-	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+	round()
+	if allocs := testing.AllocsPerRun(500, round); allocs != 0 {
 		t.Errorf("a full-mesh gossip round allocates %v times, want 0", allocs)
+	}
+	if now < 2*wheelSize {
+		t.Fatalf("the rounds reached %d ms: they did not wrap the %d-slot wheel", now, wheelSize)
+	}
+}
+
+// TestFreshWheelSlotsAllocateNothing: on a fresh network, once one
+// envelope has been recycled, a gossip whose delivery lands on a wheel
+// slot no envelope has used yet costs nothing to schedule or deliver. A
+// bucket has no storage of its own to grow: it links the envelopes it
+// holds. (Each first envelope in a slot grew a slice while buckets were
+// slices, which a fresh network per simulated run paid 2,048 times.)
+func TestFreshWheelSlotsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	net := NewNetwork(Config{LatencyMs: 1})
+	for id := PeerID(1); id <= 8; id++ {
+		net.Join(id, discard{})
+	}
+	tx := sampleTx(1).Memoize()
+	now := uint64(0)
+	round := func() {
+		net.BroadcastTx(PeerID(1+now%8), tx)
+		now++ // the delivery lands on slot now: one past every slot used so far
+		net.AdvanceTo(now)
+	}
+	round() // the one envelope is made, delivered and recycled
+	if allocs := testing.AllocsPerRun(1000, round); allocs != 0 {
+		t.Errorf("a delivery on a never-used wheel slot allocates %v times, want 0", allocs)
+	}
+	if now >= wheelSize {
+		t.Fatalf("the rounds reached %d ms: they wrapped the %d-slot wheel", now, wheelSize)
 	}
 }
 

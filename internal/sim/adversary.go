@@ -262,13 +262,12 @@ func (f *forger) attack(at uint64) {
 		if err != nil {
 			return
 		}
-		tx := f.key.SignTx(&types.Transaction{
+		tx := f.key.SignCall(types.Transaction{
 			Nonce:    f.nonce,
 			To:       f.a.s.contract,
 			GasPrice: 100, // outbid everyone: only the signer gate stops it
 			GasLimit: 300_000,
-			Data:     types.EncodeCall(asm.SelBuy, types.FlagChain, fpv.PrevMark, fpv.Value),
-		})
+		}, asm.SelBuy, types.FlagChain, fpv.PrevMark, fpv.Value)
 		f.nonce++
 		f.a.sendTx(tx)
 	case 2: // forged block: a captured valid tx under fabricated roots

@@ -3,9 +3,14 @@ package sim
 import (
 	"testing"
 
+	"sereth/internal/asm"
+	"sereth/internal/chain"
 	"sereth/internal/keccak"
+	"sereth/internal/miner"
 	"sereth/internal/node"
 	"sereth/internal/p2p"
+	"sereth/internal/statedb"
+	"sereth/internal/types"
 )
 
 // fast returns a reduced workload for unit-test speed; the statistical
@@ -489,9 +494,9 @@ func TestBurstMultiClient(t *testing.T) {
 // signature, the identity hash, the mark and the mark-check digest, then
 // the client pool's signature check — and a buy, built the same way
 // from its client's READ-UNCOMMITTED view. Every other peer admits the
-// client's frozen, flagged instance. A client signs and memoizes in one
-// step (wallet.Key.SignMemoized), so the signing digest is derived once;
-// each count was one higher while it signed, then memoized.
+// client's frozen, flagged instance. A client builds, signs and memoizes
+// in one step (wallet.Key.SignCall), so the signing digest is derived
+// once; each count was one higher while it signed, then memoized.
 func TestSubmissionDigestBudget(t *testing.T) {
 	s, err := newScenario(SerethClient(4, 101))
 	if err != nil {
@@ -511,4 +516,81 @@ func TestSubmissionDigestBudget(t *testing.T) {
 	}
 	budget("set", 7, s.submitSet)
 	budget("buy", 6, func() error { return s.submitBuy(0) })
+}
+
+// TestBlockDigestBudget counts, not times, what a block of ten of the
+// scenario's transactions — five sets and five buys, admitted by every
+// peer as TestSubmissionDigestBudget submits them — costs in digests past
+// admission: the miner's Build (ordering, execution, state, receipt and
+// tx roots, seal), a peer's InsertBlock replay of the block on a chain
+// with no execution cache, and DeriveReceiptRoot over receipts whose
+// digests nothing has memoized (one per receipt and one over the list).
+// Each count is exact, so a digest added anywhere on the write path fails
+// it; a cut re-pins it downward.
+func TestBlockDigestBudget(t *testing.T) {
+	s, err := newScenario(SerethClient(4, 101))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.cleanup()
+	const n = 10
+	for i := 0; i < n/2; i++ {
+		if err := s.submitSet(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.submitBuy(i); err != nil {
+			t.Fatal(err)
+		}
+		s.net.Drain()
+	}
+	producer := s.baseline[0]
+	count := func(fn func()) uint64 {
+		start := keccak.Invocations()
+		fn()
+		return keccak.Invocations() - start
+	}
+
+	m := miner.NewMiner(producer.Chain(), producer.Pool(), miner.NewBaseline(1), types.Address{19: 0xbb})
+	var block *types.Block
+	build := count(func() {
+		if block, _, err = m.Build(15); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if len(block.Txs) != n {
+		t.Fatalf("the block holds %d of the %d pending transactions", len(block.Txs), n)
+	}
+
+	cfg := producer.Chain().Config()
+	cfg.ExecCache = nil
+	genesis := statedb.New()
+	genesis.SetCode(s.contract, asm.SerethContract())
+	peer := chain.New(cfg, genesis)
+	var receipts []*types.Receipt
+	replay := count(func() {
+		if receipts, err = peer.InsertBlock(block); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	fresh := make([]*types.Receipt, len(receipts))
+	for i, r := range receipts {
+		fresh[i] = &types.Receipt{TxHash: r.TxHash, Status: r.Status, GasUsed: r.GasUsed,
+			ReturnValue: r.ReturnValue, BlockNumber: r.BlockNumber, TxIndex: r.TxIndex}
+	}
+	var root types.Hash
+	receiptRoot := count(func() { root = types.DeriveReceiptRoot(fresh) })
+	if root != block.Header.ReceiptRoot {
+		t.Fatal("the receipt root of the replay's receipts is not the block's")
+	}
+
+	t.Logf("a block of %d transactions: build %d digests, replay %d, receipt root %d", n, build, replay, receiptRoot)
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{{"Miner.Build", build, 55}, {"InsertBlock replay", replay, 55}, {"DeriveReceiptRoot", receiptRoot, 11}} {
+		if c.got != c.want {
+			t.Errorf("%s of a %d-transaction block: %d digests, want %d", c.name, n, c.got, c.want)
+		}
+	}
 }

@@ -112,21 +112,6 @@ func (tx *Transaction) Memoize() *Transaction {
 	return tx
 }
 
-// MemoizeSigned sets Sig to sign(the signing digest) and memoizes tx,
-// deriving that digest once for the signature and the derived block both,
-// where a signature followed by Memoize derives it twice. tx must not be
-// frozen yet, since a frozen one may keep a hash of its old Sig; it
-// panics otherwise. Sig is set after Freeze: the signing digest does not
-// cover it, and nothing derived before Memoize reads it. Returns tx for
-// chaining.
-func (tx *Transaction) MemoizeSigned(sign func(sigHash Hash) Hash) *Transaction {
-	if tx.derived != nil {
-		panic("types: MemoizeSigned on a frozen transaction")
-	}
-	tx.Sig = sign(tx.Freeze().SigHash())
-	return tx.Memoize()
-}
-
 // Memoized reports whether all derived data is cached and safe to share.
 func (tx *Transaction) Memoized() bool { return tx.derived != nil && tx.derived.memoized }
 
@@ -416,17 +401,41 @@ func FrozenCopy(tx *Transaction) *Transaction { return frozen(tx, tx.Data) }
 
 // frozen is FrozenCopy with data, which it copies, for calldata.
 func frozen(tx *Transaction, data []byte) *Transaction {
+	cp := newFrozen(tx, len(data))
+	copy(cp.Data, data)
+	cp.derived.decode(cp.Data)
+	return cp
+}
+
+// newFrozen returns a copy of tx in frozenTx's layout, with n bytes of
+// calldata for the caller to fill and a derived block for it to decode
+// them into.
+func newFrozen(tx *Transaction, n int) *Transaction {
 	f := &frozenTx{tx: *tx}
 	cp := &f.tx
-	if n := len(data); n <= frozenCalldata {
+	if n <= frozenCalldata {
 		cp.Data = f.data[:n:n]
-		copy(cp.Data, data)
 	} else {
-		cp.Data = append([]byte{}, data...)
+		cp.Data = make([]byte, n)
 	}
 	cp.derived = &f.d
-	f.d.decode(cp.Data)
 	return cp
+}
+
+// SignedCall returns the call sel(args...) with tx's other fields,
+// signed by sign over its signing digest and memoized: FrozenCopy's
+// layout with the calldata encoded straight into it, so a client's
+// signed call is one allocation while its calldata fits 128 bytes. The
+// signing digest is derived once, for the signature and the derived
+// block both. tx's Data and Sig are ignored, and its From must be the
+// address sign signs for. Sig is set after the signing digest is
+// derived, which does not cover it, and before anything that does.
+func SignedCall(tx Transaction, sign func(sigHash Hash) Hash, sel Selector, args ...Word) *Transaction {
+	cp := newFrozen(&tx, CallLength(len(args)))
+	PutCall(cp.Data, sel, args...)
+	cp.derived.decode(cp.Data)
+	cp.Sig = sign(cp.SigHash())
+	return cp.Memoize()
 }
 
 // ReceiptStatus reports whether an included transaction changed state.

@@ -191,12 +191,21 @@ func SelectorFor(signature string) Selector {
 
 // EncodeCall builds calldata from a selector and argument words.
 func EncodeCall(sel Selector, args ...Word) []byte {
-	out := make([]byte, SelectorLength+len(args)*WordLength)
-	copy(out, sel[:])
+	return PutCall(make([]byte, CallLength(len(args))), sel, args...)
+}
+
+// CallLength is the length of calldata carrying n argument words.
+func CallLength(n int) int { return SelectorLength + n*WordLength }
+
+// PutCall writes the calldata sel ‖ args into dst, which must hold at
+// least CallLength(len(args)) bytes, and returns that prefix of dst.
+func PutCall(dst []byte, sel Selector, args ...Word) []byte {
+	dst = dst[:CallLength(len(args))]
+	copy(dst, sel[:])
 	for i, a := range args {
-		copy(out[SelectorLength+i*WordLength:], a[:])
+		copy(dst[SelectorLength+i*WordLength:], a[:])
 	}
-	return out
+	return dst
 }
 
 // DecodeFPV extracts the FPV tuple from calldata laid out as

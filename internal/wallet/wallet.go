@@ -50,12 +50,14 @@ func (k *Key) SignTx(tx *types.Transaction) *types.Transaction {
 	return tx
 }
 
-// SignMemoized is SignTx followed by Memoize, deriving the signing
-// digest once (types.Transaction.MemoizeSigned). The transaction comes
-// back frozen: a caller that edits what it signed uses SignTx.
-func (k *Key) SignMemoized(tx *types.Transaction) *types.Transaction {
+// SignCall returns the call sel(args...) from k with tx's Nonce, To,
+// Value, GasPrice and GasLimit, signed and memoized in one allocation
+// (types.SignedCall): what SignTx and then Memoize yield, with the
+// signing digest derived once. The transaction comes back frozen: a
+// caller that edits what it signed uses SignTx.
+func (k *Key) SignCall(tx types.Transaction, sel types.Selector, args ...types.Word) *types.Transaction {
 	tx.From = k.addr
-	return tx.MemoizeSigned(k.Sign)
+	return types.SignedCall(tx, k.Sign, sel, args...)
 }
 
 // Verification errors.

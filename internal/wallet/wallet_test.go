@@ -1,7 +1,10 @@
 package wallet
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"sereth/internal/keccak"
@@ -100,39 +103,108 @@ func TestSignaturesDifferPerTx(t *testing.T) {
 	}
 }
 
-// TestSignMemoizedDerivesTheSigningDigestOnce: SignMemoized yields the
+// TestSignCallDerivesTheSigningDigestOnce: SignCall yields the
 // transaction SignTx then Memoize yield — signature, identity hash,
-// derived data — at one digest fewer, the registry accepts it, and it
-// refuses a transaction already frozen.
-func TestSignMemoizedDerivesTheSigningDigestOnce(t *testing.T) {
+// derived data — at one digest fewer, and the registry accepts it.
+func TestSignCallDerivesTheSigningDigestOnce(t *testing.T) {
 	k := NewKey("alice")
 	r := NewRegistry()
 	r.Register(k)
-	data := types.EncodeCall(types.SelectorFor("set(bytes32[3])"), types.FlagHead, types.ZeroWord, types.WordFromUint64(7))
+	sel, value := types.SelectorFor("set(bytes32[3])"), types.WordFromUint64(7)
 	start := keccak.Invocations()
-	want := k.SignTx(sampleTx(data)).Memoize()
+	want := k.SignTx(sampleTx(types.EncodeCall(sel, types.FlagHead, types.ZeroWord, value))).Memoize()
 	twice := keccak.Invocations() - start
 	start = keccak.Invocations()
-	got := k.SignMemoized(sampleTx(data))
+	got := k.SignCall(*sampleTx(nil), sel, types.FlagHead, types.ZeroWord, value)
 	once := keccak.Invocations() - start
 	if once != twice-1 {
-		t.Errorf("SignMemoized derived %d digests, SignTx then Memoize %d; want one fewer", once, twice)
+		t.Errorf("SignCall derived %d digests, SignTx then Memoize %d; want one fewer", once, twice)
 	}
 	if !got.Memoized() || got.Sig != want.Sig || got.Hash() != want.Hash() || got.SigHash() != want.SigHash() {
-		t.Fatal("SignMemoized and SignTx then Memoize disagree")
+		t.Fatal("SignCall and SignTx then Memoize disagree")
 	}
-	if gm, _ := got.Mark(); gm != types.NextMark(types.ZeroWord, types.WordFromUint64(7)) {
-		t.Fatal("SignMemoized did not derive the mark")
+	if gm, _ := got.Mark(); gm != types.NextMark(types.ZeroWord, value) {
+		t.Fatal("SignCall did not derive the mark")
 	}
 	if err := r.VerifyTx(got); err != nil {
 		t.Fatal(err)
 	}
-	// A frozen transaction may keep a hash of its old signature: it is
-	// not signed again.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SignMemoized signed a frozen transaction")
+}
+
+// TestSignCallMatchesSignTx is the differential for the one-object
+// path: over random fields and argument counts — calldata from a bare
+// selector to past the 128 bytes a frozen transaction keeps inline —
+// SignCall's transaction encodes, hashes, marks and signs exactly as
+// the one SignTx then Memoize yield from the same fields.
+func TestSignCallMatchesSignTx(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	word := func() (w types.Word) {
+		rng.Read(w[:])
+		return w
+	}
+	for i := 0; i < 500; i++ {
+		k := NewKey(fmt.Sprint("signer-", i%7))
+		fields := types.Transaction{
+			Nonce:    rng.Uint64() >> rng.Intn(64),
+			Value:    rng.Uint64() >> rng.Intn(64),
+			GasPrice: rng.Uint64() >> rng.Intn(64),
+			GasLimit: rng.Uint64() >> rng.Intn(64),
+			Sig:      types.Hash(word()), // ignored: SignCall signs
 		}
-	}()
-	k.SignMemoized(got)
+		rng.Read(fields.To[:])
+		var sel types.Selector
+		rng.Read(sel[:])
+		args := make([]types.Word, rng.Intn(6))
+		for j := range args {
+			args[j] = word()
+		}
+		if rng.Intn(2) == 0 && len(args) >= 2 {
+			args[0] = types.FlagChain
+		}
+		ref := fields
+		ref.Data = types.EncodeCall(sel, args...)
+		want := k.SignTx(&ref).Memoize()
+		got := k.SignCall(fields, sel, args...)
+		if !bytes.Equal(got.EncodeRLP(), want.EncodeRLP()) || got.Sig != want.Sig ||
+			got.SigHash() != want.SigHash() || got.Hash() != want.Hash() {
+			t.Fatalf("case %d (%d args): SignCall's transaction encodes or signs differently", i, len(args))
+		}
+		gm, gok := got.Mark()
+		wm, wok := want.Mark()
+		gs, gsok := got.Selector()
+		ws, wsok := want.Selector()
+		if gm != wm || gok != wok || gs != ws || gsok != wsok || !got.Memoized() {
+			t.Fatalf("case %d (%d args): SignCall's derived data differs", i, len(args))
+		}
+		gin, gd, _ := got.PrevHint()
+		win, wd, _ := want.PrevHint()
+		if !bytes.Equal(gin, win) || gd != wd {
+			t.Fatalf("case %d (%d args): SignCall's mark-check digest differs", i, len(args))
+		}
+	}
+}
+
+// kept holds what an allocation count measures, so the compiler cannot
+// keep it on the stack.
+var kept *types.Transaction
+
+// TestSignCallIsOneObject: building and signing a client's set or buy —
+// the transaction, its calldata and its derived block — is one
+// allocation.
+func TestSignCallIsOneObject(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	k := NewKey("alice")
+	set, buy := types.SelectorFor("set(bytes32[3])"), types.SelectorFor("buy(bytes32[3])")
+	fields := *sampleTx(nil)
+	prev, value := types.WordFromUint64(3), types.WordFromUint64(7)
+	for _, sel := range []types.Selector{set, buy} {
+		if got := testing.AllocsPerRun(100, func() {
+			fields.Nonce++
+			kept = k.SignCall(fields, sel, types.FlagChain, prev, value)
+		}); got != 1 {
+			t.Errorf("selector %x: SignCall allocates %v times, want 1", sel, got)
+		}
+	}
 }

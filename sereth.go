@@ -26,6 +26,8 @@
 package sereth
 
 import (
+	"bytes"
+
 	"sereth/internal/asm"
 	"sereth/internal/chain"
 	"sereth/internal/hms"
@@ -187,8 +189,9 @@ func EncodeCall(sel Selector, args ...Word) []byte { return types.EncodeCall(sel
 // WordFromUint64 returns v as a big-endian storage word.
 func WordFromUint64(v uint64) Word { return types.WordFromUint64(v) }
 
-// SerethContract returns the runtime bytecode of the Sereth contract.
-func SerethContract() []byte { return asm.SerethContract() }
+// SerethContract returns the runtime bytecode of the Sereth contract, a
+// copy the caller may write.
+func SerethContract() []byte { return bytes.Clone(asm.SerethContract()) }
 
 // NewNetwork creates a simulated peer network.
 func NewNetwork(cfg NetworkConfig) *Network { return p2p.NewNetwork(cfg) }

@@ -1,7 +1,10 @@
 package sereth
 
 import (
+	"bytes"
 	"testing"
+
+	"sereth/internal/asm"
 )
 
 // TestFacadeEndToEnd drives the whole public API: build a two-node
@@ -111,4 +114,18 @@ func TestFacadeScenario(t *testing.T) {
 	}
 	_ = Figure2Geth(10, 1)
 	_ = Figure2Semantic(10, 1)
+}
+
+// TestSerethContractIsTheCallersCopy: the public SerethContract hands
+// out a copy, so a caller that writes it cannot change the contract the
+// process shares.
+func TestSerethContractIsTheCallersCopy(t *testing.T) {
+	code := SerethContract()
+	if !bytes.Equal(code, asm.SerethContract()) {
+		t.Fatal("the public contract differs from the shared one")
+	}
+	code[0] ^= 0xff
+	if bytes.Equal(code, asm.SerethContract()) {
+		t.Fatal("a write to the public contract reached the shared one")
+	}
 }
