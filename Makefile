@@ -122,9 +122,10 @@ state-smoke:
 # reorgs, sweeps, clean reopens, crashes, torn reorgs and sweeps stopped
 # between their synced temp log and the rename, of a FileStore datadir;
 # -short: 3 x 80 steps; the 512-block reorg horizon of a memory chain
-# and of one with an ExecCache), forks below the window of post states
-# a store-backed chain without an ExecCache keeps, reopened from its
-# store, the bounded retention of post states, a chain that sweeps its
+# and of a store-backed one), forks below the window of post states a
+# store-backed chain keeps, reopened from its store, New and Open
+# refusing a store with an ExecCache, whole stores from one shared
+# genesis instance, the bounded retention of post states, a chain that sweeps its
 # store by itself through 10 sweeps (each leaves exactly the states
 # within the horizon, the bodies and the head, in a log within twice what
 # the last one kept; a fork at the horizon imports after a reopen, one
@@ -142,7 +143,7 @@ state-smoke:
 crash-smoke:
 	$(GO) test -race ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzLogReplay$$' -fuzztime 30s -fuzzminimizetime 1s ./internal/store
-	$(GO) test -race -short -run 'TestCrash|TestBitFlip|TestTornReorg|TestOneWrite|TestOpenFallsBack|TestInjectedWriteFailure|TestOpenSnapshot|TestOpenDistrusts|TestChainModel|TestForkBelowWindow|TestSharedCacheChain|TestPostRetention' ./internal/chain
+	$(GO) test -race -short -run 'TestCrash|TestBitFlip|TestTornReorg|TestOneWrite|TestOpenFallsBack|TestInjectedWriteFailure|TestOpenSnapshot|TestOpenDistrusts|TestChainModel|TestForkBelowWindow|TestStoreRefusesAnExecCache|TestStoresFromOneGenesis|TestPostRetention' ./internal/chain
 	$(GO) test -race -run 'TestSweepBoundsTheStore|TestSweepBesideImports|TestFailedSweep' ./internal/chain
 	$(GO) test -race -run 'TestCompactSweepsAReorgedDatadir' ./cmd/serethnode
 	$(GO) test -race -short -run 'TestNodeModel' ./internal/node

@@ -39,26 +39,15 @@ var (
 
 // The reorg horizon: a fork attaches at most memoryWindow blocks below
 // the head, as deep as a node buffers fork blocks (node.bufferWindow).
-// A chain that validates forks only from the post states it keeps keeps
-// that many. One that reopens older fork parents from its store
-// (reopensForks) keeps only the head's parent, from which a rival to the
-// head block validates, and its sweep keeps the states within the
-// horizon in the store.
+// A chain without a store validates forks only from the post states it
+// keeps, and keeps that many. A store-backed chain reopens older fork
+// parents from its store and keeps only the head's parent, from which a
+// rival to the head block validates; its sweep keeps the states within
+// the horizon in the store.
 const (
 	memoryWindow = 512
 	storeWindow  = 1
 )
-
-// reopensForks reports whether a chain with cfg reopens a fork parent
-// below its window from its store, and sweeps that store. Its store must
-// hold every canonical block's complete state: ImportFork commits a
-// branch's inner blocks for that, but a chain with an ExecCache adopts
-// post states another chain may have committed first, whose nodes it
-// does not write again, so its store can hold a root without the state
-// under it.
-func reopensForks(cfg Config) bool {
-	return cfg.Store != nil && cfg.ExecCache == nil
-}
 
 // Config parameterizes a chain instance.
 type Config struct {
@@ -74,12 +63,9 @@ type Config struct {
 	// simulation): each block body is executed once — by its miner when
 	// the miner adopts its own build, else by the first importer — and
 	// every other importer verifies the header against the memoized roots
-	// and adopts the memoized post state. A chain with a Store commits
-	// what it adopts, but a post state another chain already committed
-	// has its trie nodes marked stored and contributes none of them, so a
-	// chain that must recover from its own datadir needs a private cache.
-	// A chain with a cache, private or shared, validates forks only from
-	// the post states it keeps, as a memory chain does (memoryWindow).
+	// and adopts the memoized post state. A chain with a Store refuses
+	// one: a post state another chain committed has its trie nodes marked
+	// stored, so adopting it would leave them out of this chain's store.
 	ExecCache *ExecCache
 	// Parallel enables optimistic parallel intra-block execution
 	// (ParallelProcessor): bodies of at least ParallelThreshold
@@ -161,10 +147,19 @@ func New(cfg Config, genesisState *statedb.StateDB) *Chain {
 	c := newChain(cfg, []*types.Block{genesis}, state)
 	if cfg.Store != nil {
 		// Persist genesis so a datadir created now recovers later even if
-		// no block is ever adopted. Persist errors at construction are
-		// deliberately fatal-by-panic: a node that silently starts without
-		// its datadir would lose every block it adopts.
-		if err := c.persistLocked([]*types.Block{genesis}, []*statedb.StateDB{state}); err != nil {
+		// no block is ever adopted. The caller's instance may share nodes
+		// another chain's commit marked stored, so Export's walk, blind to
+		// the marks, stages genesis whole; its copy is then marked as
+		// committed, so no block writes it again. Persist errors at
+		// construction are deliberately fatal-by-panic: a node that
+		// silently starts without its datadir would lose every block.
+		err := state.Walk(make(map[types.Hash]struct{}), c.batch.Put)
+		if err == nil {
+			state.StageTo(new(store.Batch))
+			state.Stored()
+			err = c.persistLocked([]*types.Block{genesis}, []*statedb.StateDB{state})
+		}
+		if err != nil {
 			panic(fmt.Sprintf("chain: persist genesis: %v", err))
 		}
 	}
@@ -176,7 +171,10 @@ func New(cfg Config, genesisState *statedb.StateDB) *Chain {
 // built, for a fresh genesis and for a store alike.
 func newChain(cfg Config, blocks []*types.Block, state *statedb.StateDB) *Chain {
 	window := memoryWindow
-	if reopensForks(cfg) {
+	if cfg.Store != nil {
+		if cfg.ExecCache != nil {
+			panic("chain: a chain with a Store shares no execution: ExecCache must be nil")
+		}
 		window = storeWindow
 	}
 	c := &Chain{
@@ -421,10 +419,10 @@ func (c *Chain) verifyBlockLocked(parentRoot types.Hash, parentState *statedb.St
 // block is fully validated (seal, tx root, replay against its parent's
 // post state) before ANY chain state changes — a branch that fails
 // validation leaves the chain untouched. The first parent's post state
-// is one the chain keeps or, on a store-backed chain without an
-// ExecCache, one it reopens from its store (postAt); past the reorg
-// horizon the fork is refused with ErrForkTooDeep. Returns the number of
-// canonical blocks orphaned by the switch.
+// is one the chain keeps or, on a store-backed chain, one it reopens from
+// its store (postAt); past the reorg horizon the fork is refused with
+// ErrForkTooDeep. Returns the number of canonical blocks orphaned by the
+// switch.
 func (c *Chain) ImportFork(blocks []*types.Block) (int, error) {
 	orphaned, err := c.importFork(blocks)
 	if err == nil {
@@ -554,7 +552,7 @@ func (c *Chain) postAt(depth uint64) *statedb.StateDB {
 		return c.state
 	case depth <= uint64(len(c.posts)):
 		return c.posts[len(c.posts)-int(depth)]
-	case depth <= memoryWindow && reopensForks(c.cfg) && hasStateRoot(c.cfg.Store, root):
+	case depth <= memoryWindow && c.cfg.Store != nil && hasStateRoot(c.cfg.Store, root):
 		return statedb.OpenAt(c.cfg.Store, root)
 	}
 	return nil

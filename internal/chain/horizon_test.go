@@ -5,15 +5,14 @@ import (
 	"math/rand"
 	"testing"
 
-	"sereth/internal/statedb"
 	"sereth/internal/store"
 	"sereth/internal/types"
 	"sereth/internal/wallet"
 )
 
 // horizonModel builds a chain with the given store (nil for a memory
-// chain) and ExecCache, and the model of it.
-func horizonModel(t *testing.T, seed int64, kv store.Store, cache *ExecCache) (*Chain, *chainModel) {
+// chain) and the model of it.
+func horizonModel(t *testing.T, seed int64, kv store.Store) (*Chain, *chainModel) {
 	t.Helper()
 	reg := wallet.NewRegistry()
 	writer := wallet.NewKey("horizon-writer")
@@ -21,7 +20,6 @@ func horizonModel(t *testing.T, seed int64, kv store.Store, cache *ExecCache) (*
 	cfg := DefaultConfig()
 	cfg.Registry = reg
 	cfg.Store = kv
-	cfg.ExecCache = cache
 	return newChainModel(t, rand.New(rand.NewSource(seed)), writer, cfg)
 }
 
@@ -33,8 +31,8 @@ func horizonModel(t *testing.T, seed int64, kv store.Store, cache *ExecCache) (*
 // the same blocks do.
 func TestForkBelowWindowReopensFromTheStore(t *testing.T) {
 	kv := store.NewMem()
-	c, m := horizonModel(t, 7, kv, nil)
-	twin, _ := horizonModel(t, 7, nil, nil)
+	c, m := horizonModel(t, 7, kv)
+	twin, _ := horizonModel(t, 7, nil)
 	m.grow(4, c, twin)
 	m.follow(m.fork(1), c, twin) // blocks 2..5, of which 3 is inner
 	m.grow(storeWindow+2, c, twin)
@@ -72,7 +70,7 @@ func (s *hidingStore) Get(key []byte) ([]byte, bool) {
 // root would have panicked the first read of the replay.
 func TestForkBelowWindowNeedsItsParentsState(t *testing.T) {
 	kv := &hidingStore{Store: store.NewMem()}
-	c, m := horizonModel(t, 8, kv, nil)
+	c, m := horizonModel(t, 8, kv)
 	m.grow(storeWindow+4, c)
 	kv.hidden = m.canon[2].block.Header.StateRoot
 	_, err := c.ImportFork(blocksOf(m.fork(2)))
@@ -85,66 +83,38 @@ func TestForkBelowWindowNeedsItsParentsState(t *testing.T) {
 	m.check(c, kv)
 }
 
-// TestSharedCacheChainKeepsTheMemoryHorizon: a store-backed chain that
-// shares its ExecCache with a chain writing another store adopts that
-// chain's post states without writing the nodes it committed first. A
-// block it then builds itself has its root in its store, but not the
-// subtrees the block did not touch. A fork deeper than storeWindow that
-// attaches at that block must validate from the post states the chain
-// keeps — memoryWindow of them, as a memory chain — not from its store,
-// where the replay would reach a missing node.
-func TestSharedCacheChainKeepsTheMemoryHorizon(t *testing.T) {
-	cache := NewExecCache(0)
-	miner, m := horizonModel(t, 9, store.NewMem(), cache)
-	peerKV := store.NewMem()
-	peer, _ := horizonModel(t, 9, peerKV, cache)
-	// build has builder execute a child of the model's head and adopt it,
-	// memoizing it, and importer adopt it from the cache. The body is not
-	// empty, so the block has a state root of its own.
-	build := func(builder, importer *Chain) {
-		t.Helper()
-		parent := m.head()
-		txs, slots := m.body(parent)
-		for len(txs) == 0 {
-			txs, slots = m.body(parent)
-		}
-		header := m.header(parent)
-		var res *ExecResult
-		builder.ReadHeadState(func(_ *types.Block, st *statedb.StateDB) {
-			var err error
-			if res, err = builder.Process(st, header, txs); err != nil {
-				t.Fatal(err)
-			}
-		})
-		block := &types.Block{Header: header, Txs: txs}
-		header.TxRoot = block.TxRoot()
-		header.ReceiptRoot, header.StateRoot, header.GasUsed = res.ReceiptRoot, res.StateRoot, res.GasUsed
-		mb := m.execute(parent, header, txs, slots)
-		if _, err := builder.InsertBuilt(mb.block, res); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := importer.InsertBlock(mb.block); err != nil {
-			t.Fatal(err)
-		}
-		m.adopted(mb)
+// TestStoreRefusesAnExecCache: a post state adopted from an ExecCache
+// may have been committed by another chain, whose commit marked its trie
+// nodes stored, so a chain adopting it would leave them out of its own
+// store. New and Open refuse a Config with both, before anything is
+// written.
+func TestStoreRefusesAnExecCache(t *testing.T) {
+	datadir := store.NewMem()
+	New(Config{Store: datadir}, nil)
+	for _, tc := range []struct {
+		name  string
+		kv    *store.MemStore
+		build func(Config)
+	}{
+		{"New", store.NewMem(), func(cfg Config) { New(cfg, genesisWithContract()) }},
+		{"Open of its datadir", datadir, func(cfg Config) { _, _ = Open(cfg, datadir) }},
+		{"Open of a snapshot", store.NewMem(), func(cfg Config) { _, _ = Open(cfg, datadir) }},
+	} {
+		func() {
+			records := tc.kv.Len()
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s built a chain with a store and an ExecCache", tc.name)
+				}
+				if tc.kv.Len() != records {
+					t.Errorf("%s wrote %d records before refusing", tc.name, tc.kv.Len()-records)
+				}
+			}()
+			cfg := DefaultConfig()
+			cfg.Store, cfg.ExecCache = tc.kv, NewExecCache(0)
+			tc.build(cfg)
+		}()
 	}
-	for range 3 {
-		build(miner, peer)
-	}
-	build(peer, miner)
-	own := m.head()
-	for range storeWindow + 2 {
-		build(miner, peer)
-	}
-	root := own.block.Header.StateRoot
-	if !hasStateRoot(peerKV, root) || statedb.VerifyState(peerKV, root) == nil {
-		t.Fatalf("the peer's store should hold the root of its own block %d but not its whole state", own.block.Number())
-	}
-	if kept := len(peer.keptPostRoots()); uint64(kept) != peer.Height() {
-		t.Fatalf("the peer keeps %d post states below head %d, want all of them", kept, peer.Height())
-	}
-	m.follow(m.fork(own.block.Number()), miner, peer)
-	m.check(peer, nil)
 }
 
 // TestPostRetentionIsBounded: after three windows of adopted blocks and
@@ -156,15 +126,13 @@ func TestPostRetentionIsBounded(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		kv     store.Store
-		cache  *ExecCache
 		window int
 	}{
-		{"store", store.NewMem(), nil, storeWindow},
-		{"memory", nil, nil, memoryWindow},
-		{"store-with-cache", store.NewMem(), NewExecCache(0), memoryWindow},
+		{"store", store.NewMem(), storeWindow},
+		{"memory", nil, memoryWindow},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, m := horizonModel(t, 10, tc.kv, tc.cache)
+			c, m := horizonModel(t, 10, tc.kv)
 			m.grow(3*tc.window, c)
 			m.follow(m.fork(m.head().block.Number()-uint64(tc.window/2+2)), c)
 			roots := c.keptPostRoots()

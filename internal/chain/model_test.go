@@ -593,17 +593,15 @@ func runChainModel(t *testing.T, seed int64, steps int) {
 	}
 }
 
-// TestChainModelReorgHorizon takes a memory chain to its reorg horizon
-// against the list model: a fork that orphans 512 blocks — the deepest a
-// node buffers (node.bufferWindow) — validates from the oldest post
-// state the chain keeps and lands where the model does, and one that
-// orphans one more is refused with ErrForkTooDeep, which a node reads as
-// an unknown parent, leaving the chain as it was. A store-backed chain
-// with an ExecCache has the same horizon: its store may lack states
-// (TestSharedCacheChainKeepsTheMemoryHorizon), so it refuses the deeper
-// fork too, although this one's store holds it. Blocks past the first
-// few are empty, which keeps the 1,500 executions cheap; the cached
-// chain replays few of them.
+// TestChainModelReorgHorizon takes a memory chain and a store-backed one
+// to their reorg horizon against the list model: a fork that orphans 512
+// blocks — the deepest a node buffers (node.bufferWindow) — validates
+// from the oldest post state the memory chain keeps, and from a parent
+// the store-backed chain reopens from its store, and both land where the
+// model does; one that orphans one more is refused with ErrForkTooDeep,
+// which a node reads as an unknown parent, leaving the chains as they
+// were. Blocks past the first few are empty, which keeps the 1,500
+// executions cheap.
 func TestChainModelReorgHorizon(t *testing.T) {
 	const horizon = 512
 	reg := wallet.NewRegistry()
@@ -611,11 +609,10 @@ func TestChainModelReorgHorizon(t *testing.T) {
 	reg.Register(writer)
 	cfg := DefaultConfig()
 	cfg.Registry = reg
-	cfg.ExecCache = NewExecCache(0)
 	c, m := newChainModel(t, rand.New(rand.NewSource(1)), writer, cfg)
 	cfg.Store = store.NewMem()
-	cached, _ := newChainModel(t, rand.New(rand.NewSource(1)), writer, cfg)
-	chains := []*Chain{c, cached}
+	stored, _ := newChainModel(t, rand.New(rand.NewSource(1)), writer, cfg)
+	chains := []*Chain{c, stored}
 
 	// empty builds an empty child of parent; the header's random time
 	// keeps it apart from its siblings.
@@ -655,7 +652,10 @@ func TestChainModelReorgHorizon(t *testing.T) {
 		}
 		m.check(c, nil)
 	}
+	if kept := len(stored.keptPostRoots()); kept != storeWindow {
+		t.Fatalf("the store-backed chain keeps %d post states, want %d", kept, storeWindow)
+	}
 	m.follow(branchOn(height-horizon), chains...)
 	m.check(c, nil)
-	m.check(cached, cfg.Store)
+	m.check(stored, cfg.Store)
 }

@@ -53,11 +53,12 @@ func blockKey(n uint64) []byte {
 // nodes and code of every block's state (states[i] is blocks[i]'s, so
 // every canonical block's state is in the store and a later fork can
 // reopen any of them as its parent), their bodies, and the head pointer
-// naming the last. A crash leaves all of it or none. It syncs when the
-// run holds a multiple of SyncEvery.
+// naming the last, after what the chain's batch holds already (New's
+// genesis walk). A crash leaves all of it or none. It syncs when the run
+// holds a multiple of SyncEvery.
 func (c *Chain) persistLocked(blocks []*types.Block, states []*statedb.StateDB) error {
 	b := &c.batch
-	b.Reset()
+	defer b.Reset()
 	for i, st := range states {
 		if root := st.StageTo(b); root != blocks[i].Header.StateRoot {
 			// Defensive: the block was validated against this exact state.
@@ -96,14 +97,14 @@ func stageHead(b *store.Batch, blocks ...*types.Block) {
 // the states of the canonical blocks within the reorg horizon, with one
 // mark set, marks their nodes and code blobs, and the store keeps those,
 // the bodies and the head pointer. No fork (postAt) and no reopen reads
-// what it drops. Only a chain that reopens forks from its store sweeps.
+// what it drops. Only a store-backed chain sweeps.
 //
 // The mark, most of the work, reads only flushed states and the store,
 // so blocks import and readers read beside it. The chain is locked only
 // to mark what it adopted meanwhile, and for the store's rewrite. A
 // failed sweep leaves the log as it was.
 func (c *Chain) Sweep() (store.CompactStats, error) {
-	if !reopensForks(c.cfg) {
+	if c.cfg.Store == nil {
 		return store.CompactStats{}, errors.New("chain: sweep: no store of its own")
 	}
 	c.sweepMu.Lock()
@@ -117,7 +118,7 @@ func (c *Chain) Sweep() (store.CompactStats, error) {
 // copied. An adoption calls it with the chain unlocked. A sweep that
 // fails is SweepErr's, and the next waits a horizon.
 func (c *Chain) maybeSweep() {
-	if !reopensForks(c.cfg) || !c.sweepMu.TryLock() {
+	if c.cfg.Store == nil || !c.sweepMu.TryLock() {
 		return
 	}
 	defer c.sweepMu.Unlock()
@@ -257,17 +258,18 @@ func HasHead(kv store.Store) bool {
 //
 //   - accepts new blocks exactly like the original (its head state
 //     resolves reads through kv on demand);
-//   - keeps no post state below the head at first. Without an
-//     ExecCache, ImportFork reopens a fork's parent within the reorg
-//     horizon from the store (a parent whose state a datadir written
-//     before reorgs committed their branch blocks' states lacks is
-//     refused with ErrForkTooDeep, and the node falls back to block
-//     sync), and the chain sweeps the store once its head is a horizon
-//     past the open; with one, it refuses forks below the head until
-//     adopted blocks fill its window again;
+//   - keeps no post state below the head at first. With a cfg.Store,
+//     ImportFork reopens a fork's parent within the reorg horizon from
+//     the store (a parent whose state a datadir written before reorgs
+//     committed their branch blocks' states lacks is refused with
+//     ErrForkTooDeep, and the node falls back to block sync), and the
+//     chain sweeps the store once its head is a horizon past the open;
+//     without one, it refuses forks below the head until adopted blocks
+//     fill its window again;
 //   - has no receipts for historical blocks.
 //
 // kv is what the chain reads; cfg.Store, as always, is what it writes.
+// Like New, Open panics on a cfg with both a Store and an ExecCache.
 //
 // When they are the same store this is a restart, and the store is
 // trusted unless it reports dirty salvage (a torn trailing batch or

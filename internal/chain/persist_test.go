@@ -565,43 +565,27 @@ func TestRecoveredChainServesSnapshots(t *testing.T) {
 	}
 }
 
-// TestExportLeavesSharedPostStateUnstored: post states are shared
-// between in-process chains through the ExecCache, and a trie node
-// marked stored is skipped by every later commit. An export by a chain
-// that persists nothing must therefore mark nothing: a second chain
-// that adopts the same post states afterwards commits the full record
-// set into its own store.
+// TestExportLeavesSharedPostStateUnstored: a post state is shared by
+// whatever copies it or builds on it, and a trie node marked stored is
+// skipped by every later commit. An export by a chain that persists
+// nothing must therefore mark nothing: a commit of the exported head
+// afterwards writes the full record set.
 func TestExportLeavesSharedPostStateUnstored(t *testing.T) {
 	builder, _ := persistRig(t, store.NewMem(), 3)
-	cache, genesis := NewExecCache(0), genesisWithContract()
-	peer := func(kv store.Store) *Chain {
-		cfg := joinerCfg(builder, kv)
-		cfg.ExecCache = cache
-		c := New(cfg, genesis)
-		for n := uint64(1); n <= 3; n++ {
-			if _, err := c.InsertBlock(builder.BlockByNumber(n)); err != nil {
-				t.Fatal(err)
-			}
+	c := New(joinerCfg(builder, nil), genesisWithContract())
+	for n := uint64(1); n <= 3; n++ {
+		if _, err := c.InsertBlock(builder.BlockByNumber(n)); err != nil {
+			t.Fatal(err)
 		}
-		return c
 	}
-	first := peer(nil)
-	snap := exportOf(t, first)
+	snap := exportOf(t, c)
 	kv := store.NewMem()
-	second := peer(kv)
-	var shared bool
-	first.ReadState(func(a *statedb.StateDB) { second.ReadState(func(b *statedb.StateDB) { shared = a == b }) })
-	if !shared {
-		t.Fatal("fixture: the two chains do not share their head post state")
+	root, _, err := c.State().CommitTo(kv)
+	if err != nil {
+		t.Fatal(err)
 	}
-	root := second.Head().Header.StateRoot
 	if got, want := stateRecords(t, kv, root), stateRecords(t, snap, root); !maps.EqualFunc(got, want, bytes.Equal) {
-		t.Fatalf("second chain's store holds %d of the head state's %d records", len(got), len(want))
-	}
-	for n := uint64(0); n <= 3; n++ {
-		if err := statedb.VerifyState(kv, second.BlockByNumber(n).Header.StateRoot); err != nil {
-			t.Fatalf("second chain's store, block %d: %v", n, err)
-		}
+		t.Fatalf("a commit after the export holds %d of the head state's %d records", len(got), len(want))
 	}
 }
 
@@ -688,4 +672,65 @@ func TestOneWritePerBlockAndReorg(t *testing.T) {
 	writes(4, "three blocks")
 	m.follow(m.fork(1), c)
 	writes(5, "a reorg")
+}
+
+// TestStoresFromOneGenesisAreWhole: chains built from one genesis
+// instance share its trie nodes, and a node marked stored is one every
+// later commit skips. An export by a storeless chain marks nothing, and
+// each store-backed chain writes genesis whole, whatever another chain
+// marked, so both stores verify at genesis and after three blocks. A
+// chain built from a genesis of its own writes the log a commit of
+// genesis wrote: on one contract the same records in the same order,
+// byte for byte, on two as many bytes (the walk stages them in another
+// order).
+func TestStoresFromOneGenesisAreWhole(t *testing.T) {
+	reg := wallet.NewRegistry()
+	owner := wallet.NewKey("persist-owner")
+	reg.Register(owner)
+	cfg := DefaultConfig()
+	cfg.Registry = reg
+	grow := func(kv store.Store, genesis *statedb.StateDB) {
+		t.Helper()
+		cfg.Store = kv
+		c := New(cfg, genesis)
+		for n := uint64(0); n <= 3; n++ {
+			if n > 0 {
+				setOnHead(t, c, owner, n-1, 10+n)
+			}
+			if err := statedb.VerifyState(kv, c.Head().Header.StateRoot); err != nil {
+				t.Fatalf("the store at block %d: %v", n, err)
+			}
+		}
+	}
+	genesis := genesisWithContract()
+	exportOf(t, New(cfg, genesis))
+	for range 2 {
+		grow(store.NewMem(), genesis)
+	}
+
+	twoContracts := genesisWithContract()
+	twoContracts.SetCode(kvAddr, asm.KVStoreContract())
+	for _, tc := range []struct {
+		name    string
+		genesis *statedb.StateDB
+		size    int
+		digest  string
+	}{
+		{"one contract", genesisWithContract(), 4647, "0x255b008ee88a9f548ad20e87484a11e2e1e18cb4fe0aef1efe8a52f8cffe074f"},
+		{"two contracts", twoContracts, 5083, ""},
+	} {
+		dir := t.TempDir()
+		kv, err := store.OpenFile(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grow(kv, tc.genesis)
+		if err := kv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		log := readFile(t, filepath.Join(dir, store.FileName))
+		if digest := types.Keccak(log).Hex(); len(log) != tc.size || (tc.digest != "" && digest != tc.digest) {
+			t.Errorf("%s: a %d-byte log digesting to %s, want %d bytes (%s)", tc.name, len(log), digest, tc.size, tc.digest)
+		}
+	}
 }

@@ -66,8 +66,11 @@ func matrixRows() []Eta {
 // TestModeMatrix runs every row at EtaSeed in the base cell once, then
 // in every other cell of the matrix, and demands each cell's whole
 // Result — every count, η, the message and block totals, every fault
-// family's section — equal the base's. The sim refuses a crash plan
-// behind RPC clients; those cells skip, and no other error does.
+// family's section — equal the base's. A run fails unless every peer
+// with a store reopens from it at its head (sim.ScenarioConfig.Persist),
+// so the persist cells, and the crash rows' crashing peers in every
+// cell, also prove each store they wrote whole. The sim refuses a crash
+// plan behind RPC clients; those cells skip, and no other error does.
 func TestModeMatrix(t *testing.T) {
 	cells := matrixCells()
 	for _, row := range matrixRows() {

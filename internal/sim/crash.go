@@ -7,10 +7,7 @@ import (
 	"os"
 	"slices"
 
-	"sereth/internal/asm"
-	"sereth/internal/chain"
 	"sereth/internal/node"
-	"sereth/internal/statedb"
 	"sereth/internal/store"
 )
 
@@ -102,16 +99,6 @@ func (c *crasher) configure(idx int, cfg *node.Config) error {
 	if cfg.Chain.SyncEvery <= 0 {
 		cfg.Chain.SyncEvery = 2
 	}
-	// A crashing peer must own everything it persists. The
-	// population-shared exec cache and genesis state hand it statedbs
-	// whose dirty trie nodes were already committed into the FIRST
-	// committer's store — write-through adoption of those would leave
-	// holes in this peer's own datadir, unrecoverable after a kill. A
-	// private cache (every block re-executed locally) and a private
-	// genesis instance (same root, fresh dirty flags) keep its log
-	// complete; execution is deterministic, so this changes only CPU
-	// time, never η.
-	c.private(cfg)
 	p.cfg = *cfg // its store is swapped at restart
 	return nil
 }
@@ -125,16 +112,6 @@ func (c *crasher) faulty(idx int, p *crashPeer, kv store.Store) *store.FaultStor
 		DropUnsyncedOnCrash: true,
 	})
 	return p.store
-}
-
-// private gives a crashing peer its own exec cache and genesis instance
-// (bit-identical root, its own dirty-node tracking, so its store receives
-// the full genesis commit).
-func (c *crasher) private(cfg *node.Config) {
-	cfg.Chain.ExecCache = chain.NewExecCache(0)
-	g := statedb.New()
-	g.SetCode(c.s.contract, asm.SerethContract())
-	cfg.Genesis = g
 }
 
 // events draws the kill instants from the family's own namespaced stream.
@@ -187,10 +164,6 @@ func (c *crasher) restart(at uint64, idx int) error {
 	c.res.SalvageCorrected += uint64(rep.Corrected)
 	cfg := p.cfg
 	cfg.Store = c.faulty(idx, p, kv)
-	// Both per restart: the exec cache must not replay pre-crash post
-	// states whose dirty nodes went to the dead handle, and the genesis
-	// fallback (a kill before any durable head) must commit in full.
-	c.private(&cfg)
 	n, err := node.New(cfg)
 	if err != nil {
 		return fmt.Errorf("sim: crash restart %d: reopen failed: %w", idx, err)

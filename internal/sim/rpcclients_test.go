@@ -34,7 +34,8 @@ func TestRPCClientsEtaMatchesInProcess(t *testing.T) {
 }
 
 // TestPersistDeterministic pins store-backed runs against plain runs on
-// the paper rig.
+// the paper rig; the run itself fails unless every peer's store reopens
+// at the peer's head.
 func TestPersistDeterministic(t *testing.T) {
 	requireSameResult(t, SerethClient(20, 101), func(c *ScenarioConfig) { c.Persist = true })
 }

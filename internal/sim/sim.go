@@ -118,9 +118,10 @@ type ScenarioConfig struct {
 
 	// Persist backs every node's chain with its own in-memory
 	// store.Store, so each adopted block flushes dirty state and block
-	// records exactly as a disk-backed deployment would. Persistence is
-	// write-through — it never changes execution — so every measured η
-	// is unaffected.
+	// records exactly as a disk-backed deployment would, and each peer
+	// executes every block itself. Neither changes execution, so every
+	// measured η is unaffected; a run fails unless each store reopens at
+	// its peer's head.
 	Persist bool
 }
 
@@ -408,16 +409,14 @@ func newScenario(cfg ScenarioConfig) (*scenario, error) {
 
 	genesis := statedb.New()
 	genesis.SetCode(s.contract, asm.SerethContract())
-	// One shared validated-execution cache for the whole population: a
+	// One validated-execution cache for the peers without a store: a
 	// block's miner executes it once, to build it, and memoizes that
-	// execution when its own import has verified it; every other peer
-	// verifies the header by root comparison (§II-D economics without N
-	// identical executions per in-process block).
-	chainCfg := chain.Config{
-		GasLimit:  cfg.BlockGasLimit,
-		Registry:  reg,
-		ExecCache: chain.NewExecCache(0),
-	}
+	// execution when its own import has verified it; every other such
+	// peer verifies the header by root comparison (§II-D economics
+	// without N identical executions per in-process block). A peer with
+	// a store executes every block itself (chain.Config.ExecCache).
+	cache := chain.NewExecCache(0)
+	chainCfg := chain.Config{GasLimit: cfg.BlockGasLimit, Registry: reg}
 	if cfg.ParallelExec {
 		chainCfg.Parallel = true
 		// Fixed worker count (not GOMAXPROCS) and threshold 1: sim runs
@@ -459,6 +458,9 @@ func newScenario(cfg ScenarioConfig) (*scenario, error) {
 			if err := a.configure(idx, &nodeCfg); err != nil {
 				return nil, err
 			}
+		}
+		if nodeCfg.Store == nil { // after configure: an actor may give one
+			nodeCfg.Chain.ExecCache = cache
 		}
 		return node.New(nodeCfg)
 	}
@@ -842,6 +844,23 @@ func (s *scenario) collect() (Result, error) {
 	for _, a := range s.actors {
 		if err := a.report(&res); err != nil {
 			return Result{}, err
+		}
+	}
+	// Each store must hold its peer's chain whole: chain.Open, with no
+	// store of its own, verifies the head state in full and must land on
+	// the peer's head with every block from genesis.
+	for _, n := range s.nodes {
+		if n.Store() == nil {
+			continue
+		}
+		cfg := n.Chain().Config()
+		cfg.Store = nil
+		c, err := chain.Open(cfg, n.Store())
+		if err == nil && (c.Head().Hash() != n.Chain().Head().Hash() || c.Base() != 0) {
+			err = fmt.Errorf("reopens at block %d from base %d", c.Height(), c.Base())
+		}
+		if err != nil {
+			return Result{}, fmt.Errorf("sim: peer %d's store at its head %d: %w", n.ID(), n.Chain().Height(), err)
 		}
 	}
 	return res, nil

@@ -64,7 +64,9 @@ func (s *StateDB) CommitTo(kv store.Store) (types.Hash, int, error) {
 // StageTo flushes the state, stages into b every trie node not yet
 // persisted (the paths the dirty tracking re-encoded) and every code blob
 // not yet Stored, and returns the root. It reads no store: what is there
-// is remembered on the nodes and accounts that were written or resolved.
+// is remembered on the nodes and accounts that were written or resolved,
+// marks a state shares with its copies: Walk stages one whole whose
+// copies committed elsewhere.
 func (s *StateDB) StageTo(b *store.Batch) types.Hash {
 	root := s.Root() // flush: fold dirty accounts/slots into the tries
 	s.accTrie.Commit(b)

@@ -29,7 +29,8 @@ import (
 // the error returned. Like Copy it flushes first, which on a flushed
 // state writes nothing. O(state size). marked is trie.Walk's mark set:
 // what is below a node in it, storage tries and code blobs included,
-// is skipped.
+// is skipped. Blind to stored marks, it stages whole a state whose
+// copies committed to another store (a chain's genesis).
 func (s *StateDB) Walk(marked map[types.Hash]struct{}, visit func(key, value []byte)) error {
 	s.Root()
 	// An account leaf names its storage and code by hash; the accounts in

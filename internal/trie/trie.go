@@ -57,7 +57,8 @@ type node interface{}
 // is the encoding itself, embedded verbatim. refLen 0 means the node has
 // not been hashed since it was made, which is also what marks it private
 // to its trie — see mutable. stored marks nodes whose encoding already
-// lives in a node store, so Commit stops walking there.
+// lives in a node store, so Commit stops walking there; the copies of a
+// trie share it, so it holds only where they all commit to one store.
 type nodeCache struct {
 	ref    types.Hash
 	refLen uint8
