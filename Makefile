@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet loc shipped-deps smoke-patterns bench bench-check bench-smoke chaos-smoke parallel-smoke state-smoke serving-smoke crash-smoke elision-smoke order-smoke
+.PHONY: all build test race vet loc shipped-deps smoke-patterns bench bench-check bench-smoke chaos-smoke parallel-smoke state-smoke serving-smoke crash-smoke elision-smoke order-smoke soak
 
 all: vet build test
 
@@ -30,7 +30,7 @@ shipped-deps:
 # pattern names no test in that command's packages, so a renamed test
 # cannot silently drop out of a smoke target.
 smoke-patterns:
-	@bash smoke-patterns.sh chaos-smoke parallel-smoke state-smoke serving-smoke crash-smoke elision-smoke order-smoke
+	@bash smoke-patterns.sh chaos-smoke parallel-smoke state-smoke serving-smoke crash-smoke elision-smoke order-smoke soak
 
 # bench runs every Go benchmark of the module: the microscope. The gate,
 # on which performance claims are made, is the nested bench/ module
@@ -77,7 +77,10 @@ parallel-smoke:
 # contract against its flat twin's (and of a lazily opened state against
 # its materialized twin's), what Copy costs, that its slabs alias nothing,
 # what a post state retains and what a pooled journal array carries to
-# the next body (nothing); then SpecView and the parallel processor,
+# the next body (nothing), a creation reverted across a mid-body Root and
+# made again (the dirty list), and a seal merging into its own overlay
+# while a copy reads the generations it absorbed, and, without the race
+# detector, that a reserved body's touches allocate nothing; then SpecView and the parallel processor,
 # whose MergeInto writes through the same overlay. Below the storage, the
 # tries: the model-based churn over a tree of trie copies that write
 # their unhashed nodes in place (-short: 1000 of its 4000 steps; both
@@ -94,7 +97,8 @@ parallel-smoke:
 # a released machine keeps; and the node encoder fuzzed against the
 # Item-tree oracle for 30 s.
 state-smoke:
-	$(GO) test -race -count=5 -short -run 'TestStorage|TestCopyDoesNotScaleWithStorage|TestCopySharesNoAccountStruct|TestPooledScratchCarriesNothing|TestSnapshot|TestChurnRootMatchesFromScratch|TestJournalChurn' ./internal/statedb
+	$(GO) test -race -count=5 -short -run 'TestStorage|TestCopyDoesNotScaleWithStorage|TestCopySharesNoAccountStruct|TestPooledScratchCarriesNothing|TestSnapshot|TestChurnRootMatchesFromScratch|TestJournalChurn|TestRevertedCreationAcrossRoot|TestSealInPlaceLeavesSharedGenerations' ./internal/statedb
+	$(GO) test -count=1 -run 'TestReservedTouchesAllocateNothing' ./internal/statedb
 	$(GO) test -race -count=5 -run 'TestProcessPostHoldsNoJournal' ./internal/chain
 	$(GO) test -race -run 'TestSpecView' ./internal/statedb
 	$(GO) test -race -run 'TestParallel' ./internal/chain
@@ -210,7 +214,10 @@ elision-smoke:
 # the 2 x 6000 churn steps per run), Build's bodies and generator
 # positions against the eager ordering and the old trim at random gas
 # limits (-short: 300 of 2400), the nonce repair on long queues, the body
-# a block keeps, the gas-trim wedge and BuildBlock racing pool churn;
+# a block keeps, the gas-trim wedge, BuildBlock racing pool churn and the
+# strategy scratch a build leaves (no transaction), and, without the race
+# detector, that a second ordering of a pool's shape allocates nothing
+# beyond the tracker's prefix;
 # Pool.Settle against the full sweep on twin pools with trackers attached
 # (-short: 1500 of 6000 steps) and the order of its change feed; the
 # appended-to snapshot cache and the smallest pending GasLimit against an
@@ -224,7 +231,8 @@ elision-smoke:
 order-smoke:
 	$(GO) test -race -count=10 -run 'TestIncrementalEquivalence|TestProcess|TestAttach|TestConcurrentViewChurn|TestSemanticPrefix|TestBuyIndex' ./internal/hms
 	$(GO) test -count=1 -run 'TestSetAndBuysAllocateOneObject' ./internal/hms
-	$(GO) test -race -count=10 -short -run 'TestOrderDifferential|TestBuildMatchesReference|TestRepair|TestRestCountMismatchIsNamed|TestBlockDoesNotPinPoolSizedBody|TestMinerSkipsSenderAfterGasMiss|TestBuildBlockRacesPoolChurn' ./internal/miner
+	$(GO) test -race -count=10 -short -run 'TestOrderDifferential|TestBuildMatchesReference|TestRepair|TestRestCountMismatchIsNamed|TestBlockDoesNotPinPoolSizedBody|TestMinerSkipsSenderAfterGasMiss|TestBuildBlockRacesPoolChurn|TestBuildLeavesNoTransactionInScratch' ./internal/miner
+	$(GO) test -count=1 -run 'TestSecondOrderingAllocatesNothing' ./internal/miner
 	$(GO) test -race -count=10 -short -run 'TestSettle|TestSnapshot|TestReAdmitted|TestClear' ./internal/txpool
 	$(GO) test -race -count=10 -run 'TestSettleRacesAdmissionsAndViews' ./internal/node
 	$(GO) test -race -count=10 -run 'TestSeries' ./internal/rpc
@@ -258,3 +266,13 @@ serving-smoke:
 	done
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTransaction$$' -fuzztime 30s ./internal/types
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlock$$' -fuzztime 30s ./internal/types
+
+# soak mines ten reorg horizons (5 120 blocks) on three persisted peers on
+# the default mesh and asserts they converge, keep their goroutine count,
+# keep the states of their horizon in their stores and grow their heap
+# by their history alone; then builds as many blocks over a churning pool
+# and asserts the miner's strategy scratch stays sized by the largest
+# pool it ordered (~10 s; both are skipped under -short).
+soak:
+	$(GO) test -count=1 -run 'TestSoakHoldsItsWindow' ./internal/scenarios
+	$(GO) test -count=1 -run 'TestScratchStaysBoundedOverBuilds' ./internal/miner

@@ -114,6 +114,7 @@ type Chain struct {
 	// have no history below their snapshot point.
 	base     uint64
 	blocks   []*types.Block
+	headHash types.Hash                      // the last block's hash, kept beside it
 	receipts map[types.Hash][]*types.Receipt // block hash -> receipts
 	state    *statedb.StateDB                // post-head state
 	// posts holds the post states of the canonical blocks right below the
@@ -182,6 +183,7 @@ func newChain(cfg Config, blocks []*types.Block, state *statedb.StateDB) *Chain 
 		proc:     NewProcessor(cfg),
 		base:     blocks[0].Number(),
 		blocks:   blocks,
+		headHash: blocks[len(blocks)-1].Hash(),
 		receipts: map[types.Hash][]*types.Receipt{},
 		state:    state,
 		posts:    make([]*statedb.StateDB, 0, window),
@@ -210,6 +212,14 @@ func (c *Chain) Head() *types.Block {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.blocks[len(c.blocks)-1]
+}
+
+// HeadHash returns the head block's hash, which the chain keeps beside
+// the head instead of hashing its header again.
+func (c *Chain) HeadHash() types.Hash {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.headHash
 }
 
 // Height returns the head block number.
@@ -334,7 +344,7 @@ func (c *Chain) insertBuilt(block *types.Block, built *ExecResult) ([]*types.Rec
 	defer c.mu.Unlock()
 
 	head := c.blocks[len(c.blocks)-1]
-	if block.Header.ParentHash != head.Hash() {
+	if block.Header.ParentHash != c.headHash {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownParent, block.Header.ParentHash.Hex())
 	}
 	if block.Header.Number != head.Number()+1 {
@@ -516,6 +526,7 @@ func (c *Chain) importFork(blocks []*types.Block) (int, error) {
 		c.blocks = append(c.blocks, b)
 		c.receipts[results[j].hash] = results[j].receipts
 	}
+	c.headHash = results[len(results)-1].hash
 	// The posts up to the parent's stay (one reopened from the store is
 	// not kept), the branch's below its tip follow.
 	kept := 0
@@ -590,6 +601,7 @@ func (c *Chain) adopt(block *types.Block, hash types.Hash, receipts []*types.Rec
 		}
 	}
 	c.blocks = append(c.blocks, block)
+	c.headHash = hash
 	c.receipts[hash] = receipts
 	c.keepPost(c.state)
 	c.state = post

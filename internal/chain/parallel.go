@@ -17,7 +17,6 @@ package chain
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"sereth/internal/evm"
@@ -180,42 +179,11 @@ func (p *ParallelProcessor) processParallel(parentState *statedb.StateDB, header
 	p.reruns.Add(reruns)
 	p.readOnlySkips.Add(readOnly)
 	p.nonceOnlyMerges.Add(nonceOnly)
-	res := &ExecResult{
-		Receipts:  receipts,
-		Post:      st,
-		GasUsed:   gasUsed,
-		StateRoot: st.Root(),
-	}
-	// Receipt hashing is embarrassingly parallel and the memo on each
-	// arena receipt makes the fan-out visible to DeriveReceiptRoot, so
-	// the root derivation below reduces to combining cached hashes.
-	parallelReceiptHash(receipts, p.workers)
-	res.ReceiptRoot = types.DeriveReceiptRoot(receipts)
-	return res, nil
-}
-
-// parallelReceiptHash precomputes the per-receipt hash memos on the
-// worker pool. Hashing is independent per receipt and the memo is
-// written before the receipts are shared, so DeriveReceiptRoot (and any
-// later consumer) reads warm caches.
-func parallelReceiptHash(receipts []*types.Receipt, workers int) {
-	if workers < 2 || len(receipts) < 64 {
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(receipts) {
-					return
-				}
-				receipts[i].Hash()
-			}
-		}()
-	}
-	wg.Wait()
+	return &ExecResult{
+		Receipts:    receipts,
+		Post:        st,
+		GasUsed:     gasUsed,
+		StateRoot:   st.Root(),
+		ReceiptRoot: types.DeriveReceiptRoot(receipts),
+	}, nil
 }

@@ -12,6 +12,7 @@ type Censor struct {
 	inner    Strategy
 	targets  map[types.Address]struct{}
 	excluded uint64
+	kept     []*types.Transaction // what the last Pull handed inner: scratch
 }
 
 var _ Strategy = (*Censor)(nil)
@@ -27,20 +28,26 @@ func NewCensor(inner Strategy, targets []types.Address) *Censor {
 
 // Pull implements Strategy: exclusions are made and counted per call, not per pull.
 func (c *Censor) Pull(pending []*types.Transaction, nextNonce func(types.Address) uint64) Cursor {
-	kept := make([]*types.Transaction, 0, len(pending))
+	c.kept = c.kept[:0]
 	for _, tx := range pending {
 		if _, hit := c.targets[tx.From]; hit {
 			c.excluded++
 			continue
 		}
-		kept = append(kept, tx)
+		c.kept = append(c.kept, tx)
 	}
-	return c.inner.Pull(kept, nextNonce)
+	return c.inner.Pull(c.kept, nextNonce)
+}
+
+func (c *Censor) release() {
+	clear(c.kept[:cap(c.kept)])
+	c.kept = c.kept[:0]
+	c.inner.release()
 }
 
 // Order is Pull collected into a slice.
 func (c *Censor) Order(pending []*types.Transaction, nextNonce func(types.Address) uint64) []*types.Transaction {
-	return collect(c.Pull(pending, nextNonce), len(pending))
+	return order(c, pending, nextNonce)
 }
 
 // Excluded returns the number of censorship exclusion events (one per

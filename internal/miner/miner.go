@@ -10,6 +10,14 @@
 // its limits, so a block costs what it holds, not what the pool holds.
 // The one O(pool) step left is the pool's: the first snapshot after a
 // removal rebuilds the pending slice.
+//
+// A cursor is scratch the strategy owns: its ranks, its nonce repair's
+// sender states and deferred queues and a censor's kept list live in the
+// strategy and are reused by its next Pull, so a block's ordering
+// allocates nothing once the strategy has seen one of its shape. A Pull
+// therefore invalidates the strategy's previous cursor, and Build
+// empties the scratch of every transaction before it returns, so an idle
+// miner pins none the pool has since dropped.
 package miner
 
 import (
@@ -17,7 +25,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"sereth/internal/chain"
 	"sereth/internal/hms"
@@ -34,8 +41,18 @@ import (
 // per element of the rest per call, a censor's exclusion count — is done
 // when Pull returns, however far the cursor is pulled. Only ranking,
 // sorting and the nonce repair wait for a transaction to need them.
+//
+// The strategies are this package's: release is unexported.
 type Strategy interface {
+	// Pull returns the ordering of pending as a cursor. The cursor lives
+	// in the strategy's scratch, so it is valid until the strategy's next
+	// Pull, which reuses that scratch; a strategy pulls one ordering at a
+	// time and is not safe for concurrent use (Baseline's generator never
+	// was).
 	Pull(pending []*types.Transaction, nextNonce func(types.Address) uint64) Cursor
+	// release drops every transaction and state the last cursor holds in
+	// the scratch, keeping the scratch's arrays and maps for the next Pull.
+	release()
 }
 
 // Cursor is an ordering being pulled: Next is nil once it is exhausted.
@@ -52,6 +69,13 @@ func collect(c Cursor, sizeHint int) []*types.Transaction {
 	return out
 }
 
+// order is a strategy's Pull collected into a slice, its scratch released.
+func order(s Strategy, pending []*types.Transaction, nextNonce func(types.Address) uint64) []*types.Transaction {
+	out := collect(s.Pull(pending, nextNonce), len(pending))
+	s.release()
+	return out
+}
+
 // Baseline is the standard-client ordering: highest gas price first,
 // same-price transactions roughly in the order they reached this miner's
 // pool, perturbed by a bounded reorder window. This mirrors unmodified
@@ -65,6 +89,10 @@ type Baseline struct {
 	// positions: each transaction's effective arrival rank is its pool
 	// index plus uniform(0, reorderWindow). Zero means pure FIFO.
 	reorderWindow int
+	// sorted and repair are the scratch of the cursor Pull returns (the
+	// rest's, when the baseline is a semantic strategy's fallback).
+	sorted sorted
+	repair repair
 }
 
 var _ Strategy = (*Baseline)(nil)
@@ -88,12 +116,24 @@ func NewBaselineWindow(seed int64, window int) *Baseline {
 // Pull implements Strategy: sort by (price desc, jittered arrival rank),
 // then repair per-sender nonce order.
 func (b *Baseline) Pull(pending []*types.Transaction, nextNonce func(types.Address) uint64) Cursor {
-	return newRepair(nil, b.draw(pending, nil), nextNonce)
+	return b.pull(pending, nil, nextNonce)
+}
+
+// pull is Pull over pending less except (distinct transactions of
+// pending).
+func (b *Baseline) pull(pending, except []*types.Transaction, nextNonce func(types.Address) uint64) *repair {
+	b.repair.reset(nil, b.draw(pending, except), nextNonce)
+	return &b.repair
+}
+
+func (b *Baseline) release() {
+	b.sorted.release()
+	b.repair.release()
 }
 
 // Order is Pull collected into a slice.
 func (b *Baseline) Order(pending []*types.Transaction, nextNonce func(types.Address) uint64) []*types.Transaction {
-	return collect(b.Pull(pending, nextNonce), len(pending))
+	return order(b, pending, nextNonce)
 }
 
 type ranked struct {
@@ -105,21 +145,27 @@ type ranked struct {
 // and sorted on the first pull: a block that fills first never pays.
 type sorted struct {
 	txs, except []*types.Transaction
-	ranked      []ranked // the ranks draw took; nil for FIFO
-	next        int
-	ready       bool
+	ranked      []ranked // the ranks draw took; all zero for FIFO
+	// scheduled is except as a set while the rest is looked for, and
+	// empty otherwise.
+	scheduled map[*types.Transaction]struct{}
+	next      int
+	ready     bool
 }
 
 // draw takes the randomness of ordering pending less except (distinct
 // transactions of pending) before anything is pulled: the generator stands
 // where an eager ordering leaves it. A FIFO miner draws nothing.
 func (b *Baseline) draw(pending, except []*types.Transaction) *sorted {
-	s := &sorted{txs: pending, except: except}
+	s := &b.sorted
+	n := len(pending) - len(except)
+	*s = sorted{txs: pending, except: except, ranked: slices.Grow(s.ranked[:0], n)[:n], scheduled: s.scheduled}
 	if b.reorderWindow > 0 {
-		s.ranked = make([]ranked, len(pending)-len(except))
 		for i := range s.ranked {
 			s.ranked[i].rank = float64(i) + b.rng.Float64()*float64(b.reorderWindow)
 		}
+	} else {
+		clear(s.ranked) // FIFO: equal ranks, and the sort is stable
 	}
 	return s
 }
@@ -129,22 +175,22 @@ func (s *sorted) Next() *types.Transaction {
 		s.ready = true
 		// except holds txs' own pointers, so identity finds the rest
 		// without hashing.
-		scheduled := make(map[*types.Transaction]struct{}, len(s.except))
-		for _, tx := range s.except {
-			scheduled[tx] = struct{}{}
+		if s.scheduled == nil {
+			s.scheduled = make(map[*types.Transaction]struct{}, len(s.except))
 		}
-		if s.ranked == nil { // FIFO: equal ranks, and the sort is stable
-			s.ranked = make([]ranked, len(s.txs)-len(s.except))
+		for _, tx := range s.except {
+			s.scheduled[tx] = struct{}{}
 		}
 		rest := 0
 		for _, tx := range s.txs {
-			if _, ok := scheduled[tx]; !ok {
+			if _, ok := s.scheduled[tx]; !ok {
 				if rest < len(s.ranked) {
 					s.ranked[rest].tx = tx
 				}
 				rest++
 			}
 		}
+		clear(s.scheduled)
 		if rest != len(s.ranked) {
 			panic(fmt.Sprintf("miner: %d transactions ranked for a rest of %d: the semantic prefix is not distinct transactions of pending", len(s.ranked), rest))
 		}
@@ -162,12 +208,20 @@ func (s *sorted) Next() *types.Transaction {
 	return s.ranked[s.next-1].tx
 }
 
+// release drops the transactions the cursor ranked and the slices it
+// ordered, keeping the rank array.
+func (s *sorted) release() {
+	clear(s.ranked[:cap(s.ranked)])
+	*s = sorted{ranked: s.ranked[:0], scheduled: s.scheduled}
+}
+
 // Semantic orders the block by the HMS series: buys bound to the
 // committed interval first, then each pending set followed by the buys
 // that depend on its mark, then everything else in baseline order.
 type Semantic struct {
 	tracker  *hms.Tracker
 	fallback *Baseline
+	body     repair // the whole body's nonce repair, around the fallback's
 }
 
 var _ Strategy = (*Semantic)(nil)
@@ -195,19 +249,28 @@ func NewSemanticWindow(tracker *hms.Tracker, seed int64, window int) *Semantic {
 // placing it behind its predecessor. Blocks depend on that.
 func (m *Semantic) Pull(pending []*types.Transaction, nextNonce func(types.Address) uint64) Cursor {
 	prefix, _ := m.tracker.SemanticPrefix(pending)
-	return newRepair(prefix, newRepair(nil, m.fallback.draw(pending, prefix), nextNonce), nextNonce)
+	m.body.reset(prefix, m.fallback.pull(pending, prefix, nextNonce), nextNonce)
+	return &m.body
+}
+
+func (m *Semantic) release() {
+	m.fallback.release()
+	m.body.release()
 }
 
 // Order is Pull collected into a slice.
 func (m *Semantic) Order(pending []*types.Transaction, nextNonce func(types.Address) uint64) []*types.Transaction {
-	return collect(m.Pull(pending, nextNonce), len(pending))
+	return order(m, pending, nextNonce)
 }
 
 // senderState is the nonce repair's per-sender bookkeeping.
 type senderState struct {
-	want     uint64               // next nonce the body may carry
-	deferred []*types.Transaction // premature txs waiting for want
-	unsorted bool                 // deferred has grown since its last sort
+	want uint64 // next nonce the body may carry
+	// deferred[head:] are the premature txs waiting for want; the array
+	// is kept from one repair to the next.
+	deferred []*types.Transaction
+	head     int
+	unsorted bool // deferred has grown since its last sort
 }
 
 // repair enforces the protocol invariant that a block may not contain a
@@ -215,7 +278,8 @@ type senderState struct {
 // it pulls — first, then in — stale nonces are dropped, premature ones
 // deferred until their predecessors are placed, and unplaceable ones
 // discarded. One address-keyed lookup per transaction pulled: the map
-// holds indices into a slice of value-typed sender states.
+// holds indices into a slice of value-typed sender states. The map, the
+// states and their queues' arrays are reused by the next reset.
 type repair struct {
 	first     []*types.Transaction
 	in        Cursor
@@ -225,17 +289,31 @@ type repair struct {
 	draining  int // the sender whose placement may have unblocked deferred txs, or -1
 }
 
-func newRepair(first []*types.Transaction, in Cursor, nextNonce func(types.Address) uint64) *repair {
-	return &repair{first: first, in: in, nextNonce: nextNonce, index: make(map[types.Address]int), draining: -1}
+// reset starts the repair of first, then in.
+func (r *repair) reset(first []*types.Transaction, in Cursor, nextNonce func(types.Address) uint64) {
+	if r.index == nil {
+		r.index = make(map[types.Address]int)
+	}
+	clear(r.index)
+	r.first, r.in, r.nextNonce, r.senders, r.draining = first, in, nextNonce, r.senders[:0], -1
+}
+
+// release drops the transactions the repair deferred and what it pulled
+// from.
+func (r *repair) release() {
+	for _, s := range r.senders[:cap(r.senders)] {
+		clear(s.deferred[:cap(s.deferred)])
+	}
+	r.first, r.in, r.nextNonce = nil, nil, nil
 }
 
 func (r *repair) Next() *types.Transaction {
 	for {
 		if r.draining >= 0 {
 			s := &r.senders[r.draining]
-			if q := s.deferred; len(q) > 0 && q[0].Nonce == s.want {
+			if q := s.deferred[s.head:]; len(q) > 0 && q[0].Nonce == s.want {
 				s.want++
-				s.deferred = q[1:]
+				s.head++
 				return q[0]
 			}
 			r.draining = -1
@@ -250,7 +328,12 @@ func (r *repair) Next() *types.Transaction {
 		if !ok {
 			i = len(r.senders)
 			r.index[tx.From] = i
-			r.senders = append(r.senders, senderState{want: r.nextNonce(tx.From)})
+			if i < cap(r.senders) { // a state of an earlier repair: keep its queue's array
+				r.senders = r.senders[:i+1]
+				r.senders[i] = senderState{want: r.nextNonce(tx.From), deferred: r.senders[i].deferred[:0]}
+			} else {
+				r.senders = append(r.senders, senderState{want: r.nextNonce(tx.From)})
+			}
 		}
 		s := &r.senders[i]
 		if tx.Nonce > s.want {
@@ -258,8 +341,8 @@ func (r *repair) Next() *types.Transaction {
 			continue
 		}
 		// Drain what this unblocks: one sort per refill, not per drained tx.
-		if q := s.deferred; s.unsorted {
-			sort.Slice(q, func(i, j int) bool { return q[i].Nonce < q[j].Nonce })
+		if q := s.deferred[s.head:]; s.unsorted {
+			slices.SortFunc(q, func(a, b *types.Transaction) int { return cmp.Compare(a.Nonce, b.Nonce) })
 			s.unsorted = false
 		}
 		r.draining = i
@@ -342,6 +425,7 @@ func (m *Miner) Build(timestamp uint64) (*types.Block, *chain.ExecResult, error)
 		budget += tx.GasLimit
 		body = append(body, tx)
 	}
+	m.strategy.release()
 
 	header := &types.Header{
 		ParentHash: head.Hash(),

@@ -148,7 +148,9 @@ func (s *slice) Next() *types.Transaction {
 // repairNonceOrder is the nonce repair collected over a given ordering.
 func repairNonceOrder(desired []*types.Transaction, nextNonce func(types.Address) uint64) []*types.Transaction {
 	in := slice(desired)
-	return collect(newRepair(nil, &in, nextNonce), len(desired))
+	var r repair
+	r.reset(nil, &in, nextNonce)
+	return collect(&r, len(desired))
 }
 
 // referenceRepair is repairNonceOrder before it kept one value-typed

@@ -1,0 +1,5 @@
+//go:build race
+
+package miner
+
+const raceEnabled = true

@@ -73,7 +73,7 @@ func (c *censor) report(res *Result) error {
 	for _, n := range c.s.nodes {
 		c.res.Excluded += n.CensorExcluded()
 	}
-	c.s.canonical(func(_ *types.Block, receipts []*types.Receipt) {
+	c.s.canonical(func(_ *types.Block, _ types.Hash, receipts []*types.Receipt) {
 		for _, r := range receipts {
 			if c.hashes[r.TxHash] {
 				c.res.Included++
@@ -191,8 +191,8 @@ func (a *attack) sendBlock(blk *types.Block) {
 }
 
 func (a *attack) report(res *Result) error {
-	a.s.canonical(func(block *types.Block, receipts []*types.Receipt) {
-		if a.blocks[block.Hash()] {
+	a.s.canonical(func(_ *types.Block, hash types.Hash, receipts []*types.Receipt) {
+		if a.blocks[hash] {
 			a.res.BlocksAccepted++
 		}
 		for _, r := range receipts {

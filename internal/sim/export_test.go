@@ -15,6 +15,6 @@ func RunBlocks(cfg ScenarioConfig) (Result, []*types.Block, error) {
 		return Result{}, nil, err
 	}
 	var blocks []*types.Block
-	s.canonical(func(b *types.Block, _ []*types.Receipt) { blocks = append(blocks, b) })
+	s.canonical(func(b *types.Block, _ types.Hash, _ []*types.Receipt) { blocks = append(blocks, b) })
 	return res, blocks, nil
 }

@@ -688,17 +688,9 @@ func (s *scenario) drainDone() bool {
 // convergedNow reports whether every online peer is on the primary
 // client's exact head.
 func (s *scenario) convergedNow() bool {
-	c := s.clients[0].Chain()
-	h := c.Height()
+	head := s.clients[0].Chain().HeadHash()
 	for _, n := range s.nodes {
-		if s.offline[n.ID()] > 0 {
-			continue
-		}
-		nc := n.Chain()
-		if nc.Height() != h {
-			return false
-		}
-		if h > 0 && nc.BlockByNumber(h).Hash() != c.BlockByNumber(h).Hash() {
+		if s.offline[n.ID()] == 0 && n.Chain().HeadHash() != head {
 			return false
 		}
 	}
@@ -793,11 +785,17 @@ func (s *scenario) mine(at uint64) error {
 
 // canonical calls visit for every block of the primary client's
 // canonical chain above genesis, with its receipts.
-func (s *scenario) canonical(visit func(*types.Block, []*types.Receipt)) {
+func (s *scenario) canonical(visit func(block *types.Block, hash types.Hash, receipts []*types.Receipt)) {
 	c := s.clients[0].Chain()
-	for n := uint64(1); n <= c.Height(); n++ {
-		block := c.BlockByNumber(n)
-		visit(block, c.Receipts(block.Hash()))
+	// A block's hash is its child's ParentHash and the chain keeps the
+	// head's: the walk hashes no header.
+	hashes := make([]types.Hash, c.Height()+1)
+	hashes[len(hashes)-1] = c.HeadHash()
+	for n := len(hashes) - 1; n > 1; n-- {
+		hashes[n-1] = c.BlockByNumber(uint64(n)).Header.ParentHash
+	}
+	for n := 1; n < len(hashes); n++ {
+		visit(c.BlockByNumber(uint64(n)), hashes[n], c.Receipts(hashes[n]))
 	}
 }
 
@@ -819,7 +817,7 @@ func (s *scenario) collect() (Result, error) {
 		res.Evicted += n.Pool().Evicted()
 	}
 	var lastTime uint64
-	s.canonical(func(block *types.Block, receipts []*types.Receipt) {
+	s.canonical(func(block *types.Block, _ types.Hash, receipts []*types.Receipt) {
 		lastTime = block.Header.Time
 		for _, receipt := range receipts {
 			succeeded := receipt.Status == types.StatusSucceeded

@@ -412,7 +412,7 @@ func (v *SpecView) NonceOnlyWrite() (types.Address, uint64, bool) {
 func (s *StateDB) MergeNonce(addr types.Address, nonce uint64) {
 	acc := s.mergeAccount(addr)
 	acc.nonce = nonce
-	s.touch(addr)
+	s.touch(addr, acc)
 }
 
 // MergeInto applies the view's surviving overlay writes to dst without
@@ -442,7 +442,7 @@ func (v *SpecView) MergeInto(dst *StateDB) {
 		for k, val := range sa.storage {
 			acc.setSlot(k, val) // zero clears, here as there
 		}
-		dst.touch(addr)
+		dst.touch(addr, acc)
 	}
 }
 
@@ -461,6 +461,6 @@ func (s *StateDB) mergeAccount(addr types.Address) *account {
 		acc = &account{}
 	}
 	s.accounts[addr] = acc
-	s.touch(addr)
+	s.touch(addr, acc)
 	return acc
 }

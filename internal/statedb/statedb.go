@@ -7,17 +7,24 @@
 //
 // The commitment is incremental: every StateDB keeps a persistent
 // account trie (plus one persistent storage trie per account) that is
-// structure-shared across Copy, and tracks the set of accounts dirtied
-// since the last flush. Root re-encodes and re-hashes only the dirty
-// paths — O(changes · log n) instead of rebuilding the full account and
-// storage tries from scratch on every call.
+// structure-shared across Copy, and lists the accounts dirtied since the
+// last flush. Root re-encodes and re-hashes only the dirty paths —
+// O(changes · log n) instead of rebuilding the full account and storage
+// tries from scratch on every call. The dirty list is a flag on each
+// account plus the addresses in first-touch order, in an array
+// ReserveJournal sizes beside the journal; flush visits them in that
+// order (a root does not depend on it) and deletes a listed address whose
+// creation was reverted.
 //
 // Contract storage is shared the same way. An account's slots live in a
 // chain of immutable generations (newest first) under a private write
 // overlay; flush seals the overlay into a new generation and Copy shares
 // the chain, so copying a state costs its number of accounts, not its
 // number of slots, and successive post states share every slot the block
-// between them did not write.
+// between them did not write. Sealing merges the generations it absorbs
+// into the overlay in place: the overlay is private until it is linked,
+// and the generations it read stay as they are for the copies sharing
+// them.
 package statedb
 
 import (
@@ -43,10 +50,14 @@ type StateDB struct {
 	// pooled is the journals-pool handle a reservation took; nil while
 	// journal is an array append alone grew.
 	pooled *[]journalEntry
-	// dirty is the set of accounts mutated since the last flush; only
+	// dirty lists the accounts mutated since the last flush, in the order
+	// of their first touch, each listed while its dirty flag is set; only
 	// these are re-encoded into the account trie by Root. Journal undos
-	// re-mark their account, so a revert leaves the flush correct.
-	dirty map[types.Address]struct{}
+	// re-mark their account, so a revert leaves the flush correct: a
+	// reverted creation stays listed and is deleted. dirtyPooled is the
+	// pool handle a reservation took, as pooled is the journal's.
+	dirty       []types.Address
+	dirtyPooled *[]types.Address
 	// accTrie is the persistent secure account trie. Its hashed nodes are
 	// immutable (a mutation copies them; only nodes made since the last
 	// flush are written in place), so Copy, which flushes, shares them
@@ -94,6 +105,9 @@ type account struct {
 	// flushed storage is the storage trie itself (see loadSlot), which is
 	// already persistent and shared, so it keeps no generations.
 	lazy bool
+	// dirty says the owning state lists the account for its next flush.
+	// False on every account of a flushed state, so Copy copies it false.
+	dirty bool
 }
 
 // storageGen is one sealed generation of an account's storage: the slots
@@ -140,7 +154,8 @@ func (acc *account) setSlot(key, value types.Word) {
 // trie. On a lazy account the trie now answers for those slots and the
 // overlay is simply dropped; otherwise it becomes the newest generation,
 // merged with the ones below it while they are within genMergeRatio of
-// its size. Merging builds a new map: the generations it reads stay as
+// its size. The overlay is private, so a merge writes the older slots it
+// does not shadow into it in place; the generations it reads stay as
 // they are for the states that share them.
 func (acc *account) seal() {
 	slots := acc.storage
@@ -150,14 +165,15 @@ func (acc *account) seal() {
 	}
 	below := acc.gens
 	for below != nil && len(below.slots) < genMergeRatio*len(slots) {
-		merged := make(map[types.Word]types.Word, len(below.slots)+len(slots))
-		maps.Copy(merged, below.slots)
-		maps.Copy(merged, slots)
-		slots, below = merged, below.below
+		for k, v := range below.slots {
+			if _, newer := slots[k]; !newer {
+				slots[k] = v
+			}
+		}
+		below = below.below
 	}
 	if below == nil {
-		// Nothing older to hide: tombstones end here. slots is the overlay
-		// or a merge result, private either way.
+		// Nothing older to hide: tombstones end here.
 		maps.DeleteFunc(slots, cleared)
 	}
 	acc.gens = &storageGen{slots: slots, below: below}
@@ -208,7 +224,7 @@ type journalEntry struct {
 
 // revert undoes the entry against s.
 func (e *journalEntry) revert(s *StateDB) {
-	s.touch(e.addr)
+	s.touch(e.addr, e.acc)
 	switch e.kind {
 	case kindAccountCreate:
 		delete(s.accounts, e.addr)
@@ -230,12 +246,12 @@ func New() *StateDB {
 	return &StateDB{accounts: make(map[types.Address]*account)}
 }
 
-// touch marks an account dirty for the next flush.
-func (s *StateDB) touch(addr types.Address) {
-	if s.dirty == nil {
-		s.dirty = make(map[types.Address]struct{})
+// touch marks acc, the account at addr, dirty for the next flush.
+func (s *StateDB) touch(addr types.Address, acc *account) {
+	if !acc.dirty {
+		acc.dirty = true
+		s.dirty = append(s.dirty, addr)
 	}
-	s.dirty[addr] = struct{}{}
 }
 
 func (s *StateDB) getOrCreate(addr types.Address) *account {
@@ -253,8 +269,8 @@ func (s *StateDB) getOrCreate(addr types.Address) *account {
 	}
 	acc := &account{}
 	s.accounts[addr] = acc
-	s.touch(addr)
-	s.journal = append(s.journal, journalEntry{kind: kindAccountCreate, addr: addr})
+	s.touch(addr, acc)
+	s.journal = append(s.journal, journalEntry{kind: kindAccountCreate, addr: addr, acc: acc})
 	return acc
 }
 
@@ -293,7 +309,7 @@ func (s *StateDB) SetNonce(addr types.Address, nonce uint64) {
 	acc := s.getOrCreate(addr)
 	prev := acc.nonce
 	acc.nonce = nonce
-	s.touch(addr)
+	s.touch(addr, acc)
 	s.journal = append(s.journal, journalEntry{
 		kind: kindNonce, addr: addr, acc: acc, prevU64: prev,
 	})
@@ -312,7 +328,7 @@ func (s *StateDB) AddBalance(addr types.Address, amount uint64) {
 	acc := s.getOrCreate(addr)
 	prev := acc.balance
 	acc.balance = prev + amount
-	s.touch(addr)
+	s.touch(addr, acc)
 	s.journal = append(s.journal, journalEntry{
 		kind: kindBalance, addr: addr, acc: acc, prevU64: prev,
 	})
@@ -327,7 +343,7 @@ func (s *StateDB) SubBalance(addr types.Address, amount uint64) bool {
 	}
 	prev := acc.balance
 	acc.balance = prev - amount
-	s.touch(addr)
+	s.touch(addr, acc)
 	s.journal = append(s.journal, journalEntry{
 		kind: kindBalance, addr: addr, acc: acc, prevU64: prev,
 	})
@@ -349,7 +365,7 @@ func (s *StateDB) SetCode(addr types.Address, code []byte) {
 	prev, prevHash := acc.code, acc.codeHash
 	acc.code = append([]byte{}, code...)
 	acc.codeHash, acc.codeStored = nil, false
-	s.touch(addr)
+	s.touch(addr, acc)
 	s.journal = append(s.journal, journalEntry{
 		kind: kindCode, addr: addr, acc: acc, prevCode: prev, prevCodeHash: prevHash,
 	})
@@ -368,7 +384,7 @@ func (s *StateDB) SetState(addr types.Address, key, value types.Word) {
 	acc := s.getOrCreate(addr)
 	prev := acc.slot(key)
 	acc.setSlot(key, value)
-	s.touch(addr)
+	s.touch(addr, acc)
 	s.journal = append(s.journal, journalEntry{
 		kind: kindStorage, addr: addr, acc: acc, key: key, prevWord: prev,
 	})
@@ -395,30 +411,56 @@ const bodyJournalSlack = 8
 // n-transaction block body.
 func BodyJournalCapacity(n int) int { return JournalEntriesPerTx*n + bodyJournalSlack }
 
-// journals recycles undo arrays between bodies; every entry of a pooled
-// array is zero.
-var journals = sync.Pool{New: func() any { return new([]journalEntry) }}
+// journals and dirtyLists recycle undo arrays and dirty lists between
+// bodies; every element of a pooled array is zero.
+var (
+	journals   = sync.Pool{New: func() any { return new([]journalEntry) }}
+	dirtyLists = sync.Pool{New: func() any { return new([]types.Address) }}
+)
 
-// ReserveJournal pre-sizes the undo log for at least n more entries.
-// Block processors call it once per body so the flat journal never pays
-// a growth copy during the replay. An empty journal adopts a pooled
-// array when one is large enough; DiscardJournal gives it back.
+// ReserveJournal pre-sizes the undo log for at least n more entries, and
+// the dirty list for as many touches (every first touch of an account
+// journals an entry). Block processors call it once per body so neither
+// pays a growth copy during the replay. An empty journal or list adopts a
+// pooled array when one is large enough; DiscardJournal gives the
+// journal's back, the flush the list's.
 func (s *StateDB) ReserveJournal(n int) {
-	if cap(s.journal)-len(s.journal) >= n {
+	reserve(&s.journal, &s.pooled, &journals, n)
+	reserve(&s.dirty, &s.dirtyPooled, &dirtyLists, n)
+}
+
+// reserve makes room in *list for n more elements. An empty list adopts
+// pool's array when it is large enough, keeping the pool's handle in
+// *handle; a list that must grow otherwise is copied into a new array.
+func reserve[T any](list *[]T, handle **[]T, pool *sync.Pool, n int) {
+	if cap(*list)-len(*list) >= n {
 		return
 	}
-	if len(s.journal) == 0 {
-		if s.pooled == nil {
-			s.pooled = journals.Get().(*[]journalEntry)
+	if len(*list) == 0 {
+		if *handle == nil {
+			*handle = pool.Get().(*[]T)
 		}
-		if cap(*s.pooled) >= n {
-			s.journal = (*s.pooled)[:0]
+		if cap(**handle) >= n {
+			*list = (**handle)[:0]
 			return
 		}
 	}
-	j := make([]journalEntry, len(s.journal), len(s.journal)+n)
-	copy(j, s.journal)
-	s.journal = j
+	grown := make([]T, len(*list), len(*list)+n)
+	copy(grown, *list)
+	*list = grown
+}
+
+// recycle drops *list. An array reserve took from pool (or the one that
+// outgrew it) goes back with its used elements cleared: idle, it pins
+// nothing.
+func recycle[T any](list *[]T, handle **[]T, pool *sync.Pool) {
+	if *handle != nil {
+		clear(*list)
+		**handle = (*list)[:0]
+		pool.Put(*handle)
+		*handle = nil
+	}
+	*list = nil
 }
 
 // MutatedSince reports whether any state mutation was journaled after
@@ -461,13 +503,7 @@ func (s *StateDB) RevertToSnapshot(id int) {
 // outgrew it) goes back to the pool with its used entries cleared: idle,
 // it pins nothing, and the next body finds no history to revert into.
 func (s *StateDB) DiscardJournal() {
-	if s.pooled != nil {
-		clear(s.journal)
-		*s.pooled = s.journal[:0]
-		journals.Put(s.pooled)
-		s.pooled = nil
-	}
-	s.journal = nil
+	recycle(&s.journal, &s.pooled, &journals)
 }
 
 // Copy returns an independent state with an empty journal, at a cost of
@@ -517,7 +553,8 @@ func (s *StateDB) Root() types.Hash {
 	return s.accTrie.RootHash()
 }
 
-// flush folds every dirty account into the persistent tries. The
+// flush folds every dirty account into the persistent tries, in the
+// order they were first touched, and hands the dirty list back. The
 // accounts' encodings share one slab, and each is handed to the account
 // trie as a capacity-capped slice of it that nobody writes again.
 // Accounts whose encoding is unchanged (a snapshot/revert round trip)
@@ -528,13 +565,17 @@ func (s *StateDB) flush() {
 		return
 	}
 	slab := make([]byte, 0, len(s.dirty)*maxAccountEnc)
-	for addr := range s.dirty {
+	for _, addr := range s.dirty {
 		acc, ok := s.accounts[addr]
 		if !ok {
 			// A reverted creation: the struct went with the revert.
 			s.accTrie.Delete(addr[:])
 			continue
 		}
+		if !acc.dirty {
+			continue // listed twice: created, reverted, created again
+		}
+		acc.dirty = false
 		start := len(slab)
 		slab = acc.appendEncoding(slab)
 		enc := slab[start:len(slab):len(slab)]
@@ -548,7 +589,7 @@ func (s *StateDB) flush() {
 		}
 		s.accTrie.UpdateHashed(acc.trieKey, enc) // handed over: never written again
 	}
-	clear(s.dirty)
+	recycle(&s.dirty, &s.dirtyPooled, &dirtyLists)
 }
 
 // maxAccountEnc bounds an account's encoding: a two-byte list header
@@ -581,8 +622,12 @@ func (acc *account) appendEncoding(out []byte) []byte {
 		storageRoot = acc.storageTrie.RootHash()
 	}
 	if acc.codeHash == nil {
-		h := types.Keccak(acc.code)
-		acc.codeHash = &h
+		if len(acc.code) == 0 {
+			acc.codeHash = &EmptyCodeHash // shared: never written through
+		} else {
+			h := types.Keccak(acc.code)
+			acc.codeHash = &h
+		}
 	}
 	var fields [maxAccountEnc - 2]byte
 	payload := rlp.AppendUint(fields[:0], acc.nonce)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 
-	"sereth/internal/keccak"
 	"sereth/internal/rlp"
 )
 
@@ -174,21 +173,15 @@ func DeriveTxRoot(txs []*Transaction) Hash {
 }
 
 // DeriveReceiptRoot computes the ordered commitment over a receipt
-// list: the hash of the RLP list of per-receipt hashes (the same
-// structure as DeriveTxRoot). Per-receipt hashes come from the memoized
-// Receipt.Hash — the first derivation over a receipt set pays the
-// per-receipt Keccak exactly once (encoding through the flat append
-// path into escape-free scratch), and every later derivation over the
-// same receipts reduces to combining cached hashes. The output bytes
-// (and therefore the root) are unchanged; the equality test against an
-// uncached derivation pins that.
+// list: one digest over the RLP list of the receipts' encodings, encoded
+// flat into one buffer of its final size. A receipt costs its encoding,
+// not a digest of its own.
 func DeriveReceiptRoot(receipts []*Receipt) Hash {
-	payload := make([]byte, 0, 33*len(receipts))
+	out := make([]byte, 0, receiptMaxSize*len(receipts)+listHeaderMaxSize)
 	for _, r := range receipts {
-		h := r.Hash()
-		payload = rlp.AppendString(payload, h[:])
+		out = r.AppendRLP(out)
 	}
-	return Hash(keccak.Sum256(rlp.AppendList(nil, payload)))
+	return Keccak(wrapList(out, 0))
 }
 
 // Bytes returns the hash as a byte slice (helper for RLP interop).

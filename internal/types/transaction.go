@@ -464,30 +464,11 @@ type Receipt struct {
 	ReturnValue Word   // first word of the EVM return data, if any
 	BlockNumber uint64 // block that included the transaction
 	TxIndex     int    // position within the block
-
-	// hash memoizes Keccak(EncodeRLP()) once the receipt is final — a
-	// receipt is frozen after its transaction applies, but the memo is
-	// populated lazily (first Hash call), so a receipt must not be
-	// mutated after its first Hash. DeriveReceiptRoot reads the memo, so
-	// re-deriving a root the chain already derived (receipt store reads,
-	// cache verification) stops re-hashing every receipt.
-	hash   Hash
-	hashed bool
 }
 
-// Hash returns Keccak over the receipt's RLP encoding, memoized. Safe
-// for concurrent use only once the memo is warm (the parallel processor
-// prefills it before sharing receipts); a cold first call must not race.
-func (r *Receipt) Hash() Hash {
-	if !r.hashed {
-		// The encoding is at most 2 (header) + 33 + 2 + 9 + 33 + 9 + 9
-		// bytes, so the scratch never escapes to the heap.
-		var scratch [104]byte
-		r.hash = Hash(keccak.Sum256(r.AppendRLP(scratch[:0])))
-		r.hashed = true
-	}
-	return r.hash
-}
+// receiptMaxSize bounds a receipt's encoding: 2 (header) + 33 + 2 + 9 +
+// 33 + 9 + 9 bytes.
+const receiptMaxSize = 104
 
 // EncodeRLP serializes the receipt for the receipt trie.
 func (r *Receipt) EncodeRLP() []byte {
@@ -496,8 +477,8 @@ func (r *Receipt) EncodeRLP() []byte {
 
 // AppendRLP appends the receipt's RLP encoding to out — the same bytes
 // as EncodeRLP via the flat append path (one buffer, no Item tree).
-// DeriveReceiptRoot encodes every receipt of a block through it with a
-// single reused scratch buffer.
+// DeriveReceiptRoot encodes every receipt of a block through it into
+// one buffer.
 func (r *Receipt) AppendRLP(out []byte) []byte {
 	// The two 32-byte hash fields alone put the payload in [70, 95]
 	// bytes — always the two-byte long-list header (0xf8, len) and
