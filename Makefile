@@ -85,10 +85,15 @@ parallel-smoke:
 # tries: the model-based churn over a tree of trie copies that write
 # their unhashed nodes in place (-short: 1000 of its 4000 steps; both
 # sides of a fresh copy write one key twice, the second write overwriting
-# a leaf in place, and each must read its own value), readers on a shared
-# hashed trie and the reachable-records walk beside them (it must write
-# nothing: the trie commits in full afterwards), and who owns the key and
-# value an update passes in, five times; the miner's adoption of the execution it built, which is what
+# a leaf in place, and each must read its own value; no unhashed node
+# reachable from two tries), readers on a shared hashed trie and the
+# reachable-records walk beside them (it must write nothing: the trie
+# commits in full afterwards), a trie and its copy both writing from
+# chunks, and who owns the key and value an update passes in, five
+# times, and, without the race detector, what a burst of updates
+# allocates (one object a chunk where the previous flush wrote the path,
+# one a node elsewhere) and that a lineage of flushed copies holds no
+# more heap than its trie built alone; the miner's adoption of the execution it built, which is what
 # the shared exec cache memoizes for every other importer (a build writes
 # nothing, a refused or edited self-import leaves no entry, an edited
 # header is accepted or refused exactly as a replay would); eight
@@ -102,7 +107,8 @@ state-smoke:
 	$(GO) test -race -count=5 -run 'TestProcessPostHoldsNoJournal' ./internal/chain
 	$(GO) test -race -run 'TestSpecView' ./internal/statedb
 	$(GO) test -race -run 'TestParallel' ./internal/chain
-	$(GO) test -race -count=5 -short -run 'TestTrieChurnModel|TestTrieSharedReaders|TestWalk|TestUpdateOwnership' ./internal/trie
+	$(GO) test -race -count=5 -short -run 'TestTrieChurnModel|TestTrieSharedReaders|TestWalk|TestUpdateOwnership|TestCopiesShareOnlyHashedNodes' ./internal/trie
+	$(GO) test -count=1 -run 'TestBurstAllocatesChunksNotNodes|TestLineageHeapHoldsItsTrie|TestLeafAllocations' ./internal/trie
 	$(GO) test -race -run 'TestInsertBuilt|TestCacheHoldsOnlyVerifiedExecutions' ./internal/chain
 	$(GO) test -race -run 'TestBuildWritesNothingAdoptionMemoizes' ./internal/miner
 	$(GO) test -race -run 'TestMineAndBroadcastExecutesOnce' ./internal/node

@@ -17,7 +17,7 @@ func buildOnHead(t *testing.T, c *Chain, txs []*types.Transaction) (*types.Block
 	t.Helper()
 	var head *types.Block
 	var state *statedb.StateDB
-	c.ReadHeadState(func(h *types.Block, st *statedb.StateDB) { head, state = h, st })
+	c.ReadHeadState(func(h *types.Block, _ types.Hash, st *statedb.StateDB) { head, state = h, st })
 	header := &types.Header{
 		ParentHash: head.Hash(),
 		Number:     head.Number() + 1,

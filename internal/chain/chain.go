@@ -269,16 +269,16 @@ func (c *Chain) ReadState(fn func(*statedb.StateDB)) {
 	fn(c.state)
 }
 
-// ReadHeadState runs fn against the head block AND the live head state
-// under one lock acquisition, so callers observe a consistent
-// (header, state) pair — reading Head() and then locking separately
-// can tear across a concurrent import. fn must not mutate the state. It
-// may keep the pointer past the call: an adopted post state is never
-// written again, a later import only replaces it.
-func (c *Chain) ReadHeadState(fn func(head *types.Block, st *statedb.StateDB)) {
+// ReadHeadState runs fn against the head block, its hash (HeadHash) AND
+// the live head state under one lock acquisition, so callers observe a
+// consistent (header, state) pair — reading Head() and then locking
+// separately can tear across a concurrent import. fn must not mutate the
+// state. It may keep the pointer past the call: an adopted post state is
+// never written again, a later import only replaces it.
+func (c *Chain) ReadHeadState(fn func(head *types.Block, headHash types.Hash, st *statedb.StateDB)) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	fn(c.blocks[len(c.blocks)-1], c.state)
+	fn(c.blocks[len(c.blocks)-1], c.headHash, c.state)
 }
 
 // Process replays a block body against a parent state copy through the

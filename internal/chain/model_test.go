@@ -432,7 +432,7 @@ func runChainModel(t *testing.T, seed int64, steps int) {
 			txs, slots := m.body(parent)
 			header := m.header(parent)
 			var res *ExecResult
-			c.ReadHeadState(func(_ *types.Block, st *statedb.StateDB) {
+			c.ReadHeadState(func(_ *types.Block, _ types.Hash, st *statedb.StateDB) {
 				var err error
 				if res, err = c.Process(st, header, txs); err != nil {
 					t.Fatalf("step %d: build: %v", step, err)

@@ -127,7 +127,7 @@ func (r *sweepRig) grow() time.Duration {
 	r.t.Helper()
 	var block *types.Block
 	var res *ExecResult
-	r.c.ReadHeadState(func(head *types.Block, st *statedb.StateDB) { block, res = r.build(head, st) })
+	r.c.ReadHeadState(func(head *types.Block, _ types.Hash, st *statedb.StateDB) { block, res = r.build(head, st) })
 	start := time.Now()
 	if _, err := r.c.InsertBuilt(block, res); err != nil {
 		r.t.Fatalf("block %d: %v", block.Number(), err)

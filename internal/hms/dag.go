@@ -58,6 +58,11 @@ type dag struct {
 	depths map[*entry]int // walk scratch, cleared after each walk
 	heads  []*entry       // walk scratch
 	stack  []dagFrame     // walk scratch
+
+	// excluded, during a semanticPrefix that takes senders out, are
+	// those senders: the walk reads the dag as if their transactions
+	// were not in it (see active).
+	excluded map[types.Address]struct{}
 }
 
 // fill returns the DAG of pending, inserted in slice order.
@@ -178,6 +183,43 @@ func (d *dag) deactivate(e *entry) {
 	d.release(e.fpv.PrevMark, p)
 }
 
+// active returns the entry that heads e's mark in the dag read without
+// the excluded senders' transactions, for an e that heads it in the dag
+// (a child list's): e itself, or the earliest holder beside it that is
+// not excluded, which a fill without the excluded transactions would
+// have kept and listed in e's place — nil when there is none. Every
+// holder of a mark has e's previous mark, the mark being its digest.
+func (d *dag) active(e *entry) *entry {
+	if len(d.excluded) == 0 {
+		return e
+	}
+	return d.firstHolder(e.v)
+}
+
+// firstHolder returns v's earliest holder that is not excluded, nil when
+// there is none.
+func (d *dag) firstHolder(v *vertex) *entry {
+	for _, h := range v.holders {
+		if _, out := d.excluded[h.tx.From]; !out {
+			return h
+		}
+	}
+	return nil
+}
+
+// appendBuys appends v's buys that are not excluded, in arrival order.
+func (d *dag) appendBuys(out []*types.Transaction, v *vertex) []*types.Transaction {
+	if len(d.excluded) == 0 {
+		return append(out, v.buys...)
+	}
+	for _, tx := range v.buys {
+		if _, skip := d.excluded[tx.From]; !skip {
+			out = append(out, tx)
+		}
+	}
+	return out
+}
+
 // depthPending marks a vertex currently on the DFS stack; edges into it
 // are back edges from adversarial mark collisions and are skipped, which
 // makes termination unconditional (Lemma 2 only covers honest marks).
@@ -205,9 +247,9 @@ func (d *dag) depth(root *entry) int {
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
 		if f.child < len(f.kids) {
-			c := f.kids[f.child]
+			c := d.active(f.kids[f.child])
 			f.child++
-			if c == f.n {
+			if c == nil || c == f.n {
 				continue
 			}
 			deep, seen := d.depths[c]
@@ -235,12 +277,13 @@ func (d *dag) depth(root *entry) int {
 }
 
 // walkSeries runs the fork choice (Algorithms 1 and 3): of the head
-// candidates chained off the committed mark, the first that roots a
-// deepest branch; it visits that branch head to tail — at a fork the
-// earliest-arrived deepest child, the branch the recursive DEEPESTBRANCH
-// returns — and nothing when there is no candidate. No hashing, no
-// parsing, no per-vertex allocation: the scratch tables are reused
-// across walks.
+// candidates chained off the committed mark, the earliest-arrived that
+// roots a deepest branch; it visits that branch head to tail — at a fork
+// the earliest-arrived deepest child, the branch the recursive
+// DEEPESTBRANCH returns — and nothing when there is no candidate. No
+// hashing, no parsing, no per-vertex allocation: the scratch tables are
+// reused across walks. Arrival is compared by seq, not by list position:
+// a holder active in an excluded one's place sits at the excluded one's.
 func (d *dag) walkSeries(committedMark types.Word, visit func(*entry)) {
 	// The scratch tables keep their capacity across walks but must not
 	// keep their contents: stale *entry pointers (in the depth memo and
@@ -259,8 +302,12 @@ func (d *dag) walkSeries(committedMark types.Word, visit func(*entry)) {
 	// not count).
 	heads := d.heads[:0]
 	if root := d.vertices[committedMark]; root != nil {
+		holder := d.firstHolder(root)
 		for _, e := range root.kids {
-			orphan := len(root.holders) == 0 || root.holders[0] == e
+			if e = d.active(e); e == nil {
+				continue
+			}
+			orphan := holder == nil || holder == e
 			if e.fpv.Flag == types.FlagHead || d.cfg.ExtendHeads && orphan {
 				heads = append(heads, e)
 			}
@@ -271,7 +318,7 @@ func (d *dag) walkSeries(committedMark types.Word, visit func(*entry)) {
 	var next *entry
 	deepest := 0
 	for _, h := range heads {
-		if n := d.depth(h); n > deepest {
+		if n := d.depth(h); n > deepest || n == deepest && n > 0 && h.seq < next.seq {
 			next, deepest = h, n
 		}
 	}
@@ -283,9 +330,8 @@ func (d *dag) walkSeries(committedMark types.Word, visit func(*entry)) {
 		next = nil
 		if want := d.depths[e] - 1; want > 0 {
 			for _, c := range e.v.kids {
-				if c != e && d.depths[c] == want {
+				if c = d.active(c); c != nil && c != e && d.depths[c] == want && (next == nil || c.seq < next.seq) {
 					next = c
-					break
 				}
 			}
 		}
@@ -320,21 +366,25 @@ func (d *dag) series(committedMark types.Word) (series []*Node) {
 	return series
 }
 
-// semanticPrefix is the semantic miner's interleaving (paper §V-C): the
-// buys bound to the committed interval execute before any pending set,
-// then each set of the series is followed by the buys that depend on its
-// mark. Only an adversarial mark cycle leads a series back onto the
-// committed mark; that bucket is already placed and is not scheduled
-// twice: the miner counts on a prefix of distinct pool transactions.
-func (d *dag) semanticPrefix(committedMark types.Word) []*types.Transaction {
-	var out []*types.Transaction
+// semanticPrefix appends the semantic miner's interleaving (paper §V-C)
+// to out: the buys bound to the committed interval execute before any
+// pending set, then each set of the series is followed by the buys that
+// depend on its mark. Only an adversarial mark cycle leads a series back
+// onto the committed mark; that bucket is already placed and is not
+// scheduled twice: the miner counts on a prefix of distinct pool
+// transactions. The dag is read without the transactions of the
+// excluded senders: the prefix is the one a dag filled without them
+// has.
+func (d *dag) semanticPrefix(out []*types.Transaction, committedMark types.Word, excluded map[types.Address]struct{}) []*types.Transaction {
+	d.excluded = excluded
+	defer func() { d.excluded = nil }()
 	if v := d.vertices[committedMark]; v != nil {
-		out = append(out, v.buys...)
+		out = d.appendBuys(out, v)
 	}
 	d.walkSeries(committedMark, func(e *entry) {
 		out = append(out, e.tx)
 		if e.mark != committedMark {
-			out = append(out, e.v.buys...)
+			out = d.appendBuys(out, e.v)
 		}
 	})
 	return out

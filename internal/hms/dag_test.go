@@ -185,7 +185,8 @@ func sameNodes(a, b []*Node) bool {
 // reference_test.go's literal algorithms. View, series, every buy bucket
 // and the semantic prefix must be equal — the same transaction pointers
 // in the same order — and the attached tracker must have taken the live
-// path for its pool's own snapshot. It returns the series length.
+// path for its pool's own snapshot, also for the prefix without two
+// senders' transactions. It returns the series length.
 func checkAgainstReference(t *testing.T, step int, inc, det *Tracker, pool *txpool.Pool) int {
 	t.Helper()
 	snap, _ := pool.Snapshot()
@@ -211,12 +212,31 @@ func checkAgainstReference(t *testing.T, step int, inc, det *Tracker, pool *txpo
 	}
 
 	want := refPrefix(committed.Mark, buys, series)
-	got, isLive := inc.SemanticPrefix(snap)
+	got, isLive := inc.AppendSemanticPrefix(nil, snap, nil)
 	if !isLive || !slices.Equal(got, want) {
 		t.Fatalf("step %d: live prefix of %d txs (live=%v), reference %d", step, len(got), isLive, len(want))
 	}
-	if got, isLive := det.SemanticPrefix(snap); isLive || !slices.Equal(got, want) {
+	if got, isLive := det.AppendSemanticPrefix(nil, snap, nil); isLive || !slices.Equal(got, want) {
 		t.Fatalf("step %d: detached prefix of %d txs (live=%v), reference %d", step, len(got), isLive, len(want))
+	}
+
+	// A censor's reading: the prefix of the snapshot less two senders'
+	// transactions, their sets among them, is the reference's over the
+	// kept slice — read off the live dag, which still holds them.
+	excluded := map[types.Address]struct{}{{19: byte(step%5 + 1)}: {}, {19: byte(step/5%5 + 1)}: {}}
+	var kept []*types.Transaction
+	for _, tx := range snap {
+		if _, out := excluded[tx.From]; !out {
+			kept = append(kept, tx)
+		}
+	}
+	nodes, buys = refProcess(det.cfg, kept)
+	want = refPrefix(committed.Mark, buys, refSeries(det.cfg, committed.Mark, nodes))
+	if got, isLive := inc.AppendSemanticPrefix(nil, snap, excluded); !isLive || !slices.Equal(got, want) {
+		t.Fatalf("step %d: live prefix without senders %v: %d txs (live=%v), reference %d", step, slices.Collect(maps.Keys(excluded)), len(got), isLive, len(want))
+	}
+	if got, _ := det.AppendSemanticPrefix(nil, snap, excluded); !slices.Equal(got, want) {
+		t.Fatalf("step %d: detached prefix without senders: %d txs, reference %d", step, len(got), len(want))
 	}
 	return len(series)
 }
@@ -269,7 +289,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 				if pool.Generation() != oldGen {
 					nodes, buys := refProcess(trCfg, old)
 					want := refPrefix(committed.Mark, buys, refSeries(trCfg, committed.Mark, nodes))
-					if stale, live := inc.SemanticPrefix(old); live || !slices.Equal(stale, want) {
+					if stale, live := inc.AppendSemanticPrefix(nil, old, nil); live || !slices.Equal(stale, want) {
 						t.Fatalf("step %d: a snapshot the pool moved past: live=%v, %d txs, want %d", step, live, len(stale), len(want))
 					}
 				}
@@ -437,7 +457,7 @@ func TestConcurrentViewChurn(t *testing.T) {
 				// snapshot that raced a writer must fill a dag of its own,
 				// never read a half-matching live one.
 				snap, _ := pool.Snapshot()
-				prefix, _ := tr.SemanticPrefix(snap)
+				prefix, _ := tr.AppendSemanticPrefix(nil, snap, nil)
 				for _, tx := range prefix {
 					if !slices.Contains(snap, tx) {
 						t.Error("prefix holds a transaction that is not in the snapshot it was asked about")
@@ -558,7 +578,7 @@ func TestSemanticPrefixMarkCycle(t *testing.T) {
 	tr.mu.Lock()
 	forge(tr.dag)
 	tr.mu.Unlock()
-	got, live := tr.SemanticPrefix(snap)
+	got, live := tr.AppendSemanticPrefix(nil, snap, nil)
 	if !live || !slices.Equal(got, want) {
 		t.Fatalf("live prefix over a mark cycle: live=%v, %d txs, want %d", live, len(got), len(want))
 	}
@@ -573,8 +593,8 @@ func TestSemanticPrefixMarkCycle(t *testing.T) {
 	// reference's Algorithm 2 output.
 	d := fill(cfg(), snap)
 	forge(d)
-	if series := d.series(committed); len(series) != 2 || !slices.Equal(d.semanticPrefix(committed), want) {
-		t.Fatalf("detached prefix over a mark cycle: series %d, %d txs, want %d", len(series), len(d.semanticPrefix(committed)), len(want))
+	if series := d.series(committed); len(series) != 2 || !slices.Equal(d.semanticPrefix(nil, committed, nil), want) {
+		t.Fatalf("detached prefix over a mark cycle: series %d, %d txs, want %d", len(series), len(d.semanticPrefix(nil, committed, nil)), len(want))
 	}
 	nodes, buys := refProcess(cfg(), snap)
 	nodes[1].Mark = committed
@@ -615,7 +635,7 @@ func TestBuyIndexDropsRemovedTransactions(t *testing.T) {
 	if holds(buys[1]) || holds(buys[3]) || !holds(buys[0]) || !holds(buys[2]) {
 		t.Fatal("after Remove the bucket holds a removed buy or lost a resident one")
 	}
-	if got, _ := tr.SemanticPrefix(nil); len(got) != 0 {
+	if got, _ := tr.AppendSemanticPrefix(nil, nil, nil); len(got) != 0 {
 		t.Fatalf("prefix of an empty pending = %d txs", len(got))
 	}
 	pool.Clear()

@@ -59,9 +59,9 @@ type View struct {
 // then maintains the tracker's own dag, View serves a cached result in
 // O(1) while neither the series nor the committed state changed, and the
 // series and the semantic-mining prefix are read off it without touching
-// the pending set. ViewOf, SeriesOf and a SemanticPrefix over any slice
-// that is not the attached pool's current snapshot fill a fresh dag with
-// the slice, in order, and read the same answers off that.
+// the pending set. ViewOf, SeriesOf and an AppendSemanticPrefix over any
+// slice that is not the attached pool's current snapshot fill a fresh
+// dag with the slice, in order, and read the same answers off that.
 type Tracker struct {
 	cfg Config
 
@@ -266,17 +266,20 @@ func (t *Tracker) SeriesOrSnapshot(pending func() []*types.Transaction) []*Node 
 	return t.SeriesOf(pending())
 }
 
-// SemanticPrefix returns the head of a semantically ordered block body
-// for pending (paper §V-C): the buys bound to the committed interval,
-// then each set of the pending series followed by the buys that depend
-// on its mark. When pending is the attached pool's snapshot of
-// generation g and the tracker's dag reflects g, the prefix is read off
-// that dag and live is true; generations only grow and each names one
-// pool state, so the two locks are taken one after the other (pool.mu is
-// never acquired under tracker.mu). Any other slice — a detached
-// tracker's, a snapshot that raced an admission, a filtered copy — fills
-// a dag of its own.
-func (t *Tracker) SemanticPrefix(pending []*types.Transaction) (prefix []*types.Transaction, live bool) {
+// AppendSemanticPrefix appends to dst the head of a semantically
+// ordered block body for pending less the transactions of the excluded
+// senders (paper §V-C): the buys bound to the committed interval, then
+// each set of the pending series followed by the buys that depend on its
+// mark. When pending is the attached pool's snapshot of generation g and
+// the tracker's dag reflects g, the prefix is read off that dag and live
+// is true; generations only grow and each names one pool state, so the
+// two locks are taken one after the other (pool.mu is never acquired
+// under tracker.mu). Any other slice — a detached tracker's, a snapshot
+// that raced an admission, a filtered copy — fills a dag of its own. The
+// exclusion is a reading of the dag, not a copy of pending: the prefix
+// is the one a slice without those transactions has, and the attached
+// pool's snapshot is still read live.
+func (t *Tracker) AppendSemanticPrefix(dst, pending []*types.Transaction, excluded map[types.Address]struct{}) (prefix []*types.Transaction, live bool) {
 	t.mu.RLock()
 	pool := t.pool
 	t.mu.RUnlock()
@@ -285,10 +288,10 @@ func (t *Tracker) SemanticPrefix(pending []*types.Transaction) (prefix []*types.
 			t.mu.Lock()
 			if t.gen == gen {
 				defer t.mu.Unlock()
-				return t.dag.semanticPrefix(t.committed.Mark), true
+				return t.dag.semanticPrefix(dst, t.committed.Mark, excluded), true
 			}
 			t.mu.Unlock()
 		}
 	}
-	return fill(t.cfg, pending).semanticPrefix(t.Committed().Mark), false
+	return fill(t.cfg, pending).semanticPrefix(dst, t.Committed().Mark, excluded), false
 }

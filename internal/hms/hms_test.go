@@ -125,7 +125,7 @@ func TestProcessDedupesMarks(t *testing.T) {
 	if got, want := tr.ViewOf(pool), refView(types.AMV{}, series); got != want {
 		t.Errorf("view %+v, reference %+v", got, want)
 	}
-	if got, _ := tr.SemanticPrefix(pool); !slices.Equal(got, refPrefix(types.ZeroWord, buys, series)) {
+	if got, _ := tr.AppendSemanticPrefix(nil, pool, nil); !slices.Equal(got, refPrefix(types.ZeroWord, buys, series)) {
 		t.Errorf("prefix of %d txs differs from the reference's", len(got))
 	}
 }
@@ -281,7 +281,7 @@ func TestBuysByInterval(t *testing.T) {
 		t.Errorf("groups: %d/%d", len(groups[m1]), len(groups[m2]))
 	}
 	// Only the buys of an interval the series opens are scheduled.
-	if prefix, _ := tr.SemanticPrefix(pool); !slices.Equal(prefix, []*types.Transaction{set, b1, b2}) {
+	if prefix, _ := tr.AppendSemanticPrefix(nil, pool, nil); !slices.Equal(prefix, []*types.Transaction{set, b1, b2}) {
 		t.Errorf("prefix of %d txs", len(prefix))
 	}
 }

@@ -12,9 +12,11 @@
 // removal rebuilds the pending slice.
 //
 // A cursor is scratch the strategy owns: its ranks, its nonce repair's
-// sender states and deferred queues and a censor's kept list live in the
+// sender states and deferred queues and the semantic prefix live in the
 // strategy and are reused by its next Pull, so a block's ordering
-// allocates nothing once the strategy has seen one of its shape. A Pull
+// allocates nothing once the strategy has seen one of its shape, a
+// censor's included: it hands its strategy the snapshot and the senders
+// to leave out, not a copy without them. A Pull
 // therefore invalidates the strategy's previous cursor, and Build
 // empties the scratch of every transaction before it returns, so an idle
 // miner pins none the pool has since dropped.
@@ -42,7 +44,7 @@ import (
 // when Pull returns, however far the cursor is pulled. Only ranking,
 // sorting and the nonce repair wait for a transaction to need them.
 //
-// The strategies are this package's: release is unexported.
+// The strategies are this package's: pull and release are unexported.
 type Strategy interface {
 	// Pull returns the ordering of pending as a cursor. The cursor lives
 	// in the strategy's scratch, so it is valid until the strategy's next
@@ -50,9 +52,19 @@ type Strategy interface {
 	// time and is not safe for concurrent use (Baseline's generator never
 	// was).
 	Pull(pending []*types.Transaction, nextNonce func(types.Address) uint64) Cursor
+	// pull is Pull of pending less what ex leaves out: the ordering
+	// Pull gives a copy of pending without those transactions.
+	pull(pending []*types.Transaction, ex exclusion, nextNonce func(types.Address) uint64) Cursor
 	// release drops every transaction and state the last cursor holds in
 	// the scratch, keeping the scratch's arrays and maps for the next Pull.
 	release()
+}
+
+// exclusion is what a censor leaves out of an ordering: the pending
+// transactions of senders, n of them.
+type exclusion struct {
+	senders map[types.Address]struct{}
+	n       int
 }
 
 // Cursor is an ordering being pulled: Next is nil once it is exhausted.
@@ -116,13 +128,17 @@ func NewBaselineWindow(seed int64, window int) *Baseline {
 // Pull implements Strategy: sort by (price desc, jittered arrival rank),
 // then repair per-sender nonce order.
 func (b *Baseline) Pull(pending []*types.Transaction, nextNonce func(types.Address) uint64) Cursor {
-	return b.pull(pending, nil, nextNonce)
+	return b.pull(pending, exclusion{}, nextNonce)
 }
 
-// pull is Pull over pending less except (distinct transactions of
-// pending).
-func (b *Baseline) pull(pending, except []*types.Transaction, nextNonce func(types.Address) uint64) *repair {
-	b.repair.reset(nil, b.draw(pending, except), nextNonce)
+func (b *Baseline) pull(pending []*types.Transaction, ex exclusion, nextNonce func(types.Address) uint64) Cursor {
+	return b.rest(pending, nil, ex, nextNonce)
+}
+
+// rest is Pull over pending less except (distinct transactions of
+// pending, none of them left out by ex) and less what ex leaves out.
+func (b *Baseline) rest(pending, except []*types.Transaction, ex exclusion, nextNonce func(types.Address) uint64) *repair {
+	b.repair.reset(nil, b.draw(pending, except, ex), nextNonce)
 	return &b.repair
 }
 
@@ -141,10 +157,12 @@ type ranked struct {
 	rank float64
 }
 
-// sorted yields txs less except by (price desc, rank asc), found, ranked
-// and sorted on the first pull: a block that fills first never pays.
+// sorted yields txs less except and the excluded senders' by (price
+// desc, rank asc), found, ranked and sorted on the first pull: a block
+// that fills first never pays.
 type sorted struct {
 	txs, except []*types.Transaction
+	excluded    map[types.Address]struct{}
 	ranked      []ranked // the ranks draw took; all zero for FIFO
 	// scheduled is except as a set while the rest is looked for, and
 	// empty otherwise.
@@ -153,13 +171,13 @@ type sorted struct {
 	ready     bool
 }
 
-// draw takes the randomness of ordering pending less except (distinct
-// transactions of pending) before anything is pulled: the generator stands
-// where an eager ordering leaves it. A FIFO miner draws nothing.
-func (b *Baseline) draw(pending, except []*types.Transaction) *sorted {
+// draw takes the randomness of ordering the rest (see Baseline.rest)
+// before anything is pulled: the generator stands where an eager
+// ordering leaves it. A FIFO miner draws nothing.
+func (b *Baseline) draw(pending, except []*types.Transaction, ex exclusion) *sorted {
 	s := &b.sorted
-	n := len(pending) - len(except)
-	*s = sorted{txs: pending, except: except, ranked: slices.Grow(s.ranked[:0], n)[:n], scheduled: s.scheduled}
+	n := len(pending) - len(except) - ex.n
+	*s = sorted{txs: pending, except: except, excluded: ex.senders, ranked: slices.Grow(s.ranked[:0], n)[:n], scheduled: s.scheduled}
 	if b.reorderWindow > 0 {
 		for i := range s.ranked {
 			s.ranked[i].rank = float64(i) + b.rng.Float64()*float64(b.reorderWindow)
@@ -183,7 +201,8 @@ func (s *sorted) Next() *types.Transaction {
 		}
 		rest := 0
 		for _, tx := range s.txs {
-			if _, ok := s.scheduled[tx]; !ok {
+			_, ok := s.scheduled[tx]
+			if _, out := s.excluded[tx.From]; !ok && !out {
 				if rest < len(s.ranked) {
 					s.ranked[rest].tx = tx
 				}
@@ -221,7 +240,8 @@ func (s *sorted) release() {
 type Semantic struct {
 	tracker  *hms.Tracker
 	fallback *Baseline
-	body     repair // the whole body's nonce repair, around the fallback's
+	prefix   []*types.Transaction // the prefix the tracker appended: scratch
+	body     repair               // the whole body's nonce repair, around the fallback's
 }
 
 var _ Strategy = (*Semantic)(nil)
@@ -248,12 +268,20 @@ func NewSemanticWindow(tracker *hms.Tracker, seed int64, window int) *Semantic {
 // whose predecessor nonce sits in the prefix as premature, instead of
 // placing it behind its predecessor. Blocks depend on that.
 func (m *Semantic) Pull(pending []*types.Transaction, nextNonce func(types.Address) uint64) Cursor {
-	prefix, _ := m.tracker.SemanticPrefix(pending)
-	m.body.reset(prefix, m.fallback.pull(pending, prefix, nextNonce), nextNonce)
+	return m.pull(pending, exclusion{}, nextNonce)
+}
+
+// pull reads the prefix of pending less what ex leaves out off the same
+// dag (hms.Tracker.AppendSemanticPrefix), into the strategy's scratch.
+func (m *Semantic) pull(pending []*types.Transaction, ex exclusion, nextNonce func(types.Address) uint64) Cursor {
+	m.prefix, _ = m.tracker.AppendSemanticPrefix(m.prefix[:0], pending, ex.senders)
+	m.body.reset(m.prefix, m.fallback.rest(pending, m.prefix, ex, nextNonce), nextNonce)
 	return &m.body
 }
 
 func (m *Semantic) release() {
+	clear(m.prefix[:cap(m.prefix)])
+	m.prefix = m.prefix[:0]
 	m.fallback.release()
 	m.body.release()
 }
@@ -387,12 +415,15 @@ func (m *Miner) BuildBlock(timestamp uint64) (*types.Block, error) {
 // sealed header against it instead of executing the body a second time.
 func (m *Miner) Build(timestamp uint64) (*types.Block, *chain.ExecResult, error) {
 	// One lock acquisition, so the header always describes the block whose
-	// state the body runs on. The head state is flushed and never written
-	// again (chain.adopt), so it is read here as it is — nonces below, then
-	// Process, which takes the one copy a build needs.
+	// state the body runs on; its parent hash is the one the chain keeps
+	// for its head, not a digest of the head's header. The head state is
+	// flushed and never written again (chain.adopt), so it is read here as
+	// it is — nonces below, then Process, which takes the one copy a build
+	// needs.
 	var head *types.Block
+	var headHash types.Hash
 	var state *statedb.StateDB
-	m.chain.ReadHeadState(func(h *types.Block, st *statedb.StateDB) { head, state = h, st })
+	m.chain.ReadHeadState(func(h *types.Block, hash types.Hash, st *statedb.StateDB) { head, headHash, state = h, hash, st })
 	// The pool's shared snapshot: strategies treat pending transactions
 	// as read-only.
 	pending, minGas := m.pool.SnapshotMinGas()
@@ -428,7 +459,7 @@ func (m *Miner) Build(timestamp uint64) (*types.Block, *chain.ExecResult, error)
 	m.strategy.release()
 
 	header := &types.Header{
-		ParentHash: head.Hash(),
+		ParentHash: headHash,
 		Number:     head.Number() + 1,
 		Coinbase:   m.coinbase,
 		Difficulty: m.chain.Config().Difficulty,

@@ -382,7 +382,7 @@ func TestOrderDifferential(t *testing.T) {
 					ref.SetCommitted(committed)
 				}
 				snap, _ := pool.Snapshot()
-				prefix, ok := inc.SemanticPrefix(snap)
+				prefix, ok := inc.AppendSemanticPrefix(nil, snap, nil)
 				if !ok {
 					t.Fatalf("step %d: the attached pool's own snapshot did not take the live path", step)
 				}
@@ -714,7 +714,7 @@ func TestRestCountMismatchIsNamed(t *testing.T) {
 						t.Errorf("%s prefix, window %d: recovered %q", name, window, msg)
 					}
 				}()
-				NewBaselineWindow(1, window).draw(pending, prefix).Next()
+				NewBaselineWindow(1, window).draw(pending, prefix, exclusion{}).Next()
 			}()
 		}
 	}

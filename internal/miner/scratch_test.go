@@ -3,6 +3,7 @@ package miner
 import (
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"testing"
 
 	"sereth/internal/chain"
@@ -13,11 +14,11 @@ import (
 )
 
 // scratch is what a strategy keeps between builds: its rank cursors, its
-// nonce repairs and a censor's kept list.
+// nonce repairs and a semantic strategy's prefix.
 type scratch struct {
-	sorts   []*sorted
-	repairs []*repair
-	kept    [][]*types.Transaction
+	sorts    []*sorted
+	repairs  []*repair
+	prefixes [][]*types.Transaction
 }
 
 func scratchOf(s Strategy) (sc scratch) {
@@ -27,11 +28,10 @@ func scratchOf(s Strategy) (sc scratch) {
 	case *Semantic:
 		sc = scratchOf(s.fallback)
 		sc.repairs = append(sc.repairs, &s.body)
+		sc.prefixes = append(sc.prefixes, s.prefix)
 		return sc
 	case *Censor:
-		sc = scratchOf(s.inner)
-		sc.kept = append(sc.kept, s.kept)
-		return sc
+		return scratchOf(s.inner)
 	}
 	panic(fmt.Sprintf("scratchOf: strategy %T", s))
 }
@@ -49,7 +49,7 @@ func held(s Strategy) int {
 		}
 	}
 	for _, so := range sc.sorts {
-		n += len(so.txs) + len(so.except) + len(so.scheduled)
+		n += len(so.txs) + len(so.except) + len(so.scheduled) + len(so.excluded)
 		for _, r := range so.ranked[:cap(so.ranked)] {
 			if r.tx != nil {
 				n++
@@ -68,8 +68,8 @@ func held(s Strategy) int {
 			some(st.deferred)
 		}
 	}
-	for _, kept := range sc.kept {
-		some(kept)
+	for _, prefix := range sc.prefixes {
+		some(prefix)
 	}
 	return n
 }
@@ -145,10 +145,11 @@ func TestBuildLeavesNoTransactionInScratch(t *testing.T) {
 
 // TestSecondOrderingAllocatesNothing: once a strategy has ordered a pool
 // of a shape, ordering it again — the ranks, the pointer set, both nonce
-// repairs with their sender states and deferred queues, a censor's kept
-// list — allocates nothing. A semantic ordering allocates exactly what
-// the tracker's prefix does: off the live dag for the pool's own
-// snapshot, from a dag it fills for the list a censor kept.
+// repairs with their sender states and deferred queues, the semantic
+// prefix — allocates nothing. A semantic ordering reads its prefix off
+// the live dag into its scratch, a censored one too: the censor leaves
+// its targets out of the reading, not out of a copy of the snapshot,
+// which would fill a dag of its own.
 func TestSecondOrderingAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -156,16 +157,6 @@ func TestSecondOrderingAllocatesNothing(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	ch, tr, snap := churnedMarket(t)
 	nonceOf := ch.nonceOf
-	prefixOf := func(pending []*types.Transaction) float64 {
-		return testing.AllocsPerRun(20, func() { tr.SemanticPrefix(pending) })
-	}
-	var kept []*types.Transaction // what the censor hands its semantic strategy
-	for _, tx := range snap {
-		if tx.From != addr(2) && tx.From != addr(5) {
-			kept = append(kept, tx)
-		}
-	}
-	prefix := map[string]float64{"semantic": prefixOf(snap), "censor": prefixOf(kept)}
 	for name, s := range strategies(tr) {
 		pulled := 0
 		order := func() {
@@ -175,8 +166,8 @@ func TestSecondOrderingAllocatesNothing(t *testing.T) {
 			s.release()
 		}
 		order() // the first ordering sizes the scratch
-		if got, want := testing.AllocsPerRun(20, order), prefix[name]; got != want {
-			t.Errorf("%s: ordering %d of %d pending transactions again allocated %v objects, want %v (the prefix's)", name, pulled, len(snap), got, want)
+		if got := testing.AllocsPerRun(20, order); got != 0 {
+			t.Errorf("%s: ordering %d of %d pending transactions again allocated %v objects, want 0", name, pulled, len(snap), got)
 		}
 	}
 }
@@ -189,7 +180,7 @@ func TestSecondOrderingAllocatesNothing(t *testing.T) {
 // sized by the largest pool it ordered, never by the number of builds:
 // a repair's sender states by the most senders one snapshot held, each
 // state's queue by the most transactions one sender had pending, the rank
-// and kept arrays by the largest snapshot — at most twice that, as append
+// and prefix arrays by the largest snapshot — at most twice that, as append
 // grows, and a quarter of it and eight more for the allocator's size
 // classes.
 func TestScratchStaysBoundedOverBuilds(t *testing.T) {
@@ -237,12 +228,12 @@ func TestScratchStaysBoundedOverBuilds(t *testing.T) {
 			for _, so := range sc.sorts {
 				slots = append(slots, cap(so.ranked))
 			}
-			for _, kept := range sc.kept {
-				slots = append(slots, cap(kept))
+			for _, prefix := range sc.prefixes {
+				slots = append(slots, cap(prefix))
 			}
 			for _, n := range slots {
 				if n > bound(pending) {
-					t.Fatalf("step %d, %s: an array of %d rank or kept slots, the largest snapshot %d", step, name, n, pending)
+					t.Fatalf("step %d, %s: an array of %d rank or prefix slots, the largest snapshot %d", step, name, n, pending)
 				}
 			}
 			for i, r := range sc.repairs {
@@ -258,4 +249,25 @@ func TestScratchStaysBoundedOverBuilds(t *testing.T) {
 		}
 	}
 	t.Logf("the largest snapshot: %d transactions, %d senders, one with %d", pending, senders, perSender)
+}
+
+// TestCensorAroundCensorExcludesBoth: a censor wrapping a censor orders
+// as one censor of both target sets, and each counts the exclusions of
+// its own targets.
+func TestCensorAroundCensorExcludesBoth(t *testing.T) {
+	ch, tr, snap := churnedMarket(t)
+	inner := NewCensor(NewSemanticWindow(tr, 3, 8), []types.Address{addr(2)})
+	nested := NewCensor(inner, []types.Address{addr(5)})
+	both := NewCensor(NewSemanticWindow(tr, 3, 8), []types.Address{addr(2), addr(5)})
+	got, want := nested.Order(snap, ch.nonceOf), both.Order(snap, ch.nonceOf)
+	if !slices.Equal(got, want) {
+		t.Fatalf("nested censors order %d transactions, one censor of both targets %d, or another order", len(got), len(want))
+	}
+	count := map[types.Address]uint64{}
+	for _, tx := range snap {
+		count[tx.From]++
+	}
+	if inner.Excluded() != count[addr(2)] || nested.Excluded() != count[addr(5)] || both.Excluded() != count[addr(2)]+count[addr(5)] {
+		t.Fatalf("excluded %d inner, %d outer, %d together; the targets hold %d and %d", inner.Excluded(), nested.Excluded(), both.Excluded(), count[addr(2)], count[addr(5)])
+	}
 }

@@ -733,7 +733,7 @@ func (n *Node) CallReadOnly(from, to types.Address, data []byte) evm.Result {
 // under one ReadHeadState acquisition; the machine goes back to the evm
 // package's pool when fn returns.
 func (n *Node) readOnly(fn func(machine *evm.EVM)) {
-	n.chain.ReadHeadState(func(head *types.Block, st *statedb.StateDB) {
+	n.chain.ReadHeadState(func(head *types.Block, _ types.Hash, st *statedb.StateDB) {
 		machine := evm.New(st, evm.BlockContext{Number: head.Header.Number, Time: head.Header.Time})
 		defer machine.Release()
 		if n.raaSvc != nil {

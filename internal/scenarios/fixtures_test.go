@@ -93,7 +93,7 @@ func NewReplayFixture(n int) *ReplayFixture {
 	}
 	var head *types.Block
 	var parent *statedb.StateDB
-	c.ReadHeadState(func(h *types.Block, st *statedb.StateDB) { head, parent = h, st })
+	c.ReadHeadState(func(h *types.Block, _ types.Hash, st *statedb.StateDB) { head, parent = h, st })
 	header := &types.Header{
 		ParentHash: head.Hash(),
 		Number:     1,

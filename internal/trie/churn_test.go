@@ -3,7 +3,9 @@ package trie
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -41,6 +43,49 @@ func (m *modelTrie) check(t *testing.T, step int, keys []string) {
 	}
 }
 
+// unhashedNodes returns the nodes of tr made since its last hashing.
+// Nothing below a hashed node needs visiting: hashing fills a node's
+// reference after all of its children's.
+func unhashedNodes(tr *Trie) map[node]bool {
+	nodes := map[node]bool{}
+	var visit func(n node)
+	visit = func(n node) {
+		switch cur := n.(type) {
+		case *shortNode:
+			if cur.cache.refLen == 0 {
+				nodes[cur] = true
+				visit(cur.val)
+			}
+		case *fullNode:
+			if cur.cache.refLen == 0 {
+				nodes[cur] = true
+				for _, child := range cur.children[:16] {
+					visit(child)
+				}
+			}
+		}
+	}
+	visit(tr.root)
+	return nodes
+}
+
+// checkPrivate fails if an unhashed node is reachable from two of the
+// tries: each trie writes its unhashed nodes in place, so a shared one,
+// as two tries taking their nodes from one chunk would make, is written
+// under the other.
+func checkPrivate(t *testing.T, step int, tries []*modelTrie) {
+	t.Helper()
+	owner := map[node]string{}
+	for _, m := range tries {
+		for n := range unhashedNodes(m.tr) {
+			if other, ok := owner[n]; ok {
+				t.Fatalf("step %d: an unhashed node is reachable from trie %s and from trie %s", step, other, m.name)
+			}
+			owner[n] = m.name
+		}
+	}
+}
+
 // TestTrieChurnModel drives a tree of trie copies against shadow maps:
 // bursts of updates and deletes, hashing, commits to a store, copies —
 // also of tries that were never hashed, the case the in-place rule
@@ -49,7 +94,8 @@ func (m *modelTrie) check(t *testing.T, step int, keys []string) {
 // a fresh copy writing one key twice, the second write in place, while
 // the other side must read its own value. A burst is checked
 // by reads alone, so tries stay unhashed between the full checks, which
-// re-check every live trie after its relatives kept writing.
+// re-check every live trie after its relatives kept writing and that no
+// two of them reach one unhashed node.
 func TestTrieChurnModel(t *testing.T) {
 	steps := 4000
 	if testing.Short() {
@@ -158,6 +204,7 @@ func TestTrieChurnModel(t *testing.T) {
 					}
 				}
 			}
+			checkPrivate(t, step, sides)
 		case op < 19:
 			if m.tr.root == nil {
 				continue
@@ -170,6 +217,7 @@ func TestTrieChurnModel(t *testing.T) {
 				live = append(live[:i], live[i+1:]...)
 			}
 		default:
+			checkPrivate(t, step, live)
 			for _, m := range live {
 				m.check(t, step, keys[:84])
 			}
@@ -183,11 +231,61 @@ func TestTrieChurnModel(t *testing.T) {
 	}
 }
 
+// TestCopiesShareOnlyHashedNodes has a trie and its Copy both write,
+// over paths the trie's previous generation wrote, which their new nodes
+// take from chunks: the source's chunk had slots left when it was
+// copied, and neither side may hand those out to the other. After every
+// round each side reads its own values, and no unhashed node is
+// reachable from both.
+func TestCopiesShareOnlyHashedNodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	keys := make([][]byte, 300)
+	for i := range keys {
+		keys[i] = make([]byte, 32)
+		rng.Read(keys[i])
+	}
+	src := &modelTrie{tr: New(), shadow: map[string]string{}, name: "source"}
+	write := func(m *modelTrie, round int, ks [][]byte) {
+		for _, k := range ks {
+			v := fmt.Sprintf("%s %d", m.name, round)
+			m.tr.Update(k, []byte(v))
+			m.shadow[string(k)] = v
+		}
+	}
+	write(src, 0, keys)
+	for round := 1; round <= 40; round++ {
+		hot := keys[:10+rng.Intn(len(keys)-10)]
+		write(src, round, hot)
+		src.tr.RootHash()
+		write(src, round, hot[:1+rng.Intn(len(hot))]) // its chunks have slots left
+		cp := src.tr.Copy()
+		dst := &modelTrie{tr: &cp, shadow: maps.Clone(src.shadow), name: "copy"}
+		for _, m := range []*modelTrie{src, dst} {
+			write(m, round, hot)
+		}
+		checkPrivate(t, round, []*modelTrie{src, dst})
+		for _, m := range []*modelTrie{src, dst} {
+			for _, k := range hot {
+				if got := m.tr.Get(k); string(got) != m.shadow[string(k)] {
+					t.Fatalf("round %d, trie %s: Get(%x) = %q, want %q", round, m.name, k, got, m.shadow[string(k)])
+				}
+			}
+		}
+		if round%8 == 0 {
+			dst.check(t, round, nil)
+		}
+	}
+	src.check(t, 40, nil)
+}
+
 // TestTrieSharedReaders has readers Get, RootHash and Copy a hashed trie
 // while a copy of it flushes blocks of writes and hashes them — what a
-// chain's retained post states and the next block's execution do. Under
-// the race detector, a write to a node the parent shares fails the test;
-// without it, the readers' values and root still pin the parent.
+// chain's retained post states and the next block's execution do — and
+// a copy of each block's post state writes as well, before the block's
+// trie hashes again. Under the race detector, a write to a node the
+// parent shares fails the test; without it, the readers' values and
+// root still pin the parent; and no unhashed node is reachable from both
+// the block's trie and its copy.
 func TestTrieSharedReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	keys := make([][]byte, 2000)
@@ -229,6 +327,7 @@ func TestTrieSharedReaders(t *testing.T) {
 	}
 	child := parent.Copy()
 	for block := 0; block < 40; block++ {
+		var sibling Trie
 		for i := 0; i < 250; i++ {
 			k := keys[rng.Intn(len(keys))]
 			if i%10 == 0 {
@@ -236,7 +335,14 @@ func TestTrieSharedReaders(t *testing.T) {
 			} else {
 				child.Update(k, []byte{byte(block), byte(i), 1})
 			}
+			if i == 125 {
+				sibling = child.Copy() // a view of the half-built block
+			}
+			if i >= 125 {
+				sibling.Update(keys[rng.Intn(len(keys))], []byte{byte(block), byte(i), 2})
+			}
 		}
+		checkPrivate(t, block, []*modelTrie{{tr: &child, name: "block"}, {tr: &sibling, name: "its copy"}})
 		child.RootHash()
 		child = child.Copy() // the next block builds on this one's post state
 	}
@@ -244,5 +350,59 @@ func TestTrieSharedReaders(t *testing.T) {
 	wg.Wait()
 	if parent.RootHash() != root {
 		t.Fatal("the shared parent's root moved")
+	}
+}
+
+// TestLineageHeapHoldsItsTrie flushes a lineage of copies, as a chain's
+// post states are, keeping only the latest, and weighs the heap it holds
+// against a trie of the same contents built in one burst. A chunk stays
+// allocated while any of its nodes does, and keeps what its dead nodes
+// point to alive with it: chunks that could keep one another alive
+// would hold the lineage's whole history, and chunks of long-lived
+// nodes would hold several times the trie.
+func TestLineageHeapHoldsItsTrie(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes the heap")
+	}
+	const keys, writes, flushes = 4096, 64, 1500
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%d", i)) }
+	heap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	rng := rand.New(rand.NewSource(7))
+	contents := map[int]byte{}
+	base := heap()
+	tip := NewSecure()
+	var samples []uint64
+	for f := 1; f <= flushes; f++ {
+		next := tip.Copy()
+		for range writes {
+			i := rng.Intn(keys)
+			contents[i] = byte(f)
+			next.Update(key(i), []byte{byte(f), 1})
+		}
+		next.RootHash()
+		tip = &next
+		if f%(flushes/3) == 0 {
+			samples = append(samples, heap()-base)
+		}
+	}
+	fresh := NewSecure()
+	for i, v := range contents {
+		fresh.Update(key(i), []byte{v, 1})
+	}
+	if fresh.RootHash() != tip.RootHash() {
+		t.Fatal("the lineage and the trie built in one burst disagree")
+	}
+	tip = nil
+	alone := heap() - base
+	runtime.KeepAlive(fresh)
+	lineage := samples[len(samples)-1]
+	t.Logf("heap held by the lineage at every %d flushes %v B, by the trie built alone %d B", flushes/3, samples, alone)
+	if lineage > 2*alone {
+		t.Errorf("the lineage holds %d B of heap, more than twice the %d B of its trie built alone", lineage, alone)
 	}
 }

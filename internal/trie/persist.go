@@ -63,6 +63,7 @@ func NewSecureFromRoot(db NodeReader, root types.Hash) *SecureTrie {
 // under the reference hashing left it, so a hashed trie commits without
 // a digest.
 func (t *Trie) Commit(w Writer) int {
+	t.seal()
 	if t.root == nil {
 		return 0
 	}
@@ -203,7 +204,7 @@ func decodeNodeItem(it rlp.Item) (node, error) {
 			if err != nil {
 				return nil, err
 			}
-			return newLeaf(nibbles, bytes.Clone(vb)), nil
+			return new(shortNode).init(nibbles, nil, bytes.Clone(vb)), nil
 		}
 		child, err := decodeRef(elems[1])
 		if err != nil {
@@ -212,7 +213,7 @@ func decodeNodeItem(it rlp.Item) (node, error) {
 		if child == nil {
 			return nil, fmt.Errorf("extension node with empty child")
 		}
-		return &shortNode{key: bytes.Clone(nibbles), val: child}, nil
+		return new(shortNode).init(nibbles, child, nil), nil
 	case 17:
 		fn := &fullNode{}
 		for i := 0; i < 16; i++ {
@@ -250,7 +251,7 @@ func decodeRef(it rlp.Item) (node, error) {
 			// An embedded node is as shared as the stored parent it came
 			// in: fill its reference, which is its encoding, or it would
 			// pass for a node this trie made itself and be written in
-			// place (see mutable). What is below it came filled.
+			// place (see mutableFull). What is below it came filled.
 			var buf [embedLimit]byte
 			c.set(appendEncoding(buf[:0], n))
 		}

@@ -8,7 +8,11 @@
 // other tries and is never written again; a node whose reference is
 // empty was made by the one trie that holds it since that trie was last
 // hashed, and that trie writes it in place. Copy hashes before it shares,
-// so no unhashed node is ever reachable from two tries.
+// so no unhashed node is ever reachable from two tries. A chunk slot a
+// new node comes from is handed out once, by the trie that took the
+// chunk, and only while that trie holds unhashed nodes: hashing lets the
+// chunk go, so neither Copy nor a copy of a hashed trie's value carries
+// it.
 package trie
 
 import (
@@ -31,8 +35,11 @@ var EmptyRoot = types.Keccak(rlp.Encode(rlp.String(nil)))
 // hashed node along the mutated path and write only nodes made since the
 // last hashing, which no other trie can reach (see the package comment),
 // so a Copy stays valid while either side keeps mutating, and a burst of
-// updates between two hashings copies each node at most once. Each node
-// keeps the reference its parent embeds — its Keccak hash, or its
+// updates between two hashings copies each node at most once. Where the
+// previous flush wrote a path, the nodes a burst makes there come from
+// chunks the trie takes for itself (see take), a few objects a burst
+// instead of one a node; hashing lets the chunks go. Each
+// node keeps the reference its parent embeds — its Keccak hash, or its
 // encoding itself when that is shorter than 32 bytes — from the first
 // time it is hashed, and nothing else of its encoding, which makes
 // RootHash O(changed paths) instead of O(trie): a node on a mutated path
@@ -43,6 +50,13 @@ type Trie struct {
 	// db resolves by-hash node references for tries opened from a
 	// persisted root (NewFromRoot); nil for purely in-memory tries.
 	db NodeReader
+	// leaves and fulls (one per branch depth) are the runs of chunks the
+	// trie's new nodes come from (see take).
+	leaves chunks[shortNode]
+	fulls  [chunkDepths]chunks[fullNode]
+	// gen is the trie's generation: the number of hashings that found
+	// unhashed nodes, counted along its line of copies.
+	gen uint32
 }
 
 // node is one of: *shortNode (leaf/extension), *fullNode (branch),
@@ -56,42 +70,43 @@ type node interface{}
 // referenced by hash, per the MPT spec); with refLen 1 to 31, ref[:refLen]
 // is the encoding itself, embedded verbatim. refLen 0 means the node has
 // not been hashed since it was made, which is also what marks it private
-// to its trie — see mutable. stored marks nodes whose encoding already
+// to its trie — see mutableFull. stored marks nodes whose encoding already
 // lives in a node store, so Commit stops walking there; the copies of a
 // trie share it, so it holds only where they all commit to one store.
+//
+// born is the trie generation (see Trie.gen) the node was made in, plus
+// one; 0 on a node read from a store.
 type nodeCache struct {
 	ref    types.Hash
 	refLen uint8
 	stored bool
+	born   uint32
 }
 
 // shortNode is a leaf when val is nil, its value in value, and an
-// extension otherwise. A leaf made by newLeaf is one object with its
-// nibbles; an unhashed one is overwritten in place.
+// extension otherwise. Its key is a copy kept in its own nibbles (a raw
+// key longer than a hash spills to the heap), so a node is one object
+// and keeps no other node alive through its key; an unhashed leaf is
+// overwritten in place.
 type shortNode struct {
-	key   []byte // nibbles
-	val   node   // an extension's child; nil for a leaf
-	value []byte // a leaf's value
-	cache nodeCache
-}
-
-// leafNode is a leaf and the nibbles of its key in one allocation.
-type leafNode struct {
-	shortNode
+	key     []byte // nibbles
+	val     node   // an extension's child; nil for a leaf
+	value   []byte // a leaf's value
+	cache   nodeCache
 	nibbles [nibbleBuf]byte
 }
 
-// newLeaf returns a leaf holding value under a copy of the nibbles k.
-// The leaf keeps value itself.
-func newLeaf(k, value []byte) *shortNode {
-	if len(k) > nibbleBuf { // a raw key longer than a hash
-		return &shortNode{key: bytes.Clone(k), value: value}
+// init makes sn the short node of a copy of the nibbles key over val, or
+// holding value when val is nil. sn keeps value itself.
+func (sn *shortNode) init(key []byte, val node, value []byte) *shortNode {
+	if len(key) <= nibbleBuf {
+		n := copy(sn.nibbles[:], key)
+		sn.key = sn.nibbles[:n:n]
+	} else {
+		sn.key = bytes.Clone(key)
 	}
-	l := &leafNode{}
-	n := copy(l.nibbles[:], k)
-	l.key = l.nibbles[:n:n]
-	l.value = value
-	return &l.shortNode
+	sn.val, sn.value = val, value
+	return sn
 }
 
 type fullNode struct {
@@ -110,15 +125,22 @@ type valueNode []byte
 func New() *Trie { return &Trie{} }
 
 // Copy returns a trie sharing this trie's nodes. It hashes the receiver
-// first, which fills the cache of every node it is about to share: from
-// then on both sides path-copy those nodes and write in place only the
-// ones they make themselves. On an already hashed trie Copy writes
+// first, which fills the cache of every node it is about to share and
+// lets go of the receiver's chunks: from then on both sides path-copy
+// those nodes and write in place only the ones they make themselves,
+// from chunks of their own, which start at the sizes the receiver's last
+// generation used. On an already hashed trie Copy writes
 // nothing, so goroutines may Copy (and Get, and RootHash) a hashed trie
 // that none of them mutates. The copy is a value: the caller decides
 // where the handle lives.
 func (t *Trie) Copy() Trie {
 	t.RootHash()
-	return Trie{root: t.root, db: t.db}
+	cp := Trie{root: t.root, db: t.db, gen: t.gen}
+	cp.leaves.last = t.leaves.last
+	for d := range t.fulls {
+		cp.fulls[d].last = t.fulls[d].last
+	}
+	return cp
 }
 
 // Get returns the value stored under key, or nil if absent.
@@ -179,71 +201,190 @@ func (t *Trie) Delete(key []byte) { t.update(key, nil) }
 
 // update is Update for a value the caller hands over: the trie keeps the
 // slice itself, and nobody writes it again. The nibble key lives on the
-// stack; insert copies the part of it a new short node keeps.
+// stack; a new short node copies the part of it it keeps.
 func (t *Trie) update(key, value []byte) {
 	var buf [nibbleBuf]byte
 	k := appendNibbles(buf[:0], key)
 	if len(value) == 0 {
-		t.root = deleteNode(t.db, t.root, k)
+		t.root = t.deleteNode(t.root, k, 0)
 	} else {
-		t.root = insert(t.db, t.root, k, value)
+		t.root = t.insert(t.root, k, 0, value)
 	}
 }
 
-// mutable returns the node to write for a mutation through fn: fn itself
-// when it has not been hashed since this trie made it (no other trie can
-// reach it), otherwise a copy with an empty cache.
-func (fn *fullNode) mutable() *fullNode {
+// Chunk sizes, in nodes. The first chunk a run takes after a hashing
+// holds as many nodes as the run handed out in the trie's previous
+// generation, at least firstChunk; the next ones hold firstChunk, then
+// twice the last, up to maxChunk. A flush like the one before takes one
+// chunk a run, a burst of N updates below the cap O(log N), and little
+// is left empty: at most what a flush handed out less than the one
+// before, and about what it handed out more. (Runs that started at 8
+// nodes whatever the flush before grew deep-pool's live heap by a
+// quarter, and at 2 by a tenth: a memory chain's post states keep the
+// empty slots.)
+const (
+	firstChunk = 2
+	maxChunk   = 256
+)
+
+// chunkDepths is the number of branch depths, counted in nibbles from
+// the root, whose branches may come from chunks; a deeper one, which
+// only a trie of millions of keys or raw keys with long common prefixes
+// have, is allocated alone.
+const chunkDepths = 8
+
+// chunks is a run of chunks of one kind of node: the free slots of the
+// chunk taken last since the trie was last hashed, the number of slots
+// handed out since, and the number handed out in the generation before.
+type chunks[T any] struct {
+	free       []T
+	took, last int32
+}
+
+// take hands out a free slot, taking a fresh chunk when none is left.
+// Each slot is handed out once: free keeps only the slots in front of
+// the ones handed out, and is never appended to.
+//
+// A chunk stays allocated while any of its nodes is reachable, and keeps
+// what all of its nodes point to alive with it, the dead ones' children
+// too. Two rules bound what that costs. A chunk holds only leaves, which
+// point at no node, or only branches of one depth, whose children are
+// all deeper, so a chain of chunks kept alive by dead nodes is no longer
+// than the trie is deep, instead of reaching back through its whole
+// history. And only a node whose predecessor lived one generation goes
+// into a chunk (see young): a path that is rewritten at every flush, as
+// the top of a trie is, dies with its chunk, while a node that lives for
+// many flushes, as most leaves of a large trie do, is allocated alone
+// and keeps no chunk alive. Extensions are allocated alone.
+func (c *chunks[T]) take() *T {
+	if len(c.free) == 0 {
+		size := int(c.last)
+		switch {
+		case c.took == int32(cap(c.free)) && c.took != 0:
+			size = firstChunk // the first chunk ran out
+		case c.took != 0:
+			size = 2 * cap(c.free)
+		}
+		c.free = make([]T, min(max(size, firstChunk), maxChunk))
+	}
+	c.took++
+	n := len(c.free) - 1
+	slot := &c.free[n]
+	c.free = c.free[:n]
+	return slot
+}
+
+// seal ends the run's generation: it lets the chunk go and keeps what
+// the run handed out as the next generation's first chunk size. It
+// writes nothing on a run that handed out nothing, unless the trie is
+// private: a shared trie's runs are only read.
+func (c *chunks[T]) seal(private bool) {
+	if private || c.took != 0 || c.free != nil {
+		c.free, c.last, c.took = nil, c.took, 0
+	}
+}
+
+// seal ends a generation before a hashing: it counts it and lets go of
+// the chunks, after which the trie holds no unhashed node and its
+// handle may be shared. It writes nothing on a trie that holds none, as
+// a shared one does.
+func (t *Trie) seal() {
+	private := false
+	if c := cacheOf(t.root); c != nil && c.refLen == 0 {
+		t.gen++
+		private = true
+	}
+	t.leaves.seal(private)
+	for d := range t.fulls {
+		t.fulls[d].seal(private)
+	}
+}
+
+// young reports whether the node of c was made in the trie's current or
+// previous generation, so that what replaces it will most likely be
+// replaced at the next flush too.
+func (t *Trie) young(c *nodeCache) bool { return c.born != 0 && c.born >= t.gen }
+
+// newFull returns an empty branch at depth nibbles below the root, from
+// the trie's chunks when young.
+func (t *Trie) newFull(depth int, young bool) *fullNode {
+	var fn *fullNode
+	if young && depth < chunkDepths {
+		fn = t.fulls[depth].take()
+	} else {
+		fn = new(fullNode)
+	}
+	fn.cache.born = t.gen + 1
+	return fn
+}
+
+// newShort returns a short node (see init), a leaf from the trie's
+// chunks when young.
+func (t *Trie) newShort(key []byte, val node, value []byte, young bool) *shortNode {
+	var sn *shortNode
+	if young && val == nil {
+		sn = t.leaves.take()
+	} else {
+		sn = new(shortNode)
+	}
+	sn.cache.born = t.gen + 1
+	return sn.init(key, val, value)
+}
+
+// mutableFull returns the branch to write for a mutation through fn, at
+// depth: fn itself when it has not been hashed since this trie made it
+// (no other trie can reach it), otherwise a copy with an empty cache.
+func (t *Trie) mutableFull(fn *fullNode, depth int) *fullNode {
 	if fn.cache.refLen == 0 {
 		return fn
 	}
-	return &fullNode{children: fn.children}
+	cp := t.newFull(depth, t.young(&fn.cache))
+	cp.children = fn.children
+	return cp
 }
 
-// mutable is fullNode.mutable for extensions. A leaf is not copied but
-// made again by newLeaf, whose key may not share the hashed leaf's: that
-// would keep the old leaf object, and the value it holds, alive.
-func (sn *shortNode) mutable() *shortNode {
+// mutableShort is mutableFull for short nodes.
+func (t *Trie) mutableShort(sn *shortNode) *shortNode {
 	if sn.cache.refLen == 0 {
 		return sn
 	}
-	return &shortNode{key: sn.key, val: sn.val}
+	return t.newShort(sn.key, sn.val, sn.value, t.young(&sn.cache))
 }
 
 // below returns what sits under the first k nibbles of sn's key: the
 // rest of sn, or its child when k covers the whole key. A leaf's rest is
 // a new leaf of its key's suffix, or its bare value if that is empty.
-func (sn *shortNode) below(k int) node {
+func (t *Trie) below(sn *shortNode, k int) node {
 	switch {
 	case sn.val == nil && k == len(sn.key):
 		return valueNode(sn.value)
-	case sn.val == nil:
-		return newLeaf(sn.key[k:], sn.value)
 	case k == len(sn.key):
 		return sn.val
 	}
-	return &shortNode{key: sn.key[k:], val: sn.val}
+	return t.newShort(sn.key[k:], sn.val, sn.value, t.young(&sn.cache))
 }
 
-func insert(db NodeReader, n node, k, v []byte) node {
+// insert stores v under the nibbles k below n, which sits depth nibbles
+// below the root.
+func (t *Trie) insert(n node, k []byte, depth int, v []byte) node {
 	if h, ok := n.(hashNode); ok {
 		// The resolved node is hashed, so the mutation below lands in a
 		// copy of it; the reference itself stays as it is for its sharers.
-		n = mustResolve(db, h)
+		n = mustResolve(t.db, h)
 	}
 	if len(k) == 0 {
 		switch cur := n.(type) {
 		case *fullNode:
-			cur = cur.mutable()
+			cur = t.mutableFull(cur, depth)
 			cur.children[16] = valueNode(v)
 			return cur
 		case *shortNode:
 			// The new value terminates above an existing subtree: make a
 			// branch holding the value and push the short node down one
 			// nibble.
-			branch := &fullNode{}
+			branch := t.newFull(depth, t.young(&cur.cache))
 			branch.children[16] = valueNode(v)
-			branch.children[cur.key[0]] = cur.below(1)
+			branch.children[cur.key[0]] = t.below(cur, 1)
 			return branch
 		default: // nil or valueNode: create/overwrite
 			return valueNode(v)
@@ -251,60 +392,61 @@ func insert(db NodeReader, n node, k, v []byte) node {
 	}
 	switch cur := n.(type) {
 	case nil:
-		return newLeaf(k, v)
+		return t.newShort(k, nil, v, false)
 	case valueNode:
 		// Existing value at this exact prefix: push it into a branch.
-		branch := &fullNode{}
+		branch := t.newFull(depth, false)
 		branch.children[16] = cur
-		branch.children[k[0]] = insert(db, nil, k[1:], v)
+		branch.children[k[0]] = t.insert(nil, k[1:], depth+1, v)
 		return branch
 	case *shortNode:
 		match := commonPrefix(k, cur.key)
 		switch {
 		case match == len(cur.key) && cur.val != nil:
-			cur = cur.mutable()
-			cur.val = insert(db, cur.val, k[match:], v)
+			cur = t.mutableShort(cur)
+			cur.val = t.insert(cur.val, k[match:], depth+match, v)
 			return cur
 		case match == len(k) && cur.val == nil && match == len(cur.key):
 			// An overwrite: in place when the leaf is this trie's own.
-			if cur.cache.refLen != 0 {
-				return newLeaf(cur.key, v)
-			}
+			cur = t.mutableShort(cur)
 			cur.value = v
 			return cur
 		}
 		// Split: branch at the divergence point, the existing node under
 		// its next nibble or, for a leaf whose key is a proper prefix of
 		// k, in the value slot.
-		branch := &fullNode{}
+		young := t.young(&cur.cache)
+		branch := t.newFull(depth+match, young)
 		if match == len(cur.key) {
 			branch.children[16] = valueNode(cur.value)
 		} else {
-			branch.children[cur.key[match]] = cur.below(match + 1)
+			branch.children[cur.key[match]] = t.below(cur, match+1)
 		}
 		// New value goes under its next nibble (or the value slot).
 		newKey := k[match:]
 		if len(newKey) == 0 {
 			branch.children[16] = valueNode(v)
 		} else {
-			branch.children[newKey[0]] = insert(db, nil, newKey[1:], v)
+			branch.children[newKey[0]] = t.insert(nil, newKey[1:], depth+match+1, v)
 		}
 		if match == 0 {
 			return branch
 		}
-		return &shortNode{key: bytes.Clone(k[:match]), val: branch}
+		return t.newShort(k[:match], branch, nil, young)
 	case *fullNode:
-		cur = cur.mutable()
-		cur.children[k[0]] = insert(db, cur.children[k[0]], k[1:], v)
+		cur = t.mutableFull(cur, depth)
+		cur.children[k[0]] = t.insert(cur.children[k[0]], k[1:], depth+1, v)
 		return cur
 	default:
 		return n
 	}
 }
 
-func deleteNode(db NodeReader, n node, k []byte) node {
+// deleteNode removes the nibbles k below n, which sits depth nibbles
+// below the root.
+func (t *Trie) deleteNode(n node, k []byte, depth int) node {
 	if h, ok := n.(hashNode); ok {
-		n = mustResolve(db, h)
+		n = mustResolve(t.db, h)
 	}
 	switch cur := n.(type) {
 	case nil:
@@ -324,25 +466,26 @@ func deleteNode(db NodeReader, n node, k []byte) node {
 			}
 			return cur // only a proper prefix of k is stored
 		}
-		child := deleteNode(db, cur.val, k[len(cur.key):])
+		child := t.deleteNode(cur.val, k[len(cur.key):], depth+len(cur.key))
 		switch child.(type) {
 		case nil:
 			return nil
 		case *shortNode, valueNode:
 			// Merge chains of short nodes back together.
-			return join(cur.key, child)
+			return t.join(cur.key, child, t.young(&cur.cache))
 		}
-		cur = cur.mutable()
+		cur = t.mutableShort(cur)
 		cur.val = child
 		return cur
 	case *fullNode:
-		cur = cur.mutable()
+		young := t.young(&cur.cache)
+		cur = t.mutableFull(cur, depth)
 		if len(k) == 0 {
 			cur.children[16] = nil
 		} else {
-			cur.children[k[0]] = deleteNode(db, cur.children[k[0]], k[1:])
+			cur.children[k[0]] = t.deleteNode(cur.children[k[0]], k[1:], depth+1)
 		}
-		return collapse(db, cur)
+		return t.collapse(cur, young)
 	default:
 		return n
 	}
@@ -352,8 +495,9 @@ func deleteNode(db NodeReader, n node, k []byte) node {
 // short node (or nil), keeping the trie canonical so roots stay unique.
 // A lone surviving child that is still an unresolved reference must be
 // fetched first: if it turns out to be a short node its key has to merge
-// with the branch nibble, and skipping that would change the root.
-func collapse(db NodeReader, branch *fullNode) node {
+// with the branch nibble, and skipping that would change the root. young
+// is what the branch replaced was (see young).
+func (t *Trie) collapse(branch *fullNode, young bool) node {
 	live := -1
 	count := 0
 	for i, c := range branch.children {
@@ -371,9 +515,9 @@ func collapse(db NodeReader, branch *fullNode) node {
 		}
 		child := branch.children[live]
 		if h, ok := child.(hashNode); ok {
-			child = mustResolve(db, h)
+			child = mustResolve(t.db, h)
 		}
-		return join([]byte{byte(live)}, child)
+		return t.join([]byte{byte(live)}, child, young)
 	default:
 		return branch
 	}
@@ -382,19 +526,15 @@ func collapse(db NodeReader, branch *fullNode) node {
 // join returns the node that reaches child through the nibbles prefix: a
 // short node child's key merges into prefix, and a bare value becomes
 // the leaf of prefix.
-func join(prefix []byte, child node) node {
+func (t *Trie) join(prefix []byte, child node, young bool) node {
 	switch cur := child.(type) {
 	case *shortNode:
-		if cur.val == nil {
-			var buf [nibbleBuf]byte
-			return newLeaf(append(append(buf[:0], prefix...), cur.key...), cur.value)
-		}
-		merged := append(append(make([]byte, 0, len(prefix)+len(cur.key)), prefix...), cur.key...)
-		return &shortNode{key: merged, val: cur.val}
+		var buf [nibbleBuf]byte
+		return t.newShort(append(append(buf[:0], prefix...), cur.key...), cur.val, cur.value, young)
 	case valueNode:
-		return newLeaf(prefix, cur)
+		return t.newShort(prefix, nil, cur, young)
 	}
-	return &shortNode{key: prefix, val: child}
+	return t.newShort(prefix, child, nil, young)
 }
 
 func commonPrefix(a, b []byte) int {
@@ -415,6 +555,7 @@ func commonPrefix(a, b []byte) int {
 // where nothing changed since the last call this reads it; where a few
 // paths changed, only those paths are encoded and hashed again.
 func (t *Trie) RootHash() types.Hash {
+	t.seal()
 	switch root := t.root.(type) {
 	case nil:
 		return EmptyRoot

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
@@ -444,12 +445,14 @@ func TestRootHashAllocatesPerCallNotPerNode(t *testing.T) {
 	}
 }
 
-// TestLeafAllocations counts, not times, what an update of a hashed
-// secure trie allocates beyond the copies of the hashed nodes on its
-// path: a new key that lands in an empty branch slot one object (the
-// leaf, its nibbles and its value header together), an overwrite of a
-// hashed leaf one (its new leaf), and an overwrite of a leaf the trie
-// made since its last hashing none (it is written in place).
+// TestLeafAllocations counts, not times, what a single update of a
+// hashed secure trie allocates beyond the copies of the hashed nodes on
+// its path, one object each whether it comes from a chunk or not (each
+// sits at a depth of its own): a new key that lands in an empty branch
+// slot one object (the leaf, its nibbles and its value header
+// together), an overwrite of a hashed leaf one (its new leaf), and an
+// overwrite of a leaf the trie made since its last hashing none (it is
+// written in place).
 func TestLeafAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -503,6 +506,165 @@ func TestLeafAllocations(t *testing.T) {
 	}
 }
 
+// TestBurstAllocatesChunksNotNodes counts, not times, what a burst of N
+// updates between two hashings allocates over paths the trie's previous
+// generation wrote, as a block's flush does on the hot part of a state:
+// one object a chunk, not one a node. The new leaves come from one run
+// of chunks and the branches of each depth from one run each; a run's
+// first chunk is as large as what it handed out in the generation
+// before, and each next one twice the last up to maxChunk, so a run
+// takes at most about log₂ of its node count in objects, and one when
+// the flush repeats the one before; extensions are allocated alone. The
+// hashed nodes the burst copies still encode to their references
+// afterwards: none of them is written in place.
+func TestBurstAllocatesChunksNotNodes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const leaves = 50_000
+	key := func(i int) types.Hash { return types.Keccak([]byte(fmt.Sprintf("key-%d", i))) }
+	base := NewSecure()
+	for i := 0; i < leaves; i++ {
+		k := key(i)
+		base.UpdateHashed(k, []byte{1, byte(i)})
+	}
+	base.RootHash()
+	var before, after runtime.MemStats
+	values := [][]byte{{2, 1}, {2, 2}}
+	for _, n := range []int{1, 2, 16, 64, 256, 1024} {
+		keys := make([]types.Hash, n)
+		for i := range keys {
+			keys[i] = key(i*53 + i%4*leaves) // every fourth key is new
+		}
+		s := base.Copy()
+		burst := func(v []byte) {
+			for _, k := range keys {
+				s.UpdateHashed(k, v)
+			}
+		}
+		burst(values[0])
+		s.RootHash()
+		hint := s.inner // the first chunk sizes, from what burst(1) handed out
+		runtime.ReadMemStats(&before)
+		burst(values[1])
+		runtime.ReadMemStats(&after)
+		got := int(after.Mallocs - before.Mallocs)
+
+		f := countFresh(&s.inner)
+		want, kinds := chunksFor(f.leaves, hint.leaves.last)+f.alone, 1
+		for d, branches := range f.fulls {
+			if branches > 0 {
+				want += chunksFor(branches, hint.fulls[d].last)
+				kinds++
+			}
+		}
+		t.Logf("%4d updates: %4d new nodes in %3d objects", n, f.leaves+f.alone+sum(f.fulls[:]), got)
+		if got != want {
+			t.Errorf("%d updates made %d leaves, %v branches by depth and %d other nodes in %d objects, want %d (one a chunk)", n, f.leaves, f.fulls, f.alone, got, want)
+		}
+		if n <= maxChunk {
+			if bound := kinds*(bits.Len(uint(n))+1) + f.alone; got > bound {
+				t.Errorf("%d updates allocated %d objects, more than %d kinds × (log₂ %d + 2)", n, got, kinds, n)
+			}
+		}
+		for i, k := range keys {
+			if got := s.inner.Get(k[:]); !bytes.Equal(got, values[1]) {
+				t.Fatalf("%d updates: key %d reads %x", n, i, got)
+			}
+		}
+		checkHashed(t, base.inner.root)
+	}
+	if base.inner.Len() != leaves || !bytes.Equal(base.inner.Get(key(0).Bytes()), []byte{1, 0}) {
+		t.Fatal("the bursts of the copies reached the hashed base")
+	}
+}
+
+// freshNodes counts what a trie made since its last hashing, by the
+// chunks they come from.
+type freshNodes struct {
+	leaves int
+	fulls  [chunkDepths]int // branches by depth
+	alone  int              // extensions and deeper branches
+}
+
+func countFresh(tr *Trie) freshNodes {
+	var f freshNodes
+	var visit func(n node, depth int)
+	visit = func(n node, depth int) {
+		switch cur := n.(type) {
+		case *shortNode:
+			switch {
+			case cur.cache.refLen != 0:
+			case cur.val == nil:
+				f.leaves++
+			default:
+				f.alone++
+				visit(cur.val, depth+len(cur.key))
+			}
+		case *fullNode:
+			if cur.cache.refLen != 0 {
+				return
+			}
+			if depth < chunkDepths {
+				f.fulls[depth]++
+			} else {
+				f.alone++
+			}
+			for _, child := range cur.children[:16] {
+				visit(child, depth+1)
+			}
+		}
+	}
+	visit(tr.root, 0)
+	return f
+}
+
+func sum(counts []int) (total int) {
+	for _, c := range counts {
+		total += c
+	}
+	return total
+}
+
+// chunksFor returns the number of chunks n nodes of one run take after
+// a generation that handed out last.
+func chunksFor(n int, last int32) int {
+	if n == 0 {
+		return 0
+	}
+	chunks := 1
+	n -= min(max(int(last), firstChunk), maxChunk)
+	for size := firstChunk; n > 0; size = min(2*size, maxChunk) {
+		n -= size
+		chunks++
+	}
+	return chunks
+}
+
+// checkHashed fails unless every hashed node below n encodes, from its
+// children's references, to the reference it keeps.
+func checkHashed(t *testing.T, n node) {
+	t.Helper()
+	c := cacheOf(n)
+	if c == nil || c.refLen == 0 {
+		return
+	}
+	switch cur := n.(type) {
+	case *shortNode:
+		checkHashed(t, cur.val)
+	case *fullNode:
+		for _, child := range cur.children[:16] {
+			checkHashed(t, child)
+		}
+	}
+	var again nodeCache
+	again.set(appendEncoding(nil, n))
+	if again.refLen != c.refLen || again.ref != c.ref {
+		t.Fatalf("a hashed node was written: it encodes to %x, its reference is %x", again.ref[:again.refLen], c.ref[:c.refLen])
+	}
+}
+
 // hashedPath returns the number of nodes above the slot of key's nibbles
 // in a hashed trie, each of which an update of key copies, and what the
 // slot holds: nil, or the leaf there.
@@ -537,7 +699,10 @@ func BenchmarkInsert1k(b *testing.B) {
 
 // BenchmarkSecureFlush is one kv-blocks block's flush into a storage
 // trie: 250 hashed keys, most of them present, written with values the
-// trie keeps, then the root, on a copy of a hashed 50 000-leaf trie.
+// trie keeps, then the root, on a copy of a hashed 50 000-leaf trie that
+// three such blocks wrote before. So, as on kv-blocks, the branches near
+// the root replace ones the block before made and come from chunks, and
+// most leaves and bottom branches are allocated alone.
 func BenchmarkSecureFlush(b *testing.B) {
 	const leaves, writes = 50_000, 250
 	base := NewSecure()
@@ -546,9 +711,20 @@ func BenchmarkSecureFlush(b *testing.B) {
 	}
 	base.RootHash()
 	rng := rand.New(rand.NewSource(1))
+	key := func() types.Hash {
+		return types.Keccak([]byte(fmt.Sprintf("key-%d", rng.Intn(leaves+leaves/10))))
+	}
+	for range 3 {
+		next := base.Copy()
+		for range writes {
+			next.UpdateHashed(key(), []byte{1, 1})
+		}
+		next.RootHash()
+		base = &next
+	}
 	hashed := make([]types.Hash, writes)
 	for i := range hashed {
-		hashed[i] = types.Keccak([]byte(fmt.Sprintf("key-%d", rng.Intn(leaves+leaves/10))))
+		hashed[i] = key()
 	}
 	values := make([]byte, 0, writes*3)
 	for i := range writes {
