@@ -273,12 +273,15 @@ serving-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTransaction$$' -fuzztime 30s ./internal/types
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlock$$' -fuzztime 30s ./internal/types
 
-# soak mines ten reorg horizons (5 120 blocks) on three persisted peers on
-# the default mesh and asserts they converge, keep their goroutine count,
-# keep the states of their horizon in their stores and grow their heap
-# by their history alone; then builds as many blocks over a churning pool
-# and asserts the miner's strategy scratch stays sized by the largest
-# pool it ordered (~10 s; both are skipped under -short).
+# soak steps the sim's population of three persisted peers on the default
+# mesh through ten reorg horizons (5 120 blocks) and asserts they converge,
+# keep their goroutine count, keep the states of their horizon in their
+# stores and grow their heap by their history alone; steps the crash
+# family's seven peers through five horizons and asserts the killed peer
+# recovers, the population converges and keeps its goroutine count (not
+# under -race); then builds as many blocks over a churning pool and
+# asserts the miner's strategy scratch stays sized by the largest pool it
+# ordered (~15 s; all are skipped under -short).
 soak:
-	$(GO) test -count=1 -run 'TestSoakHoldsItsWindow' ./internal/scenarios
+	$(GO) test -count=1 -run 'TestSoakHoldsItsWindow|TestSoakRecoversFromACrash' ./internal/scenarios
 	$(GO) test -count=1 -run 'TestScratchStaysBoundedOverBuilds' ./internal/miner

@@ -125,7 +125,6 @@ type Chain struct {
 	// every trie node and storage slot the block did not write, so one
 	// more costs what its block touched.
 	posts         []*statedb.StateDB
-	orphaned      uint64      // canonical blocks displaced by reorgs
 	batch         store.Batch // the records of a persisted run, reused
 	sweptAt       uint64      // the head at the last sweep, or at the open
 	written, kept int64       // log bytes persisted since, and kept by it
@@ -539,7 +538,6 @@ func (c *Chain) importFork(blocks []*types.Block) (int, error) {
 		c.keepPost(post)
 	}
 	c.state = posts[len(posts)-1]
-	c.orphaned += uint64(orphaned)
 	if c.cfg.Store != nil {
 		// Rewrite the reorged numbers (the log's last-write-wins replay
 		// makes the new branch canonical on recovery) with every branch
@@ -578,14 +576,6 @@ func (c *Chain) keepPost(post *statedb.StateDB) {
 	}
 	copy(c.posts, c.posts[1:])
 	c.posts[len(c.posts)-1] = post
-}
-
-// Orphaned returns the total number of canonical blocks displaced by
-// reorgs over the chain's lifetime.
-func (c *Chain) Orphaned() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.orphaned
 }
 
 // adopt appends a validated block under hash, its header's digest. post

@@ -48,9 +48,6 @@ func TestImportForkAdoptsLongerBranch(t *testing.T) {
 	if orphaned != 2 {
 		t.Errorf("orphaned = %d, want 2", orphaned)
 	}
-	if local.Orphaned() != 2 {
-		t.Errorf("Orphaned() = %d, want 2", local.Orphaned())
-	}
 	if local.Height() != 4 {
 		t.Errorf("height = %d, want 4", local.Height())
 	}
@@ -72,10 +69,11 @@ func TestImportForkAdoptsLongerBranch(t *testing.T) {
 
 func TestImportForkRejectsEqualLength(t *testing.T) {
 	local, _, remoteBlocks := forkRig(t, 3, 3)
-	if _, err := local.ImportFork(remoteBlocks); !errors.Is(err, ErrForkTooShort) {
+	orphaned, err := local.ImportFork(remoteBlocks)
+	if !errors.Is(err, ErrForkTooShort) {
 		t.Fatalf("equal-length fork: err = %v, want ErrForkTooShort", err)
 	}
-	if local.Height() != 3 || local.Orphaned() != 0 {
+	if local.Height() != 3 || orphaned != 0 {
 		t.Error("rejected fork mutated the chain")
 	}
 }
@@ -92,10 +90,11 @@ func TestImportForkRejectsCorruptBlockWithoutMutation(t *testing.T) {
 	forged := &types.Block{Header: &hdr, Txs: tip.Txs}
 	bad := append(append([]*types.Block{}, remoteBlocks[:len(remoteBlocks)-1]...), forged)
 
-	if _, err := local.ImportFork(bad); err == nil {
+	orphaned, err := local.ImportFork(bad)
+	if err == nil {
 		t.Fatal("corrupt fork accepted")
 	}
-	if local.Head().Hash() != headBefore || local.Height() != 2 || local.Orphaned() != 0 {
+	if local.Head().Hash() != headBefore || local.Height() != 2 || orphaned != 0 {
 		t.Error("rejected fork left partial mutation behind")
 	}
 }

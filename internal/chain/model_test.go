@@ -643,11 +643,11 @@ func TestChainModelReorgHorizon(t *testing.T) {
 	}
 	tooDeep := blocksOf(branchOn(height - horizon - 1))
 	for _, c := range chains {
-		_, err := c.ImportFork(tooDeep)
+		orphaned, err := c.ImportFork(tooDeep)
 		if !errors.Is(err, ErrForkTooDeep) || !errors.Is(err, ErrUnknownParent) {
 			t.Fatalf("a fork %d deep: %v, want ErrForkTooDeep", horizon+1, err)
 		}
-		if c.Head().Hash() != m.head().hash || c.Orphaned() != 0 {
+		if c.Head().Hash() != m.head().hash || orphaned != 0 {
 			t.Fatalf("a refused fork moved the chain to %d", c.Height())
 		}
 		m.check(c, nil)

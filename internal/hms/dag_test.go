@@ -199,7 +199,7 @@ func checkAgainstReference(t *testing.T, step int, inc, det *Tracker, pool *txpo
 		t.Fatalf("step %d: live view %+v (ok=%v), detached %+v, reference %+v (pool %d txs)",
 			step, live, ok, det.ViewOf(snap), want, len(snap))
 	}
-	if !sameNodes(inc.SeriesOrSnapshot(nil), series) || !sameNodes(det.SeriesOf(snap), series) {
+	if !sameNodes(inc.Series(), series) || !sameNodes(det.SeriesOf(snap), series) {
 		t.Fatalf("step %d: live or detached series differs from the reference series of %d sets", step, len(series))
 	}
 
@@ -394,8 +394,8 @@ func TestViewCachedUntilPoolChanges(t *testing.T) {
 	}
 }
 
-// TestUnattachedViewReportsNotOK pins the fallback contract consumers
-// rely on (node.ViewAMV, raa.HMSProvider).
+// TestUnattachedViewReportsNotOK: a tracker serves View and Series only
+// once attached to a pool; before, View reports not ok.
 func TestUnattachedViewReportsNotOK(t *testing.T) {
 	tr := NewTracker(cfg())
 	if _, ok := tr.View(); ok {
@@ -403,6 +403,9 @@ func TestUnattachedViewReportsNotOK(t *testing.T) {
 	}
 	if tr.Attached() {
 		t.Fatal("unattached tracker claims attachment")
+	}
+	if tr.Series() != nil {
+		t.Fatal("unattached tracker claimed a series")
 	}
 }
 
@@ -464,7 +467,7 @@ func TestConcurrentViewChurn(t *testing.T) {
 						return
 					}
 				}
-				_ = tr.SeriesOrSnapshot(pool.Pending)
+				_ = tr.Series()
 			}
 		}()
 	}

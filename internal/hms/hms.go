@@ -212,8 +212,7 @@ func (t *Tracker) Generation() uint64 {
 // View returns the READ-UNCOMMITTED view of the attached pool (paper
 // Algorithm 1). While the series and committed state are unchanged it
 // returns the cached view without any recomputation. ok is false when
-// the tracker is not attached — callers then fall back to ViewOf on a
-// pool snapshot.
+// the tracker is not attached.
 func (t *Tracker) View() (View, bool) {
 	t.mu.RLock()
 	v, ok, attached := t.view, t.viewOK, t.dag != nil
@@ -242,28 +241,15 @@ func (t *Tracker) SeriesOf(pending []*types.Transaction) []*Node {
 	return fill(t.cfg, pending).series(t.Committed().Mark)
 }
 
-// ViewOrSnapshot returns the attached pool's view when the tracker is
-// attached, and otherwise ViewOf the pending set supplied by pending —
-// the one place the fallback contract lives for all consumers
-// (node.ViewAMV, raa.HMSProvider).
-func (t *Tracker) ViewOrSnapshot(pending func() []*types.Transaction) View {
-	if v, ok := t.View(); ok {
-		return v
-	}
-	return t.ViewOf(pending())
-}
-
-// SeriesOrSnapshot returns the pending series, head to tail: the attached
-// pool's when the tracker is attached, and otherwise SeriesOf the pending
-// set supplied by pending (the ViewOrSnapshot contract).
-func (t *Tracker) SeriesOrSnapshot(pending func() []*types.Transaction) []*Node {
+// Series returns the attached pool's pending series, head to tail; nil
+// when the tracker is not attached.
+func (t *Tracker) Series() []*Node {
 	t.mu.Lock()
-	if t.dag != nil {
-		defer t.mu.Unlock()
-		return t.dag.series(t.committed.Mark)
+	defer t.mu.Unlock()
+	if t.dag == nil {
+		return nil
 	}
-	t.mu.Unlock()
-	return t.SeriesOf(pending())
+	return t.dag.series(t.committed.Mark)
 }
 
 // AppendSemanticPrefix appends to dst the head of a semantically

@@ -243,7 +243,7 @@ func New(cfg Config) (*Node, error) {
 		n.tracker.Attach(n.pool)
 		n.refreshCommitted()
 		n.raaSvc = raa.NewService()
-		raa.RegisterHMS(n.raaSvc, n.tracker, n.pool, asm.SelGet, asm.SelMark)
+		raa.RegisterHMS(n.raaSvc, n.tracker, asm.SelGet, asm.SelMark)
 	}
 
 	window := cfg.ReorderWindow
@@ -772,9 +772,8 @@ func (n *Node) NonceAt(addr types.Address) uint64 {
 // committed storage.
 func (n *Node) ViewAMV(caller, contract types.Address) (flag, mark, value types.Word) {
 	if n.mode == ModeSereth && n.tracker != nil {
-		// Incremental when attached (cached unless the pool changed),
-		// snapshot recompute otherwise.
-		view := n.tracker.ViewOrSnapshot(n.pool.Pending)
+		// Attached since New: cached unless the pool or committed AMV moved.
+		view, _ := n.tracker.View()
 		// Cross-check through the EVM+RAA path: mark() returns raa[1],
 		// get() returns raa[2]. This keeps the architectural path of the
 		// paper hot; results are identical to the tracker view. The two

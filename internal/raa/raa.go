@@ -98,42 +98,35 @@ func (s *Service) Augment(dst []byte, contract types.Address, input []byte) ([]b
 	return out, true
 }
 
-// PoolSource supplies the current pending transactions (the TxPool view
-// the HMS provider serializes).
-type PoolSource interface {
-	Pending() []*types.Transaction
-}
-
 // HMSProvider serves READ-UNCOMMITTED views of the tracked variable: the
 // replacement tuple is (flag, mark, value) — exactly the RAA layout the
 // Sereth contract's get/mark functions expect.
 type HMSProvider struct {
 	tracker *hms.Tracker
-	pool    PoolSource
 }
 
 var _ Provider = (*HMSProvider)(nil)
 
-// NewHMSProvider binds a tracker to a pool source.
-func NewHMSProvider(tracker *hms.Tracker, pool PoolSource) *HMSProvider {
-	return &HMSProvider{tracker: tracker, pool: pool}
+// NewHMSProvider serves the view of tracker, which must be attached to
+// the node's pool.
+func NewHMSProvider(tracker *hms.Tracker) *HMSProvider {
+	return &HMSProvider{tracker: tracker}
 }
 
-// Provide implements Provider. A tracker attached to the node's pool
-// serves its incrementally maintained view (O(1) when the pool is
-// unchanged); otherwise the view is recomputed from a pool snapshot.
+// Provide implements Provider. The attached tracker serves its
+// incrementally maintained view (O(1) when the pool is unchanged).
 func (h *HMSProvider) Provide(_ types.Address, args []byte) bool {
 	if len(args) < 3*types.WordLength {
 		return false
 	}
-	view := h.tracker.ViewOrSnapshot(h.pool.Pending)
+	view, _ := h.tracker.View()
 	return SetWord(args, 0, view.Flag) && SetWord(args, 1, view.AMV.Mark) && SetWord(args, 2, view.AMV.Value)
 }
 
 // RegisterHMS wires an HMS tracker into the service for the Sereth
 // contract's read functions (get and mark).
-func RegisterHMS(s *Service, tracker *hms.Tracker, pool PoolSource, selectors ...types.Selector) {
-	p := NewHMSProvider(tracker, pool)
+func RegisterHMS(s *Service, tracker *hms.Tracker, selectors ...types.Selector) {
+	p := NewHMSProvider(tracker)
 	for _, sel := range selectors {
 		s.Register(tracker.Config().Contract, sel, p)
 	}

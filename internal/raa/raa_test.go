@@ -7,6 +7,7 @@ import (
 	"sereth/internal/evm"
 	"sereth/internal/hms"
 	"sereth/internal/statedb"
+	"sereth/internal/txpool"
 	"sereth/internal/types"
 )
 
@@ -94,11 +95,6 @@ func TestProviderFunc(t *testing.T) {
 	}
 }
 
-// stubPool satisfies PoolSource with a fixed pending set.
-type stubPool struct{ txs []*types.Transaction }
-
-func (s stubPool) Pending() []*types.Transaction { return s.txs }
-
 // provide runs p over n zero argument words and returns them as p left
 // them.
 func provide(p Provider, n int) ([]types.Word, bool) {
@@ -111,22 +107,31 @@ func provide(p Provider, n int) ([]types.Word, bool) {
 	return words, ok
 }
 
-func hmsTracker() *hms.Tracker {
-	return hms.NewTracker(hms.Config{
+// hmsTracker returns a tracker attached, as a node's is, to a pool
+// holding pending.
+func hmsTracker(t *testing.T, pending ...*types.Transaction) *hms.Tracker {
+	tracker := hms.NewTracker(hms.Config{
 		Contract:    contract,
 		SetSelector: asm.SelSet,
 		BuySelector: asm.SelBuy,
 	})
+	pool := txpool.New()
+	tracker.Attach(pool)
+	for _, tx := range pending {
+		if err := pool.Add(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tracker
 }
 
 func TestHMSProviderServesPendingTail(t *testing.T) {
-	tracker := hmsTracker()
 	price := types.WordFromUint64(5)
 	pending := &types.Transaction{
 		From: caller, To: contract, GasLimit: 1,
 		Data: types.EncodeCall(asm.SelSet, types.FlagHead, types.ZeroWord, price),
 	}
-	p := NewHMSProvider(tracker, stubPool{txs: []*types.Transaction{pending}})
+	p := NewHMSProvider(hmsTracker(t, pending))
 
 	words, ok := provide(p, 3)
 	if !ok {
@@ -145,10 +150,10 @@ func TestHMSProviderServesPendingTail(t *testing.T) {
 }
 
 func TestHMSProviderFallsBackToCommitted(t *testing.T) {
-	tracker := hmsTracker()
+	tracker := hmsTracker(t)
 	amv := types.AMV{Mark: types.WordFromUint64(42), Value: types.WordFromUint64(9)}
 	tracker.SetCommitted(amv)
-	p := NewHMSProvider(tracker, stubPool{})
+	p := NewHMSProvider(tracker)
 	words, ok := provide(p, 3)
 	if !ok || words[0] != types.FlagHead || words[1] != amv.Mark || words[2] != amv.Value {
 		t.Errorf("fallback words = %v ok=%v", words, ok)
@@ -160,14 +165,13 @@ func TestHMSProviderFallsBackToCommitted(t *testing.T) {
 func TestEndToEndGetThroughEVM(t *testing.T) {
 	st := statedb.New()
 	st.SetCode(contract, asm.SerethContract())
-	tracker := hmsTracker()
 	price := types.WordFromUint64(1234)
 	pending := &types.Transaction{
 		From: caller, To: contract, GasLimit: 1,
 		Data: types.EncodeCall(asm.SelSet, types.FlagHead, types.ZeroWord, price),
 	}
 	service := NewService()
-	RegisterHMS(service, tracker, stubPool{txs: []*types.Transaction{pending}}, asm.SelGet, asm.SelMark)
+	RegisterHMS(service, hmsTracker(t, pending), asm.SelGet, asm.SelMark)
 
 	e := evm.New(st, evm.BlockContext{})
 	e.SetRAAProvider(service)

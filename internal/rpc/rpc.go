@@ -361,7 +361,7 @@ func (s *Server) dispatch(req *request) (interface{}, *rpcError) {
 		if tracker == nil {
 			return []string{}, nil
 		}
-		nodes := tracker.SeriesOrSnapshot(s.node.Pool().Pending)
+		nodes := tracker.Series()
 		marks := make([]string, len(nodes))
 		for i, n := range nodes {
 			marks[i] = n.Mark.Hex()

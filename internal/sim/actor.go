@@ -23,8 +23,8 @@ type Faults struct {
 }
 
 // actor is one fault family's part in a run. It owns its plan, its state
-// and its section of the Result, and sees the population only through
-// the scenario: never another actor. The scenario calls every actor's
+// and its section of the Result, and reaches the peers only through
+// the population: never another actor. The population calls every actor's
 // hooks at fixed points and never asks which family it holds.
 type actor interface {
 	// configure adjusts peer idx's node configuration before it is built.
@@ -64,7 +64,7 @@ func (passive) close()                            {}
 // every hook runs in: the crash family keeps the node config the censor
 // has already adjusted, and same-instant events tie churn, crash,
 // partition, attack.
-func (s *scenario) cast(reg *wallet.Registry, netCfg *p2p.Config) error {
+func (s *Population) cast(reg *wallet.Registry, netCfg *p2p.Config) error {
 	f := s.cfg.Faults
 	if f.Links != nil {
 		// All link-fault randomness comes from a namespaced sub-seed, so
@@ -114,7 +114,7 @@ func subSeed(seed int64, namespace string) int64 {
 // the model time that took is recorded.
 type catchUp struct {
 	passive
-	s       *scenario
+	s       *Population
 	pending []watch
 	done    []float64 // completed catch-up latencies (ms)
 }

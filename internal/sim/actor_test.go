@@ -65,7 +65,7 @@ func TestFamiliesCompose(t *testing.T) {
 		Censor:    &CensorPlan{Miners: 1},
 		Attack:    &AttackPlan{Kind: AdversaryFrontrun, IntervalMs: 4000},
 	}
-	s, err := newScenario(cfg)
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestFamiliesCompose(t *testing.T) {
 			reached++
 		}
 	})
-	res, err := s.run()
+	res, err := s.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}

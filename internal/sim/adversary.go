@@ -31,14 +31,14 @@ type CensorResult struct {
 
 type censor struct {
 	passive
-	s       *scenario
+	s       *Population
 	targets []types.Address
 	hashes  map[types.Hash]bool // the targeted senders' accepted buys
 	left    int                 // miners still to configure
 	res     CensorResult
 }
 
-func newCensor(s *scenario, plan CensorPlan) *censor {
+func newCensor(s *Population, plan CensorPlan) *censor {
 	k := plan.Targets
 	if k <= 0 {
 		k = (len(s.buyers) + 3) / 4
@@ -119,7 +119,7 @@ type AttackResult struct {
 // report looks for on the canonical chain.
 type attack struct {
 	passive
-	s      *scenario
+	s      *Population
 	plan   AttackPlan
 	id     p2p.PeerID
 	peer   attacker
@@ -140,7 +140,7 @@ type attacker interface {
 
 // newAttack builds the attacker; a front-runner's funded key is
 // registered before the registry is shared out to the population.
-func newAttack(s *scenario, plan AttackPlan, reg *wallet.Registry) (*attack, error) {
+func newAttack(s *Population, plan AttackPlan, reg *wallet.Registry) (*attack, error) {
 	a := &attack{s: s, plan: plan, txs: make(map[types.Hash]bool), blocks: make(map[types.Hash]bool)}
 	switch plan.Kind {
 	case AdversaryForger:

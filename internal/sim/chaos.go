@@ -83,7 +83,7 @@ type PartitionResult struct {
 
 type partition struct {
 	passive
-	s    *scenario
+	s    *Population
 	plan PartitionPlan
 }
 
@@ -125,7 +125,7 @@ type LinkResult struct {
 // (cast installs it); the actor reports what it did.
 type links struct {
 	passive
-	s *scenario
+	s *Population
 }
 
 func (l *links) report(res *Result) error {

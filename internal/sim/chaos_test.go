@@ -162,13 +162,13 @@ func TestChaosLossCompletes(t *testing.T) {
 // same delivery trace from the same seed.
 func TestChaosTraceDeterministic(t *testing.T) {
 	run := func() ([]p2p.TraceEvent, Result) {
-		s, err := newScenario(fastChaos(ChaosCombined(29)))
+		s, err := New(fastChaos(ChaosCombined(29)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var trace []p2p.TraceEvent
 		s.net.Trace(func(e p2p.TraceEvent) { trace = append(trace, e) })
-		res, err := s.run()
+		res, err := s.Finish()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -68,7 +68,7 @@ var ErrCrashWithRPC = errors.New("sim: a crash plan is incompatible with RPCClie
 
 // newCrasher draws the crashing peers from the same expendable set as
 // churn.
-func newCrasher(s *scenario, plan CrashPlan) (*crasher, error) {
+func newCrasher(s *Population, plan CrashPlan) (*crasher, error) {
 	if s.cfg.RPCClients {
 		return nil, ErrCrashWithRPC
 	}

@@ -56,7 +56,7 @@ func TestCrashHonestTwinUnaffected(t *testing.T) {
 // kill takes the peer off the network before its store dies and
 // restart replaces the node, so nothing reads it in between.
 func TestCrashedLazyNodeIsDiscardedUnread(t *testing.T) {
-	s, err := newScenario(CrashSyncEveryBlock(5))
+	s, err := New(CrashSyncEveryBlock(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,8 @@ func TestCrashedLazyNodeIsDiscardedUnread(t *testing.T) {
 	c := s.actors[0].(*crasher)
 	tl.subs = append(tl.subs, c.outage(c.idxs[0], restart+1, restart+30_000)...)
 	sort.SliceStable(tl.subs, func(i, j int) bool { return tl.subs[i].at < tl.subs[j].at })
-	res, err := s.drive(tl)
+	s.tl = tl
+	res, err := s.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}

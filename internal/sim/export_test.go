@@ -5,12 +5,11 @@ import "sereth/internal/types"
 // RunBlocks is Run that also returns the primary client's canonical
 // chain above genesis, for the tests in package sim_test.
 func RunBlocks(cfg ScenarioConfig) (Result, []*types.Block, error) {
-	s, err := newScenario(cfg)
+	s, err := New(cfg)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	defer s.cleanup()
-	res, err := s.run()
+	res, err := s.Finish()
 	if err != nil {
 		return Result{}, nil, err
 	}

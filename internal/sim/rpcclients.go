@@ -67,7 +67,7 @@ func wordFromHex(s string) (types.Word, error) {
 // The RPC server calls ViewAMV with the zero caller address; the
 // Sereth contract never reads CALLER, so the words are identical to
 // the in-process read for any caller.
-func (s *scenario) clientView(clientIdx int, caller types.Address) (flag, mark, value types.Word, err error) {
+func (s *Population) clientView(clientIdx int, caller types.Address) (flag, mark, value types.Word, err error) {
 	if s.rpc == nil {
 		flag, mark, value = s.clients[clientIdx].ViewAMV(caller, s.contract)
 		return flag, mark, value, nil
@@ -88,7 +88,7 @@ func (s *scenario) clientView(clientIdx int, caller types.Address) (flag, mark, 
 
 // clientStorage reads a committed contract slot through the client,
 // over eth_getStorageAt when the serving tier is enabled.
-func (s *scenario) clientStorage(clientIdx int, slot uint64) (types.Word, error) {
+func (s *Population) clientStorage(clientIdx int, slot uint64) (types.Word, error) {
 	if s.rpc == nil {
 		return s.clients[clientIdx].StorageAt(s.contract, slot), nil
 	}
@@ -107,7 +107,7 @@ func (s *scenario) clientStorage(clientIdx int, slot uint64) (types.Word, error)
 // wire as a JSON-RPC internal error carrying the pool's message; it is
 // mapped back to txpool.ErrPoolFull so the overload family's
 // backpressure accounting is identical on both paths.
-func (s *scenario) submitVia(clientIdx int, tx *types.Transaction) error {
+func (s *Population) submitVia(clientIdx int, tx *types.Transaction) error {
 	if s.rpc == nil {
 		return s.clients[clientIdx].SubmitTx(tx)
 	}

@@ -1,12 +1,15 @@
 // Package sim is the evaluation harness: it reconstructs the paper's
-// experiments (§V) on the simulated network. A scenario builds a peer
-// population — by default the paper's 3-peer rig (one semantic miner,
+// experiments (§V) on the simulated network. A ScenarioConfig builds a
+// Population — by default the paper's 3-peer rig (one semantic miner,
 // one baseline miner, one client), generalizable to N miners and M
-// clients over an arbitrary topology — replays the dynamic-pricing
-// workload, and measures transaction efficiency η = succeeded/included
+// clients over an arbitrary topology — that replays the dynamic-pricing
+// workload and measures transaction efficiency η = succeeded/included
 // over the buys, exactly the quantity Figure 2 plots against the
 // buy:set ratio. Submissions, block production and network delivery are
-// all driven through one unified event timeline.
+// all driven through one unified event timeline: New builds the
+// population, Step runs it to a model time, Finish runs the rest and
+// returns the Result. Run is New, then Finish; a soak steps the same
+// population and samples it between steps.
 package sim
 
 import (
@@ -279,12 +282,11 @@ func (r Result) StateTps() float64 {
 
 // Run executes the scenario and returns its result.
 func Run(cfg ScenarioConfig) (Result, error) {
-	s, err := newScenario(cfg)
+	p, err := New(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	defer s.cleanup()
-	return s.run()
+	return p.Finish()
 }
 
 type eventKind int
@@ -305,9 +307,13 @@ type event struct {
 	fire func(at uint64) error
 }
 
-type scenario struct {
+// Population is one scenario's peers on their gossip network with the
+// timeline that drives them, from one goroutine.
+type Population struct {
 	cfg ScenarioConfig
 	rng *rand.Rand
+	tl  *timeline
+	err error // the error that stopped the population
 
 	net   *p2p.Network
 	nodes []*node.Node // all peers, by index
@@ -368,7 +374,9 @@ func (cfg ScenarioConfig) expendable() []int {
 	return out
 }
 
-func newScenario(cfg ScenarioConfig) (*scenario, error) {
+// New builds cfg's population on its network, with the timeline that
+// will drive it; nothing has run yet.
+func New(cfg ScenarioConfig) (*Population, error) {
 	if cfg.Buys <= 0 || cfg.Sets < 0 {
 		return nil, fmt.Errorf("sim: invalid workload %d buys / %d sets", cfg.Buys, cfg.Sets)
 	}
@@ -385,7 +393,7 @@ func newScenario(cfg ScenarioConfig) (*scenario, error) {
 	if cfg.SemanticFraction < 1 && nBaseline == 0 {
 		return nil, fmt.Errorf("sim: semantic fraction %.2f needs baseline miners (population has none)", cfg.SemanticFraction)
 	}
-	s := &scenario{
+	s := &Population{
 		cfg:       cfg,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		contract:  types.Address{19: 0xcc},
@@ -498,11 +506,15 @@ func newScenario(cfg ScenarioConfig) (*scenario, error) {
 	return s, nil
 }
 
+// Nodes returns the peers by index. A crashed peer's restart replaces its
+// node, so read them again after every Step.
+func (s *Population) Nodes() []*node.Node { return s.nodes }
+
 // cleanup closes the serving tier's listeners and connections, then
 // releases what the actors hold (the crash family's datadirs and store
-// handles). It is idempotent; Run always calls it, as do newScenario's
-// error paths.
-func (s *scenario) cleanup() {
+// handles). It is idempotent; Finish always calls it, as do New's error
+// paths and a failed Step.
+func (s *Population) cleanup() {
 	if s.rpc != nil {
 		s.rpc.close()
 		s.rpc = nil
@@ -515,7 +527,7 @@ func (s *scenario) cleanup() {
 // schedule builds the submission timeline. The opening set happens at
 // t=0 (the market's opening price, §II-F) and the buys start after the
 // first block so they never read the empty genesis state.
-func (s *scenario) schedule() []event {
+func (s *Population) schedule() []event {
 	var events []event
 	buyStart := s.cfg.BlockIntervalMs
 	span := uint64(s.cfg.Buys) * s.cfg.SubmitIntervalMs
@@ -561,13 +573,12 @@ type timeline struct {
 
 	drained  int
 	maxDrain int
-	stopped  bool
 }
 
 // drainIdx marks blocks mined in the backlog-drain phase.
 const drainIdx = -2
 
-func (s *scenario) newTimeline() *timeline {
+func (s *Population) newTimeline() *timeline {
 	subs := s.schedule()
 	return &timeline{
 		subs:     subs,
@@ -578,71 +589,92 @@ func (s *scenario) newTimeline() *timeline {
 	}
 }
 
-// next yields the earliest pending event. Block events do NOT reschedule
-// themselves here: the run loop calls blockMined afterwards, so the rng
+// next yields the earliest pending event if it is due at or before
+// until, and leaves it pending otherwise. Block events do NOT reschedule
+// themselves here: the run loop moves blockAt afterwards, so the rng
 // draw for the next gap happens after the mine draw — the exact stream
 // order of the original two-timeline loop.
-func (tl *timeline) next() (event, bool) {
-	if tl.stopped {
+func (tl *timeline) next(until uint64) (event, bool) {
+	var ev event
+	switch {
+	case tl.si < len(tl.subs) && tl.subs[tl.si].at < tl.blockAt:
+		ev = tl.subs[tl.si]
+	case tl.si < len(tl.subs) || tl.blockAt <= tl.lastSub+tl.meanGap:
+		ev = event{at: tl.blockAt, kind: evBlock}
+	case tl.drained < tl.maxDrain:
+		ev = event{at: tl.blockAt, kind: evBlock, idx: drainIdx}
+	default:
 		return event{}, false
 	}
-	if tl.si < len(tl.subs) || tl.blockAt <= tl.lastSub+tl.meanGap {
-		nextSub := ^uint64(0)
-		if tl.si < len(tl.subs) {
-			nextSub = tl.subs[tl.si].at
-		}
-		if tl.blockAt <= nextSub {
-			return event{at: tl.blockAt, kind: evBlock}, true
-		}
-		sub := tl.subs[tl.si]
+	if ev.at > until {
+		return event{}, false
+	}
+	if ev.kind != evBlock {
 		tl.si++
-		return sub, true
+	} else if ev.idx == drainIdx {
+		tl.drained++
 	}
-	if tl.drained >= tl.maxDrain {
-		return event{}, false
-	}
-	tl.drained++
-	return event{at: tl.blockAt, kind: evBlock, idx: drainIdx}, true
+	return ev, true
 }
 
-// blockMined reschedules the block source after a block was produced.
-func (tl *timeline) blockMined(nextGap uint64) {
-	tl.blockAt += nextGap
+// stop ends the drain phase.
+func (tl *timeline) stop() { tl.maxDrain = tl.drained }
+
+// Step runs every timeline event due at or before the model time to
+// (ms), then delivers what the network holds up to it. An error stops
+// the population and releases the actors; Step and Finish return it from
+// then on.
+func (s *Population) Step(to uint64) error {
+	if err := s.advance(to); err != nil {
+		return err
+	}
+	s.net.AdvanceTo(to)
+	return nil
 }
 
-func (tl *timeline) stop() { tl.stopped = true }
-
-// run drives the scenario: every submission, block and network delivery
-// advances through the unified timeline's single clock.
-func (s *scenario) run() (Result, error) { return s.drive(s.newTimeline()) }
-
-// drive runs the scenario over tl (run's own timeline, or one a test
-// has added events to). After every event each actor observes the
-// population.
-func (s *scenario) drive(tl *timeline) (Result, error) {
-	for {
-		ev, ok := tl.next()
-		if !ok {
-			break
-		}
-		s.net.AdvanceTo(ev.at)
-		if err := s.dispatch(ev); err != nil {
-			return Result{}, err
-		}
-		if ev.kind == evBlock {
-			tl.blockMined(s.nextBlockGap())
-		}
-		s.observe(ev.at)
-		if ev.kind == evBlock && ev.idx == drainIdx && s.drainDone() {
-			tl.stop()
-		}
+// Finish runs the rest of the timeline, delivers everything the network
+// still holds, collects the Result and releases the actors.
+func (s *Population) Finish() (Result, error) {
+	defer s.cleanup()
+	if err := s.advance(^uint64(0)); err != nil {
+		return Result{}, err
 	}
 	s.net.Drain()
 	s.observe(s.net.Now())
 	return s.collect()
 }
 
-func (s *scenario) dispatch(ev event) error {
+// advance runs the timeline's events due at or before until: every
+// submission, block and network delivery advances through its single
+// clock, and after every event each actor observes the population.
+func (s *Population) advance(until uint64) error {
+	if s.tl == nil {
+		// Built at the first step, not by New: what a caller submits
+		// before stepping draws from the rng ahead of the first gap.
+		s.tl = s.newTimeline()
+	}
+	for s.err == nil {
+		ev, ok := s.tl.next(until)
+		if !ok {
+			break
+		}
+		s.net.AdvanceTo(ev.at)
+		if s.err = s.dispatch(ev); s.err != nil {
+			s.cleanup()
+			break
+		}
+		if ev.kind == evBlock {
+			s.tl.blockAt += s.nextBlockGap()
+		}
+		s.observe(ev.at)
+		if ev.kind == evBlock && ev.idx == drainIdx && s.drainDone() {
+			s.tl.stop()
+		}
+	}
+	return s.err
+}
+
+func (s *Population) dispatch(ev event) error {
 	switch ev.kind {
 	case evBlock:
 		return s.mine(ev.at)
@@ -656,7 +688,7 @@ func (s *scenario) dispatch(ev event) error {
 	return ev.fire(ev.at)
 }
 
-func (s *scenario) observe(at uint64) {
+func (s *Population) observe(at uint64) {
 	for _, a := range s.actors {
 		a.observe(at)
 	}
@@ -668,7 +700,7 @@ func (s *scenario) observe(at uint64) {
 // one head — a population whose pools are empty but whose chains still
 // disagree (post-partition) must keep mining so the longest-chain rule
 // can finish converging. DrainBlocks still bounds the phase either way.
-func (s *scenario) drainDone() bool {
+func (s *Population) drainDone() bool {
 	for _, n := range s.nodes {
 		if n.Pool().Len() != 0 {
 			return false
@@ -687,7 +719,7 @@ func (s *scenario) drainDone() bool {
 
 // convergedNow reports whether every online peer is on the primary
 // client's exact head.
-func (s *scenario) convergedNow() bool {
+func (s *Population) convergedNow() bool {
 	head := s.clients[0].Chain().HeadHash()
 	for _, n := range s.nodes {
 		if s.offline[n.ID()] == 0 && n.Chain().HeadHash() != head {
@@ -700,7 +732,7 @@ func (s *scenario) convergedNow() bool {
 // down takes peer idx off the network: it stops receiving deliveries and
 // producing blocks until every actor that took it down has brought it
 // up, so overlapping outages of one peer compose.
-func (s *scenario) down(idx int) {
+func (s *Population) down(idx int) {
 	id := s.nodes[idx].ID()
 	if s.offline == nil {
 		s.offline = make(map[p2p.PeerID]int)
@@ -713,7 +745,7 @@ func (s *scenario) down(idx int) {
 // up releases one hold on peer idx; the last joins it, possibly a
 // rebuilt node, back to the network. A node joins the network as it is
 // built, so a rebuilt one that is still held leaves again.
-func (s *scenario) up(idx int) {
+func (s *Population) up(idx int) {
 	n := s.nodes[idx]
 	if s.offline[n.ID()]--; s.offline[n.ID()] > 0 {
 		s.net.Leave(n.ID())
@@ -726,7 +758,7 @@ func (s *scenario) up(idx int) {
 // nextBlockGap draws the time to the next block: exponential with the
 // configured mean under PoissonBlocks (clamped to [mean/4, 4*mean]),
 // fixed otherwise.
-func (s *scenario) nextBlockGap() uint64 {
+func (s *Population) nextBlockGap() uint64 {
 	if !s.cfg.PoissonBlocks {
 		return s.cfg.BlockIntervalMs
 	}
@@ -745,8 +777,8 @@ func (s *scenario) nextBlockGap() uint64 {
 // with several miners of the chosen kind the producer is drawn uniformly
 // (single-miner pools consume no extra randomness, keeping the paper
 // rig's rng stream bit-identical).
-func (s *scenario) mine(at uint64) error {
-	// newScenario validates that the drawn kind always has miners:
+func (s *Population) mine(at uint64) error {
+	// New validates that the drawn kind always has miners:
 	// fraction > 0 implies semantic miners exist, fraction < 1 implies
 	// baseline miners exist (Float64() < 1 always holds at fraction 1).
 	pool := s.baseline
@@ -785,7 +817,7 @@ func (s *scenario) mine(at uint64) error {
 
 // canonical calls visit for every block of the primary client's
 // canonical chain above genesis, with its receipts.
-func (s *scenario) canonical(visit func(block *types.Block, hash types.Hash, receipts []*types.Receipt)) {
+func (s *Population) canonical(visit func(block *types.Block, hash types.Hash, receipts []*types.Receipt)) {
 	c := s.clients[0].Chain()
 	// A block's hash is its child's ParentHash and the chain keeps the
 	// head's: the walk hashes no header.
@@ -801,7 +833,7 @@ func (s *scenario) canonical(visit func(block *types.Block, hash types.Hash, rec
 
 // collect classifies every receipt on the primary client's chain, then
 // each actor reports its section.
-func (s *scenario) collect() (Result, error) {
+func (s *Population) collect() (Result, error) {
 	res := Result{
 		Config:        s.cfg,
 		BuysSubmitted: s.buysSent,

@@ -226,12 +226,11 @@ func TestPopulationExecutesEachBlockOnce(t *testing.T) {
 	for _, mk := range []func(int, int64) ScenarioConfig{GethUnmodified, SerethClient, SemanticMining} {
 		cfg := mk(20, 101)
 		t.Run(cfg.Name, func(t *testing.T) {
-			s, err := newScenario(cfg)
+			s, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer s.cleanup()
-			res, err := s.run()
+			res, err := s.Finish()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,13 +253,13 @@ func TestDeliveryTraceDeterministic(t *testing.T) {
 		run := func() ([]p2p.TraceEvent, float64) {
 			cfg := fast(SerethClient(10, 42))
 			cfg.Topology = topo
-			s, err := newScenario(cfg)
+			s, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var trace []p2p.TraceEvent
 			s.net.Trace(func(e p2p.TraceEvent) { trace = append(trace, e) })
-			res, err := s.run()
+			res, err := s.Finish()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -498,7 +497,7 @@ func TestBurstMultiClient(t *testing.T) {
 // in one step (wallet.Key.SignCall), so the signing digest is derived
 // once; each count was one higher while it signed, then memoized.
 func TestSubmissionDigestBudget(t *testing.T) {
-	s, err := newScenario(SerethClient(4, 101))
+	s, err := New(SerethClient(4, 101))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +530,7 @@ func TestSubmissionDigestBudget(t *testing.T) {
 // code-less account digested its empty code; a build 39 while it hashed
 // the head's header for its parent hash.)
 func TestBlockDigestBudget(t *testing.T) {
-	s, err := newScenario(SerethClient(4, 101))
+	s, err := New(SerethClient(4, 101))
 	if err != nil {
 		t.Fatal(err)
 	}

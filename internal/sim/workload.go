@@ -15,7 +15,7 @@ import (
 // need a remote view and all of them succeed — matching §V-A. Under
 // GasPriceSpread the set bids above the buy band so overloaded pools do
 // not evict the price authority.
-func (s *scenario) submitSet() error {
+func (s *Population) submitSet() error {
 	price := types.WordFromUint64(uint64(10 + s.rng.Intn(90)))
 	committedMark, err := s.clientStorage(0, asm.SlotMark)
 	if err != nil {
@@ -61,7 +61,7 @@ func (s *scenario) submitSet() error {
 // mutates the transaction after signing, so it is built signed and
 // memoized in one object (wallet.Key.SignCall): the client's pool adopts
 // this instance, and its signing digest and hash are derived once.
-func (s *scenario) buildBuy(i int) (clientIdx, buyerIdx int, tx *types.Transaction, err error) {
+func (s *Population) buildBuy(i int) (clientIdx, buyerIdx int, tx *types.Transaction, err error) {
 	buyerIdx = i % len(s.buyers)
 	key := s.buyers[buyerIdx]
 	clientIdx = buyerIdx % len(s.clients)
@@ -101,7 +101,7 @@ func (s *scenario) buildBuy(i int) (clientIdx, buyerIdx int, tx *types.Transacti
 
 // commitBuy records an accepted buy: the sender's nonce is consumed, the
 // transaction counted into the run's buy set, and every actor sees it.
-func (s *scenario) commitBuy(buyerIdx int, tx *types.Transaction) {
+func (s *Population) commitBuy(buyerIdx int, tx *types.Transaction) {
 	if s.cfg.SingleSender {
 		s.ownerNonce++
 	} else {
@@ -115,7 +115,7 @@ func (s *scenario) commitBuy(buyerIdx int, tx *types.Transaction) {
 }
 
 // submitBuy issues one buy through its client.
-func (s *scenario) submitBuy(i int) error {
+func (s *Population) submitBuy(i int) error {
 	clientIdx, buyerIdx, tx, err := s.buildBuy(i)
 	if err != nil {
 		return fmt.Errorf("build buy %d: %w", i, err)
@@ -141,7 +141,7 @@ func (s *scenario) submitBuy(i int) error {
 // SubmitTxs — one pool-admission batch and one batched gossip envelope
 // per client. Nonce and gas-price draws follow the per-tx path's order
 // exactly.
-func (s *scenario) submitBurst(start int) error {
+func (s *Population) submitBurst(start int) error {
 	end := start + s.cfg.BurstSize
 	if end > s.cfg.Buys {
 		end = s.cfg.Buys
