@@ -75,12 +75,17 @@ parallel-smoke:
 # its 4000 steps per run), readers on a shared post state while a child
 # copy writes and flushes, the exported records of a many-generation
 # contract against its flat twin's (and of a lazily opened state against
-# its materialized twin's), what Copy costs, that its slabs alias nothing,
+# its materialized twin's), what Copy costs, that a copy's first writes
+# alias nothing of its source's, the ownership of account structs over a
+# tree of copies (one overlay each, a sealed one never written again),
 # what a post state retains and what a pooled journal array carries to
 # the next body (nothing), a creation reverted across a mid-body Root and
 # made again (the dirty list), and a seal merging into its own overlay
 # while a copy reads the generations it absorbed, and, without the race
-# detector, that a reserved body's touches allocate nothing; then SpecView and the parallel processor,
+# detector, that a reserved body's touches allocate nothing, that a
+# copy's block costs the same at 1 000 and 100 000 accounts and that a
+# memory chain on 10 000 accounts grows its heap by what its blocks
+# touch; then SpecView and the parallel processor,
 # whose MergeInto writes through the same overlay. Below the storage, the
 # tries: the model-based churn over a tree of trie copies that write
 # their unhashed nodes in place (-short: 1000 of its 4000 steps; both
@@ -102,8 +107,8 @@ parallel-smoke:
 # a released machine keeps; and the node encoder fuzzed against the
 # Item-tree oracle for 30 s.
 state-smoke:
-	$(GO) test -race -count=5 -short -run 'TestStorage|TestCopyDoesNotScaleWithStorage|TestCopySharesNoAccountStruct|TestPooledScratchCarriesNothing|TestSnapshot|TestChurnRootMatchesFromScratch|TestJournalChurn|TestRevertedCreationAcrossRoot|TestSealInPlaceLeavesSharedGenerations' ./internal/statedb
-	$(GO) test -count=1 -run 'TestReservedTouchesAllocateNothing' ./internal/statedb
+	$(GO) test -race -count=5 -short -run 'TestStorage|TestCopyDoesNotScaleWithStorage|TestCopySharesNoAccountStruct|TestAccountOwnership|TestPooledScratchCarriesNothing|TestSnapshot|TestChurnRootMatchesFromScratch|TestJournalChurn|TestRevertedCreationAcrossRoot|TestSealInPlaceLeavesSharedGenerations' ./internal/statedb
+	$(GO) test -count=1 -run 'TestReservedTouchesAllocateNothing|TestCopyCostsWhatTheBlockTouches|TestMemoryChainHeapFollowsItsBlocks' ./internal/statedb ./internal/scenarios
 	$(GO) test -race -count=5 -run 'TestProcessPostHoldsNoJournal' ./internal/chain
 	$(GO) test -race -run 'TestSpecView' ./internal/statedb
 	$(GO) test -race -run 'TestParallel' ./internal/chain
@@ -214,7 +219,8 @@ elision-smoke:
 # checked to list only what belongs under its mark — then the mark
 # filter and dedupe by instance and by mark, attachment to a live pool,
 # mark cycles and pinning, and, without the race detector, what an
-# honest set and four buys cost the dag (one vertex); the pulled
+# honest set and four buys cost the dag (one vertex, or none when a
+# settled mark left one on the dag's free list); the pulled
 # orderings, collected, against the eager slice-in/slice-out
 # implementations they replaced (-short: 2 x 1000 of
 # the 2 x 6000 churn steps per run), Build's bodies and generator
@@ -279,9 +285,11 @@ serving-smoke:
 # stores and grow their heap by their history alone; steps the crash
 # family's seven peers through five horizons and asserts the killed peer
 # recovers, the population converges and keeps its goroutine count (not
-# under -race); then builds as many blocks over a churning pool and
-# asserts the miner's strategy scratch stays sized by the largest pool it
-# ordered (~15 s; all are skipped under -short).
+# under -race); steps six peers on a multihop ring through three horizons
+# and asserts the network's duplicate filter holds a few seconds of
+# gossip, not its history; then builds as many blocks over a churning
+# pool and asserts the miner's strategy scratch stays sized by the
+# largest pool it ordered (~15 s; all are skipped under -short).
 soak:
-	$(GO) test -count=1 -run 'TestSoakHoldsItsWindow|TestSoakRecoversFromACrash' ./internal/scenarios
+	$(GO) test -count=1 -run 'TestSoakHoldsItsWindow|TestSoakRecoversFromACrash|TestSoakBoundsTheGossipFilter' ./internal/scenarios
 	$(GO) test -count=1 -run 'TestScratchStaysBoundedOverBuilds' ./internal/miner

@@ -251,9 +251,10 @@ func (c *Chain) Receipts(blockHash types.Hash) []*types.Receipt {
 	return c.receipts[blockHash]
 }
 
-// State returns a private copy of the post-head world state, at a cost
-// of its number of accounts. Callers that only read, or hand the state
-// to Process (which copies), use ReadState/ReadHeadState instead.
+// State returns a private copy of the post-head world state (one
+// allocation: the copy shares what the head state holds). Callers that
+// only read, or hand the state to Process (which copies), use
+// ReadState/ReadHeadState instead.
 func (c *Chain) State() *statedb.StateDB {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

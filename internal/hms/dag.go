@@ -29,7 +29,8 @@ type entry struct {
 // Inline backing covers the common case: the first holder's entry
 // itself, one child and four buys, so an honest set costs the DAG one
 // allocation and a buy none. The first slot is free when first.tx is
-// nil. A vertex leaves the table when its three lists are empty.
+// nil. A vertex leaves the table when its three lists are empty, and
+// waits on the dag's free list for the next mark.
 type vertex struct {
 	holders []*entry
 	kids    []*entry
@@ -54,6 +55,11 @@ type dag struct {
 	seq      uint64                        // insertions so far
 	sets     map[*types.Transaction]*entry // every set, by the instance inserted
 	vertices map[types.Word]*vertex        // every mark a set, a child or a buy names
+	// free holds zeroed vertices that left the table, for vertexOf to
+	// take before it allocates: settled transactions free as many
+	// vertices as new ones need. It holds no more than the table does, so
+	// an idle dag does not keep a past backlog's.
+	free []*vertex
 
 	depths map[*entry]int // walk scratch, cleared after each walk
 	heads  []*entry       // walk scratch
@@ -79,22 +85,37 @@ func fill(cfg Config, pending []*types.Transaction) *dag {
 	return d
 }
 
-// vertexOf returns the vertex of mark, making it if there is none.
+// vertexOf returns the vertex of mark, making it if there is none: a
+// free one when there is one.
 func (d *dag) vertexOf(mark types.Word) *vertex {
 	v := d.vertices[mark]
 	if v == nil {
-		v = new(vertex)
+		if n := len(d.free); n > 0 {
+			v, d.free[n-1] = d.free[n-1], nil
+			d.free = d.free[:n-1]
+		} else {
+			v = new(vertex)
+		}
 		v.holders, v.kids, v.buys = v.holder[:0], v.kid[:0], v.buy[:0]
 		d.vertices[mark] = v
 	}
 	return v
 }
 
-// release drops the vertex of mark from the table once its three lists
-// are empty.
+// release drops v, the vertex of mark, from the table once its three
+// lists are empty, and zeroes it onto the free list. A vertex is freed
+// once: on a mark cycle the set's delete releases the vertex its
+// deactivate released, which the table no longer names. And not while
+// its inline first entry is still referenced, as it is until delete
+// clears it.
 func (d *dag) release(mark types.Word, v *vertex) {
-	if len(v.holders) == 0 && len(v.kids) == 0 && len(v.buys) == 0 {
-		delete(d.vertices, mark)
+	if len(v.holders) != 0 || len(v.kids) != 0 || len(v.buys) != 0 || d.vertices[mark] != v {
+		return
+	}
+	delete(d.vertices, mark)
+	if v.first.tx == nil && len(d.free) < len(d.vertices) {
+		*v = vertex{}
+		d.free = append(d.free, v)
 	}
 }
 

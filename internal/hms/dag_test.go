@@ -653,11 +653,13 @@ func TestBuyIndexDropsRemovedTransactions(t *testing.T) {
 // TestSetAndBuysAllocateOneObject pins what an honest set costs the DAG:
 // a head set and four buys on its mark, admitted into an attached
 // tracker, allocate one object — the vertex of the set's mark, which
-// holds the set's entry, its first child slot and the four buys. The
-// committed mark already has a vertex (a buy on the committed interval
-// is pending), whose inline child slot takes the set. The tracker is fed
-// the pool's own instances through its change feed, so only the DAG is
-// counted; removing them again allocates nothing.
+// holds the set's entry, its first child slot and the four buys — and
+// none once a settled mark has left its vertex on the dag's free list.
+// The committed mark already has a vertex (a buy on the committed
+// interval is pending), whose inline child slot takes the set, and which
+// keeps the live table large enough for the free list to hold one. The
+// tracker is fed the pool's own instances through its change feed, so
+// only the DAG is counted; removing them again allocates nothing.
 func TestSetAndBuysAllocateOneObject(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -694,14 +696,32 @@ func TestSetAndBuysAllocateOneObject(t *testing.T) {
 			tr.onPoolChange(txpool.Change{Kind: kind, Tx: tx})
 		}
 	}
-	allocs := testing.AllocsPerRun(100, func() {
+	cycle := func(t *testing.T) {
 		feed(txpool.TxAdded)
 		if v, _ := tr.View(); v.Depth != 1 {
 			t.Fatalf("view depth %d after the set, want 1", v.Depth)
 		}
 		feed(txpool.TxRemoved)
-	})
-	if allocs != 1 {
-		t.Errorf("a head set and four buys on its mark: %v DAG allocations, want 1", allocs)
+	}
+	for _, tc := range []struct {
+		name string
+		free bool
+		want float64
+	}{{"fresh", false, 1}, {"recycled", true, 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			allocs := testing.AllocsPerRun(100, func() {
+				if !tc.free {
+					clear(tr.dag.free)
+					tr.dag.free = tr.dag.free[:0]
+				}
+				cycle(t)
+			})
+			if allocs != tc.want {
+				t.Errorf("a head set and four buys on its mark: %v DAG allocations, want %v", allocs, tc.want)
+			}
+			if n := len(tr.dag.free); n != 1 {
+				t.Errorf("%d vertices on the free list after the set settled, want 1", n)
+			}
+		})
 	}
 }

@@ -131,7 +131,8 @@ type TraceEvent struct {
 }
 
 // seenKey identifies a gossip a peer has already received or originated
-// (multihop duplicate suppression).
+// (multihop duplicate suppression). The filter keeps a key for at least
+// seenHorizon of model time, in two generations (see seenLocked).
 type seenKey struct {
 	peer PeerID
 	kind MsgKind
@@ -186,11 +187,18 @@ type Network struct {
 	now     uint64
 	seq     uint64
 	rng     *rand.Rand
-	seen    map[seenKey]struct{}
-	dropped uint64
-	sent    uint64
-	tracer  func(TraceEvent)
-	free    *envelope // delivered envelopes, ready for reuse, linked by next
+	// seen and seenOld are the multihop duplicate filter's two
+	// generations: a key is looked up in both and recorded in seen, and
+	// seen turns into seenOld, the old one emptied, once seenHorizon has
+	// passed since seenTurn. maxDelay is the longest delay an envelope
+	// was scheduled with.
+	seen, seenOld map[seenKey]struct{}
+	seenTurn      uint64
+	maxDelay      uint64
+	dropped       uint64
+	sent          uint64
+	tracer        func(TraceEvent)
+	free          *envelope // delivered envelopes, ready for reuse, linked by next
 
 	// Fault-injection state (nil / zero unless cfg.Faults is set).
 	faultRng  *rand.Rand     // dedicated stream; never aliases rng
@@ -207,7 +215,7 @@ func NewNetwork(cfg Config) *Network {
 	}
 	if cfg.Topology != nil && cfg.Topology.Multihop() {
 		n.topo = cfg.Topology
-		n.seen = make(map[seenKey]struct{})
+		n.seen, n.seenOld = make(map[seenKey]struct{}), make(map[seenKey]struct{})
 	}
 	if cfg.Faults != nil {
 		n.faultRng = rand.New(rand.NewSource(cfg.Faults.Seed))
@@ -254,6 +262,14 @@ func (n *Network) Now() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.now
+}
+
+// SeenKeys returns the number of (peer, payload) keys the multihop
+// duplicate filter holds; 0 on a full mesh, which keeps none.
+func (n *Network) SeenKeys() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.seen) + len(n.seenOld)
 }
 
 // Stats returns (delivery attempts, deliveries dropped). Each recipient
@@ -362,6 +378,7 @@ func (n *Network) gossip(msg message) {
 	env := n.envelopeLocked(msg)
 	switch {
 	case n.topo != nil:
+		n.turnSeenLocked()
 		n.seen[seenKey{peer: env.from, kind: env.kind, id: env.id}] = struct{}{}
 		env.relay = true
 		n.addressLocked(env, n.neighborsLocked(env.from), &env.id)
@@ -414,10 +431,8 @@ func (n *Network) addressLocked(env *envelope, candidates []PeerID, seenID *type
 			n.fstats.PartitionBlocked++
 			continue
 		}
-		if seenID != nil {
-			if _, ok := n.seen[seenKey{peer: r, kind: kind, id: *seenID}]; ok {
-				continue
-			}
+		if seenID != nil && n.seenLocked(seenKey{peer: r, kind: kind, id: *seenID}) {
+			continue
 		}
 		n.sent++
 		if n.cfg.DropRate > 0 && n.rng.Float64() < n.cfg.DropRate {
@@ -430,6 +445,34 @@ func (n *Network) addressLocked(env *envelope, candidates []PeerID, seenID *type
 		to = append(to, r)
 	}
 	env.to = to
+}
+
+// seenHorizon is how long the duplicate filter keeps a key: longer than
+// a flood can last, one hop after another along a path through every
+// peer, each hop as slow as the slowest delivery scheduled so far.
+func (n *Network) seenHorizon() uint64 {
+	return uint64(len(n.peers.ids)+1) * (max(n.maxDelay, n.cfg.LatencyMs) + 1)
+}
+
+// turnSeenLocked starts a new generation of the duplicate filter once a
+// horizon has passed since the last: every key of the older generation
+// was recorded at least a horizon ago, when the flood that recorded it
+// began, so no copy of its payload is still in flight.
+func (n *Network) turnSeenLocked() {
+	if n.now-n.seenTurn < n.seenHorizon() {
+		return
+	}
+	clear(n.seenOld)
+	n.seen, n.seenOld, n.seenTurn = n.seenOld, n.seen, n.now
+}
+
+// seenLocked reports whether the filter holds k.
+func (n *Network) seenLocked(k seenKey) bool {
+	if _, ok := n.seen[k]; ok {
+		return true
+	}
+	_, ok := n.seenOld[k]
+	return ok
 }
 
 // neighborsLocked returns the sender's neighbor list under the active
@@ -452,6 +495,7 @@ func (n *Network) scheduleLocked(env *envelope) {
 // enqueueLocked places an envelope on the time-wheel for delivery after
 // the given delay.
 func (n *Network) enqueueLocked(env *envelope, delay uint64) {
+	n.maxDelay = max(n.maxDelay, delay)
 	env.deliverAt = n.now + delay
 	env.seq = n.seq
 	n.seq++
@@ -586,6 +630,7 @@ func (n *Network) relayFrom(from PeerID, env *envelope) {
 	msg := env.message
 	msg.from = from
 	fwd := n.envelopeLocked(msg)
+	n.turnSeenLocked()
 	n.addressLocked(fwd, n.neighborsLocked(from), &fwd.id)
 	if len(fwd.to) == 0 {
 		n.releaseLocked(fwd)

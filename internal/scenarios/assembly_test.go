@@ -47,12 +47,15 @@ import (
 // overlay in place and the receipt root became one digest over one
 // buffer, 100 until a trie's new nodes came from chunks where the nodes
 // they replace were made by the previous flush, and the prefix became
-// the strategy's scratch) — what matters is that nothing in it is per
+// the strategy's scratch, 82 until a state copy shared the generations
+// that hold its accounts instead of copying them all and an account
+// began to encode into its own slot) — what matters is that nothing in it is per
 // pending transaction. txpool/settle-50-of-10k removes 50 transactions through
 // the tracker's feed, which allocates nothing, and admits them again: the
-// 13 are the tracker's, a vertex for each of the ten sets coming back and
-// one for the committed mark they chain off, and the batch's two result
-// slices (42 while a set cost the dag three objects and the first buy on
+// 2 are the batch's two result slices; the vertices of the ten sets
+// coming back and of the committed mark they chain off are the ones
+// their settling put on the dag's free list (13 while the dag allocated
+// each anew, 42 while a set cost the dag three objects and the first buy on
 // its mark a bucket, 87 while the pool's nonce index was a map
 // per sender, dropped with a sender's last transaction and made again
 // on its return; 88 while AdmitBatch also kept a slice of the hashes the
@@ -79,11 +82,11 @@ func TestBlockAssemblyAllocsPinned(t *testing.T) {
 	if scratch < 2_085 || scratch > 2_089 {
 		t.Errorf("miner/order-scratch-pool10k: %v allocs per ordering, pinned 2087 +- 2", scratch)
 	}
-	if build < 76 || build > 88 {
-		t.Errorf("miner/build-50-of-pool10k: %v allocs per block, pinned 82 +- 6", build)
+	if build < 51 || build > 63 {
+		t.Errorf("miner/build-50-of-pool10k: %v allocs per block, pinned 57 +- 6", build)
 	}
-	if settle != 13 {
-		t.Errorf("txpool/settle-50-of-10k: %v allocs per settle and re-admission, pinned 13", settle)
+	if settle != 2 {
+		t.Errorf("txpool/settle-50-of-10k: %v allocs per settle and re-admission, pinned 2", settle)
 	}
 	if admit != 2 {
 		t.Errorf("txpool/snapshot-after-admit-10k: %v allocs per admission and snapshot, pinned 2", admit)

@@ -414,8 +414,9 @@ func SettleDeepPool() func() {
 
 // CopyGrownState is the statedb/copy-20k-slots step: one Copy of a
 // flushed state whose KV contract holds 20 000 slots. The copy shares
-// the contract's storage generations, so it costs its accounts — five
-// allocations — whatever the slot count.
+// the state's account generations and the contract's storage
+// generations, so it is one allocation whatever the account and slot
+// counts.
 func CopyGrownState() func() {
 	f := NewGrownKVFixture(250, 20_000)
 	return func() {
@@ -427,9 +428,8 @@ func CopyGrownState() func() {
 
 // CopyManyAccounts is the statedb/copy-250-accounts step: one Copy of
 // the post state of a 250-put block — the KV contract and the block's 250
-// senders. The copy is the state, its account map, one slab of account
-// structs and one of storage-trie handles (the contract's: a plain
-// account owns no trie), whatever the account count.
+// senders. The copy is the state alone: it shares the generations that
+// hold the accounts.
 func CopyManyAccounts() func() {
 	f := NewParallelFixture(250)
 	res, err := f.NewProcessor(0).Process(f.Genesis, f.Header, f.Txs)

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"testing"
 
-	"sereth/internal/node"
 	"sereth/internal/sim"
 	"sereth/internal/store"
 )
@@ -34,10 +33,10 @@ type soakSample struct {
 
 // soak runs cfg's population on the soak's workload — fixed-cadence
 // blocks, one set and two buys a block — for horizons reorg horizons.
-// It steps the population one horizon at a time, hands its nodes to
-// check and samples it after every step, then finishes it (which fails
-// unless every store reopens at its peer's head).
-func soak(t *testing.T, cfg sim.ScenarioConfig, horizons int, check func(height uint64, nodes []*node.Node)) ([]soakSample, sim.Result) {
+// It steps the population one horizon at a time, hands it to check and
+// samples it after every step, then finishes it (which fails unless
+// every store reopens at its peer's head).
+func soak(t *testing.T, cfg sim.ScenarioConfig, horizons int, check func(height uint64, p *sim.Population)) ([]soakSample, sim.Result) {
 	t.Helper()
 	blocks := horizons * soakWindow
 	cfg.Sets, cfg.Buys = blocks, 2*blocks
@@ -52,7 +51,7 @@ func soak(t *testing.T, cfg sim.ScenarioConfig, horizons int, check func(height 
 		if err := p.Step(height*soakBlockMs + soakBlockMs/4); err != nil {
 			t.Fatalf("block %d: %v", height, err)
 		}
-		check(height, p.Nodes())
+		check(height, p)
 		var mem runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&mem)
@@ -102,9 +101,9 @@ func checkGoroutines(t *testing.T, samples []soakSample, before int) {
 // state adds ≈ 16 KB. The miner's half, that the scratch a strategy
 // keeps between builds is bounded by the largest ordering and not by the
 // number of builds, is internal/miner's TestScratchStaysBoundedOverBuilds,
-// which can see the scratch. p2p.Network's seen sets are only used on
-// multihop topologies, so this mesh does not exercise them; their
-// pruning stays with item 5.
+// which can see the scratch. p2p.Network's duplicate filter is only used
+// on multihop topologies, so this mesh does not exercise it:
+// TestSoakBoundsTheGossipFilter does.
 func TestSoakHoldsItsWindow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the soak mines 5 120 blocks on three persisted peers")
@@ -113,7 +112,8 @@ func TestSoakHoldsItsWindow(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cfg := sim.SerethClient(0, 1)
 	cfg.Name, cfg.SemanticFraction, cfg.Persist = "soak", 0.5, true
-	samples, res := soak(t, cfg, horizons, func(height uint64, nodes []*node.Node) {
+	samples, res := soak(t, cfg, horizons, func(height uint64, p *sim.Population) {
+		nodes := p.Nodes()
 		head := nodes[0].Chain().HeadHash()
 		for i, n := range nodes {
 			if got := n.Chain().Height(); got != height || n.Chain().HeadHash() != head {
@@ -164,13 +164,47 @@ func TestSoakRecoversFromACrash(t *testing.T) {
 		t.Skip("the soak mines 2 560 blocks on seven persisted peers")
 	}
 	before := runtime.NumGoroutine()
-	samples, res := soak(t, sim.CrashSingle(1), 5, func(uint64, []*node.Node) {})
+	samples, res := soak(t, sim.CrashSingle(1), 5, func(uint64, *sim.Population) {})
 	t.Logf("crash: %+v", *res.Crash)
 	if c := res.Crash; c.Crashes < 1 || c.Recoveries != c.Crashes || c.Incomplete != 0 {
 		t.Errorf("crash: %+v", *c)
 	}
 	if !res.Converged {
 		t.Error("the population did not converge after the crash")
+	}
+	checkGoroutines(t, samples, before)
+}
+
+// soakSeenBound bounds the multihop duplicate filter of
+// TestSoakBoundsTheGossipFilter: a few seconds of gossip, where each
+// block and its three transactions reach six peers. A filter that keeps
+// every key holds ≈ 12 000 after one horizon.
+const soakSeenBound = 1024
+
+// TestSoakBoundsTheGossipFilter steps six peers — two semantic and two
+// baseline miners and two Sereth clients — on a multihop ring, where
+// gossip is relayed hop by hop and every peer's receipt of a payload is
+// kept in the network's duplicate filter, for three reorg horizons of
+// the soak's blocks. The filter must hold no more than a few seconds of
+// gossip after every horizon, the peers must be on one head, no
+// goroutine may outlive a horizon, and the population must converge.
+func TestSoakBoundsTheGossipFilter(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the soak mines 1 536 blocks on six peers")
+	}
+	before := runtime.NumGoroutine()
+	cfg := sim.SerethClient(0, 1)
+	cfg.Name, cfg.SemanticFraction, cfg.Topology = "soak-ring", 0.5, "ring"
+	cfg.SemanticMiners, cfg.BaselineMiners, cfg.Clients = 2, 2, 2
+	samples, res := soak(t, cfg, 3, func(height uint64, p *sim.Population) {
+		keys := p.Network().SeenKeys()
+		t.Logf("block %5d: the duplicate filter holds %d keys", height, keys)
+		if keys > soakSeenBound {
+			t.Errorf("block %d: the duplicate filter holds %d keys, bound %d", height, keys, soakSeenBound)
+		}
+	})
+	if !res.Converged {
+		t.Error("the ring did not converge")
 	}
 	checkGoroutines(t, samples, before)
 }

@@ -510,6 +510,9 @@ func New(cfg ScenarioConfig) (*Population, error) {
 // node, so read them again after every Step.
 func (s *Population) Nodes() []*node.Node { return s.nodes }
 
+// Network returns the gossip network the peers share.
+func (s *Population) Network() *p2p.Network { return s.net }
+
 // cleanup closes the serving tier's listeners and connections, then
 // releases what the actors hold (the crash family's datadirs and store
 // handles). It is idempotent; Finish always calls it, as do New's error

@@ -153,7 +153,7 @@ func TestSealInPlaceLeavesSharedGenerations(t *testing.T) {
 		s.Root()
 	}
 	gensOf := func(s *StateDB) (out []map[types.Word]types.Word) {
-		for g := s.accounts[c].gens; g != nil; g = g.below {
+		for g := s.held(c).gens; g != nil; g = g.below {
 			out = append(out, maps.Clone(g.slots))
 		}
 		return out

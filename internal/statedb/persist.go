@@ -42,11 +42,7 @@ func IsCodeKey(key []byte) bool { return len(key) == 1+len(types.Hash{}) && key[
 // front, so opening head state after a restart is O(1) regardless of
 // state size.
 func OpenAt(kv Reader, root types.Hash) *StateDB {
-	return &StateDB{
-		accounts: make(map[types.Address]*account),
-		accTrie:  *trie.NewSecureFromRoot(kv, root),
-		db:       kv,
-	}
+	return &StateDB{accTrie: *trie.NewSecureFromRoot(kv, root), db: kv}
 }
 
 // CommitTo is StageTo into a batch of its own, one Write to kv, and
@@ -66,29 +62,45 @@ func (s *StateDB) CommitTo(kv store.Store) (types.Hash, int, error) {
 // not yet Stored, and returns the root. It reads no store: what is there
 // is remembered on the nodes and accounts that were written or resolved,
 // marks a state shares with its copies: Walk stages one whole whose
-// copies committed elsewhere.
+// copies committed elsewhere. It visits only the accounts of the
+// generations sealed since the last Stored along the state's line of
+// copies — with what a merge brought up into them — not the whole state.
 func (s *StateDB) StageTo(b *store.Batch) types.Hash {
 	root := s.Root() // flush: fold dirty accounts/slots into the tries
 	s.accTrie.Commit(b)
-	for _, acc := range s.accounts {
+	s.uncommitted(func(acc *account) {
 		if acc.storageTrie != nil {
 			acc.storageTrie.Commit(b)
 		}
 		if len(acc.code) > 0 && !acc.codeStored {
-			if acc.codeHash == nil {
-				h := types.Keccak(acc.code)
-				acc.codeHash = &h
-			}
-			b.Put(codeKey(*acc.codeHash), acc.code)
+			b.Put(codeKey(*acc.codeHash), acc.code) // flushed: the hash is set
 		}
-	}
+	})
 	return root
 }
 
-// Stored marks the code blobs StageTo staged as written, once they are.
+// Stored marks the code blobs StageTo staged as written, once they are,
+// and the generations it visited as committed.
 func (s *StateDB) Stored() {
-	for _, acc := range s.accounts {
-		acc.codeStored = acc.codeStored || len(acc.code) > 0
+	s.uncommitted(func(acc *account) {
+		if len(acc.code) > 0 && !acc.codeStored {
+			acc.codeStored = true
+		}
+	})
+	if s.gens != nil {
+		s.committed = s.gens.height
+	}
+}
+
+// uncommitted calls visit on every account of the generations sealed
+// since the last Stored.
+func (s *StateDB) uncommitted(visit func(*account)) {
+	for g := s.gens; g != nil && g.height > s.committed; g = g.below {
+		for _, e := range g.entries {
+			if e.acc != nil {
+				visit(e.acc)
+			}
+		}
 	}
 }
 

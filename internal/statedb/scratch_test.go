@@ -130,12 +130,13 @@ func TestPooledScratchCarriesNothing(t *testing.T) {
 	adopt("foreign")
 }
 
-// TestCopySharesNoAccountStruct: a copy's accounts come from one slab and
-// its storage-trie handles from another, and neither may alias the
-// source's or a sibling copy's. Every account of one copy is mutated —
-// nonce, balance, an old slot, a new slot, and storage on accounts that
-// never had a trie — then both are flushed: the source and an untouched
-// sibling keep their roots and every nonce, balance and slot.
+// TestCopySharesNoAccountStruct: a copy shares the source's sealed
+// accounts, and its first write to each takes a private copy — storage
+// trie handle included — that neither the source nor a sibling copy
+// sees. Every account of one copy is mutated — nonce, balance, an old
+// slot, a new slot, and storage on accounts that never had a trie — then
+// both are flushed: the source and an untouched sibling keep their roots
+// and every nonce, balance and slot.
 func TestCopySharesNoAccountStruct(t *testing.T) {
 	const accounts = 40
 	src := New()
@@ -151,7 +152,7 @@ func TestCopySharesNoAccountStruct(t *testing.T) {
 	src.DiscardJournal()
 	root := src.Root()
 	for n := byte(1); n <= accounts; n++ {
-		if acc := src.accounts[addrN(n)]; (acc.storageTrie != nil) != (n%4 == 0) {
+		if acc := src.held(addrN(n)); (acc.storageTrie != nil) != (n%4 == 0) {
 			t.Fatalf("account %d: storage trie %v", n, acc.storageTrie)
 		}
 	}
@@ -185,7 +186,7 @@ func TestCopySharesNoAccountStruct(t *testing.T) {
 		}
 	}
 	// A from-scratch state with the copy's contents agrees with its root:
-	// the slab'd accounts flush like any other.
+	// the accounts copied on first write flush like any other.
 	flat := New()
 	for n := byte(1); n <= accounts; n++ {
 		a := addrN(n)

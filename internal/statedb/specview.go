@@ -448,19 +448,15 @@ func (v *SpecView) MergeInto(dst *StateDB) {
 
 // mergeAccount is getOrCreate without the undo journaling: the merge
 // path installs committed (never-reverted) writes, so only the dirty
-// mark matters. Like getOrCreate it materializes a persisted account
-// before it creates a blank one: on a state opened from a store, a
-// blank account would drop the code, balance and slots the merge does
-// not write.
+// mark matters. Like getOrCreate it takes the account into the overlay —
+// copying a sealed one, materializing a persisted one — before it
+// creates a blank one: on a state opened from a store, a blank account
+// would drop the code, balance and slots the merge does not write.
 func (s *StateDB) mergeAccount(addr types.Address) *account {
-	if acc, ok := s.accounts[addr]; ok {
-		return acc
-	}
-	acc := s.resolveAccount(addr)
+	acc := s.own(addr)
 	if acc == nil {
-		acc = &account{}
+		return s.create(addr)
 	}
-	s.accounts[addr] = acc
 	s.touch(addr, acc)
 	return acc
 }

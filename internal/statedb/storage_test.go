@@ -125,8 +125,8 @@ func (m *modelState) check(t *testing.T, step int) (deepest int) {
 		t.Fatalf("step %d: root %x, from the merged view %x", step, got, want)
 	}
 	for _, a := range churnAddrs {
-		acc, ok := m.s.accounts[a]
-		if !ok {
+		acc := m.s.held(a)
+		if acc == nil {
 			continue // a lazy state that never wrote this contract
 		}
 		if acc.storage != nil {
@@ -298,7 +298,7 @@ func TestStorageSharedReaders(t *testing.T) {
 		post.Root()
 	}
 	post.DiscardJournal()
-	want := post.accounts[a].slots()
+	want := post.held(a).slots()
 	wantRoot := post.Root()
 
 	var wg sync.WaitGroup
@@ -377,7 +377,7 @@ func TestStorageSnapshotAcrossGenerations(t *testing.T) {
 			m = m.fork(m.s.Copy())
 		}
 	}
-	if m.s.accounts[churnAddrs[0]].gens.below == nil {
+	if m.s.held(churnAddrs[0]).gens.below == nil {
 		t.Fatal("fixture has a single generation")
 	}
 

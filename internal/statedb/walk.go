@@ -37,12 +37,18 @@ func (s *StateDB) Walk(marked map[types.Hash]struct{}, visit func(key, value []b
 	// memory answer for the hashes they hold, the reader for the rest.
 	tries := make(map[types.Hash]*trie.SecureTrie)
 	codes := make(map[types.Hash][]byte)
-	for _, acc := range s.accounts {
-		if acc.storageTrie != nil {
-			tries[acc.storageTrie.RootHash()] = acc.storageTrie
-		}
-		if len(acc.code) > 0 {
-			codes[*acc.codeHash] = acc.code
+	// Flushed, the state keeps its accounts in its generations; an older
+	// version of an account there names only its own, older hashes.
+	for g := s.gens; g != nil; g = g.below {
+		for _, e := range g.entries {
+			if acc := e.acc; acc != nil {
+				if acc.storageTrie != nil {
+					tries[acc.storageTrie.RootHash()] = acc.storageTrie
+				}
+				if len(acc.code) > 0 {
+					codes[*acc.codeHash] = acc.code
+				}
+			}
 		}
 	}
 	return s.accTrie.Walk(marked, visit, func(enc []byte) error {
