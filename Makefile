@@ -72,20 +72,23 @@ parallel-smoke:
 
 # state-smoke runs the shared-storage suite five times under the race
 # detector: the model-based churn over a tree of copies (-short: 1000 of
-# its 4000 steps per run), readers on a shared post state while a child
-# copy writes and flushes, the exported records of a many-generation
-# contract against its flat twin's (and of a lazily opened state against
+# its 4000 steps per run; it must check a state at least 8 copies down
+# its lineage), readers on a shared post state while a child copy writes
+# and flushes, the exported records of a contract flushed over many
+# blocks against its flat twin's (and of a lazily opened state against
 # its materialized twin's), what Copy costs, that a copy's first writes
-# alias nothing of its source's, the ownership of account structs over a
-# tree of copies (one overlay each, a sealed one never written again),
-# what a post state retains and what a pooled journal array carries to
-# the next body (nothing), a creation reverted across a mid-body Root and
-# made again (the dirty list), and a seal merging into its own overlay
-# while a copy reads the generations it absorbed, and, without the race
-# detector, that a reserved body's touches allocate nothing, that a
-# copy's block costs the same at 1 000 and 100 000 accounts and that a
-# memory chain on 10 000 accounts grows its heap by what its blocks
-# touch; then SpecView and the parallel processor,
+# alias nothing of its source's, either side of a copy writing and
+# flushing while the other reads every slot it read before, the
+# ownership of account structs over a tree of copies (one overlay each,
+# a sealed one never written again), what a post state retains and what
+# a pooled journal array carries to the next body (nothing), and a
+# creation reverted across a mid-body Root and made again (the dirty
+# list), and, without the race detector, that a reserved body's touches
+# allocate nothing, that a copy's block costs the same at 1 000 and
+# 100 000 accounts, that a lineage of flushed copies of a 20 000-slot
+# contract holds at most 1.2 times its storage trie built alone (a
+# flushed slot has one home) and that a memory chain on 10 000 accounts
+# grows its heap by what its blocks touch; then SpecView and the parallel processor,
 # whose MergeInto writes through the same overlay. Below the storage, the
 # tries: the model-based churn over a tree of trie copies that write
 # their unhashed nodes in place (-short: 1000 of its 4000 steps; both
@@ -107,8 +110,8 @@ parallel-smoke:
 # a released machine keeps; and the node encoder fuzzed against the
 # Item-tree oracle for 30 s.
 state-smoke:
-	$(GO) test -race -count=5 -short -run 'TestStorage|TestCopyDoesNotScaleWithStorage|TestCopySharesNoAccountStruct|TestAccountOwnership|TestPooledScratchCarriesNothing|TestSnapshot|TestChurnRootMatchesFromScratch|TestJournalChurn|TestRevertedCreationAcrossRoot|TestSealInPlaceLeavesSharedGenerations' ./internal/statedb
-	$(GO) test -count=1 -run 'TestReservedTouchesAllocateNothing|TestCopyCostsWhatTheBlockTouches|TestMemoryChainHeapFollowsItsBlocks' ./internal/statedb ./internal/scenarios
+	$(GO) test -race -count=5 -short -run 'TestStorage|TestCopyDoesNotScaleWithStorage|TestCopySharesNoAccountStruct|TestAccountOwnership|TestPooledScratchCarriesNothing|TestSnapshot|TestChurnRootMatchesFromScratch|TestJournalChurn|TestRevertedCreationAcrossRoot|TestCopyIsolated' ./internal/statedb
+	$(GO) test -count=1 -run 'TestReservedTouchesAllocateNothing|TestCopyCostsWhatTheBlockTouches|TestLineageHeapHoldsOneCopyOfStorage|TestMemoryChainHeapFollowsItsBlocks' ./internal/statedb ./internal/scenarios
 	$(GO) test -race -count=5 -run 'TestProcessPostHoldsNoJournal' ./internal/chain
 	$(GO) test -race -run 'TestSpecView' ./internal/statedb
 	$(GO) test -race -run 'TestParallel' ./internal/chain
@@ -144,9 +147,11 @@ state-smoke:
 # store by itself through 10 sweeps (each leaves exactly the states
 # within the horizon, the bodies and the head, in a log within twice what
 # the last one kept; a fork at the horizon imports after a reopen, one
-# a block deeper is refused), sweeps beside imports (what blocks adopted
-# during the mark wrote is kept) and failing sweeps (the block that set
-# one off stays adopted; the next waits a horizon), serethnode -compact
+# a block deeper is refused), a chain reopened every 300 blocks that
+# still sweeps by itself (a swept store's head record carries the sweep
+# height), sweeps beside imports (what blocks adopted during the mark
+# wrote is kept) and failing sweeps (the block that set one off stays
+# adopted; the next waits a horizon), serethnode -compact
 # on a reorged datadir, a node's block intake against its block-tree
 # model (several producers and a forger, gossip permuted, duplicated,
 # dropped and late; -short: 4 x 500 steps),
@@ -159,7 +164,7 @@ crash-smoke:
 	$(GO) test -race ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzLogReplay$$' -fuzztime 30s -fuzzminimizetime 1s ./internal/store
 	$(GO) test -race -short -run 'TestCrash|TestBitFlip|TestTornReorg|TestOneWrite|TestOpenFallsBack|TestInjectedWriteFailure|TestOpenSnapshot|TestOpenDistrusts|TestChainModel|TestForkBelowWindow|TestStoreRefusesAnExecCache|TestStoresFromOneGenesis|TestPostRetention' ./internal/chain
-	$(GO) test -race -run 'TestSweepBoundsTheStore|TestSweepBesideImports|TestFailedSweep' ./internal/chain
+	$(GO) test -race -run 'TestSweepBoundsTheStore|TestSweepSurvivesRestarts|TestSweepBesideImports|TestFailedSweep' ./internal/chain
 	$(GO) test -race -run 'TestCompactSweepsAReorgedDatadir' ./cmd/serethnode
 	$(GO) test -race -short -run 'TestNodeModel' ./internal/node
 	$(GO) test -race -run 'TestPanic|TestMaxInFlight|TestClientSurfacesShedStatus|TestShutdown|TestHealth' ./internal/rpc

@@ -126,7 +126,7 @@ type Chain struct {
 	// more costs what its block touched.
 	posts         []*statedb.StateDB
 	batch         store.Batch // the records of a persisted run, reused
-	sweptAt       uint64      // the head at the last sweep, or at the open
+	sweptAt       uint64      // the head at the last sweep, as the head record carries it
 	written, kept int64       // log bytes persisted since, and kept by it
 	sweepErr      error       // why the last sweep failed; nil if it did not
 

@@ -18,6 +18,8 @@
 //
 //	'b' || uint64be(number) -> block RLP   (last write wins on reorgs)
 //	"head"                  -> uint64be(number) of the canonical head
+//	                           [|| uint64be(number) of the head at the last
+//	                           sweep, once the store has been swept]
 //
 // Receipts are not persisted: a recovered node serves history headers
 // and live state; per-block receipts regenerate on demand by replaying
@@ -65,7 +67,7 @@ func (c *Chain) persistLocked(blocks []*types.Block, states []*statedb.StateDB) 
 			return fmt.Errorf("%w: committed %s, header %s", ErrBadStateRoot, root.Hex(), blocks[i].Header.StateRoot.Hex())
 		}
 	}
-	stageHead(b, blocks...)
+	stageHead(b, c.base, c.sweptAt, blocks...)
 	if err := c.cfg.Store.Write(b); err != nil {
 		return err
 	}
@@ -82,15 +84,29 @@ func (c *Chain) persistLocked(blocks []*types.Block, states []*statedb.StateDB) 
 	return nil
 }
 
-// stageHead stages the bodies of a run of blocks and the head pointer
-// naming the last.
-func stageHead(b *store.Batch, blocks ...*types.Block) {
+// stageHead stages the bodies of a run of blocks and the head record
+// naming the last (headRecord).
+func stageHead(b *store.Batch, base, sweptAt uint64, blocks ...*types.Block) {
 	for _, block := range blocks {
 		b.Put(blockKey(block.Number()), block.EncodeRLP())
 	}
-	var num [8]byte
-	binary.BigEndian.PutUint64(num[:], blocks[len(blocks)-1].Number())
-	b.Put(headKey, num[:])
+	var rec [16]byte
+	b.Put(headKey, headRecord(&rec, blocks[len(blocks)-1].Number(), base, sweptAt))
+}
+
+// headRecord encodes into rec the head record of a store whose first
+// block is base: the head's number and, once the store has been swept
+// (sweptAt above base), the head's at the last sweep. A record of the
+// head alone reads as swept at base — no sweep runs before a store holds
+// a horizon of blocks — so a store never swept writes the records it
+// wrote before the sweep height was carried, byte for byte.
+func headRecord(rec *[16]byte, head, base, sweptAt uint64) []byte {
+	binary.BigEndian.PutUint64(rec[:], head)
+	if sweptAt <= base {
+		return rec[:8]
+	}
+	binary.BigEndian.PutUint64(rec[8:], sweptAt)
+	return rec[:]
 }
 
 // Sweep is a mark and a sweep of the chain's store: Export's walk over
@@ -113,10 +129,10 @@ func (c *Chain) Sweep() (store.CompactStats, error) {
 }
 
 // maybeSweep sweeps, unless a sweep is running, once the head is a
-// horizon past the last sweep (or the open) and the chain has written as
-// many bytes as that sweep kept: a byte written pays for at most one
-// copied. An adoption calls it with the chain unlocked. A sweep that
-// fails is SweepErr's, and the next waits a horizon.
+// horizon past the last sweep (or the store's first block) and the chain
+// has written as many bytes as that sweep kept: a byte written pays for
+// at most one copied. An adoption calls it with the chain unlocked. A
+// sweep that fails is SweepErr's, and the next waits a horizon.
 func (c *Chain) maybeSweep() {
 	if c.cfg.Store == nil || !c.sweepMu.TryLock() {
 		return
@@ -179,6 +195,15 @@ func (c *Chain) sweep() (store.CompactStats, error) {
 		})
 	}
 	c.sweptAt, c.written = c.blocks[len(c.blocks)-1].Number(), 0
+	if err == nil {
+		// The head record takes the new height at once, as durable as the
+		// rewrite, or a restart before the next adoption sweeps again.
+		var rec [16]byte
+		err = c.cfg.Store.Put(headKey, headRecord(&rec, c.sweptAt, c.base, c.sweptAt))
+		if sy, ok := c.cfg.Store.(store.Syncer); ok && err == nil {
+			err = sy.Sync()
+		}
+	}
 	if err != nil {
 		c.sweepErr = fmt.Errorf("chain: sweep: %w", err)
 		return stats, c.sweepErr
@@ -235,7 +260,7 @@ func (c *Chain) Export(dst store.Store) error {
 		err = werr
 	}
 	if err == nil {
-		stageHead(&b, head)
+		stageHead(&b, head.Number(), head.Number(), head)
 		err = dst.Write(&b)
 	}
 	if err != nil {
@@ -263,7 +288,8 @@ func HasHead(kv store.Store) bool {
 //     the store (a parent whose state a datadir written before reorgs
 //     committed their branch blocks' states lacks is refused with
 //     ErrForkTooDeep, and the node falls back to block sync), and the
-//     chain sweeps the store once its head is a horizon past the open;
+//     chain sweeps the store once its head is a horizon past the last
+//     sweep, which the head record carries across a restart;
 //     without one, it refuses forks below the head until adopted blocks
 //     fill its window again;
 //   - has no receipts for historical blocks.
@@ -294,27 +320,30 @@ func Open(cfg Config, kv store.Store) (*Chain, error) {
 	if !ok {
 		return nil, ErrNoHead
 	}
-	if len(headB) != 8 {
+	if len(headB) != 8 && len(headB) != 16 {
 		return nil, fmt.Errorf("chain: corrupt head record (%d bytes)", len(headB))
 	}
-	head := binary.BigEndian.Uint64(headB)
+	head, sweptAt := binary.BigEndian.Uint64(headB), uint64(0)
+	if len(headB) == 16 {
+		sweptAt = binary.BigEndian.Uint64(headB[8:])
+	}
 
 	if kv != cfg.Store {
-		c, err := openVerified(cfg, kv, head)
+		c, err := openVerified(cfg, kv, head, sweptAt)
 		if err != nil || cfg.Store == nil {
 			return c, err
 		}
 		if err := c.Export(cfg.Store); err != nil {
 			return nil, err
 		}
-		return openAt(cfg, cfg.Store, head)
+		return openAt(cfg, cfg.Store, head, head)
 	}
 	suspect := false
 	if sv, ok := kv.(store.Salvager); ok {
 		suspect = sv.Salvage().Dirty()
 	}
 	if !suspect {
-		c, err := openAt(cfg, kv, head)
+		c, err := openAt(cfg, kv, head, sweptAt)
 		if err != nil || hasStateRoot(kv, c.Head().Header.StateRoot) {
 			return c, err
 		}
@@ -325,14 +354,13 @@ func Open(cfg Config, kv store.Store) (*Chain, error) {
 	}
 	var firstErr error
 	for num := head; ; num-- {
-		c, err := openVerified(cfg, kv, num)
+		c, err := openVerified(cfg, kv, num, sweptAt)
 		if err == nil {
 			if num != head {
 				// Repoint the head record at the block that
 				// actually survived, so the next open is clean.
-				var nb [8]byte
-				binary.BigEndian.PutUint64(nb[:], num)
-				if perr := kv.Put(headKey, nb[:]); perr != nil {
+				var rec [16]byte
+				if perr := kv.Put(headKey, headRecord(&rec, num, c.base, c.sweptAt)); perr != nil {
 					return nil, perr
 				}
 			}
@@ -360,8 +388,8 @@ func hasStateRoot(kv store.Store, root types.Hash) bool {
 
 // openVerified is openAt for a head that has yet to earn trust: the
 // chain is returned only if its complete head state verifies.
-func openVerified(cfg Config, kv store.Store, head uint64) (*Chain, error) {
-	c, err := openAt(cfg, kv, head)
+func openVerified(cfg Config, kv store.Store, head, sweptAt uint64) (*Chain, error) {
+	c, err := openAt(cfg, kv, head, sweptAt)
 	if err == nil {
 		err = statedb.VerifyState(kv, c.Head().Header.StateRoot)
 	}
@@ -372,8 +400,10 @@ func openVerified(cfg Config, kv store.Store, head uint64) (*Chain, error) {
 }
 
 // openAt builds, from the records in kv, the chain whose head is block
-// number head.
-func openAt(cfg Config, kv store.Store, head uint64) (*Chain, error) {
+// number head and whose store was last swept at sweptAt (its head record's
+// reading: at the first block it holds, for a sweptAt below it; at the
+// head, for one above it).
+func openAt(cfg Config, kv store.Store, head, sweptAt uint64) (*Chain, error) {
 	// Walk down from the head following parent hashes, so stale records
 	// from abandoned branches (last-write-wins leftovers below a reorg
 	// point) can never splice into the recovered chain.
@@ -417,5 +447,7 @@ func openAt(cfg Config, kv store.Store, head uint64) (*Chain, error) {
 	}
 
 	root := blocks[len(blocks)-1].Header.StateRoot
-	return newChain(cfg, blocks, statedb.OpenAt(kv, root)), nil
+	c := newChain(cfg, blocks, statedb.OpenAt(kv, root))
+	c.sweptAt = min(max(sweptAt, c.base), head)
+	return c, nil
 }

@@ -188,7 +188,7 @@ func TestOpenDistrustsAHeadWithoutState(t *testing.T) {
 	local, owner := persistRig(t, kv, 2)
 	stateless := buildBlock(t, local, nextSet(local, owner, 2, 99))
 	var b store.Batch
-	stageHead(&b, stateless)
+	stageHead(&b, 0, 0, stateless)
 	if err := kv.Write(&b); err != nil {
 		t.Fatal(err)
 	}

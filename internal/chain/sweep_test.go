@@ -278,6 +278,32 @@ func TestSweepBoundsTheStore(t *testing.T) {
 		r.c.Height(), sweeps, slowest, peak, sweeping/blocks, total/blocks, largest)
 }
 
+// TestSweepSurvivesRestarts: the head record carries the sweep height
+// across a restart, so a chain that owns its store sweeps by itself even
+// when it restarts more often than once a horizon. Reopened every 300
+// blocks, over 1,300 blocks it sweeps at least once, and each sweep
+// leaves exactly what checkSwept allows.
+func TestSweepSurvivesRestarts(t *testing.T) {
+	r := newSweepRig(t, 1024, 1)
+	sweeps, before := 0, r.logSize()
+	for r.c.Height() < 1300 {
+		r.grow()
+		size := r.logSize()
+		if size < before {
+			sweeps++
+			r.checkSwept()
+			t.Logf("sweep %d at block %d: %d -> %d bytes", sweeps, r.c.Height(), before, size)
+		}
+		before = size
+		if r.c.Height()%300 == 0 {
+			r.reopen()
+		}
+	}
+	if sweeps == 0 {
+		t.Fatalf("a chain reopened every 300 blocks did not sweep in %d blocks", r.c.Height())
+	}
+}
+
 // TestSweepBesideImports: blocks import while a sweep marks, and the
 // sweep keeps what they wrote: after it, the state of every block within
 // the horizon is whole in the store.

@@ -269,6 +269,8 @@ func BenchmarkEVM(b *testing.B) {
 //     (ns/op is per churn cycle; the mark is zero allocs in steady state).
 //   - copy-20k-slots, copy-250-accounts: CopyGrownState and
 //     CopyManyAccounts.
+//   - read-flushed-slot: ReadFlushedSlot on StateFixture's 4-slot
+//     contract and on NewGrownKVFixture's 20 000-slot one.
 func BenchmarkStateDB(b *testing.B) {
 	b.Run("journal-churn", func(b *testing.B) {
 		st, addrs := StateFixture(16)
@@ -292,6 +294,15 @@ func BenchmarkStateDB(b *testing.B) {
 	})
 	b.Run("copy-20k-slots", benchStep(CopyGrownState))
 	b.Run("copy-250-accounts", benchStep(CopyManyAccounts))
+	b.Run("read-flushed-slot", func(b *testing.B) {
+		b.Run("4-slots", benchStep(func() func() {
+			st, _ := StateFixture(4)
+			return ReadFlushedSlot(st, BenchContract, 4)
+		}))
+		b.Run("20k-slots", benchStep(func() func() {
+			return ReadFlushedSlot(NewGrownKVFixture(250, 20_000).Genesis, KVContract, 20_000)
+		}))
+	})
 }
 
 // BenchmarkNode/view-amv is ViewAMVOnServingNode.

@@ -243,8 +243,8 @@ func NewParallelFixture(n int) *ParallelFixture {
 
 // NewGrownKVFixture is NewParallelFixture(n) on a contract that already
 // holds slots words, written 250 a block with the state flushed in
-// between — the storage a kv-blocks chain has grown by block slots/250,
-// generations and all. The body's keys are among the first it wrote, so
+// between — the storage trie a kv-blocks chain has grown by block
+// slots/250. The body's keys are among the first it wrote, so
 // the replay overwrites. What a Copy of, and a block on, a large state
 // cost is measured on it.
 func NewGrownKVFixture(n, slots int) *ParallelFixture {
@@ -426,6 +426,22 @@ func CopyGrownState() func() {
 	}
 }
 
+// ReadFlushedSlot is the statedb/read-flushed-slot step: one GetState of
+// a contract's slot on a copy of st, which the copy's overlay misses and
+// the contract's storage trie answers — what every HMS view, RAA read
+// and buy pays for the Sereth contract's mark and value slots. The
+// contract holds words in slots 0 to slots-1, all non-zero.
+func ReadFlushedSlot(st *statedb.StateDB, contract types.Address, slots int) func() {
+	cp := st.Copy() // flushes st
+	i := 0
+	return func() {
+		if cp.GetState(contract, types.WordFromUint64(uint64(i%slots))).IsZero() {
+			panic("a flushed slot reads zero")
+		}
+		i++
+	}
+}
+
 // CopyManyAccounts is the statedb/copy-250-accounts step: one Copy of
 // the post state of a 250-put block — the KV contract and the block's 250
 // senders. The copy is the state alone: it shares the generations that
@@ -446,8 +462,8 @@ func CopyManyAccounts() func() {
 // ReplayOnGrownState is the step the replay/kv-250tx-on-20k-slots BENCH
 // row timed and TestSharedStorageAllocsPinned counts: one sequential
 // Process of a 250-put block on that state — the copy, the
-// body, the flush that seals the block's 250 slots into a generation
-// over the 20 000 it shares with its parent, and the roots. kv-blocks
+// body, the flush that writes the block's 250 slots into the storage
+// trie it shares with its parent, and the roots. kv-blocks
 // does this five times a block on a contract of this size.
 func ReplayOnGrownState() func() {
 	f := NewGrownKVFixture(250, 20_000)

@@ -24,8 +24,8 @@ import (
 // the deep copy before that took 74 allocations, 2.36 MB and 1.9 ms on
 // the same state).
 // replay/kv-250tx-on-20k-slots: that copy, 250 new sender accounts, the
-// body, the block's overlay sealed and merged, and the path copies of
-// two tries (21 795 allocations and 5.19 MB before storage was shared,
+// body, the block's overlays sealed (the accounts' into a generation, the
+// slots' into the storage trie), and the path copies of two tries (21 795 allocations and 5.19 MB before storage was shared,
 // 21 477 and 2.86 MB after; 5 578 and 1.04 MB once a trie node encoded
 // into one buffer of its exact size and a branch the block dirties was
 // copied once per block, not once per slot; 4 327 since a sender owns no

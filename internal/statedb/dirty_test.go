@@ -1,8 +1,6 @@
 package statedb
 
 import (
-	"maps"
-	"math/rand"
 	"runtime/debug"
 	"testing"
 
@@ -50,7 +48,7 @@ func TestReservedTouchesAllocateNothing(t *testing.T) {
 		t.Errorf("a reserved body's touches of %d accounts allocated %v objects, want 0", accounts, allocs)
 	}
 	for _, s := range bodies {
-		if got, want := s.Root(), rootFromScratch(s); got != want {
+		if got, want := s.Root(), rootFromScratch(s, 0); got != want {
 			t.Fatalf("root %x after the touches, from scratch %x", got, want)
 		}
 	}
@@ -68,7 +66,7 @@ func TestRevertedCreationAcrossRoot(t *testing.T) {
 	x, y, z, old := addr(7), addr(8), addr(9), addr(1)
 	check := func(what string, s *StateDB) types.Hash {
 		t.Helper()
-		got, want := s.Root(), rootFromScratch(s)
+		got, want := s.Root(), rootFromScratch(s, 2)
 		if got != want {
 			t.Fatalf("%s: root %x, from scratch %x", what, got, want)
 		}
@@ -124,82 +122,4 @@ func TestRevertedCreationAcrossRoot(t *testing.T) {
 	before.SetNonce(y, 1)
 	check("the later copy, written", between)
 	check("the earlier copy, written", before)
-}
-
-// TestSealInPlaceLeavesSharedGenerations: a seal merges the generations
-// it absorbs into its own overlay, never into them, because a copy made
-// before shares them. Random storage on a contract, in a random number of
-// generations; a copy; then one side writes and seals (often merging),
-// and the other must still read every slot it read before, its
-// generations unchanged, and then the other way round.
-func TestSealInPlaceLeavesSharedGenerations(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	c := addr(3)
-	const keys = 48
-	flat := func(s *StateDB) map[types.Word]types.Word {
-		out := make(map[types.Word]types.Word)
-		for k := range keys {
-			if v := s.GetState(c, slotN(uint64(k))); !v.IsZero() {
-				out[slotN(uint64(k))] = v
-			}
-		}
-		return out
-	}
-	write := func(s *StateDB, n int) {
-		for range n {
-			v := wordN(uint64(rng.Intn(6))) // zero one time in six: clears
-			s.SetState(c, slotN(uint64(rng.Intn(keys))), v)
-		}
-		s.Root()
-	}
-	gensOf := func(s *StateDB) (out []map[types.Word]types.Word) {
-		for g := s.held(c).gens; g != nil; g = g.below {
-			out = append(out, maps.Clone(g.slots))
-		}
-		return out
-	}
-	same := func(a, b []map[types.Word]types.Word) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if !maps.Equal(a[i], b[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	merged := 0
-	for trial := range 400 {
-		s := New()
-		for range 1 + rng.Intn(4) {
-			write(s, 1+rng.Intn(30))
-		}
-		cp := s.Copy()
-		sides := [2]*StateDB{s, cp}
-		if rng.Intn(2) == 0 {
-			sides[0], sides[1] = cp, s
-		}
-		for turn := range 2 {
-			writer, reader := sides[turn], sides[1-turn]
-			want, shared := flat(reader), gensOf(reader)
-			depth := len(gensOf(writer))
-			write(writer, 1+rng.Intn(40))
-			if len(gensOf(writer)) <= depth {
-				merged++
-			}
-			if got := flat(reader); !maps.Equal(got, want) {
-				t.Fatalf("trial %d, turn %d: the other side's slots changed under a seal", trial, turn)
-			}
-			if !same(gensOf(reader), shared) {
-				t.Fatalf("trial %d, turn %d: a seal wrote into a generation the other side shares", trial, turn)
-			}
-			if got, want := writer.Root(), rootFromScratch(writer); got != want {
-				t.Fatalf("trial %d, turn %d: the sealing side's root %x, from scratch %x", trial, turn, got, want)
-			}
-		}
-	}
-	if merged < 200 {
-		t.Fatalf("only %d of 800 seals merged a generation below them", merged)
-	}
 }

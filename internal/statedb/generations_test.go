@@ -268,7 +268,7 @@ func TestAccountOwnership(t *testing.T) {
 			l.sh.revert(l.snaps[i][1])
 			l.snaps = l.snaps[:i]
 		case op < 17:
-			if got, want := l.s.Root(), rootFromScratch(l.s); got != want {
+			if got, want := l.s.Root(), rootFromScratch(l.s, 8); got != want {
 				t.Fatalf("step %d: root %x, from scratch %x", step, got, want)
 			}
 		case op < 18:

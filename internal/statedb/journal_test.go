@@ -219,7 +219,7 @@ func TestJournalChurnMatchesClosureShadow(t *testing.T) {
 			// The incremental root must agree with a from-scratch rebuild
 			// (rootFromScratch is the statedb_test reference), and the
 			// state with the shadow.
-			if got, want := s.Root(), rootFromScratch(s); got != want {
+			if got, want := s.Root(), rootFromScratch(s, 6); got != want {
 				t.Fatalf("step %d: incremental root %x, from-scratch %x", step, got, want)
 			}
 			agree(t, step, s, sh)

@@ -168,7 +168,6 @@ func decodeAccount(kv Reader, enc []byte) (*account, error) {
 		balance:  balance,
 		codeHash: &codeHash,
 		enc:      enc,
-		lazy:     true,
 	}
 	if storageRoot != trie.EmptyRoot {
 		acc.storageTrie = trie.NewSecureFromRoot(kv, storageRoot)
@@ -183,12 +182,13 @@ func decodeAccount(kv Reader, enc []byte) (*account, error) {
 	return acc, nil
 }
 
-// loadSlot reads a storage word through the persisted storage trie of a
-// lazy account (zero for any other account). The caller has already
-// missed in the overlay, which holds every slot written since the trie
-// was last flushed — clears included — so the trie's answer is current.
+// loadSlot reads a storage word through the account's storage trie
+// (zero for an account without one). The caller has already missed in
+// the overlay, which holds every slot written since the trie was last
+// flushed — clears included — so the trie's answer is current. The trie
+// resolves store nodes without keeping them, so it writes nothing.
 func (acc *account) loadSlot(key types.Word) types.Word {
-	if !acc.lazy || acc.storageTrie == nil {
+	if acc.storageTrie == nil {
 		return types.ZeroWord
 	}
 	enc := acc.storageTrie.Get(key[:])

@@ -16,27 +16,30 @@
 // order (a root does not depend on it) and deletes a listed address whose
 // creation was reverted.
 //
-// Accounts and contract storage are shared the same way, in generations.
-// A state's accounts live in a chain of sealed generations (newest first)
-// under a private write overlay; an account's slots live in a chain of
-// its own under the account's private slot overlay. The first write to
-// an account since the last flush copies its struct into the overlay —
-// into a slab ReserveJournal sizes — and flush seals both overlays into
-// new generations. A generation is merged
-// with the ones below it while they are within genMergeRatio of its
-// size, so a chain stays logarithmic, and the merge writes into the
-// overlay being sealed, never into the generations it absorbs. Copy
-// shares the chain and starts an empty overlay, so copying a state costs
-// one allocation whatever the number of its accounts and slots, and
-// successive post states share every account and slot the block between
-// them did not write.
+// An account's storage is a private overlay over its storage trie: the
+// overlay holds every slot written since the last flush, and a read that
+// misses it reads the trie, which flush brings up to date before it drops
+// the overlay. The trie's hashed nodes are immutable and shared by every
+// copy of the account, so the trie is the one home of flushed storage.
+//
+// Accounts are shared in generations. A state's accounts live in a chain
+// of sealed generations (newest first) under a private write overlay. The
+// first write to an account since the last flush copies its struct into
+// the overlay — into a slab ReserveJournal sizes — and flush seals the
+// overlay into a new generation. A generation is merged with the ones
+// below it while they are within genMergeRatio of its size, so a chain
+// stays logarithmic, and the merge writes into the overlay being sealed,
+// never into the generations it absorbs. Copy shares the chain and starts
+// an empty overlay, so copying a state costs one allocation whatever the
+// number of its accounts and slots, and successive post states share
+// every account and trie node the block between them did not write.
 //
 // Ownership: a StateDB writes only its overlays, its journal, its dirty
 // list and its trie handles. A sealed generation, and every account
-// struct and slot map it holds, is never written again — also not by a
-// revert, which reaches its account through the overlay — so a flushed
-// state (one Root has been called on and that was not mutated since) may
-// be read and copied by any number of goroutines: Root and Copy write
+// struct it holds, is never written again — also not by a revert, which
+// reaches its account through the overlay — so a flushed state (one Root
+// has been called on and that was not mutated since) may be read and
+// copied by any number of goroutines: Root, Copy and a slot read write
 // nothing on it. The one exception is a stored mark, as on a trie node:
 // Stored records on a sealed account that its code blob is in the store
 // of the chain that committed it.
@@ -98,9 +101,9 @@ type StateDB struct {
 	// wholesale.
 	accTrie trie.SecureTrie
 	// db backs a state opened from a persisted root (OpenAt): accounts
-	// and slots absent from the overlay and the generations resolve
-	// through it on demand. nil for states built in memory, where they
-	// are complete.
+	// absent from the overlay and the generations resolve through it on
+	// demand, and the storage tries they name read their nodes through it.
+	// nil for states built in memory, where they are complete.
 	db Reader
 }
 
@@ -110,18 +113,14 @@ type account struct {
 	code    []byte
 	// storage is the private write overlay: every slot written (or
 	// restored by a journal revert) since the last flush, the zero word
-	// meaning cleared. nil until the first write; flush empties it, so a
-	// flushed account reads only shared, immutable structures.
+	// meaning cleared. nil until the first write; flush folds it into the
+	// storage trie and drops it, so a flushed account reads only its trie.
 	storage map[types.Word]types.Word
-	// gens is the flushed storage below the overlay. The chain is never
-	// written after flush links it in and is shared by every copy of the
-	// account. Always nil on a lazy account.
-	gens *storageGen
-
-	// storageTrie persistently commits the storage; it lags it by the
-	// overlay until the next flush. nil, meaning trie.EmptyRoot, until the
-	// account's first slot is flushed: a plain account owns no trie. The
-	// handle is private per account copy, its nodes are shared.
+	// storageTrie commits the storage and holds every flushed slot; it lags
+	// the storage by the overlay until the next flush. nil, meaning
+	// trie.EmptyRoot, until the account's first slot is flushed: a plain
+	// account owns no trie. The handle is private per account copy, its
+	// nodes are shared.
 	storageTrie *trie.SecureTrie
 	// enc is the account's RLP encoding as last flushed into the account
 	// trie; flush skips the trie update when the encoding is unchanged
@@ -138,10 +137,6 @@ type account struct {
 	// blob written, cleared by whatever assigns code (a revert too: at
 	// worst a redundant write), so no commit reads a blob to find it.
 	codeStored bool
-	// lazy marks an account materialized from a persisted trie: its
-	// flushed storage is the storage trie itself (see loadSlot), which is
-	// already persistent and shared, so it keeps no generations.
-	lazy bool
 	// dirty says the owning state lists the account for its next flush.
 	// False on every sealed account, so a first write copies it false.
 	dirty bool
@@ -210,33 +205,18 @@ func compareAddr(a, b *types.Address) int {
 	return 0
 }
 
-// storageGen is one sealed generation of an account's storage: the slots
-// one or more flushes wrote, over the older generations below it. A zero
-// word is a tombstone hiding an older value; the oldest generation holds
-// none. Immutable once linked into an account.
-type storageGen struct {
-	slots map[types.Word]types.Word
-	below *storageGen
-}
-
-// genMergeRatio keeps a chain of generations logarithmic: a seal merges
-// the generation below into the new one while it holds fewer than
-// genMergeRatio times as many entries, so every generation is at least
-// that many times the size of the one above it, and an account or slot
-// is re-copied O(log size) times over its life.
+// genMergeRatio keeps a chain of account generations logarithmic: a
+// seal merges the generation below into the new one while it holds fewer
+// than genMergeRatio times as many accounts, so every generation is at
+// least that many times the size of the one above it, and an account is
+// re-copied O(log size) times over its life.
 const genMergeRatio = 2
 
-// slot returns the account's current value of key (zero when unset):
-// the overlay, then the generations newest first, then — on a lazy
-// account — the persisted trie.
+// slot returns the account's current value of key (zero when unset): the
+// overlay, then the storage trie.
 func (acc *account) slot(key types.Word) types.Word {
 	if v, ok := acc.storage[key]; ok {
 		return v
-	}
-	for g := acc.gens; g != nil; g = g.below {
-		if v, ok := g.slots[key]; ok {
-			return v
-		}
 	}
 	return acc.loadSlot(key)
 }
@@ -249,38 +229,6 @@ func (acc *account) setSlot(key, value types.Word) {
 	}
 	acc.storage[key] = value
 }
-
-// seal retires the overlay once flush has folded it into the storage
-// trie. On a lazy account the trie now answers for those slots and the
-// overlay is simply dropped; otherwise it becomes the newest generation,
-// merged with the ones below it while they are within genMergeRatio of
-// its size. The overlay is private, so a merge writes the older slots it
-// does not shadow into it in place; the generations it reads stay as
-// they are for the states that share them.
-func (acc *account) seal() {
-	slots := acc.storage
-	acc.storage = nil
-	if acc.lazy {
-		return
-	}
-	below := acc.gens
-	for below != nil && len(below.slots) < genMergeRatio*len(slots) {
-		for k, v := range below.slots {
-			if _, newer := slots[k]; !newer {
-				slots[k] = v
-			}
-		}
-		below = below.below
-	}
-	if below == nil {
-		// Nothing older to hide: tombstones end here.
-		maps.DeleteFunc(slots, cleared)
-	}
-	acc.gens = &storageGen{slots: slots, below: below}
-}
-
-// cleared reports a tombstone entry.
-func cleared(_, v types.Word) bool { return v.IsZero() }
 
 // journalKind tags one flat journal entry. Every kind records a state
 // effect; the chain's contract-activity classification inspects kinds
@@ -730,11 +678,12 @@ func (s *StateDB) DiscardJournal() {
 
 // Copy returns an independent state with an empty journal and overlay,
 // at one allocation whatever the size of the state: everything it holds
-// — the generations and their accounts, trie nodes, storage generations,
-// cached encodings, code slices — is immutable and shared. Copy flushes
-// the source first, so the shared structures are fully hashed and sealed
-// and never written by either side afterwards; on an already flushed
-// source (a post state other goroutines read) it writes nothing at all.
+// — the generations and their accounts, the nodes of the account and
+// storage tries, cached encodings, code slices — is immutable and
+// shared. Copy flushes the source first, so the shared structures are
+// fully hashed and sealed and never written by either side afterwards;
+// on an already flushed source (a post state other goroutines read) it
+// writes nothing at all.
 func (s *StateDB) Copy() *StateDB {
 	s.Root()
 	return &StateDB{gens: s.gens, committed: s.committed, accTrie: s.accTrie.Copy(), db: s.db}
@@ -861,7 +810,7 @@ func mergeOlder(newer, older []genEntry) []genEntry {
 const maxAccountEnc = 2 + 2*9 + 2*33
 
 // appendEncoding flushes the account's overlay into its storage trie,
-// seals it, and appends the account's RLP encoding to out. The overlay's
+// drops it, and appends the account's RLP encoding to out. The overlay's
 // values are encoded into one slab, and each is handed to the trie as a
 // capacity-capped slice of it that nobody writes again.
 func (acc *account) appendEncoding(out []byte) []byte {
@@ -879,7 +828,7 @@ func (acc *account) appendEncoding(out []byte) []byte {
 			slab = rlp.AppendString(slab, minimalBytes(v))
 			acc.storageTrie.UpdateHashed(types.Keccak(k[:]), slab[start:len(slab):len(slab)])
 		}
-		acc.seal()
+		acc.storage = nil // the trie answers for these slots now
 	}
 	storageRoot := trie.EmptyRoot
 	if acc.storageTrie != nil {

@@ -151,6 +151,11 @@ func TestRevertBogusSnapshotPanics(t *testing.T) {
 	}
 }
 
+// TestCopyIsolated: a copy and its source never see each other's
+// writes. Then random storage on a contract, flushed in a random number
+// of blocks; a copy; then one side writes and flushes, and the other must
+// still read every slot it read before, and then the other way round:
+// a flush writes into no trie node the other side shares.
 func TestCopyIsolated(t *testing.T) {
 	s := New()
 	a := addr(7)
@@ -167,6 +172,39 @@ func TestCopyIsolated(t *testing.T) {
 	}
 	if s.Root() == cp.Root() {
 		t.Error("diverged states share a root")
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	c := addr(3)
+	const keys = 48
+	write := func(s *StateDB, n int) {
+		for range n {
+			v := wordN(uint64(rng.Intn(6))) // zero one time in six: clears
+			s.SetState(c, slotN(uint64(rng.Intn(keys))), v)
+		}
+		s.Root()
+	}
+	for trial := range 400 {
+		s := New()
+		for range 1 + rng.Intn(4) {
+			write(s, 1+rng.Intn(30))
+		}
+		cp := s.Copy()
+		sides := [2]*StateDB{s, cp}
+		if rng.Intn(2) == 0 {
+			sides[0], sides[1] = cp, s
+		}
+		for turn := range 2 {
+			writer, reader := sides[turn], sides[1-turn]
+			want := slotsOf(reader, c, keys)
+			write(writer, 1+rng.Intn(40))
+			if got := slotsOf(reader, c, keys); !maps.Equal(got, want) {
+				t.Fatalf("trial %d, turn %d: the other side's slots changed under a flush", trial, turn)
+			}
+			if got, want := writer.Root(), rootFromScratch(writer, keys); got != want {
+				t.Fatalf("trial %d, turn %d: the flushing side's root %x, from scratch %x", trial, turn, got, want)
+			}
+		}
 	}
 }
 
@@ -248,25 +286,17 @@ func TestQuickRevertIsComplete(t *testing.T) {
 	}
 }
 
-// slots materializes the account's storage as one flat map — the
-// generations oldest first, then the overlay, tombstones dropped. It
-// costs the size of the storage: a test reference, like rootFromScratch
-// below. Not meaningful on a lazy account, whose flushed slots live in
-// the trie.
-func (acc *account) slots() map[types.Word]types.Word {
+// slotsOf reads the slots of addr that s holds over a test's key domain,
+// slotN(0) up to slotN(keys-1), through GetState, into one flat map of
+// the non-zero ones: a test reference, like rootFromScratch below.
+func slotsOf(s *StateDB, addr types.Address, keys uint64) map[types.Word]types.Word {
 	flat := make(map[types.Word]types.Word)
-	acc.gens.collect(flat)
-	maps.Copy(flat, acc.storage)
-	maps.DeleteFunc(flat, cleared)
-	return flat
-}
-
-func (g *storageGen) collect(into map[types.Word]types.Word) {
-	if g == nil {
-		return
+	for i := uint64(0); i < keys; i++ {
+		if v := s.GetState(addr, slotN(i)); !v.IsZero() {
+			flat[slotN(i)] = v
+		}
 	}
-	g.below.collect(into)
-	maps.Copy(into, g.slots)
+	return flat
 }
 
 // held returns the account s keeps in memory for addr — the overlay's,
@@ -281,14 +311,16 @@ func (s *StateDB) held(addr types.Address) *account {
 }
 
 // rootFromScratch recomputes the commitment the pre-incremental way:
-// fresh account and storage tries rebuilt from the full state. It is the
-// bit-identity reference for the persistent-trie flush path.
-func rootFromScratch(s *StateDB) types.Hash {
+// fresh account and storage tries rebuilt from the full state, its slots
+// read back through GetState over the test's key domain, the first keys
+// slots. It is the bit-identity reference for the persistent-trie flush
+// path.
+func rootFromScratch(s *StateDB, keys uint64) types.Hash {
 	st := trie.NewSecure()
 	for _, a := range s.Accounts() {
 		acc := s.held(a)
 		storageTrie := trie.NewSecure()
-		for k, v := range acc.slots() {
+		for k, v := range slotsOf(s, a, keys) {
 			storageTrie.Update(k[:], rlp.Encode(rlp.String(minimalBytes(v))))
 		}
 		storageRoot := storageTrie.RootHash()
@@ -313,7 +345,7 @@ func TestChurnRootMatchesFromScratch(t *testing.T) {
 	var snaps []int // open snapshots on the last state
 
 	check := func(step int, s *StateDB) {
-		got, want := s.Root(), rootFromScratch(s)
+		got, want := s.Root(), rootFromScratch(s, 6)
 		if got != want {
 			t.Fatalf("step %d: incremental root %x != from-scratch %x", step, got, want)
 		}

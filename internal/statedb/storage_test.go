@@ -3,21 +3,22 @@ package statedb
 import (
 	"bytes"
 	"maps"
-	"math/bits"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"testing"
 
+	"sereth/internal/rlp"
 	"sereth/internal/store"
+	"sereth/internal/trie"
 	"sereth/internal/types"
 )
 
 // The tests in this file pin the shared contract storage: the private
-// overlay, the sealed generations under it and their merging must be
-// indistinguishable from one flat map per state, for every state of a
-// tree of copies, while the copies share everything they did not write.
+// overlay over the storage trie must be indistinguishable from one flat
+// map per state, for every state of a tree of copies, while the copies
+// share every trie node they did not write.
 
 // churnAddrs are the contracts the storage model writes; they exist in
 // every state of the tree, so account creation stays out of the model.
@@ -26,12 +27,15 @@ var churnAddrs = []types.Address{addrN(0xc1), addrN(0xc2), addrN(0xc3)}
 const churnKeys = 400
 
 // modelState is one live state of the tree next to its flat shadow:
-// flat holds exactly the non-zero slots, undo the shadow journal.
+// flat holds exactly the non-zero slots, undo the shadow journal. copies
+// counts the Copy calls between the state and the root of its lineage
+// (a fresh state or a reopening).
 type modelState struct {
-	s     *StateDB
-	flat  map[types.Address]map[types.Word]types.Word
-	undo  []modelUndo
-	snaps []modelSnap
+	s      *StateDB
+	flat   map[types.Address]map[types.Word]types.Word
+	undo   []modelUndo
+	snaps  []modelSnap
+	copies int
 }
 
 type modelUndo struct {
@@ -77,9 +81,10 @@ func newModel() *modelState {
 	return m
 }
 
-// fork returns a model of s holding a private copy of the shadow.
+// fork returns a model of s holding a private copy of the shadow, s
+// being a Copy of m's state, one lineage deeper.
 func (m *modelState) fork(s *StateDB) *modelState {
-	cp := &modelState{s: s, flat: make(map[types.Address]map[types.Word]types.Word)}
+	cp := &modelState{s: s, flat: make(map[types.Address]map[types.Word]types.Word), copies: m.copies + 1}
 	for a, slots := range m.flat {
 		cp.flat[a] = maps.Clone(slots)
 	}
@@ -87,7 +92,7 @@ func (m *modelState) fork(s *StateDB) *modelState {
 }
 
 // flatTwin builds the state the shadow describes in one go: every slot
-// written once, so each contract has a single generation.
+// written once, in one flush.
 func flatTwin(flat map[types.Address]map[types.Word]types.Word) *StateDB {
 	s := New()
 	for _, a := range churnAddrs {
@@ -100,11 +105,9 @@ func flatTwin(flat map[types.Address]map[types.Word]types.Word) *StateDB {
 	return s
 }
 
-// check compares every slot and the root of m with its shadow, then the
-// shape of the flushed storage: no overlay left, no generations on a
-// lazy account, and elsewhere a chain whose generations grow by the
-// merge ratio going down, with no tombstone in the oldest.
-func (m *modelState) check(t *testing.T, step int) (deepest int) {
+// check compares every slot and the root of m with its shadow, and
+// checks that a flush leaves no overlay behind.
+func (m *modelState) check(t *testing.T, step int) {
 	t.Helper()
 	read := func(when string) {
 		for _, a := range churnAddrs {
@@ -121,41 +124,14 @@ func (m *modelState) check(t *testing.T, step int) (deepest int) {
 		t.Fatalf("step %d: root %x, flat twin %x", step, got, want)
 	}
 	read("after flush")
-	if got, want := m.s.Root(), rootFromScratch(m.s); m.s.db == nil && got != want {
-		t.Fatalf("step %d: root %x, from the merged view %x", step, got, want)
+	if got, want := m.s.Root(), rootFromScratch(m.s, churnKeys); m.s.db == nil && got != want {
+		t.Fatalf("step %d: root %x, from scratch %x", step, got, want)
 	}
 	for _, a := range churnAddrs {
-		acc := m.s.held(a)
-		if acc == nil {
-			continue // a lazy state that never wrote this contract
-		}
-		if acc.storage != nil {
+		if acc := m.s.held(a); acc != nil && acc.storage != nil {
 			t.Fatalf("step %d: %x keeps an overlay of %d slots after flush", step, a[19], len(acc.storage))
 		}
-		if acc.lazy && acc.gens != nil {
-			t.Fatalf("step %d: lazy account %x grew generations", step, a[19])
-		}
-		depth, oldest := 0, 0
-		for g := acc.gens; g != nil; g = g.below {
-			depth++
-			oldest = len(g.slots)
-			if g.below != nil && len(g.below.slots) < genMergeRatio*len(g.slots) {
-				t.Fatalf("step %d: %x generation of %d slots sits on one of %d", step, a[19], len(g.slots), len(g.below.slots))
-			}
-			if g.below == nil {
-				for k, v := range g.slots {
-					if v.IsZero() {
-						t.Fatalf("step %d: %x keeps a tombstone for %x in its oldest generation", step, a[19], k)
-					}
-				}
-			}
-		}
-		if limit := bits.Len(uint(oldest)); depth > limit {
-			t.Fatalf("step %d: %x is %d generations deep over %d slots, want <= %d", step, a[19], depth, oldest, limit)
-		}
-		deepest = max(deepest, depth)
 	}
-	return deepest
 }
 
 // TestStorageChurnModel drives thousands of random writes, clears,
@@ -171,7 +147,7 @@ func TestStorageChurnModel(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(15))
 	live := []*modelState{newModel()}
-	deepest := 0
+	deepest := 0 // the longest lineage of copies checked
 	// One store for every reopening: CommitTo writes only the trie nodes
 	// not yet stored, wherever the earlier ones went.
 	kv := store.NewMem()
@@ -224,10 +200,13 @@ func TestStorageChurnModel(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				live = append(live, m.fork(OpenAt(kv, at)))
+				re := m.fork(OpenAt(kv, at))
+				re.copies = 0 // a lineage of its own, sharing only the store
+				live = append(live, re)
 			}
 		default:
-			deepest = max(deepest, m.check(t, step))
+			m.check(t, step)
+			deepest = max(deepest, m.copies)
 		}
 		if len(live) > 10 {
 			// Drop any state, oldest or not: the rest must not notice.
@@ -236,16 +215,18 @@ func TestStorageChurnModel(t *testing.T) {
 		}
 		if step%500 == 499 {
 			for _, m := range live {
-				deepest = max(deepest, m.check(t, step))
+				m.check(t, step)
+				deepest = max(deepest, m.copies)
 			}
 		}
 	}
 	for _, m := range live {
-		deepest = max(deepest, m.check(t, steps))
+		m.check(t, steps)
+		deepest = max(deepest, m.copies)
 	}
-	t.Logf("deepest chain: %d generations", deepest)
-	if deepest < 3 {
-		t.Fatalf("the churn never stacked more than %d generations: it does not exercise merging", deepest)
+	t.Logf("deepest lineage checked: %d copies", deepest)
+	if deepest < 8 {
+		t.Fatalf("the churn checked no state more than %d copies down its lineage: it does not exercise sharing", deepest)
 	}
 }
 
@@ -283,22 +264,98 @@ func TestCopyDoesNotScaleWithStorage(t *testing.T) {
 	}
 }
 
+// TestLineageHeapHoldsOneCopyOfStorage flushes a lineage of copies of a
+// 20 000-slot contract, as a chain's post states are, keeping only the
+// latest, and weighs the heap it holds against a lineage of the
+// contract's storage trie built alone through the same writes and
+// flushes: a flushed slot lives in the trie and nowhere else, so the
+// states hold at most 1.2 times their trie. (A second, map-shaped copy of
+// every slot beside the trie held 1.5 times it.)
+func TestLineageHeapHoldsOneCopyOfStorage(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes the heap")
+	}
+	const slots, writes, flushes = 20_000, 64, 300
+	heap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	// The slot and value of every write, drawn before the heap is weighed.
+	rng := rand.New(rand.NewSource(5))
+	blocks := make([][writes][2]uint64, flushes)
+	for f := range blocks {
+		for w := range blocks[f] {
+			blocks[f][w] = [2]uint64{uint64(rng.Intn(slots)), rng.Uint64() | 1}
+		}
+	}
+	a := addrN(0xcc)
+
+	base := heap()
+	s := New()
+	for i := range uint64(slots) {
+		s.SetState(a, slotN(i), wordN(i+1))
+	}
+	s.DiscardJournal()
+	s.Root()
+	for _, block := range blocks {
+		s = s.Copy()
+		for _, w := range block {
+			s.SetState(a, slotN(w[0]), wordN(w[1]))
+		}
+		s.DiscardJournal()
+		s.Root()
+	}
+	lineage := heap() - base
+	want := s.held(a).storageTrie.RootHash()
+	s = nil
+
+	update := func(tr *trie.SecureTrie, slot, value uint64) {
+		k := slotN(slot)
+		tr.Update(k[:], rlp.AppendString(nil, minimalBytes(wordN(value))))
+	}
+	base = heap()
+	tr := trie.NewSecure()
+	for i := range uint64(slots) {
+		update(tr, i, i+1)
+	}
+	tr.RootHash()
+	for _, block := range blocks {
+		next := tr.Copy()
+		for _, w := range block {
+			update(&next, w[0], w[1])
+		}
+		next.RootHash()
+		tr = &next
+	}
+	alone := heap() - base
+	if tr.RootHash() != want {
+		t.Fatal("the states and the trie built alone disagree")
+	}
+	ratio := float64(lineage) / float64(alone)
+	t.Logf("a lineage of %d flushed copies holds %d B of heap, its storage trie built alone %d B: %.2fx", flushes, lineage, alone, ratio)
+	if ratio > 1.2 {
+		t.Errorf("the lineage holds %.2fx the heap of its storage trie built alone, want <= 1.2x", ratio)
+	}
+}
+
 // TestStorageSharedReaders is the -race test of the sharing rule: a
 // flushed post state is read (and copied) by several goroutines while a
-// child copy of it writes, flushes, seals and merges. Nothing reachable
-// from the shared state may be written.
+// child copy of it writes and flushes. Nothing reachable from the shared
+// state may be written.
 func TestStorageSharedReaders(t *testing.T) {
 	const slots = 2000
 	a := addrN(0xcc)
 	post := New()
-	for round := uint64(0); round < 4; round++ { // a few generations to share
+	for round := uint64(0); round < 4; round++ { // a few flushes to share
 		for i := round; i < slots; i += round + 1 {
 			post.SetState(a, slotN(i), wordN(i*3+round+1))
 		}
 		post.Root()
 	}
 	post.DiscardJournal()
-	want := post.held(a).slots()
+	want := slotsOf(post, a, slots)
 	wantRoot := post.Root()
 
 	var wg sync.WaitGroup
@@ -349,14 +406,14 @@ func TestStorageSharedReaders(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if got := child.Root(); got != rootFromScratch(child) {
+	if got := child.Root(); got != rootFromScratch(child, slots) {
 		t.Fatalf("writer root %x diverged from its merged view", got)
 	}
 }
 
 // TestStorageSnapshotAcrossGenerations: a contract that went through
-// many generations, with slots cleared and set again along the way,
-// exports the very records of a twin built flat in one generation, and
+// many flushes, with slots cleared and set again along the way, exports
+// the very records of a twin built flat in one flush, and
 // the import lands on the same root and reads every slot of the flat
 // shadow. A lazily opened state exports them too, also after it has
 // written and flushed.
@@ -377,10 +434,6 @@ func TestStorageSnapshotAcrossGenerations(t *testing.T) {
 			m = m.fork(m.s.Copy())
 		}
 	}
-	if m.s.held(churnAddrs[0]).gens.below == nil {
-		t.Fatal("fixture has a single generation")
-	}
-
 	churned := exported(t, m.s)
 	if flat := exported(t, flatTwin(m.flat)); !maps.EqualFunc(churned, flat, bytes.Equal) {
 		t.Fatalf("snapshot of the churned state (%d records) differs from its flat twin's (%d)", len(churned), len(flat))
