@@ -174,7 +174,8 @@ crash-smoke:
 # elision-smoke runs the SHA3-elision suite under the race detector:
 # the keccak invocation-counter contract, the hinted/memoized jump
 # table differentials and fuzz seed corpus against the raw CallGeneric
-# reference, the zero-keccak frozen-instance admission and batch-id
+# reference, a body's SHA3 memo keeping two prices that share their
+# boundary bytes, the zero-keccak frozen-instance admission and batch-id
 # assertions, what an admission costs in digests (admitted, bad
 # signature, unknown signer, duplicate) and what a market transaction
 # costs a 3-node mesh from signature to last delivery, and the golden
@@ -187,8 +188,8 @@ crash-smoke:
 # fields) and per block of ten of them (a miner's build, a peer's replay,
 # the receipt root); what the write path allocates around
 # its digests — a transaction's two digests nothing while its calldata
-# fits the stack scratch, the tx root one buffer whatever the body, both
-# equal to their Item-tree forms — and that a CallReadOnly result
+# fits the stack scratch, the tx and receipt roots nothing whatever the
+# body, all equal to their Item-tree forms — and that a CallReadOnly result
 # survives later calls on the pooled machine whose return buffer it came
 # from; what the copies cost — a frozen copy one allocation, a caller's
 # later edits reaching no instance a pool or a peer keeps — and that
@@ -210,7 +211,7 @@ elision-smoke:
 	$(GO) test -race -run 'TestPopulationExecutesEachBlockOnce|TestSubmissionDigestBudget|TestBlockDigestBudget' ./internal/sim
 	$(GO) test -race -run 'TestSignCall' ./internal/wallet
 	$(GO) test -race -run 'TestSerethContract' ./internal/asm
-	$(GO) test -race -run 'TestTxDigestsEncodeOnTheStack|TestDeriveTxRootIsFlat|TestFrozenCopyIsOneObject' ./internal/types
+	$(GO) test -race -run 'TestTxDigestsEncodeOnTheStack|TestDeriveTxRootIsFlat|TestDeriveReceiptRootStreams|TestFrozenCopyIsOneObject' ./internal/types
 	$(GO) test -race -run 'TestCallReadOnlyResultOutlivesTheMachine' ./internal/node
 	$(GO) test -count=1 -run 'TestSignCallIsOneObject|TestFreshWheelSlotsAllocateNothing|TestSerethContractAssembledOnce' ./internal/wallet ./internal/p2p ./internal/asm
 	$(GO) test -count=1 -run 'TestViewAMVAllocs' ./internal/scenarios

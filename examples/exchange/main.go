@@ -142,8 +142,10 @@ func runMarket(mode sereth.Mode) (filled, total int, err error) {
 	c := minerNode.Chain()
 	for n := uint64(1); n <= c.Height(); n++ {
 		block := c.BlockByNumber(n)
-		for _, receipt := range c.Receipts(block.Hash()) {
-			if orders[receipt.TxHash] && receipt.Status.String() == "succeeded" {
+		// A block's receipts are in body order: the i-th is the outcome
+		// of block.Txs[i], which gives its hash.
+		for i, receipt := range c.Receipts(block.Hash()) {
+			if orders[block.Txs[i].Hash()] && receipt.Status.String() == "succeeded" {
 				filled++
 			}
 		}

@@ -66,7 +66,7 @@ func TestInsertBuiltMemoizesVerifiedBuild(t *testing.T) {
 	if headState(producer) != built.Post {
 		t.Fatal("the miner's import did not adopt the execution it built")
 	}
-	if len(receipts) != 1 || receipts[0] != built.Receipts[0] {
+	if len(receipts) != 1 || &receipts[0] != &built.Receipts[0] {
 		t.Fatal("the miner's import did not return the built receipts")
 	}
 	if hits, misses := cache.Stats(); cache.Len() != 1 || hits != 0 || misses != 0 {

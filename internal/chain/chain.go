@@ -114,9 +114,9 @@ type Chain struct {
 	// have no history below their snapshot point.
 	base     uint64
 	blocks   []*types.Block
-	headHash types.Hash                      // the last block's hash, kept beside it
-	receipts map[types.Hash][]*types.Receipt // block hash -> receipts
-	state    *statedb.StateDB                // post-head state
+	headHash types.Hash                     // the last block's hash, kept beside it
+	receipts map[types.Hash][]types.Receipt // block hash -> receipts
+	state    *statedb.StateDB               // post-head state
 	// posts holds the post states of the canonical blocks right below the
 	// head, oldest first: posts[len(posts)-d] is that of the block d below
 	// the head, the parent a fork d deep is validated from. Its capacity
@@ -183,7 +183,7 @@ func newChain(cfg Config, blocks []*types.Block, state *statedb.StateDB) *Chain 
 		base:     blocks[0].Number(),
 		blocks:   blocks,
 		headHash: blocks[len(blocks)-1].Hash(),
-		receipts: map[types.Hash][]*types.Receipt{},
+		receipts: map[types.Hash][]types.Receipt{},
 		state:    state,
 		posts:    make([]*statedb.StateDB, 0, window),
 		sweptAt:  blocks[len(blocks)-1].Number(),
@@ -244,8 +244,10 @@ func (c *Chain) Base() uint64 {
 	return c.base
 }
 
-// Receipts returns the receipts of a block by hash.
-func (c *Chain) Receipts(blockHash types.Hash) []*types.Receipt {
+// Receipts returns the receipts of a block by hash, one slab in body
+// order: the i-th is the outcome of the block's i-th transaction, whose
+// hash, index and block number the block gives.
+func (c *Chain) Receipts(blockHash types.Hash) []types.Receipt {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.receipts[blockHash]
@@ -283,7 +285,7 @@ func (c *Chain) ReadHeadState(fn func(head *types.Block, headHash types.Hash, st
 
 // Process replays a block body against a parent state copy through the
 // chain's processor, returning the full validated transition — receipts
-// from one arena slab plus the memoized state and receipt roots. Miners
+// as one slab plus the memoized state and receipt roots. Miners
 // build headers from it; InsertBlock verifies against it; the two never
 // re-derive a root the processor already produced. Bodies run on the
 // parallel processor when one is configured, the sequential processor
@@ -313,7 +315,7 @@ func (c *Chain) Process(parentState *statedb.StateDB, header *types.Header, txs 
 // replay — is memoized; later importers verify the header against the
 // memoized roots and share the flushed post state instead of
 // recomputing it.
-func (c *Chain) InsertBlock(block *types.Block) ([]*types.Receipt, error) {
+func (c *Chain) InsertBlock(block *types.Block) ([]types.Receipt, error) {
 	return c.InsertBuilt(block, nil)
 }
 
@@ -329,7 +331,7 @@ func (c *Chain) InsertBlock(block *types.Block) ([]*types.Receipt, error) {
 // reads only Number and Time from the header, and both are bound to the
 // build, so an edited header either lands on another key or is refused
 // here with nothing memoized.
-func (c *Chain) InsertBuilt(block *types.Block, built *ExecResult) ([]*types.Receipt, error) {
+func (c *Chain) InsertBuilt(block *types.Block, built *ExecResult) ([]types.Receipt, error) {
 	receipts, err := c.insertBuilt(block, built)
 	if err == nil {
 		c.maybeSweep()
@@ -339,7 +341,7 @@ func (c *Chain) InsertBuilt(block *types.Block, built *ExecResult) ([]*types.Rec
 
 // insertBuilt is InsertBuilt under the chain's lock, without the sweep
 // the adoption may set off.
-func (c *Chain) insertBuilt(block *types.Block, built *ExecResult) ([]*types.Receipt, error) {
+func (c *Chain) insertBuilt(block *types.Block, built *ExecResult) ([]types.Receipt, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
@@ -374,7 +376,7 @@ func (c *Chain) insertBuilt(block *types.Block, built *ExecResult) ([]*types.Rec
 // of a replay and of a cache lookup. Whatever execution passes is
 // memoized. It does not check parent linkage, number, or seal — callers
 // do — and does not mutate the chain.
-func (c *Chain) verifyBlockLocked(parentRoot types.Hash, parentState *statedb.StateDB, block *types.Block, hash types.Hash, built *ExecResult) ([]*types.Receipt, *statedb.StateDB, error) {
+func (c *Chain) verifyBlockLocked(parentRoot types.Hash, parentState *statedb.StateDB, block *types.Block, hash types.Hash, built *ExecResult) ([]types.Receipt, *statedb.StateDB, error) {
 	key := ExecKey{ParentRoot: parentRoot, BlockHash: hash}
 	var res *ExecResult
 	if built.builtFor(block.Header, parentState) {
@@ -491,7 +493,7 @@ func (c *Chain) importFork(blocks []*types.Block) (int, error) {
 	}
 	type validated struct {
 		hash     types.Hash
-		receipts []*types.Receipt
+		receipts []types.Receipt
 	}
 	results := make([]validated, len(fork))
 	posts := make([]*statedb.StateDB, len(fork))
@@ -585,7 +587,7 @@ func (c *Chain) keepPost(post *statedb.StateDB) {
 // and reads go through ReadState/State. With a store configured, the
 // block is persisted BEFORE the in-memory adoption so a persist failure
 // leaves memory and disk agreeing on the old head.
-func (c *Chain) adopt(block *types.Block, hash types.Hash, receipts []*types.Receipt, post *statedb.StateDB) error {
+func (c *Chain) adopt(block *types.Block, hash types.Hash, receipts []types.Receipt, post *statedb.StateDB) error {
 	if c.cfg.Store != nil {
 		if err := c.persistLocked([]*types.Block{block}, []*statedb.StateDB{post}); err != nil {
 			return fmt.Errorf("chain: persist block %d: %w", block.Number(), err)

@@ -2,6 +2,9 @@ package chain
 
 import (
 	"errors"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"sereth/internal/asm"
@@ -44,7 +47,7 @@ func buildBlock(t *testing.T, c *Chain, txs []*types.Transaction) *types.Block {
 		t.Fatalf("execute block: %v", err)
 	}
 	header.TxRoot = types.DeriveTxRoot(txs)
-	header.ReceiptRoot = types.DeriveReceiptRoot(res.Receipts)
+	header.ReceiptRoot = types.DeriveReceiptRoot(header.Number, txs, res.Receipts)
 	header.StateRoot = res.Post.Root()
 	header.GasUsed = res.GasUsed
 	if !Seal(header, c.Config().Difficulty, 1<<20) {
@@ -434,5 +437,39 @@ func TestSealedChainRejectsUnsealed(t *testing.T) {
 	}
 	if _, err := c.InsertBlock(block); !errors.Is(err, ErrBadSeal) {
 		t.Errorf("unsealed block: %v", err)
+	}
+}
+
+// TestReceiptsAndBlockGiveFullReceipts: a chain keeps only what a block
+// cannot give of a receipt, and the block gives the rest. Three blocks of
+// ten mixed transactions each (randomBody: successes, contract-rejected
+// no-ops, failed transfers, return words set and clear), at three seeds:
+// every block's hash and receipt root, and every receipt read from
+// Receipts(hash) with its transaction's hash, index and block number
+// taken from the block, must equal field for field the full receipts
+// (which carried hash, number and index themselves) recorded in
+// testdata/receipts.golden before receipts became compact.
+func TestReceiptsAndBlockGiveFullReceipts(t *testing.T) {
+	var out strings.Builder
+	for _, seed := range []int64{1, 2, 3} {
+		d := randomBody(seed, 30)
+		c := New(Config{GasLimit: d.gasLimit, Registry: d.reg}, d.genesis)
+		for b := 0; b < 3; b++ {
+			blk := buildBlock(t, c, d.txs[10*b:10*b+10])
+			if _, err := c.InsertBlock(blk); err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&out, "block %d %d %x %x\n", seed, blk.Number(), blk.Hash(), blk.Header.ReceiptRoot)
+			for i, r := range c.Receipts(blk.Hash()) {
+				fmt.Fprintf(&out, "%d %d %d %x %d %d %x\n", seed, blk.Number(), i, blk.Txs[i].Hash(), r.Status, r.GasUsed, r.ReturnValue)
+			}
+		}
+	}
+	want, err := os.ReadFile("testdata/receipts.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.String(); got != string(want) {
+		t.Errorf("blocks and receipts differ from the golden:\n%s", got)
 	}
 }

@@ -29,7 +29,7 @@ type ExecKey struct {
 // post-execution state, structure-shared by every adopter: it must be
 // treated as read-only (Chain copies it before mutating).
 type ExecResult struct {
-	Receipts    []*types.Receipt
+	Receipts    []types.Receipt // Receipts[i] is the i-th transaction's
 	Post        *statedb.StateDB
 	GasUsed     uint64
 	StateRoot   types.Hash

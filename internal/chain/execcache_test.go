@@ -51,7 +51,7 @@ func TestExecCacheSharedAcrossPeers(t *testing.T) {
 	if hitsAfter <= hitsBefore {
 		t.Error("validator import did not hit the cache")
 	}
-	if len(receipts) != 1 || receipts[0] != producerReceipts[0] {
+	if len(receipts) != 1 || &receipts[0] != &producerReceipts[0] {
 		t.Error("cached import did not share the memoized receipts")
 	}
 	if producer.State().Root() != validator.State().Root() {

@@ -125,8 +125,7 @@ func (p *ParallelProcessor) processParallel(parentState *statedb.StateDB, header
 	// copy (and flush) once Process returns.
 	defer sched.stop()
 
-	slab := make([]types.Receipt, len(txs))
-	receipts := make([]*types.Receipt, 0, len(txs))
+	receipts := make([]types.Receipt, len(txs))
 	// The serial lane: conflicting speculations re-execute against the
 	// committed state through the oracle's own applyTransaction.
 	var serial *evm.EVM
@@ -145,7 +144,7 @@ func (p *ParallelProcessor) processParallel(parentState *statedb.StateDB, header
 			// nonce bump (read-only contract calls carried by a tx) take
 			// the cheaper commit paths: the serving tier's read traffic
 			// must not pay a full overlay walk per transaction.
-			slab[i] = t.receipt
+			receipts[i] = t.receipt
 			if t.view.IsReadOnly() {
 				readOnly++
 			} else if addr, nonce, ok := t.view.NonceOnlyWrite(); ok {
@@ -163,15 +162,13 @@ func (p *ParallelProcessor) processParallel(parentState *statedb.StateDB, header
 				serial = evm.New(st, evm.BlockContext{Number: header.Number, Time: header.Time})
 			}
 			st.ReserveJournal(statedb.JournalEntriesPerTx)
-			slab[i] = types.Receipt{}
-			if err := p.seq.applyTransaction(serial, st, header, tx, i, &slab[i]); err != nil {
+			if err := p.seq.applyTransaction(serial, st, tx, &receipts[i]); err != nil {
 				return nil, fmt.Errorf("tx %d: %w", i, err)
 			}
 			reruns++
 		}
 		sched.release(i)
-		gasUsed += slab[i].GasUsed
-		receipts = append(receipts, &slab[i])
+		gasUsed += receipts[i].GasUsed
 	}
 	st.DiscardJournal()
 	p.speculated.Add(uint64(len(txs)))
@@ -184,6 +181,6 @@ func (p *ParallelProcessor) processParallel(parentState *statedb.StateDB, header
 		Post:        st,
 		GasUsed:     gasUsed,
 		StateRoot:   st.Root(),
-		ReceiptRoot: types.DeriveReceiptRoot(receipts),
+		ReceiptRoot: types.DeriveReceiptRoot(header.Number, txs, receipts),
 	}, nil
 }

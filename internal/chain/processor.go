@@ -1,6 +1,6 @@
 // Processor: the unified block-execution pipeline. One Process call
 // replays a body against a parent-state copy and produces a complete
-// ExecResult — receipts allocated from a per-block arena slab, one
+// ExecResult — the block's receipts as one slab of values, one
 // reused EVM instance for the whole body (its interpreter frames come
 // from the evm package's pool), and the state/receipt roots derived
 // exactly once per validated execution. The miner (header construction,
@@ -50,7 +50,7 @@ func NewProcessor(cfg Config) *Processor {
 }
 
 // Process replays txs on a copy of parentState and returns the full
-// validated transition: receipts (from a single arena slab), the
+// validated transition: receipts (one slab, in body order), the
 // flushed post state, total gas, and the memoized state and receipt
 // roots. The error return is reserved for bodies that may not form a
 // block at all (bad signature/nonce, gas limit overrun); logical
@@ -62,12 +62,11 @@ func (p *Processor) Process(parentState *statedb.StateDB, header *types.Header, 
 	// constant the parallel processor's per-worker reservations use), so
 	// the replay proceeds without a single growth copy.
 	st.ReserveJournal(statedb.BodyJournalCapacity(len(txs)))
-	// Arena: every receipt of the block comes from one slab, one
-	// allocation for the whole body instead of one per transaction. The
-	// slab is sized exactly and never reused across blocks — receipts
-	// outlive the block in the chain's receipt store and the ExecCache.
-	slab := make([]types.Receipt, len(txs))
-	receipts := make([]*types.Receipt, 0, len(txs))
+	// Every receipt of the block is a value in one slab, one allocation
+	// for the whole body. The slab is sized exactly and never reused
+	// across blocks — receipts outlive the block in the chain's receipt
+	// store and the ExecCache.
+	receipts := make([]types.Receipt, len(txs))
 	// One EVM for the whole body: the state and block context are
 	// per-block constants, so rebinding per transaction bought nothing.
 	machine := evm.New(st, evm.BlockContext{Number: header.Number, Time: header.Time})
@@ -77,12 +76,10 @@ func (p *Processor) Process(parentState *statedb.StateDB, header *types.Header, 
 		if gasUsed+tx.GasLimit > p.gasLimit {
 			return nil, ErrGasLimitReached
 		}
-		receipt := &slab[i]
-		if err := p.applyTransaction(machine, st, header, tx, i, receipt); err != nil {
+		if err := p.applyTransaction(machine, st, tx, &receipts[i]); err != nil {
 			return nil, fmt.Errorf("tx %d: %w", i, err)
 		}
-		gasUsed += receipt.GasUsed
-		receipts = append(receipts, receipt)
+		gasUsed += receipts[i].GasUsed
 	}
 	st.DiscardJournal()
 	return &ExecResult{
@@ -90,7 +87,7 @@ func (p *Processor) Process(parentState *statedb.StateDB, header *types.Header, 
 		Post:        st,
 		GasUsed:     gasUsed,
 		StateRoot:   st.Root(),
-		ReceiptRoot: types.DeriveReceiptRoot(receipts),
+		ReceiptRoot: types.DeriveReceiptRoot(header.Number, txs, receipts),
 	}, nil
 }
 
@@ -99,7 +96,7 @@ func (p *Processor) Process(parentState *statedb.StateDB, header *types.Header, 
 // appear in a block at all (bad signature / nonce). Logical failures
 // (reverts, EVM faults, contract-reported no-ops) produce a Failed
 // receipt with every state effect rolled back.
-func (p *Processor) applyTransaction(machine *evm.EVM, st execState, header *types.Header, tx *types.Transaction, txIndex int, receipt *types.Receipt) error {
+func (p *Processor) applyTransaction(machine *evm.EVM, st execState, tx *types.Transaction, receipt *types.Receipt) error {
 	if p.registry != nil {
 		if err := p.registry.VerifyTx(tx); err != nil {
 			return fmt.Errorf("%w: %v", ErrBadSignature, err)
@@ -111,9 +108,6 @@ func (p *Processor) applyTransaction(machine *evm.EVM, st execState, header *typ
 	st.SetNonce(tx.From, tx.Nonce+1)
 
 	intrinsic := evm.IntrinsicGas(tx.Data)
-	receipt.TxHash = tx.Hash()
-	receipt.BlockNumber = header.Number
-	receipt.TxIndex = txIndex
 	if intrinsic > tx.GasLimit {
 		receipt.Status = types.StatusFailed
 		receipt.GasUsed = tx.GasLimit

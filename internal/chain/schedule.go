@@ -74,7 +74,7 @@ func (s *speculation) run(seq *Processor, parentState *statedb.StateDB, header *
 		view.Reset(parentState)
 		machine.Reset(view)
 		t.view = view
-		t.err = seq.applyTransaction(machine, view, header, txs[i], i, &t.receipt)
+		t.err = seq.applyTransaction(machine, view, txs[i], &t.receipt)
 		close(t.done)
 	}
 }

@@ -2,6 +2,7 @@ package evm
 
 import (
 	"bytes"
+	"encoding/binary"
 
 	"sereth/internal/types"
 )
@@ -47,8 +48,9 @@ type TxHint struct {
 // covers the contract set's working set (32-byte mark checks, 64-byte
 // mark derivations) without the lookup itself costing a hash.
 const (
-	sha3MemoSlots   = 8
-	sha3MemoMaxSize = 64
+	sha3MemoSlotBits = 3
+	sha3MemoSlots    = 1 << sha3MemoSlotBits
+	sha3MemoMaxSize  = 64
 )
 
 type sha3MemoEntry struct {
@@ -68,16 +70,21 @@ type sha3Memo struct {
 	entries [sha3MemoSlots]sha3MemoEntry
 }
 
-// slot picks the direct-mapped bucket: length plus boundary bytes is
-// enough to keep the contract's distinct inputs from thrashing one
-// slot, and a collision only costs a recompute.
+// slot picks the direct-mapped bucket from every byte of the input: the
+// xor of its 8-byte lanes, its tail bytes and its length, spread by a
+// multiplicative hash whose top bits index the slots. Boundary bytes
+// alone are not enough: a price word's first byte is always zero, so
+// two prices that share their last byte would evict each other. A
+// collision only costs a recompute.
 func (m *sha3Memo) slot(data []byte) *sha3MemoEntry {
-	h := uint(len(data))
-	if len(data) > 0 {
-		h = h*131 + uint(data[0])
-		h = h*131 + uint(data[len(data)-1])
+	h := uint64(len(data))
+	for ; len(data) >= 8; data = data[8:] {
+		h ^= binary.LittleEndian.Uint64(data)
 	}
-	return &m.entries[h%sha3MemoSlots]
+	for _, b := range data {
+		h = h<<8 | h>>56 ^ uint64(b)
+	}
+	return &m.entries[(h*0x9e3779b97f4a7c15)>>(64-sha3MemoSlotBits)]
 }
 
 func (m *sha3Memo) lookup(data []byte) (types.Word, bool) {

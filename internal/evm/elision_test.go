@@ -8,6 +8,7 @@ package evm
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sereth/internal/keccak"
@@ -232,6 +233,35 @@ func TestSha3MemoDifferential(t *testing.T) {
 	}
 }
 
+// TestSha3MemoKeepsPricesThatShareALastByte: a body that hashes price A,
+// then price B — a word with A's length, first byte (zero, as every
+// price's) and last byte — then A again computes A's digest once. The
+// memo's slot used to be chosen by those three alone, so B evicted A and
+// the block hashed A twice.
+func TestSha3MemoKeepsPricesThatShareALastByte(t *testing.T) {
+	a, b := types.WordFromUint64(0x0105), types.WordFromUint64(0x0205)
+	prices := []types.Word{a, b, a}
+	want := make([]types.Word, len(prices))
+	for i, price := range prices {
+		want[i] = types.Keccak(price[:]).Word()
+	}
+	ctx := CallContext{Contract: types.Address{19: 0xcc}, Gas: 100_000}
+	e := New(newDiffState(sha3Prog(36, 32, false)), BlockContext{})
+	defer e.Release()
+	got := make([]types.Word, len(prices))
+	before := keccak.Invocations()
+	for i, price := range prices {
+		ctx.Input = append(make([]byte, 36), price[:]...)
+		got[i] = e.Call(ctx).ReturnWord()
+	}
+	if n := keccak.Invocations() - before; n != 2 {
+		t.Errorf("A, B, A: %d sponges, want 2", n)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("A, B, A: digests %x, want %x", got, want)
+	}
+}
+
 // TestPooledScratchCarriesNothing pins Release: the machine goes back
 // with no state, no RAA provider, no hint and no memo entry, and the next
 // New — whether or not the pool hands that machine out again — starts
@@ -239,8 +269,9 @@ func TestSha3MemoDifferential(t *testing.T) {
 // emptied: that buffer holds bytes, not references, and a Result aliases
 // it only until the machine's next Call or Release, so each round below
 // compares its return data before Release. The second half does not look
-// inside: it has a machine hash another program's inputs — same lengths and boundary bytes as the
-// next caller's, so they land in the same direct-mapped memo slots —
+// inside: it has a machine hash another program's inputs — same lengths
+// as the next caller's and chosen to land in the same direct-mapped memo
+// slots —
 // releases it, and demands the next caller's digests, gas and sponge
 // count from a machine that never was in the pool.
 func TestPooledScratchCarriesNothing(t *testing.T) {
@@ -288,7 +319,10 @@ func TestPooledScratchCarriesNothing(t *testing.T) {
 		other := make([]byte, 128)
 		rng.Read(other)
 		mine := bytes.Clone(other)
-		rng.Read(mine[37 : 35+size]) // same length, same first and last byte: same slot
+		var memo sha3Memo
+		for memo.slot(mine[36:36+size]) != memo.slot(other[36:36+size]) || bytes.Equal(mine, other) {
+			rng.Read(mine[36 : 36+size]) // same length and slot, other content
+		}
 		prog := sha3Prog(36, byte(size), false)
 
 		filler := New(newDiffState(prog), BlockContext{})

@@ -389,17 +389,33 @@ type Miner struct {
 	coinbase types.Address
 	// maxSealIter bounds the PoW nonce search.
 	maxSealIter uint64
+	// headState is the state the build in progress reads nonces from,
+	// nil between builds, and nextNonce the reader of it the strategy is
+	// handed: made once, so a build allocates no method value for it.
+	// Builds are serialised already: a strategy pulls one ordering at a
+	// time.
+	headState *statedb.StateDB
+	nextNonce func(types.Address) uint64
 }
 
 // NewMiner returns a miner using the given ordering strategy.
 func NewMiner(c *chain.Chain, pool *txpool.Pool, strategy Strategy, coinbase types.Address) *Miner {
-	return &Miner{
+	m := &Miner{
 		chain:       c,
 		pool:        pool,
 		strategy:    strategy,
 		coinbase:    coinbase,
 		maxSealIter: 1 << 24,
 	}
+	m.nextNonce = func(addr types.Address) uint64 { return m.headState.GetNonce(addr) }
+	return m
+}
+
+// builtBlock is a block and its header in one object, which is what a
+// build allocates for them.
+type builtBlock struct {
+	block  types.Block
+	header types.Header
 }
 
 // BuildBlock assembles, executes and seals the next block at the given
@@ -422,8 +438,8 @@ func (m *Miner) Build(timestamp uint64) (*types.Block, *chain.ExecResult, error)
 	// needs.
 	var head *types.Block
 	var headHash types.Hash
-	var state *statedb.StateDB
-	m.chain.ReadHeadState(func(h *types.Block, hash types.Hash, st *statedb.StateDB) { head, headHash, state = h, hash, st })
+	m.chain.ReadHeadState(func(h *types.Block, hash types.Hash, st *statedb.StateDB) { head, headHash, m.headState = h, hash, st })
+	state := m.headState
 	// The pool's shared snapshot: strategies treat pending transactions
 	// as read-only.
 	pending, minGas := m.pool.SnapshotMinGas()
@@ -438,7 +454,7 @@ func (m *Miner) Build(timestamp uint64) (*types.Block, *chain.ExecResult, error)
 	limit := m.chain.Config().GasLimit
 	// The block keeps body's backing array: size it by what can fit.
 	body := make([]*types.Transaction, 0, min(uint64(len(pending)), limit/max(minGas, 1)))
-	ordering := m.strategy.Pull(pending, state.GetNonce)
+	ordering := m.strategy.Pull(pending, m.nextNonce)
 	var budget uint64                          // <= limit
 	gapped := make(map[types.Address]struct{}) // senders with a tx skipped for gas
 	for minGas <= limit-budget {
@@ -457,15 +473,18 @@ func (m *Miner) Build(timestamp uint64) (*types.Block, *chain.ExecResult, error)
 		body = append(body, tx)
 	}
 	m.strategy.release()
+	m.headState = nil
 
-	header := &types.Header{
+	built := &builtBlock{header: types.Header{
 		ParentHash: headHash,
 		Number:     head.Number() + 1,
 		Coinbase:   m.coinbase,
 		Difficulty: m.chain.Config().Difficulty,
 		GasLimit:   limit,
 		Time:       timestamp,
-	}
+	}}
+	header, block := &built.header, &built.block
+	block.Header, block.Txs = header, body
 	res, err := m.chain.Process(state, header, body)
 	if err != nil {
 		return nil, nil, fmt.Errorf("build block %d: %w", header.Number, err)
@@ -474,7 +493,6 @@ func (m *Miner) Build(timestamp uint64) (*types.Block, *chain.ExecResult, error)
 	// every peer will import, so no importer ever re-derives it; the
 	// state and receipt roots come memoized from the processor's single
 	// derivation.
-	block := &types.Block{Header: header, Txs: body}
 	header.TxRoot = block.TxRoot()
 	header.ReceiptRoot = res.ReceiptRoot
 	header.StateRoot = res.StateRoot

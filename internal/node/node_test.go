@@ -636,9 +636,9 @@ func TestMineAndBroadcastExecutesOnce(t *testing.T) {
 	if len(block.Txs) != 30 || n.Chain().Height() != 1 {
 		t.Fatalf("mined %d txs to height %d, want 30 to 1", len(block.Txs), n.Chain().Height())
 	}
-	for _, r := range n.Chain().Receipts(block.Hash()) {
+	for i, r := range n.Chain().Receipts(block.Hash()) {
 		if r.Status != types.StatusSucceeded {
-			t.Fatalf("tx %d failed", r.TxIndex)
+			t.Fatalf("tx %d failed", i)
 		}
 	}
 	t.Logf("build %d digests, mine and import %d", build, mine)

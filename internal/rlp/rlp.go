@@ -164,6 +164,14 @@ func StringSize(s []byte) int {
 	return lengthSize(len(s)) + len(s)
 }
 
+// UintSize returns len(AppendUint(nil, v)).
+func UintSize(v uint64) int {
+	if v < 0x80 {
+		return 1
+	}
+	return 1 + (bits.Len64(v)+7)/8
+}
+
 // ListSize returns the encoded size of a list with payload bytes of
 // children: header plus payload.
 func ListSize(payload int) int { return lengthSize(payload) + payload }

@@ -271,9 +271,9 @@ func TestAppendHelpersMatchEncode(t *testing.T) {
 	}
 }
 
-// TestSizeHelpersMatchAppend pins StringSize, ListSize and
+// TestSizeHelpersMatchAppend pins StringSize, UintSize, ListSize and
 // AppendListHeader to what the append path writes, across the 1-, 2- and
-// 3-byte header boundaries.
+// 3-byte header boundaries and every integer width.
 func TestSizeHelpersMatchAppend(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 54, 55, 56, 57, 255, 256, 257, 65535, 65536, 70000} {
 		s := bytes.Repeat([]byte{0x9c}, n)
@@ -291,6 +291,11 @@ func TestSizeHelpersMatchAppend(t *testing.T) {
 	for _, b := range []byte{0x00, 0x01, 0x7f, 0x80, 0xff} {
 		if got, want := StringSize([]byte{b}), len(AppendString(nil, []byte{b})); got != want {
 			t.Errorf("StringSize({%#x}) = %d, AppendString writes %d", b, got, want)
+		}
+	}
+	for _, v := range []uint64{0, 1, 0x7f, 0x80, 0xff, 0x100, 0xffff, 1 << 16, 1<<56 - 1, 1 << 56, 1<<64 - 1} {
+		if got, want := UintSize(v), len(AppendUint(nil, v)); got != want {
+			t.Errorf("UintSize(%#x) = %d, AppendUint writes %d", v, got, want)
 		}
 	}
 }

@@ -73,9 +73,9 @@ func (c *censor) report(res *Result) error {
 	for _, n := range c.s.nodes {
 		c.res.Excluded += n.CensorExcluded()
 	}
-	c.s.canonical(func(_ *types.Block, _ types.Hash, receipts []*types.Receipt) {
-		for _, r := range receipts {
-			if c.hashes[r.TxHash] {
+	c.s.canonical(func(block *types.Block, _ types.Hash, receipts []types.Receipt) {
+		for i := range receipts {
+			if c.hashes[block.Txs[i].Hash()] {
 				c.res.Included++
 			}
 		}
@@ -191,12 +191,12 @@ func (a *attack) sendBlock(blk *types.Block) {
 }
 
 func (a *attack) report(res *Result) error {
-	a.s.canonical(func(_ *types.Block, hash types.Hash, receipts []*types.Receipt) {
+	a.s.canonical(func(block *types.Block, hash types.Hash, receipts []types.Receipt) {
 		if a.blocks[hash] {
 			a.res.BlocksAccepted++
 		}
-		for _, r := range receipts {
-			if a.txs[r.TxHash] {
+		for i, r := range receipts {
+			if a.txs[block.Txs[i].Hash()] {
 				a.res.TxsIncluded++
 				if r.Status == types.StatusSucceeded {
 					a.res.TxsSucceeded++

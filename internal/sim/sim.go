@@ -819,8 +819,9 @@ func (s *Population) mine(at uint64) error {
 }
 
 // canonical calls visit for every block of the primary client's
-// canonical chain above genesis, with its receipts.
-func (s *Population) canonical(visit func(block *types.Block, hash types.Hash, receipts []*types.Receipt)) {
+// canonical chain above genesis, with its receipts: receipts[i] is the
+// outcome of block.Txs[i].
+func (s *Population) canonical(visit func(block *types.Block, hash types.Hash, receipts []types.Receipt)) {
 	c := s.clients[0].Chain()
 	// A block's hash is its child's ParentHash and the chain keeps the
 	// head's: the walk hashes no header.
@@ -852,17 +853,18 @@ func (s *Population) collect() (Result, error) {
 		res.Evicted += n.Pool().Evicted()
 	}
 	var lastTime uint64
-	s.canonical(func(block *types.Block, _ types.Hash, receipts []*types.Receipt) {
+	s.canonical(func(block *types.Block, _ types.Hash, receipts []types.Receipt) {
 		lastTime = block.Header.Time
-		for _, receipt := range receipts {
-			succeeded := receipt.Status == types.StatusSucceeded
+		for i := range receipts {
+			hash := block.Txs[i].Hash()
+			succeeded := receipts[i].Status == types.StatusSucceeded
 			switch {
-			case s.buyHashes[receipt.TxHash]:
+			case s.buyHashes[hash]:
 				res.BuysIncluded++
 				if succeeded {
 					res.BuysSucceeded++
 				}
-			case s.setHashes[receipt.TxHash]:
+			case s.setHashes[hash]:
 				res.SetsIncluded++
 				if succeeded {
 					res.SetsSucceeded++

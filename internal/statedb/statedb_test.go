@@ -403,11 +403,17 @@ func TestChurnRootMatchesFromScratch(t *testing.T) {
 // encodings the trie was handed alone: it writes only accounts the
 // overlay took since. Its trie writes leaves the previous flush made and
 // nothing hashed since, so the trie overwrites them in place and
-// allocates nothing itself.
+// allocates nothing itself. The test runs on one processor: the flush
+// returns its overlay to a sync.Pool, and a Put that lands on another
+// processor than the body's Get, one whose slot is taken, grows that
+// processor's shared chain by two objects.
 func TestFlushEncodesAccountsIntoOneSlab(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const accounts = 200
 	s := New()

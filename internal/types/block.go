@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 
+	"sereth/internal/keccak"
 	"sereth/internal/rlp"
 )
 
@@ -161,27 +162,39 @@ func DecodeBlock(data []byte) (*Block, error) {
 // DeriveTxRoot computes the ordered commitment over a transaction list.
 // It hashes the RLP list of transaction hashes; a Merkle trie root over
 // index→tx is equivalent for integrity purposes and this form is cheaper
-// to recompute during validation. The list is encoded flat into one
-// buffer of its final size, whatever the number of transactions.
+// to recompute during validation. The list streams into a hasher on the
+// stack — every element is a 33-byte string, so the header is known
+// before the first — and allocates nothing, whatever the body's length.
 func DeriveTxRoot(txs []*Transaction) Hash {
-	out := make([]byte, 0, 33*len(txs)+listHeaderMaxSize)
+	var h keccak.Hasher
+	var buf [33]byte
+	h.Write(rlp.AppendListHeader(buf[:0], 33*len(txs)))
 	for _, tx := range txs {
-		h := tx.Hash()
-		out = rlp.AppendString(out, h[:])
+		hash := tx.Hash()
+		h.Write(rlp.AppendString(buf[:0], hash[:]))
 	}
-	return Keccak(wrapList(out, 0))
+	return h.Sum256()
 }
 
-// DeriveReceiptRoot computes the ordered commitment over a receipt
-// list: one digest over the RLP list of the receipts' encodings, encoded
-// flat into one buffer of its final size. A receipt costs its encoding,
-// not a digest of its own.
-func DeriveReceiptRoot(receipts []*Receipt) Hash {
-	out := make([]byte, 0, receiptMaxSize*len(receipts)+listHeaderMaxSize)
-	for _, r := range receipts {
-		out = r.AppendRLP(out)
+// DeriveReceiptRoot computes the ordered commitment over the receipts of
+// block number, whose body is txs (receipts[i] is txs[i]'s): one digest
+// over the RLP list of the receipts' encodings, each of which carries its
+// transaction's hash, the block number and its index. The list streams
+// into a hasher on the stack — its length summed from the receipts'
+// sizes, each receipt encoded into one stack buffer — and allocates
+// nothing.
+func DeriveReceiptRoot(number uint64, txs []*Transaction, receipts []Receipt) Hash {
+	payload := 0
+	for i := range receipts {
+		payload += receipts[i].rlpSize(number, i)
 	}
-	return Keccak(wrapList(out, 0))
+	var h keccak.Hasher
+	var buf [receiptMaxSize]byte
+	h.Write(rlp.AppendListHeader(buf[:0], payload))
+	for i := range receipts {
+		h.Write(receipts[i].appendRLP(buf[:0], txs[i].Hash(), number, i))
+	}
+	return h.Sum256()
 }
 
 // Bytes returns the hash as a byte slice (helper for RLP interop).

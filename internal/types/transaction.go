@@ -456,45 +456,47 @@ func (s ReceiptStatus) String() string {
 	return "failed"
 }
 
-// Receipt records the outcome of an included transaction.
+// Receipt records the outcome of an included transaction: what its block
+// cannot give. A block's receipts are one slab in body order, so the
+// transaction of receipts[i] is block.Txs[i], and its hash, its index i
+// and the block's number come from the block.
 type Receipt struct {
-	TxHash      Hash
 	Status      ReceiptStatus
 	GasUsed     uint64
-	ReturnValue Word   // first word of the EVM return data, if any
-	BlockNumber uint64 // block that included the transaction
-	TxIndex     int    // position within the block
+	ReturnValue Word // first word of the EVM return data, if any
 }
 
-// receiptMaxSize bounds a receipt's encoding: 2 (header) + 33 + 2 + 9 +
-// 33 + 9 + 9 bytes.
+// receiptMaxSize bounds the encoding the receipt root commits to: 2
+// (header) + 33 (transaction hash) + 2 + 9 + 33 + 9 (block number) + 9
+// (index) bytes.
 const receiptMaxSize = 104
 
-// EncodeRLP serializes the receipt for the receipt trie.
-func (r *Receipt) EncodeRLP() []byte {
-	return r.AppendRLP(nil)
-}
-
-// AppendRLP appends the receipt's RLP encoding to out — the same bytes
-// as EncodeRLP via the flat append path (one buffer, no Item tree).
-// DeriveReceiptRoot encodes every receipt of a block through it into
-// one buffer.
-func (r *Receipt) AppendRLP(out []byte) []byte {
+// appendRLP appends the encoding the receipt root commits to for r, the
+// receipt of the index-th transaction, txHash, of block number: the list
+// of the transaction hash, status, gas used, return word, block number
+// and index.
+func (r *Receipt) appendRLP(out []byte, txHash Hash, number uint64, index int) []byte {
 	// The two 32-byte hash fields alone put the payload in [70, 95]
 	// bytes — always the two-byte long-list header (0xf8, len) and
 	// never more than 255 — so the header is reserved up front and
-	// length-patched after encoding the fields in place. This keeps the
-	// whole receipt in the caller's buffer (zero scratch allocations);
+	// length-patched after encoding the fields in place.
 	// TestReceiptAppendRLPMatchesItemTree pins byte-identity with the
 	// Item-tree form across the field ranges.
 	start := len(out)
 	out = append(out, 0xf8, 0)
-	out = rlp.AppendString(out, r.TxHash[:])
+	out = rlp.AppendString(out, txHash[:])
 	out = rlp.AppendUint(out, uint64(r.Status))
 	out = rlp.AppendUint(out, r.GasUsed)
 	out = rlp.AppendString(out, r.ReturnValue[:])
-	out = rlp.AppendUint(out, r.BlockNumber)
-	out = rlp.AppendUint(out, uint64(r.TxIndex))
+	out = rlp.AppendUint(out, number)
+	out = rlp.AppendUint(out, uint64(index))
 	out[start+1] = byte(len(out) - start - 2)
 	return out
+}
+
+// rlpSize returns len(r.appendRLP(nil, txHash, number, index)), which
+// does not depend on the hash.
+func (r *Receipt) rlpSize(number uint64, index int) int {
+	return 2 + 2*33 + rlp.UintSize(uint64(r.Status)) + rlp.UintSize(r.GasUsed) +
+		rlp.UintSize(number) + rlp.UintSize(uint64(index))
 }

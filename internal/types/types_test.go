@@ -311,9 +311,9 @@ func TestDeriveRootsOrderSensitive(t *testing.T) {
 	if r1 == r2 {
 		t.Error("tx root ignores order")
 	}
-	rcpt1 := &Receipt{TxHash: tx1.Hash(), Status: StatusSucceeded}
-	rcpt2 := &Receipt{TxHash: tx2.Hash(), Status: StatusFailed}
-	if DeriveReceiptRoot([]*Receipt{rcpt1, rcpt2}) == DeriveReceiptRoot([]*Receipt{rcpt2, rcpt1}) {
+	rcpt1 := Receipt{Status: StatusSucceeded}
+	rcpt2 := Receipt{Status: StatusFailed}
+	if DeriveReceiptRoot(1, []*Transaction{tx1, tx2}, []Receipt{rcpt1, rcpt2}) == DeriveReceiptRoot(1, []*Transaction{tx2, tx1}, []Receipt{rcpt2, rcpt1}) {
 		t.Error("receipt root ignores order")
 	}
 }
@@ -404,41 +404,106 @@ func TestMarkWithoutFPV(t *testing.T) {
 	}
 }
 
+// fullReceipt is a receipt with the fields its block gives it: the
+// encoding the receipt root commits to.
+type fullReceipt struct {
+	TxHash Hash
+	Receipt
+	BlockNumber uint64
+	TxIndex     int
+}
+
+// itemReceipt is the Item-tree form of a full receipt's encoding.
+func itemReceipt(r fullReceipt) []byte {
+	return rlp.Encode(rlp.List(
+		rlp.String(r.TxHash[:]),
+		rlp.Uint(uint64(r.Status)),
+		rlp.Uint(r.GasUsed),
+		rlp.String(r.ReturnValue[:]),
+		rlp.Uint(r.BlockNumber),
+		rlp.Uint(uint64(r.TxIndex)),
+	))
+}
+
+// receiptCases spans every field's range, the hash's and the index's
+// included.
+func receiptCases() []fullReceipt {
+	max := ^uint64(0)
+	return []fullReceipt{
+		{},
+		{Receipt: Receipt{Status: StatusSucceeded, GasUsed: 1}, BlockNumber: 1, TxIndex: 1},
+		{TxHash: Hash{0xff}, Receipt: Receipt{GasUsed: 21000, ReturnValue: WordFromUint64(42)}, BlockNumber: 128, TxIndex: 99},
+		{TxHash: Hash{1, 2, 3}, Receipt: Receipt{Status: StatusSucceeded, GasUsed: max, ReturnValue: Word{0xaa}}, BlockNumber: max, TxIndex: 1<<31 - 1},
+	}
+}
+
 // TestReceiptAppendRLPMatchesItemTree pins the flat header-patching
 // receipt encoder byte-identical to the Item-tree form across the field
 // extremes (the patch assumes the payload always takes the two-byte
-// long-list header; the hash fields guarantee it).
+// long-list header; the hash fields guarantee it), and the size the
+// receipt root sums to what it writes.
 func TestReceiptAppendRLPMatchesItemTree(t *testing.T) {
-	itemTree := func(r *Receipt) []byte {
-		return rlp.Encode(rlp.List(
-			rlp.String(r.TxHash[:]),
-			rlp.Uint(uint64(r.Status)),
-			rlp.Uint(r.GasUsed),
-			rlp.String(r.ReturnValue[:]),
-			rlp.Uint(r.BlockNumber),
-			rlp.Uint(uint64(r.TxIndex)),
-		))
-	}
-	max := ^uint64(0)
-	receipts := []*Receipt{
-		{},
-		{Status: StatusSucceeded, GasUsed: 1, BlockNumber: 1, TxIndex: 1},
-		{TxHash: Hash{0xff}, GasUsed: 21000, ReturnValue: WordFromUint64(42), BlockNumber: 128, TxIndex: 99},
-		{TxHash: Hash{1, 2, 3}, Status: StatusSucceeded, GasUsed: max, ReturnValue: Word{0xaa}, BlockNumber: max, TxIndex: 1<<31 - 1},
-	}
-	for i, r := range receipts {
-		got := r.AppendRLP(nil)
-		want := itemTree(r)
-		if !bytes.Equal(got, want) {
-			t.Errorf("receipt %d: AppendRLP %x, item tree %x", i, got, want)
+	for i, r := range receiptCases() {
+		want := itemReceipt(r)
+		if got := r.appendRLP(nil, r.TxHash, r.BlockNumber, r.TxIndex); !bytes.Equal(got, want) {
+			t.Errorf("receipt %d: appendRLP %x, item tree %x", i, got, want)
 		}
-		if enc := r.EncodeRLP(); !bytes.Equal(enc, want) {
-			t.Errorf("receipt %d: EncodeRLP %x, item tree %x", i, enc, want)
+		if got := r.rlpSize(r.BlockNumber, r.TxIndex); got != len(want) {
+			t.Errorf("receipt %d: rlpSize %d, item tree %d bytes", i, got, len(want))
 		}
 		// Appending after existing bytes must not disturb the prefix.
 		pre := []byte{0xde, 0xad}
-		if got := r.AppendRLP(pre); !bytes.Equal(got[:2], pre) || !bytes.Equal(got[2:], want) {
-			t.Errorf("receipt %d: AppendRLP with prefix diverged", i)
+		if got := r.appendRLP(pre, r.TxHash, r.BlockNumber, r.TxIndex); !bytes.Equal(got[:2], pre) || !bytes.Equal(got[2:], want) {
+			t.Errorf("receipt %d: appendRLP with prefix diverged", i)
+		}
+	}
+}
+
+// TestDeriveReceiptRootStreams: the streamed receipt root is the digest
+// of the flat list the root was before it streamed — the receipts'
+// full encodings, with their transactions' hashes, block number and
+// indices, in one buffer — for an empty, a one, a two, a hundred and a
+// two hundred receipt block (indices past 127 take two bytes), at block
+// numbers across the integer widths, and over the encoder's field-range
+// cases; and it allocates nothing.
+func TestDeriveReceiptRootStreams(t *testing.T) {
+	flat := func(number uint64, txs []*Transaction, receipts []Receipt) Hash {
+		var out []byte
+		for i := range receipts {
+			out = append(out, itemReceipt(fullReceipt{txs[i].Hash(), receipts[i], number, i})...)
+		}
+		return Keccak(rlp.AppendList(nil, out))
+	}
+	for _, n := range []int{0, 1, 2, 100, 200} {
+		txs := make([]*Transaction, n)
+		receipts := make([]Receipt, n)
+		for i := range txs {
+			txs[i] = sampleTx()
+			txs[i].Nonce = uint64(i)
+			txs[i].Memoize()
+			receipts[i] = Receipt{Status: ReceiptStatus(i % 2), GasUsed: 21000 + uint64(i)*977, ReturnValue: WordFromUint64(uint64(i))}
+		}
+		for _, number := range []uint64{0, 1, 0x80, 1 << 40, ^uint64(0)} {
+			if got, want := DeriveReceiptRoot(number, txs, receipts), flat(number, txs, receipts); got != want {
+				t.Fatalf("%d receipts at block %d: root %x, flat buffer %x", n, number, got, want)
+			}
+		}
+		if got := testing.AllocsPerRun(20, func() { DeriveReceiptRoot(7, txs, receipts) }); got != 0 {
+			t.Errorf("%d receipts: DeriveReceiptRoot allocates %v times, want 0", n, got)
+		}
+	}
+	// The field-range cases as one block's receipts, each of a
+	// transaction with the case's hash, at each case's block number.
+	cases := receiptCases()
+	txs := make([]*Transaction, len(cases))
+	receipts := make([]Receipt, len(cases))
+	for i, c := range cases {
+		txs[i] = &Transaction{derived: &txDerived{hash: c.TxHash, hashed: true}}
+		receipts[i] = c.Receipt
+	}
+	for _, c := range cases {
+		if got, want := DeriveReceiptRoot(c.BlockNumber, txs, receipts), flat(c.BlockNumber, txs, receipts); got != want {
+			t.Errorf("field-range cases at block %d: root %x, flat buffer %x", c.BlockNumber, got, want)
 		}
 	}
 }

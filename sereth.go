@@ -55,7 +55,9 @@ type (
 	Block = types.Block
 	// Header is a block header.
 	Header = types.Header
-	// Receipt records the outcome of an included transaction.
+	// Receipt records the outcome of an included transaction: status,
+	// gas used and return word. A block's receipts are in body order, so
+	// the block gives the i-th one's transaction hash, index and number.
 	Receipt = types.Receipt
 	// FPV is the (flag, previousMark, value) argument tuple of HMS writes.
 	FPV = types.FPV
