@@ -53,10 +53,12 @@ bench-smoke:
 # chaos-smoke runs the fault-injection determinism/convergence tests, the
 # fault families as actors (each variant reports a result section for
 # exactly the families it plans; every family at once in one population,
-# churn and a crash holding the same peer down), and a short
-# churn+partition sweep under the race detector.
+# churn and a crash holding the same peer down), the counts folded from
+# the primary client's settlement feed against a walk of its finished
+# chain (the feed's watcher runs under the chain's write lock), and a
+# short churn+partition sweep under the race detector.
 chaos-smoke:
-	$(GO) test -race -run 'TestChaosConcurrent|TestChaosTraceDeterministic|TestPartitionHealConverges|TestChurnRejoinCatchUp|TestSectionsFollowPlans|TestFamiliesCompose' ./internal/sim
+	$(GO) test -race -run 'TestChaosConcurrent|TestChaosTraceDeterministic|TestPartitionHealConverges|TestChurnRejoinCatchUp|TestSectionsFollowPlans|TestFamiliesCompose|TestFoldMatchesTheWalk' ./internal/sim
 	$(GO) run -race ./cmd/serethsim -experiment chaos -quick -runs 2 -churn -partition
 
 # parallel-smoke runs the parallel-execution differential suite — the

@@ -84,8 +84,23 @@ func runMarket(mode sereth.Mode) (filled, total int, err error) {
 		ownerNonce uint64
 		ownerMark  sereth.Word
 		buyerNonce = make([]uint64, len(buyers))
-		orderTxs   []sereth.Hash
+		orders     = make(map[sereth.Hash]bool)
 	)
+	// The miner's chain hands every block it adopts or orphans to its
+	// watchers, with its receipts in body order: an order counts as
+	// filled when its block lands (and would be taken back by a reorg,
+	// which one miner never makes).
+	minerNode.Chain().Watch(func(block *sereth.Block, _ sereth.Hash, receipts []sereth.Receipt, adopted bool) {
+		sign := 1
+		if !adopted {
+			sign = -1
+		}
+		for i, receipt := range receipts {
+			if orders[block.Txs[i].Hash()] && receipt.Status.String() == "succeeded" {
+				filled += sign
+			}
+		}
+	})
 
 	now := uint64(0)
 	for tick := 0; tick < ticks; tick++ {
@@ -115,7 +130,7 @@ func runMarket(mode sereth.Mode) (filled, total int, err error) {
 			return 0, 0, err
 		}
 		buyerNonce[b]++
-		orderTxs = append(orderTxs, tx.Hash())
+		orders[tx.Hash()] = true
 
 		if (tick+1)%blockEach == 0 {
 			net.AdvanceTo(now + 500)
@@ -133,22 +148,5 @@ func runMarket(mode sereth.Mode) (filled, total int, err error) {
 		}
 	}
 	net.Drain()
-
-	// Count filled orders across all blocks.
-	orders := make(map[sereth.Hash]bool, len(orderTxs))
-	for _, h := range orderTxs {
-		orders[h] = true
-	}
-	c := minerNode.Chain()
-	for n := uint64(1); n <= c.Height(); n++ {
-		block := c.BlockByNumber(n)
-		// A block's receipts are in body order: the i-th is the outcome
-		// of block.Txs[i], which gives its hash.
-		for i, receipt := range c.Receipts(block.Hash()) {
-			if orders[block.Txs[i].Hash()] && receipt.Status.String() == "succeeded" {
-				filled++
-			}
-		}
-	}
-	return filled, len(orderTxs), nil
+	return filled, len(orders), nil
 }

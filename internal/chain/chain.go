@@ -129,6 +129,7 @@ type Chain struct {
 	sweptAt       uint64      // the head at the last sweep, as the head record carries it
 	written, kept int64       // log bytes persisted since, and kept by it
 	sweepErr      error       // why the last sweep failed; nil if it did not
+	watchers      []func(block *types.Block, hash types.Hash, receipts []types.Receipt, adopted bool)
 
 	sweepMu sync.Mutex // held through a sweep; taken before mu
 }
@@ -244,13 +245,33 @@ func (c *Chain) Base() uint64 {
 	return c.base
 }
 
-// Receipts returns the receipts of a block by hash, one slab in body
-// order: the i-th is the outcome of the block's i-th transaction, whose
-// hash, index and block number the block gives.
+// Receipts returns the receipts of a canonical block by hash, one slab
+// in body order: the i-th is the outcome of the block's i-th
+// transaction, whose hash, index and block number the block gives.
 func (c *Chain) Receipts(blockHash types.Hash) []types.Receipt {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.receipts[blockHash]
+}
+
+// Watch subscribes fn to the chain's settlement feed: it is called
+// synchronously, under the chain's write lock, with each block the chain
+// adopts (adopted true) and each canonical block a fork orphans, newest
+// first and before the branch, which follows in ascending order. An
+// orphan's receipts are nil if the chain never held them (it reopened
+// above the block); it forgets them once fn has seen them. fn must be
+// fast and must not call back into the chain.
+func (c *Chain) Watch(fn func(block *types.Block, hash types.Hash, receipts []types.Receipt, adopted bool)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.watchers = append(c.watchers, fn)
+}
+
+// settle hands one block to every watcher.
+func (c *Chain) settle(block *types.Block, hash types.Hash, receipts []types.Receipt, adopted bool) {
+	for _, fn := range c.watchers {
+		fn(block, hash, receipts, adopted)
+	}
 }
 
 // State returns a private copy of the post-head world state (one
@@ -491,11 +512,8 @@ func (c *Chain) importFork(blocks []*types.Block) (int, error) {
 	if parentState == nil {
 		return 0, fmt.Errorf("%w: parent %d is %d below head %d", ErrForkTooDeep, parent.Number(), depth, head)
 	}
-	type validated struct {
-		hash     types.Hash
-		receipts []types.Receipt
-	}
-	results := make([]validated, len(fork))
+	hashes := make([]types.Hash, len(fork))
+	receipts := make([][]types.Receipt, len(fork))
 	posts := make([]*statedb.StateDB, len(fork))
 	prev, prevHash, prevState := parent, parentHash, parentState
 	for j, b := range fork {
@@ -509,26 +527,33 @@ func (c *Chain) importFork(blocks []*types.Block) (int, error) {
 			return 0, err
 		}
 		hash := b.Hash()
-		receipts, post, err := c.verifyBlockLocked(prev.Header.StateRoot, prevState, b, hash, nil)
+		r, post, err := c.verifyBlockLocked(prev.Header.StateRoot, prevState, b, hash, nil)
 		if err != nil {
 			return 0, err
 		}
-		results[j], posts[j] = validated{hash: hash, receipts: receipts}, post
+		hashes[j], receipts[j], posts[j] = hash, r, post
 		prev, prevHash, prevState = b, hash, post
 	}
 
-	// Commit: truncate the losing suffix and splice in the winner. Orphaned
-	// blocks keep their receipts as side-chain data, but not their post
-	// states; their transactions are NOT re-injected into pools (measured
-	// as orphan loss by the simulator, where a production node would
-	// re-broadcast them).
+	// Commit: truncate the losing suffix — the watchers see it newest
+	// first, each block under its child's ParentHash, and its receipts
+	// and post states go — and splice in the winner. Orphaned transactions
+	// are NOT re-injected into pools (measured as orphan loss by the
+	// simulator, where a production node would re-broadcast them).
 	orphaned := len(c.blocks) - int(attach-c.base)
+	hash := c.headHash
+	for k := len(c.blocks) - 1; k >= int(attach-c.base); k-- {
+		c.settle(c.blocks[k], hash, c.receipts[hash], false)
+		delete(c.receipts, hash)
+		hash = c.blocks[k].Header.ParentHash
+	}
 	c.blocks = c.blocks[:attach-c.base]
 	for j, b := range fork {
 		c.blocks = append(c.blocks, b)
-		c.receipts[results[j].hash] = results[j].receipts
+		c.receipts[hashes[j]] = receipts[j]
+		c.settle(b, hashes[j], receipts[j], true)
 	}
-	c.headHash = results[len(results)-1].hash
+	c.headHash = hashes[len(hashes)-1]
 	// The posts up to the parent's stay (one reopened from the store is
 	// not kept), the branch's below its tip follow.
 	kept := 0
@@ -598,6 +623,7 @@ func (c *Chain) adopt(block *types.Block, hash types.Hash, receipts []types.Rece
 	c.receipts[hash] = receipts
 	c.keepPost(c.state)
 	c.state = post
+	c.settle(block, hash, receipts, true)
 	return nil
 }
 

@@ -190,8 +190,8 @@ func (m *chainModel) fork(parent uint64) []*modelBlock {
 
 // follow has every chain import branch as a fork, checks that each
 // switched to it as the model says — orphaning the blocks above its
-// parent, with the model's receipts for every branch block — and records
-// the switch.
+// parent, whose receipts it forgets, with the model's receipts for every
+// branch block — and records the switch.
 func (m *chainModel) follow(branch []*modelBlock, chains ...*Chain) {
 	m.t.Helper()
 	parent := branch[0].block.Number() - 1
@@ -204,7 +204,7 @@ func (m *chainModel) follow(branch []*modelBlock, chains ...*Chain) {
 		if orphaned != depth {
 			m.t.Fatalf("a fork %d deep orphaned %d blocks", depth, orphaned)
 		}
-		m.receiptsMatch(c, branch)
+		m.receiptsMatch(c, branch, m.canon[parent+1:])
 	}
 	m.forked(parent+1, branch)
 }
@@ -218,13 +218,18 @@ func blocksOf(mbs []*modelBlock) []*types.Block {
 }
 
 // receiptsMatch fails the test unless c holds the model's receipts for
-// every block of branch.
-func (m *chainModel) receiptsMatch(c *Chain, branch []*modelBlock) {
+// every block of branch and none for a block the fork orphaned.
+func (m *chainModel) receiptsMatch(c *Chain, branch, orphaned []*modelBlock) {
 	m.t.Helper()
 	for _, mb := range branch {
 		got := c.Receipts(mb.hash)
 		if !slices.Equal(got, mb.receipts) {
 			m.t.Fatalf("fork block %d: the chain's receipts differ from the model's", mb.block.Number())
+		}
+	}
+	for _, mb := range orphaned {
+		if c.Receipts(mb.hash) != nil {
+			m.t.Fatalf("orphaned block %d: the chain keeps its receipts", mb.block.Number())
 		}
 	}
 }
@@ -402,6 +407,9 @@ func runChainModel(t *testing.T, seed int64, steps int) {
 	defer func() { _ = kv.Close() }()
 
 	c, m := newChainModel(t, rng, writer, cfg)
+	// f folds the settlement feed of the chain under test; a reopened
+	// chain gets a new one.
+	f := watch(c)
 	// crashed reopens the chain after a crash.
 	crashed := func(step int) {
 		crashes++
@@ -410,6 +418,7 @@ func runChainModel(t *testing.T, seed int64, steps int) {
 		if c, err = Open(cfg, kv); err != nil {
 			t.Fatalf("step %d: open after a crash: %v", step, err)
 		}
+		f = watch(c)
 		m.reopened(c, true)
 		m.check(c, kv)
 	}
@@ -417,6 +426,7 @@ func runChainModel(t *testing.T, seed int64, steps int) {
 	forks, deep, deepInner, builds, sweeps, sweepCrashes, reclaimed := 0, 0, 0, 0, 0, 0, int64(0)
 	tearReorg := false // the next step is a longer fork whose write tears
 	for step := 0; step < steps; step++ {
+		f.matches(m, c)
 		r := rng.Intn(100)
 		if tearReorg {
 			r = 55
@@ -526,7 +536,7 @@ func runChainModel(t *testing.T, seed int64, steps int) {
 			if want := int(height-diverge) + 1; orphaned != want {
 				t.Fatalf("step %d: fork at %d orphaned %d blocks, want %d", step, attach, orphaned, want)
 			}
-			m.receiptsMatch(c, branch[diverge-attach:])
+			m.receiptsMatch(c, branch[diverge-attach:], m.canon[diverge:])
 			if parent := m.canon[diverge-1]; height-parent.block.Number() > uint64(kept) {
 				deep++
 				if parent.inner {
@@ -577,6 +587,7 @@ func runChainModel(t *testing.T, seed int64, steps int) {
 			if c, err = Open(cfg, kv); err != nil {
 				t.Fatalf("step %d: reopen: %v", step, err)
 			}
+			f = watch(c)
 			m.reopened(c, false)
 			m.check(c, kv)
 		default: // a crash that drops part of the unsynced tail
@@ -585,6 +596,7 @@ func runChainModel(t *testing.T, seed int64, steps int) {
 		}
 	}
 	m.check(c, kv)
+	f.matches(m, c)
 	t.Logf("%d steps: head %d, %d forks (%d below the window, %d of them through an earlier branch), %d own builds, %d crashes (%d tearing a reorg)",
 		steps, c.Height(), forks, deep, deepInner, builds, crashes, tornReorgs)
 	t.Logf("%d sweeps reclaiming %d bytes, %d of them stopped before the rename", sweeps, reclaimed, sweepCrashes)
@@ -614,6 +626,7 @@ func TestChainModelReorgHorizon(t *testing.T) {
 	cfg.Store = store.NewMem()
 	stored, _ := newChainModel(t, rand.New(rand.NewSource(1)), writer, cfg)
 	chains := []*Chain{c, stored}
+	feeds := []*feed{watch(c), watch(stored)}
 
 	// empty builds an empty child of parent; the header's random time
 	// keeps it apart from its siblings.
@@ -659,4 +672,7 @@ func TestChainModelReorgHorizon(t *testing.T) {
 	m.follow(branchOn(height-horizon), chains...)
 	m.check(c, nil)
 	m.check(stored, cfg.Store)
+	for i, f := range feeds {
+		f.matches(m, chains[i])
+	}
 }

@@ -34,8 +34,6 @@ type actor interface {
 	// events returns the actor's timeline events; the submission window
 	// is [buyStart, buyStart+span).
 	events(buyStart, span uint64) []event
-	// accepted sees every buy a client admitted.
-	accepted(tx *types.Transaction)
 	// observe runs after every timeline event and once after the drain.
 	observe(at uint64)
 	// settled reports whether the actor has nothing outstanding, so the
@@ -55,7 +53,6 @@ type passive struct{}
 func (passive) configure(int, *node.Config) error { return nil }
 func (passive) start()                            {}
 func (passive) events(uint64, uint64) []event     { return nil }
-func (passive) accepted(*types.Transaction)       {}
 func (passive) observe(uint64)                    {}
 func (passive) settled() bool                     { return true }
 func (passive) close()                            {}

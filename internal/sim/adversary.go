@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 
 	"sereth/internal/asm"
 	"sereth/internal/node"
@@ -32,9 +31,8 @@ type CensorResult struct {
 type censor struct {
 	passive
 	s       *Population
-	targets []types.Address
-	hashes  map[types.Hash]bool // the targeted senders' accepted buys
-	left    int                 // miners still to configure
+	targets []types.Address // the first buyers' addresses
+	left    int             // miners still to configure
 	res     CensorResult
 }
 
@@ -43,7 +41,7 @@ func newCensor(s *Population, plan CensorPlan) *censor {
 	if k <= 0 {
 		k = (len(s.buyers) + 3) / 4
 	}
-	c := &censor{s: s, hashes: make(map[types.Hash]bool), left: plan.Miners}
+	c := &censor{s: s, left: plan.Miners}
 	for _, b := range s.buyers[:min(k, len(s.buyers))] {
 		c.targets = append(c.targets, b.Address())
 	}
@@ -62,24 +60,14 @@ func (c *censor) configure(_ int, cfg *node.Config) error {
 	return nil
 }
 
-func (c *censor) accepted(tx *types.Transaction) {
-	if slices.Contains(c.targets, tx.From) {
-		c.res.Submitted++
-		c.hashes[tx.Hash()] = true
-	}
-}
-
 func (c *censor) report(res *Result) error {
 	for _, n := range c.s.nodes {
 		c.res.Excluded += n.CensorExcluded()
 	}
-	c.s.canonical(func(block *types.Block, _ types.Hash, receipts []types.Receipt) {
-		for i := range receipts {
-			if c.hashes[block.Txs[i].Hash()] {
-				c.res.Included++
-			}
-		}
-	})
+	for _, t := range c.s.buys[:len(c.targets)] {
+		c.res.Submitted += t.submitted
+		c.res.Included += t.included
+	}
 	res.Censor = &c.res
 	return nil
 }
@@ -115,17 +103,16 @@ type AttackResult struct {
 	BlocksAccepted int
 }
 
-// attack is the attack family: one attacker peer, and the emissions the
-// report looks for on the canonical chain.
+// attack is the attack family: one attacker peer, and the tallies of
+// its emissions on the canonical chain.
 type attack struct {
 	passive
-	s      *Population
-	plan   AttackPlan
-	id     p2p.PeerID
-	peer   attacker
-	txs    map[types.Hash]bool
-	blocks map[types.Hash]bool
-	res    AttackResult
+	s           *Population
+	plan        AttackPlan
+	id          p2p.PeerID
+	peer        attacker
+	txs, blocks tally
+	res         AttackResult
 }
 
 // attacker joins the network as a regular peer (so it sees honest
@@ -141,7 +128,7 @@ type attacker interface {
 // newAttack builds the attacker; a front-runner's funded key is
 // registered before the registry is shared out to the population.
 func newAttack(s *Population, plan AttackPlan, reg *wallet.Registry) (*attack, error) {
-	a := &attack{s: s, plan: plan, txs: make(map[types.Hash]bool), blocks: make(map[types.Hash]bool)}
+	a := &attack{s: s, plan: plan}
 	switch plan.Kind {
 	case AdversaryForger:
 		a.peer = &forger{a: a, key: wallet.NewKey(fmt.Sprintf("forger-%d", s.cfg.Seed))}
@@ -175,35 +162,24 @@ func (a *attack) events(buyStart, span uint64) []event {
 	return evs
 }
 
-// sendTx memoizes and gossips an attack transaction, remembering it for
-// the report.
+// sendTx memoizes and gossips an attack transaction, tallying it for the
+// report.
 func (a *attack) sendTx(tx *types.Transaction) {
 	tx.Memoize()
-	a.txs[tx.Hash()] = true
+	a.s.tallies[tx.Hash()] = &a.txs
 	a.res.TxsSent++
 	a.s.net.BroadcastTx(a.id, tx)
 }
 
 func (a *attack) sendBlock(blk *types.Block) {
-	a.blocks[blk.Hash()] = true
+	a.s.tallies[blk.Hash()] = &a.blocks
 	a.res.BlocksSent++
 	a.s.net.BroadcastBlock(a.id, blk)
 }
 
 func (a *attack) report(res *Result) error {
-	a.s.canonical(func(block *types.Block, hash types.Hash, receipts []types.Receipt) {
-		if a.blocks[hash] {
-			a.res.BlocksAccepted++
-		}
-		for i, r := range receipts {
-			if a.txs[block.Txs[i].Hash()] {
-				a.res.TxsIncluded++
-				if r.Status == types.StatusSucceeded {
-					a.res.TxsSucceeded++
-				}
-			}
-		}
-	})
+	a.res.TxsIncluded, a.res.TxsSucceeded = a.txs.included, a.txs.succeeded
+	a.res.BlocksAccepted = a.blocks.included
 	res.Attack = &a.res
 	return nil
 }

@@ -330,13 +330,15 @@ type Population struct {
 	buyerNonce  []uint64
 	ownerMark   types.Word // owner's locally-tracked chain of marks
 	ownerValue  types.Word // value of the owner's latest set
-	ownerSets   int
-	buysSent    int
 	buysDropped int
 	setsDropped int
-	buyHashes   map[types.Hash]bool
-	setHashes   map[types.Hash]bool
 	blocksMined int
+	// tallies maps what the run follows, by hash, to what it counts
+	// into; head is the last block fold saw the primary client adopt.
+	tallies map[types.Hash]*tally
+	buys    []tally // one per buyer, in buyers' order
+	sets    tally
+	head    types.Hash
 
 	// actors are the run's fault families (none in an honest run).
 	actors []actor
@@ -394,11 +396,10 @@ func New(cfg ScenarioConfig) (*Population, error) {
 		return nil, fmt.Errorf("sim: semantic fraction %.2f needs baseline miners (population has none)", cfg.SemanticFraction)
 	}
 	s := &Population{
-		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		contract:  types.Address{19: 0xcc},
-		buyHashes: make(map[types.Hash]bool),
-		setHashes: make(map[types.Hash]bool),
+		cfg:      cfg,
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		contract: types.Address{19: 0xcc},
+		tallies:  make(map[types.Hash]*tally),
 	}
 
 	reg := wallet.NewRegistry()
@@ -414,6 +415,7 @@ func New(cfg ScenarioConfig) (*Population, error) {
 		}
 	}
 	s.buyerNonce = make([]uint64, len(s.buyers))
+	s.buys = make([]tally, len(s.buyers))
 
 	genesis := statedb.New()
 	genesis.SetCode(s.contract, asm.SerethContract())
@@ -491,6 +493,9 @@ func New(cfg ScenarioConfig) (*Population, error) {
 	// The roles are views of nodes, so a peer rebuilt into nodes is in
 	// its role too.
 	s.semantic, s.baseline, s.clients = s.nodes[:nSemantic], s.nodes[nSemantic:nSemantic+nBaseline], s.nodes[nSemantic+nBaseline:]
+	// No actor rebuilds the primary client (expendable leaves it out).
+	s.head = s.clients[0].Chain().HeadHash()
+	s.clients[0].Chain().Watch(s.fold)
 	for _, a := range s.actors {
 		a.start()
 	}
@@ -818,61 +823,61 @@ func (s *Population) mine(at uint64) error {
 	return nil
 }
 
-// canonical calls visit for every block of the primary client's
-// canonical chain above genesis, with its receipts: receipts[i] is the
-// outcome of block.Txs[i].
-func (s *Population) canonical(visit func(block *types.Block, hash types.Hash, receipts []types.Receipt)) {
-	c := s.clients[0].Chain()
-	// A block's hash is its child's ParentHash and the chain keeps the
-	// head's: the walk hashes no header.
-	hashes := make([]types.Hash, c.Height()+1)
-	hashes[len(hashes)-1] = c.HeadHash()
-	for n := len(hashes) - 1; n > 1; n-- {
-		hashes[n-1] = c.BlockByNumber(uint64(n)).Header.ParentHash
+// tally counts one kind of transaction or block: how many the run
+// submitted, how many the primary client's chain includes, and how many
+// of those succeeded.
+type tally struct{ submitted, included, succeeded int }
+
+// fold watches the primary client's chain: what the run follows of a
+// block counts into its tallies when the chain adopts the block and is
+// taken back when a reorg orphans it, so every tally holds the canonical
+// chain's.
+func (s *Population) fold(block *types.Block, hash types.Hash, receipts []types.Receipt, adopted bool) {
+	sign := -1
+	if adopted {
+		sign, s.head = 1, hash
 	}
-	for n := 1; n < len(hashes); n++ {
-		visit(c.BlockByNumber(uint64(n)), hashes[n], c.Receipts(hashes[n]))
+	if t := s.tallies[hash]; t != nil {
+		t.included += sign
+	}
+	for i, r := range receipts {
+		if t := s.tallies[block.Txs[i].Hash()]; t != nil {
+			t.included += sign
+			if r.Status == types.StatusSucceeded {
+				t.succeeded += sign
+			}
+		}
 	}
 }
 
-// collect classifies every receipt on the primary client's chain, then
+// collect reads the Result off what the run counted and folded, then
 // each actor reports its section.
 func (s *Population) collect() (Result, error) {
+	primary := s.clients[0].Chain()
+	if s.head != primary.HeadHash() {
+		return Result{}, fmt.Errorf("sim: the primary client's head %d is not the last block its feed adopted", primary.Height())
+	}
 	res := Result{
 		Config:        s.cfg,
-		BuysSubmitted: s.buysSent,
 		BuysDropped:   s.buysDropped,
-		SetsSubmitted: s.ownerSets,
+		SetsSubmitted: s.sets.submitted,
+		SetsIncluded:  s.sets.included,
+		SetsSucceeded: s.sets.succeeded,
 		SetsDropped:   s.setsDropped,
-		Blocks:        int(s.clients[0].Chain().Height()),
+		Blocks:        int(primary.Height()),
+		DurationS:     float64(primary.Head().Header.Time),
 		BlocksMined:   s.blocksMined,
 		Converged:     s.convergedNow(),
+	}
+	for _, t := range s.buys {
+		res.BuysSubmitted += t.submitted
+		res.BuysIncluded += t.included
+		res.BuysSucceeded += t.succeeded
 	}
 	res.MsgsSent, res.MsgsDropped = s.net.Stats()
 	for _, n := range s.nodes {
 		res.Evicted += n.Pool().Evicted()
 	}
-	var lastTime uint64
-	s.canonical(func(block *types.Block, _ types.Hash, receipts []types.Receipt) {
-		lastTime = block.Header.Time
-		for i := range receipts {
-			hash := block.Txs[i].Hash()
-			succeeded := receipts[i].Status == types.StatusSucceeded
-			switch {
-			case s.buyHashes[hash]:
-				res.BuysIncluded++
-				if succeeded {
-					res.BuysSucceeded++
-				}
-			case s.setHashes[hash]:
-				res.SetsIncluded++
-				if succeeded {
-					res.SetsSucceeded++
-				}
-			}
-		}
-	})
-	res.DurationS = float64(lastTime)
 	if res.BlocksMined > res.Blocks {
 		res.BlocksOrphaned = res.BlocksMined - res.Blocks
 	}

@@ -19,7 +19,7 @@ func (s *Population) submitSet() error {
 	price := types.WordFromUint64(uint64(10 + s.rng.Intn(90)))
 	committedMark, err := s.clientStorage(0, asm.SlotMark)
 	if err != nil {
-		return fmt.Errorf("read mark for set %d: %w", s.ownerSets, err)
+		return fmt.Errorf("read mark for set %d: %w", s.sets.submitted, err)
 	}
 	flag := types.FlagChain
 	if s.ownerMark == committedMark {
@@ -41,13 +41,13 @@ func (s *Population) submitSet() error {
 			s.setsDropped++
 			return nil
 		}
-		return fmt.Errorf("submit set %d: %w", s.ownerSets, err)
+		return fmt.Errorf("submit set %d: %w", s.sets.submitted, err)
 	}
 	s.ownerNonce++
-	s.ownerSets++
+	s.sets.submitted++
 	s.ownerMark = types.NextMark(s.ownerMark, price)
 	s.ownerValue = price
-	s.setHashes[tx.Hash()] = true
+	s.tallies[tx.Hash()] = &s.sets
 	return nil
 }
 
@@ -99,19 +99,16 @@ func (s *Population) buildBuy(i int) (clientIdx, buyerIdx int, tx *types.Transac
 	}, asm.SelBuy, flag, mark, value), nil
 }
 
-// commitBuy records an accepted buy: the sender's nonce is consumed, the
-// transaction counted into the run's buy set, and every actor sees it.
+// commitBuy records an accepted buy: the sender's nonce is consumed and
+// the transaction tallied as its buyer's.
 func (s *Population) commitBuy(buyerIdx int, tx *types.Transaction) {
 	if s.cfg.SingleSender {
 		s.ownerNonce++
 	} else {
 		s.buyerNonce[buyerIdx]++
 	}
-	s.buysSent++
-	s.buyHashes[tx.Hash()] = true
-	for _, a := range s.actors {
-		a.accepted(tx)
-	}
+	s.buys[buyerIdx].submitted++
+	s.tallies[tx.Hash()] = &s.buys[buyerIdx]
 }
 
 // submitBuy issues one buy through its client.
