@@ -198,9 +198,11 @@ crash-smoke:
 # recycled envelopes keep the delivery traces, allocate nothing on a
 # fault-free mesh and survive two goroutines advancing the clock; then,
 # without the race detector, which changes allocation counts, that a
-# client's signed call is one allocation, a delivery onto a wheel slot a
-# fresh network never used none, a second Sereth contract none (it is
-# assembled once) and, alone, so that no other test binary moves it
+# client's signed call is one allocation, a key derived into a caller's
+# slot none, a delivery onto a wheel slot a fresh network never used
+# none, a second Sereth contract none (it is assembled once), a
+# Figure-2 population what TestPopulationAllocsPinned pins, a fresh
+# pool's admissions up to its index depth none and, alone, so that no other test binary moves it
 # between processors and past its pooled machine, a view read none; then
 # it fuzzes the permutation against the loop form for 30 s.
 elision-smoke:
@@ -215,7 +217,7 @@ elision-smoke:
 	$(GO) test -race -run 'TestSerethContract' ./internal/asm
 	$(GO) test -race -run 'TestTxDigestsEncodeOnTheStack|TestDeriveTxRootIsFlat|TestDeriveReceiptRootStreams|TestFrozenCopyIsOneObject' ./internal/types
 	$(GO) test -race -run 'TestCallReadOnlyResultOutlivesTheMachine' ./internal/node
-	$(GO) test -count=1 -run 'TestSignCallIsOneObject|TestFreshWheelSlotsAllocateNothing|TestSerethContractAssembledOnce' ./internal/wallet ./internal/p2p ./internal/asm
+	$(GO) test -count=1 -run 'TestSignCallIsOneObject|TestDeriveAllocatesNothing|TestFreshWheelSlotsAllocateNothing|TestSerethContractAssembledOnce|TestPopulationAllocsPinned|TestIndicesHoldTheirDepth' ./internal/wallet ./internal/p2p ./internal/asm ./internal/sim ./internal/txpool
 	$(GO) test -count=1 -run 'TestViewAMVAllocs' ./internal/scenarios
 	$(GO) test -run '^$$' -fuzz '^FuzzF1600$$' -fuzztime 30s ./internal/keccak
 

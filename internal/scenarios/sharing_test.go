@@ -44,7 +44,8 @@ import (
 // nodes they replace were made by the previous flush; 918 since the copy
 // shares the account generations, the block's first writes copy their
 // accounts, encoding buffers included, into one slab, and its accounts
-// are sealed into one generation).
+// are sealed into one generation; 900 since a contract's storage overlay
+// is a pooled map that keeps its room from block to block).
 // Pinned to five either side for map growth under the per-process hash
 // seed.
 func TestSharedStorageAllocsPinned(t *testing.T) {
@@ -58,8 +59,8 @@ func TestSharedStorageAllocsPinned(t *testing.T) {
 	if copied != 1 {
 		t.Errorf("statedb/copy-20k-slots: %v allocs per copy, pinned 1", copied)
 	}
-	if replay < 913 || replay > 923 {
-		t.Errorf("replay/kv-250tx-on-20k-slots: %v allocs per block, pinned 918 +- 5", replay)
+	if replay < 895 || replay > 905 {
+		t.Errorf("replay/kv-250tx-on-20k-slots: %v allocs per block, pinned 900 +- 5", replay)
 	}
 }
 

@@ -42,8 +42,8 @@ func newCensor(s *Population, plan CensorPlan) *censor {
 		k = (len(s.buyers) + 3) / 4
 	}
 	c := &censor{s: s, left: plan.Miners}
-	for _, b := range s.buyers[:min(k, len(s.buyers))] {
-		c.targets = append(c.targets, b.Address())
+	for i := range min(k, len(s.buyers)) {
+		c.targets = append(c.targets, s.buyers[i].Address())
 	}
 	if c.left <= 0 {
 		semantic, baseline, _ := s.cfg.population()

@@ -16,7 +16,7 @@ import (
 // have just hashed another contract's inputs: 32- and 64-byte ones, the
 // lengths the Sereth contract hashes, at every boundary-byte residue, so
 // whatever a machine kept of its SHA3 memo across Release would sit in
-// every direct-mapped slot a run looks in.
+// every memo set a run looks in.
 func fillMachineMemos(rng *rand.Rand) {
 	decoy := types.Address{19: 0xdc}
 	st := statedb.New()

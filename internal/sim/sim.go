@@ -13,9 +13,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+	"strconv"
 
 	"sereth/internal/asm"
 	"sereth/internal/chain"
@@ -323,8 +325,10 @@ type Population struct {
 	rpc                         *rpcFrontend // serving tier (nil unless RPCClients)
 
 	contract types.Address
-	owner    *wallet.Key
-	buyers   []*wallet.Key
+	// owner and buyers are slots of one slab of keys; buyers is the
+	// owner's own slot under SingleSender.
+	owner  *wallet.Key
+	buyers []wallet.Key
 
 	ownerNonce  uint64
 	buyerNonce  []uint64
@@ -399,20 +403,28 @@ func New(cfg ScenarioConfig) (*Population, error) {
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		contract: types.Address{19: 0xcc},
-		tallies:  make(map[types.Hash]*tally),
+		// One entry a submission: the opening set, the sets and the buys.
+		tallies: make(map[types.Hash]*tally, 1+cfg.Sets+cfg.Buys),
 	}
 
-	reg := wallet.NewRegistry()
-	s.owner = wallet.NewKey(fmt.Sprintf("owner-%d", cfg.Seed))
-	reg.Register(s.owner)
+	// The owner and the buyers are one slab of keys, named "owner-<seed>"
+	// and "buyer-<seed>-<i>" in a buffer on the stack.
+	n := 1 + cfg.Buyers
 	if cfg.SingleSender {
-		s.buyers = []*wallet.Key{s.owner}
-	} else {
-		for i := 0; i < cfg.Buyers; i++ {
-			k := wallet.NewKey(fmt.Sprintf("buyer-%d-%d", cfg.Seed, i))
-			reg.Register(k)
-			s.buyers = append(s.buyers, k)
-		}
+		n = 1
+	}
+	keys := make([]wallet.Key, n)
+	var name [48]byte
+	keys[0].Derive(strconv.AppendInt(append(name[:0], "owner-"...), cfg.Seed, 10))
+	buyer := strconv.AppendInt(append(name[:0], "buyer-"...), cfg.Seed, 10)
+	buyer = append(buyer, '-')
+	for i := 1; i < len(keys); i++ {
+		keys[i].Derive(strconv.AppendInt(buyer, int64(i-1), 10))
+	}
+	reg := wallet.RegistryOf(keys)
+	s.owner, s.buyers = &keys[0], keys[1:]
+	if cfg.SingleSender {
+		s.buyers = keys
 	}
 	s.buyerNonce = make([]uint64, len(s.buyers))
 	s.buys = make([]tally, len(s.buyers))
@@ -536,7 +548,7 @@ func (s *Population) cleanup() {
 // t=0 (the market's opening price, §II-F) and the buys start after the
 // first block so they never read the empty genesis state.
 func (s *Population) schedule() []event {
-	var events []event
+	events := make([]event, 0, 1+s.cfg.Buys+s.cfg.Sets)
 	buyStart := s.cfg.BlockIntervalMs
 	span := uint64(s.cfg.Buys) * s.cfg.SubmitIntervalMs
 
@@ -561,7 +573,7 @@ func (s *Population) schedule() []event {
 	for _, a := range s.actors {
 		events = append(events, a.events(buyStart, span)...)
 	}
-	sort.SliceStable(events, func(i, j int) bool { return events[i].at < events[j].at })
+	slices.SortStableFunc(events, func(a, b event) int { return cmp.Compare(a.at, b.at) })
 	return events
 }
 

@@ -63,7 +63,7 @@ func (s *Population) submitSet() error {
 // this instance, and its signing digest and hash are derived once.
 func (s *Population) buildBuy(i int) (clientIdx, buyerIdx int, tx *types.Transaction, err error) {
 	buyerIdx = i % len(s.buyers)
-	key := s.buyers[buyerIdx]
+	key := &s.buyers[buyerIdx]
 	clientIdx = buyerIdx % len(s.clients)
 	if s.offline[s.clients[clientIdx].ID()] > 0 {
 		// The buyer's usual client is down: fall back to the primary

@@ -203,3 +203,43 @@ func TestCopySharesNoAccountStruct(t *testing.T) {
 		t.Fatalf("mutated copy root %x, the same contents from scratch %x", cp.Root(), flat.Root())
 	}
 }
+
+// TestPooledSlotOverlayCarriesNothing: a flush hands an account's storage
+// overlay back to the pool empty, so the next first write to a contract —
+// in another state, on another account — finds none of the slots it held:
+// its overlay holds the one slot written, the others read through its
+// own trie, and its root is the root of the same writes on a state whose
+// overlay came fresh.
+func TestPooledSlotOverlayCarriesNothing(t *testing.T) {
+	first := New()
+	for i := range 40 {
+		first.SetState(spreadAddr(1), slotN(uint64(i)), wordN(uint64(i)+1))
+	}
+	first.Root()
+	if m := slotMaps.Get().(map[types.Word]types.Word); len(m) != 0 {
+		t.Fatalf("the pool handed back an overlay holding %d slots", len(m))
+	} else {
+		slotMaps.Put(m)
+	}
+
+	build := func() *StateDB {
+		s := New()
+		s.SetState(spreadAddr(2), slotN(7), wordN(9))
+		s.SetState(spreadAddr(2), slotN(8), wordN(10))
+		return s
+	}
+	next := build()
+	if got := len(next.accounts[spreadAddr(2)].storage); got != 2 {
+		t.Fatalf("the next contract's overlay holds %d slots, want 2", got)
+	}
+	for i := range 40 {
+		if want := map[int]types.Word{7: wordN(9), 8: wordN(10)}[i]; next.GetState(spreadAddr(2), slotN(uint64(i))) != want {
+			t.Fatalf("slot %d of the next contract reads %x, want %x", i, next.GetState(spreadAddr(2), slotN(uint64(i))), want)
+		}
+	}
+	want := build()
+	want.accounts[spreadAddr(2)].storage = map[types.Word]types.Word{slotN(7): wordN(9), slotN(8): wordN(10)}
+	if next.Root() != want.Root() {
+		t.Fatal("a pooled overlay flushes to another root than a fresh one")
+	}
+}

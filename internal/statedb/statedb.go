@@ -113,8 +113,9 @@ type account struct {
 	code    []byte
 	// storage is the private write overlay: every slot written (or
 	// restored by a journal revert) since the last flush, the zero word
-	// meaning cleared. nil until the first write; flush folds it into the
-	// storage trie and drops it, so a flushed account reads only its trie.
+	// meaning cleared. nil until the first write takes a pooled map;
+	// flush folds it into the storage trie and puts it back, so a flushed
+	// account reads only its trie.
 	storage map[types.Word]types.Word
 	// storageTrie commits the storage and holds every flushed slot; it lags
 	// the storage by the overlay until the next flush. nil, meaning
@@ -221,14 +222,20 @@ func (acc *account) slot(key types.Word) types.Word {
 	return acc.loadSlot(key)
 }
 
-// setSlot writes value (zero clears) into the overlay; the account's
-// owner marks it dirty.
+// setSlot writes value (zero clears) into the overlay, a pooled map from
+// the first write on; the account's owner marks it dirty.
 func (acc *account) setSlot(key, value types.Word) {
 	if acc.storage == nil {
-		acc.storage = make(map[types.Word]types.Word)
+		acc.storage = slotMaps.Get().(map[types.Word]types.Word)
 	}
 	acc.storage[key] = value
 }
+
+// slotMaps pools storage overlays. A flush empties an account's overlay
+// into its storage trie and puts the map back, so the first write to a
+// contract in the next block takes a map that already has room for what
+// this block wrote, and allocates nothing.
+var slotMaps = sync.Pool{New: func() any { return make(map[types.Word]types.Word) }}
 
 // journalKind tags one flat journal entry. Every kind records a state
 // effect; the chain's contract-activity classification inspects kinds
@@ -810,9 +817,9 @@ func mergeOlder(newer, older []genEntry) []genEntry {
 const maxAccountEnc = 2 + 2*9 + 2*33
 
 // appendEncoding flushes the account's overlay into its storage trie,
-// drops it, and appends the account's RLP encoding to out. The overlay's
-// values are encoded into one slab, and each is handed to the trie as a
-// capacity-capped slice of it that nobody writes again.
+// pools its map, and appends the account's RLP encoding to out. The
+// overlay's values are encoded into one slab, and each is handed to the
+// trie as a capacity-capped slice of it that nobody writes again.
 func (acc *account) appendEncoding(out []byte) []byte {
 	if len(acc.storage) > 0 {
 		if acc.storageTrie == nil {
@@ -828,7 +835,9 @@ func (acc *account) appendEncoding(out []byte) []byte {
 			slab = rlp.AppendString(slab, minimalBytes(v))
 			acc.storageTrie.UpdateHashed(types.Keccak(k[:]), slab[start:len(slab):len(slab)])
 		}
-		acc.storage = nil // the trie answers for these slots now
+		clear(acc.storage) // the trie answers for these slots now
+		slotMaps.Put(acc.storage)
+		acc.storage = nil
 	}
 	storageRoot := trie.EmptyRoot
 	if acc.storageTrie != nil {

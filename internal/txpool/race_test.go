@@ -1,0 +1,5 @@
+//go:build race
+
+package txpool
+
+const raceEnabled = true

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -934,5 +936,47 @@ func TestSnapshotMatchesModelUnderChurn(t *testing.T) {
 	}
 	if p.Evicted() == 0 {
 		t.Error("the churn never overflowed the pool")
+	}
+}
+
+// TestIndicesHoldTheirDepth: a fresh pool admits indexDepth transactions
+// without growing an index — the hash and nonce maps and the arrival
+// list — and the admission past that depth grows them. The transactions
+// are memoized and there is no validator, so once the gas-limit count
+// holds its one limit nothing else in an admission allocates. Each count
+// is the fewest of five fresh pools with the collector held off: a run
+// now and then counts an object the runtime allocated beside it.
+func TestIndicesHoldTheirDepth(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	txs := make([]*types.Transaction, indexDepth+1)
+	for i := range txs {
+		txs[i] = tx(byte(i%100), uint64(i/100), 10).Memoize()
+	}
+	atDepth, past := ^uint64(0), ^uint64(0)
+	for range 5 {
+		p := New()
+		admit := func(txs []*types.Transaction) uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for _, tx := range txs {
+				if err := p.Add(tx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			return after.Mallocs - before.Mallocs
+		}
+		admit(txs[:1]) // the gas-limit count's first entry
+		atDepth = min(atDepth, admit(txs[1:indexDepth]))
+		past = min(past, admit(txs[indexDepth:]))
+	}
+	if atDepth != 0 {
+		t.Errorf("admitting %d transactions into a fresh pool allocated %d objects, want 0", indexDepth, atDepth)
+	}
+	if past == 0 {
+		t.Errorf("admission %d grew no index: the depth is not where the indices end", indexDepth+1)
 	}
 }

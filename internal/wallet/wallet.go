@@ -25,14 +25,24 @@ type Key struct {
 	addr types.Address
 }
 
+// keyDomain prefixes every key name ahead of its digest.
+var keyDomain = []byte("sereth-key:")
+
 // NewKey derives a key deterministically from a seed string.
 func NewKey(seed string) *Key {
-	var k Key
-	k.priv = keccak.Sum256([]byte("sereth-key:" + seed))
+	k := new(Key)
+	k.Derive([]byte(seed))
+	return k
+}
+
+// Derive makes k the key named name — priv = Keccak("sereth-key:" ‖
+// name), pub = Keccak(priv), addr = Keccak(pub)[12:] — writing only k,
+// so a caller can derive a population's keys into one slab it owns.
+func (k *Key) Derive(name []byte) {
+	k.priv = keccak.Sum256(keyDomain, name)
 	k.pub = keccak.Sum256(k.priv[:])
 	pubHash := keccak.Sum256(k.pub[:])
 	copy(k.addr[:], pubHash[12:])
-	return &k
 }
 
 // Address returns the account address bound to the key.
@@ -76,8 +86,17 @@ type Registry struct {
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{keys: make(map[types.Address]*Key)}
+func NewRegistry() *Registry { return RegistryOf(nil) }
+
+// RegistryOf returns a registry of every key in slab, its map sized for
+// them once. It keeps pointers into slab: the caller writes no key of it
+// again.
+func RegistryOf(slab []Key) *Registry {
+	r := &Registry{keys: make(map[types.Address]*Key, len(slab))}
+	for i := range slab {
+		r.keys[slab[i].addr] = &slab[i]
+	}
+	return r
 }
 
 // Register adds a key to the registry.

@@ -208,3 +208,55 @@ func TestSignCallIsOneObject(t *testing.T) {
 		}
 	}
 }
+
+// TestDeriveMatchesNewKey: a key derived into a caller's slot from a
+// byte name is the key NewKey derives from that name as a string, and
+// both are the scheme's digests written out — for the owner and every
+// buyer name a Figure-2 population uses at seeds 0–99.
+func TestDeriveMatchesNewKey(t *testing.T) {
+	for seed := 0; seed < 100; seed++ {
+		names := []string{fmt.Sprintf("owner-%d", seed)}
+		for i := 0; i < 25; i++ {
+			names = append(names, fmt.Sprintf("buyer-%d-%d", seed, i))
+		}
+		for _, name := range names {
+			var got Key
+			got.Derive([]byte(name))
+			var want Key
+			want.priv = keccak.Sum256([]byte("sereth-key:" + name))
+			want.pub = keccak.Sum256(want.priv[:])
+			pubHash := keccak.Sum256(want.pub[:])
+			copy(want.addr[:], pubHash[12:])
+			if got != want || *NewKey(name) != want {
+				t.Fatalf("%s: Derive and NewKey disagree with the scheme", name)
+			}
+		}
+	}
+}
+
+// TestDeriveAllocatesNothing: deriving into a slot the caller owns, from
+// a name on the stack, allocates nothing; a registry of a slab is one
+// map sized for it, holding every slot by address.
+func TestDeriveAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	var k Key
+	if got := testing.AllocsPerRun(100, func() {
+		var name [16]byte
+		k.Derive(append(name[:0], "buyer-7-3"...))
+	}); got != 0 {
+		t.Errorf("Derive allocates %v times, want 0", got)
+	}
+	slab := make([]Key, 26)
+	for i := range slab {
+		slab[i].Derive([]byte(fmt.Sprint("buyer-7-", i)))
+	}
+	r := RegistryOf(slab)
+	for i := range slab {
+		tx := slab[i].SignTx(sampleTx(nil))
+		if err := r.VerifyTx(tx); err != nil || r.keys[slab[i].addr] != &slab[i] {
+			t.Fatalf("slot %d: not registered by its pointer (%v)", i, err)
+		}
+	}
+}
